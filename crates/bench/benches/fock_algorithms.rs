@@ -1,37 +1,22 @@
-//! Bench: one two-electron Fock build with each of the paper's algorithms,
-//! driven two ways — through the legacy free functions and through the
-//! unified `FockBuilder` engine — to show the engine layer costs nothing
-//! on the RHF hot path. (On a single host core the parallel variants
-//! mostly measure orchestration overhead over the serial baseline; the
-//! cluster behaviour comes from phi-knlsim.)
+//! Bench: one two-electron Fock build with each algorithm through
+//! `FockAlgorithm::builder()`. (On a single host core the parallel
+//! variants mostly measure orchestration overhead over the serial
+//! baseline; the cluster behaviour comes from phi-knlsim, and whole-SCF
+//! time-to-solution from `benchmark/`.)
 //!
 //! Also asserts (hard, not timed) that every DLB-driven builder reports a
 //! non-zero `dlb_calls` in its stats — the uniform counter contract.
 //!
 //! Full mode benches the C6 ring in 6-31G(d) (the calibration system);
 //! `PHI_BENCH_SMOKE=1` switches to water/6-31G so CI finishes in seconds.
-//! Pass `--json <path>` to write the legacy-vs-engine comparison, e.g.
-//! `BENCH_pr2.json`.
 
-use hf::fock::serial;
 use hf::{DensitySet, FockAlgorithm, FockContext};
 use phi_bench::microbench::{black_box, smoke_mode, Runner};
 use phi_chem::basis::{BasisName, BasisSet};
 use phi_chem::geom::small;
+use phi_dmpi::DdiMode;
 use phi_integrals::{Screening, ShellPairs};
 use phi_linalg::Mat;
-
-fn json_path() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return Some(std::path::PathBuf::from(
-                args.next().unwrap_or_else(|| "bench_fock.json".into()),
-            ));
-        }
-    }
-    None
-}
 
 fn main() {
     let (label, mol, basis_name) = if smoke_mode() {
@@ -56,6 +41,7 @@ fn main() {
         FockAlgorithm::PrivateFock { n_ranks: 1, n_threads: 2 },
         FockAlgorithm::SharedFock { n_ranks: 1, n_threads: 2 },
         FockAlgorithm::Distributed { n_ranks: 2 },
+        FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::Mpi3OneSided },
     ] {
         let gb = alg.builder().build(&ctx, &dens);
         match alg {
@@ -73,21 +59,9 @@ fn main() {
     let mut r = Runner::new("fock_build");
     println!("# system: {label}");
 
-    // Legacy direct path vs the engine path for the serial builder — the
-    // per-iteration Fock time these two report must agree within noise
-    // (the engine dispatches Restricted sets to the same monomorphic
-    // digestion loop).
-    let legacy = r
-        .bench("serial_legacy_fn", || {
-            black_box(serial::build_g_serial(&basis, &pairs, &screening, tau, &d).g.trace());
-        })
-        .ns_per_iter;
-    let engine = r
-        .bench("serial_engine", || {
-            black_box(FockAlgorithm::Serial.builder().build(&ctx, &dens).g.trace());
-        })
-        .ns_per_iter;
-
+    r.bench("serial", || {
+        black_box(FockAlgorithm::Serial.builder().build(&ctx, &dens).g.trace());
+    });
     r.bench("mpi_only_2ranks", || {
         black_box(FockAlgorithm::MpiOnly { n_ranks: 2 }.builder().build(&ctx, &dens).g.trace());
     });
@@ -109,17 +83,4 @@ fn main() {
                 .trace(),
         );
     });
-
-    let ratio = engine / legacy;
-    println!("# engine/legacy serial Fock time: {ratio:.4} (1.0 = no abstraction cost)");
-
-    if let Some(path) = json_path() {
-        let json = format!(
-            "{{\n  \"bench\": \"fock_build_engine_vs_legacy\",\n  \"system\": \"{label}\",\n  \
-             \"unit\": \"ns_per_fock_build\",\n  \"legacy_serial\": {legacy:.1},\n  \
-             \"engine_serial\": {engine:.1},\n  \"engine_over_legacy\": {ratio:.4}\n}}\n"
-        );
-        std::fs::write(&path, json).expect("write json");
-        println!("# wrote {}", path.display());
-    }
 }

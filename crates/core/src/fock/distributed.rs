@@ -14,243 +14,91 @@
 //! natural fourth point of the design space (distributed instead of
 //! replicated-then-reduced) and lets the memory/traffic trade-off be
 //! measured with the same instrumentation.
+//!
+//! Policy row: `ij` pair tasks, no team, one [`RowBufferFock`] per channel
+//! flushed as whole rows into `N x N` windows, durable leases (flushed
+//! contributions persist in the windows, so a dead rank's completed tasks
+//! are *not* reissued — only the lease it held at death), flush +
+//! `ft_barrier`.
 
+use super::driver::{lease_loop, Quartets, Step, World};
 use super::engine::FockContext;
 use super::matrix::RowBufferFock;
-use super::{digest_quartet_dens, kl_bounds, pair_decode, tri_to_full, DensitySet};
-use crate::stats::FockBuildStats;
-use phi_chem::BasisSet;
-use phi_dmpi::{DistributedArray, FaultPlan, LeaseMode, RetryPolicy, WorldConfig};
-use phi_integrals::{Screening, ShellPairs};
-use phi_linalg::Mat;
-use std::time::Instant;
+use super::{digest, pair_decode, tri_to_full, GBuild, ReplicatedDensity};
+use phi_dmpi::{DdiMode, DistributedArray, LeaseMode};
+use phi_integrals::screening::n_pairs;
 
-pub use super::GBuild;
-
-/// Build the two-electron matrices for `dens` with DLB over `(i,j)` pairs
-/// and a *distributed* Fock matrix per spin channel.
-///
-/// Each rank still shares a read-only density copy (as in the hybrid codes)
-/// but owns only `N^2 / n_ranks` elements of each Fock matrix;
-/// contributions to other ranks' rows travel as `acc` batches.
-pub fn build_distributed(
+/// DLB over `(i,j)` pairs with a *distributed* Fock matrix per spin
+/// channel: each rank still holds a read-only density copy (as in the
+/// hybrid codes) but owns only `N^2 / n_ranks` elements of each Fock
+/// matrix; contributions to other ranks' rows travel as `acc` batches.
+pub(crate) fn build<const NCH: usize>(
     ctx: &FockContext<'_>,
-    dens: &DensitySet<'_>,
-    n_ranks: usize,
-    faults: Option<&FaultPlan>,
-    retry: RetryPolicy,
+    dens: ReplicatedDensity<'_, NCH>,
+    world: &World<'_>,
 ) -> GBuild {
     let basis = ctx.basis;
     let n = basis.n_basis();
-    let ns = basis.n_shells();
-    let n_pair = ns * (ns + 1) / 2;
-    let work = dens.prepare();
-    let nch = work.n_channels();
-    // The distributed Fock matrices: N x N row-major, striped over ranks,
-    // one array per spin channel. Created outside the world, so they
-    // survive rank deaths — flushed contributions are durable. Under a
-    // fault plan the window requests travel the reliable link, so drops
-    // and corruptions drain into retransmission.
-    let focks: Vec<DistributedArray> = (0..nch)
-        .map(|_| {
-            let w = DistributedArray::new(n * n, n_ranks);
-            match faults {
-                Some(plan) => w.with_faults(plan, retry),
-                None => w,
-            }
-        })
-        .collect();
+    let n_pair = n_pairs(basis.n_shells());
+    // N x N row-major, striped over ranks, one window per spin channel.
+    let focks: Vec<DistributedArray> =
+        (0..NCH).map(|_| world.window(n * n, DdiMode::Mpi3OneSided)).collect();
+    // Per rank: the density copy, its stripe of the distributed Fock and
+    // the full local scatter buffer. Versus Algorithm 1 this drops the
+    // replicated read-only matrices and the second full Fock copy
+    // (5/2 N^2 -> ~2 N^2 words) — the distributed-data SCF trade.
+    let fock_bytes = NCH * n * n * std::mem::size_of::<f64>();
+    let resident = fock_bytes + fock_bytes / world.n_ranks + fock_bytes;
 
-    let cfg = WorldConfig { n_ranks, faults: faults.cloned(), retry };
-    let world = phi_dmpi::run_world_with_config(cfg, |rank| {
-        let _span = phi_trace::span("fock.build");
-        let start = Instant::now();
-        let mut d_local = rank.alloc_f64(nch * n * n);
-        match *dens {
-            DensitySet::Restricted(d) => d_local.copy_from_slice(d.as_slice()),
-            DensitySet::Unrestricted { alpha, beta } => {
-                d_local[..n * n].copy_from_slice(alpha.as_slice());
-                d_local[n * n..].copy_from_slice(beta.as_slice());
-            }
-        }
-        // Charged per rank and channel: its stripe of the distributed Fock
-        // plus the full local scatter buffer. Versus Algorithm 1 this still
-        // drops the replicated read-only matrices and the second full Fock
-        // copy (5/2 N^2 -> ~2 N^2 words) — the distributed-data SCF trade.
-        let fock_bytes = nch * n * n * std::mem::size_of::<f64>();
-        rank.charge_bytes(fock_bytes / rank.size() + fock_bytes);
-        rank.charge_bytes(ctx.pairs.bytes());
-
-        let mut engine = ctx.engine();
-        let mut eri_buf: Vec<f64> = Vec::new();
-        // The write side of the distribution-aware matrix layer: a full
-        // local row buffer flushed as whole rows (see fock::matrix).
-        let mut sinks: Vec<RowBufferFock> = (0..nch).map(|_| RowBufferFock::new(n)).collect();
-        let mut computed = 0u64;
-        let mut screened = 0u64;
-        let mut tasks = 0usize;
+    let (_, stats) = world.run(ctx, resident, &[&focks], |rank| {
+        let mut dens = dens;
+        let mut sinks: Vec<RowBufferFock> = (0..NCH).map(|_| RowBufferFock::new(n)).collect();
+        let mut quartets = Quartets::new(ctx);
         let mut flushes = 0u64;
-
-        // Leases are durable here: flushed contributions persist in the
-        // distributed array, so a dead rank's already-completed tasks are
-        // *not* reissued — only the lease it held at death. That contract
-        // needs flush-then-complete per task, so it is only paid under
-        // fault injection. In a clean run no rank can die, completion is
-        // immediate (a task completed before its flush is still flushed
-        // before the final barrier), and flushes batch every 32 tasks
-        // purely to amortize one-sided calls.
-        let fault_mode = rank.faults_enabled();
-        let mut dead = rank.lease_reset(n_pair, LeaseMode::Durable).is_err();
-        while !dead {
-            let t = match rank.lease_next() {
-                Ok(Some(t)) => t,
-                Ok(None) => break,
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            };
-            tasks += 1;
-            let (i, j) = pair_decode(t);
-            for k in 0..=i {
-                for l in 0..=kl_bounds(i, j, k) {
-                    if !ctx.survives(i, j, k, l) {
-                        screened += 1;
-                        continue;
-                    }
-                    let (bra, ket) = (ctx.pairs.pair(i, j), ctx.pairs.pair(k, l));
-                    eri_buf.clear();
-                    eri_buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
-                    engine.shell_quartet_pairs(bra, ket, &mut eri_buf);
-                    digest_quartet_dens(basis, i, j, k, l, &eri_buf, &work, &mut sinks);
-                    computed += 1;
-                }
+        let (tasks, dead) = lease_loop(rank, n_pair, LeaseMode::Durable, |step| match step {
+            Step::Task(t) => {
+                let (i, j) = pair_decode(t);
+                quartets.pair_task(i, j, |k, l, eri| {
+                    digest(basis, i, j, k, l, eri, &mut dens, sinks.as_mut_slice())
+                });
             }
-            if fault_mode {
-                // Durable completion: this task's rows land in the array
-                // *before* the lease completes, so death never strands a
-                // completed-but-unflushed task.
+            Step::Flush => {
                 let _span = phi_trace::span("fock.flush_scatter");
                 for (fock, sink) in focks.iter().zip(&mut sinks) {
                     flushes += sink.flush_rows(fock, rank.rank());
                 }
-                rank.lease_complete(t);
-            } else {
-                // Complete eagerly so the last incomplete tasks are never
-                // this rank's own unflushed batch (which would make its
-                // next lease poll wait on itself); flush periodically so
-                // the scatter buffer does not hold the whole matrix hot.
-                rank.lease_complete(t);
-                if tasks.is_multiple_of(32) {
-                    let _span = phi_trace::span("fock.flush_scatter");
-                    for (fock, sink) in focks.iter().zip(&mut sinks) {
-                        flushes += sink.flush_rows(fock, rank.rank());
-                    }
-                }
             }
-        }
+        });
         if !dead {
-            {
-                let _span = phi_trace::span("fock.flush_scatter");
-                for (fock, sink) in focks.iter().zip(&mut sinks) {
-                    flushes += sink.flush_rows(fock, rank.rank());
-                }
-            }
             // Everyone alive must finish accumulating before anyone reads;
             // dead ranks have deregistered (their unflushed work was
             // recomputed by survivors) and must stay out.
             let _ = rank.ft_barrier();
         }
-        rank.release_bytes(fock_bytes / rank.size() + fock_bytes);
-        rank.release_bytes(ctx.pairs.bytes());
-
-        // Once per rank per build: totals reconcile exactly with the
-        // merged FockBuildStats (no per-quartet events on the hot path).
-        phi_trace::counter("quartets_computed", computed);
-        phi_trace::counter("quartets_screened", screened);
-        phi_trace::counter("flushes", flushes);
-        phi_trace::counter("eri.spec_quartets", engine.spec_quartets_computed());
-        (
-            FockBuildStats {
-                seconds: start.elapsed().as_secs_f64(),
-                quartets_computed: computed,
-                quartets_screened: screened,
-                prim_quartets: engine.prim_quartets_computed(),
-                eri_class_quartets: engine.class_counts().to_vec(),
-                dlb_tasks: tasks,
-                flushes,
-                ..Default::default()
-            },
-            focks.iter().map(|f| f.remote_traffic_bytes()).sum::<u64>(),
-        )
+        (None::<()>, quartets.finish(tasks, flushes))
     });
 
-    let failed = world.failed_ranks();
-    let mut stats = FockBuildStats::default();
-    let mut remote_bytes = 0u64;
-    for (s, rb) in world.per_rank {
-        stats = FockBuildStats::merge(stats, &s);
-        remote_bytes = remote_bytes.max(rb);
-    }
-    stats.memory_total_peak = world.memory.total_peak();
-    stats.per_rank_peak = world.memory.per_rank_peak.clone();
-    stats.dlb_calls = world.dlb_calls;
-    stats.faults_injected = world.faults_injected;
-    stats.tasks_reclaimed = world.tasks_reclaimed;
-    stats.retries = world.lease_retries;
-    stats.failed_ranks = failed;
-    stats.retransmits = world.retransmits;
-    stats.acks = world.acks;
-    stats.corruptions_detected = world.corruptions_detected;
-    stats.transient_recoveries = world.transient_recoveries;
-    for fock in &focks {
-        let ls = fock.link_stats();
-        stats.retransmits += ls.retransmits;
-        stats.acks += ls.acks;
-        stats.corruptions_detected += ls.corruptions_detected;
-        stats.transient_recoveries += ls.transient_recoveries;
-        stats.faults_injected += ls.faults_injected as usize;
-    }
     // Read the assembled lower triangles back out.
     let mats = focks
         .iter()
         .map(|fock| {
             let mut buf = vec![0.0; n * n];
             fock.get(0, 0, &mut buf);
-            let mut g = tri_to_full(&buf, n);
-            g.symmetrize();
-            g
+            tri_to_full(&buf, n)
         })
         .collect();
-    let _ = remote_bytes; // surfaced via DistributedArray for callers/tests
     GBuild::from_channels(mats, stats)
-}
-
-/// Restricted convenience wrapper over [`build_distributed`].
-pub fn build_g_distributed(
-    basis: &BasisSet,
-    pairs: &ShellPairs,
-    screening: &Screening,
-    tau: f64,
-    d: &Mat,
-    n_ranks: usize,
-) -> GBuild {
-    build_distributed(
-        &FockContext::new(basis, pairs, screening, tau),
-        &DensitySet::Restricted(d),
-        n_ranks,
-        None,
-        RetryPolicy::default(),
-    )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::fock::mpi_only::build_g_mpi_only;
-    use crate::fock::serial::build_g_serial;
+    use crate::fock::engine::FockData;
+    use crate::fock::DensitySet::Restricted;
+    use crate::fock::FockAlgorithm;
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
+    use phi_chem::BasisSet;
+    use phi_linalg::Mat;
 
     fn density(n: usize) -> Mat {
         Mat::from_fn(n, n, |i, j| {
@@ -259,20 +107,17 @@ mod tests {
         })
     }
 
-    fn pairs_and_screening(b: &BasisSet) -> (phi_integrals::ShellPairs, Screening) {
-        let pairs = phi_integrals::ShellPairs::build(b);
-        let s = Screening::from_pairs(b, &pairs);
-        (pairs, s)
-    }
-
     #[test]
     fn matches_serial_for_various_rank_counts() {
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
         let d = density(b.n_basis());
-        let want = build_g_serial(&b, &pairs, &s, 1e-12, &d).g;
+        let want =
+            FockAlgorithm::Serial.builder().build(&data.context(&b, 1e-12), &Restricted(&d)).g;
         for n_ranks in [1, 2, 4] {
-            let got = build_g_distributed(&b, &pairs, &s, 1e-12, &d, n_ranks);
+            let got = FockAlgorithm::Distributed { n_ranks }
+                .builder()
+                .build(&data.context(&b, 1e-12), &Restricted(&d));
             assert!(
                 got.g.max_abs_diff(&want) < 1e-10,
                 "{n_ranks} ranks: diff {}",
@@ -286,10 +131,13 @@ mod tests {
     #[test]
     fn matches_serial_on_sparse_systems() {
         let b = BasisSet::build(&small::h_chain(8, 5.0), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
         let d = density(b.n_basis());
-        let want = build_g_serial(&b, &pairs, &s, 1e-10, &d).g;
-        let got = build_g_distributed(&b, &pairs, &s, 1e-10, &d, 3);
+        let want =
+            FockAlgorithm::Serial.builder().build(&data.context(&b, 1e-10), &Restricted(&d)).g;
+        let got = FockAlgorithm::Distributed { n_ranks: 3 }
+            .builder()
+            .build(&data.context(&b, 1e-10), &Restricted(&d));
         assert!(got.g.max_abs_diff(&want) < 1e-10);
     }
 
@@ -298,11 +146,15 @@ mod tests {
         // Versus Algorithm 1 at the same rank count, the tracked footprint
         // must be smaller: the Fock matrix is striped, not copied.
         let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
         let d = density(b.n_basis());
         let ranks = 4;
-        let replicated = build_g_mpi_only(&b, &pairs, &s, 1e-12, &d, ranks);
-        let distributed = build_g_distributed(&b, &pairs, &s, 1e-12, &d, ranks);
+        let replicated = FockAlgorithm::MpiOnly { n_ranks: ranks }
+            .builder()
+            .build(&data.context(&b, 1e-12), &Restricted(&d));
+        let distributed = FockAlgorithm::Distributed { n_ranks: ranks }
+            .builder()
+            .build(&data.context(&b, 1e-12), &Restricted(&d));
         assert!(
             distributed.stats.memory_total_peak < replicated.stats.memory_total_peak,
             "distributed {} vs replicated {}",

@@ -1,0 +1,342 @@
+//! The one Fock task-loop driver.
+//!
+//! The paper's Algorithms 1–3 (and the distributed and sharded builds
+//! next to them) are one loop nest with three substitutions: the task
+//! index space, the thread-level schedule and the Fock accumulator. This
+//! module owns everything that does *not* differ, exactly once:
+//!
+//! * [`Quartets`] — the per-thread quartet evaluator (screen, evaluate,
+//!   hand the ERI buffer to the policy's digest closure, count) and the
+//!   single point where a worker's trace counters and
+//!   [`FockBuildStats`] are emitted;
+//! * [`lease_loop`] — the flat per-rank lease loop of the MPI-only,
+//!   distributed and sharded builds;
+//! * [`TeamLeases`] — the team lease loop of the private- and shared-Fock
+//!   builds (master claims, the team follows);
+//! * [`World`] — the dmpi world wrapper: spawn, memory charge, per-rank
+//!   stat merge, the world-global counters, "lowest live rank returns the
+//!   result".
+//!
+//! Each algorithm module supplies only its policy row (DESIGN.md §3.1).
+
+use super::engine::FockContext;
+use super::kl_bounds;
+use crate::stats::FockBuildStats;
+use phi_dmpi::{DdiMode, DistributedArray, FaultPlan, LeaseMode, Rank, RetryPolicy, WorldConfig};
+use phi_integrals::EriEngine;
+use phi_omp::ThreadCtx;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
+
+/// Bytes of the replicated read-only matrices a real GAMESS process
+/// carries besides D and F: overlap S, core Hamiltonian H and MO
+/// coefficients C. Charged to the tracker per rank; the build itself only
+/// reads D.
+pub(crate) fn readonly_bytes(n: usize) -> usize {
+    3 * n * n * std::mem::size_of::<f64>()
+}
+
+/// The quartet evaluator of one worker (a rank, or a thread of a rank's
+/// team): its ERI engine, scratch buffer and quartet counts.
+pub(crate) struct Quartets<'c> {
+    ctx: FockContext<'c>,
+    engine: EriEngine,
+    eri_buf: Vec<f64>,
+    computed: u64,
+    screened: u64,
+}
+
+impl<'c> Quartets<'c> {
+    pub(crate) fn new(ctx: &FockContext<'c>) -> Self {
+        Quartets { ctx: *ctx, engine: ctx.engine(), eri_buf: Vec::new(), computed: 0, screened: 0 }
+    }
+
+    /// Evaluate canonical quartet `(ij|kl)` if it survives screening and
+    /// hand the ERI buffer to `digest`.
+    #[inline]
+    pub(crate) fn quartet(
+        &mut self,
+        i: usize,
+        j: usize,
+        k: usize,
+        l: usize,
+        digest: impl FnOnce(&[f64]),
+    ) {
+        if !self.ctx.survives(i, j, k, l) {
+            self.screened += 1;
+            return;
+        }
+        let (bra, ket) = (self.ctx.pairs.pair(i, j), self.ctx.pairs.pair(k, l));
+        self.eri_buf.clear();
+        self.eri_buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
+        self.engine.shell_quartet_pairs(bra, ket, &mut self.eri_buf);
+        digest(&self.eri_buf);
+        self.computed += 1;
+    }
+
+    /// One `(i, j)` pair task: every canonical `(k, l)` under it (the
+    /// inner loops of Algorithm 1).
+    pub(crate) fn pair_task(
+        &mut self,
+        i: usize,
+        j: usize,
+        mut digest: impl FnMut(usize, usize, &[f64]),
+    ) {
+        for k in 0..=i {
+            for l in 0..=kl_bounds(i, j, k) {
+                self.quartet(i, j, k, l, |eri| digest(k, l, eri));
+            }
+        }
+    }
+
+    /// Close this worker: emit its trace counters (once per worker per
+    /// build — nothing per quartet, so totals reconcile exactly with the
+    /// merged [`FockBuildStats`]) and return its share of the stats.
+    pub(crate) fn finish(self, dlb_tasks: usize, flushes: u64) -> FockBuildStats {
+        phi_trace::counter("quartets_computed", self.computed);
+        phi_trace::counter("quartets_screened", self.screened);
+        phi_trace::counter("flushes", flushes);
+        phi_trace::counter("eri.spec_quartets", self.engine.spec_quartets_computed());
+        for (ci, &count) in self.engine.class_counts().iter().enumerate() {
+            if count > 0 {
+                phi_trace::counter(phi_integrals::CLASS_TRACE_NAMES[ci], count);
+            }
+        }
+        FockBuildStats {
+            quartets_computed: self.computed,
+            quartets_screened: self.screened,
+            prim_quartets: self.engine.prim_quartets_computed(),
+            eri_class_quartets: self.engine.class_counts().to_vec(),
+            dlb_tasks,
+            flushes,
+            ..Default::default()
+        }
+    }
+}
+
+/// What [`lease_loop`] asks of its policy.
+pub(crate) enum Step {
+    /// Run leased task `t`.
+    Task(usize),
+    /// Make everything accumulated so far durable (a no-op for volatile
+    /// accumulators).
+    Flush,
+}
+
+/// The flat per-rank lease loop: claim tasks until every one is complete
+/// or this rank dies. Returns `(tasks claimed, rank died)`.
+///
+/// Under fault injection every task is flushed *before* its lease
+/// completes, so a dead rank never strands completed-but-unflushed work
+/// (kills fire inside `lease_next`, between tasks). In a clean run no
+/// rank can die: completion is eager — so the last incomplete tasks are
+/// never this rank's own unflushed batch, which would make its next lease
+/// poll wait on itself — and flushes batch every 32 tasks purely to
+/// amortize one-sided calls. A surviving rank flushes once more on exit;
+/// the policy then runs its final reduce.
+pub(crate) fn lease_loop(
+    rank: &Rank,
+    n_tasks: usize,
+    mode: LeaseMode,
+    mut step: impl FnMut(Step),
+) -> (usize, bool) {
+    let fault_mode = rank.faults_enabled();
+    let mut tasks = 0usize;
+    let mut dead = rank.lease_reset(n_tasks, mode).is_err();
+    while !dead {
+        let t = match rank.lease_next() {
+            Ok(Some(t)) => t,
+            Ok(None) => break,
+            Err(_) => {
+                dead = true;
+                break;
+            }
+        };
+        tasks += 1;
+        step(Step::Task(t));
+        if fault_mode {
+            step(Step::Flush);
+            rank.lease_complete(t);
+        } else {
+            rank.lease_complete(t);
+            if tasks.is_multiple_of(32) {
+                step(Step::Flush);
+            }
+        }
+    }
+    if !dead {
+        step(Step::Flush);
+    }
+    (tasks, dead)
+}
+
+/// Sentinel the master stores when every task is complete.
+const TASK_DONE: usize = usize::MAX;
+/// Sentinel the master stores when its rank has been killed: the whole
+/// thread team unwinds cleanly at the next barrier.
+const TASK_DEAD: usize = usize::MAX - 1;
+
+/// The team lease loop: one rank's lease stream shared by its thread
+/// team. Leases are volatile — a killed rank's partial sums die with it
+/// and everything it ever computed is reissued to survivors.
+pub(crate) struct TeamLeases<'r> {
+    rank: &'r Rank,
+    n_tasks: usize,
+    current: AtomicUsize,
+}
+
+impl<'r> TeamLeases<'r> {
+    /// Collective over ranks; call before the team's parallel region.
+    pub(crate) fn new(rank: &'r Rank, n_tasks: usize) -> Self {
+        // If this errors the rank is already doomed; the master's first
+        // lease claim observes the same condition and unwinds the whole
+        // team cleanly.
+        let _ = rank.lease_reset(n_tasks, LeaseMode::Volatile);
+        TeamLeases { rank, n_tasks, current: AtomicUsize::new(0) }
+    }
+
+    /// Run by every thread of the team: the master pulls the next lease
+    /// and broadcasts it; every thread runs `task` on it. `task` returns
+    /// whether it ran a worksharing construct (whose trailing barrier
+    /// then synchronizes the team) or skipped the task. Returns the tasks
+    /// run, counted on the master only.
+    pub(crate) fn run(&self, tctx: &ThreadCtx<'_>, mut task: impl FnMut(usize) -> bool) -> usize {
+        let mut tasks = 0usize;
+        let mut prev_task: Option<usize> = None;
+        loop {
+            // The previous task only counts as complete here, after its
+            // trailing barrier proved the whole team finished it. A kill
+            // fires inside the claim; the master then broadcasts the DEAD
+            // sentinel and every thread unwinds at the barrier.
+            tctx.master(|| {
+                if let Some(p) = prev_task.take() {
+                    self.rank.lease_complete(p);
+                }
+                let next = match self.rank.lease_next() {
+                    Ok(Some(t)) => {
+                        prev_task = Some(t);
+                        t
+                    }
+                    Ok(None) => TASK_DONE,
+                    Err(_) => TASK_DEAD,
+                };
+                self.current.store(next, Ordering::SeqCst);
+            });
+            tctx.barrier();
+            let t = self.current.load(Ordering::SeqCst);
+            if t >= self.n_tasks {
+                return tasks;
+            }
+            if task(t) {
+                if tctx.is_master() {
+                    tasks += 1;
+                }
+            } else {
+                // Every thread must have read `current` before the master
+                // overwrites it with the next pull. A worked task gets
+                // this from its worksharing loop's trailing barrier;
+                // without this one on the skip path, a slow thread can
+                // miss a task entirely and the team's collective-call
+                // sequences diverge — deadlock.
+                tctx.barrier();
+            }
+        }
+    }
+}
+
+/// The dmpi world one parallel build runs in.
+pub(crate) struct World<'a> {
+    pub(crate) n_ranks: usize,
+    /// Deterministic fault plan applied to the build; `None` runs clean.
+    pub(crate) faults: Option<&'a FaultPlan>,
+    /// Reliable-delivery policy for the world's message path and the DDI
+    /// window links.
+    pub(crate) retry: RetryPolicy,
+}
+
+impl World<'_> {
+    /// Put a DDI window on this world's reliable link, so that under a
+    /// fault plan drops and corruptions of window requests drain into
+    /// retransmission.
+    pub(crate) fn reliable(&self, w: DistributedArray) -> DistributedArray {
+        match self.faults {
+            Some(plan) => w.with_faults(plan, self.retry),
+            None => w,
+        }
+    }
+
+    /// A zeroed window of `len` elements striped over this world's ranks.
+    /// Windows are created outside the world, so flushed contributions
+    /// survive rank deaths.
+    pub(crate) fn window(&self, len: usize, mode: DdiMode) -> DistributedArray {
+        self.reliable(DistributedArray::new_with_mode(len, self.n_ranks, mode))
+    }
+
+    /// Run `body` on every rank and assemble the build's statistics.
+    ///
+    /// Each rank is charged `resident` bytes (whatever the policy keeps
+    /// per rank: density, Fock, caches) plus its read-only copy of the
+    /// shell-pair dataset for the duration of the build. `body` returns
+    /// the rank's result — `None` once the rank is dead — and its stats;
+    /// the lowest live rank's result is the build's. `windows` are the
+    /// DDI windows whose link counters belong to this build.
+    pub(crate) fn run<T: Send>(
+        &self,
+        ctx: &FockContext<'_>,
+        resident: usize,
+        windows: &[&[DistributedArray]],
+        body: impl Fn(&Rank) -> (Option<T>, FockBuildStats) + Sync,
+    ) -> (Option<T>, FockBuildStats) {
+        let charged = resident + ctx.pairs.bytes();
+        let cfg =
+            WorldConfig { n_ranks: self.n_ranks, faults: self.faults.cloned(), retry: self.retry };
+        let world = phi_dmpi::run_world_with_config(cfg, |rank| {
+            let _span = phi_trace::span("fock.build");
+            let start = Instant::now();
+            rank.charge_bytes(charged);
+            let (result, mut stats) = body(rank);
+            rank.release_bytes(charged);
+            stats.seconds = start.elapsed().as_secs_f64();
+            (result.filter(|_| rank.is_lowest_live()), stats)
+        });
+
+        let failed_ranks = world.failed_ranks();
+        let mut stats = FockBuildStats::default();
+        let mut result = None;
+        for (r, s) in world.per_rank {
+            stats = FockBuildStats::merge(stats, &s);
+            result = r.or(result);
+        }
+        stats.failed_ranks = failed_ranks;
+        stats.memory_total_peak = world.memory.total_peak();
+        stats.per_rank_peak = world.memory.per_rank_peak;
+        stats.dlb_calls = world.dlb_calls;
+        stats.faults_injected = world.faults_injected;
+        stats.tasks_reclaimed = world.tasks_reclaimed;
+        stats.retries = world.lease_retries;
+        stats.retransmits = world.retransmits;
+        stats.acks = world.acks;
+        stats.corruptions_detected = world.corruptions_detected;
+        stats.transient_recoveries = world.transient_recoveries;
+        for w in windows.iter().flat_map(|ws| ws.iter()) {
+            let ls = w.link_stats();
+            stats.retransmits += ls.retransmits;
+            stats.acks += ls.acks;
+            stats.corruptions_detected += ls.corruptions_detected;
+            stats.transient_recoveries += ls.transient_recoveries;
+            stats.faults_injected += ls.faults_injected as usize;
+        }
+        (result, stats)
+    }
+}
+
+/// The reduced Fock of a replicated build, which some rank must have
+/// survived to return.
+pub(crate) fn surviving<T>(result: Option<T>, stats: &FockBuildStats) -> T {
+    result.unwrap_or_else(|| {
+        panic!(
+            "no surviving rank returned the reduced Fock (failed ranks: {:?})",
+            stats.failed_ranks
+        )
+    })
+}

@@ -8,10 +8,11 @@
 //!   reads: the basis, the persistent [`ShellPairs`] dataset, the Schwarz
 //!   [`Screening`] and the threshold `tau`. Drivers construct it once (via
 //!   [`FockData`]) and hand the same context to every iteration.
-//! * [`FockBuilder`] — the one-method trait each algorithm implements.
-//!   Rank/thread topology lives in the builder (it is part of *how* the
-//!   algorithm distributes work, not of the problem), mirroring how
-//!   [`FockAlgorithm`] variants carry their own `n_ranks`/`n_threads`.
+//! * [`FockBuilder`] — the one-method trait drivers build through:
+//!   [`SerialBuilder`], [`ParallelBuilder`] (any [`FockAlgorithm`] in a
+//!   dmpi world; rank/thread topology lives in the algorithm value, it is
+//!   part of *how* work is distributed, not of the problem) and the
+//!   in-core replay.
 //! * [`DensitySet`] — the spin-generalized input (one matrix for RHF, an
 //!   α/β pair for UHF), so every parallel algorithm serves both SCF
 //!   drivers from a single code path.
@@ -19,11 +20,12 @@
 //! Every build returns the same [`GBuild`]: per-channel `G` matrices plus
 //! [`crate::stats::FockBuildStats`] collected identically across
 //! algorithms (quartets computed/screened, DLB counter calls, buffer
-//! flushes, wall time, tracked memory). Adding an algorithm is now one
-//! file implementing one trait, not a five-file surgery.
+//! flushes, wall time, tracked memory). The algorithms themselves are
+//! policy rows over the one task-loop driver (`fock/driver.rs`); adding
+//! one is one row.
 
-use super::shared_fock::TaskPrescreen;
-use super::{DensitySet, FockAlgorithm, GBuild};
+use super::driver::World;
+use super::{DensitySet, FockAlgorithm, GBuild, ReplicatedDensity};
 use phi_chem::BasisSet;
 use phi_dmpi::{FaultPlan, RetryPolicy};
 use phi_integrals::{DensityMax, Screening, ShellPairs};
@@ -134,167 +136,84 @@ pub trait FockBuilder {
     fn label(&self) -> &'static str;
 }
 
-/// Single-threaded reference build ([`super::serial`]).
+/// Single-threaded reference build.
 pub struct SerialBuilder;
 
 impl FockBuilder for SerialBuilder {
     fn build(&self, ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild {
-        super::serial::build_serial(ctx, dens)
+        build_with(FockAlgorithm::Serial, None, RetryPolicy::default(), ctx, dens)
     }
 
     fn label(&self) -> &'static str {
-        "serial"
+        FockAlgorithm::Serial.label()
     }
 }
 
-/// Algorithm 1: MPI-only, everything replicated per rank
-/// ([`super::mpi_only`]).
-pub struct MpiOnlyBuilder {
-    pub n_ranks: usize,
+/// Any [`FockAlgorithm`] run in a dmpi world under an optional fault plan.
+pub struct ParallelBuilder {
+    pub algorithm: FockAlgorithm,
     /// Deterministic fault plan applied to every build; `None` runs clean.
     pub faults: Option<FaultPlan>,
-    /// Reliable-delivery policy for the world's message path.
+    /// Reliable-delivery policy for the world's message path and the DDI
+    /// window links.
     pub retry: RetryPolicy,
 }
 
-impl FockBuilder for MpiOnlyBuilder {
+impl FockBuilder for ParallelBuilder {
     fn build(&self, ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild {
-        super::mpi_only::build_mpi_only(ctx, dens, self.n_ranks, self.faults.as_ref(), self.retry)
+        build_with(self.algorithm, self.faults.as_ref(), self.retry, ctx, dens)
     }
 
     fn label(&self) -> &'static str {
-        "MPI-only"
+        self.algorithm.label()
     }
 }
 
-/// Algorithm 2: hybrid, shared density, thread-private Fock
-/// ([`super::private_fock`]).
-pub struct PrivateFockBuilder {
-    pub n_ranks: usize,
-    pub n_threads: usize,
-    /// Deterministic fault plan applied to every build; `None` runs clean.
-    pub faults: Option<FaultPlan>,
-    /// Reliable-delivery policy for the world's message path.
-    pub retry: RetryPolicy,
-}
-
-impl FockBuilder for PrivateFockBuilder {
-    fn build(&self, ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild {
-        super::private_fock::build_private_fock(
-            ctx,
-            dens,
-            self.n_ranks,
-            self.n_threads,
-            self.faults.as_ref(),
-            self.retry,
-        )
-    }
-
-    fn label(&self) -> &'static str {
-        "private Fock"
-    }
-}
-
-/// Algorithm 3: hybrid, density and Fock both shared per rank
-/// ([`super::shared_fock`]), with the task-prescreen and lazy-FI-flush
-/// knobs exposed for ablations.
-pub struct SharedFockBuilder {
-    pub n_ranks: usize,
-    pub n_threads: usize,
-    pub prescreen: TaskPrescreen,
-    pub lazy_fi: bool,
-    /// Deterministic fault plan applied to every build; `None` runs clean.
-    pub faults: Option<FaultPlan>,
-    /// Reliable-delivery policy for the world's message path.
-    pub retry: RetryPolicy,
-}
-
-impl SharedFockBuilder {
-    /// The paper's default configuration: QMax task prescreen, lazy FI.
-    pub fn new(n_ranks: usize, n_threads: usize) -> SharedFockBuilder {
-        SharedFockBuilder {
-            n_ranks,
-            n_threads,
-            prescreen: TaskPrescreen::QMax,
-            lazy_fi: true,
-            faults: None,
-            retry: RetryPolicy::default(),
+/// The one dynamic dispatch of a build: pick the density backend here,
+/// outside every loop, so the policies below it are monomorphic.
+fn build_with(
+    alg: FockAlgorithm,
+    faults: Option<&FaultPlan>,
+    retry: RetryPolicy,
+    ctx: &FockContext<'_>,
+    dens: &DensitySet<'_>,
+) -> GBuild {
+    match *dens {
+        DensitySet::Restricted(d) => {
+            run_policy(alg, faults, retry, ctx, ReplicatedDensity::restricted(d))
+        }
+        DensitySet::Unrestricted { alpha, beta } => {
+            let total = alpha.add(beta);
+            let dens = ReplicatedDensity::unrestricted(&total, alpha, beta);
+            run_policy(alg, faults, retry, ctx, dens)
         }
     }
 }
 
-impl FockBuilder for SharedFockBuilder {
-    fn build(&self, ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild {
-        super::shared_fock::build_shared_fock_set(
-            ctx,
-            dens,
-            self.n_ranks,
-            self.n_threads,
-            self.prescreen,
-            self.lazy_fi,
-            self.faults.as_ref(),
-            self.retry,
-        )
-    }
-
-    fn label(&self) -> &'static str {
-        "shared Fock"
-    }
-}
-
-/// Fully sharded build: density *and* Fock live in tri-packed
-/// [`phi_dmpi::DistributedArray`] windows, no rank ever materializes a
-/// full `N x N` matrix ([`super::sharded`]).
-pub struct ShardedBuilder {
-    pub n_ranks: usize,
-    /// DDI transport the get/accumulate windows model.
-    pub mode: phi_dmpi::DdiMode,
-    /// Deterministic fault plan applied to every build; `None` runs clean.
-    pub faults: Option<FaultPlan>,
-    /// Reliable-delivery policy for the world and the window links.
-    pub retry: RetryPolicy,
-}
-
-impl FockBuilder for ShardedBuilder {
-    fn build(&self, ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild {
-        super::sharded::build_sharded(
-            ctx,
-            dens,
-            self.n_ranks,
-            self.mode,
-            self.faults.as_ref(),
-            self.retry,
-        )
-    }
-
-    fn label(&self) -> &'static str {
-        "sharded"
-    }
-}
-
-/// Related-work baseline: Fock distributed over ranks with one-sided
-/// accumulates ([`super::distributed`]).
-pub struct DistributedBuilder {
-    pub n_ranks: usize,
-    /// Deterministic fault plan applied to every build; `None` runs clean.
-    pub faults: Option<FaultPlan>,
-    /// Reliable-delivery policy for the world and the window links.
-    pub retry: RetryPolicy,
-}
-
-impl FockBuilder for DistributedBuilder {
-    fn build(&self, ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild {
-        super::distributed::build_distributed(
-            ctx,
-            dens,
-            self.n_ranks,
-            self.faults.as_ref(),
-            self.retry,
-        )
-    }
-
-    fn label(&self) -> &'static str {
-        "distributed"
+/// Algorithm -> policy row (DESIGN.md §3.1).
+fn run_policy<const NCH: usize>(
+    alg: FockAlgorithm,
+    faults: Option<&FaultPlan>,
+    retry: RetryPolicy,
+    ctx: &FockContext<'_>,
+    dens: ReplicatedDensity<'_, NCH>,
+) -> GBuild {
+    let world = |n_ranks| World { n_ranks, faults, retry };
+    match alg {
+        FockAlgorithm::Serial => super::serial::build(ctx, dens),
+        FockAlgorithm::MpiOnly { n_ranks } => super::mpi_only::build(ctx, dens, &world(n_ranks)),
+        FockAlgorithm::PrivateFock { n_ranks, n_threads } => {
+            super::private_fock::build(ctx, dens, &world(n_ranks), n_threads)
+        }
+        FockAlgorithm::SharedFock { n_ranks, n_threads } => {
+            super::shared_fock::build(ctx, dens, &world(n_ranks), n_threads)
+        }
+        FockAlgorithm::Distributed { n_ranks } => {
+            super::distributed::build(ctx, dens, &world(n_ranks))
+        }
+        FockAlgorithm::Sharded { n_ranks, mode } => {
+            super::sharded::build(ctx, dens, &world(n_ranks), mode)
+        }
     }
 }
 
@@ -326,23 +245,7 @@ impl FockAlgorithm {
     ) -> Box<dyn FockBuilder> {
         match self {
             FockAlgorithm::Serial => Box::new(SerialBuilder),
-            FockAlgorithm::MpiOnly { n_ranks } => {
-                Box::new(MpiOnlyBuilder { n_ranks, faults, retry })
-            }
-            FockAlgorithm::PrivateFock { n_ranks, n_threads } => {
-                Box::new(PrivateFockBuilder { n_ranks, n_threads, faults, retry })
-            }
-            FockAlgorithm::SharedFock { n_ranks, n_threads } => Box::new(SharedFockBuilder {
-                faults,
-                retry,
-                ..SharedFockBuilder::new(n_ranks, n_threads)
-            }),
-            FockAlgorithm::Distributed { n_ranks } => {
-                Box::new(DistributedBuilder { n_ranks, faults, retry })
-            }
-            FockAlgorithm::Sharded { n_ranks, mode } => {
-                Box::new(ShardedBuilder { n_ranks, mode, faults, retry })
-            }
+            algorithm => Box::new(ParallelBuilder { algorithm, faults, retry }),
         }
     }
 }

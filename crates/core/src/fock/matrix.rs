@@ -1,16 +1,14 @@
 //! Distribution-aware matrix layer: how builders *read* density and
 //! *write* Fock contributions, independent of where the matrices live.
 //!
-//! The read side is [`DensityView`], the write side [`FockAccumulator`];
-//! each has two backends:
+//! The read side is the [`DensityRead`] trait, the write side
+//! [`ChannelSink`]; the one digester (`fock::digest`) is generic over
+//! both. Each has two backends:
 //!
-//! * **Replicated** — the matrices exist in full on every rank.
-//!   [`ReplicatedFock`] owns the per-channel lower-triangle accumulation
-//!   buffers every replicated builder (serial, MPI-only, private-Fock,
-//!   shared-Fock) digests into, and `DensityView::Replicated` wraps the
-//!   prepared [`DensityWork`]. The replicated read path stays on the
-//!   monomorphic digestion in `fock/mod.rs` — this layer adds no cost to
-//!   the paper's three algorithms.
+//! * **Replicated** — the matrices exist in full on every rank:
+//!   [`super::ReplicatedDensity`] reads them and [`ReplicatedFock`] owns
+//!   the per-channel lower-triangle accumulation buffers the serial,
+//!   MPI-only and private-Fock builds digest into.
 //! * **RowShard** — the matrices live in tri-packed row shards inside
 //!   [`phi_dmpi::DistributedArray`] windows, striped over ranks.
 //!   [`ShardDensity`] reads rows on demand through `get` with a bounded
@@ -24,8 +22,7 @@
 //! matrix costs `N (N + 1) / 2` words total across all ranks instead of
 //! `N^2` words *per* rank.
 
-use super::{DensityWork, FockSink, TriSink};
-use phi_chem::BasisSet;
+use super::{ChannelSink, DensityRead, FockSink, ReplicatedDensity};
 use phi_dmpi::{DdiMode, DistributedArray};
 use phi_linalg::Mat;
 use std::collections::{HashMap, VecDeque};
@@ -61,46 +58,28 @@ pub fn shard_flush_entries(n: usize) -> usize {
 // ---------------------------------------------------------------------
 
 /// The replicated write-side backend: per-channel lower-triangle
-/// accumulation buffers owned in full by one rank (or one thread).
-///
-/// Centralizes the `vec![0.0; nch * n * n]` + [`TriSink`] +
-/// `tri_to_full` boilerplate the replicated builders all shared.
+/// accumulation buffers (channel-major) owned in full by one rank or one
+/// thread.
 pub struct ReplicatedFock {
     bufs: Vec<f64>,
-    nch: usize,
     n: usize,
 }
 
 impl ReplicatedFock {
     pub fn new(nch: usize, n: usize) -> ReplicatedFock {
-        ReplicatedFock { bufs: vec![0.0; nch * n * n], nch, n }
+        ReplicatedFock { bufs: vec![0.0; nch * n * n], n }
     }
 
     /// Wrap an existing channel-major lower-triangle buffer (e.g. the
     /// snapshot a `gsumf` reduction produced) in the replicated backend.
     pub fn from_raw(bufs: Vec<f64>, nch: usize, n: usize) -> ReplicatedFock {
         debug_assert_eq!(bufs.len(), nch * n * n);
-        ReplicatedFock { bufs, nch, n }
-    }
-
-    /// Bytes this backend holds resident (for the live memory tracker).
-    pub fn bytes(&self) -> usize {
-        self.bufs.len() * std::mem::size_of::<f64>()
-    }
-
-    /// One [`TriSink`] per spin channel, borrowing the buffers.
-    pub fn sinks(&mut self) -> Vec<TriSink<'_>> {
-        let n = self.n;
-        self.bufs.chunks_mut(n * n).map(|buf| TriSink { buf, n }).collect()
+        ReplicatedFock { bufs, n }
     }
 
     /// The raw channel-major accumulation buffer (e.g. for `gsumf`).
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.bufs
-    }
-
-    pub fn as_slice(&self) -> &[f64] {
-        &self.bufs
     }
 
     /// Sum another replica into this one (the OpenMP
@@ -115,8 +94,15 @@ impl ReplicatedFock {
     /// Mirror each channel's lower triangle into a full symmetric matrix.
     pub fn into_mats(self) -> Vec<Mat> {
         let n = self.n;
-        let _ = self.nch;
         self.bufs.chunks(n * n).map(|b| super::tri_to_full(b, n)).collect()
+    }
+}
+
+impl ChannelSink for ReplicatedFock {
+    #[inline]
+    fn add(&mut self, ch: usize, mu: usize, nu: usize, v: f64) {
+        debug_assert!(mu >= nu);
+        self.bufs[(ch * self.n + mu) * self.n + nu] += v;
     }
 }
 
@@ -124,13 +110,13 @@ impl ReplicatedFock {
 // RowShard backend (read side)
 // ---------------------------------------------------------------------
 
-/// Scatter a prepared density into tri-packed DDI windows, striped over
+/// Scatter a density into tri-packed DDI windows, striped over
 /// `n_ranks`. Restricted input yields one window (`D`); unrestricted
 /// input yields three (`D_total`, `D_alpha`, `D_beta`) so Coulomb and
 /// per-spin exchange reads each have a home. Runs on the driver before
 /// the world starts; the windows outlive rank deaths.
-pub fn scatter_density(
-    work: &DensityWork<'_>,
+pub fn scatter_density<const NCH: usize>(
+    dens: &ReplicatedDensity<'_, NCH>,
     n: usize,
     n_ranks: usize,
     mode: DdiMode,
@@ -146,12 +132,11 @@ pub fn scatter_density(
         win.put(0, 0, &buf);
         win
     };
-    match work {
-        DensityWork::Restricted(d) => vec![pack(d)],
-        DensityWork::Unrestricted { total, alpha, beta } => {
-            vec![pack(total), pack(alpha), pack(beta)]
-        }
+    let mut wins = vec![pack(dens.coulomb)];
+    if NCH > 1 {
+        wins.extend(dens.exchange.iter().map(|m| pack(m)));
     }
+    wins
 }
 
 /// Gather a tri-packed Fock window back into a full symmetric matrix
@@ -199,25 +184,6 @@ impl<'a> ShardDensity<'a> {
         }
     }
 
-    /// Number of spin output channels this density feeds (1 restricted,
-    /// 2 unrestricted).
-    pub fn n_out(&self) -> usize {
-        if self.wins.len() == 1 {
-            1
-        } else {
-            2
-        }
-    }
-
-    /// Exchange scale: RHF digests `-X/2 * D`, UHF `-X * D_s`.
-    pub fn k_factor(&self) -> f64 {
-        if self.wins.len() == 1 {
-            -0.5
-        } else {
-            -1.0
-        }
-    }
-
     fn row(&mut self, win: usize, r: usize) -> &[f64] {
         let key = (win as u32, r as u32);
         if !self.cache.contains_key(&key) {
@@ -246,20 +212,36 @@ impl<'a> ShardDensity<'a> {
         self.row(win, r)[c]
     }
 
-    /// Coulomb-source element (`D` or `D_total`).
-    pub fn coulomb(&mut self, p: usize, q: usize) -> f64 {
+    /// Bytes of bounded per-rank state (the row cache at capacity).
+    pub fn budget_bytes(n: usize) -> usize {
+        shard_cache_elems(n) * std::mem::size_of::<f64>()
+    }
+}
+
+impl DensityRead for ShardDensity<'_> {
+    fn n_channels(&self) -> usize {
+        if self.wins.len() == 1 {
+            1
+        } else {
+            2
+        }
+    }
+
+    fn k_factor(&self) -> f64 {
+        if self.wins.len() == 1 {
+            -0.5
+        } else {
+            -1.0
+        }
+    }
+
+    fn coulomb(&mut self, p: usize, q: usize) -> f64 {
         self.value(0, p, q)
     }
 
-    /// Exchange-source element for spin channel `ch`.
-    pub fn exchange(&mut self, ch: usize, p: usize, q: usize) -> f64 {
+    fn exchange(&mut self, ch: usize, p: usize, q: usize) -> f64 {
         let win = if self.wins.len() == 1 { 0 } else { 1 + ch };
         self.value(win, p, q)
-    }
-
-    /// Bytes of bounded per-rank state (the row cache at capacity).
-    pub fn budget_bytes(&self) -> usize {
-        self.cap_elems * std::mem::size_of::<f64>()
     }
 }
 
@@ -271,11 +253,11 @@ impl<'a> ShardDensity<'a> {
 /// sparse `(channel, tri index, value)` entries and flushed as coalesced
 /// one-sided `acc` runs into the tri-packed Fock windows.
 ///
-/// Durability contract (the PR 3 fault model): a kill can only fire
-/// inside `lease_next`, i.e. *between* tasks — so as long as the builder
-/// flushes before `lease_complete` of each task (flush-then-complete,
-/// like the distributed builder), a dead rank never strands completed
-/// work, and capacity-triggered flushes mid-task are safe in every mode.
+/// Durability contract (the PR 3 fault model): a kill can only fire at a
+/// lease claim, i.e. *between* tasks — so as long as the lease loop
+/// flushes before completing each task (flush-then-complete, like the
+/// distributed builder), a dead rank never strands completed work, and
+/// capacity-triggered flushes mid-task are safe in every mode.
 pub struct RowShardFock<'a> {
     wins: &'a [DistributedArray],
     rank: usize,
@@ -292,13 +274,6 @@ impl<'a> RowShardFock<'a> {
         RowShardFock { wins, rank, pending: Vec::with_capacity(cap), cap, flushes: 0 }
     }
 
-    /// Canonical update `F_ch[mu, nu] += v` (`mu >= nu`).
-    #[inline]
-    pub fn add(&mut self, ch: usize, mu: usize, nu: usize, v: f64) {
-        debug_assert!(mu >= nu);
-        self.pending.push((((ch as u64) << 48) | tri_index(mu, nu) as u64, v));
-    }
-
     /// Whether the pending buffer has reached its capacity.
     pub fn full(&self) -> bool {
         self.pending.len() >= self.cap
@@ -310,6 +285,7 @@ impl<'a> RowShardFock<'a> {
         if self.pending.is_empty() {
             return;
         }
+        let _span = phi_trace::span("fock.flush_scatter");
         self.pending.sort_unstable_by_key(|&(k, _)| k);
         let mut run_start_key = self.pending[0].0;
         let mut run: Vec<f64> = Vec::new();
@@ -345,171 +321,16 @@ impl<'a> RowShardFock<'a> {
     }
 
     /// Bytes of bounded per-rank state (the pending buffer at capacity).
-    pub fn budget_bytes(&self) -> usize {
-        self.cap * std::mem::size_of::<(u64, f64)>()
+    pub fn budget_bytes(n: usize) -> usize {
+        shard_flush_entries(n) * std::mem::size_of::<(u64, f64)>()
     }
 }
 
-// ---------------------------------------------------------------------
-// The unified view/accumulator pair and generic digestion
-// ---------------------------------------------------------------------
-
-/// Read side of one Fock build: where density elements come from.
-pub enum DensityView<'a> {
-    /// Full matrices on this rank (wraps the prepared [`DensityWork`]).
-    Replicated(&'a DensityWork<'a>),
-    /// Tri-packed DDI row shards with a bounded row cache.
-    RowShard(ShardDensity<'a>),
-}
-
-impl DensityView<'_> {
-    pub fn n_out(&self) -> usize {
-        match self {
-            DensityView::Replicated(w) => w.n_channels(),
-            DensityView::RowShard(s) => s.n_out(),
-        }
-    }
-
-    pub fn k_factor(&self) -> f64 {
-        match self {
-            DensityView::Replicated(w) => match w {
-                DensityWork::Restricted(_) => -0.5,
-                DensityWork::Unrestricted { .. } => -1.0,
-            },
-            DensityView::RowShard(s) => s.k_factor(),
-        }
-    }
-
-    /// Coulomb-source element (`D` restricted, `D_total` UHF).
+impl ChannelSink for RowShardFock<'_> {
     #[inline]
-    pub fn coulomb(&mut self, p: usize, q: usize) -> f64 {
-        match self {
-            DensityView::Replicated(w) => match w {
-                DensityWork::Restricted(d) => d[(p, q)],
-                DensityWork::Unrestricted { total, .. } => total[(p, q)],
-            },
-            DensityView::RowShard(s) => s.coulomb(p, q),
-        }
-    }
-
-    /// Exchange-source element for spin channel `ch`.
-    #[inline]
-    pub fn exchange(&mut self, ch: usize, p: usize, q: usize) -> f64 {
-        match self {
-            DensityView::Replicated(w) => match w {
-                DensityWork::Restricted(d) => d[(p, q)],
-                DensityWork::Unrestricted { alpha, beta, .. } => {
-                    if ch == 0 {
-                        alpha[(p, q)]
-                    } else {
-                        beta[(p, q)]
-                    }
-                }
-            },
-            DensityView::RowShard(s) => s.exchange(ch, p, q),
-        }
-    }
-}
-
-/// Write side of one Fock build: where canonical updates land.
-pub enum FockAccumulator<'a> {
-    Replicated(ReplicatedFock),
-    RowShard(RowShardFock<'a>),
-}
-
-impl FockAccumulator<'_> {
-    #[inline]
-    pub fn add(&mut self, ch: usize, mu: usize, nu: usize, v: f64) {
-        match self {
-            FockAccumulator::Replicated(r) => {
-                let n = r.n;
-                r.bufs[ch * n * n + mu * n + nu] += v;
-            }
-            FockAccumulator::RowShard(s) => s.add(ch, mu, nu, v),
-        }
-    }
-}
-
-/// Digest one canonical shell quartet through the distribution-aware
-/// layer: reads via [`DensityView`], writes via [`FockAccumulator`].
-///
-/// Semantically identical to the monomorphic `digest_quartet_dens` —
-/// per unique ordered tuple `(a,b,c,e)` of the integral's orbit,
-/// Coulomb `F_ch[ab] += D_J[ce] * X` into every spin channel and
-/// exchange `F_ch[ac] += k * X * D_ch[be]` with `k` = -1/2 (RHF) or
-/// -1 (UHF). The replicated builders keep the monomorphic path for
-/// speed; equivalence is asserted by this module's tests.
-#[allow(clippy::too_many_arguments)]
-pub fn digest_quartet_view(
-    basis: &BasisSet,
-    si: usize,
-    sj: usize,
-    sk: usize,
-    sl: usize,
-    quartet: &[f64],
-    view: &mut DensityView<'_>,
-    acc: &mut FockAccumulator<'_>,
-) {
-    let sh_i = &basis.shells[si];
-    let sh_j = &basis.shells[sj];
-    let sh_k = &basis.shells[sk];
-    let sh_l = &basis.shells[sl];
-    let (ni, nj, nk, nl) =
-        (sh_i.n_functions(), sh_j.n_functions(), sh_k.n_functions(), sh_l.n_functions());
-    let (fi, fj, fk, fl) = (sh_i.first_bf, sh_j.first_bf, sh_k.first_bf, sh_l.first_bf);
-    let same_ij = si == sj;
-    let same_kl = sk == sl;
-    let same_pair = si == sk && sj == sl;
-    let nch = view.n_out();
-    let kf = view.k_factor();
-
-    for a in 0..ni {
-        let mu = fi + a;
-        let b_hi = if same_ij { a + 1 } else { nj };
-        for b in 0..b_hi {
-            let nu = fj + b;
-            let munu = mu * (mu + 1) / 2 + nu;
-            for c in 0..nk {
-                let lam = fk + c;
-                let d_hi = if same_kl { c + 1 } else { nl };
-                for dd in 0..d_hi {
-                    let sig = fl + dd;
-                    if same_pair && lam * (lam + 1) / 2 + sig > munu {
-                        continue;
-                    }
-                    let x = quartet[((a * nj + b) * nk + c) * nl + dd];
-                    if x == 0.0 {
-                        continue;
-                    }
-                    let orbit = [
-                        (mu, nu, lam, sig),
-                        (nu, mu, lam, sig),
-                        (mu, nu, sig, lam),
-                        (nu, mu, sig, lam),
-                        (lam, sig, mu, nu),
-                        (sig, lam, mu, nu),
-                        (lam, sig, nu, mu),
-                        (sig, lam, nu, mu),
-                    ];
-                    for (idx, &(p, q, r, s)) in orbit.iter().enumerate() {
-                        if orbit[..idx].contains(&(p, q, r, s)) {
-                            continue;
-                        }
-                        if p >= q {
-                            let j = view.coulomb(r, s) * x;
-                            for ch in 0..nch {
-                                acc.add(ch, p, q, j);
-                            }
-                        }
-                        if p >= r {
-                            for ch in 0..nch {
-                                acc.add(ch, p, r, kf * x * view.exchange(ch, q, s));
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    fn add(&mut self, ch: usize, mu: usize, nu: usize, v: f64) {
+        debug_assert!(mu >= nu);
+        self.pending.push((((ch as u64) << 48) | tri_index(mu, nu) as u64, v));
     }
 }
 
@@ -563,10 +384,12 @@ impl FockSink for RowBufferFock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fock::{serial::build_g_serial, DensitySet};
-    use phi_chem::basis::BasisName;
+    use crate::fock::driver::Quartets;
+    use crate::fock::engine::FockData;
+    use crate::fock::DensitySet::Restricted;
+    use crate::fock::{digest, FockAlgorithm};
+    use phi_chem::basis::{BasisName, BasisSet};
     use phi_chem::geom::small;
-    use phi_integrals::{EriEngine, Screening, ShellPairs};
 
     fn density(n: usize) -> Mat {
         Mat::from_fn(n, n, |i, j| {
@@ -575,61 +398,65 @@ mod tests {
         })
     }
 
-    /// Full serial quartet sweep through the generic view/accumulator
-    /// pair with the given backends; returns the per-channel matrices.
-    fn sweep(
-        b: &BasisSet,
-        dens: &DensitySet<'_>,
-        mut view: DensityView<'_>,
-        mut acc: FockAccumulator<'_>,
-    ) -> Vec<Mat> {
-        let _ = dens;
-        let pairs = ShellPairs::build(b);
-        let s = Screening::from_pairs(b, &pairs);
-        let ns = b.n_shells();
-        let mut engine = EriEngine::new();
-        let mut eri = Vec::new();
-        for i in 0..ns {
+    /// Full serial quartet sweep of the generic digester over the given
+    /// read and write backends.
+    fn sweep(b: &BasisSet, dens: &mut impl DensityRead, sink: &mut impl ChannelSink) {
+        let data = FockData::build(b);
+        let ctx = data.context(b, 1e-14);
+        let mut quartets = Quartets::new(&ctx);
+        for i in 0..b.n_shells() {
             for j in 0..=i {
-                for k in 0..=i {
-                    for l in 0..=super::super::kl_bounds(i, j, k) {
-                        if !s.survives(i, j, k, l, 1e-14) {
-                            continue;
-                        }
-                        let (bra, ket) = (pairs.pair(i, j), pairs.pair(k, l));
-                        eri.clear();
-                        eri.resize(bra.n_fn() * ket.n_fn(), 0.0);
-                        engine.shell_quartet_pairs(bra, ket, &mut eri);
-                        digest_quartet_view(b, i, j, k, l, &eri, &mut view, &mut acc);
-                    }
-                }
+                quartets.pair_task(i, j, |k, l, eri| digest(b, i, j, k, l, eri, dens, sink));
             }
         }
-        match acc {
-            FockAccumulator::Replicated(r) => r.into_mats(),
-            FockAccumulator::RowShard(mut s) => {
-                s.flush();
-                Vec::new() // caller gathers from the windows
+    }
+
+    /// The sweep over the replicated backends; returns per-channel `G`.
+    fn replicated_sweep<const NCH: usize>(
+        b: &BasisSet,
+        mut dens: ReplicatedDensity<'_, NCH>,
+    ) -> Vec<Mat> {
+        let mut fock = ReplicatedFock::new(NCH, b.n_basis());
+        sweep(b, &mut dens, &mut fock);
+        fock.into_mats()
+    }
+
+    /// The sweep over the RowShard backends in both DDI modes must land
+    /// within 1e-12 of `want` in every channel.
+    fn assert_rowshard_matches<const NCH: usize>(
+        label: &str,
+        b: &BasisSet,
+        dens: ReplicatedDensity<'_, NCH>,
+        want: &[Mat],
+    ) {
+        let n = b.n_basis();
+        for mode in [DdiMode::Mpi3OneSided, DdiMode::DataServer] {
+            let d_wins = scatter_density(&dens, n, 3, mode);
+            let f_wins: Vec<DistributedArray> =
+                (0..NCH).map(|_| DistributedArray::new_with_mode(tri_len(n), 3, mode)).collect();
+            let mut fock = RowShardFock::new(&f_wins, n, 0);
+            sweep(b, &mut ShardDensity::new(&d_wins, n, 0), &mut fock);
+            fock.flush();
+            for (ch, want_ch) in want.iter().enumerate() {
+                let got = gather_tri(&f_wins[ch], n);
+                assert!(
+                    got.max_abs_diff(want_ch) < 1e-12,
+                    "{label} ch {ch} {:?}: diff {}",
+                    mode,
+                    got.max_abs_diff(want_ch)
+                );
             }
         }
     }
 
     #[test]
-    fn replicated_view_matches_monomorphic_serial_digestion() {
+    fn replicated_backends_match_the_serial_builder() {
         let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let n = b.n_basis();
-        let d = density(n);
-        let pairs = ShellPairs::build(&b);
-        let s = Screening::from_pairs(&b, &pairs);
-        let want = build_g_serial(&b, &pairs, &s, 1e-14, &d).g;
-        let dens = DensitySet::Restricted(&d);
-        let work = dens.prepare();
-        let mats = sweep(
-            &b,
-            &dens,
-            DensityView::Replicated(&work),
-            FockAccumulator::Replicated(ReplicatedFock::new(1, n)),
-        );
+        let d = density(b.n_basis());
+        let data = FockData::build(&b);
+        let want =
+            FockAlgorithm::Serial.builder().build(&data.context(&b, 1e-14), &Restricted(&d)).g;
+        let mats = replicated_sweep(&b, ReplicatedDensity::restricted(&d));
         assert!(mats[0].max_abs_diff(&want) < 1e-12, "diff {}", mats[0].max_abs_diff(&want));
     }
 
@@ -640,50 +467,19 @@ mod tests {
         let d_a = density(n);
         let mut d_b = density(n);
         d_b.scale(0.7);
-        for (label, dens) in [
-            ("restricted", DensitySet::Restricted(&d_a)),
-            ("unrestricted", DensitySet::Unrestricted { alpha: &d_a, beta: &d_b }),
-        ] {
-            let work = dens.prepare();
-            let nch = dens.n_channels();
-            let want = sweep(
-                &b,
-                &dens,
-                DensityView::Replicated(&work),
-                FockAccumulator::Replicated(ReplicatedFock::new(nch, n)),
-            );
-            for mode in [DdiMode::Mpi3OneSided, DdiMode::DataServer] {
-                let d_wins = scatter_density(&work, n, 3, mode);
-                let f_wins: Vec<DistributedArray> = (0..nch)
-                    .map(|_| DistributedArray::new_with_mode(tri_len(n), 3, mode))
-                    .collect();
-                let mats = sweep(
-                    &b,
-                    &dens,
-                    DensityView::RowShard(ShardDensity::new(&d_wins, n, 0)),
-                    FockAccumulator::RowShard(RowShardFock::new(&f_wins, n, 0)),
-                );
-                assert!(mats.is_empty());
-                for (ch, want_ch) in want.iter().enumerate() {
-                    let got = gather_tri(&f_wins[ch], n);
-                    assert!(
-                        got.max_abs_diff(want_ch) < 1e-12,
-                        "{label} ch {ch} {:?}: diff {}",
-                        mode,
-                        got.max_abs_diff(want_ch)
-                    );
-                }
-            }
-        }
+        let restricted = ReplicatedDensity::restricted(&d_a);
+        assert_rowshard_matches("restricted", &b, restricted, &replicated_sweep(&b, restricted));
+        let total = d_a.add(&d_b);
+        let unrestricted = ReplicatedDensity::unrestricted(&total, &d_a, &d_b);
+        let want = replicated_sweep(&b, unrestricted);
+        assert_rowshard_matches("unrestricted", &b, unrestricted, &want);
     }
 
     #[test]
     fn shard_density_cache_stays_bounded_and_reads_symmetric() {
         let n = 40;
         let d = density(n);
-        let dens = DensitySet::Restricted(&d);
-        let work = dens.prepare();
-        let wins = scatter_density(&work, n, 4, DdiMode::Mpi3OneSided);
+        let wins = scatter_density(&ReplicatedDensity::restricted(&d), n, 4, DdiMode::Mpi3OneSided);
         let mut reader = ShardDensity::new(&wins, n, 1);
         for p in 0..n {
             for q in 0..n {
@@ -715,10 +511,8 @@ mod tests {
     fn scatter_gather_roundtrip() {
         let n = 17;
         let d = density(n);
-        let dens = DensitySet::Restricted(&d);
-        let work = dens.prepare();
         for mode in [DdiMode::Mpi3OneSided, DdiMode::DataServer] {
-            let wins = scatter_density(&work, n, 5, mode);
+            let wins = scatter_density(&ReplicatedDensity::restricted(&d), n, 5, mode);
             assert_eq!(gather_tri(&wins[0], n).max_abs_diff(&d), 0.0);
         }
     }

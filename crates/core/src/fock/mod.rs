@@ -19,20 +19,24 @@
 //! (which the text's "symmetry-unique quartets" requires, and which GAMESS
 //! implements) is `k==i ? lmax <- j : lmax <- k`. We implement the
 //! canonical bound and note the typo here.
+//!
+//! The task loop itself is written once, in `fock/driver.rs`; each
+//! algorithm module is a policy over it (task space, team schedule, accumulator,
+//! lease mode, final reduce — see DESIGN.md §3.1).
 
-pub mod distributed;
+mod distributed;
+mod driver;
 pub mod engine;
 pub mod incremental;
 pub mod matrix;
-pub mod mpi_only;
-pub mod private_fock;
-pub mod serial;
-pub mod sharded;
-pub mod shared_fock;
+mod mpi_only;
+mod private_fock;
+pub(crate) mod serial;
+mod sharded;
+mod shared_fock;
 
 use crate::stats::FockBuildStats;
 use phi_chem::BasisSet;
-use phi_integrals::{Screening, ShellPairs};
 use phi_linalg::Mat;
 
 /// Which Fock-build parallelization to use.
@@ -118,14 +122,6 @@ pub enum DensitySet<'a> {
 }
 
 impl<'a> DensitySet<'a> {
-    /// Number of spin channels (1 restricted, 2 unrestricted).
-    pub fn n_channels(&self) -> usize {
-        match self {
-            DensitySet::Restricted(_) => 1,
-            DensitySet::Unrestricted { .. } => 2,
-        }
-    }
-
     /// Per-shell-pair density-max table over every matrix this set feeds
     /// into digestion. Restricted input bounds `|D|`; unrestricted input
     /// bounds `|D_alpha| + |D_beta|`, which dominates each spin density
@@ -143,34 +139,83 @@ impl<'a> DensitySet<'a> {
             }
         }
     }
+}
 
-    /// Precompute the per-build digestion data (the UHF Coulomb source
-    /// `D_total = D_alpha + D_beta`). Called once per build, outside the
-    /// quartet loops.
-    pub fn prepare(&self) -> DensityWork<'a> {
-        match *self {
-            DensitySet::Restricted(d) => DensityWork::Restricted(d),
-            DensitySet::Unrestricted { alpha, beta } => {
-                DensityWork::Unrestricted { total: alpha.add(beta), alpha, beta }
-            }
-        }
+/// Read side of digestion: where density elements come from. Implemented
+/// by [`ReplicatedDensity`] (full matrices on this rank) and
+/// [`matrix::ShardDensity`] (tri-packed DDI row shards).
+pub trait DensityRead {
+    /// Spin output channels this density feeds (1 restricted, 2
+    /// unrestricted).
+    fn n_channels(&self) -> usize;
+    /// Exchange scale: RHF digests `-X/2 * D`, UHF `-X * D_s`.
+    fn k_factor(&self) -> f64;
+    /// Coulomb-source element (`D` restricted, `D_alpha + D_beta` UHF).
+    fn coulomb(&mut self, p: usize, q: usize) -> f64;
+    /// Exchange-source element for spin channel `ch`.
+    fn exchange(&mut self, ch: usize, p: usize, q: usize) -> f64;
+}
+
+/// Write side of digestion: canonical updates `F_ch[mu, nu] += v`
+/// (`mu >= nu` always), one destination per spin channel.
+pub trait ChannelSink {
+    fn add(&mut self, ch: usize, mu: usize, nu: usize, v: f64);
+}
+
+/// One single-matrix sink per spin channel.
+impl<S: FockSink> ChannelSink for [S] {
+    #[inline]
+    fn add(&mut self, ch: usize, mu: usize, nu: usize, v: f64) {
+        self[ch].add(mu, nu, v);
     }
 }
 
-/// Prepared per-build density data: what the digestion loops actually read.
-/// Public because it is the replicated backend of
-/// [`matrix::DensityView`]; constructed via [`DensitySet::prepare`].
-pub enum DensityWork<'a> {
-    Restricted(&'a Mat),
-    Unrestricted { total: Mat, alpha: &'a Mat, beta: &'a Mat },
+/// The replicated [`DensityRead`] backend: full matrices on this rank,
+/// with the channel count fixed at compile time so the restricted hot
+/// loop carries no per-channel branching.
+#[derive(Clone, Copy)]
+pub struct ReplicatedDensity<'a, const NCH: usize> {
+    pub coulomb: &'a Mat,
+    pub exchange: [&'a Mat; NCH],
 }
 
-impl DensityWork<'_> {
-    pub(crate) fn n_channels(&self) -> usize {
-        match self {
-            DensityWork::Restricted(_) => 1,
-            DensityWork::Unrestricted { .. } => 2,
+impl<'a> ReplicatedDensity<'a, 1> {
+    /// Closed-shell RHF: one matrix is both Coulomb and exchange source.
+    pub fn restricted(d: &'a Mat) -> Self {
+        ReplicatedDensity { coulomb: d, exchange: [d] }
+    }
+}
+
+impl<'a> ReplicatedDensity<'a, 2> {
+    /// UHF: `total = alpha + beta` is formed once per build by the caller.
+    pub fn unrestricted(total: &'a Mat, alpha: &'a Mat, beta: &'a Mat) -> Self {
+        ReplicatedDensity { coulomb: total, exchange: [alpha, beta] }
+    }
+}
+
+impl<const NCH: usize> DensityRead for ReplicatedDensity<'_, NCH> {
+    #[inline]
+    fn n_channels(&self) -> usize {
+        NCH
+    }
+
+    #[inline]
+    fn k_factor(&self) -> f64 {
+        if NCH == 1 {
+            -0.5
+        } else {
+            -1.0
         }
+    }
+
+    #[inline]
+    fn coulomb(&mut self, p: usize, q: usize) -> f64 {
+        self.coulomb[(p, q)]
+    }
+
+    #[inline]
+    fn exchange(&mut self, ch: usize, p: usize, q: usize) -> f64 {
+        self.exchange[ch][(p, q)]
     }
 }
 
@@ -195,10 +240,62 @@ impl FockSink for TriSink<'_> {
 }
 
 /// Digest one *canonical* shell quartet `(si sj | sk sl)` (shell indices
-/// `si >= sj`, `sk >= sl`, `pair(si,sj) >= pair(sk,sl)`) into Fock updates.
+/// `si >= sj`, `sk >= sl`, `pair(si,sj) >= pair(sk,sl)`) into every spin
+/// channel: per unique integral, Coulomb `F_ch[ab] += D_J[ce] * X` and
+/// exchange `F_ch[ac] += k * X * D_ch[be]`.
 ///
-/// `quartet` is the ERI buffer laid out `[n_i][n_j][n_k][n_l]`; `d` the
-/// (full, symmetric) density matrix; updates flow into `sink`.
+/// `quartet` is the ERI buffer laid out `[n_i][n_j][n_k][n_l]`. The one
+/// digester of the crate: every builder, replicated or sharded, RHF or
+/// UHF, is an instantiation of it.
+#[allow(clippy::too_many_arguments)]
+pub fn digest<D: DensityRead, S: ChannelSink + ?Sized>(
+    basis: &BasisSet,
+    si: usize,
+    sj: usize,
+    sk: usize,
+    sl: usize,
+    quartet: &[f64],
+    dens: &mut D,
+    sink: &mut S,
+) {
+    let sh_i = &basis.shells[si];
+    let sh_j = &basis.shells[sj];
+    let sh_k = &basis.shells[sk];
+    let sh_l = &basis.shells[sl];
+    let (ni, nj, nk, nl) =
+        (sh_i.n_functions(), sh_j.n_functions(), sh_k.n_functions(), sh_l.n_functions());
+    let (fi, fj, fk, fl) = (sh_i.first_bf, sh_j.first_bf, sh_k.first_bf, sh_l.first_bf);
+    let same_ij = si == sj;
+    let same_kl = sk == sl;
+    let same_pair = si == sk && sj == sl;
+
+    for a in 0..ni {
+        let mu = fi + a;
+        let b_hi = if same_ij { a + 1 } else { nj };
+        for b in 0..b_hi {
+            let nu = fj + b;
+            let munu = mu * (mu + 1) / 2 + nu;
+            for c in 0..nk {
+                let lam = fk + c;
+                let d_hi = if same_kl { c + 1 } else { nl };
+                for dd in 0..d_hi {
+                    let sig = fl + dd;
+                    if same_pair && lam * (lam + 1) / 2 + sig > munu {
+                        continue;
+                    }
+                    let x = quartet[((a * nj + b) * nk + c) * nl + dd];
+                    if x == 0.0 {
+                        continue;
+                    }
+                    digest_value(mu, nu, lam, sig, x, dens, sink);
+                }
+            }
+        }
+    }
+}
+
+/// The closed-shell instantiation of [`digest`] over one full density
+/// matrix `d` and one single-matrix sink.
 #[allow(clippy::too_many_arguments)]
 pub fn digest_quartet(
     basis: &BasisSet,
@@ -210,156 +307,60 @@ pub fn digest_quartet(
     d: &Mat,
     sink: &mut impl FockSink,
 ) {
-    let sh_i = &basis.shells[si];
-    let sh_j = &basis.shells[sj];
-    let sh_k = &basis.shells[sk];
-    let sh_l = &basis.shells[sl];
-    let (ni, nj, nk, nl) =
-        (sh_i.n_functions(), sh_j.n_functions(), sh_k.n_functions(), sh_l.n_functions());
-    let (fi, fj, fk, fl) = (sh_i.first_bf, sh_j.first_bf, sh_k.first_bf, sh_l.first_bf);
-    let same_ij = si == sj;
-    let same_kl = sk == sl;
-    let same_pair = si == sk && sj == sl;
+    let mut dens = ReplicatedDensity::restricted(d);
+    digest(basis, si, sj, sk, sl, quartet, &mut dens, std::slice::from_mut(sink));
+}
 
-    for a in 0..ni {
-        let mu = fi + a;
-        let b_hi = if same_ij { a + 1 } else { nj };
-        for b in 0..b_hi {
-            let nu = fj + b;
-            let munu = mu * (mu + 1) / 2 + nu;
-            for c in 0..nk {
-                let lam = fk + c;
-                let d_hi = if same_kl { c + 1 } else { nl };
-                for dd in 0..d_hi {
-                    let sig = fl + dd;
-                    if same_pair && lam * (lam + 1) / 2 + sig > munu {
-                        continue;
-                    }
-                    let x = quartet[((a * nj + b) * nk + c) * nl + dd];
-                    if x == 0.0 {
-                        continue;
-                    }
-                    digest_value(mu, nu, lam, sig, x, d, sink);
-                }
+/// Apply the updates of one unique integral value over its ordered orbit.
+#[inline]
+pub fn digest_value<D: DensityRead, S: ChannelSink + ?Sized>(
+    mu: usize,
+    nu: usize,
+    lam: usize,
+    sig: usize,
+    x: f64,
+    dens: &mut D,
+    sink: &mut S,
+) {
+    let nch = dens.n_channels();
+    let kf = dens.k_factor();
+    // The eight ordered representatives of the orbit.
+    let orbit = [
+        (mu, nu, lam, sig),
+        (nu, mu, lam, sig),
+        (mu, nu, sig, lam),
+        (nu, mu, sig, lam),
+        (lam, sig, mu, nu),
+        (sig, lam, mu, nu),
+        (lam, sig, nu, mu),
+        (sig, lam, nu, mu),
+    ];
+    for (idx, &(a, b, c, e)) in orbit.iter().enumerate() {
+        // Skip duplicates arising from index coincidences.
+        if orbit[..idx].contains(&(a, b, c, e)) {
+            continue;
+        }
+        // Coulomb: F_ab += D_ce * X  (canonical emission only).
+        if a >= b {
+            let j = dens.coulomb(c, e) * x;
+            for ch in 0..nch {
+                sink.add(ch, a, b, j);
+            }
+        }
+        // Exchange: F_ac += k * X * D_be (canonical emission only).
+        if a >= c {
+            for ch in 0..nch {
+                sink.add(ch, a, c, kf * x * dens.exchange(ch, b, e));
             }
         }
     }
 }
 
-/// Digest one canonical shell quartet into every spin channel of a
-/// prepared [`DensityWork`], one sink per channel.
-///
-/// Restricted input routes through the monomorphic RHF fast path
-/// ([`digest_quartet`]) so the closed-shell hot loop is byte-for-byte the
-/// pre-engine code; unrestricted input walks the same orbit once, reading
-/// the total density for Coulomb and the per-spin densities for exchange.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn digest_quartet_dens<S: FockSink>(
-    basis: &BasisSet,
-    si: usize,
-    sj: usize,
-    sk: usize,
-    sl: usize,
-    quartet: &[f64],
-    dens: &DensityWork<'_>,
-    sinks: &mut [S],
-) {
-    match dens {
-        DensityWork::Restricted(d) => {
-            digest_quartet(basis, si, sj, sk, sl, quartet, d, &mut sinks[0])
-        }
-        DensityWork::Unrestricted { total, alpha, beta } => {
-            let (sa, sb) = sinks.split_at_mut(1);
-            digest_quartet_uhf(
-                basis, si, sj, sk, sl, quartet, total, alpha, beta, &mut sa[0], &mut sb[0],
-            )
-        }
-    }
-}
-
-/// UHF digestion of one canonical quartet: per unique integral,
-/// `G_s[ab] += D_t[ce] * X` (Coulomb, both spins) and
-/// `G_s[ac] -= X * D_s[be]` (exchange, per spin, full factor — no RHF 1/2).
-#[allow(clippy::too_many_arguments)]
-fn digest_quartet_uhf<SA: FockSink, SB: FockSink>(
-    basis: &BasisSet,
-    si: usize,
-    sj: usize,
-    sk: usize,
-    sl: usize,
-    quartet: &[f64],
-    d_total: &Mat,
-    d_alpha: &Mat,
-    d_beta: &Mat,
-    sink_a: &mut SA,
-    sink_b: &mut SB,
-) {
-    let sh_i = &basis.shells[si];
-    let sh_j = &basis.shells[sj];
-    let sh_k = &basis.shells[sk];
-    let sh_l = &basis.shells[sl];
-    let (ni, nj, nk, nl) =
-        (sh_i.n_functions(), sh_j.n_functions(), sh_k.n_functions(), sh_l.n_functions());
-    let (fi, fj, fk, fl) = (sh_i.first_bf, sh_j.first_bf, sh_k.first_bf, sh_l.first_bf);
-    let same_ij = si == sj;
-    let same_kl = sk == sl;
-    let same_pair = si == sk && sj == sl;
-
-    for a in 0..ni {
-        let mu = fi + a;
-        let b_hi = if same_ij { a + 1 } else { nj };
-        for b in 0..b_hi {
-            let nu = fj + b;
-            let munu = mu * (mu + 1) / 2 + nu;
-            for c in 0..nk {
-                let lam = fk + c;
-                let d_hi = if same_kl { c + 1 } else { nl };
-                for dd in 0..d_hi {
-                    let sig = fl + dd;
-                    if same_pair && lam * (lam + 1) / 2 + sig > munu {
-                        continue;
-                    }
-                    let x = quartet[((a * nj + b) * nk + c) * nl + dd];
-                    if x == 0.0 {
-                        continue;
-                    }
-                    let orbit = [
-                        (mu, nu, lam, sig),
-                        (nu, mu, lam, sig),
-                        (mu, nu, sig, lam),
-                        (nu, mu, sig, lam),
-                        (lam, sig, mu, nu),
-                        (sig, lam, mu, nu),
-                        (lam, sig, nu, mu),
-                        (sig, lam, nu, mu),
-                    ];
-                    for (idx, &(p, q, r, s)) in orbit.iter().enumerate() {
-                        if orbit[..idx].contains(&(p, q, r, s)) {
-                            continue;
-                        }
-                        if p >= q {
-                            let j = d_total[(r, s)] * x;
-                            sink_a.add(p, q, j);
-                            sink_b.add(p, q, j);
-                        }
-                        if p >= r {
-                            sink_a.add(p, r, -x * d_alpha[(q, s)]);
-                            sink_b.add(p, r, -x * d_beta[(q, s)]);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Apply the updates of one unique integral value over its ordered orbit,
-/// with separate Coulomb and exchange scale factors.
-///
-/// The closed-shell RHF digestion is `(cj, ck) = (1, -1/2)`; the
-/// open-shell builders (UHF) recombine passes with other factors —
-/// exactly the generalization the paper's conclusion points at ("UHF,
-/// GVB, DFT, CPHF all have this structure").
+/// Reference-only variant of [`digest_value`] with separate Coulomb and
+/// exchange scale factors over one matrix: `(cj, ck) = (1, -1/2)` is the
+/// RHF digestion, `(1, 0)` pure Coulomb, `(0, -1)` gives `-K` — the
+/// three-pass UHF recombination the single-pass digestion is tested
+/// against.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn digest_value_scaled(
@@ -396,44 +397,6 @@ pub fn digest_value_scaled(
     }
 }
 
-/// Apply the updates of one unique integral value over its ordered orbit.
-#[inline]
-pub fn digest_value(
-    mu: usize,
-    nu: usize,
-    lam: usize,
-    sig: usize,
-    x: f64,
-    d: &Mat,
-    sink: &mut impl FockSink,
-) {
-    // The eight ordered representatives of the orbit.
-    let orbit = [
-        (mu, nu, lam, sig),
-        (nu, mu, lam, sig),
-        (mu, nu, sig, lam),
-        (nu, mu, sig, lam),
-        (lam, sig, mu, nu),
-        (sig, lam, mu, nu),
-        (lam, sig, nu, mu),
-        (sig, lam, nu, mu),
-    ];
-    for (idx, &(a, b, c, e)) in orbit.iter().enumerate() {
-        // Skip duplicates arising from index coincidences.
-        if orbit[..idx].contains(&(a, b, c, e)) {
-            continue;
-        }
-        // Coulomb: F_ab += D_ce * X  (canonical emission only).
-        if a >= b {
-            sink.add(a, b, d[(c, e)] * x);
-        }
-        // Exchange: F_ac -= X/2 * D_be (canonical emission only).
-        if a >= c {
-            sink.add(a, c, -0.5 * x * d[(b, e)]);
-        }
-    }
-}
-
 /// Mirror a lower-triangular accumulation into a full symmetric matrix.
 pub fn tri_to_full(buf: &[f64], n: usize) -> Mat {
     let mut m = Mat::zeros(n, n);
@@ -460,15 +423,8 @@ pub fn kl_bounds(i: usize, j: usize, k: usize) -> usize {
     }
 }
 
-/// Triangular pair index of shells `i >= j` (the combined `ij` task index
-/// of Algorithm 3).
-#[inline]
-pub fn pair_index(i: usize, j: usize) -> usize {
-    debug_assert!(i >= j);
-    i * (i + 1) / 2 + j
-}
-
-/// Inverse of [`pair_index`]: recover `(i, j)` from a combined index
+/// Inverse of [`phi_integrals::screening::pair_index`]: recover `(i, j)`
+/// from a combined `ij` task index
 /// (Algorithm 3 lines 11 and 21, "deduce I and J indices").
 #[inline]
 pub fn pair_decode(t: usize) -> (usize, usize) {
@@ -538,57 +494,19 @@ pub fn brute_force_g(basis: &BasisSet, d: &Mat) -> Mat {
     g
 }
 
-/// Statistics-free convenience used by several builders: evaluate one
-/// quartet with screening and digest it.
-pub struct QuartetWorker {
-    pub engine: phi_integrals::EriEngine,
-    buf: Vec<f64>,
-}
-
-impl Default for QuartetWorker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl QuartetWorker {
-    pub fn new() -> QuartetWorker {
-        QuartetWorker { engine: phi_integrals::EriEngine::new(), buf: Vec::new() }
-    }
-
-    /// Evaluate and digest quartet `(si sj | sk sl)` if it survives
-    /// screening, using the shared pair dataset. Returns true if computed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn process(
-        &mut self,
-        basis: &BasisSet,
-        pairs: &ShellPairs,
-        screening: &Screening,
-        tau: f64,
-        si: usize,
-        sj: usize,
-        sk: usize,
-        sl: usize,
-        d: &Mat,
-        sink: &mut impl FockSink,
-    ) -> bool {
-        if !screening.survives(si, sj, sk, sl, tau) {
-            return false;
-        }
-        let (bra, ket) = (pairs.pair(si, sj), pairs.pair(sk, sl));
-        self.buf.clear();
-        self.buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
-        self.engine.shell_quartet_pairs(bra, ket, &mut self.buf);
-        digest_quartet(basis, si, sj, sk, sl, &self.buf, d, sink);
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::engine::FockData;
     use super::*;
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
+    use phi_integrals::screening::pair_index;
+
+    /// Serial restricted `G(D)` at threshold `tau`.
+    fn serial_g(b: &BasisSet, tau: f64, d: &Mat) -> Mat {
+        let data = FockData::build(b);
+        FockAlgorithm::Serial.builder().build(&data.context(b, tau), &DensitySet::Restricted(d)).g
+    }
 
     fn test_density(n: usize) -> Mat {
         // A symmetric, not-too-structured density stand-in.
@@ -614,9 +532,7 @@ mod tests {
             let n = b.n_basis();
             let d = test_density(n);
             let want = brute_force_g(&b, &d);
-            let pairs = ShellPairs::build(&b);
-            let s = Screening::from_pairs(&b, &pairs);
-            let got = serial::build_g_serial(&b, &pairs, &s, 0.0, &d).g;
+            let got = serial_g(&b, 0.0, &d);
             assert!(
                 got.max_abs_diff(&want) < 1e-10,
                 "{:?}: digestion differs from brute force by {}",
@@ -632,9 +548,7 @@ mod tests {
         let n = b.n_basis();
         let d = test_density(n);
         let want = brute_force_g(&b, &d);
-        let pairs = ShellPairs::build(&b);
-        let s = Screening::from_pairs(&b, &pairs);
-        let got = serial::build_g_serial(&b, &pairs, &s, 0.0, &d).g;
+        let got = serial_g(&b, 0.0, &d);
         assert!(got.max_abs_diff(&want) < 1e-9, "differs by {}", got.max_abs_diff(&want));
     }
 
@@ -643,14 +557,12 @@ mod tests {
         let b = BasisSet::build(&small::h_chain(6, 2.5), BasisName::Sto3g);
         let n = b.n_basis();
         let d = test_density(n);
-        let pairs = ShellPairs::build(&b);
-        let s = Screening::from_pairs(&b, &pairs);
-        let exact = serial::build_g_serial(&b, &pairs, &s, 0.0, &d).g;
-        let screened = serial::build_g_serial(&b, &pairs, &s, 1e-9, &d).g;
+        let exact = serial_g(&b, 0.0, &d);
+        let screened = serial_g(&b, 1e-9, &d);
         // Dropped quartets are bounded by tau * |D| * multiplicity; stay
         // well under a conservative bound.
         assert!(exact.max_abs_diff(&screened) < 1e-6);
-        let coarse = serial::build_g_serial(&b, &pairs, &s, 1e-3, &d).g;
+        let coarse = serial_g(&b, 1e-3, &d);
         assert!(exact.max_abs_diff(&coarse) > exact.max_abs_diff(&screened));
     }
 
@@ -674,7 +586,8 @@ mod tests {
             let mut got = vec![0.0; n * n];
             {
                 let mut sink = TriSink { buf: &mut got, n };
-                digest_value(mu, nu, lam, sig, x, &d, &mut sink);
+                let mut dens = ReplicatedDensity::restricted(&d);
+                digest_value(mu, nu, lam, sig, x, &mut dens, std::slice::from_mut(&mut sink));
             }
             // Reference: enumerate the orbit as a set, apply full updates.
             let mut orbit = vec![

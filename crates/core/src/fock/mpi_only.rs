@@ -9,191 +9,66 @@
 //! The memory pathology the paper attacks is visible here by construction:
 //! the replicated matrices are *really allocated* per rank through the
 //! tracker, so the returned report scales linearly with the rank count.
+//!
+//! Policy row: `ij` pair tasks, no team, one [`ReplicatedFock`] per rank,
+//! volatile leases (a dead rank's partial sums never reach the reduction,
+//! so everything it ever computed is reissued), `gsumf` reduce.
 
+use super::driver::{lease_loop, readonly_bytes, surviving, Quartets, Step, World};
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
-use super::{digest_quartet_dens, kl_bounds, pair_decode, DensitySet};
-use crate::stats::FockBuildStats;
-use phi_chem::BasisSet;
-use phi_dmpi::{FaultPlan, LeaseMode, RetryPolicy, WorldConfig};
-use phi_integrals::{Screening, ShellPairs};
-use phi_linalg::Mat;
-use std::time::Instant;
+use super::{digest, pair_decode, GBuild, ReplicatedDensity};
+use phi_dmpi::LeaseMode;
+use phi_integrals::screening::n_pairs;
 
-pub use super::GBuild;
-
-/// Bytes of replicated read-only matrices a real GAMESS process carries
-/// besides D and F: overlap S, core Hamiltonian H, and MO coefficients C.
-/// (We charge them to the tracker; the build itself only needs D.)
-fn replicated_readonly_bytes(n: usize) -> usize {
-    3 * n * n * std::mem::size_of::<f64>()
-}
-
-/// Build the two-electron matrices for `dens` with Algorithm 1 over
-/// `n_ranks` ranks, optionally under deterministic fault injection.
-/// Tasks leased to a rank that dies mid-build are reclaimed and
-/// recomputed by survivors, so the result matches serial regardless of
-/// how many (< all) ranks fail.
-pub fn build_mpi_only(
+/// Algorithm 1 over `world.n_ranks` ranks. Tasks leased to a rank that
+/// dies mid-build are reclaimed and recomputed by survivors, so the result
+/// matches serial regardless of how many (< all) ranks fail.
+pub(crate) fn build<const NCH: usize>(
     ctx: &FockContext<'_>,
-    dens: &DensitySet<'_>,
-    n_ranks: usize,
-    faults: Option<&FaultPlan>,
-    retry: RetryPolicy,
+    dens: ReplicatedDensity<'_, NCH>,
+    world: &World<'_>,
 ) -> GBuild {
     let basis = ctx.basis;
     let n = basis.n_basis();
-    let ns = basis.n_shells();
-    let n_pair = ns * (ns + 1) / 2;
-    let work = dens.prepare();
-    let nch = work.n_channels();
+    let n_pair = n_pairs(basis.n_shells());
+    // Everything replicated per rank (the paper's memory bottleneck):
+    // every spin-channel density, S/H/C, and the Fock accumulators.
+    let fock_bytes = NCH * n * n * std::mem::size_of::<f64>();
+    let resident = fock_bytes + readonly_bytes(n) + fock_bytes;
 
-    let cfg = WorldConfig { n_ranks, faults: faults.cloned(), retry };
-    let world = phi_dmpi::run_world_with_config(cfg, |rank| {
-        let _span = phi_trace::span("fock.build");
-        let start = Instant::now();
-        // Replicated data structures, one full set per rank (the paper's
-        // memory bottleneck): every spin-channel density plus the
-        // read-only matrices.
-        let mut d_local = rank.alloc_f64(nch * n * n);
-        match *dens {
-            DensitySet::Restricted(d) => d_local.copy_from_slice(d.as_slice()),
-            DensitySet::Unrestricted { alpha, beta } => {
-                d_local[..n * n].copy_from_slice(alpha.as_slice());
-                d_local[n * n..].copy_from_slice(beta.as_slice());
-            }
-        }
-        rank.charge_bytes(replicated_readonly_bytes(n));
-        // The shell-pair dataset: one read-only copy per MPI process (in a
-        // real multi-process run each rank materializes its own).
-        rank.charge_bytes(ctx.pairs.bytes());
-        // The replicated write side, charged to the tracker like every
-        // other full-matrix allocation.
-        let mut fock = ReplicatedFock::new(nch, n);
-        rank.charge_bytes(fock.bytes());
-
-        let mut engine = ctx.engine();
-        let mut eri_buf: Vec<f64> = Vec::new();
-        let mut computed = 0u64;
-        let mut screened = 0u64;
-        let mut tasks = 0usize;
-
-        // Fock accumulators are volatile: a dead rank's partial sums
-        // never reach the reduction, so everything it ever computed is
-        // reissued to survivors.
-        let mut dead = rank.lease_reset(n_pair, LeaseMode::Volatile).is_err();
-        if !dead {
-            let mut sinks = fock.sinks();
-            loop {
-                let t = match rank.lease_next() {
-                    Ok(Some(t)) => t,
-                    Ok(None) => break,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                };
-                tasks += 1;
+    let (fock, stats) = world.run(ctx, resident, &[], |rank| {
+        let mut dens = dens;
+        let mut fock = ReplicatedFock::new(NCH, n);
+        let mut quartets = Quartets::new(ctx);
+        let (tasks, mut dead) = lease_loop(rank, n_pair, LeaseMode::Volatile, |step| {
+            if let Step::Task(t) = step {
                 let (i, j) = pair_decode(t);
-                for k in 0..=i {
-                    for l in 0..=kl_bounds(i, j, k) {
-                        if !ctx.survives(i, j, k, l) {
-                            screened += 1;
-                            continue;
-                        }
-                        let (bra, ket) = (ctx.pairs.pair(i, j), ctx.pairs.pair(k, l));
-                        eri_buf.clear();
-                        eri_buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
-                        engine.shell_quartet_pairs(bra, ket, &mut eri_buf);
-                        digest_quartet_dens(basis, i, j, k, l, &eri_buf, &work, &mut sinks);
-                        computed += 1;
-                    }
-                }
-                rank.lease_complete(t);
+                quartets.pair_task(i, j, |k, l, eri| {
+                    digest(basis, i, j, k, l, eri, &mut dens, &mut fock)
+                });
             }
-        }
-
+        });
         // 2e-Fock matrix reduction over the surviving MPI ranks
         // (Algorithm 1 line 16) — one collective covering every spin
         // channel. Dead ranks have deregistered and must stay out.
         if !dead {
             dead = rank.try_gsumf(fock.as_mut_slice()).is_err();
         }
-
-        rank.release_bytes(replicated_readonly_bytes(n));
-        rank.release_bytes(ctx.pairs.bytes());
-        rank.release_bytes(fock.bytes());
-        // Once per rank per build: totals reconcile exactly with the
-        // merged FockBuildStats (no per-quartet events on the hot path).
-        phi_trace::counter("quartets_computed", computed);
-        phi_trace::counter("quartets_screened", screened);
-        phi_trace::counter("flushes", 0);
-        phi_trace::counter("eri.spec_quartets", engine.spec_quartets_computed());
-        let result = if !dead && rank.is_lowest_live() { Some(fock) } else { None };
-        (
-            result,
-            FockBuildStats {
-                seconds: start.elapsed().as_secs_f64(),
-                quartets_computed: computed,
-                quartets_screened: screened,
-                prim_quartets: engine.prim_quartets_computed(),
-                eri_class_quartets: engine.class_counts().to_vec(),
-                dlb_tasks: tasks,
-                ..Default::default()
-            },
-        )
+        ((!dead).then_some(fock), quartets.finish(tasks, 0))
     });
-
-    let failed = world.failed_ranks();
-    let mut stats = FockBuildStats::default();
-    let mut g_buf = None;
-    for (buf, s) in world.per_rank {
-        stats = FockBuildStats::merge(stats, &s);
-        if let Some(b) = buf {
-            g_buf = Some(b);
-        }
-    }
-    stats.memory_total_peak = world.memory.total_peak();
-    stats.per_rank_peak = world.memory.per_rank_peak.clone();
-    stats.dlb_calls = world.dlb_calls;
-    stats.faults_injected = world.faults_injected;
-    stats.tasks_reclaimed = world.tasks_reclaimed;
-    stats.retries = world.lease_retries;
-    stats.failed_ranks = failed.clone();
-    stats.retransmits = world.retransmits;
-    stats.acks = world.acks;
-    stats.corruptions_detected = world.corruptions_detected;
-    stats.transient_recoveries = world.transient_recoveries;
-    let fock = g_buf.unwrap_or_else(|| {
-        panic!("no surviving rank returned the reduced Fock (failed ranks: {failed:?})")
-    });
-    GBuild::from_channels(fock.into_mats(), stats)
-}
-
-/// Restricted convenience wrapper over [`build_mpi_only`].
-pub fn build_g_mpi_only(
-    basis: &BasisSet,
-    pairs: &ShellPairs,
-    screening: &Screening,
-    tau: f64,
-    d: &Mat,
-    n_ranks: usize,
-) -> GBuild {
-    build_mpi_only(
-        &FockContext::new(basis, pairs, screening, tau),
-        &DensitySet::Restricted(d),
-        n_ranks,
-        None,
-        RetryPolicy::default(),
-    )
+    GBuild::from_channels(surviving(fock, &stats).into_mats(), stats)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::fock::serial::build_g_serial;
+    use crate::fock::engine::FockData;
+    use crate::fock::DensitySet::Restricted;
+    use crate::fock::FockAlgorithm;
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
+    use phi_chem::BasisSet;
+    use phi_linalg::Mat;
 
     fn density(n: usize) -> Mat {
         Mat::from_fn(n, n, |i, j| {
@@ -202,20 +77,15 @@ mod tests {
         })
     }
 
-    fn pairs_and_screening(b: &BasisSet) -> (ShellPairs, Screening) {
-        let pairs = ShellPairs::build(b);
-        let s = Screening::from_pairs(b, &pairs);
-        (pairs, s)
-    }
-
     #[test]
     fn matches_serial_for_various_rank_counts() {
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-12);
         let d = density(b.n_basis());
-        let want = build_g_serial(&b, &pairs, &s, 1e-12, &d).g;
+        let want = FockAlgorithm::Serial.builder().build(&ctx, &Restricted(&d)).g;
         for n_ranks in [1, 2, 3, 5] {
-            let got = build_g_mpi_only(&b, &pairs, &s, 1e-12, &d, n_ranks);
+            let got = FockAlgorithm::MpiOnly { n_ranks }.builder().build(&ctx, &Restricted(&d));
             assert!(
                 got.g.max_abs_diff(&want) < 1e-10,
                 "{n_ranks} ranks: diff {}",
@@ -227,9 +97,10 @@ mod tests {
     #[test]
     fn all_tasks_distributed_exactly_once() {
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-12);
         let d = density(b.n_basis());
-        let out = build_g_mpi_only(&b, &pairs, &s, 1e-12, &d, 3);
+        let out = FockAlgorithm::MpiOnly { n_ranks: 3 }.builder().build(&ctx, &Restricted(&d));
         let ns = b.n_shells();
         let p = ns * (ns + 1) / 2;
         assert_eq!(out.stats.dlb_tasks, p, "every ij pair is one task");
@@ -237,7 +108,7 @@ mod tests {
         // final out-of-range call before leaving the loop.
         assert_eq!(out.stats.dlb_calls, p + 3);
         // Quartet totals match the serial enumeration.
-        let serial = build_g_serial(&b, &pairs, &s, 1e-12, &d);
+        let serial = FockAlgorithm::Serial.builder().build(&ctx, &Restricted(&d));
         assert_eq!(
             out.stats.quartets_computed + out.stats.quartets_screened,
             serial.stats.quartets_computed + serial.stats.quartets_screened
@@ -247,10 +118,11 @@ mod tests {
     #[test]
     fn memory_replication_scales_with_ranks() {
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-12);
         let d = density(b.n_basis());
-        let one = build_g_mpi_only(&b, &pairs, &s, 1e-12, &d, 1);
-        let four = build_g_mpi_only(&b, &pairs, &s, 1e-12, &d, 4);
+        let one = FockAlgorithm::MpiOnly { n_ranks: 1 }.builder().build(&ctx, &Restricted(&d));
+        let four = FockAlgorithm::MpiOnly { n_ranks: 4 }.builder().build(&ctx, &Restricted(&d));
         // Four ranks replicate everything: total peak ~4x one rank's.
         let ratio = four.stats.memory_total_peak as f64 / one.stats.memory_total_peak as f64;
         assert!((ratio - 4.0).abs() < 0.2, "replication ratio {ratio}");

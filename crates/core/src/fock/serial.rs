@@ -1,86 +1,37 @@
 //! Serial reference Fock build: the canonical quartet loops of Algorithm 1
 //! on a single thread, no MPI, no OpenMP. Ground truth for the parallel
 //! builders and the baseline for workload statistics.
+//!
+//! Policy row: every `ij` pair in order, no leases, no team, one
+//! [`ReplicatedFock`], no reduce.
 
+use super::driver::Quartets;
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
-use super::{digest_quartet_dens, kl_bounds, tri_to_full, DensitySet, TriSink};
-// Re-exported here for backward compatibility: `GBuild` predates the
-// unified engine layer and used to live in this module.
-pub use super::GBuild;
-use crate::stats::FockBuildStats;
-use phi_chem::BasisSet;
-use phi_integrals::{EriEngine, Screening, ShellPairs};
-use phi_linalg::Mat;
+use super::{digest, GBuild, ReplicatedDensity};
 use std::time::Instant;
 
-/// Build the two-electron matrices for a [`DensitySet`] with the serial
-/// canonical loops: `G(D)` for a restricted set, `G_alpha`/`G_beta` for an
-/// unrestricted one — every surviving ERI evaluated once and digested into
-/// every spin channel.
-pub fn build_serial(ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild {
-    // One span + three counters per build — nothing per quartet, so the
-    // serial path carries essentially zero tracing overhead (asserted by
-    // benches/trace_overhead.rs).
+/// `G(D)` for a restricted density, `G_alpha`/`G_beta` for an unrestricted
+/// one — every surviving ERI evaluated once and digested into every spin
+/// channel.
+pub(crate) fn build<const NCH: usize>(
+    ctx: &FockContext<'_>,
+    mut dens: ReplicatedDensity<'_, NCH>,
+) -> GBuild {
     let _span = phi_trace::span("fock.build");
     let start = Instant::now();
     let basis = ctx.basis;
-    let work = dens.prepare();
-    let nch = work.n_channels();
-    let n = basis.n_basis();
-    let ns = basis.n_shells();
-    let mut fock = ReplicatedFock::new(nch, n);
-    let mut engine = ctx.engine();
-    let mut quartets_computed = 0u64;
-    let mut quartets_screened = 0u64;
-    let mut eri_buf: Vec<f64> = Vec::new();
-
-    {
-        let mut sinks = fock.sinks();
-        for i in 0..ns {
-            for j in 0..=i {
-                for k in 0..=i {
-                    for l in 0..=kl_bounds(i, j, k) {
-                        if !ctx.survives(i, j, k, l) {
-                            quartets_screened += 1;
-                            continue;
-                        }
-                        let (bra, ket) = (ctx.pairs.pair(i, j), ctx.pairs.pair(k, l));
-                        eri_buf.clear();
-                        eri_buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
-                        engine.shell_quartet_pairs(bra, ket, &mut eri_buf);
-                        digest_quartet_dens(basis, i, j, k, l, &eri_buf, &work, &mut sinks);
-                        quartets_computed += 1;
-                    }
-                }
-            }
+    let mut fock = ReplicatedFock::new(NCH, basis.n_basis());
+    let mut quartets = Quartets::new(ctx);
+    for i in 0..basis.n_shells() {
+        for j in 0..=i {
+            quartets
+                .pair_task(i, j, |k, l, eri| digest(basis, i, j, k, l, eri, &mut dens, &mut fock));
         }
     }
-
-    phi_trace::counter("quartets_computed", quartets_computed);
-    phi_trace::counter("quartets_screened", quartets_screened);
-    phi_trace::counter("flushes", 0);
-    phi_trace::counter("eri.spec_quartets", engine.spec_quartets_computed());
-    // Per-class dispatch counters (serial reference only — the parallel
-    // builders emit the aggregate above; see trace_invariants.rs).
-    for (ci, &count) in engine.class_counts().iter().enumerate() {
-        if count > 0 {
-            phi_trace::counter(phi_integrals::CLASS_TRACE_NAMES[ci], count);
-        }
-    }
-
-    let mats = fock.into_mats();
-    GBuild::from_channels(
-        mats,
-        FockBuildStats {
-            seconds: start.elapsed().as_secs_f64(),
-            quartets_computed,
-            quartets_screened,
-            prim_quartets: engine.prim_quartets_computed(),
-            eri_class_quartets: engine.class_counts().to_vec(),
-            ..Default::default()
-        },
-    )
+    let mut stats = quartets.finish(0, 0);
+    stats.seconds = start.elapsed().as_secs_f64();
+    GBuild::from_channels(fock.into_mats(), stats)
 }
 
 /// Build a generalized two-electron matrix
@@ -89,16 +40,19 @@ pub fn build_serial(ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild {
 /// `(1, 0)` gives pure Coulomb, `(0, -1)` gives `-K` — the building blocks
 /// of the UHF spin Fock matrices (and the reference the unified
 /// unrestricted digestion is tested against).
-pub fn build_jk_serial(
-    basis: &BasisSet,
-    pairs: &ShellPairs,
-    screening: &Screening,
+#[cfg(test)]
+pub(crate) fn build_jk_serial(
+    basis: &phi_chem::BasisSet,
+    pairs: &phi_integrals::ShellPairs,
+    screening: &phi_integrals::Screening,
     tau: f64,
-    d: &Mat,
+    d: &phi_linalg::Mat,
     cj: f64,
     ck: f64,
 ) -> GBuild {
-    use super::digest_value_scaled;
+    use super::{digest_value_scaled, kl_bounds, tri_to_full, TriSink};
+    use crate::stats::FockBuildStats;
+    use phi_integrals::EriEngine;
     let start = std::time::Instant::now();
     let n = basis.n_basis();
     let ns = basis.n_shells();
@@ -176,30 +130,19 @@ pub fn build_jk_serial(
     )
 }
 
-/// Build `G(D)` with the serial canonical loops (restricted convenience
-/// wrapper over [`build_serial`]). The quartet-independent pair data
-/// (E tables, product centers, prefactors, folded normalization) comes
-/// from the shared read-only `pairs` dataset.
-pub fn build_g_serial(
-    basis: &BasisSet,
-    pairs: &ShellPairs,
-    screening: &Screening,
-    tau: f64,
-    d: &Mat,
-) -> GBuild {
-    build_serial(&FockContext::new(basis, pairs, screening, tau), &DensitySet::Restricted(d))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fock::engine::FockData;
+    use crate::fock::{DensitySet, FockAlgorithm};
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
+    use phi_chem::BasisSet;
+    use phi_linalg::Mat;
 
-    fn pairs_and_screening(b: &BasisSet) -> (ShellPairs, Screening) {
-        let pairs = ShellPairs::build(b);
-        let s = Screening::from_pairs(b, &pairs);
-        (pairs, s)
+    /// Serial restricted build at threshold `tau`.
+    fn serial(b: &BasisSet, data: &FockData, tau: f64, d: &Mat) -> GBuild {
+        FockAlgorithm::Serial.builder().build(&data.context(b, tau), &DensitySet::Restricted(d))
     }
 
     #[test]
@@ -208,8 +151,7 @@ mod tests {
         let n = b.n_basis();
         let mut d = Mat::identity(n);
         d.scale(0.4);
-        let (pairs, s) = pairs_and_screening(&b);
-        let g = build_g_serial(&b, &pairs, &s, 1e-12, &d).g;
+        let g = serial(&b, &FockData::build(&b), 1e-12, &d).g;
         assert!(g.is_symmetric(1e-12));
     }
 
@@ -217,12 +159,12 @@ mod tests {
     fn g_is_linear_in_density() {
         let b = BasisSet::build(&small::hydrogen_molecule(1.4), BasisName::Sto3g);
         let n = b.n_basis();
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
         let d1 = Mat::from_fn(n, n, |i, j| if i == j { 1.0 } else { 0.2 });
         let mut d2 = d1.clone();
         d2.scale(3.0);
-        let g1 = build_g_serial(&b, &pairs, &s, 0.0, &d1).g;
-        let g2 = build_g_serial(&b, &pairs, &s, 0.0, &d2).g;
+        let g1 = serial(&b, &data, 0.0, &d1).g;
+        let g2 = serial(&b, &data, 0.0, &d2).g;
         let mut g1x3 = g1.clone();
         g1x3.scale(3.0);
         assert!(g2.max_abs_diff(&g1x3) < 1e-10);
@@ -233,8 +175,7 @@ mod tests {
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
         let n = b.n_basis();
         let d = Mat::identity(n);
-        let (pairs, s) = pairs_and_screening(&b);
-        let out = build_g_serial(&b, &pairs, &s, 1e-10, &d);
+        let out = serial(&b, &FockData::build(&b), 1e-10, &d);
         let ns = b.n_shells();
         // Total canonical quartets = P(P+1)/2 with P = ns(ns+1)/2.
         let p = ns * (ns + 1) / 2;
@@ -252,7 +193,8 @@ mod tests {
         // reference: G_s = J(D_a + D_b) - K(D_s).
         let b = BasisSet::build(&small::water(), BasisName::B631g);
         let n = b.n_basis();
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
+        let (pairs, s) = (&data.pairs, &data.screening);
         let d_a = Mat::from_fn(n, n, |i, j| {
             let (i, j) = if i >= j { (i, j) } else { (j, i) };
             0.15 + ((i * 3 + j) % 5) as f64 * 0.06
@@ -262,11 +204,12 @@ mod tests {
             0.1 + ((i + 2 * j) % 7) as f64 * 0.04
         });
         let d_t = d_a.add(&d_b);
-        let ctx = FockContext::new(&b, &pairs, &s, 0.0);
-        let got = build_serial(&ctx, &DensitySet::Unrestricted { alpha: &d_a, beta: &d_b });
-        let j_t = build_jk_serial(&b, &pairs, &s, 0.0, &d_t, 1.0, 0.0).g;
-        let k_a = build_jk_serial(&b, &pairs, &s, 0.0, &d_a, 0.0, -1.0).g;
-        let k_b = build_jk_serial(&b, &pairs, &s, 0.0, &d_b, 0.0, -1.0).g;
+        let got = FockAlgorithm::Serial
+            .builder()
+            .build(&data.context(&b, 0.0), &DensitySet::Unrestricted { alpha: &d_a, beta: &d_b });
+        let j_t = build_jk_serial(&b, pairs, s, 0.0, &d_t, 1.0, 0.0).g;
+        let k_a = build_jk_serial(&b, pairs, s, 0.0, &d_a, 0.0, -1.0).g;
+        let k_b = build_jk_serial(&b, pairs, s, 0.0, &d_b, 0.0, -1.0).g;
         let want_a = j_t.add(&k_a);
         let want_b = j_t.add(&k_b);
         let got_b = got.g_beta.expect("unrestricted build has a beta channel");
@@ -275,15 +218,16 @@ mod tests {
     }
 
     #[test]
-    fn restricted_density_set_matches_legacy_wrapper() {
+    fn restricted_build_matches_the_jk_reference() {
+        // The one digester at (cj, ck) = (1, -1/2) against the independent
+        // scaled reference walker.
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
         let n = b.n_basis();
         let d = Mat::from_fn(n, n, |i, j| if i == j { 0.9 } else { 0.1 });
-        let (pairs, s) = pairs_and_screening(&b);
-        let ctx = FockContext::new(&b, &pairs, &s, 1e-12);
-        let via_engine = build_serial(&ctx, &DensitySet::Restricted(&d));
-        let via_wrapper = build_g_serial(&b, &pairs, &s, 1e-12, &d);
-        assert_eq!(via_engine.g.max_abs_diff(&via_wrapper.g), 0.0);
+        let data = FockData::build(&b);
+        let via_engine = serial(&b, &data, 1e-12, &d);
+        let reference = build_jk_serial(&b, &data.pairs, &data.screening, 1e-12, &d, 1.0, -0.5);
+        assert_eq!(via_engine.g.max_abs_diff(&reference.g), 0.0);
         assert!(via_engine.g_beta.is_none());
     }
 }

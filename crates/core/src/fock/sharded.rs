@@ -13,222 +13,83 @@
 //!   as coalesced one-sided `acc` runs whenever the buffer fills and at
 //!   task boundaries.
 //!
-//! Durability reuses the distributed builder's contract: windows are
-//! created *outside* the world so flushed contributions survive rank
-//! deaths, leases are [`LeaseMode::Durable`], and under fault injection
-//! every task is flushed before it completes (kills only fire inside
-//! `lease_next`, so a dead rank dies holding an unstarted task — never
-//! stranding flushed-but-incomplete or completed-but-unflushed work).
+//! Policy row: `ij` pair tasks, no team, [`ShardDensity`] reads and one
+//! [`RowShardFock`] per rank, durable leases (the distributed builder's
+//! contract: windows outlive rank deaths, and under fault injection every
+//! task is flushed before it completes), flush + `ft_barrier`.
 
+use super::driver::{lease_loop, Quartets, Step, World};
 use super::engine::FockContext;
-use super::matrix::{
-    digest_quartet_view, gather_tri, scatter_density, tri_len, DensityView, FockAccumulator,
-    RowShardFock, ShardDensity,
-};
-use super::{kl_bounds, pair_decode, DensitySet};
-use crate::stats::FockBuildStats;
-use phi_chem::BasisSet;
-use phi_dmpi::{DdiMode, DistributedArray, FaultPlan, LeaseMode, RetryPolicy, WorldConfig};
-use phi_integrals::{Screening, ShellPairs};
-use phi_linalg::Mat;
-use std::time::Instant;
+use super::matrix::{gather_tri, scatter_density, tri_len, RowShardFock, ShardDensity};
+use super::{digest, pair_decode, GBuild, ReplicatedDensity};
+use phi_dmpi::{DdiMode, DistributedArray, LeaseMode};
+use phi_integrals::screening::n_pairs;
 
-pub use super::GBuild;
-
-/// Build the two-electron matrices for `dens` with DLB over `(i, j)`
-/// pairs, sharded density reads and sharded Fock accumulation.
-pub fn build_sharded(
+/// DLB over `(i, j)` pairs, sharded density reads and sharded Fock
+/// accumulation through `mode`'s DDI transport.
+pub(crate) fn build<const NCH: usize>(
     ctx: &FockContext<'_>,
-    dens: &DensitySet<'_>,
-    n_ranks: usize,
+    dens: ReplicatedDensity<'_, NCH>,
+    world: &World<'_>,
     mode: DdiMode,
-    faults: Option<&FaultPlan>,
-    retry: RetryPolicy,
 ) -> GBuild {
     let basis = ctx.basis;
     let n = basis.n_basis();
-    let ns = basis.n_shells();
-    let n_pair = ns * (ns + 1) / 2;
-    let work = dens.prepare();
-    let nch = work.n_channels();
-
-    // All windows are created outside the world: the density scatter is
-    // the driver's job (it already owns the full matrices), and the Fock
-    // windows must survive rank deaths for the durable-lease contract.
-    let reliable = |w: DistributedArray| match faults {
-        Some(plan) => w.with_faults(plan, retry),
-        None => w,
-    };
-    let d_wins: Vec<DistributedArray> =
-        scatter_density(&work, n, n_ranks, mode).into_iter().map(reliable).collect();
-    let f_wins: Vec<DistributedArray> = (0..nch)
-        .map(|_| reliable(DistributedArray::new_with_mode(tri_len(n), n_ranks, mode)))
+    let n_pair = n_pairs(basis.n_shells());
+    // The density scatter is the driver's job (it already owns the full
+    // matrices); the link faults attach only after it.
+    let d_wins: Vec<DistributedArray> = scatter_density(&dens, n, world.n_ranks, mode)
+        .into_iter()
+        .map(|w| world.reliable(w))
         .collect();
+    let f_wins: Vec<DistributedArray> = (0..NCH).map(|_| world.window(tri_len(n), mode)).collect();
+    // Per-rank resident bytes: this rank's owned stripe of every window
+    // plus the two bounded caches. Nothing here scales as a full N x N
+    // matrix.
+    let stripe_bytes = (d_wins.len() + f_wins.len())
+        * tri_len(n).div_ceil(world.n_ranks)
+        * std::mem::size_of::<f64>();
+    let resident = stripe_bytes + ShardDensity::budget_bytes(n) + RowShardFock::budget_bytes(n);
 
-    let cfg = WorldConfig { n_ranks, faults: faults.cloned(), retry };
-    let world = phi_dmpi::run_world_with_config(cfg, |rank| {
-        let _span = phi_trace::span("fock.build");
-        let start = Instant::now();
-        let mut view = DensityView::RowShard(ShardDensity::new(&d_wins, n, rank.rank()));
-        let mut acc = FockAccumulator::RowShard(RowShardFock::new(&f_wins, n, rank.rank()));
-        // Per-rank resident bytes: this rank's owned stripe of every
-        // window plus the two bounded caches plus the shared read-only
-        // pair dataset. Nothing here scales as a full N x N matrix.
-        let stripe_bytes = (d_wins.len() + f_wins.len())
-            * tri_len(n).div_ceil(n_ranks)
-            * std::mem::size_of::<f64>();
-        let (cache_bytes, buffer_bytes) = match (&view, &acc) {
-            (DensityView::RowShard(v), FockAccumulator::RowShard(a)) => {
-                (v.budget_bytes(), a.budget_bytes())
-            }
-            _ => unreachable!(),
-        };
-        rank.charge_bytes(stripe_bytes + cache_bytes + buffer_bytes);
-        rank.charge_bytes(ctx.pairs.bytes());
-
-        let mut engine = ctx.engine();
-        let mut eri_buf: Vec<f64> = Vec::new();
-        let mut computed = 0u64;
-        let mut screened = 0u64;
-        let mut tasks = 0usize;
-
-        let fault_mode = rank.faults_enabled();
-        let mut dead = rank.lease_reset(n_pair, LeaseMode::Durable).is_err();
-        while !dead {
-            let t = match rank.lease_next() {
-                Ok(Some(t)) => t,
-                Ok(None) => break,
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            };
-            tasks += 1;
-            let (i, j) = pair_decode(t);
-            for k in 0..=i {
-                for l in 0..=kl_bounds(i, j, k) {
-                    if !ctx.survives(i, j, k, l) {
-                        screened += 1;
-                        continue;
-                    }
-                    let (bra, ket) = (ctx.pairs.pair(i, j), ctx.pairs.pair(k, l));
-                    eri_buf.clear();
-                    eri_buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
-                    engine.shell_quartet_pairs(bra, ket, &mut eri_buf);
-                    digest_quartet_view(basis, i, j, k, l, &eri_buf, &mut view, &mut acc);
-                    computed += 1;
+    let (_, stats) = world.run(ctx, resident, &[&d_wins, &f_wins], |rank| {
+        let mut dens = ShardDensity::new(&d_wins, n, rank.rank());
+        let mut fock = RowShardFock::new(&f_wins, n, rank.rank());
+        let mut quartets = Quartets::new(ctx);
+        let (tasks, dead) = lease_loop(rank, n_pair, LeaseMode::Durable, |step| match step {
+            Step::Task(t) => {
+                let (i, j) = pair_decode(t);
+                quartets.pair_task(i, j, |k, l, eri| {
+                    digest(basis, i, j, k, l, eri, &mut dens, &mut fock);
                     // Capacity flush: keeps the write buffer O(N) even
                     // inside a large task. Safe under faults because
                     // kills only fire at lease claims, between tasks.
-                    if let FockAccumulator::RowShard(a) = &mut acc {
-                        if a.full() {
-                            let _span = phi_trace::span("fock.flush_scatter");
-                            a.flush();
-                        }
+                    if fock.full() {
+                        fock.flush();
                     }
-                }
+                });
             }
-            if let FockAccumulator::RowShard(a) = &mut acc {
-                if fault_mode {
-                    // Flush-then-complete: this task's contributions are
-                    // durable in the windows before the lease completes.
-                    let _span = phi_trace::span("fock.flush_scatter");
-                    a.flush();
-                    rank.lease_complete(t);
-                } else {
-                    rank.lease_complete(t);
-                    if tasks.is_multiple_of(32) {
-                        let _span = phi_trace::span("fock.flush_scatter");
-                        a.flush();
-                    }
-                }
-            }
+            Step::Flush => fock.flush(),
+        });
+        if !dead {
+            // Every live rank's accumulates must land before anyone
+            // reads; dead ranks have deregistered.
+            let _ = rank.ft_barrier();
         }
-        let mut flushes = 0u64;
-        if let FockAccumulator::RowShard(a) = &mut acc {
-            if !dead {
-                let _span = phi_trace::span("fock.flush_scatter");
-                a.flush();
-                // Every live rank's accumulates must land before anyone
-                // reads; dead ranks have deregistered.
-                let _ = rank.ft_barrier();
-            }
-            flushes = a.flushes;
-        }
-        rank.release_bytes(stripe_bytes + cache_bytes + buffer_bytes);
-        rank.release_bytes(ctx.pairs.bytes());
-
-        phi_trace::counter("quartets_computed", computed);
-        phi_trace::counter("quartets_screened", screened);
-        phi_trace::counter("flushes", flushes);
-        phi_trace::counter("eri.spec_quartets", engine.spec_quartets_computed());
-        FockBuildStats {
-            seconds: start.elapsed().as_secs_f64(),
-            quartets_computed: computed,
-            quartets_screened: screened,
-            prim_quartets: engine.prim_quartets_computed(),
-            eri_class_quartets: engine.class_counts().to_vec(),
-            dlb_tasks: tasks,
-            flushes,
-            ..Default::default()
-        }
+        (None::<()>, quartets.finish(tasks, fock.flushes))
     });
-
-    let failed = world.failed_ranks();
-    let mut stats = FockBuildStats::default();
-    for s in world.per_rank {
-        stats = FockBuildStats::merge(stats, &s);
-    }
-    stats.memory_total_peak = world.memory.total_peak();
-    stats.per_rank_peak = world.memory.per_rank_peak.clone();
-    stats.dlb_calls = world.dlb_calls;
-    stats.faults_injected = world.faults_injected;
-    stats.tasks_reclaimed = world.tasks_reclaimed;
-    stats.retries = world.lease_retries;
-    stats.failed_ranks = failed;
-    stats.retransmits = world.retransmits;
-    stats.acks = world.acks;
-    stats.corruptions_detected = world.corruptions_detected;
-    stats.transient_recoveries = world.transient_recoveries;
-    for w in d_wins.iter().chain(&f_wins) {
-        let ls = w.link_stats();
-        stats.retransmits += ls.retransmits;
-        stats.acks += ls.acks;
-        stats.corruptions_detected += ls.corruptions_detected;
-        stats.transient_recoveries += ls.transient_recoveries;
-        stats.faults_injected += ls.faults_injected as usize;
-    }
-    let mats: Vec<Mat> = f_wins.iter().map(|w| gather_tri(w, n)).collect();
-    GBuild::from_channels(mats, stats)
-}
-
-/// Restricted convenience wrapper over [`build_sharded`].
-pub fn build_g_sharded(
-    basis: &BasisSet,
-    pairs: &ShellPairs,
-    screening: &Screening,
-    tau: f64,
-    d: &Mat,
-    n_ranks: usize,
-    mode: DdiMode,
-) -> GBuild {
-    build_sharded(
-        &FockContext::new(basis, pairs, screening, tau),
-        &DensitySet::Restricted(d),
-        n_ranks,
-        mode,
-        None,
-        RetryPolicy::default(),
-    )
+    GBuild::from_channels(f_wins.iter().map(|w| gather_tri(w, n)).collect(), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fock::mpi_only::build_g_mpi_only;
-    use crate::fock::serial::build_g_serial;
+    use crate::fock::engine::FockData;
+    use crate::fock::DensitySet::{self, Restricted};
+    use crate::fock::FockAlgorithm;
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
+    use phi_chem::BasisSet;
+    use phi_linalg::Mat;
 
     fn density(n: usize) -> Mat {
         Mat::from_fn(n, n, |i, j| {
@@ -237,21 +98,18 @@ mod tests {
         })
     }
 
-    fn pairs_and_screening(b: &BasisSet) -> (ShellPairs, Screening) {
-        let pairs = ShellPairs::build(b);
-        let s = Screening::from_pairs(b, &pairs);
-        (pairs, s)
-    }
-
     #[test]
     fn matches_serial_for_various_rank_counts_and_modes() {
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
         let d = density(b.n_basis());
-        let want = build_g_serial(&b, &pairs, &s, 1e-12, &d).g;
+        let want =
+            FockAlgorithm::Serial.builder().build(&data.context(&b, 1e-12), &Restricted(&d)).g;
         for n_ranks in [1, 2, 4] {
             for mode in [DdiMode::Mpi3OneSided, DdiMode::DataServer] {
-                let got = build_g_sharded(&b, &pairs, &s, 1e-12, &d, n_ranks, mode);
+                let got = FockAlgorithm::Sharded { n_ranks, mode }
+                    .builder()
+                    .build(&data.context(&b, 1e-12), &Restricted(&d));
                 assert!(
                     got.g.max_abs_diff(&want) < 1e-12,
                     "{n_ranks} ranks {}: diff {}",
@@ -266,16 +124,17 @@ mod tests {
     #[test]
     fn unrestricted_sharded_matches_serial() {
         let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
         let n = b.n_basis();
         let d_a = density(n);
         let mut d_b = density(n);
         d_b.scale(0.6);
-        let ctx = FockContext::new(&b, &pairs, &s, 1e-12);
+        let ctx = data.context(&b, 1e-12);
         let dens = DensitySet::Unrestricted { alpha: &d_a, beta: &d_b };
-        let want = crate::fock::serial::build_serial(&ctx, &dens);
-        let got =
-            build_sharded(&ctx, &dens, 3, DdiMode::Mpi3OneSided, None, RetryPolicy::default());
+        let want = FockAlgorithm::Serial.builder().build(&ctx, &dens);
+        let got = FockAlgorithm::Sharded { n_ranks: 3, mode: DdiMode::Mpi3OneSided }
+            .builder()
+            .build(&ctx, &dens);
         let want_b = want.g_beta.expect("beta channel");
         let got_b = got.g_beta.expect("beta channel");
         assert!(got.g.max_abs_diff(&want.g) < 1e-12, "alpha {}", got.g.max_abs_diff(&want.g));
@@ -288,12 +147,16 @@ mod tests {
         // lose to the N x N matrices a replicated rank holds; tiny systems
         // like water invert the comparison because the floors dominate.
         let b = BasisSet::build(&small::h_chain(50, 2.0), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
         let n = b.n_basis();
         let d = density(n);
         let ranks = 4;
-        let replicated = build_g_mpi_only(&b, &pairs, &s, 1e-12, &d, ranks);
-        let sharded = build_g_sharded(&b, &pairs, &s, 1e-12, &d, ranks, DdiMode::Mpi3OneSided);
+        let replicated = FockAlgorithm::MpiOnly { n_ranks: ranks }
+            .builder()
+            .build(&data.context(&b, 1e-12), &Restricted(&d));
+        let sharded = FockAlgorithm::Sharded { n_ranks: ranks, mode: DdiMode::Mpi3OneSided }
+            .builder()
+            .build(&data.context(&b, 1e-12), &Restricted(&d));
         let rep_peak = replicated.stats.max_rank_peak();
         let sh_peak = sharded.stats.max_rank_peak();
         assert!(sh_peak < rep_peak, "sharded {sh_peak} vs replicated {rep_peak}");
@@ -303,7 +166,7 @@ mod tests {
         let budget = 2 * tri.div_ceil(ranks) * 8
             + crate::fock::matrix::shard_cache_elems(n) * 8
             + crate::fock::matrix::shard_flush_entries(n) * 16;
-        assert_eq!(sh_peak - pairs.bytes(), budget);
+        assert_eq!(sh_peak - data.pairs.bytes(), budget);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! savings here. The direct builders are where ΔD screening pays off.
 
 use crate::fock::engine::{FockBuilder, FockContext};
-use crate::fock::{digest_quartet_dens, kl_bounds, tri_to_full, DensitySet, GBuild, TriSink};
+use crate::fock::matrix::ReplicatedFock;
+use crate::fock::{digest, kl_bounds, DensitySet, GBuild, ReplicatedDensity};
 use crate::stats::FockBuildStats;
 use phi_chem::BasisSet;
 use phi_integrals::{EriEngine, Screening, ShellPairs};
@@ -88,27 +89,33 @@ impl IncoreEris {
     /// Build the two-electron matrices for any [`DensitySet`] by replaying
     /// the stored integrals — no ERI evaluation.
     pub fn build_set(&self, basis: &BasisSet, dens: &DensitySet<'_>) -> GBuild {
+        match *dens {
+            DensitySet::Restricted(d) => self.replay(basis, ReplicatedDensity::restricted(d)),
+            DensitySet::Unrestricted { alpha, beta } => {
+                let total = alpha.add(beta);
+                self.replay(basis, ReplicatedDensity::unrestricted(&total, alpha, beta))
+            }
+        }
+    }
+
+    fn replay<const NCH: usize>(
+        &self,
+        basis: &BasisSet,
+        mut dens: ReplicatedDensity<'_, NCH>,
+    ) -> GBuild {
         let _span = phi_trace::span("fock.build");
         let start = Instant::now();
-        let work = dens.prepare();
-        let nch = work.n_channels();
-        let n = self.n_basis;
-        let mut bufs = vec![0.0; nch * n * n];
-        {
-            let mut sinks: Vec<TriSink<'_>> =
-                bufs.chunks_mut(n * n).map(|buf| TriSink { buf, n }).collect();
-            for (q, &(i, j, k, l)) in self.quartets.iter().enumerate() {
-                let vals = &self.values[self.offsets[q]..self.offsets[q + 1]];
-                digest_quartet_dens(
-                    basis, i as usize, j as usize, k as usize, l as usize, vals, &work, &mut sinks,
-                );
-            }
+        let mut fock = ReplicatedFock::new(NCH, self.n_basis);
+        for (q, &(i, j, k, l)) in self.quartets.iter().enumerate() {
+            let vals = &self.values[self.offsets[q]..self.offsets[q + 1]];
+            let (i, j, k, l) = (i as usize, j as usize, k as usize, l as usize);
+            digest(basis, i, j, k, l, vals, &mut dens, &mut fock);
         }
         phi_trace::counter("quartets_computed", self.quartets.len() as u64);
         phi_trace::counter("quartets_screened", 0);
         phi_trace::counter("flushes", 0);
         GBuild::from_channels(
-            bufs.chunks(n * n).map(|b| tri_to_full(b, n)).collect(),
+            fock.into_mats(),
             FockBuildStats {
                 seconds: start.elapsed().as_secs_f64(),
                 quartets_computed: self.quartets.len() as u64,
@@ -137,7 +144,7 @@ impl FockBuilder for IncoreEris {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fock::serial::build_g_serial;
+    use crate::fock::FockAlgorithm;
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
 
@@ -163,7 +170,10 @@ mod tests {
         for seed in 0..3 {
             let mut d = density(b.n_basis());
             d.scale(1.0 + seed as f64 * 0.5);
-            let direct = build_g_serial(&b, &pairs, &s, tau, &d).g;
+            let direct = FockAlgorithm::Serial
+                .builder()
+                .build(&FockContext::new(&b, &pairs, &s, tau), &DensitySet::Restricted(&d))
+                .g;
             let incore = eris.build_g(&b, &d).g;
             assert!(
                 direct.max_abs_diff(&incore) < 1e-11,
@@ -177,8 +187,6 @@ mod tests {
     fn incore_replays_unrestricted_sets() {
         // The stored-integral replay must agree with the direct serial
         // UHF digestion on both spin channels.
-        use crate::fock::engine::FockContext;
-        use crate::fock::serial::build_serial;
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
         let (pairs, s) = pairs_and_screening(&b);
         let tau = 1e-10;
@@ -189,7 +197,7 @@ mod tests {
         d_b.scale(0.7);
         let dens = DensitySet::Unrestricted { alpha: &d_a, beta: &d_b };
         let ctx = FockContext::new(&b, &pairs, &s, tau);
-        let direct = build_serial(&ctx, &dens);
+        let direct = FockAlgorithm::Serial.builder().build(&ctx, &dens);
         let replay = eris.build_set(&b, &dens);
         let direct_b = direct.g_beta.expect("beta channel");
         let replay_b = replay.g_beta.expect("beta channel");
@@ -202,7 +210,10 @@ mod tests {
         let b = BasisSet::build(&small::methane(), BasisName::Sto3g);
         let (pairs, s) = pairs_and_screening(&b);
         let eris = IncoreEris::compute(&b, &pairs, &s, 1e-10, 1 << 30).expect("fits");
-        let direct = build_g_serial(&b, &pairs, &s, 1e-10, &density(b.n_basis()));
+        let direct = FockAlgorithm::Serial.builder().build(
+            &FockContext::new(&b, &pairs, &s, 1e-10),
+            &DensitySet::Restricted(&density(b.n_basis())),
+        );
         assert_eq!(eris.n_quartets() as u64, direct.stats.quartets_computed);
         assert!(eris.stored_bytes() > 0);
     }
@@ -228,7 +239,9 @@ mod tests {
         let (pairs, s) = pairs_and_screening(&b);
         let d = density(b.n_basis());
         let eris = IncoreEris::compute(&b, &pairs, &s, 1e-10, 1 << 30).expect("fits");
-        let direct = build_g_serial(&b, &pairs, &s, 1e-10, &d);
+        let direct = FockAlgorithm::Serial
+            .builder()
+            .build(&FockContext::new(&b, &pairs, &s, 1e-10), &DensitySet::Restricted(&d));
         let incore = eris.build_g(&b, &d);
         assert!(direct.stats.prim_quartets > 0, "direct build evaluates primitives");
         assert_eq!(incore.stats.prim_quartets, 0, "replay never touches the ERI engine");

@@ -5,29 +5,32 @@
 //! matrix construction parallelized three ways on the `phi-dmpi` +
 //! `phi-omp` substrates:
 //!
-//! * [`fock::mpi_only`] — Algorithm 1, the stock GAMESS scheme: every rank
-//!   replicates all matrices, DLB over `(i,j)` shell pairs, `gsumf`
-//!   reduction;
-//! * [`fock::private_fock`] — Algorithm 2 ("shared density, private Fock"):
-//!   hybrid ranks x threads, density shared per rank, Fock replicated per
-//!   thread, MPI DLB over `i`, collapsed `(j,k)` OpenMP loop;
-//! * [`fock::shared_fock`] — Algorithm 3 ("shared density, shared Fock"):
-//!   density and Fock both shared per rank, MPI DLB over combined `ij`
-//!   pairs with task-level Schwarz prescreening, OpenMP over combined `kl`,
-//!   thread-private `FI`/`FJ` column buffers with lazy `FI` flushing.
+//! * [`FockAlgorithm::MpiOnly`] — Algorithm 1, the stock GAMESS scheme:
+//!   every rank replicates all matrices, DLB over `(i,j)` shell pairs,
+//!   `gsumf` reduction;
+//! * [`FockAlgorithm::PrivateFock`] — Algorithm 2 ("shared density, private
+//!   Fock"): hybrid ranks x threads, density shared per rank, Fock
+//!   replicated per thread, MPI DLB over `i`, collapsed `(j,k)` OpenMP loop;
+//! * [`FockAlgorithm::SharedFock`] — Algorithm 3 ("shared density, shared
+//!   Fock"): density and Fock both shared per rank, MPI DLB over combined
+//!   `ij` pairs with task-level Schwarz prescreening, OpenMP over combined
+//!   `kl`, thread-private `FI`/`FJ` column buffers with lazy `FI` flushing.
 //!
-//! A serial reference builder ([`fock::serial`]) defines ground truth (up
-//! to floating-point summation order) for all three, and
-//! [`fock::distributed`] adds the related-work distributed-data baseline.
+//! [`FockAlgorithm::Serial`] defines ground truth (up to floating-point
+//! summation order) for all three; [`FockAlgorithm::Distributed`] adds the
+//! related-work distributed-data baseline and [`FockAlgorithm::Sharded`]
+//! the build in which no rank holds a full matrix.
 //!
-//! All builders sit behind one engine layer ([`fock::engine`]): drivers
-//! assemble a [`FockContext`] (basis + persistent shell pairs + screening)
-//! once, pick a [`FockBuilder`] via [`FockAlgorithm::builder`], and hand it
-//! a [`DensitySet`] — one matrix for RHF, an α/β pair for UHF. Every
-//! builder returns the same [`GBuild`] (per-channel `G` matrices plus
-//! uniformly collected [`FockBuildStats`]), so RHF ([`scf`]), UHF
-//! ([`uhf`]), and the stored-integral replay ([`incore`]) compose with any
-//! algorithm.
+//! The six are policy rows — task space, team schedule, accumulator, lease
+//! mode, final reduce — over one task-loop driver and one digester
+//! ([`fock::digest`], generic over [`fock::DensityRead`] and
+//! [`fock::ChannelSink`]). Drivers assemble a [`FockContext`] (basis +
+//! persistent shell pairs + screening) once, pick a [`FockBuilder`] via
+//! [`FockAlgorithm::builder`] — the only entry to a build — and hand it a
+//! [`DensitySet`]: one matrix for RHF, an α/β pair for UHF. Every builder
+//! returns the same [`GBuild`] (per-channel `G` matrices plus uniformly
+//! collected [`FockBuildStats`]), so RHF ([`scf`]), UHF ([`uhf`]), and the
+//! stored-integral replay ([`incore`]) compose with any algorithm.
 //!
 //! The driver ([`scf`]) handles the rest of the method: core-Hamiltonian
 //! guess, symmetric orthogonalization, (optional) DIIS acceleration,

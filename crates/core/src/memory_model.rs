@@ -98,7 +98,7 @@ impl MemoryModel {
         3.5 * self.n2() * self.process_factor() * WORD + self.pair_term()
     }
 
-    /// Fully sharded build (restricted, [`crate::fock::sharded`]) per node,
+    /// Fully sharded build (restricted, [`crate::FockAlgorithm::Sharded`]) per node,
     /// bytes: the tri-packed density + Fock window stripes (`N(N+1)/2`
     /// words each, divided over `total_ranks` world ranks, doubled per
     /// process by DDI data servers since the servers hold the array

@@ -119,6 +119,7 @@ pub fn purify_density_threaded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fock::{engine::FockContext, DensitySet, FockAlgorithm};
     use crate::guess::{core_guess, density_from_orbitals, solve_roothaan};
     use phi_chem::basis::{BasisName, BasisSet};
     use phi_chem::geom::small;
@@ -135,7 +136,10 @@ mod tests {
         let pairs = phi_integrals::ShellPairs::build(&b);
         let screening = Screening::from_pairs(&b, &pairs);
         let d0 = core_guess(&h, &x, mol.n_occupied());
-        let g = crate::fock::serial::build_g_serial(&b, &pairs, &screening, 1e-10, &d0).g;
+        let g = FockAlgorithm::Serial
+            .builder()
+            .build(&FockContext::new(&b, &pairs, &screening, 1e-10), &DensitySet::Restricted(&d0))
+            .g;
         (h.add(&g), x, s, mol.n_occupied())
     }
 
@@ -206,7 +210,13 @@ mod tests {
         let mut d = core_guess(&h, &x, n_occ);
         let mut energy = 0.0;
         for _ in 0..60 {
-            let g = crate::fock::serial::build_g_serial(&b, &pairs, &screening, 1e-10, &d).g;
+            let g = FockAlgorithm::Serial
+                .builder()
+                .build(
+                    &FockContext::new(&b, &pairs, &screening, 1e-10),
+                    &DensitySet::Restricted(&d),
+                )
+                .g;
             let f = h.add(&g);
             energy = 0.5 * (d.dot(&h) + d.dot(&f)) + mol.nuclear_repulsion();
             d = purify_density(&f, &x, n_occ, 200, 1e-13).density;

@@ -186,6 +186,7 @@ mod tests {
     #[cfg(feature = "trace")]
     #[test]
     fn trace_counters_reconcile_with_serial_build_stats() {
+        use crate::fock::{engine::FockContext, DensitySet, FockAlgorithm};
         use phi_chem::basis::BasisName;
         use phi_chem::geom::small;
         use phi_chem::BasisSet;
@@ -197,7 +198,9 @@ mod tests {
         let s = Screening::from_pairs(&b, &pairs);
         let d = Mat::identity(b.n_basis());
         let session = phi_trace::TraceSession::begin();
-        let out = crate::fock::serial::build_g_serial(&b, &pairs, &s, 1e-10, &d);
+        let out = FockAlgorithm::Serial
+            .builder()
+            .build(&FockContext::new(&b, &pairs, &s, 1e-10), &DensitySet::Restricted(&d));
         let report = session.finish();
         assert_eq!(report.counter_total("quartets_computed"), out.stats.quartets_computed);
         assert_eq!(report.counter_total("quartets_screened"), out.stats.quartets_screened);

@@ -343,8 +343,7 @@ fn eri_kernel_path_respects_schwarz_bound() {
 /// by element, on a basis that exercises s, p, SP, and d classes.
 #[test]
 fn serial_fock_matches_with_kernels_on_and_off() {
-    use phi_scf::hf::fock::engine::FockContext;
-    use phi_scf::hf::fock::{serial::build_serial, DensitySet};
+    use phi_scf::hf::{DensitySet, FockAlgorithm, FockContext};
     use phi_scf::integrals::Screening;
 
     let mol = phi_scf::chem::geom::small::water();
@@ -355,8 +354,9 @@ fn serial_fock_matches_with_kernels_on_and_off() {
     let mut rng = Rng::new(73);
     let d = random_symmetric(&mut rng, n, -0.4, 0.4);
     let ctx = FockContext::new(&basis, &pairs, &screening, 1e-11);
-    let on = build_serial(&ctx, &DensitySet::Restricted(&d));
-    let off = build_serial(&ctx.with_eri_kernels(false), &DensitySet::Restricted(&d));
+    let serial = FockAlgorithm::Serial.builder();
+    let on = serial.build(&ctx, &DensitySet::Restricted(&d));
+    let off = serial.build(&ctx.with_eri_kernels(false), &DensitySet::Restricted(&d));
     assert!(
         on.g.max_abs_diff(&off.g) <= 1e-12,
         "kernels-on vs kernels-off G diverge: {}",
@@ -374,22 +374,24 @@ fn serial_fock_matches_with_kernels_on_and_off() {
 
 #[test]
 fn g_build_is_linear_and_symmetric() {
-    use phi_scf::hf::fock::serial::build_g_serial;
+    use phi_scf::hf::{DensitySet, FockAlgorithm, FockContext};
     use phi_scf::integrals::Screening;
 
     let mol = phi_scf::chem::geom::small::hydrogen_molecule(1.4);
     let basis = BasisSet::build(&mol, BasisName::B631g);
     let pairs = ShellPairs::build(&basis);
     let screening = Screening::from_pairs(&basis, &pairs);
+    let ctx = FockContext::new(&basis, &pairs, &screening, 0.0);
+    let serial = FockAlgorithm::Serial.builder();
     let n = basis.n_basis();
     for seed in 0..12u64 {
         let mut rng = Rng::new(seed.wrapping_mul(77).wrapping_add(5));
         let d = random_symmetric(&mut rng, n, -0.5, 0.5);
-        let g1 = build_g_serial(&basis, &pairs, &screening, 0.0, &d).g;
+        let g1 = serial.build(&ctx, &DensitySet::Restricted(&d)).g;
         assert!(g1.is_symmetric(1e-10));
         let mut d2 = d.clone();
         d2.scale(2.0);
-        let g2 = build_g_serial(&basis, &pairs, &screening, 0.0, &d2).g;
+        let g2 = serial.build(&ctx, &DensitySet::Restricted(&d2)).g;
         let mut g1x2 = g1.clone();
         g1x2.scale(2.0);
         assert!(g2.max_abs_diff(&g1x2) < 1e-9, "G not linear in D");

@@ -16,11 +16,13 @@
 
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
-use phi_scf::hf::{DensitySet, FockAlgorithm, FockBuildStats, FockData};
+use phi_scf::dmpi::DdiMode;
+use phi_scf::hf::{run_scf, DensitySet, FockAlgorithm, FockBuildStats, FockData, ScfConfig};
 use phi_scf::linalg::Mat;
 use phi_scf::trace::{Event, Stream, TraceReport, TraceSession};
 
-/// All four parallel builders at two world sizes each.
+/// Every parallel builder at two world sizes each (the sharded build
+/// once per DDI transport).
 fn algorithms() -> Vec<FockAlgorithm> {
     vec![
         FockAlgorithm::MpiOnly { n_ranks: 2 },
@@ -31,6 +33,8 @@ fn algorithms() -> Vec<FockAlgorithm> {
         FockAlgorithm::SharedFock { n_ranks: 2, n_threads: 2 },
         FockAlgorithm::Distributed { n_ranks: 2 },
         FockAlgorithm::Distributed { n_ranks: 4 },
+        FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::Mpi3OneSided },
+        FockAlgorithm::Sharded { n_ranks: 4, mode: DdiMode::DataServer },
     ]
 }
 
@@ -187,4 +191,35 @@ fn counter_totals_reconcile_exactly_with_build_stats() {
             "{label}: tasks.reclaimed drifted (fault-free build)"
         );
     }
+}
+
+/// The counters must still reconcile exactly with the stats during an
+/// incremental run: the weighted screening predicate changes *which*
+/// quartets survive, not how the survivors are counted. (Lives here and
+/// not in `incremental_parity.rs` because every test in this binary holds
+/// a session, so no concurrently running test can leak counters into it.)
+#[test]
+fn incremental_run_counters_reconcile_exactly_with_stats() {
+    let mol = small::water();
+    let b = BasisSet::build(&mol, BasisName::Sto3g);
+    let config = ScfConfig {
+        algorithm: FockAlgorithm::SharedFock { n_ranks: 2, n_threads: 2 },
+        incremental: true,
+        full_rebuild_every: 4,
+        ..Default::default()
+    };
+    let session = TraceSession::begin();
+    let r = run_scf(&mol, &b, &config);
+    let report = session.finish();
+    assert!(r.converged);
+    assert!(r.fock_stats.iter().any(|s| s.incremental));
+
+    let sum = |f: fn(&FockBuildStats) -> u64| r.fock_stats.iter().map(f).sum::<u64>();
+    assert_eq!(report.counter_total("quartets_computed"), sum(|s| s.quartets_computed));
+    assert_eq!(report.counter_total("quartets_screened"), sum(|s| s.quartets_screened));
+    assert_eq!(report.counter_total("flushes"), sum(|s| s.flushes));
+    assert_eq!(
+        report.counter_total("dlb.calls") as usize,
+        r.fock_stats.iter().map(|s| s.dlb_calls).sum::<usize>()
+    );
 }

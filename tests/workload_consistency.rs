@@ -4,8 +4,7 @@
 
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
-use phi_scf::hf::fock::serial::build_g_serial;
-use phi_scf::hf::{DensitySet, FockAlgorithm, FockData};
+use phi_scf::hf::{DensitySet, FockAlgorithm, FockContext, FockData};
 use phi_scf::integrals::screening::WorkloadStats;
 use phi_scf::integrals::{Screening, ShellPairs};
 use phi_scf::linalg::Mat;
@@ -24,7 +23,9 @@ fn fenwick_counts_match_real_build_quartets() {
         let stats = WorkloadStats::compute(&basis, &screening, tau);
         let n = basis.n_basis();
         let d = Mat::identity(n);
-        let build = build_g_serial(&basis, &pairs, &screening, tau, &d);
+        let build = FockAlgorithm::Serial
+            .builder()
+            .build(&FockContext::new(&basis, &pairs, &screening, tau), &DensitySet::Restricted(&d));
         let counted = stats.surviving_quartets() as i64;
         let real = build.stats.quartets_computed as i64;
         // Quantized-bucket boundary effects only: within 1% + small slack.
@@ -54,8 +55,13 @@ fn prescreened_tasks_do_no_work_in_the_real_builder() {
     let mono_basis = BasisSet::build(&small::water(), BasisName::Sto3g);
     let mono_pairs = ShellPairs::build(&mono_basis);
     let mono_screening = Screening::from_pairs(&mono_basis, &mono_pairs);
-    let one = build_g_serial(&mono_basis, &mono_pairs, &mono_screening, tau, &Mat::identity(7));
-    let two = build_g_serial(&basis, &pairs, &screening, tau, &d);
+    let serial = FockAlgorithm::Serial.builder();
+    let one = serial.build(
+        &FockContext::new(&mono_basis, &mono_pairs, &mono_screening, tau),
+        &DensitySet::Restricted(&Mat::identity(7)),
+    );
+    let two = serial
+        .build(&FockContext::new(&basis, &pairs, &screening, tau), &DensitySet::Restricted(&d));
     // Schwarz keeps long-range *Coulomb* blocks (ij on fragment A | kl on
     // fragment B) — the interaction decays as 1/R, not exponentially — but
     // kills every inter-fragment *pair*. So the dimer workload grows
