@@ -195,30 +195,40 @@ impl<'r> TeamLeases<'r> {
         TeamLeases { rank, n_tasks, current: AtomicUsize::new(0) }
     }
 
-    /// Run by every thread of the team: the master pulls the next lease
-    /// and broadcasts it; every thread runs `task` on it. `task` returns
-    /// whether it ran a worksharing construct (whose trailing barrier
-    /// then synchronizes the team) or skipped the task. Returns the tasks
-    /// run, counted on the master only.
-    pub(crate) fn run(&self, tctx: &ThreadCtx<'_>, mut task: impl FnMut(usize) -> bool) -> usize {
+    /// Run by every thread of the team: the master claims leases until it
+    /// holds one that `runs` (a lease that does not is complete at once
+    /// and the team never hears of it) or the stream ends, and broadcasts
+    /// it; every thread then runs `task` on it. `task` must cross at least
+    /// one team barrier, after which no thread touches the task's
+    /// accumulators outside a flush: that barrier is what lets the master
+    /// complete the lease and overwrite the broadcast slot. Returns the
+    /// tasks run, counted on the master only.
+    pub(crate) fn run(
+        &self,
+        tctx: &ThreadCtx<'_>,
+        runs: impl Fn(usize) -> bool,
+        mut task: impl FnMut(usize),
+    ) -> usize {
         let mut tasks = 0usize;
-        let mut prev_task: Option<usize> = None;
+        let mut held: Option<usize> = None;
         loop {
-            // The previous task only counts as complete here, after its
-            // trailing barrier proved the whole team finished it. A kill
-            // fires inside the claim; the master then broadcasts the DEAD
-            // sentinel and every thread unwinds at the barrier.
+            // A kill fires inside the claim; the master then broadcasts
+            // the DEAD sentinel and every thread unwinds at the barrier.
             tctx.master(|| {
-                if let Some(p) = prev_task.take() {
-                    self.rank.lease_complete(p);
+                if let Some(t) = held.take() {
+                    self.rank.lease_complete(t);
                 }
-                let next = match self.rank.lease_next() {
-                    Ok(Some(t)) => {
-                        prev_task = Some(t);
-                        t
+                let next = loop {
+                    match self.rank.lease_next() {
+                        Ok(Some(t)) if runs(t) => {
+                            held = Some(t);
+                            tasks += 1;
+                            break t;
+                        }
+                        Ok(Some(t)) => self.rank.lease_complete(t),
+                        Ok(None) => break TASK_DONE,
+                        Err(_) => break TASK_DEAD,
                     }
-                    Ok(None) => TASK_DONE,
-                    Err(_) => TASK_DEAD,
                 };
                 self.current.store(next, Ordering::SeqCst);
             });
@@ -227,19 +237,7 @@ impl<'r> TeamLeases<'r> {
             if t >= self.n_tasks {
                 return tasks;
             }
-            if task(t) {
-                if tctx.is_master() {
-                    tasks += 1;
-                }
-            } else {
-                // Every thread must have read `current` before the master
-                // overwrites it with the next pull. A worked task gets
-                // this from its worksharing loop's trailing barrier;
-                // without this one on the skip path, a slow thread can
-                // miss a task entirely and the team's collective-call
-                // sequences diverge — deadlock.
-                tctx.barrier();
-            }
+            task(t);
         }
     }
 }

@@ -41,17 +41,21 @@ pub(crate) fn build<const NCH: usize>(
             let mut dens = dens;
             let mut fock = ReplicatedFock::new(NCH, n);
             let mut quartets = Quartets::new(ctx);
-            let tasks = leases.run(tctx, |i| {
-                // Merged (j, k) loops, workshared dynamically (lines 7-20).
-                tctx.collapse2(i + 1, i + 1, Schedule::dynamic1(), |j, k| {
-                    for l in 0..=kl_bounds(i, j, k) {
-                        quartets.quartet(i, j, k, l, |eri| {
-                            digest(basis, i, j, k, l, eri, &mut dens, &mut fock)
-                        });
-                    }
-                });
-                true
-            });
+            // Every i task runs: Algorithm 2 has no task-level prescreen.
+            let tasks = leases.run(
+                tctx,
+                |_| true,
+                |i| {
+                    // Merged (j, k) loops under a dynamic schedule (lines 7-20).
+                    tctx.collapse2(i + 1, i + 1, Schedule::dynamic1(), |j, k| {
+                        for l in 0..=kl_bounds(i, j, k) {
+                            quartets.quartet(i, j, k, l, |eri| {
+                                digest(basis, i, j, k, l, eri, &mut dens, &mut fock)
+                            });
+                        }
+                    });
+                },
+            );
             (fock, quartets.finish(tasks, 0))
         });
 

@@ -7,10 +7,11 @@
 //!
 //! * updates touching shell `i`'s block -> thread-private `FI` buffer,
 //! * updates touching shell `j`'s block -> thread-private `FJ` buffer,
-//! * the `(k, l)` element -> the shared Fock matrix directly (threads own
-//!   distinct `kl` iterations, so element collisions cannot occur within a
-//!   task; we still use atomic adds — see DESIGN.md on the safe-Rust
-//!   substitution).
+//! * the `(k, l)` Coulomb block -> the shared Fock matrix. Threads own
+//!   distinct `kl` iterations, so the paper writes it unsynchronized; safe
+//!   Rust needs atomic adds, which are only cheap when rare: a quartet's
+//!   block (`n_k x n_l`, 36 values for d shells) is summed in a
+//!   thread-local scratch and leaves the thread once per quartet.
 //!
 //! `FJ` is flushed (padded chunked tree reduction, paper Figure 1) after
 //! every `kl` loop; `FI` is flushed lazily, only when the task's `i`
@@ -18,8 +19,12 @@
 //! the naive scheme would pay.
 //!
 //! MPI tasks are combined `ij` pair indices pulled from the DLB counter,
-//! prescreened at the task level (line 13) so whole iterations of the most
-//! costly top loop vanish for sparse systems.
+//! prescreened at the task level (line 13) by the master inside its claim,
+//! so whole iterations of the most costly top loop vanish for sparse
+//! systems without the team synchronizing on them.
+//!
+//! A task that runs costs the team two barriers, three when `i` changes;
+//! DESIGN.md §6 lists what each one orders.
 //!
 //! Policy row: combined `ij` pair tasks with the task prescreen, dynamic
 //! `kl` team schedule, shared Fock + FI/FJ column sinks, volatile leases,
@@ -33,17 +38,34 @@ use crate::stats::FockBuildStats;
 use phi_integrals::screening::{n_pairs, pair_index};
 use phi_omp::{PaddedColumns, Schedule, SharedAccumulator, Team, ThreadCtx};
 
-/// Routes canonical Fock updates to FI / FJ / the shared matrix (one
-/// instance per spin channel).
+/// Routes canonical Fock updates to FI / FJ / the quartet's `(k, l)` block
+/// (one instance per spin channel).
 struct SharedFockSink<'a> {
     fi_col: &'a mut [f64],
     fj_col: &'a mut [f64],
+    /// The current quartet's pure `(k, l)` Coulomb block, row-major
+    /// `n_k x n_l` from (`k_lo`, `l_lo`); all zero between quartets.
+    kl: &'a mut [f64],
     fock: &'a SharedAccumulator,
     n: usize,
     i_lo: usize,
     i_hi: usize,
     j_lo: usize,
     j_hi: usize,
+    k_lo: usize,
+    l_lo: usize,
+    n_l: usize,
+}
+
+impl SharedFockSink<'_> {
+    /// Add the digested quartet's `(k, l)` block to the shared Fock matrix
+    /// and leave the scratch zeroed for the next quartet.
+    fn end_quartet(&mut self, n_k: usize) {
+        for (at, v) in self.kl[..n_k * self.n_l].iter_mut().enumerate() {
+            let (mu, nu) = (self.k_lo + at / self.n_l, self.l_lo + at % self.n_l);
+            self.fock.add(mu * self.n + nu, std::mem::take(v));
+        }
+    }
 }
 
 impl FockSink for SharedFockSink<'_> {
@@ -59,8 +81,9 @@ impl FockSink for SharedFockSink<'_> {
         } else if nu >= self.j_lo && nu < self.j_hi {
             self.fj_col[(nu - self.j_lo) * self.n + mu] += v;
         } else {
-            // Pure (k, l) element: straight into the shared Fock matrix.
-            self.fock.add(mu * self.n + nu, v);
+            // Neither index in shell i or j: the Coulomb update of the
+            // (k, l) block, mu in shell k and nu in shell l.
+            self.kl[(mu - self.k_lo) * self.n_l + (nu - self.l_lo)] += v;
         }
     }
 }
@@ -96,15 +119,16 @@ pub(crate) fn build<const NCH: usize>(
         let column_bytes = fis.iter().chain(&fjs).map(|p| p.bytes()).sum();
         rank.charge_bytes(column_bytes);
 
-        // Flush one shell's rows of every channel's column buffers into
-        // the shared Fock (padded chunked tree reduction, paper Figure 1).
+        // This thread's share of flushing one shell's rows of every
+        // channel's column buffers into the shared Fock (padded chunked
+        // tree reduction, paper Figure 1). The caller places the barriers.
         let flush =
             |tctx: &ThreadCtx<'_>, name: &'static str, cols: &[PaddedColumns], shell: usize| {
                 let _span = phi_trace::span(name);
                 let sh = &basis.shells[shell];
                 let (lo, width) = (sh.first_bf, sh.n_functions());
                 for (col, fock) in cols.iter().zip(&focks) {
-                    col.flush_prefix_with(tctx, width * n, |row, sum| {
+                    col.flush_rows_with(tctx, width * n, |row, sum| {
                         let g = lo + row / n;
                         let other = row % n;
                         let idx = if g >= other { g * n + other } else { other * n + g };
@@ -124,51 +148,72 @@ pub(crate) fn build<const NCH: usize>(
         let per_thread = Team::new(n_threads).parallel(|tctx| {
             let mut dens = dens;
             let mut quartets = Quartets::new(ctx);
+            let mut kl_blocks = vec![0.0; NCH * max_width * max_width];
             let mut flushes = 0u64;
-            // The last worked task's i shell; identical across threads
-            // because every thread follows the same task sequence.
+            // The last task's i shell; identical across threads because
+            // every thread follows the same task sequence.
             let mut iold: Option<usize> = None;
 
-            let tasks = leases.run(tctx, |ij| {
+            // Task-level prescreen (lines 13-14), evaluated by the master
+            // inside its claim: whole iterations of the most costly top
+            // loop vanish for sparse systems, barriers included.
+            let survives = |ij: usize| {
                 let (i, j) = pair_decode(ij);
-                // Task-level prescreen (lines 13-14): whole iterations of
-                // the most costly top loop vanish for sparse systems.
-                if !ctx.task_survives(i, j) {
-                    return false;
-                }
-                // Flush FI lazily, only when i changes (lines 15-18).
+                ctx.task_survives(i, j)
+            };
+            let tasks = leases.run(tctx, survives, |ij| {
+                let (i, j) = pair_decode(ij);
+                // Flush FI lazily, only when i changes (lines 15-18). The
+                // kl loop that wrote it ended at a barrier one task ago;
+                // this barrier keeps the next loop off the columns until
+                // every thread has emptied its rows.
                 if let Some(io) = iold.filter(|&io| io != i) {
                     flushes += flush(tctx, "fock.flush_fi", &fis, io);
+                    tctx.barrier();
                 }
 
                 let (sh_i, sh_j) = (&basis.shells[i], &basis.shells[j]);
+                let mut blocks = kl_blocks.chunks_mut(max_width * max_width);
                 let mut sinks: [SharedFockSink<'_>; NCH] =
                     std::array::from_fn(|ch| SharedFockSink {
                         fi_col: fis[ch].col_mut(tctx.thread_num()),
                         fj_col: fjs[ch].col_mut(tctx.thread_num()),
+                        kl: blocks.next().expect("one (k, l) block per channel"),
                         fock: &focks[ch],
                         n,
                         i_lo: sh_i.first_bf,
                         i_hi: sh_i.first_bf + sh_i.n_functions(),
                         j_lo: sh_j.first_bf,
                         j_hi: sh_j.first_bf + sh_j.n_functions(),
+                        k_lo: 0,
+                        l_lo: 0,
+                        n_l: 0,
                     });
 
-                // Workshared kl loop (lines 19-30).
-                tctx.for_each(pair_index(i, j) + 1, Schedule::dynamic1(), |kl| {
+                // Workshared kl loop (lines 19-30); its barrier is the one
+                // the FJ flush needs before it reads the columns.
+                tctx.for_each_nowait(pair_index(i, j) + 1, Schedule::dynamic1(), &mut |kl| {
                     let (k, l) = pair_decode(kl);
+                    let (sh_k, sh_l) = (&basis.shells[k], &basis.shells[l]);
                     quartets.quartet(i, j, k, l, |eri| {
-                        digest(basis, i, j, k, l, eri, &mut dens, sinks.as_mut_slice())
+                        for s in &mut sinks {
+                            (s.k_lo, s.l_lo, s.n_l) =
+                                (sh_k.first_bf, sh_l.first_bf, sh_l.n_functions());
+                        }
+                        digest(basis, i, j, k, l, eri, &mut dens, sinks.as_mut_slice());
+                        sinks.iter_mut().for_each(|s| s.end_quartet(sh_k.n_functions()));
                     });
                 });
+                tctx.barrier();
 
-                // Flush FJ after every kl loop (lines 31-32).
+                // Flush FJ after every kl loop (lines 31-32). The barrier
+                // that ends it is the next lease broadcast's.
                 flushes += flush(tctx, "fock.flush_fj", &fjs, j);
                 iold = Some(i);
-                true
             });
 
-            // Flush the FI remainder (line 36).
+            // Flush the FI remainder (line 36), between the broadcast of
+            // the end of the lease stream and the region's join.
             if let Some(io) = iold {
                 flushes += flush(tctx, "fock.flush_fi", &fis, io);
             }
@@ -242,12 +287,13 @@ mod tests {
 
     #[test]
     fn sparse_system_with_prescreened_tasks_is_race_free() {
-        // Regression test: a spread-out H chain prescreens many ij tasks.
-        // Before the prescreen-path barrier fix, a thread could miss the
-        // master's current_ij update on the continue path, desynchronizing
-        // the team's collective sequence (deadlock) or silently skipping a
-        // surviving task (wrong Fock matrix). Dense molecules (water etc.)
-        // never prescreen, which is why only sparse systems exposed it.
+        // A spread-out H chain prescreens many ij leases, which the master
+        // drops inside its claim. The hazard on that path: a thread that
+        // has not yet read the broadcast slot when the master overwrites
+        // it misses a task, and the team's collective sequences diverge
+        // (deadlock) or a surviving task is skipped (wrong Fock matrix).
+        // Dense molecules (water etc.) never prescreen, so only sparse
+        // systems can expose it.
         let b = BasisSet::build(&small::h_chain(8, 5.0), BasisName::Sto3g);
         let data = FockData::build(&b);
         let d = density(b.n_basis());
@@ -255,7 +301,7 @@ mod tests {
         let want = FockAlgorithm::Serial.builder().build(&data.context(&b, tau), &Restricted(&d)).g;
         for (r, t) in [(1, 2), (1, 4), (2, 3)] {
             // Repeat several times: the race was timing-dependent.
-            for round in 0..5 {
+            for round in 0..25 {
                 let got = FockAlgorithm::SharedFock { n_ranks: r, n_threads: t }
                     .builder()
                     .build(&data.context(&b, tau), &Restricted(&d));

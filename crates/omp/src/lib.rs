@@ -19,9 +19,12 @@
 //!
 //! Worksharing loops follow the OpenMP contract: every thread of the team
 //! must reach every construct in the same order, and each loop ends with an
-//! implicit team barrier.
+//! implicit team barrier unless it is the `nowait` form. The barrier spins
+//! briefly and then parks, so a team may have more threads than the host
+//! has cores.
 
 pub mod affinity;
+mod barrier;
 pub mod reduce;
 pub mod schedule;
 pub mod shared;

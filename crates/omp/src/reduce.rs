@@ -76,24 +76,28 @@ impl PaddedColumns {
     /// then zero the columns. Call from *all* threads of the region; a
     /// barrier is executed before and after internally.
     pub fn flush_into(&self, ctx: &ThreadCtx<'_>, dst: &SharedAccumulator, dst_off: usize) {
-        self.flush_prefix_with(ctx, self.len, |row, sum| dst.add(dst_off + row, sum));
+        ctx.barrier();
+        self.flush_rows_with(ctx, self.len, |row, sum| dst.add(dst_off + row, sum));
+        ctx.barrier();
     }
 
-    /// Row-parallel flush of the first `active_len` rows through an
-    /// arbitrary mapping `f(row, sum)`, then zero those rows. Collective:
-    /// call from all threads; barriers are executed before and after.
+    /// This thread's share of a row-parallel flush of the first
+    /// `active_len` rows through an arbitrary mapping `f(row, sum)`, then
+    /// zero those rows. Call from all threads. No barrier is executed: the
+    /// caller puts one between the last column write and this call, and
+    /// one between this call and the next column write, and is free to
+    /// make either do double duty.
     ///
     /// The shared-Fock builder uses this to scatter the `FI`/`FJ` column
     /// blocks into the (non-contiguous) triangular positions of the shared
     /// Fock matrix; `active_len` limits work to the current shell's width.
-    pub fn flush_prefix_with(
+    pub fn flush_rows_with(
         &self,
         ctx: &ThreadCtx<'_>,
         active_len: usize,
         f: impl Fn(usize, f64) + Sync,
     ) {
         assert!(active_len <= self.len);
-        ctx.barrier();
         let t = ctx.thread_num();
         let nt = ctx.n_threads();
         // Static partition of row-chunks over threads (Figure 1B).
@@ -104,8 +108,8 @@ impl PaddedColumns {
             for row in lo..hi {
                 let mut sum = 0.0;
                 for col in 0..self.n_cols {
-                    // Safe: after the barrier no thread is writing, and each
-                    // row-chunk is owned by exactly one flusher.
+                    // Safe: after the caller's barrier no thread is writing,
+                    // and each row-chunk is owned by exactly one flusher.
                     let v = unsafe { *(*self.data.get()).as_ptr().add(col * self.stride + row) };
                     sum += v;
                 }
@@ -120,7 +124,6 @@ impl PaddedColumns {
                 }
             }
         }
-        ctx.barrier();
     }
 
     /// Serial flush by the calling thread alone (the naive baseline the

@@ -4,9 +4,15 @@
 //! threads, relying on the loop partitioning to guarantee distinct elements
 //! per thread. Safe Rust cannot express "trust me, the indices are
 //! disjoint" without `unsafe`; instead [`SharedAccumulator`] performs the
-//! adds atomically (relaxed CAS on the f64 bit pattern). On x86 an
-//! uncontended CAS-add costs a handful of cycles; the substitution is noted
-//! in DESIGN.md and folded into the simulator's synchronization-cost term.
+//! adds atomically (relaxed CAS on the f64 bit pattern).
+//!
+//! The CAS is cheap only while the cache line stays put. Neighbouring `kl`
+//! iterations go to different threads under `schedule(dynamic,1)` and write
+//! neighbouring elements, so an add per integral bounced lines between
+//! cores often enough to show in the benchmark's two-thread builds. Callers
+//! therefore sum in thread-local storage and add once per unit of work: the
+//! shared-Fock sink once per quartet, the column flushes once per row
+//! (DESIGN.md, safe-Rust substitution row).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

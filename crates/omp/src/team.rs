@@ -1,10 +1,16 @@
 //! Thread teams and parallel regions.
+//!
+//! A region's shared state is fixed-size: one spin-then-park
+//! `TeamBarrier` and a small ring of `ConstructSlot`s that worksharing
+//! constructs take in encounter order. Nothing is allocated or locked per
+//! construct, so a region that runs one loop per `ij` task costs the same
+//! on its last task as on its first.
 
+use crate::barrier::TeamBarrier;
 use crate::schedule::{guided_chunk, static_chunks, Schedule};
 use crate::sync::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
 
 /// A fixed-size thread team. One `parallel` call is one OpenMP parallel
 /// region: the closure runs once per thread, with worksharing constructs
@@ -13,33 +19,29 @@ pub struct Team {
     n_threads: usize,
 }
 
-/// State shared by all threads of one parallel region.
-struct RegionShared {
-    barrier: Barrier,
-    /// One shared iteration counter per worksharing construct, indexed by
-    /// the order in which the (synchronized) team encounters them.
-    loop_counters: Mutex<Vec<Arc<AtomicUsize>>>,
-    critical: Mutex<()>,
-    /// Claim flags for `single` constructs, one per construct sequence slot.
-    single_claims: Mutex<Vec<Arc<AtomicUsize>>>,
+/// How many worksharing constructs a thread can be ahead of the slowest
+/// thread of its team (only `nowait` loops let it get ahead at all) before
+/// it has to wait for a slot.
+const CONSTRUCT_SLOTS: usize = 8;
+
+/// The shared state of one live worksharing construct. Slot `s` serves
+/// constructs `s`, `s + CONSTRUCT_SLOTS`, ... of the region in turn; the
+/// last thread to leave a construct hands the slot, zeroed, to the next.
+#[repr(align(64))]
+struct ConstructSlot {
+    /// Sequence number of the construct that owns the slot now.
+    owner: AtomicUsize,
+    /// The construct's counter: next loop iteration, or `single` arrivals.
+    count: AtomicUsize,
+    /// Threads that have left the construct.
+    left: AtomicUsize,
 }
 
-impl RegionShared {
-    fn counter(&self, seq: usize) -> Arc<AtomicUsize> {
-        let mut v = self.loop_counters.lock();
-        while v.len() <= seq {
-            v.push(Arc::new(AtomicUsize::new(0)));
-        }
-        v[seq].clone()
-    }
-
-    fn single_claim(&self, seq: usize) -> Arc<AtomicUsize> {
-        let mut v = self.single_claims.lock();
-        while v.len() <= seq {
-            v.push(Arc::new(AtomicUsize::new(0)));
-        }
-        v[seq].clone()
-    }
+/// State shared by all threads of one parallel region.
+struct RegionShared {
+    barrier: TeamBarrier,
+    slots: [ConstructSlot; CONSTRUCT_SLOTS],
+    critical: Mutex<()>,
 }
 
 /// Per-thread view of a parallel region.
@@ -70,10 +72,13 @@ impl Team {
         F: Fn(&ThreadCtx<'_>) -> R + Sync,
     {
         let shared = RegionShared {
-            barrier: Barrier::new(self.n_threads),
-            loop_counters: Mutex::new(Vec::new()),
+            barrier: TeamBarrier::new(self.n_threads),
+            slots: std::array::from_fn(|s| ConstructSlot {
+                owner: AtomicUsize::new(s),
+                count: AtomicUsize::new(0),
+                left: AtomicUsize::new(0),
+            }),
             critical: Mutex::new(()),
-            single_claims: Mutex::new(Vec::new()),
         };
         let n = self.n_threads;
         // The caller is the master: workers inherit its rank id so every
@@ -163,15 +168,13 @@ impl ThreadCtx<'_> {
                         body(i);
                     }
                 }
-                // Static schedules don't need the shared counter, but the
-                // construct still occupies a sequence slot so mixed-schedule
-                // regions stay aligned across threads.
-                self.next_counter();
+                // No shared counter, so no construct slot: every thread
+                // passes the same `sched`, so the team's slot sequences
+                // stay aligned.
             }
             Schedule::Dynamic { chunk } => {
                 let chunk = chunk.max(1);
-                let counter = self.next_counter();
-                loop {
+                self.construct(|counter| loop {
                     let lo = counter.fetch_add(chunk, Ordering::Relaxed);
                     if lo >= n {
                         break;
@@ -179,27 +182,24 @@ impl ThreadCtx<'_> {
                     for i in lo..(lo + chunk).min(n) {
                         body(i);
                     }
-                }
+                })
             }
-            Schedule::Guided { min_chunk } => {
-                let counter = self.next_counter();
-                loop {
-                    // Optimistically size the chunk from the remaining work,
-                    // then claim it.
-                    let seen = counter.load(Ordering::Relaxed);
-                    if seen >= n {
-                        break;
-                    }
-                    let chunk = guided_chunk(n - seen, self.n_threads, min_chunk);
-                    let lo = counter.fetch_add(chunk, Ordering::Relaxed);
-                    if lo >= n {
-                        break;
-                    }
-                    for i in lo..(lo + chunk).min(n) {
-                        body(i);
-                    }
+            Schedule::Guided { min_chunk } => self.construct(|counter| loop {
+                // Optimistically size the chunk from the remaining work,
+                // then claim it.
+                let seen = counter.load(Ordering::Relaxed);
+                if seen >= n {
+                    break;
                 }
-            }
+                let chunk = guided_chunk(n - seen, self.n_threads, min_chunk);
+                let lo = counter.fetch_add(chunk, Ordering::Relaxed);
+                if lo >= n {
+                    break;
+                }
+                for i in lo..(lo + chunk).min(n) {
+                    body(i);
+                }
+            }),
         }
     }
 
@@ -226,10 +226,8 @@ impl ThreadCtx<'_> {
     /// barrier at the end synchronizes the team. Returns `Some(result)` on
     /// the executing thread, `None` elsewhere.
     pub fn single<T>(&self, f: impl FnOnce() -> T) -> Option<T> {
-        let seq = self.loop_seq.get();
-        self.loop_seq.set(seq + 1);
-        let claim = self.shared.single_claim(seq);
-        let result = if claim.fetch_add(1, Ordering::AcqRel) == 0 { Some(f()) } else { None };
+        let result =
+            self.construct(|arrivals| (arrivals.fetch_add(1, Ordering::Relaxed) == 0).then(f));
         self.barrier();
         result
     }
@@ -240,10 +238,28 @@ impl ThreadCtx<'_> {
         self.for_each(sections.len(), Schedule::dynamic1(), |k| sections[k]());
     }
 
-    fn next_counter(&self) -> Arc<AtomicUsize> {
+    /// Run this thread's part of its next worksharing construct against
+    /// the construct's shared counter. Lock-free: one load to enter, one
+    /// add to leave; a thread waits only when it is `CONSTRUCT_SLOTS`
+    /// constructs ahead of a teammate.
+    fn construct<T>(&self, part: impl FnOnce(&AtomicUsize) -> T) -> T {
         let seq = self.loop_seq.get();
         self.loop_seq.set(seq + 1);
-        self.shared.counter(seq)
+        let slot = &self.shared.slots[seq % CONSTRUCT_SLOTS];
+        // Acquire pairs with the hand-over below: the zeroed counters of
+        // the previous owner are visible before this construct uses them.
+        while slot.owner.load(Ordering::Acquire) != seq {
+            std::thread::yield_now();
+        }
+        let out = part(&slot.count);
+        // AcqRel chains the leavers, so the last one resets after every
+        // teammate's final `count` access.
+        if slot.left.fetch_add(1, Ordering::AcqRel) + 1 == self.n_threads {
+            slot.count.store(0, Ordering::Relaxed);
+            slot.left.store(0, Ordering::Relaxed);
+            slot.owner.store(seq + CONSTRUCT_SLOTS, Ordering::Release);
+        }
+        out
     }
 }
 
@@ -401,5 +417,42 @@ mod tests {
             // Must not deadlock or divide by zero.
             ctx.collapse2(5, 0, Schedule::dynamic1(), |_, _| panic!("no iterations expected"));
         });
+    }
+
+    #[test]
+    fn nowait_loops_between_barriers_cover_every_index_once() {
+        // More nowait constructs in a row than the region has construct
+        // slots, so a fast thread has to wait for a slot to come back.
+        let (n, rounds, loops) = (97, 50, 11);
+        let hits: Vec<AtomicU64> = (0..n * rounds * loops).map(|_| AtomicU64::new(0)).collect();
+        let early = AtomicU64::new(0);
+        Team::new(3).parallel(|ctx| {
+            for round in 0..rounds {
+                for l in 0..loops {
+                    let sched = if l % 2 == 0 {
+                        Schedule::dynamic1()
+                    } else {
+                        Schedule::Guided { min_chunk: 2 }
+                    };
+                    ctx.for_each_nowait(n, sched, &mut |i| {
+                        hits[(round * loops + l) * n + i].fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+                // The barrier must not release a thread while a teammate
+                // still has iterations of this round to run.
+                ctx.barrier();
+                let done = &hits[round * loops * n..(round + 1) * loops * n];
+                early.fetch_add(
+                    done.iter().any(|h| h.load(Ordering::Relaxed) != 1) as u64,
+                    Ordering::Relaxed,
+                );
+            }
+        });
+        assert_eq!(
+            early.load(Ordering::Relaxed),
+            0,
+            "a barrier released before its round was covered"
+        );
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 }

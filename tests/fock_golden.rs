@@ -6,11 +6,13 @@
 //!
 //! The parity suites compare builders with each other, so they cannot see
 //! a change that moves serial and the parallel builders together; the
-//! pinned numbers here can.
+//! pinned numbers here can. The same goes for the shared-Fock build's
+//! task, claim, flush and quartet counts, pinned to the commit before its
+//! team synchronisation was rewritten.
 
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
-use phi_scf::chem::Molecule;
+use phi_scf::chem::{Atom, Element, Molecule};
 use phi_scf::dmpi::DdiMode;
 use phi_scf::hf::{DensitySet, FockAlgorithm, FockData};
 use phi_scf::linalg::Mat;
@@ -246,6 +248,68 @@ fn every_algorithm_matches_serial() {
                 }
                 assert_eq!(got.g_beta.is_some(), want.g_beta.is_some());
             }
+        }
+    }
+}
+
+#[test]
+fn shared_fock_counters_match_the_pinned_values() {
+    // h_chain(8, 5.0)/STO-3G: 36 ij leases, 10 rejected by the task
+    // prescreen, 8 distinct i among the 26 that run.
+    let basis = BasisSet::build(&small::h_chain(8, 5.0), BasisName::Sto3g);
+    let data = FockData::build(&basis);
+    let ctx = data.context(&basis, TAU);
+    let d = density(basis.n_basis(), 0);
+    for n_ranks in [1, 2] {
+        let stats = FockAlgorithm::SharedFock { n_ranks, n_threads: 2 }
+            .builder()
+            .build(&ctx, &DensitySet::Restricted(&d))
+            .stats;
+        assert_eq!(stats.dlb_tasks, 26, "{n_ranks} ranks: tasks run");
+        // Every lease, rejected or run, plus each rank's out-of-range claim.
+        assert_eq!(stats.dlb_calls, 36 + n_ranks, "{n_ranks} ranks: claims");
+        assert_eq!(stats.quartets_computed, 271, "{n_ranks} ranks");
+        assert_eq!(stats.quartets_screened, 160, "{n_ranks} ranks");
+        // One FJ flush per task run, one FI flush per run of equal i in a
+        // rank's lease sequence: 8 on one rank; on two, which rank gets
+        // which lease is a race, and each sees at most all 8 (the parent
+        // commit read 39 to 41 over 200 builds).
+        if n_ranks == 1 {
+            assert_eq!(stats.flushes, 34);
+        } else {
+            assert!((34..=42).contains(&stats.flushes), "flushes {}", stats.flushes);
+        }
+    }
+}
+
+#[test]
+fn shared_fock_uhf_matches_serial_where_kl_meets_ij() {
+    // OH/6-31G(d): six shells, one of them d, so most canonical quartets
+    // have k or l equal to i or j and their (k, l) Coulomb block lands in
+    // FI or FJ, while the rest go through the per-quartet (k, l) scratch
+    // up to 6 x 6 wide; both channels of both routes are held to serial.
+    let oh = Molecule::neutral(vec![
+        Atom { element: Element::O, pos: [0.0, 0.0, 0.0] },
+        Atom { element: Element::H, pos: [0.3, -0.2, 1.8] },
+    ]);
+    let basis = BasisSet::build(&oh, BasisName::B631gd);
+    let data = FockData::build(&basis);
+    let ctx = data.context(&basis, TAU);
+    let n = basis.n_basis();
+    let (d_a, d_b) = (density(n, 0), density(n, 2));
+    let dens = DensitySet::Unrestricted { alpha: &d_a, beta: &d_b };
+    let want = FockAlgorithm::Serial.builder().build(&ctx, &dens);
+    let want_beta = want.g_beta.as_ref().expect("unrestricted build has a beta channel");
+    for (n_ranks, n_threads) in [(1, 2), (1, 3), (2, 2)] {
+        let got = FockAlgorithm::SharedFock { n_ranks, n_threads }.builder().build(&ctx, &dens);
+        let got_beta = got.g_beta.as_ref().expect("unrestricted build has a beta channel");
+        for (ch, (g, w)) in [(&got.g, &want.g), (got_beta, want_beta)].into_iter().enumerate() {
+            let scale = w.as_slice().iter().fold(1.0f64, |m, v| m.max(v.abs()));
+            assert!(
+                g.max_abs_diff(w) <= REL_TOL * scale,
+                "{n_ranks}x{n_threads} channel {ch}: differs from serial by {:e}",
+                g.max_abs_diff(w)
+            );
         }
     }
 }
