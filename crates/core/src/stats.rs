@@ -26,7 +26,7 @@ pub struct FockBuildStats {
     pub dlb_tasks: usize,
     /// Total calls to the global DLB counter, including the final
     /// out-of-range claim each rank makes before exiting its task loop
-    /// (`Dlb::calls_made`). Zero for builders that do not use the counter
+    /// (`WorldResult::dlb_calls`). Zero for builders that do not use the counter
     /// (serial, in-core replay). Set once per build from the world's
     /// counter — [`FockBuildStats::merge`] deliberately ignores it.
     pub dlb_calls: usize,
@@ -177,33 +177,5 @@ mod tests {
         v[phi_integrals::GENERIC_SLOT] = 100;
         let s = FockBuildStats { eri_class_quartets: v, ..Default::default() };
         assert_eq!(s.eri_spec_quartets(), 8);
-    }
-
-    /// The counters the builders emit as trace events are accumulated in
-    /// the same locals as these stats fields, so the two views must agree
-    /// exactly — the deterministic replacement for asserting on wall
-    /// times (see tests/trace_invariants.rs for the parallel builders).
-    #[cfg(feature = "trace")]
-    #[test]
-    fn trace_counters_reconcile_with_serial_build_stats() {
-        use crate::fock::{engine::FockContext, DensitySet, FockAlgorithm};
-        use phi_chem::basis::BasisName;
-        use phi_chem::geom::small;
-        use phi_chem::BasisSet;
-        use phi_integrals::{Screening, ShellPairs};
-        use phi_linalg::Mat;
-
-        let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let pairs = ShellPairs::build(&b);
-        let s = Screening::from_pairs(&b, &pairs);
-        let d = Mat::identity(b.n_basis());
-        let session = phi_trace::TraceSession::begin();
-        let out = FockAlgorithm::Serial
-            .builder()
-            .build(&FockContext::new(&b, &pairs, &s, 1e-10), &DensitySet::Restricted(&d));
-        let report = session.finish();
-        assert_eq!(report.counter_total("quartets_computed"), out.stats.quartets_computed);
-        assert_eq!(report.counter_total("quartets_screened"), out.stats.quartets_screened);
-        assert_eq!(report.counter_total("flushes"), out.stats.flushes);
     }
 }

@@ -6,18 +6,19 @@
 //! arrays. There is no mature Rust MPI stack (the reproduction band calls
 //! this out explicitly), so this crate *is* that substrate: ranks are OS
 //! threads with disjoint owned memory, point-to-point messages travel over
-//! channels, and collectives synchronize through a shared buffer guarded by
-//! the world barrier.
+//! channels, and the global sum is a binomial tree over those channels.
 //!
 //! What makes this a faithful stand-in rather than a toy:
 //!
-//! * **Replication is real.** Each rank allocates its own matrices through
-//!   [`Rank::alloc_f64`], and [`memory::MemoryTracker`] records per-rank
-//!   current/peak bytes — so the paper's Table 2 memory claims are
-//!   *measured* on real allocations, not asserted from a formula.
-//! * **Identical API semantics.** `dlb_next` is a single global
-//!   fetch-and-add counter exactly like `ddi_dlbnext`; `gsumf` is an
-//!   all-reduce sum over `f64` slices exactly like `ddi_gsumf`.
+//! * **Replication is real.** Each rank allocates its own matrices and
+//!   charges them with [`Rank::charge_bytes`]; [`memory::MemoryTracker`]
+//!   records per-rank current/peak bytes — so the paper's Table 2 memory
+//!   claims are *measured* on real allocations, not asserted from a
+//!   formula.
+//! * **Identical API semantics.** [`Rank::lease_next`] hands every task
+//!   of a build to exactly one live rank, like a `ddi_dlbnext` loop;
+//!   [`Rank::try_gsumf`] is an all-reduce sum over `f64` slices like
+//!   `ddi_gsumf`.
 //! * **DDI process model.** [`ddi::DdiMode`] captures the data-server vs
 //!   MPI-3 one-sided distinction the paper discusses in §6.2 (data servers
 //!   double the process count per node and hence the replicated footprint).
@@ -28,7 +29,6 @@
 //!   survivors reclaim a dead rank's tasks and finish the computation.
 
 pub mod ddi;
-pub mod dlb;
 pub mod fault;
 pub mod memory;
 pub mod sync;
@@ -38,7 +38,7 @@ pub use ddi::{DdiMode, DistributedArray, LinkStats};
 pub use fault::{
     CommError, FaultPlan, FaultSpec, FtBarrier, LeaseClaim, LeaseMode, RetryPolicy, TaskLeases,
 };
-pub use memory::{MemoryReport, MemoryTracker, TrackedBuf};
+pub use memory::{MemoryReport, MemoryTracker};
 pub use world::{
     run_world, run_world_with_config, run_world_with_faults, Rank, WorldConfig, WorldResult,
 };

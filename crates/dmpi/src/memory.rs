@@ -2,11 +2,11 @@
 //!
 //! The central claim of the paper is a memory-footprint reduction (Table 2:
 //! ~50x for private Fock, ~200x for shared Fock). To *measure* rather than
-//! assert this, every large buffer a Fock algorithm allocates goes through
-//! [`TrackedBuf`], and the tracker records current and peak bytes per rank.
+//! assert this, every large buffer a Fock algorithm allocates is charged to
+//! its rank (`Rank::charge_bytes` / `release_bytes`), and the tracker
+//! records current and peak bytes per rank.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Tracks current and peak allocated bytes for every rank of a world.
 #[derive(Debug)]
@@ -80,72 +80,33 @@ impl MemoryReport {
     }
 }
 
-/// An `f64` buffer whose lifetime is charged against one rank.
-pub struct TrackedBuf {
-    data: Vec<f64>,
-    rank: usize,
-    tracker: Arc<MemoryTracker>,
-}
-
-impl TrackedBuf {
-    pub fn new(len: usize, rank: usize, tracker: Arc<MemoryTracker>) -> TrackedBuf {
-        tracker.on_alloc(rank, len * std::mem::size_of::<f64>());
-        TrackedBuf { data: vec![0.0; len], rank, tracker }
-    }
-
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-}
-
-impl Drop for TrackedBuf {
-    fn drop(&mut self) {
-        self.tracker.on_free(self.rank, self.data.len() * std::mem::size_of::<f64>());
-    }
-}
-
-impl std::ops::Deref for TrackedBuf {
-    type Target = [f64];
-    fn deref(&self) -> &[f64] {
-        &self.data
-    }
-}
-
-impl std::ops::DerefMut for TrackedBuf {
-    fn deref_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn alloc_free_cycle_tracks_peak() {
-        let t = Arc::new(MemoryTracker::new(2));
-        {
-            let _a = TrackedBuf::new(1000, 0, t.clone());
-            {
-                let _b = TrackedBuf::new(500, 0, t.clone());
-                let r = t.report();
-                assert_eq!(r.per_rank_current[0], 1500 * 8);
-            }
-            let r = t.report();
-            assert_eq!(r.per_rank_current[0], 1000 * 8);
-            assert_eq!(r.per_rank_peak[0], 1500 * 8);
-        }
+        let t = MemoryTracker::new(2);
+        t.on_alloc(0, 8000);
+        t.on_alloc(0, 4000);
+        assert_eq!(t.report().per_rank_current[0], 12000);
+        t.on_free(0, 4000);
+        let r = t.report();
+        assert_eq!(r.per_rank_current[0], 8000);
+        assert_eq!(r.per_rank_peak[0], 12000);
+        t.on_free(0, 8000);
         let r = t.report();
         assert_eq!(r.total_current(), 0);
-        assert_eq!(r.per_rank_peak[0], 1500 * 8, "peak survives frees");
+        assert_eq!(r.per_rank_peak[0], 12000, "peak survives frees");
         assert_eq!(r.per_rank_peak[1], 0);
     }
 
     #[test]
     fn per_rank_isolation() {
-        let t = Arc::new(MemoryTracker::new(3));
-        let _a = TrackedBuf::new(10, 0, t.clone());
-        let _b = TrackedBuf::new(20, 2, t.clone());
+        let t = MemoryTracker::new(3);
+        t.on_alloc(0, 80);
+        t.on_alloc(2, 160);
         let r = t.report();
         assert_eq!(r.per_rank_peak, vec![80, 0, 160]);
         assert_eq!(r.total_peak(), 240);
@@ -160,7 +121,8 @@ mod tests {
             let t = t.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..200 {
-                    let _x = TrackedBuf::new(100, 0, t.clone());
+                    t.on_alloc(0, 800);
+                    t.on_free(0, 800);
                 }
             }));
         }
@@ -169,15 +131,7 @@ mod tests {
         }
         let r = t.report();
         assert_eq!(r.total_current(), 0);
-        assert!(r.per_rank_peak[0] >= 100 * 8);
-        assert!(r.per_rank_peak[0] <= 4 * 100 * 8);
-    }
-
-    #[test]
-    fn buffer_is_usable_as_slice() {
-        let t = Arc::new(MemoryTracker::new(1));
-        let mut b = TrackedBuf::new(4, 0, t);
-        b[2] = 7.5;
-        assert_eq!(&b[..], &[0.0, 0.0, 7.5, 0.0]);
+        assert!(r.per_rank_peak[0] >= 800);
+        assert!(r.per_rank_peak[0] <= 4 * 800);
     }
 }

@@ -8,12 +8,11 @@
 //! [`Rank::try_gsumf`], [`Rank::recv_timeout`]) let survivors regroup
 //! and finish the computation.
 
-use crate::dlb::Dlb;
 use crate::fault::{
     splitmix64, CommError, FaultPlan, FaultSpec, FtBarrier, LeaseClaim, LeaseMode, RetryPolicy,
     TaskLeases,
 };
-use crate::memory::{MemoryReport, MemoryTracker, TrackedBuf};
+use crate::memory::{MemoryReport, MemoryTracker};
 use crate::sync::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -218,12 +217,10 @@ impl FaultRuntime {
 struct WorldShared {
     n_ranks: usize,
     barrier: FtBarrier,
-    dlb: Dlb,
+    /// Lease claims made (`ddi_dlbnext` calls), Exhausted probes included.
+    dlb_calls: AtomicUsize,
     leases: TaskLeases,
-    /// Scratch buffer for collectives; valid only between the barriers of
-    /// one collective call.
-    coll: Mutex<Vec<f64>>,
-    mem: Arc<MemoryTracker>,
+    mem: MemoryTracker,
     /// Bytes moved per rank: point-to-point payloads plus each rank's
     /// contribution to collectives. The communication volume the cluster
     /// model charges for is thereby observable on real runs.
@@ -365,10 +362,9 @@ where
     let shared = Arc::new(WorldShared {
         n_ranks,
         barrier: FtBarrier::new(n_ranks),
-        dlb: Dlb::new(),
+        dlb_calls: AtomicUsize::new(0),
         leases: TaskLeases::new(n_ranks),
-        coll: Mutex::new(Vec::new()),
-        mem: Arc::new(MemoryTracker::new(n_ranks)),
+        mem: MemoryTracker::new(n_ranks),
         comm_bytes: (0..n_ranks).map(|_| AtomicU64::new(0)).collect(),
         alive: (0..n_ranks).map(|_| AtomicBool::new(true)).collect(),
         failures: Mutex::new(Vec::new()),
@@ -429,7 +425,8 @@ where
 
     // World-global counters, emitted once per world so trace totals
     // reconcile exactly with the WorldResult fields below.
-    phi_trace::counter("dlb.calls", shared.dlb.calls_made() as u64);
+    let dlb_calls = shared.dlb_calls.load(Ordering::Relaxed);
+    phi_trace::counter("dlb.calls", dlb_calls as u64);
     phi_trace::counter("tasks.reclaimed", shared.leases.reclaimed() as u64);
     phi_trace::counter("comm.retransmits", shared.retransmits.load(Ordering::SeqCst));
     phi_trace::counter("comm.acks", shared.acks.load(Ordering::SeqCst));
@@ -440,7 +437,7 @@ where
     WorldResult {
         per_rank,
         memory: shared.mem.report(),
-        dlb_calls: shared.dlb.calls_made(),
+        dlb_calls,
         comm_bytes: shared.comm_bytes.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
         failures,
         faults_injected: shared.faults.as_ref().map_or(0, |fr| fr.injected.load(Ordering::SeqCst)),
@@ -521,11 +518,6 @@ impl Rank {
 
     // ------------------------------------------------------ barriers ----
 
-    /// World barrier (legacy API; panics if the barrier fails).
-    pub fn barrier(&self) {
-        self.ft_barrier().unwrap_or_else(|e| panic!("rank {}: barrier failed: {e}", self.id));
-    }
-
     /// Failure-aware world barrier: only live ranks participate, a dead
     /// caller errors immediately, and a wedged barrier times out (after
     /// the [`RetryPolicy`] `ft_timeout`) instead of hanging forever.
@@ -578,31 +570,14 @@ impl Rank {
         }
     }
 
-    // ----------------------------------------------------------- dlb ----
-
-    /// Claim the next global task index (`ddi_dlbnext`).
-    pub fn dlb_next(&self) -> usize {
-        self.shared.dlb.next()
-    }
-
-    /// Collective reset of the DLB counter (call from all ranks).
-    pub fn dlb_reset(&self) {
-        self.barrier();
-        if self.is_root() {
-            self.shared.dlb.reset();
-        }
-        self.barrier();
-    }
-
     // -------------------------------------------------- task leases -----
 
-    /// Collective reset of the lease table over `0..n_tasks` (the
-    /// failure-aware `dlb_reset`). Call from every live rank.
+    /// Collective reset of the lease table over `0..n_tasks`. Call from
+    /// every live rank.
     pub fn lease_reset(&self, n_tasks: usize, mode: LeaseMode) -> Result<(), CommError> {
         self.ft_barrier()?;
         if self.is_lowest_live() {
             self.shared.leases.reset(n_tasks, mode);
-            self.shared.dlb.reset();
             if let Some(fr) = &self.shared.faults {
                 fr.resolve_random_kills(n_tasks);
             }
@@ -640,7 +615,7 @@ impl Rank {
                             prev_owner.map_or(u64::MAX, |r| r as u64),
                         );
                     }
-                    self.shared.dlb.note_call();
+                    self.shared.dlb_calls.fetch_add(1, Ordering::Relaxed);
                     if let Some(fr) = &self.shared.faults {
                         let claim_no = fr.claims[self.id].fetch_add(1, Ordering::SeqCst) + 1;
                         if let Some(ms) = fr.delay_for(self.id, claim_no) {
@@ -657,7 +632,7 @@ impl Rank {
                     return Ok(Some(task));
                 }
                 LeaseClaim::Exhausted => {
-                    self.shared.dlb.note_call();
+                    self.shared.dlb_calls.fetch_add(1, Ordering::Relaxed);
                     return Ok(None);
                 }
                 LeaseClaim::Pending => {
@@ -678,13 +653,8 @@ impl Rank {
 
     // ------------------------------------------------------- memory -----
 
-    /// Allocate a memory-tracked buffer charged to this rank.
-    pub fn alloc_f64(&self, len: usize) -> TrackedBuf {
-        TrackedBuf::new(len, self.id, self.shared.mem.clone())
-    }
-
-    /// Record an allocation this rank made outside [`TrackedBuf`] (e.g.
-    /// thread-private buffers inside an OpenMP region).
+    /// Charge an allocation (replicated matrices, thread-private buffers
+    /// inside an OpenMP region) to this rank's memory account.
     pub fn charge_bytes(&self, bytes: usize) {
         self.shared.mem.on_alloc(self.id, bytes);
     }
@@ -694,13 +664,6 @@ impl Rank {
     }
 
     // ---------------------------------------------------------- p2p -----
-
-    /// Non-blocking tagged send to `dest` (legacy API; panics on error).
-    pub fn send(&self, dest: usize, tag: u64, data: &[f64]) {
-        self.try_send(dest, tag, data).unwrap_or_else(|e| {
-            panic!("rank {}: send(dest={dest}, tag={tag}) failed: {e}", self.id)
-        });
-    }
 
     /// Non-blocking tagged send to `dest` with raw (fire-and-forget)
     /// semantics. Under fault injection the scheduled message on this
@@ -804,14 +767,6 @@ impl Rank {
         } else {
             None
         }
-    }
-
-    /// Blocking receive matching `(from, tag)` (legacy API; panics if
-    /// the message never arrives or fails verification).
-    pub fn recv(&self, from: usize, tag: u64) -> Vec<f64> {
-        self.recv_timeout(from, tag, self.shared.retry.recv_timeout).unwrap_or_else(|e| {
-            panic!("rank {}: recv(from={from}, tag={tag}) failed: {e}", self.id)
-        })
     }
 
     /// Receive the message matching `(from, tag)`, waiting at most
@@ -963,15 +918,9 @@ impl Rank {
 
     // --------------------------------------------------- collectives ----
 
-    /// Global sum over all ranks, in place (`ddi_gsumf`). Collective: every
-    /// rank must call with an equally sized slice. Legacy API; panics if
-    /// the underlying failure-aware reduction errors.
-    pub fn gsumf(&self, data: &mut [f64]) {
-        self.try_gsumf(data).unwrap_or_else(|e| panic!("rank {}: gsumf failed: {e}", self.id));
-    }
-
-    /// Failure-aware global sum over the *surviving* ranks, in place:
-    /// a binomial reduction tree to the lowest live rank followed by a
+    /// Failure-aware global sum (`ddi_gsumf`) over the *surviving*
+    /// ranks, in place. Collective: every live rank must call with an
+    /// equally sized slice. A binomial reduction tree to the lowest live rank followed by a
     /// binomial broadcast, carried over the reliable message path so a
     /// dropped or corrupt payload anywhere in the tree drains into
     /// retransmission instead of a dead rank. Dead ranks must not call,
@@ -1063,105 +1012,6 @@ impl Rank {
         }
         Ok(())
     }
-
-    /// Tree-structured global sum over the point-to-point channels: a
-    /// binomial reduce to rank 0 followed by a binomial broadcast. Gives
-    /// the same result as [`gsumf`](Self::gsumf) (up to floating-point
-    /// association order) while exercising real message traffic — the
-    /// communication pattern the cluster model charges for.
-    pub fn gsumf_tree(&self, data: &mut [f64]) {
-        const TAG_REDUCE: u64 = u64::MAX - 1;
-        const TAG_BCAST: u64 = u64::MAX - 2;
-        let size = self.size();
-        let me = self.id;
-        // Binomial reduction: at round k, ranks with bit k set send to
-        // rank - 2^k and drop out.
-        let mut step = 1;
-        while step < size {
-            if me & step != 0 {
-                self.send(me - step, TAG_REDUCE, data);
-                break;
-            } else if me + step < size {
-                let incoming = self.recv(me + step, TAG_REDUCE);
-                assert_eq!(
-                    incoming.len(),
-                    data.len(),
-                    "rank {me}: gsumf_tree length mismatch (peer rank {})",
-                    me + step
-                );
-                for (d, v) in data.iter_mut().zip(&incoming) {
-                    *d += v;
-                }
-            }
-            step <<= 1;
-        }
-        // Binomial broadcast of the result from rank 0.
-        let mut mask = 1;
-        while mask < size {
-            mask <<= 1;
-        }
-        mask >>= 1;
-        if me != 0 {
-            // Find the bit that brought us into the tree.
-            let lowest = me & me.wrapping_neg();
-            let parent = me - lowest;
-            let got = self.recv(parent, TAG_BCAST);
-            data.copy_from_slice(&got);
-        }
-        let mut bit = if me == 0 { mask } else { (me & me.wrapping_neg()) >> 1 };
-        while bit > 0 {
-            let dest = me | bit;
-            if dest != me && dest < size {
-                self.send(dest, TAG_BCAST, data);
-            }
-            bit >>= 1;
-        }
-        self.barrier();
-    }
-
-    /// Broadcast `data` from `root` to every rank, in place. Collective.
-    pub fn broadcast(&self, root: usize, data: &mut [f64]) {
-        if self.id == root {
-            self.count_bytes(data.len());
-        }
-        self.barrier();
-        if self.id == root {
-            let mut buf = self.shared.coll.lock();
-            buf.clear();
-            buf.extend_from_slice(data);
-        }
-        self.barrier();
-        if self.id != root {
-            let buf = self.shared.coll.lock();
-            assert_eq!(
-                buf.len(),
-                data.len(),
-                "rank {}: broadcast length mismatch (root rank {root})",
-                self.id
-            );
-            data.copy_from_slice(&buf);
-        }
-        self.barrier();
-    }
-
-    /// Gather each rank's scalar into a vector on every rank (allgather).
-    pub fn allgather_scalar(&self, value: f64) -> Vec<f64> {
-        self.barrier();
-        if self.is_root() {
-            let mut buf = self.shared.coll.lock();
-            buf.clear();
-            buf.resize(self.size(), 0.0);
-        }
-        self.barrier();
-        {
-            let mut buf = self.shared.coll.lock();
-            buf[self.id] = value;
-        }
-        self.barrier();
-        let out = self.shared.coll.lock().clone();
-        self.barrier();
-        out
-    }
 }
 
 #[cfg(test)]
@@ -1176,13 +1026,17 @@ mod tests {
 
     #[test]
     fn gsumf_sums_across_ranks() {
-        let res = run_world(4, |r| {
-            let mut v = vec![r.rank() as f64, 1.0, -(r.rank() as f64)];
-            r.gsumf(&mut v);
-            v
-        });
-        for v in res.per_rank {
-            assert_eq!(v, vec![6.0, 4.0, -6.0]);
+        // Power-of-two and ragged trees alike.
+        for n_ranks in [1usize, 2, 3, 4, 5, 7, 8] {
+            let res = run_world(n_ranks, |r| {
+                let mut v = vec![r.rank() as f64, 1.0, -(r.rank() as f64)];
+                r.try_gsumf(&mut v).unwrap();
+                v
+            });
+            let tri = (n_ranks * (n_ranks - 1) / 2) as f64;
+            for v in res.per_rank {
+                assert_eq!(v, vec![tri, n_ranks as f64, -tri]);
+            }
         }
     }
 
@@ -1192,7 +1046,7 @@ mod tests {
             let mut total = 0.0;
             for round in 0..10 {
                 let mut v = vec![(r.rank() + round) as f64];
-                r.gsumf(&mut v);
+                r.try_gsumf(&mut v).unwrap();
                 total += v[0];
             }
             total
@@ -1204,103 +1058,16 @@ mod tests {
     }
 
     #[test]
-    fn tree_gsumf_matches_shared_buffer_gsumf() {
-        for n_ranks in [1usize, 2, 3, 4, 5, 7, 8] {
-            let res = run_world(n_ranks, |r| {
-                let mut a = vec![r.rank() as f64 + 0.5, -(r.rank() as f64)];
-                let mut b = a.clone();
-                r.gsumf(&mut a);
-                r.gsumf_tree(&mut b);
-                (a, b)
-            });
-            for (a, b) in res.per_rank {
-                for (x, y) in a.iter().zip(&b) {
-                    assert!((x - y).abs() < 1e-12, "{n_ranks} ranks: {x} vs {y}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tree_gsumf_repeats_cleanly() {
-        let res = run_world(6, |r| {
-            let mut total = 0.0;
-            for round in 0..5 {
-                let mut v = vec![(r.rank() * round) as f64];
-                r.gsumf_tree(&mut v);
-                total += v[0];
-            }
-            total
-        });
-        // Round k sums to 15k; total = 15 * (0+1+2+3+4) = 150.
-        for v in res.per_rank {
-            assert_eq!(v, 150.0);
-        }
-    }
-
-    #[test]
-    fn broadcast_from_nonzero_root() {
-        let res = run_world(3, |r| {
-            let mut v = if r.rank() == 2 { vec![42.0, 7.0] } else { vec![0.0, 0.0] };
-            r.broadcast(2, &mut v);
-            v
-        });
-        for v in res.per_rank {
-            assert_eq!(v, vec![42.0, 7.0]);
-        }
-    }
-
-    #[test]
-    fn dlb_distributes_all_tasks_exactly_once() {
-        let n_tasks = 1000;
-        let res = run_world(4, |r| {
-            let mut mine = Vec::new();
-            loop {
-                let t = r.dlb_next();
-                if t >= n_tasks {
-                    break;
-                }
-                mine.push(t);
-            }
-            mine
-        });
-        let mut all: Vec<usize> = res.per_rank.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..n_tasks).collect::<Vec<_>>());
-        assert!(res.dlb_calls >= n_tasks);
-    }
-
-    #[test]
-    fn dlb_reset_between_iterations() {
-        let res = run_world(2, |r| {
-            let mut seen = Vec::new();
-            for _iter in 0..3 {
-                r.dlb_reset();
-                loop {
-                    let t = r.dlb_next();
-                    if t >= 10 {
-                        break;
-                    }
-                    seen.push(t);
-                }
-            }
-            seen
-        });
-        let mut all: Vec<usize> = res.per_rank.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all.len(), 30, "each of 3 iterations distributes 10 tasks");
-    }
-
-    #[test]
     fn point_to_point_roundtrip() {
+        let wait = Duration::from_secs(10);
         let res = run_world(2, |r| {
             if r.rank() == 0 {
-                r.send(1, 7, &[1.0, 2.0, 3.0]);
-                r.recv(1, 8)
+                r.try_send(1, 7, &[1.0, 2.0, 3.0]).unwrap();
+                r.recv_timeout(1, 8, wait).unwrap()
             } else {
-                let got = r.recv(0, 7);
+                let got = r.recv_timeout(0, 7, wait).unwrap();
                 let doubled: Vec<f64> = got.iter().map(|x| 2.0 * x).collect();
-                r.send(0, 8, &doubled);
+                r.try_send(0, 8, &doubled).unwrap();
                 got
             }
         });
@@ -1309,33 +1076,15 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_tags_are_stashed() {
-        let res = run_world(2, |r| {
-            if r.rank() == 0 {
-                // Send tag 2 first, then tag 1.
-                r.send(1, 2, &[2.0]);
-                r.send(1, 1, &[1.0]);
-                vec![]
-            } else {
-                // Receive in the opposite order.
-                let a = r.recv(0, 1);
-                let b = r.recv(0, 2);
-                vec![a[0], b[0]]
-            }
-        });
-        assert_eq!(res.per_rank[1], vec![1.0, 2.0]);
-    }
-
-    #[test]
     fn communication_volume_is_accounted() {
         let res = run_world(3, |r| {
             if r.rank() == 0 {
-                r.send(1, 1, &[0.0; 100]); // 800 bytes p2p
+                r.try_send(1, 1, &[0.0; 100]).unwrap(); // 800 bytes p2p
             } else if r.rank() == 1 {
-                let _ = r.recv(0, 1);
+                r.recv_timeout(0, 1, Duration::from_secs(10)).unwrap();
             }
             let mut v = vec![0.0; 10]; // 80 bytes collective contribution
-            r.gsumf(&mut v);
+            r.try_gsumf(&mut v).unwrap();
         });
         assert_eq!(res.comm_bytes[0], 880);
         assert_eq!(res.comm_bytes[1], 80);
@@ -1345,27 +1094,21 @@ mod tests {
     #[test]
     fn memory_accounting_reaches_the_report() {
         let res = run_world(3, |r| {
-            let _buf = r.alloc_f64(1000 * (r.rank() + 1));
-            r.barrier();
+            let bytes = 8000 * (r.rank() + 1);
+            r.charge_bytes(bytes);
+            r.ft_barrier().unwrap();
+            r.release_bytes(bytes);
         });
         assert_eq!(res.memory.per_rank_peak, vec![8000, 16000, 24000]);
         assert_eq!(res.memory.total_current(), 0);
     }
 
     #[test]
-    fn allgather_scalar_collects_in_rank_order() {
-        let res = run_world(4, |r| r.allgather_scalar((r.rank() * 10) as f64));
-        for v in res.per_rank {
-            assert_eq!(v, vec![0.0, 10.0, 20.0, 30.0]);
-        }
-    }
-
-    #[test]
     fn single_rank_world() {
         let res = run_world(1, |r| {
             let mut v = vec![5.0];
-            r.gsumf(&mut v);
-            r.dlb_reset();
+            r.try_gsumf(&mut v).unwrap();
+            r.lease_reset(0, LeaseMode::Volatile).unwrap();
             v[0]
         });
         assert_eq!(res.per_rank, vec![5.0]);
@@ -1410,11 +1153,21 @@ mod tests {
     fn lease_loop_matches_dlb_call_accounting() {
         let res = run_world(3, |r| lease_drain(r, 10, LeaseMode::Volatile).len());
         assert_eq!(res.per_rank.iter().sum::<usize>(), 10);
-        // One call per task plus one Exhausted probe per rank — the same
-        // accounting as the raw dlb_next loop.
+        // One call per task plus one Exhausted probe per rank.
         assert_eq!(res.dlb_calls, 13);
         assert_eq!(res.tasks_reclaimed, 0);
         assert!(res.failures.is_empty());
+    }
+
+    #[test]
+    fn lease_reset_between_iterations() {
+        let res = run_world(2, |r| {
+            (0..3).flat_map(|_| lease_drain(r, 10, LeaseMode::Volatile)).collect::<Vec<_>>()
+        });
+        let mut all: Vec<usize> = res.per_rank.into_iter().flatten().collect();
+        all.sort_unstable();
+        let want: Vec<usize> = (0..10).flat_map(|t| [t; 3]).collect();
+        assert_eq!(all, want, "each of 3 iterations distributes all 10 tasks once");
     }
 
     #[test]
@@ -1518,9 +1271,9 @@ mod tests {
     fn recv_timeout_delivers_tagged_out_of_order_messages() {
         let res = run_world(2, |r| {
             if r.rank() == 0 {
-                r.send(1, 3, &[3.0]);
-                r.send(1, 2, &[2.0]);
-                r.send(1, 1, &[1.0]);
+                for tag in [3u64, 2, 1] {
+                    r.try_send(1, tag, &[tag as f64]).unwrap();
+                }
                 vec![]
             } else {
                 (1..=3u64)

@@ -1,4 +1,4 @@
-//! Feature-gated span/counter tracing for the phi-scf stack.
+//! Span/counter tracing for the phi-scf stack, armed at run time.
 //!
 //! The paper's headline claims are *timing-breakdown* claims: DLB wait
 //! time, Fock-flush overhead, per-thread load imbalance (Fig. 8's
@@ -13,21 +13,30 @@
 //!
 //! # Cost model
 //!
-//! * **Feature off (default):** every entry point below is an empty
-//!   `#[inline(always)]` function — call sites compile to nothing, and
-//!   none of the TLS/sink machinery exists in the binary.
-//! * **Feature on, no active session:** one relaxed atomic load per
-//!   call.
-//! * **Feature on, active session:** a `Vec` push into a thread-local
-//!   buffer plus one monotonic-clock read. No locks are taken on the
-//!   hot path; buffers drain into the global sink only when a thread
-//!   exits (scoped rank/team threads) or its ids change.
+//! The recording runtime is always compiled; an active [`TraceSession`]
+//! is the only thing that arms it.
+//!
+//! * **No session:** one relaxed atomic load per call.
+//! * **Active session:** a `Vec` push into a thread-local buffer plus
+//!   one monotonic-clock read. No locks are taken on the hot path;
+//!   buffers drain into the global sink only when a thread exits
+//!   (scoped rank/team threads) or its ids change.
 //!
 //! Instrumented code emits *O(tasks × threads)* events, never
 //! per-quartet events; counters accumulate in plain locals and are
-//! recorded once per thread per build. The overhead budget (≤ 2 % on
-//! the engine-serial Fock build) is asserted by
-//! `benches/trace_overhead.rs`.
+//! recorded once per thread per build. The overhead budget (active
+//! session over no session ≤ 2 % on the engine-serial Fock build) is
+//! asserted by `benches/trace_overhead.rs`.
+//!
+//! # Sessions are process-global
+//!
+//! Recording is armed for the whole process, so a session also absorbs
+//! events from any other thread that runs instrumented code while it is
+//! open. Tests that assert *exact* totals (counter sums, span counts,
+//! stream counts) therefore live only in test binaries where every
+//! test that runs instrumented code holds the session lock for the
+//! whole of that code: this crate's unit tests, `tests/trace_invariants.rs`,
+//! `tests/trace_faults.rs` and `tests/trace_golden_breakdown.rs`.
 //!
 //! # Span taxonomy
 //!
@@ -101,16 +110,10 @@ pub struct Stream {
     pub events: Vec<Event>,
 }
 
-/// True when the crate was compiled with the `trace` feature.
-pub const fn enabled() -> bool {
-    cfg!(feature = "trace")
-}
-
 // ---------------------------------------------------------------------
-// Recording runtime (feature on)
+// Recording runtime
 // ---------------------------------------------------------------------
 
-#[cfg(feature = "trace")]
 mod rt {
     use super::{Event, Stream};
     use std::cell::RefCell;
@@ -128,7 +131,7 @@ mod rt {
         ACTIVE.load(Ordering::Relaxed)
     }
 
-    #[inline]
+    #[inline(never)]
     pub(crate) fn now_ns() -> u64 {
         EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
     }
@@ -140,10 +143,10 @@ mod rt {
     }
 
     /// Per-OS-thread event buffer. Flushes itself into the global sink
-    /// when the thread exits (TLS destructor) — scoped rank/team
-    /// threads always terminate before their world/team call returns,
-    /// so by the time a build returns, every stream it produced is in
-    /// the sink. The long-lived session thread is flushed by
+    /// when the thread exits (TLS destructor) — rank and team threads
+    /// are joined by handle (a scope's implicit join would not wait for
+    /// the destructor) before their world/team call returns, so by the
+    /// time a build returns, every stream it produced is in the sink. The long-lived session thread is flushed by
     /// `TraceSession::finish`.
     pub(crate) struct Local {
         rank: u32,
@@ -182,12 +185,18 @@ mod rt {
         LOCAL.with(|l| f(&mut l.borrow_mut()))
     }
 
-    #[inline]
+    /// Out of line and cold, like [`now_ns`]: every instrumented
+    /// function carries only the `active()` load and a branch on its
+    /// hot path, whatever the TLS access, buffer growth and clock read
+    /// of an armed session cost.
+    #[cold]
+    #[inline(never)]
     pub(crate) fn push(ev: Event) {
         with_local(|l| l.events.push(ev));
     }
 
-    pub(crate) fn set_ids(rank: u32, thread: u32) {
+    /// Tag the current OS thread as `(rank, thread)` for subsequent events.
+    pub fn set_ids(rank: u32, thread: u32) {
         with_local(|l| {
             if (l.rank, l.thread) != (rank, thread) {
                 // One OS thread can play several roles over time (the
@@ -200,24 +209,23 @@ mod rt {
         });
     }
 
-    pub(crate) fn current_rank() -> u32 {
+    /// Rank id last set on this thread (0 if never set).
+    pub fn current_rank() -> u32 {
         with_local(|l| l.rank)
     }
 }
 
 // ---------------------------------------------------------------------
-// Recording API — feature on
+// Recording API
 // ---------------------------------------------------------------------
 
 /// RAII span guard: records `Event::End` when dropped. Guards drop in
 /// LIFO order, which is what guarantees streams nest properly.
 #[must_use = "a span measures the scope of this guard; binding it to _ drops it immediately"]
 pub struct SpanGuard {
-    #[cfg(feature = "trace")]
     name: Option<&'static str>,
 }
 
-#[cfg(feature = "trace")]
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(name) = self.name {
@@ -228,7 +236,6 @@ impl Drop for SpanGuard {
 
 /// Open a span on the current thread's stream; it closes when the
 /// returned guard drops.
-#[cfg(feature = "trace")]
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     if rt::active() {
@@ -240,14 +247,12 @@ pub fn span(name: &'static str) -> SpanGuard {
 }
 
 /// Record a point event with one payload value.
-#[cfg(feature = "trace")]
 #[inline]
 pub fn instant(name: &'static str, value: u64) {
     instant_with(name, value, 0);
 }
 
 /// Record a point event with two payload values.
-#[cfg(feature = "trace")]
 #[inline]
 pub fn instant_with(name: &'static str, value: u64, aux: u64) {
     if rt::active() {
@@ -257,7 +262,6 @@ pub fn instant_with(name: &'static str, value: u64, aux: u64) {
 
 /// Add `value` to the counter `name`. Contributions from all streams
 /// are summed by the report.
-#[cfg(feature = "trace")]
 #[inline]
 pub fn counter(name: &'static str, value: u64) {
     if rt::active() {
@@ -265,72 +269,12 @@ pub fn counter(name: &'static str, value: u64) {
     }
 }
 
-/// Tag the current OS thread as `(rank, thread)` for subsequent events.
-#[cfg(feature = "trace")]
-#[inline]
-pub fn set_ids(rank: u32, thread: u32) {
-    rt::set_ids(rank, thread);
-}
-
-/// Rank id last set on this thread (0 if never set).
-#[cfg(feature = "trace")]
-#[inline]
-pub fn current_rank() -> u32 {
-    rt::current_rank()
-}
-
-// ---------------------------------------------------------------------
-// Recording API — feature off: every call compiles to nothing
-// ---------------------------------------------------------------------
-
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn span(_name: &'static str) -> SpanGuard {
-    SpanGuard {}
-}
-
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn instant(_name: &'static str, _value: u64) {}
-
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn instant_with(_name: &'static str, _value: u64, _aux: u64) {}
-
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn counter(_name: &'static str, _value: u64) {}
-
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn set_ids(_rank: u32, _thread: u32) {}
-
-#[cfg(not(feature = "trace"))]
-#[inline(always)]
-pub fn current_rank() -> u32 {
-    0
-}
+pub use rt::{current_rank, set_ids};
 
 /// Tag the current OS thread as the master (thread 0) of `rank`.
 #[inline(always)]
 pub fn set_rank(rank: u32) {
     set_ids(rank, 0);
-}
-
-/// Macro forms of the recording API; with the `trace` feature off they
-/// expand to the same empty inline functions and compile to nothing.
-#[macro_export]
-macro_rules! trace_span {
-    ($name:expr) => {
-        $crate::span($name)
-    };
-}
-
-#[macro_export]
-macro_rules! trace_counter {
-    ($name:expr, $value:expr) => {
-        $crate::counter($name, $value)
-    };
 }
 
 // ---------------------------------------------------------------------
@@ -343,14 +287,11 @@ macro_rules! trace_counter {
 ///
 /// Sessions hold a global lock, so two sessions in one process
 /// serialize — concurrent `#[test]`s that trace do not corrupt each
-/// other's reports. With the `trace` feature off a session is free and
-/// `finish` returns an empty report.
+/// other's reports.
 pub struct TraceSession {
-    #[cfg(feature = "trace")]
     _guard: std::sync::MutexGuard<'static, ()>,
 }
 
-#[cfg(feature = "trace")]
 impl TraceSession {
     pub fn begin() -> TraceSession {
         let guard = rt::lock(&rt::SESSION);
@@ -371,32 +312,18 @@ impl TraceSession {
     }
 }
 
-#[cfg(not(feature = "trace"))]
-impl TraceSession {
-    pub fn begin() -> TraceSession {
-        TraceSession {}
-    }
-
-    pub fn finish(self) -> TraceReport {
-        TraceReport::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn feature_off_session_is_empty() {
-        // Runs in both configurations; with the feature off it checks
-        // the no-op path, with it on it checks an event-free session.
+    fn event_free_session_is_empty() {
         let session = TraceSession::begin();
         let report = session.finish();
         assert!(report.streams.is_empty());
         assert_eq!(report.counter_total("anything"), 0);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn spans_nest_and_counters_sum() {
         let session = TraceSession::begin();
@@ -421,10 +348,12 @@ mod tests {
         assert_eq!((marks[0].value, marks[0].aux), (7, 9));
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn inactive_gap_records_nothing() {
         {
+            // Holding the session lock keeps a sibling test's session
+            // from being the one these land in.
+            let _no_session = rt::lock(&rt::SESSION);
             let _orphan = span("orphan"); // no session: must not record
             counter("orphan", 1);
         }
@@ -437,19 +366,25 @@ mod tests {
         report.check_well_formed().unwrap();
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn threads_get_separate_streams() {
         let session = TraceSession::begin();
         set_ids(0, 0);
         let _root = span("root");
         std::thread::scope(|s| {
-            for t in 1..4u32 {
-                s.spawn(move || {
-                    set_ids(0, t);
-                    let _s = span("leaf");
-                    counter("per_thread", 1);
-                });
+            let workers: Vec<_> = (1..4u32)
+                .map(|t| {
+                    s.spawn(move || {
+                        set_ids(0, t);
+                        let _s = span("leaf");
+                        counter("per_thread", 1);
+                    })
+                })
+                .collect();
+            // The scope's implicit join does not wait for TLS
+            // destructors — the flush into the sink; `join` does.
+            for w in workers {
+                w.join().unwrap();
             }
         });
         drop(_root);
@@ -461,7 +396,6 @@ mod tests {
         assert_eq!(report.streams.len(), 4);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn set_ids_splits_segments_and_report_remerges() {
         let session = TraceSession::begin();

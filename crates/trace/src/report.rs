@@ -37,16 +37,18 @@ impl Histogram {
 #[derive(Clone, Debug, Default)]
 pub struct TraceReport {
     /// One stream per `(rank, thread)` actor, sorted by ids; events in
-    /// recording order (segments concatenated in time order).
+    /// timestamp order (segments merged).
     pub streams: Vec<Stream>,
 }
 
 impl TraceReport {
     /// Merge raw stream segments (one per TLS flush) into one stream
-    /// per `(rank, thread)` actor. Segments of the same actor never
-    /// overlap in time — an actor is a single OS thread at any given
-    /// moment — so concatenating them in order of first timestamp
-    /// preserves program order.
+    /// per `(rank, thread)` actor, in timestamp order. Segments of one
+    /// actor are disjoint in time — an actor is a single OS thread at
+    /// any given moment — except that the thread driving an SCF is
+    /// `(0, 0)` too and holds its `scf.*` spans open around the world's
+    /// rank-0 thread. It is blocked for exactly that long, so the
+    /// stable sort interleaves the two into one properly nested stream.
     pub fn from_streams(segments: Vec<Stream>) -> Self {
         let mut by_id: BTreeMap<(u32, u32), Vec<Stream>> = BTreeMap::new();
         for seg in segments {
@@ -59,7 +61,8 @@ impl TraceReport {
             .into_iter()
             .map(|((rank, thread), mut segs)| {
                 segs.sort_by_key(|s| s.events.first().map(Event::t).unwrap_or(0));
-                let events = segs.into_iter().flat_map(|s| s.events).collect();
+                let mut events: Vec<Event> = segs.into_iter().flat_map(|s| s.events).collect();
+                events.sort_by_key(Event::t);
                 Stream { rank, thread, events }
             })
             .collect();

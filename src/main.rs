@@ -76,9 +76,7 @@ OPTIONS:
                          as Chrome trace_event JSON (open in
                          chrome://tracing or https://ui.perfetto.dev);
                          also prints the phase breakdown and per-rank
-                         thread imbalance. Needs a binary built with
-                         `--features trace` — without it the run works
-                         but the trace is empty and a warning is printed
+                         thread imbalance
     --help               print this text
 ";
 
@@ -131,17 +129,17 @@ fn parse_algorithm(spec: &str) -> Result<FockAlgorithm, String> {
         return Ok(FockAlgorithm::Serial);
     }
     let (name, cfg) = spec.split_once(':').ok_or_else(|| format!("bad algorithm '{spec}'"))?;
+    // A world needs a rank and a team a thread: zero is a bad count too.
+    let count = |s: &str, what: &str| match s.parse() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("bad {what} count '{s}' (need an integer >= 1)")),
+    };
     let parse_rt = |s: &str| -> Result<(usize, usize), String> {
         let (r, t) = s.split_once('x').ok_or_else(|| format!("need <R>x<T>, got '{s}'"))?;
-        Ok((
-            r.parse().map_err(|_| format!("bad rank count '{r}'"))?,
-            t.parse().map_err(|_| format!("bad thread count '{t}'"))?,
-        ))
+        Ok((count(r, "rank")?, count(t, "thread")?))
     };
     match name {
-        "mpi" => Ok(FockAlgorithm::MpiOnly {
-            n_ranks: cfg.parse().map_err(|_| format!("bad rank count '{cfg}'"))?,
-        }),
+        "mpi" => Ok(FockAlgorithm::MpiOnly { n_ranks: count(cfg, "rank")? }),
         "private" => {
             let (r, t) = parse_rt(cfg)?;
             Ok(FockAlgorithm::PrivateFock { n_ranks: r, n_threads: t })
@@ -150,9 +148,7 @@ fn parse_algorithm(spec: &str) -> Result<FockAlgorithm, String> {
             let (r, t) = parse_rt(cfg)?;
             Ok(FockAlgorithm::SharedFock { n_ranks: r, n_threads: t })
         }
-        "distributed" => Ok(FockAlgorithm::Distributed {
-            n_ranks: cfg.parse().map_err(|_| format!("bad rank count '{cfg}'"))?,
-        }),
+        "distributed" => Ok(FockAlgorithm::Distributed { n_ranks: count(cfg, "rank")? }),
         "sharded" => {
             let (ranks, mode) = match cfg.split_once(':') {
                 Some((r, "os")) => (r, DdiMode::Mpi3OneSided),
@@ -160,13 +156,35 @@ fn parse_algorithm(spec: &str) -> Result<FockAlgorithm, String> {
                 Some((_, m)) => return Err(format!("unknown DDI mode '{m}' (os or ds)")),
                 None => (cfg, DdiMode::Mpi3OneSided),
             };
-            Ok(FockAlgorithm::Sharded {
-                n_ranks: ranks.parse().map_err(|_| format!("bad rank count '{ranks}'"))?,
-                mode,
-            })
+            Ok(FockAlgorithm::Sharded { n_ranks: count(ranks, "rank")?, mode })
         }
         other => Err(format!("unknown algorithm '{other}'")),
     }
+}
+
+/// `run_uhf`'s preconditions on `--uhf NA,NB`, as an error instead of
+/// its asserts.
+fn check_uhf_occupations(
+    na: usize,
+    nb: usize,
+    n_electrons: usize,
+    n_basis: usize,
+) -> Result<(), String> {
+    if na + nb != n_electrons {
+        return Err(format!(
+            "--uhf {na},{nb} places {} electrons but the molecule has {n_electrons}",
+            na + nb
+        ));
+    }
+    if na < nb {
+        return Err(format!("--uhf {na},{nb}: convention is NA >= NB (try --uhf {nb},{na})"));
+    }
+    if na > n_basis {
+        return Err(format!(
+            "--uhf {na},{nb}: {na} alpha electrons do not fit in {n_basis} basis functions"
+        ));
+    }
+    Ok(())
 }
 
 /// Per-rank memory-model estimate (bytes) for one algorithm, with the
@@ -355,16 +373,9 @@ fn run() -> Result<(), String> {
         let pair_bytes = phi_scf::integrals::ShellPairs::build(&b).bytes();
         check_memory_budget(mib, alg, b.n_basis(), pair_bytes)?;
     }
-    let trace_session = trace_path.as_deref().map(|_| {
-        if !phi_scf::trace::enabled() {
-            eprintln!(
-                "warning: this binary was built without `--features trace`; \
-                 the trace file will be empty"
-            );
-        }
-        phi_scf::trace::TraceSession::begin()
-    });
+    let trace_session = trace_path.as_deref().map(|_| phi_scf::trace::TraceSession::begin());
     if let Some((na, nb)) = uhf {
+        check_uhf_occupations(na, nb, mol.n_electrons(), b.n_basis())?;
         let config = UhfConfig {
             algorithm: alg,
             screening_tau: tau,
@@ -514,5 +525,49 @@ fn main() {
     if let Err(e) = run() {
         eprintln!("error: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_algorithm_rejects_zero_ranks_and_threads() {
+        for spec in [
+            "mpi:0",
+            "distributed:0",
+            "sharded:0",
+            "sharded:0:ds",
+            "private:0x2",
+            "private:2x0",
+            "shared:0x1",
+            "shared:1x0",
+        ] {
+            let err = parse_algorithm(spec).expect_err(spec);
+            assert!(err.contains("count '0'"), "{spec}: {err}");
+        }
+        assert_eq!(parse_algorithm("mpi:3"), Ok(FockAlgorithm::MpiOnly { n_ranks: 3 }));
+        assert_eq!(
+            parse_algorithm("shared:1x2"),
+            Ok(FockAlgorithm::SharedFock { n_ranks: 1, n_threads: 2 })
+        );
+        assert_eq!(
+            parse_algorithm("sharded:2:ds"),
+            Ok(FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::DataServer })
+        );
+        assert!(parse_algorithm("shared:2").is_err());
+        assert!(parse_algorithm("mpi:-1").is_err());
+    }
+
+    #[test]
+    fn uhf_occupations_are_checked_against_the_molecule() {
+        // H2: 2 electrons, 2 STO-3G functions.
+        assert_eq!(check_uhf_occupations(1, 1, 2, 2), Ok(()));
+        assert_eq!(check_uhf_occupations(2, 0, 2, 2), Ok(()));
+        assert!(check_uhf_occupations(0, 2, 2, 2).unwrap_err().contains("NA >= NB"));
+        assert!(check_uhf_occupations(2, 1, 2, 2).unwrap_err().contains("has 2"));
+        // He/STO-3G: one function cannot hold two alpha electrons.
+        assert!(check_uhf_occupations(2, 0, 2, 1).unwrap_err().contains("do not fit"));
     }
 }

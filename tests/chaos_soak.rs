@@ -228,48 +228,3 @@ fn unreliable_policy_under_drops_collapses_reliable_policy_recovers() {
     assert!(got.stats.retransmits > 0);
     assert!(got.g.max_abs_diff(&want.g) <= 1e-12);
 }
-
-/// Trace-side reconciliation: the retransmit/recovery instants the world
-/// and the window links emit must agree exactly with the stats counters
-/// the builders return — the deterministic replacement for asserting on
-/// wall-clock behavior.
-#[cfg(feature = "trace")]
-#[test]
-fn chaos_trace_instants_reconcile_exactly_with_build_stats() {
-    let mol = small::water();
-    let b = BasisSet::build(&mol, BasisName::Sto3g);
-    let data = FockData::build(&b);
-    let ctx = data.context(&b, 1e-12);
-    let d = density(b.n_basis());
-
-    for alg in [
-        FockAlgorithm::MpiOnly { n_ranks: 4 },
-        FockAlgorithm::Sharded { n_ranks: 4, mode: DdiMode::DataServer },
-    ] {
-        let session = phi_scf::trace::TraceSession::begin();
-        let builder = alg.builder_with_comm(Some(mixed_plan(11)), soak_policy());
-        let got = builder.build(&ctx, &DensitySet::Restricted(&d));
-        let report = session.finish();
-        let label = builder.label();
-
-        let retransmit_instants = report.instants("comm.retransmit").len() as u64
-            + report.instants("ddi.retransmit").len() as u64;
-        let recovery_instants = report.instants("comm.recovered").len() as u64
-            + report.instants("ddi.recovered").len() as u64;
-        let corrupt_instants = report.instants("comm.corrupt_detected").len() as u64
-            + report.instants("ddi.corrupt_detected").len() as u64;
-        assert_eq!(
-            retransmit_instants, got.stats.retransmits,
-            "{label}: retransmit instants vs stats"
-        );
-        assert_eq!(
-            recovery_instants, got.stats.transient_recoveries,
-            "{label}: recovery instants vs stats"
-        );
-        assert_eq!(
-            corrupt_instants, got.stats.corruptions_detected,
-            "{label}: corruption instants vs stats"
-        );
-        assert!(got.stats.retransmits > 0, "{label}: soak plan must force retransmissions");
-    }
-}

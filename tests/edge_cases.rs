@@ -112,9 +112,9 @@ fn dlb_counter_survives_many_small_worlds() {
     // sequence (each SCF iteration spins one up).
     for _ in 0..20 {
         let res = phi_scf::dmpi::run_world(3, |rank| {
-            rank.dlb_reset();
+            rank.lease_reset(0, phi_scf::dmpi::LeaseMode::Volatile).unwrap();
             let mut v = vec![rank.rank() as f64];
-            rank.gsumf(&mut v);
+            rank.try_gsumf(&mut v).unwrap();
             v[0]
         });
         assert_eq!(res.per_rank, vec![3.0, 3.0, 3.0]);

@@ -430,7 +430,7 @@ fn gsumf_matches_scalar_sum() {
         let values2 = values.clone();
         let res = phi_scf::dmpi::run_world(n_ranks, move |rank| {
             let mut v = vec![values2[rank.rank()]];
-            rank.gsumf(&mut v);
+            rank.try_gsumf(&mut v).unwrap();
             v[0]
         });
         let want: f64 = values.iter().sum();

@@ -12,7 +12,6 @@
 //! Every test wraps its builds in a [`TraceSession`]; sessions serialize
 //! on a process-wide lock, so concurrently running tests in this binary
 //! cannot leak events into each other's reports.
-#![cfg(feature = "trace")]
 
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
@@ -221,5 +220,29 @@ fn incremental_run_counters_reconcile_exactly_with_stats() {
     assert_eq!(
         report.counter_total("dlb.calls") as usize,
         r.fock_stats.iter().map(|s| s.dlb_calls).sum::<usize>()
+    );
+}
+
+/// The default build traces: a whole SCF inside a session yields a
+/// well-formed report with one `scf.iteration` span per iteration and
+/// the quartet counter equal to the sum over the per-build stats.
+#[test]
+fn whole_scf_run_is_traced_by_the_default_build() {
+    let mol = small::water();
+    let b = BasisSet::build(&mol, BasisName::Sto3g);
+    let config = ScfConfig {
+        algorithm: FockAlgorithm::SharedFock { n_ranks: 2, n_threads: 2 },
+        ..Default::default()
+    };
+    let session = TraceSession::begin();
+    let r = run_scf(&mol, &b, &config);
+    let report = session.finish();
+    assert!(r.converged);
+    assert!(!report.is_empty(), "a default build must record inside a session");
+    report.check_well_formed().unwrap();
+    assert_eq!(report.span_count("scf.iteration"), r.iterations);
+    assert_eq!(
+        report.counter_total("quartets_computed"),
+        r.fock_stats.iter().map(|s| s.quartets_computed).sum::<u64>()
     );
 }

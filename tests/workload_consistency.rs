@@ -76,8 +76,8 @@ fn prescreened_tasks_do_no_work_in_the_real_builder() {
 
 #[test]
 fn builder_counters_are_deterministic_across_algorithms() {
-    // The counters the builders report (and, with the `trace` feature,
-    // emit as trace counter events) are exact work accounting, not
+    // The counters the builders report (and emit as trace counter
+    // events inside a session) are exact work accounting, not
     // timings: every parallel decomposition of the same workload must
     // land on the same totals as the serial enumeration, run after run.
     let basis = BasisSet::build(&small::water(), BasisName::Sto3g);
