@@ -10,9 +10,9 @@
 //!
 //! Hard asserts (not timed):
 //! - all runs converge, and both parallel RHF energies — plus a sharded
-//!   UHF run against its serial UHF reference (on water/6-31G(d,p); the
-//!   DIIS-free UHF driver needs a system whose plain Roothaan iteration
-//!   settles) — match within 1e-10;
+//!   UHF run against its serial UHF reference (on water/6-31G(d,p), to
+//!   keep the parity leg cheap next to the flake runs) — match within
+//!   1e-10;
 //! - replicated per-rank peak (live tracker) > budget > sharded per-rank
 //!   peak, and sharded < replicated outright;
 //! - the tracker peaks bracket their own model estimates' ordering (the
@@ -20,7 +20,7 @@
 //!
 //! Pass `--json <path>` to write the numbers, e.g. `BENCH_pr7.json`.
 
-use hf::{run_scf, run_uhf, FockAlgorithm, MemoryModel, ScfConfig, ScfResult, UhfConfig};
+use hf::{run_scf, FockAlgorithm, MemoryModel, ScfConfig, ScfResult, Spin};
 use phi_bench::microbench::smoke_mode;
 use phi_chem::basis::{BasisName, BasisSet};
 use phi_chem::geom::graphene;
@@ -108,24 +108,22 @@ fn main() {
     assert!(sh_peak < rep_peak, "sharded {sh_peak} B must undercut replicated {rep_peak} B");
 
     // UHF parity through the same sharded windows (three density stripes,
-    // two Fock channels). The UHF driver iterates plain Roothaan with no
-    // DIIS, and the graphene flakes' fixed-point maps do not settle
-    // within the iteration cap — so the parity leg runs on water in
-    // 6-31G(d,p), which converges in ~35 iterations and exercises the
-    // identical sharded window path. Equal spin counts on a closed-shell
-    // molecule give a well-conditioned unrestricted reference.
+    // two Fock channels). The leg runs on water in 6-31G(d,p): it
+    // exercises the identical sharded window path at a fraction of a
+    // flake run's cost. Equal spin counts on a closed-shell molecule give
+    // a well-conditioned unrestricted reference.
     let uhf_label = "water, 6-31G(d,p)";
     let uhf_mol = phi_chem::geom::small::water();
     let uhf_basis = BasisSet::build(&uhf_mol, BasisName::B631gdp);
     let (na, nb) = (uhf_mol.n_electrons() / 2, uhf_mol.n_electrons() / 2);
-    let uhf_serial = run_uhf(&uhf_mol, &uhf_basis, na, nb, &UhfConfig::default());
+    let spin = Spin::Unrestricted { n_alpha: na, n_beta: nb, break_symmetry: false };
+    let uhf_serial = run_scf(&uhf_mol, &uhf_basis, &ScfConfig { spin, ..Default::default() });
     assert!(uhf_serial.converged, "serial UHF reference did not converge");
-    let uhf_sharded = run_uhf(
+    let uhf_sharded = run_scf(
         &uhf_mol,
         &uhf_basis,
-        na,
-        nb,
-        &UhfConfig {
+        &ScfConfig {
+            spin,
             algorithm: FockAlgorithm::Sharded { n_ranks: RANKS, mode: DdiMode::Mpi3OneSided },
             ..Default::default()
         },

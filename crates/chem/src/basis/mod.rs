@@ -81,12 +81,6 @@ impl Shell {
     pub fn max_l(&self) -> usize {
         self.blocks.iter().map(|b| b.l).max().unwrap_or(0)
     }
-
-    /// Smallest primitive exponent — controls the spatial extent of the
-    /// shell and hence screening behaviour.
-    pub fn min_exp(&self) -> f64 {
-        self.exps.iter().cloned().fold(f64::INFINITY, f64::min)
-    }
 }
 
 /// A basis set instantiated on a molecule.

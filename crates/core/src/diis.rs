@@ -33,6 +33,10 @@ impl Diis {
     /// Push a new `(F, error)` pair and return the extrapolated Fock
     /// matrix. Falls back to the raw `F` while the history is short or the
     /// DIIS system is singular.
+    ///
+    /// Nothing here needs `F` square: an unrestricted run passes its spin
+    /// channels stacked ([`Mat::vstack`]), so one set of coefficients
+    /// minimizes the summed error of both spins.
     pub fn extrapolate(&mut self, f: Mat, err: Mat) -> Mat {
         self.history.push_back((f, err));
         if self.history.len() > self.max_len {
@@ -58,8 +62,8 @@ impl Diis {
         rhs[m] = -1.0;
         match solve(&b, &rhs) {
             Some(c) => {
-                let n = self.history[0].0.rows();
-                let mut out = Mat::zeros(n, n);
+                let newest = &self.history[m - 1].0;
+                let mut out = Mat::zeros(newest.rows(), newest.cols());
                 for (k, (fk, _)) in self.history.iter().enumerate() {
                     out.axpy(c[k], fk);
                 }
@@ -86,12 +90,6 @@ impl Diis {
         while self.history.len() > self.max_len {
             self.history.pop_front();
         }
-    }
-
-    /// Largest absolute element of the most recent error vector — the usual
-    /// convergence diagnostic.
-    pub fn last_error_norm(&self) -> f64 {
-        self.history.back().map(|(_, e)| e.max_abs()).unwrap_or(f64::INFINITY)
     }
 
     pub fn len(&self) -> usize {

@@ -1,5 +1,5 @@
-//! Incremental (ΔD) Fock-build bookkeeping shared by the RHF and UHF
-//! drivers.
+//! Incremental (ΔD) Fock-build bookkeeping for the SCF driver, one or two
+//! spin channels alike.
 //!
 //! Direct SCF recomputes the full screened quartet set every iteration,
 //! so per-build cost is flat while the density change collapses toward
@@ -74,10 +74,6 @@ impl IncrementalFock {
         builder: &dyn FockBuilder,
         mats: &[&Mat],
     ) -> GBuild {
-        assert!(
-            matches!(mats.len(), 1 | 2),
-            "IncrementalFock::build takes 1 (RHF) or 2 (UHF) density matrices"
-        );
         let deltas: Option<Vec<Mat>> = (self.d_ref.len() == mats.len())
             .then(|| mats.iter().zip(&self.d_ref).map(|(d, r)| d.sub(r)).collect());
         let delta_norm =
@@ -95,7 +91,7 @@ impl IncrementalFock {
 
         let gb = if full {
             // Static screening: identical to the non-incremental driver.
-            let gb = builder.build(&ctx, &dens_of(mats));
+            let gb = builder.build(&ctx, &DensitySet::from_channels(mats));
             self.since_full = 0;
             self.min_delta = f64::INFINITY;
             self.g_ref = channels_of(&gb);
@@ -103,7 +99,7 @@ impl IncrementalFock {
         } else {
             let deltas = deltas.expect("incremental build requires reference state");
             let delta_refs: Vec<&Mat> = deltas.iter().collect();
-            let dens_delta = dens_of(&delta_refs);
+            let dens_delta = DensitySet::from_channels(&delta_refs);
             // Weight the screening by ΔD: quartets whose contribution to
             // every Fock element of G(ΔD) is below tau are dropped.
             let dmax = dens_delta.density_max(ctx.basis);
@@ -127,15 +123,6 @@ impl IncrementalFock {
         // density change, which collapses as SCF converges.
         self.d_ref = mats.iter().map(|m| (*m).clone()).collect();
         gb
-    }
-}
-
-/// View a channel list as the matching [`DensitySet`].
-fn dens_of<'a>(mats: &[&'a Mat]) -> DensitySet<'a> {
-    match mats {
-        [d] => DensitySet::Restricted(d),
-        [a, b] => DensitySet::Unrestricted { alpha: a, beta: b },
-        _ => unreachable!("validated by caller"),
     }
 }
 

@@ -122,6 +122,16 @@ pub enum DensitySet<'a> {
 }
 
 impl<'a> DensitySet<'a> {
+    /// View a spin-channel list as the matching set: one matrix is
+    /// restricted, two are alpha then beta.
+    pub fn from_channels(mats: &[&'a Mat]) -> DensitySet<'a> {
+        match mats {
+            [d] => DensitySet::Restricted(d),
+            [alpha, beta] => DensitySet::Unrestricted { alpha, beta },
+            _ => panic!("a density set has 1 (RHF) or 2 (UHF) channels, got {}", mats.len()),
+        }
+    }
+
     /// Per-shell-pair density-max table over every matrix this set feeds
     /// into digestion. Restricted input bounds `|D|`; unrestricted input
     /// bounds `|D_alpha| + |D_beta|`, which dominates each spin density

@@ -230,4 +230,21 @@ mod tests {
         assert_eq!(via_engine.g.max_abs_diff(&reference.g), 0.0);
         assert!(via_engine.g_beta.is_none());
     }
+
+    #[test]
+    fn jk_pieces_recombine_to_rhf_g() {
+        // G(D) = J(D) - K(D)/2 must equal the one-pass RHF digestion.
+        let b = BasisSet::build(&small::water(), BasisName::Sto3g);
+        let data = FockData::build(&b);
+        let (pairs, s) = (&data.pairs, &data.screening);
+        let n = b.n_basis();
+        let d = Mat::from_fn(n, n, |i, j| {
+            let (i, j) = if i >= j { (i, j) } else { (j, i) };
+            0.1 + ((i + 3 * j) % 5) as f64 * 0.07
+        });
+        let g = serial(&b, &data, 0.0, &d).g;
+        let j = build_jk_serial(&b, pairs, s, 0.0, &d, 1.0, 0.0).g;
+        let mk_half = build_jk_serial(&b, pairs, s, 0.0, &d, 0.0, -0.5).g;
+        assert!(g.max_abs_diff(&j.add(&mk_half)) < 1e-10);
+    }
 }

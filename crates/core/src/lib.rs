@@ -29,13 +29,15 @@
 //! [`FockAlgorithm::builder`] — the only entry to a build — and hand it a
 //! [`DensitySet`]: one matrix for RHF, an α/β pair for UHF. Every builder
 //! returns the same [`GBuild`] (per-channel `G` matrices plus uniformly
-//! collected [`FockBuildStats`]), so RHF ([`scf`]), UHF ([`uhf`]), and the
-//! stored-integral replay ([`incore`]) compose with any algorithm.
+//! collected [`FockBuildStats`]), so RHF, UHF and the stored-integral
+//! replay ([`incore`]) compose with any algorithm.
 //!
-//! The driver ([`scf`]) handles the rest of the method: core-Hamiltonian
-//! guess, symmetric orthogonalization, (optional) DIIS acceleration,
-//! convergence on the density RMS — and reports per-iteration Fock timings
-//! and the per-rank memory accounting that reproduce the paper's tables.
+//! The one driver ([`scf`], RHF and UHF being its one- and two-channel
+//! cases, selected by [`Spin`]) handles the rest of the method:
+//! core-Hamiltonian guess, symmetric orthogonalization, (optional) DIIS
+//! acceleration, convergence on the density RMS — and reports per-iteration
+//! Fock timings and the per-rank memory accounting that reproduce the
+//! paper's tables.
 
 pub mod checkpoint;
 pub mod diis;
@@ -48,7 +50,6 @@ pub mod properties;
 pub mod purification;
 pub mod scf;
 pub mod stats;
-pub mod uhf;
 
 pub use checkpoint::ScfCheckpoint;
 pub use fock::engine::{FockBuilder, FockContext, FockData};
@@ -57,8 +58,7 @@ pub use fock::{DensitySet, FockAlgorithm, GBuild};
 pub use incore::IncoreEris;
 pub use memory_model::MemoryModel;
 pub use mp2::{mp2_energy, Mp2Result};
-pub use properties::{dipole_moment, mulliken_charges, Dipole};
+pub use properties::{dipole_moment, mulliken_charges, mulliken_spin_populations, Dipole};
 pub use purification::{purify_density, purify_density_threaded, Purification};
-pub use scf::{run_scf, ScfConfig, ScfResult, ScfStop};
+pub use scf::{run_scf, BetaSpin, ScfConfig, ScfResult, ScfStop, Spin};
 pub use stats::FockBuildStats;
-pub use uhf::{mulliken_spin_populations, run_uhf, UhfConfig, UhfResult};

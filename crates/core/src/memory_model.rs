@@ -127,10 +127,6 @@ impl MemoryModel {
     pub fn gb_shared_fock(&self) -> f64 {
         self.bytes_shared_fock() / 1e9
     }
-
-    pub fn gb_sharded(&self, total_ranks: usize) -> f64 {
-        self.bytes_sharded(total_ranks) / 1e9
-    }
 }
 
 /// One row of the paper's Table 2 regenerated from the model with the

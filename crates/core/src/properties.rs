@@ -1,5 +1,5 @@
 //! Molecular properties from a converged density: dipole moment and
-//! Mulliken population analysis.
+//! Mulliken population analysis (charges and spin populations).
 //!
 //! These are standard GAMESS property outputs ("maintaining full
 //! functionality of the underlying GAMESS code" is one of the paper's
@@ -47,8 +47,8 @@ pub fn dipole_moment(mol: &Molecule, basis: &BasisSet, density: &Mat) -> Dipole 
     Dipole { au: mu }
 }
 
-/// Mulliken atomic partial charges: `q_A = Z_A - sum_{mu in A} (D S)_{mu mu}`.
-pub fn mulliken_charges(mol: &Molecule, basis: &BasisSet, density: &Mat) -> Vec<f64> {
+/// Mulliken gross populations per atom: `sum_{mu in A} (D S)_{mu mu}`.
+fn mulliken_populations(mol: &Molecule, basis: &BasisSet, density: &Mat) -> Vec<f64> {
     let s = overlap_matrix(basis);
     let ds = density.matmul(&s);
     let mut populations = vec![0.0f64; mol.n_atoms()];
@@ -57,17 +57,34 @@ pub fn mulliken_charges(mol: &Molecule, basis: &BasisSet, density: &Mat) -> Vec<
             populations[shell.atom] += ds[(shell.first_bf + f, shell.first_bf + f)];
         }
     }
+    populations
+}
+
+/// Mulliken atomic partial charges: `q_A = Z_A - sum_{mu in A} (D S)_{mu mu}`
+/// (for an unrestricted run, pass the total density `D_a + D_b`).
+pub fn mulliken_charges(mol: &Molecule, basis: &BasisSet, density: &Mat) -> Vec<f64> {
     mol.atoms()
         .iter()
-        .zip(&populations)
+        .zip(mulliken_populations(mol, basis, density))
         .map(|(a, p)| a.element.atomic_number() as f64 - p)
         .collect()
+}
+
+/// Mulliken spin populations: `n_A(spin) = sum_{mu in A} ((D_a - D_b) S)_{mu mu}`.
+/// Sums to `n_alpha - n_beta`.
+pub fn mulliken_spin_populations(
+    mol: &Molecule,
+    basis: &BasisSet,
+    density_alpha: &Mat,
+    density_beta: &Mat,
+) -> Vec<f64> {
+    mulliken_populations(mol, basis, &density_alpha.sub(density_beta))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scf::{run_scf, ScfConfig};
+    use crate::scf::{run_scf, ScfConfig, Spin};
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
 
@@ -109,6 +126,27 @@ mod tests {
         assert!(q[0] < -0.2, "oxygen must be negative: {}", q[0]);
         assert!(q[1] > 0.1 && q[2] > 0.1, "hydrogens must be positive: {:?}", q);
         assert!((q[1] - q[2]).abs() < 1e-8, "symmetric hydrogens must match");
+    }
+
+    #[test]
+    fn spin_populations_localize_on_the_radical_center() {
+        // Broken-symmetry stretched H2: one alpha electron on each atom,
+        // opposite spins; populations are +-1 and sum to n_a - n_b = 0.
+        let mol = small::hydrogen_molecule(8.0);
+        let b = BasisSet::build(&mol, BasisName::Sto3g);
+        let spin_pops = |n_alpha, n_beta, break_symmetry| {
+            let spin = Spin::Unrestricted { n_alpha, n_beta, break_symmetry };
+            let r = run_scf(&mol, &b, &ScfConfig { spin, ..Default::default() });
+            assert!(r.converged);
+            let beta = r.beta.expect("unrestricted run");
+            mulliken_spin_populations(&mol, &b, &r.density, &beta.density)
+        };
+        let pops = spin_pops(1, 1, true);
+        assert!((pops[0] + pops[1]).abs() < 1e-8, "spin sums to zero: {pops:?}");
+        assert!(pops[0].abs() > 0.9, "spin localizes at long range: {pops:?}");
+        // Triplet far-apart H2: both spins up, one per atom.
+        let tp = spin_pops(2, 0, false);
+        assert!((tp[0] - 1.0).abs() < 0.05 && (tp[1] - 1.0).abs() < 0.05, "{tp:?}");
     }
 
     #[test]

@@ -5,13 +5,30 @@
 //! root-mean-square change of the density matrix falls below the threshold.
 //! The two-electron Fock build — the paper's entire subject — is delegated
 //! to the algorithm selected in [`ScfConfig`].
+//!
+//! There is one loop. It iterates over a list of density channels: one for
+//! closed-shell RHF, an alpha and a beta one for UHF ([`Spin`]). The paper's
+//! conclusion (§7) notes that its parallel-assembly strategy transfers
+//! directly to "UHF, GVB, DFT, CPHF — all have this structure", and the
+//! driver shows it: the UHF spin Fock matrices
+//!
+//! ```text
+//! F_alpha = H + J(D_total) - K(D_alpha)
+//! F_beta  = H + J(D_total) - K(D_beta)
+//! ```
+//!
+//! come out of one [`DensitySet::Unrestricted`] build per iteration, so
+//! every surviving ERI is evaluated once and digested into both spin
+//! channels under any of the paper's parallel algorithms; everything after
+//! the build (energy, DIIS, level shift, density update, damping, RMS) is
+//! the restricted step applied per channel.
 
 use crate::checkpoint::{ScfCheckpoint, CHECKPOINT_KEEP};
 use crate::diis::Diis;
 use crate::fock::engine::{FockBuilder, FockData};
 use crate::fock::incremental::IncrementalFock;
 use crate::fock::{DensitySet, FockAlgorithm};
-use crate::guess::{core_guess, density_from_orbitals, solve_roothaan};
+use crate::guess::{density_from_orbitals, solve_roothaan};
 use crate::stats::FockBuildStats;
 use phi_chem::{BasisSet, Molecule};
 use phi_dmpi::{FaultPlan, RetryPolicy};
@@ -19,9 +36,33 @@ use phi_integrals::{kinetic_matrix, nuclear_attraction_matrix, overlap_matrix};
 use phi_linalg::{sym_inv_sqrt, Mat};
 use std::path::PathBuf;
 
+/// Spin treatment: how many density channels the SCF loop carries and how
+/// their orbitals are occupied.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Spin {
+    /// Closed-shell RHF: one channel `D = 2 C_occ C_occᵀ` over
+    /// `n_electrons / 2` doubly occupied orbitals.
+    #[default]
+    Restricted,
+    /// UHF: an alpha and a beta channel `D_s = C_s,occ C_s,occᵀ` over
+    /// `n_alpha >= n_beta` singly occupied orbitals each.
+    Unrestricted {
+        n_alpha: usize,
+        n_beta: usize,
+        /// Mix the alpha HOMO/LUMO of the initial guess to break spin
+        /// symmetry (needed to reach broken-symmetry solutions, e.g.
+        /// stretched H2).
+        break_symmetry: bool,
+    },
+}
+
 /// SCF configuration.
 #[derive(Clone, Debug)]
 pub struct ScfConfig {
+    /// Restricted (the default) or unrestricted, with its occupations.
+    pub spin: Spin,
+    /// Which Fock-build parallelization to use — all of the paper's
+    /// algorithms serve both spin treatments through the unified engine.
     pub algorithm: FockAlgorithm,
     /// Schwarz screening threshold on `Q_ij * Q_kl` (GAMESS default range).
     pub screening_tau: f64,
@@ -37,7 +78,8 @@ pub struct ScfConfig {
     pub damping: Option<f64>,
     /// Level shift `beta` added to the virtual orbital spectrum via
     /// `F <- F + beta (S - S D S / 2)` before diagonalization (GAMESS
-    /// `$SCF SHIFT`). Reported virtual orbital energies include the shift.
+    /// `$SCF SHIFT`; per spin channel `S - S D_s S`). Reported virtual
+    /// orbital energies include the shift.
     pub level_shift: Option<f64>,
     /// Conventional (in-core) SCF: store all surviving ERIs up to this many
     /// bytes and replay them every iteration instead of recomputing
@@ -53,7 +95,8 @@ pub struct ScfConfig {
     /// requests: ack timeouts, retransmit budget, deterministic backoff,
     /// and the (formerly hard-coded) barrier/receive timeouts.
     pub retry: RetryPolicy,
-    /// Write an [`ScfCheckpoint`] here after every iteration.
+    /// Write an [`ScfCheckpoint`] here after every iteration. The format
+    /// holds one density, so checkpointing is restricted-only.
     pub checkpoint_path: Option<PathBuf>,
     /// Resume from a previously written checkpoint instead of the core
     /// guess; the resumed run reproduces the uninterrupted one bit-for-bit
@@ -65,8 +108,10 @@ pub struct ScfConfig {
     pub resume_from: Option<PathBuf>,
     /// Incremental (ΔD) Fock builds: iteration `n` builds `G(ΔD)` with
     /// `ΔD = D_n - D_ref` under density-weighted screening and accumulates
-    /// `G_n = G_ref + G(ΔD)` (see [`crate::fock::incremental`]). Lossy but
-    /// bounded: periodic full rebuilds cap the accumulated screening error.
+    /// `G_n = G_ref + G(ΔD)` (see [`crate::fock::incremental`]; valid per
+    /// spin channel too, each `G_s` being jointly linear in the spin
+    /// densities). Lossy but bounded: periodic full rebuilds cap the
+    /// accumulated screening error.
     pub incremental: bool,
     /// In incremental mode, perform a full rebuild every this many builds
     /// (clamped to >= 1; `1` makes every build full, reproducing the plain
@@ -78,13 +123,15 @@ pub struct ScfConfig {
     /// replicating `N x N` Fock/density matrices per rank, and purification
     /// avoids the replicated `O(N^3)` eigensolve that `solve_roothaan`
     /// would reintroduce. Orbital energies and MO coefficients are not
-    /// produced (the result keeps the initial-guess values).
+    /// produced: the result keeps the core-guess values (`<S^2>` needs
+    /// only the densities and is exact either way).
     pub purification: bool,
 }
 
 impl Default for ScfConfig {
     fn default() -> Self {
         ScfConfig {
+            spin: Spin::Restricted,
             algorithm: FockAlgorithm::Serial,
             screening_tau: 1e-10,
             convergence: 1e-8,
@@ -169,14 +216,29 @@ pub struct ScfResult {
     pub energy_history: Vec<f64>,
     /// Per-iteration Fock-build statistics ("TIME TO FORM FOCK").
     pub fock_stats: Vec<FockBuildStats>,
-    /// Final orbital energies.
+    /// Final orbital energies (of the alpha spin in an unrestricted run).
     pub orbital_energies: Vec<f64>,
-    /// Converged density matrix (input for property analysis).
+    /// Converged density matrix (input for property analysis). In an
+    /// unrestricted run this is the alpha-spin density, without the
+    /// closed-shell factor 2.
     pub density: Mat,
-    /// Final MO coefficients (columns are orbitals).
+    /// Final MO coefficients (columns are orbitals; alpha spin in an
+    /// unrestricted run).
     pub orbitals: Mat,
+    /// What only an unrestricted run produces; `None` for RHF.
+    pub beta: Option<BetaSpin>,
     pub n_basis: usize,
     pub n_shells: usize,
+}
+
+/// The second spin channel of an unrestricted run.
+#[derive(Clone, Debug)]
+pub struct BetaSpin {
+    /// Converged beta-spin density.
+    pub density: Mat,
+    pub orbital_energies: Vec<f64>,
+    /// `<S^2>` expectation value (spin contamination diagnostic).
+    pub s_squared: f64,
 }
 
 impl ScfResult {
@@ -192,16 +254,54 @@ impl ScfResult {
     }
 }
 
-/// Run a closed-shell restricted Hartree-Fock calculation.
+/// Run a Hartree-Fock calculation: closed-shell restricted, or unrestricted
+/// with the occupations in [`ScfConfig::spin`].
 pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResult {
     let n = basis.n_basis();
-    let n_occ = mol.n_occupied();
+    // Occupied orbitals per density channel, largest first. Everything the
+    // two spin treatments do differently follows from this list.
+    let occupied = match config.spin {
+        Spin::Restricted => vec![mol.n_occupied()],
+        Spin::Unrestricted { n_alpha, n_beta, .. } => {
+            assert_eq!(
+                n_alpha + n_beta,
+                mol.n_electrons(),
+                "spin counts must sum to the electron count"
+            );
+            assert!(n_alpha >= n_beta, "convention: n_alpha >= n_beta");
+            vec![n_alpha, n_beta]
+        }
+    };
+    let channels = occupied.len();
     assert!(
-        n_occ <= n,
-        "basis too small: {n_occ} occupied orbitals but only {n} basis functions \
+        occupied[0] <= n,
+        "basis too small: {} occupied orbitals but only {n} basis functions \
          ({} shells) — pick a larger basis set",
+        occupied[0],
         basis.n_shells()
     );
+    assert!(
+        channels == 1 || (config.checkpoint_path.is_none() && config.resume_from.is_none()),
+        "checkpoints hold one density (format PHISCF1): an unrestricted run can neither \
+         write nor resume one — drop checkpoint_path/resume_from"
+    );
+    if let Some(alpha) = config.damping {
+        assert!(
+            (0.0..1.0).contains(&alpha),
+            "damping factor {alpha} out of range: must be in [0, 1)"
+        );
+    }
+    // Electrons per occupied orbital: 2 in the closed-shell channel, 1 in a
+    // spin channel.
+    let per_orbital = 2.0 / channels as f64;
+    // `density_from_orbitals` and `purify_density` both return the
+    // closed-shell `2 P`; a spin channel holds the projector `P` itself.
+    let occupy = |mut d: Mat| {
+        if channels == 2 {
+            d.scale(0.5);
+        }
+        d
+    };
 
     // One-electron groundwork.
     let s = overlap_matrix(basis);
@@ -232,8 +332,29 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
         None => direct.as_ref(),
     };
 
-    // Initial guess — or the checkpointed state of an interrupted run.
-    let mut d = core_guess(&h, &x, n_occ);
+    // Initial guess — or the checkpointed state of an interrupted run. The
+    // core-guess orbitals stay in the result if no iteration replaces them
+    // (purification never does).
+    let (eps0, c0) = solve_roothaan(&h, &x);
+    let mut orbital_energies = vec![eps0; channels];
+    let mut orbitals = vec![c0; channels];
+    if let Spin::Unrestricted { n_alpha, break_symmetry: true, .. } = config.spin {
+        if (1..n).contains(&n_alpha) {
+            // Rotate alpha HOMO/LUMO by 45 degrees.
+            let (c, homo, lumo) = (&mut orbitals[0], n_alpha - 1, n_alpha);
+            let inv_sqrt2 = 1.0 / 2f64.sqrt();
+            for r in 0..n {
+                let (ch, cl) = (c[(r, homo)], c[(r, lumo)]);
+                c[(r, homo)] = inv_sqrt2 * (ch + cl);
+                c[(r, lumo)] = inv_sqrt2 * (cl - ch);
+            }
+        }
+    }
+    let mut d: Vec<Mat> = orbitals
+        .iter()
+        .zip(&occupied)
+        .map(|(c, &n_occ)| occupy(density_from_orbitals(c, n_occ)))
+        .collect();
     let mut diis = Diis::new(8);
     let mut energy_history = Vec::new();
     let mut start_iter = 0;
@@ -255,7 +376,7 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
             path.display(),
             ck.density.rows()
         );
-        d = ck.density;
+        d = vec![ck.density];
         diis.restore(ck.diis);
         energy_history = ck.energy_history;
         start_iter = ck.iteration;
@@ -265,8 +386,6 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
     let mut stop_reason = ScfStop::MaxIterations;
     let mut divergence = DivergenceDetector::new();
     let mut iterations = start_iter;
-    let mut orbital_energies = Vec::new();
-    let mut orbitals = Mat::zeros(n, n);
     let mut e_elec = 0.0;
     // ΔD bookkeeping starts with no reference state, so the first build —
     // including the first build after a checkpoint resume — is always a
@@ -277,19 +396,35 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
     for it in start_iter..config.max_iterations {
         iterations = it + 1;
         let _iter_span = phi_trace::span("scf.iteration");
+        // One spin-generalized build per iteration: every surviving ERI is
+        // evaluated once and digested into every channel.
         let gb = {
             let _span = phi_trace::span("scf.fock");
+            let d: Vec<&Mat> = d.iter().collect();
             match incremental.as_mut() {
-                Some(inc) => inc.build(ctx, builder, &[&d]),
-                None => builder.build(&ctx, &DensitySet::Restricted(&d)),
+                Some(inc) => inc.build(ctx, builder, &d),
+                None => builder.build(&ctx, &DensitySet::from_channels(&d)),
             }
         };
         fock_stats.push(gb.stats);
-        let mut f = h.add(&gb.g);
-        f.symmetrize();
+        let f: Vec<Mat> = std::iter::once(gb.g)
+            .chain(gb.g_beta)
+            .map(|g| {
+                let mut f = h.add(&g);
+                f.symmetrize();
+                f
+            })
+            .collect();
+        assert_eq!(
+            f.len(),
+            channels,
+            "Fock builder '{}' returned the wrong number of spin channels — every \
+             builder must digest every density it is handed",
+            builder.label()
+        );
 
-        // E_elec = 1/2 sum_ij D_ij (H_ij + F_ij).
-        e_elec = 0.5 * (d.dot(&h) + d.dot(&f));
+        // E_elec = 1/2 sum_s sum_ij D_s,ij (H_ij + F_s,ij).
+        e_elec = 0.5 * d.iter().zip(&f).map(|(d, f)| d.dot(&h) + d.dot(f)).sum::<f64>();
         energy_history.push(e_elec + e_nn);
         if let Some(stop) = divergence.check(&energy_history) {
             stop_reason = stop;
@@ -298,50 +433,55 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
 
         let mut f_use = if config.diis {
             let _span = phi_trace::span("scf.diis");
-            let err = Diis::error_vector(&f, &d, &s, &x);
-            diis.extrapolate(f, err)
+            // One extrapolation over the stacked channels: `<e_k, e_l>`
+            // then sums over spins, and both Focks share the coefficients.
+            let err: Vec<Mat> =
+                f.iter().zip(&d).map(|(f, d)| Diis::error_vector(f, d, &s, &x)).collect();
+            diis.extrapolate(Mat::vstack(&f), Mat::vstack(&err)).vsplit(channels)
         } else {
             f
         };
-        if let Some(beta) = config.level_shift {
-            // Raise the virtual spectrum by beta: with D/2 the occupied
-            // projector (in the S metric), S - S D S / 2 annihilates
-            // occupied orbitals and acts as beta * S on virtuals.
-            let sds = s.matmul(&d).matmul(&s);
-            let mut shift = s.clone();
-            shift.axpy(-0.5, &sds);
-            f_use.axpy(beta, &shift);
-        }
 
-        let mut d_new = if config.purification {
-            // Diagonalization-free density update: McWeeny/PM purification
-            // keeps the whole iteration free of any replicated O(N^3)
-            // eigensolve (pairs with the sharded Fock build).
-            let _span = phi_trace::span("scf.purify");
-            crate::purification::purify_density(&f_use, &x, n_occ, 200, 1e-12).density
-        } else {
-            let (eps, c) = {
-                let _span = phi_trace::span("scf.diag");
-                solve_roothaan(&f_use, &x)
-            };
-            let d = density_from_orbitals(&c, n_occ);
-            orbital_energies = eps;
-            orbitals = c;
-            d
-        };
-        if let Some(alpha) = config.damping {
-            assert!(
-                (0.0..1.0).contains(&alpha),
-                "damping factor {alpha} out of range: must be in [0, 1)"
-            );
-            d_new.scale(1.0 - alpha);
-            d_new.axpy(alpha, &d);
-        }
+        let mut rms = 0.0;
+        for (ch, f_use) in f_use.iter_mut().enumerate() {
+            if let Some(beta) = config.level_shift {
+                // Raise the virtual spectrum by beta: with D / per_orbital
+                // the occupied projector (in the S metric),
+                // S - S D S / per_orbital annihilates occupied orbitals and
+                // acts as beta * S on virtuals.
+                let sds = s.matmul(&d[ch]).matmul(&s);
+                let mut shift = s.clone();
+                shift.axpy(-1.0 / per_orbital, &sds);
+                f_use.axpy(beta, &shift);
+            }
 
-        // RMS density change.
-        let diff = d_new.sub(&d);
-        let rms = diff.frobenius_norm() / (n as f64);
-        d = d_new;
+            let mut d_new = occupy(if config.purification {
+                // Diagonalization-free density update: McWeeny/PM
+                // purification keeps the whole iteration free of any
+                // replicated O(N^3) eigensolve (pairs with the sharded
+                // Fock build).
+                let _span = phi_trace::span("scf.purify");
+                crate::purification::purify_density(f_use, &x, occupied[ch], 200, 1e-12).density
+            } else {
+                let (eps, c) = {
+                    let _span = phi_trace::span("scf.diag");
+                    solve_roothaan(f_use, &x)
+                };
+                let d = density_from_orbitals(&c, occupied[ch]);
+                orbital_energies[ch] = eps;
+                orbitals[ch] = c;
+                d
+            });
+            if let Some(alpha) = config.damping {
+                d_new.scale(1.0 - alpha);
+                d_new.axpy(alpha, &d[ch]);
+            }
+
+            // RMS density change, summed over channels.
+            rms += d_new.sub(&d[ch]).frobenius_norm();
+            d[ch] = d_new;
+        }
+        let rms = rms / (n as f64);
 
         // Checkpoint the post-update state: density, DIIS history, energy
         // history. A run resumed from here replays iteration it+1 onward
@@ -349,7 +489,7 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
         if let Some(path) = &config.checkpoint_path {
             let ck = ScfCheckpoint {
                 iteration: iterations,
-                density: d.clone(),
+                density: d[0].clone(),
                 energy_history: energy_history.clone(),
                 diis: diis.snapshot(),
             };
@@ -372,6 +512,21 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
     } else {
         e_elec + e_nn
     };
+    let beta = (channels == 2).then(|| {
+        let density = d.pop().expect("two channels");
+        // <S^2> = S(S+1) + N_beta - tr(D_a S D_b S): with D_s the occupied
+        // projector of spin s, the trace equals sum_ij |<a_i|S|b_j>|^2 over
+        // occupied pairs — but needs only densities, so it works identically
+        // for the diagonalizing and the purification-based update.
+        let sz = 0.5 * (occupied[0] as f64 - occupied[1] as f64);
+        let s_squared = sz * (sz + 1.0) + occupied[1] as f64
+            - d[0].matmul(&s).matmul(&density.matmul(&s)).trace();
+        BetaSpin {
+            density,
+            orbital_energies: orbital_energies.pop().expect("two channels"),
+            s_squared,
+        }
+    });
     ScfResult {
         energy,
         electronic_energy: energy - e_nn,
@@ -381,9 +536,10 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
         iterations,
         energy_history,
         fock_stats,
-        orbital_energies,
-        density: d,
-        orbitals,
+        orbital_energies: orbital_energies.swap_remove(0),
+        density: d.swap_remove(0),
+        orbitals: orbitals.swap_remove(0),
+        beta,
         n_basis: n,
         n_shells: basis.n_shells(),
     }
@@ -394,10 +550,31 @@ mod tests {
     use super::*;
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
+    use phi_chem::{Atom, Element};
 
     fn scf(mol: &Molecule, basis: BasisName, config: &ScfConfig) -> ScfResult {
         let b = BasisSet::build(mol, basis);
         run_scf(mol, &b, config)
+    }
+
+    /// Default configuration for `n_alpha`/`n_beta` electrons of each spin.
+    fn uhf(n_alpha: usize, n_beta: usize) -> ScfConfig {
+        let spin = Spin::Unrestricted { n_alpha, n_beta, break_symmetry: false };
+        ScfConfig { spin, ..Default::default() }
+    }
+
+    /// The same from a symmetry-broken guess.
+    fn broken_symmetry_uhf(n_alpha: usize, n_beta: usize) -> ScfConfig {
+        let spin = Spin::Unrestricted { n_alpha, n_beta, break_symmetry: true };
+        ScfConfig { spin, ..Default::default() }
+    }
+
+    fn s_squared(r: &ScfResult) -> f64 {
+        r.beta.as_ref().expect("unrestricted run").s_squared
+    }
+
+    fn hydrogen_atom() -> Molecule {
+        Molecule::neutral(vec![Atom { element: Element::H, pos: [0.0; 3] }])
     }
 
     #[test]
@@ -548,31 +725,41 @@ mod tests {
             lean.energy,
             reference.energy
         );
+        // Purification produces no orbitals: the result keeps the core
+        // guess, i.e. the spectrum of H itself (what `ScfConfig::purification`
+        // documents).
+        let b = BasisSet::build(&mol, BasisName::Sto3g);
+        let h = kinetic_matrix(&b).add(&nuclear_attraction_matrix(&b, &mol));
+        let x = sym_inv_sqrt(&overlap_matrix(&b), ScfConfig::default().s_threshold);
+        let (eps0, c0) = solve_roothaan(&h, &x);
+        assert_eq!(lean.orbital_energies, eps0);
+        assert_eq!(lean.orbitals, c0);
+        assert!(lean.beta.is_none(), "a restricted run has no beta channel");
     }
 
     #[test]
     fn incore_scf_matches_direct_scf() {
         let mol = small::water();
-        let direct = scf(&mol, BasisName::B631g, &ScfConfig::default());
-        let incore = scf(
-            &mol,
-            BasisName::B631g,
-            &ScfConfig { incore_max_bytes: Some(1 << 30), ..Default::default() },
-        );
-        assert!(incore.converged);
-        assert!(
-            (incore.energy - direct.energy).abs() < 1e-9,
-            "in-core {} vs direct {}",
-            incore.energy,
-            direct.energy
-        );
-        // If the budget is too small the driver silently falls back.
-        let fallback = scf(
-            &mol,
-            BasisName::B631g,
-            &ScfConfig { incore_max_bytes: Some(16), ..Default::default() },
-        );
-        assert!((fallback.energy - direct.energy).abs() < 1e-9);
+        for base in [ScfConfig::default(), uhf(5, 5)] {
+            let direct = scf(&mol, BasisName::B631g, &base);
+            let incore = scf(
+                &mol,
+                BasisName::B631g,
+                &ScfConfig { incore_max_bytes: Some(1 << 30), ..base.clone() },
+            );
+            assert!(incore.converged);
+            assert!(
+                (incore.energy - direct.energy).abs() < 1e-9,
+                "{:?}: in-core {} vs direct {}",
+                base.spin,
+                incore.energy,
+                direct.energy
+            );
+            // If the budget is too small the driver silently falls back.
+            let fallback =
+                scf(&mol, BasisName::B631g, &ScfConfig { incore_max_bytes: Some(16), ..base });
+            assert!((fallback.energy - direct.energy).abs() < 1e-9);
+        }
     }
 
     #[test]
@@ -619,31 +806,48 @@ mod tests {
 
     #[test]
     fn damping_and_level_shift_preserve_the_converged_energy() {
-        let mol = small::water();
-        let plain = scf(&mol, BasisName::Sto3g, &ScfConfig::default());
-        let damped = scf(
-            &mol,
-            BasisName::Sto3g,
-            &ScfConfig { damping: Some(0.3), max_iterations: 200, ..Default::default() },
-        );
-        let shifted = scf(
-            &mol,
-            BasisName::Sto3g,
-            &ScfConfig { level_shift: Some(0.5), max_iterations: 200, ..Default::default() },
-        );
-        assert!(damped.converged && shifted.converged);
-        assert!((damped.energy - plain.energy).abs() < 1e-7, "damped {}", damped.energy);
-        assert!((shifted.energy - plain.energy).abs() < 1e-7, "shifted {}", shifted.energy);
-        // The level shift raises virtual orbital energies but not occupied.
-        let n_occ = mol.n_occupied();
-        assert!(
-            (shifted.orbital_energies[n_occ - 1] - plain.orbital_energies[n_occ - 1]).abs() < 1e-5,
-            "occupied spectrum must be untouched"
-        );
-        assert!(
-            shifted.orbital_energies[n_occ] > plain.orbital_energies[n_occ] + 0.4,
-            "virtual spectrum must be raised by ~the shift"
-        );
+        // Closed-shell water, and the water cation as an unrestricted
+        // doublet: both knobs act per spin channel.
+        let water = small::water();
+        let cation = Molecule::new(water.atoms().to_vec(), 1);
+        for (mol, base) in [(&water, ScfConfig::default()), (&cation, uhf(5, 4))] {
+            let plain = scf(mol, BasisName::Sto3g, &base);
+            let damped = scf(
+                mol,
+                BasisName::Sto3g,
+                &ScfConfig { damping: Some(0.3), max_iterations: 200, ..base.clone() },
+            );
+            let shifted = scf(
+                mol,
+                BasisName::Sto3g,
+                &ScfConfig { level_shift: Some(0.5), max_iterations: 200, ..base.clone() },
+            );
+            let what = format!("{:?}", base.spin);
+            assert!(plain.converged && damped.converged && shifted.converged, "{what}");
+            assert!(
+                (damped.energy - plain.energy).abs() < 1e-7,
+                "{what}: damped {}",
+                damped.energy
+            );
+            assert!(
+                (shifted.energy - plain.energy).abs() < 1e-7,
+                "{what}: shifted {}",
+                shifted.energy
+            );
+            // The level shift raises virtual orbital energies but not
+            // occupied (`orbital_energies` is the alpha spin of the doublet,
+            // which has as many occupied orbitals as water).
+            let n_occ = water.n_occupied();
+            assert!(
+                (shifted.orbital_energies[n_occ - 1] - plain.orbital_energies[n_occ - 1]).abs()
+                    < 1e-5,
+                "{what}: occupied spectrum must be untouched"
+            );
+            assert!(
+                shifted.orbital_energies[n_occ] > plain.orbital_energies[n_occ] + 0.4,
+                "{what}: virtual spectrum must be raised by ~the shift"
+            );
+        }
     }
 
     #[test]
@@ -762,5 +966,159 @@ mod tests {
         let screened =
             scf(&mol, BasisName::B631g, &ScfConfig { screening_tau: 1e-10, ..Default::default() });
         assert!((tight.energy - screened.energy).abs() < 1e-7);
+    }
+
+    #[test]
+    fn hydrogen_atom_energy_is_the_core_matrix_element() {
+        // With one electron and one basis function, the UHF energy must be
+        // exactly H_core[0,0] + 0 — an integral-level self-check.
+        let mol = hydrogen_atom();
+        let b = BasisSet::build(&mol, BasisName::Sto3g);
+        let r = run_scf(&mol, &b, &uhf(1, 0));
+        assert!(r.converged);
+        let h = kinetic_matrix(&b).add(&nuclear_attraction_matrix(&b, &mol));
+        assert!(
+            (r.energy - h[(0, 0)]).abs() < 1e-10,
+            "UHF H atom {} vs H_core {}",
+            r.energy,
+            h[(0, 0)]
+        );
+        // The textbook STO-3G hydrogen atom value.
+        assert!((r.energy - (-0.4665819)).abs() < 1e-4, "H atom energy {}", r.energy);
+        // A doublet: <S^2> = 0.75 exactly (one unpaired electron).
+        assert!((s_squared(&r) - 0.75).abs() < 1e-10);
+    }
+
+    #[test]
+    fn closed_shell_uhf_reduces_to_rhf() {
+        // Same loop, same DIIS: with alpha = beta = D/2 the stacked B
+        // matrix is RHF's times a constant, so the extrapolation
+        // coefficients — and with them every iterate — coincide.
+        let mol = small::water();
+        for diis in [true, false] {
+            let base = ScfConfig { diis, max_iterations: 200, ..Default::default() };
+            let rhf = scf(&mol, BasisName::Sto3g, &base);
+            let uhf = scf(&mol, BasisName::Sto3g, &ScfConfig { spin: uhf(5, 5).spin, ..base });
+            assert!(rhf.converged && uhf.converged);
+            assert_eq!(rhf.iterations, uhf.iterations, "diis {diis}");
+            for (k, (r, u)) in rhf.energy_history.iter().zip(&uhf.energy_history).enumerate() {
+                assert!((r - u).abs() <= 1e-9, "diis {diis}, iteration {k}: RHF {r} vs UHF {u}");
+            }
+            assert!(s_squared(&uhf).abs() < 1e-8, "closed shell must have <S^2> = 0");
+        }
+    }
+
+    #[test]
+    fn triplet_h2_at_long_range_is_two_hydrogen_atoms() {
+        let r = scf(&small::hydrogen_molecule(50.0), BasisName::Sto3g, &uhf(2, 0));
+        assert!(r.converged);
+        // Two non-interacting neutral H atoms: the monopole terms (e-n
+        // attraction to the far nucleus, e-e repulsion, n-n repulsion) all
+        // cancel at 1/R, so the limit is exactly 2 x E(H atom).
+        let e_atom = scf(&hydrogen_atom(), BasisName::Sto3g, &uhf(1, 0)).energy;
+        assert!(
+            (r.energy - 2.0 * e_atom).abs() < 1e-6,
+            "triplet H2 at 50 a0: {} vs {}",
+            r.energy,
+            2.0 * e_atom
+        );
+        // Triplet: <S^2> = 2.
+        assert!((s_squared(&r) - 2.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn broken_symmetry_uhf_beats_rhf_for_stretched_h2() {
+        // At 5 bohr RHF pays the ionic-term penalty; symmetry-broken UHF
+        // must fall below it (toward two H atoms). DIIS is on for both.
+        let mol = small::hydrogen_molecule(5.0);
+        let rhf = scf(&mol, BasisName::Sto3g, &ScfConfig::default());
+        let uhf = scf(&mol, BasisName::Sto3g, &broken_symmetry_uhf(1, 1));
+        assert!(rhf.converged && uhf.converged);
+        assert!(
+            uhf.energy < rhf.energy - 1e-4,
+            "UHF {} should break symmetry below RHF {}",
+            uhf.energy,
+            rhf.energy
+        );
+        // Spin contamination appears (singlet <S^2> = 0 is violated).
+        assert!(s_squared(&uhf) > 0.5, "expected contamination, got {}", s_squared(&uhf));
+    }
+
+    #[test]
+    fn uhf_energy_is_algorithm_invariant() {
+        // The engine unlocks every parallel algorithm for UHF; all must
+        // land on the serial driver's converged energy.
+        let mol = small::hydrogen_molecule(5.0);
+        let base = broken_symmetry_uhf(1, 1);
+        let want = scf(&mol, BasisName::Sto3g, &base);
+        assert!(want.converged);
+        for algorithm in [
+            FockAlgorithm::MpiOnly { n_ranks: 2 },
+            FockAlgorithm::PrivateFock { n_ranks: 1, n_threads: 2 },
+            FockAlgorithm::SharedFock { n_ranks: 2, n_threads: 2 },
+            FockAlgorithm::Distributed { n_ranks: 2 },
+            FockAlgorithm::Sharded { n_ranks: 2, mode: phi_dmpi::DdiMode::Mpi3OneSided },
+        ] {
+            let r = scf(&mol, BasisName::Sto3g, &ScfConfig { algorithm, ..base.clone() });
+            assert!(r.converged, "{} did not converge", algorithm.label());
+            assert!(
+                (r.energy - want.energy).abs() < 1e-8,
+                "{}: {} vs serial {}",
+                algorithm.label(),
+                r.energy,
+                want.energy
+            );
+        }
+        assert!(!want.fock_stats.is_empty(), "UHF surfaces per-iteration Fock stats");
+    }
+
+    #[test]
+    fn sharded_uhf_with_purification_matches_diagonalization() {
+        // Memory-lean open-shell pipeline: sharded spin-Fock builds plus
+        // per-channel purification, including the density-based <S^2>.
+        let mol = small::hydrogen_molecule(5.0);
+        let base = broken_symmetry_uhf(1, 1);
+        let want = scf(&mol, BasisName::Sto3g, &base);
+        let lean = scf(
+            &mol,
+            BasisName::Sto3g,
+            &ScfConfig {
+                algorithm: FockAlgorithm::Sharded {
+                    n_ranks: 2,
+                    mode: phi_dmpi::DdiMode::Mpi3OneSided,
+                },
+                purification: true,
+                ..base
+            },
+        );
+        assert!(want.converged && lean.converged);
+        assert!(
+            (lean.energy - want.energy).abs() < 1e-8,
+            "lean {} vs diagonalizing {}",
+            lean.energy,
+            want.energy
+        );
+        assert!(
+            (s_squared(&lean) - s_squared(&want)).abs() < 1e-6,
+            "<S^2> {} vs {}",
+            s_squared(&lean),
+            s_squared(&want)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "basis too small: 2 occupied orbitals but only 1 basis functions")]
+    fn more_alpha_electrons_than_basis_functions_is_a_named_error() {
+        // He/STO-3G has one function: two alpha electrons cannot fit.
+        let he = Molecule::neutral(vec![Atom { element: Element::He, pos: [0.0; 3] }]);
+        scf(&he, BasisName::Sto3g, &uhf(2, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoints hold one density")]
+    fn unrestricted_checkpointing_is_refused_by_name() {
+        let path = std::env::temp_dir().join("phiscf_uhf_never_written.ckpt");
+        let config = ScfConfig { checkpoint_path: Some(path), ..uhf(1, 1) };
+        scf(&small::hydrogen_molecule(1.4), BasisName::Sto3g, &config);
     }
 }

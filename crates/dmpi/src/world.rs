@@ -469,10 +469,6 @@ impl Rank {
         self.shared.n_ranks
     }
 
-    pub fn is_root(&self) -> bool {
-        self.id == 0
-    }
-
     // ----------------------------------------------------- liveness -----
 
     /// Whether this rank is still alive (i.e. not killed by fault

@@ -523,12 +523,6 @@ impl WorkloadStats {
         self.classes.n_pair_classes()
     }
 
-    /// Surviving quartets of task `t`, per kl pair class.
-    pub fn task_counts(&self, t: usize) -> &[u32] {
-        let npc = self.n_pair_classes();
-        &self.kl_counts[t * npc..(t + 1) * npc]
-    }
-
     /// Total surviving quartets over all tasks.
     pub fn surviving_quartets(&self) -> u128 {
         self.totals_by_class.iter().map(|&x| x as u128).sum()

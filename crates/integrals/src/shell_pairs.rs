@@ -416,11 +416,6 @@ impl ShellPairs {
     pub fn bytes(&self) -> usize {
         self.bytes
     }
-
-    /// Total surviving primitive pairs (pruning diagnostics).
-    pub fn n_prim_pairs(&self) -> usize {
-        self.pairs.iter().map(|p| p.prims.len()).sum()
-    }
 }
 
 #[cfg(test)]

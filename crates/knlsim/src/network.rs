@@ -36,11 +36,6 @@ impl Network {
         };
         latency + bw
     }
-
-    /// One remote DLB counter claim (an off-node atomic RPC).
-    pub fn rpc_s(&self) -> f64 {
-        2.0 * self.alpha_s
-    }
 }
 
 #[cfg(test)]

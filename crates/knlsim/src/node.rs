@@ -31,10 +31,6 @@ impl KnlNode {
         self.mcdram_gb + self.ddr_gb
     }
 
-    pub fn hw_threads(&self) -> usize {
-        self.cores * self.smt
-    }
-
     /// Relative per-core throughput with `load` hardware threads resident
     /// (paper §6.1: two threads per core give the highest benefit, three
     /// and four some gain "at a diminished level"). Fractional loads are

@@ -97,15 +97,6 @@ impl Workload {
         by_i
     }
 
-    /// Mean task cost (seconds) — a load-balance diagnostic.
-    pub fn mean_task_cost(&self) -> f64 {
-        if self.ij_tasks.is_empty() {
-            0.0
-        } else {
-            self.total_cost_s / self.ij_tasks.len() as f64
-        }
-    }
-
     /// Largest single task cost — bounds the achievable makespan.
     pub fn max_task_cost(&self) -> f64 {
         self.ij_tasks.iter().fold(0.0f64, |m, t| m.max(t.cost_s))

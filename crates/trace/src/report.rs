@@ -88,17 +88,6 @@ impl TraceReport {
 
     // -- counters ------------------------------------------------------
 
-    /// Sum of all contributions to each counter, across all streams.
-    pub fn counter_totals(&self) -> BTreeMap<&'static str, u64> {
-        let mut totals = BTreeMap::new();
-        for ev in self.streams.iter().flat_map(|s| s.events.iter()) {
-            if let Event::Counter { name, value, .. } = *ev {
-                *totals.entry(name).or_insert(0) += value;
-            }
-        }
-        totals
-    }
-
     pub fn counter_total(&self, name: &str) -> u64 {
         self.streams
             .iter()

@@ -9,7 +9,7 @@
 
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
-use phi_scf::hf::{run_scf, run_uhf, FockAlgorithm, ScfConfig, UhfConfig};
+use phi_scf::hf::{run_scf, FockAlgorithm, ScfConfig, Spin};
 
 fn main() {
     println!("{:>8} {:>14} {:>14} {:>10}", "R/bohr", "RHF (Eh)", "UHF (Eh)", "<S^2>");
@@ -18,19 +18,20 @@ fn main() {
         let mol = small::hydrogen_molecule(r);
         let basis = BasisSet::build(&mol, BasisName::Sto3g);
         let rhf = run_scf(&mol, &basis, &ScfConfig::default());
-        // UHF rides the same engine as RHF: any Fock algorithm works.
-        let uhf_config = UhfConfig {
-            break_symmetry: true,
+        // UHF is the same driver with two spin channels: any Fock
+        // algorithm works.
+        let uhf_config = ScfConfig {
+            spin: Spin::Unrestricted { n_alpha: 1, n_beta: 1, break_symmetry: true },
             algorithm: FockAlgorithm::SharedFock { n_ranks: 2, n_threads: 2 },
             ..Default::default()
         };
-        let uhf = run_uhf(&mol, &basis, 1, 1, &uhf_config);
+        let uhf = run_scf(&mol, &basis, &uhf_config);
         println!(
             "{:>8.1} {:>14.8} {:>14.8} {:>10.4}{}",
             r,
             rhf.energy,
             uhf.energy,
-            uhf.s_squared,
+            uhf.beta.as_ref().expect("unrestricted run").s_squared,
             if uhf.energy < rhf.energy - 1e-6 { "   <- symmetry broken" } else { "" }
         );
     }

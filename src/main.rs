@@ -13,7 +13,7 @@ use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::{graphene, small};
 use phi_scf::chem::Molecule;
 use phi_scf::dmpi::{DdiMode, FaultPlan};
-use phi_scf::hf::{mp2_energy, run_scf, run_uhf, FockAlgorithm, MemoryModel, ScfConfig, UhfConfig};
+use phi_scf::hf::{mp2_energy, run_scf, FockAlgorithm, MemoryModel, ScfConfig, ScfResult, Spin};
 
 const HELP: &str = "\
 phi-scf — Hartree-Fock with the SC'17 hybrid MPI/OpenMP Fock builders
@@ -40,7 +40,8 @@ OPTIONS:
     --max-iter <N>       SCF iteration cap             [default: 100]
     --uhf <NA>,<NB>      run UHF with NA alpha / NB beta electrons
     --mp2                add the MP2 correlation energy after RHF
-    --no-diis            disable DIIS acceleration
+                         (closed-shell only: not with --uhf)
+    --no-diis            disable DIIS acceleration (RHF and UHF)
     --purify             build each iteration's density by canonical
                          purification instead of diagonalization (no
                          replicated O(N^3) eigensolve; pairs with
@@ -162,7 +163,7 @@ fn parse_algorithm(spec: &str) -> Result<FockAlgorithm, String> {
     }
 }
 
-/// `run_uhf`'s preconditions on `--uhf NA,NB`, as an error instead of
+/// `run_scf`'s preconditions on `--uhf NA,NB`, as an error instead of
 /// its asserts.
 fn check_uhf_occupations(
     na: usize,
@@ -263,7 +264,8 @@ fn check_memory_budget(
     Ok(())
 }
 
-fn run() -> Result<(), String> {
+/// Run the job `args` describe and print its report. `None` is `--help`.
+fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, String> {
     let mut molecule = "water".to_string();
     let mut xyz_path: Option<String> = None;
     let mut basis = "631g".to_string();
@@ -281,7 +283,6 @@ fn run() -> Result<(), String> {
     let mut purify = false;
     let mut memory_budget: Option<f64> = None;
 
-    let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut value = |what: &str| args.next().ok_or(format!("--{what} needs a value"));
         match a.as_str() {
@@ -338,7 +339,7 @@ fn run() -> Result<(), String> {
             "--trace" => trace_path = Some(value("trace")?),
             "--help" | "-h" => {
                 print!("{HELP}");
-                return Ok(());
+                return Ok(None);
             }
             other => return Err(format!("unknown option '{other}' (try --help)")),
         }
@@ -369,54 +370,30 @@ fn run() -> Result<(), String> {
                     --purify produces neither (drop one of the two flags)"
             .into());
     }
+    if mp2 && uhf.is_some() {
+        return Err("--mp2 is the closed-shell formula over one set of doubly occupied \
+                    orbitals; --uhf produces two spin sets (drop one of the two flags)"
+            .into());
+    }
+    let spin = match uhf {
+        Some((n_alpha, n_beta)) => {
+            check_uhf_occupations(n_alpha, n_beta, mol.n_electrons(), b.n_basis())?;
+            Spin::Unrestricted { n_alpha, n_beta, break_symmetry: false }
+        }
+        None => Spin::Restricted,
+    };
     if let Some(mib) = memory_budget {
         let pair_bytes = phi_scf::integrals::ShellPairs::build(&b).bytes();
         check_memory_budget(mib, alg, b.n_basis(), pair_bytes)?;
     }
     let trace_session = trace_path.as_deref().map(|_| phi_scf::trace::TraceSession::begin());
-    if let Some((na, nb)) = uhf {
-        check_uhf_occupations(na, nb, mol.n_electrons(), b.n_basis())?;
-        let config = UhfConfig {
-            algorithm: alg,
-            screening_tau: tau,
-            max_iterations: max_iter,
-            faults: faults.clone(),
-            retry,
-            incremental,
-            full_rebuild_every,
-            purification: purify,
-            ..Default::default()
-        };
-        let r = run_uhf(&mol, &b, na, nb, &config);
-        println!(
-            "UHF [{}] ({na} alpha, {nb} beta): E = {:.8} Eh  <S^2> = {:.4}  ({} iterations, converged: {})",
-            alg.label(),
-            r.energy,
-            r.s_squared,
-            r.iterations,
-            r.converged
-        );
-        if let Some(s) = r.fock_stats.first() {
-            println!(
-                "per build: {} quartets computed, {:.1}% screened, {} DLB calls",
-                s.quartets_computed,
-                s.screened_fraction() * 100.0,
-                s.dlb_calls
-            );
-        }
-        print_fault_summary(&r.fock_stats);
-        if let (Some(session), Some(path)) = (trace_session, trace_path.as_deref()) {
-            write_trace(session, path)?;
-        }
-        return Ok(());
-    }
-
     let config = ScfConfig {
+        spin,
         algorithm: alg,
         screening_tau: tau,
         max_iterations: max_iter,
         diis,
-        faults: faults.clone(),
+        faults,
         retry,
         incremental,
         full_rebuild_every,
@@ -427,13 +404,16 @@ fn run() -> Result<(), String> {
     if let (Some(session), Some(path)) = (trace_session, trace_path.as_deref()) {
         write_trace(session, path)?;
     }
-    println!(
-        "RHF [{}]: E = {:.8} Eh  ({} iterations, converged: {})",
-        alg.label(),
-        r.energy,
-        r.iterations,
-        r.converged
-    );
+    let method = match (spin, &r.beta) {
+        (Spin::Unrestricted { n_alpha, n_beta, .. }, Some(beta)) => format!(
+            "UHF [{}] ({n_alpha} alpha, {n_beta} beta): E = {:.8} Eh  <S^2> = {:.4}",
+            alg.label(),
+            r.energy,
+            beta.s_squared
+        ),
+        _ => format!("RHF [{}]: E = {:.8} Eh", alg.label(), r.energy),
+    };
+    println!("{method}  ({} iterations, converged: {})", r.iterations, r.converged);
     print_fault_summary(&r.fock_stats);
     let rank_peak = r.fock_stats.iter().map(|s| s.max_rank_peak()).max().unwrap_or(0);
     println!(
@@ -469,7 +449,7 @@ fn run() -> Result<(), String> {
         let c = mp2_energy(&b, &r.orbitals, &r.orbital_energies, mol.n_occupied(), r.energy);
         println!("MP2: E_corr = {:.8} Eh, total = {:.8} Eh", c.correlation_energy, c.total_energy);
     }
-    Ok(())
+    Ok(Some(r))
 }
 
 /// Finish the trace session, write the Chrome trace_event JSON, and print
@@ -522,7 +502,7 @@ fn print_fault_summary(stats: &[phi_scf::hf::FockBuildStats]) {
 }
 
 fn main() {
-    if let Err(e) = run() {
+    if let Err(e) = run(std::env::args().skip(1)) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
@@ -569,5 +549,29 @@ mod tests {
         assert!(check_uhf_occupations(2, 1, 2, 2).unwrap_err().contains("has 2"));
         // He/STO-3G: one function cannot hold two alpha electrons.
         assert!(check_uhf_occupations(2, 0, 2, 1).unwrap_err().contains("do not fit"));
+    }
+
+    fn args(line: &str) -> impl Iterator<Item = String> + '_ {
+        line.split_whitespace().map(String::from)
+    }
+
+    #[test]
+    fn uhf_with_mp2_is_refused_naming_both_flags() {
+        let err = run(args("--molecule h2:1.4 --basis sto3g --uhf 1,1 --mp2")).unwrap_err();
+        assert!(err.contains("--uhf") && err.contains("--mp2"), "{err}");
+    }
+
+    #[test]
+    fn no_diis_is_honoured_for_both_spin_treatments() {
+        // Plain Roothaan takes more iterations than DIIS on water, and
+        // closed-shell UHF follows RHF step for step either way.
+        let iterations = |flags: &str| {
+            let job = format!("--molecule water --basis sto3g --algorithm serial {flags}");
+            run(args(&job)).expect("valid job").expect("not --help").iterations
+        };
+        let (rhf, rhf_plain) = (iterations(""), iterations("--no-diis"));
+        assert!(rhf_plain > rhf, "--no-diis {rhf_plain} vs DIIS {rhf}");
+        assert_eq!(iterations("--uhf 5,5"), rhf);
+        assert_eq!(iterations("--uhf 5,5 --no-diis"), rhf_plain);
     }
 }

@@ -19,7 +19,7 @@
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
 use phi_scf::chem::Molecule;
-use phi_scf::hf::{run_scf, run_uhf, FockAlgorithm, FockBuildStats, ScfConfig, UhfConfig};
+use phi_scf::hf::{run_scf, FockAlgorithm, FockBuildStats, ScfConfig, Spin};
 
 fn algorithms() -> [FockAlgorithm; 4] {
     [
@@ -107,15 +107,14 @@ fn uhf_incremental_matches_full_under_every_algorithm() {
     ];
     for (mol, basis, n_a, n_b) in cases {
         let b = BasisSet::build(&mol, basis);
+        let spin = Spin::Unrestricted { n_alpha: n_a, n_beta: n_b, break_symmetry: false };
         for algorithm in algorithms() {
-            let base = UhfConfig { algorithm, ..Default::default() };
-            let full = run_uhf(&mol, &b, n_a, n_b, &base);
-            let inc = run_uhf(
+            let base = ScfConfig { spin, algorithm, ..Default::default() };
+            let full = run_scf(&mol, &b, &base);
+            let inc = run_scf(
                 &mol,
                 &b,
-                n_a,
-                n_b,
-                &UhfConfig { incremental: true, full_rebuild_every: 6, ..base },
+                &ScfConfig { incremental: true, full_rebuild_every: 6, ..base.clone() },
             );
             let label = format!("UHF({n_a},{n_b}) {} on {basis:?}", algorithm.label());
             assert!(full.converged && inc.converged, "{label}: convergence lost");

@@ -11,7 +11,7 @@
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
 use phi_scf::dmpi::{DdiMode, FaultPlan};
-use phi_scf::hf::{run_scf, run_uhf, DensitySet, FockAlgorithm, FockData, ScfConfig, UhfConfig};
+use phi_scf::hf::{run_scf, DensitySet, FockAlgorithm, FockData, ScfConfig, Spin};
 use phi_scf::linalg::Mat;
 
 /// Seeds to sweep: `PHI_FAULT_SEEDS=1,2,3` overrides the built-in pair.
@@ -178,15 +178,15 @@ fn sharded_scf_matches_serial_energy_under_repeated_kills() {
 fn sharded_uhf_matches_serial_energy() {
     let mol = small::hydrogen_molecule(2.8);
     let b = BasisSet::build(&mol, BasisName::Sto3g);
-    let clean = run_uhf(&mol, &b, 2, 0, &UhfConfig::default());
+    let spin = Spin::Unrestricted { n_alpha: 2, n_beta: 0, break_symmetry: false };
+    let clean = run_scf(&mol, &b, &ScfConfig { spin, ..Default::default() });
     assert!(clean.converged);
 
-    let sharded = run_uhf(
+    let sharded = run_scf(
         &mol,
         &b,
-        2,
-        0,
-        &UhfConfig {
+        &ScfConfig {
+            spin,
             algorithm: FockAlgorithm::Sharded { n_ranks: 3, mode: DdiMode::DataServer },
             ..Default::default()
         },

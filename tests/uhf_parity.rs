@@ -2,7 +2,8 @@
 //! unified engine with an unrestricted density set, must reproduce the
 //! serial α and β two-electron matrices to tight tolerance.
 //!
-//! This is the guarantee that lets `run_uhf` accept any `FockAlgorithm`:
+//! This is the guarantee that lets an unrestricted `run_scf` accept any
+//! `FockAlgorithm`:
 //! the spin-generalized digestion is the same code path for all builders,
 //! so agreement here means UHF inherits the paper's parallel schemes
 //! wholesale.
