@@ -10,25 +10,11 @@
 //! regression elsewhere) so a kernel regression fails the bench, not just
 //! a dashboard. Smoke mode (`PHI_BENCH_SMOKE=1`) keeps the parity asserts
 //! and skips the floors (timings are meaningless in tiny windows).
-//!
-//! Pass `--json <path>` to write the ablation table, e.g. `BENCH_pr9.json`.
 
 use phi_bench::microbench::{black_box, smoke_mode, Runner};
 use phi_chem::basis::{BasisName, BasisSet};
 use phi_chem::geom::small;
 use phi_integrals::{class_index, EriEngine, ShellPairs, CLASS_LABELS};
-
-fn json_path() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return Some(std::path::PathBuf::from(
-                args.next().unwrap_or_else(|| "bench_eri.json".into()),
-            ));
-        }
-    }
-    None
-}
 
 struct Row {
     name: &'static str,
@@ -58,7 +44,7 @@ fn main() {
         ("(S6 L3|L1 D1) mixed", 4, 1, 7, 2, 1.0),
     ];
 
-    let mut r = Runner::new("eri_kernel_ablation");
+    let r = Runner::new("eri_kernel_ablation");
     let mut rows = Vec::new();
     for (name, a, b, c, d, floor) in cases {
         let bra = pairs.pair(a, b);
@@ -97,27 +83,6 @@ fn main() {
 
         println!("  -> class {class}: speedup {:.2}x (floor {floor:.1}x)", generic_ns / kernel_ns);
         rows.push(Row { name, class, generic_ns, kernel_ns, floor });
-    }
-
-    if let Some(path) = json_path() {
-        let mut out = String::from("{\n  \"bench\": \"eri_kernel_class_ablation\",\n");
-        out.push_str("  \"system\": \"C6 ring, 6-31G(d)\",\n  \"unit\": \"ns_per_quartet\",\n");
-        out.push_str("  \"cases\": [\n");
-        for (k, row) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"case\": \"{}\", \"class\": \"{}\", \"generic\": {:.1}, \"kernel\": {:.1}, \"speedup\": {:.2}, \"floor\": {:.1}}}{}\n",
-                row.name,
-                row.class,
-                row.generic_ns,
-                row.kernel_ns,
-                row.generic_ns / row.kernel_ns,
-                row.floor,
-                if k + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        std::fs::write(&path, out).expect("write json");
-        eprintln!("[json] wrote {}", path.display());
     }
 
     if smoke_mode() {

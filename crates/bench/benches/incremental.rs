@@ -3,7 +3,7 @@
 //! Runs the RHF driver twice on the same system — plain direct builds vs
 //! `incremental` mode (ΔD builds under density-weighted screening, full
 //! rebuild every 8 iterations) — and reports the per-iteration
-//! surviving-quartet and wall-time trajectories. The interesting number is
+//! surviving-quartet trajectories. The interesting number is
 //! the ratio between the first full build's quartet count and the final
 //! incremental iteration's: as SCF converges, ‖ΔD‖ collapses and the
 //! weighted test `Q_ij Q_kl max|ΔD|` prunes almost everything.
@@ -19,37 +19,14 @@
 //!   the 3x floor: water's surviving Schwarz products are all so large
 //!   that τ-level ΔD weighting prunes nothing — the run must merely not
 //!   get slower per quartet.
-//!
-//! Pass `--json <path>` to write the trajectories, e.g. `BENCH_pr5.json`.
 
 use hf::{run_scf, ScfConfig, ScfResult};
 use phi_bench::microbench::smoke_mode;
 use phi_chem::basis::{BasisName, BasisSet};
 use phi_chem::geom::small;
 
-fn json_path() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return Some(std::path::PathBuf::from(
-                args.next().unwrap_or_else(|| "bench_incremental.json".into()),
-            ));
-        }
-    }
-    None
-}
-
 fn quartets(r: &ScfResult) -> Vec<u64> {
     r.fock_stats.iter().map(|s| s.quartets_computed).collect()
-}
-
-fn ns_per_build(r: &ScfResult) -> Vec<u64> {
-    r.fock_stats.iter().map(|s| (s.seconds * 1e9) as u64).collect()
-}
-
-fn json_u64s(v: &[u64]) -> String {
-    let items: Vec<String> = v.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(", "))
 }
 
 fn main() {
@@ -117,33 +94,5 @@ fn main() {
             "incremental screening only reached {reduction:.2}x on {label}; the \
              calibration floor is 3x"
         );
-    }
-
-    if let Some(path) = json_path() {
-        let flags: Vec<String> = inc.fock_stats.iter().map(|s| s.incremental.to_string()).collect();
-        let json = format!(
-            "{{\n  \"bench\": \"incremental_scf\",\n  \"system\": \"{label}\",\n  \
-             \"energy_full\": {:.10},\n  \"energy_incremental\": {:.10},\n  \
-             \"energy_abs_diff\": {de:.3e},\n  \
-             \"iterations_full\": {},\n  \"iterations_incremental\": {},\n  \
-             \"quartets_full\": {},\n  \"quartets_incremental\": {},\n  \
-             \"incremental_flags\": [{}],\n  \
-             \"ns_per_build_full\": {},\n  \"ns_per_build_incremental\": {},\n  \
-             \"first_full_quartets\": {first_full},\n  \
-             \"final_incremental_quartets\": {},\n  \
-             \"quartet_reduction\": {reduction:.2}\n}}\n",
-            full.energy,
-            inc.energy,
-            full.iterations,
-            inc.iterations,
-            json_u64s(&quartets(&full)),
-            json_u64s(&q_inc),
-            flags.join(", "),
-            json_u64s(&ns_per_build(&full)),
-            json_u64s(&ns_per_build(&inc)),
-            q_inc[last_inc],
-        );
-        std::fs::write(&path, json).expect("write json");
-        println!("# wrote {}", path.display());
     }
 }

@@ -17,8 +17,6 @@
 //!   peak, and sharded < replicated outright;
 //! - the tracker peaks bracket their own model estimates' ordering (the
 //!   model is a prediction; the tracker is the measurement).
-//!
-//! Pass `--json <path>` to write the numbers, e.g. `BENCH_pr7.json`.
 
 use hf::{run_scf, FockAlgorithm, MemoryModel, ScfConfig, ScfResult, Spin};
 use phi_bench::microbench::smoke_mode;
@@ -28,18 +26,6 @@ use phi_dmpi::DdiMode;
 use phi_integrals::ShellPairs;
 
 const RANKS: usize = 4;
-
-fn json_path() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return Some(std::path::PathBuf::from(
-                args.next().unwrap_or_else(|| "bench_memory_wall.json".into()),
-            ));
-        }
-    }
-    None
-}
 
 fn rank_peak(r: &ScfResult) -> usize {
     r.fock_stats.iter().map(|s| s.max_rank_peak()).max().unwrap_or(0)
@@ -131,6 +117,10 @@ fn main() {
     assert!(uhf_sharded.converged, "sharded UHF did not converge");
     let de_uhf = (uhf_sharded.energy - uhf_serial.energy).abs();
     assert!(de_uhf <= 1e-10, "sharded UHF off serial by {de_uhf:.3e}");
+    println!(
+        "# UHF energy ({uhf_label}): serial {:.10}, sharded {:.10}",
+        uhf_serial.energy, uhf_sharded.energy
+    );
 
     let t_rep = replicated.time_to_form_fock();
     let t_sh = sharded.time_to_form_fock();
@@ -144,36 +134,4 @@ fn main() {
         "# energy: serial {:.10}, replicated {:.10}, sharded {:.10}",
         serial.energy, replicated.energy, sharded.energy
     );
-
-    if let Some(path) = json_path() {
-        let json = format!(
-            "{{\n  \"bench\": \"memory_wall\",\n  \"system\": \"{label}\",\n  \
-             \"n_basis\": {n},\n  \"ranks\": {RANKS},\n  \
-             \"pair_bytes\": {pair_bytes},\n  \
-             \"model_replicated_bytes\": {est_replicated:.0},\n  \
-             \"model_sharded_bytes\": {est_sharded:.0},\n  \
-             \"budget_bytes\": {budget},\n  \
-             \"tracker_replicated_rank_peak_bytes\": {rep_peak},\n  \
-             \"tracker_sharded_rank_peak_bytes\": {sh_peak},\n  \
-             \"replicated_over_budget\": {},\n  \"sharded_fits_budget\": {},\n  \
-             \"energy_serial\": {:.10},\n  \"energy_replicated\": {:.10},\n  \
-             \"energy_sharded\": {:.10},\n  \
-             \"energy_abs_diff_sharded\": {de_sh:.3e},\n  \
-             \"uhf_system\": \"{uhf_label}\",\n  \
-             \"energy_uhf_serial\": {:.10},\n  \"energy_uhf_sharded\": {:.10},\n  \
-             \"energy_abs_diff_uhf_sharded\": {de_uhf:.3e},\n  \
-             \"fock_seconds_replicated\": {t_rep:.6},\n  \
-             \"fock_seconds_sharded\": {t_sh:.6},\n  \
-             \"build_time_ratio_sharded_over_replicated\": {time_ratio:.3}\n}}\n",
-            rep_peak > budget,
-            sh_peak < budget,
-            serial.energy,
-            replicated.energy,
-            sharded.energy,
-            uhf_serial.energy,
-            uhf_sharded.energy,
-        );
-        std::fs::write(&path, json).expect("write json");
-        println!("# wrote {}", path.display());
-    }
 }

@@ -17,10 +17,6 @@
 //! water/6-31G with millisecond windows and a correspondingly lenient
 //! assert — CI uses smoke mode to keep the bench executing, not for
 //! published numbers.
-//!
-//! `--json <path>` writes the overhead record (this is how
-//! `BENCH_pr8.json` is produced), before the assert so a failure leaves
-//! the evidence behind.
 
 use hf::{DensitySet, FockAlgorithm, FockContext};
 use phi_bench::microbench::{black_box, smoke_mode};
@@ -30,16 +26,6 @@ use phi_dmpi::RetryPolicy;
 use phi_integrals::{Screening, ShellPairs};
 use phi_linalg::Mat;
 use std::time::Instant;
-
-fn flag_path(flag: &str) -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
-}
 
 fn main() {
     let (label, mol, basis_name) = if smoke_mode() {
@@ -117,17 +103,6 @@ fn main() {
         ratios.iter().map(|r| format!("{r:.4}")).collect::<Vec<_>>().join(" ")
     );
     println!("# reliable/raw MPI-only Fock time (median of paired rounds): {ratio:.4}");
-
-    if let Some(path) = flag_path("--json") {
-        let json = format!(
-            "{{\n  \"bench\": \"reliability_overhead\",\n  \"system\": \"{label}, mpi:4\",\n  \
-             \"unit\": \"ns_per_fock_build\",\n  \
-             \"raw_mpi4\": {baseline:.1},\n  \"reliable_mpi4\": {with_acks:.1},\n  \
-             \"reliable_over_raw\": {ratio:.4},\n  \"budget\": 1.02\n}}\n"
-        );
-        std::fs::write(&path, json).expect("write json");
-        println!("# wrote {}", path.display());
-    }
 
     // The budget assert. Smoke mode times single builds in millisecond
     // windows, so it only guards against gross regressions (a hot-path

@@ -22,12 +22,10 @@
 //! windows, where the assert is correspondingly lenient — CI uses smoke
 //! mode only to keep the bench executing, not for published numbers.
 //!
-//! `--json <path>` writes the overhead record plus the machine-readable
-//! [`TraceSummary`] of a single traced build (this is how
-//! `BENCH_pr4.json` is produced); `--chrome <path>` writes that build's
-//! Chrome `trace_event` JSON (CI uploads it as an artifact when the
-//! budget assert fails). Both files are written *before* the assert so
-//! a failure leaves the evidence behind.
+//! `--chrome <path>` writes the Chrome `trace_event` JSON of a single
+//! traced build (CI uploads it as an artifact when the budget assert
+//! fails); it is written *before* the assert so a failure leaves the
+//! evidence behind.
 
 use hf::{DensitySet, FockAlgorithm, FockContext};
 use phi_bench::microbench::{black_box, smoke_mode};
@@ -127,7 +125,6 @@ fn main() {
     let session = TraceSession::begin();
     build();
     let report = session.finish();
-    let summary = report.summary();
 
     println!("# traced/untraced serial Fock time (median of paired rounds): {ratio:.4}");
 
@@ -135,19 +132,6 @@ fn main() {
         std::fs::write(&path, report.to_chrome_json()).expect("write chrome trace");
         println!("# wrote {}", path.display());
     }
-    if let Some(path) = flag_path("--json") {
-        let json = format!(
-            "{{\n  \"bench\": \"trace_overhead\",\n  \"system\": \"{label}\",\n  \
-             \"unit\": \"ns_per_fock_build\",\n  \
-             \"untraced_serial\": {baseline:.1},\n  \"traced_serial\": {traced:.1},\n  \
-             \"traced_over_untraced\": {ratio:.4},\n  \"budget\": 1.02,\n  \
-             \"summary\": {summary}}}\n",
-            summary = summary.to_json(),
-        );
-        std::fs::write(&path, json).expect("write json");
-        println!("# wrote {}", path.display());
-    }
-
     // The budget assert. Smoke mode times single builds in millisecond
     // windows, so it only guards against gross regressions (an
     // accidental per-quartet event would blow far past 1.5x).

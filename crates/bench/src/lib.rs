@@ -1,6 +1,6 @@
 //! Benchmark harness: shared setup for the experiment binaries that
-//! regenerate every table and figure of the paper, plus Criterion
-//! microbenches (in `benches/`).
+//! regenerate every table and figure of the paper, plus the benches (in
+//! `benches/`) that gate a claim nothing else does.
 //!
 //! Binaries (see DESIGN.md §4 for the experiment index):
 //!

@@ -9,7 +9,6 @@
 //!
 //! Benches run with `cargo bench` (each `[[bench]]` is `harness = false`)
 //! and print one line per case: `<name>: <ns>/iter (<iters> iters)`.
-//! [`Runner::to_json`] serializes results for files like `BENCH_pr1.json`.
 
 pub use std::hint::black_box;
 use std::time::Instant;
@@ -17,7 +16,7 @@ use std::time::Instant;
 /// Smoke mode (set `PHI_BENCH_SMOKE=1`): shrink windows and sample counts
 /// so every bench binary runs in seconds. CI uses this to keep the benches
 /// compiling *and executing* without paying for statistically meaningful
-/// timings; numbers published in BENCH_*.json files come from full mode.
+/// timings; numbers published in EXPERIMENTS.md come from full mode.
 pub fn smoke_mode() -> bool {
     std::env::var_os("PHI_BENCH_SMOKE").is_some_and(|v| v != "0" && !v.is_empty())
 }
@@ -50,20 +49,19 @@ pub struct Sample {
     pub iters: u64,
 }
 
-/// Collects samples of one benchmark group and prints them as they finish.
+/// Times the cases of one benchmark group and prints them as they finish.
 pub struct Runner {
     group: String,
-    pub samples: Vec<Sample>,
 }
 
 impl Runner {
     pub fn new(group: &str) -> Runner {
         println!("# group: {group}");
-        Runner { group: group.to_string(), samples: Vec::new() }
+        Runner { group: group.to_string() }
     }
 
-    /// Time `f` and record the result under `name`.
-    pub fn bench<F: FnMut()>(&mut self, name: &str, mut f: F) -> &Sample {
+    /// Time `f` and report the result under `name`.
+    pub fn bench<F: FnMut()>(&self, name: &str, mut f: F) -> Sample {
         // Warm-up and iteration-count calibration: double until one window
         // is at least WINDOW_S long.
         let window = window_s();
@@ -92,28 +90,8 @@ impl Runner {
             }
             best = best.min(start.elapsed().as_secs_f64() * 1e9 / iters as f64);
         }
-        let sample = Sample { name: name.to_string(), ns_per_iter: best, iters };
         println!("{}/{}: {:.1} ns/iter ({} iters)", self.group, name, best, iters);
-        self.samples.push(sample);
-        self.samples.last().expect("just pushed")
-    }
-
-    /// Serialize the group's samples as a JSON object (no external crates,
-    /// so the encoding is hand-rolled for this flat shape).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"group\": \"{}\",\n  \"results\": [\n", self.group));
-        for (k, s) in self.samples.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"ns_per_iter\": {:.2}, \"iters\": {}}}{}\n",
-                s.name.replace('"', "'"),
-                s.ns_per_iter,
-                s.iters,
-                if k + 1 == self.samples.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        Sample { name: name.to_string(), ns_per_iter: best, iters }
     }
 }
 
@@ -123,7 +101,7 @@ mod tests {
 
     #[test]
     fn bench_measures_something_plausible() {
-        let mut r = Runner::new("selftest");
+        let r = Runner::new("selftest");
         let s = r.bench("spin", || {
             let mut acc = 0u64;
             for i in 0..100u64 {
@@ -132,8 +110,5 @@ mod tests {
             black_box(acc);
         });
         assert!(s.ns_per_iter > 0.0 && s.ns_per_iter < 1e7);
-        let json = r.to_json();
-        assert!(json.contains("\"group\": \"selftest\""));
-        assert!(json.contains("\"name\": \"spin\""));
     }
 }

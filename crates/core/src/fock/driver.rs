@@ -67,10 +67,14 @@ impl<'c> Quartets<'c> {
             return;
         }
         let (bra, ket) = (self.ctx.pairs.pair(i, j), self.ctx.pairs.pair(k, l));
-        self.eri_buf.clear();
-        self.eri_buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
-        self.engine.shell_quartet_pairs(bra, ket, &mut self.eri_buf);
-        digest(&self.eri_buf);
+        // High-water-mark scratch: the engine zero-fills what it is handed.
+        let len = bra.n_fn() * ket.n_fn();
+        if self.eri_buf.len() < len {
+            self.eri_buf.resize(len, 0.0);
+        }
+        let eri = &mut self.eri_buf[..len];
+        self.engine.shell_quartet_pairs(bra, ket, eri);
+        digest(eri);
         self.computed += 1;
     }
 

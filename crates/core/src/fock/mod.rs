@@ -25,7 +25,7 @@
 //! lease mode, final reduce — see DESIGN.md §3.1).
 
 mod distributed;
-mod driver;
+pub(crate) mod driver;
 pub mod engine;
 pub mod incremental;
 pub mod matrix;
@@ -449,54 +449,21 @@ pub fn pair_decode(t: usize) -> (usize, usize) {
 }
 
 /// Brute-force reference: build G (the two-electron Fock contribution)
-/// from all ERIs with no symmetry exploitation. O(N^4) quartet evaluations
-/// — tests only.
+/// from the full AO ERI tensor with no symmetry exploitation. O(N^4)
+/// memory and quartet evaluations — tests only.
 pub fn brute_force_g(basis: &BasisSet, d: &Mat) -> Mat {
-    use phi_integrals::EriEngine;
-    let n = basis.n_basis();
-    let ns = basis.n_shells();
+    let eri = crate::mp2::EriTensor::compute_ao(basis);
+    let n = eri.n();
     let mut g = Mat::zeros(n, n);
-    let mut engine = EriEngine::new();
-    engine.prefactor_cutoff = 0.0;
-    let mut buf = Vec::new();
-    for si in 0..ns {
-        for sj in 0..ns {
-            for sk in 0..ns {
-                for sl in 0..ns {
-                    let (a, b, c, e) = (
-                        &basis.shells[si],
-                        &basis.shells[sj],
-                        &basis.shells[sk],
-                        &basis.shells[sl],
-                    );
-                    buf.clear();
-                    buf.resize(
-                        a.n_functions() * b.n_functions() * c.n_functions() * e.n_functions(),
-                        0.0,
-                    );
-                    engine.shell_quartet(a, b, c, e, &mut buf);
-                    for ia in 0..a.n_functions() {
-                        for ib in 0..b.n_functions() {
-                            for ic in 0..c.n_functions() {
-                                for id in 0..e.n_functions() {
-                                    let x = buf[((ia * b.n_functions() + ib) * c.n_functions()
-                                        + ic)
-                                        * e.n_functions()
-                                        + id];
-                                    let (mu, nu, lam, sig) = (
-                                        a.first_bf + ia,
-                                        b.first_bf + ib,
-                                        c.first_bf + ic,
-                                        e.first_bf + id,
-                                    );
-                                    // J
-                                    g[(mu, nu)] += d[(lam, sig)] * x;
-                                    // K with the RHF -1/2 factor.
-                                    g[(mu, lam)] -= 0.5 * d[(nu, sig)] * x;
-                                }
-                            }
-                        }
-                    }
+    for mu in 0..n {
+        for nu in 0..n {
+            for lam in 0..n {
+                for sig in 0..n {
+                    let x = eri.get(mu, nu, lam, sig);
+                    // J
+                    g[(mu, nu)] += d[(lam, sig)] * x;
+                    // K with the RHF -1/2 factor.
+                    g[(mu, lam)] -= 0.5 * d[(nu, sig)] * x;
                 }
             }
         }

@@ -71,7 +71,6 @@ pub(crate) fn build_jk_serial(
                         continue;
                     }
                     let (bra, ket) = (pairs.pair(i, j), pairs.pair(k, l));
-                    eri_buf.clear();
                     eri_buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
                     engine.shell_quartet_pairs(bra, ket, &mut eri_buf);
                     // Digest with custom J/K factors over canonical

@@ -18,12 +18,12 @@
 //! stored; there is no ERI work to skip), so incremental mode brings no
 //! savings here. The direct builders are where ΔD screening pays off.
 
+use crate::fock::driver::Quartets;
 use crate::fock::engine::{FockBuilder, FockContext};
 use crate::fock::matrix::ReplicatedFock;
-use crate::fock::{digest, kl_bounds, DensitySet, GBuild, ReplicatedDensity};
+use crate::fock::{digest, DensitySet, GBuild, ReplicatedDensity};
 use crate::stats::FockBuildStats;
 use phi_chem::BasisSet;
-use phi_integrals::{EriEngine, Screening, ShellPairs};
 use phi_linalg::Mat;
 use std::time::Instant;
 
@@ -38,44 +38,33 @@ pub struct IncoreEris {
 }
 
 impl IncoreEris {
-    /// Compute and store every surviving quartet. Memory grows as O(N^4 /
-    /// screening); `max_bytes` guards against accidental huge systems
-    /// (returns `None` if the estimate exceeds it).
-    pub fn compute(
-        basis: &BasisSet,
-        pairs: &ShellPairs,
-        screening: &Screening,
-        tau: f64,
-        max_bytes: usize,
-    ) -> Option<IncoreEris> {
-        let ns = basis.n_shells();
-        let mut engine = EriEngine::new();
+    /// Compute and store every quartet that survives `ctx`'s screening,
+    /// through the same quartet evaluator as the direct builders. Memory
+    /// grows as O(N^4 / screening); `max_bytes` guards against accidental
+    /// huge systems (returns `None` once the store would exceed it).
+    pub fn compute(ctx: &FockContext<'_>, max_bytes: usize) -> Option<IncoreEris> {
+        let mut worker = Quartets::new(ctx);
         let mut quartets = Vec::new();
         let mut offsets = Vec::new();
         let mut values: Vec<f64> = Vec::new();
-        for i in 0..ns {
+        for i in 0..ctx.basis.n_shells() {
             for j in 0..=i {
-                for k in 0..=i {
-                    for l in 0..=kl_bounds(i, j, k) {
-                        if !screening.survives(i, j, k, l, tau) {
-                            continue;
-                        }
-                        let (bra, ket) = (pairs.pair(i, j), pairs.pair(k, l));
-                        let len = bra.n_fn() * ket.n_fn();
-                        if (values.len() + len) * 8 > max_bytes {
-                            return None;
-                        }
+                let mut fits = true;
+                worker.pair_task(i, j, |k, l, eri| {
+                    fits = fits && (values.len() + eri.len()) * 8 <= max_bytes;
+                    if fits {
                         offsets.push(values.len());
-                        values.resize(values.len() + len, 0.0);
-                        let start = *offsets.last().expect("just pushed");
-                        engine.shell_quartet_pairs(bra, ket, &mut values[start..start + len]);
+                        values.extend_from_slice(eri);
                         quartets.push((i as u32, j as u32, k as u32, l as u32));
                     }
+                });
+                if !fits {
+                    return None;
                 }
             }
         }
         offsets.push(values.len());
-        Some(IncoreEris { quartets, offsets, values, n_basis: basis.n_basis() })
+        Some(IncoreEris { quartets, offsets, values, n_basis: ctx.basis.n_basis() })
     }
 
     pub fn n_quartets(&self) -> usize {
@@ -144,6 +133,7 @@ impl FockBuilder for IncoreEris {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fock::engine::FockData;
     use crate::fock::FockAlgorithm;
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
@@ -155,32 +145,41 @@ mod tests {
         })
     }
 
-    fn pairs_and_screening(b: &BasisSet) -> (ShellPairs, Screening) {
-        let pairs = ShellPairs::build(b);
-        let s = Screening::from_pairs(b, &pairs);
-        (pairs, s)
+    fn bits(m: &Mat) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The store is filled by the direct builders' quartet evaluator in
+    /// the serial build's order and replayed through the same `digest`,
+    /// so the replay is the serial build bit for bit, quartet for quartet.
     #[test]
-    fn incore_matches_direct_for_every_density() {
+    fn incore_is_bitwise_the_serial_direct_build() {
         let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let (pairs, s) = pairs_and_screening(&b);
-        let tau = 1e-10;
-        let eris = IncoreEris::compute(&b, &pairs, &s, tau, 1 << 30).expect("fits");
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-10);
+        let eris = IncoreEris::compute(&ctx, 1 << 30).expect("fits");
         for seed in 0..3 {
             let mut d = density(b.n_basis());
             d.scale(1.0 + seed as f64 * 0.5);
-            let direct = FockAlgorithm::Serial
-                .builder()
-                .build(&FockContext::new(&b, &pairs, &s, tau), &DensitySet::Restricted(&d))
-                .g;
-            let incore = eris.build_g(&b, &d).g;
-            assert!(
-                direct.max_abs_diff(&incore) < 1e-11,
-                "seed {seed}: direct vs in-core differ by {}",
-                direct.max_abs_diff(&incore)
-            );
+            let direct = FockAlgorithm::Serial.builder().build(&ctx, &DensitySet::Restricted(&d));
+            assert_eq!(bits(&direct.g), bits(&eris.build_g(&b, &d).g), "seed {seed}");
+            assert_eq!(eris.n_quartets() as u64, direct.stats.quartets_computed);
         }
+        // Pinned at the commit before the store moved onto `Quartets`.
+        assert_eq!(eris.n_quartets(), 406);
+    }
+
+    /// The store's engine comes from the context like every builder's, and
+    /// the class kernels replay the generic recursion exactly (PR 9).
+    #[test]
+    fn incore_store_is_bitwise_equal_with_kernels_on_and_off() {
+        let b = BasisSet::build(&small::water(), BasisName::B631gd);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-10);
+        let on = IncoreEris::compute(&ctx, 1 << 30).expect("fits");
+        let off = IncoreEris::compute(&ctx.with_eri_kernels(false), 1 << 30).expect("fits");
+        assert_eq!(on.quartets, off.quartets);
+        assert!(on.values.iter().zip(&off.values).all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
     #[test]
@@ -188,15 +187,14 @@ mod tests {
         // The stored-integral replay must agree with the direct serial
         // UHF digestion on both spin channels.
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
-        let tau = 1e-10;
-        let eris = IncoreEris::compute(&b, &pairs, &s, tau, 1 << 30).expect("fits");
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-10);
+        let eris = IncoreEris::compute(&ctx, 1 << 30).expect("fits");
         let n = b.n_basis();
         let d_a = density(n);
         let mut d_b = density(n);
         d_b.scale(0.7);
         let dens = DensitySet::Unrestricted { alpha: &d_a, beta: &d_b };
-        let ctx = FockContext::new(&b, &pairs, &s, tau);
         let direct = FockAlgorithm::Serial.builder().build(&ctx, &dens);
         let replay = eris.build_set(&b, &dens);
         let direct_b = direct.g_beta.expect("beta channel");
@@ -206,24 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn quartet_count_matches_direct_build() {
-        let b = BasisSet::build(&small::methane(), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
-        let eris = IncoreEris::compute(&b, &pairs, &s, 1e-10, 1 << 30).expect("fits");
-        let direct = FockAlgorithm::Serial.builder().build(
-            &FockContext::new(&b, &pairs, &s, 1e-10),
-            &DensitySet::Restricted(&density(b.n_basis())),
-        );
-        assert_eq!(eris.n_quartets() as u64, direct.stats.quartets_computed);
-        assert!(eris.stored_bytes() > 0);
-    }
-
-    #[test]
     fn memory_guard_refuses_oversized_stores() {
         let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
         assert!(
-            IncoreEris::compute(&b, &pairs, &s, 1e-10, 1024).is_none(),
+            IncoreEris::compute(&data.context(&b, 1e-10), 1024).is_none(),
             "1 KB cannot hold water ERIs"
         );
     }
@@ -236,12 +221,11 @@ mod tests {
         // for all of them — instead of racing wall-clock timers, which
         // was flaky on loaded machines and debug builds.
         let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-10);
         let d = density(b.n_basis());
-        let eris = IncoreEris::compute(&b, &pairs, &s, 1e-10, 1 << 30).expect("fits");
-        let direct = FockAlgorithm::Serial
-            .builder()
-            .build(&FockContext::new(&b, &pairs, &s, 1e-10), &DensitySet::Restricted(&d));
+        let eris = IncoreEris::compute(&ctx, 1 << 30).expect("fits");
+        let direct = FockAlgorithm::Serial.builder().build(&ctx, &DensitySet::Restricted(&d));
         let incore = eris.build_g(&b, &d);
         assert!(direct.stats.prim_quartets > 0, "direct build evaluates primitives");
         assert_eq!(incore.stats.prim_quartets, 0, "replay never touches the ERI engine");

@@ -17,7 +17,7 @@
 //! ```
 
 use phi_chem::BasisSet;
-use phi_integrals::EriEngine;
+use phi_integrals::{EriEngine, ShellPair};
 use phi_linalg::Mat;
 
 /// Dense 4-index tensor with chemist's-notation indexing `(pq|rs)`.
@@ -48,37 +48,34 @@ impl EriTensor {
         let mut t = EriTensor { n, data: vec![0.0; n * n * n * n] };
         let mut engine = EriEngine::new();
         engine.prefactor_cutoff = 0.0;
-        let ns = basis.n_shells();
+        // All ns^2 ordered pairs, every primitive pair kept: the tensor is
+        // filled with no permutational symmetry.
+        let shells = &basis.shells;
+        let pairs: Vec<ShellPair> = (0..shells.len() * shells.len())
+            .map(|ij| {
+                let (i, j) = (ij / shells.len(), ij % shells.len());
+                ShellPair::build(i, j, &shells[i], &shells[j], 0.0)
+            })
+            .collect();
         let mut buf: Vec<f64> = Vec::new();
-        for si in 0..ns {
-            for sj in 0..ns {
-                for sk in 0..ns {
-                    for sl in 0..ns {
-                        let (a, b, c, d) = (
-                            &basis.shells[si],
-                            &basis.shells[sj],
-                            &basis.shells[sk],
-                            &basis.shells[sl],
-                        );
-                        let (na, nb, nc, nd) =
-                            (a.n_functions(), b.n_functions(), c.n_functions(), d.n_functions());
-                        buf.clear();
-                        buf.resize(na * nb * nc * nd, 0.0);
-                        engine.shell_quartet(a, b, c, d, &mut buf);
-                        for ia in 0..na {
-                            for ib in 0..nb {
-                                for ic in 0..nc {
-                                    for id in 0..nd {
-                                        let v = buf[((ia * nb + ib) * nc + ic) * nd + id];
-                                        let at = t.idx(
-                                            a.first_bf + ia,
-                                            b.first_bf + ib,
-                                            c.first_bf + ic,
-                                            d.first_bf + id,
-                                        );
-                                        t.data[at] = v;
-                                    }
-                                }
+        for bra in &pairs {
+            let (a, b) = (&shells[bra.i], &shells[bra.j]);
+            for ket in &pairs {
+                let (c, d) = (&shells[ket.i], &shells[ket.j]);
+                let (nb, nc, nd) = (bra.b.n_fn, ket.a.n_fn, ket.b.n_fn);
+                buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
+                engine.shell_quartet_pairs(bra, ket, &mut buf);
+                for ia in 0..bra.a.n_fn {
+                    for ib in 0..nb {
+                        for ic in 0..nc {
+                            for id in 0..nd {
+                                let at = t.idx(
+                                    a.first_bf + ia,
+                                    b.first_bf + ib,
+                                    c.first_bf + ic,
+                                    d.first_bf + id,
+                                );
+                                t.data[at] = buf[((ia * nb + ib) * nc + ic) * nd + id];
                             }
                         }
                     }
@@ -199,6 +196,52 @@ mod tests {
         let scf = run_scf(mol, &basis, &ScfConfig::default());
         assert!(scf.converged);
         mp2_energy(&basis, &scf.orbitals, &scf.orbital_energies, mol.n_occupied(), scf.energy)
+    }
+
+    /// Building the `ns^2` ordered pairs once moves no bit of the tensor
+    /// against rebuilding both pairs inside every quartet (what the deleted
+    /// pair-free engine entry did) — and `mp2_energy` is a function of
+    /// the tensor and the orbitals, so the MP2 energies cannot move either.
+    /// The energies are those of commit c40c5db (there bit for bit
+    /// `bfa22c1787bece83` and `bf91cb138f14fb7a`).
+    #[test]
+    fn compute_ao_is_bitwise_the_per_quartet_pair_rebuild() {
+        for (mol, name, e_corr) in [
+            (small::water(), BasisName::Sto3g, -0.03549264461563),
+            (small::hydrogen_molecule(1.4), BasisName::B631g, -0.01737623749545),
+        ] {
+            let basis = BasisSet::build(&mol, name);
+            let t = EriTensor::compute_ao(&basis);
+            let mut engine = EriEngine::new();
+            engine.prefactor_cutoff = 0.0;
+            let mut buf = Vec::new();
+            for a in &basis.shells {
+                for b in &basis.shells {
+                    for c in &basis.shells {
+                        for d in &basis.shells {
+                            let bra = ShellPair::build(0, 0, a, b, 0.0);
+                            let ket = ShellPair::build(0, 0, c, d, 0.0);
+                            buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
+                            engine.shell_quartet_pairs(&bra, &ket, &mut buf);
+                            let (nb, nc, nd) = (bra.b.n_fn, ket.a.n_fn, ket.b.n_fn);
+                            for (at, v) in buf.iter().enumerate() {
+                                let (ia, ib) = (at / (nb * nc * nd), at / (nc * nd) % nb);
+                                let (ic, id) = (at / nd % nc, at % nd);
+                                let got = t.get(
+                                    a.first_bf + ia,
+                                    b.first_bf + ib,
+                                    c.first_bf + ic,
+                                    d.first_bf + id,
+                                );
+                                assert_eq!(got.to_bits(), v.to_bits());
+                            }
+                        }
+                    }
+                }
+            }
+            let got = mp2_of(&mol, name).correlation_energy;
+            assert!((got - e_corr).abs() < 1e-13, "{name:?}: {got:.14} vs {e_corr:.14}");
+        }
     }
 
     #[test]

@@ -317,15 +317,8 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
     // Conventional SCF: precompute stored integrals if requested & they
     // fit. The replay is a FockBuilder like any other, so it composes with
     // every configured algorithm.
-    let incore = config.incore_max_bytes.and_then(|max| {
-        crate::incore::IncoreEris::compute(
-            basis,
-            &data.pairs,
-            &data.screening,
-            config.screening_tau,
-            max,
-        )
-    });
+    let incore =
+        config.incore_max_bytes.and_then(|max| crate::incore::IncoreEris::compute(&ctx, max));
     let direct = config.algorithm.builder_with_comm(config.faults.clone(), config.retry);
     let builder: &dyn FockBuilder = match &incore {
         Some(eris) => eris,

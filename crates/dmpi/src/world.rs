@@ -166,7 +166,11 @@ impl FaultRuntime {
     /// Check (and mark fired) any kill scheduled for this claim. Kills
     /// are suppressed — but still marked fired — when the victim is the
     /// last live rank, so a plan can never extinguish the whole world.
-    fn check_kill(&self, rank: usize, claim: usize, task: usize, live_count: usize) -> bool {
+    /// "May I die" and "I am out of the live count" are one compare-and-
+    /// swap on `live`: of two ranks that reach their kills together with
+    /// two alive, exactly one is granted. On `true` the caller owes the
+    /// rest of the death ([`Rank::die`]).
+    fn check_kill(&self, rank: usize, claim: usize, task: usize, live: &AtomicUsize) -> bool {
         let mut matched = false;
         {
             let mut kills = self.kill_tasks.lock();
@@ -186,12 +190,14 @@ impl FaultRuntime {
                 }
             }
         }
-        if matched && live_count > 1 {
+        let granted = matched
+            && live
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| (n > 1).then(|| n - 1))
+                .is_ok();
+        if granted {
             self.injected.fetch_add(1, Ordering::SeqCst);
-            true
-        } else {
-            false
         }
+        granted
     }
 
     fn next_msg_seq(&self, from: usize, to: usize) -> usize {
@@ -228,6 +234,10 @@ struct WorldShared {
     /// Liveness flags; a rank marked dead has deregistered from the
     /// barrier and abandoned its task leases.
     alive: Vec<AtomicBool>,
+    /// Number of ranks alive. A dying rank leaves this count first and
+    /// clears its flag second, so the count is what decides whether a
+    /// kill would extinguish the world.
+    live: AtomicUsize,
     /// Ranks that died, with reasons, in order of death.
     failures: Mutex<Vec<(usize, String)>>,
     faults: Option<FaultRuntime>,
@@ -367,6 +377,7 @@ where
         mem: MemoryTracker::new(n_ranks),
         comm_bytes: (0..n_ranks).map(|_| AtomicU64::new(0)).collect(),
         alive: (0..n_ranks).map(|_| AtomicBool::new(true)).collect(),
+        live: AtomicUsize::new(n_ranks),
         failures: Mutex::new(Vec::new()),
         faults: faults.as_ref().map(|p| FaultRuntime::new(p, n_ranks)),
         retry,
@@ -485,7 +496,7 @@ impl Rank {
 
     /// Number of ranks currently alive.
     pub fn live_count(&self) -> usize {
-        self.shared.alive.iter().filter(|a| a.load(Ordering::SeqCst)).count()
+        self.shared.live.load(Ordering::SeqCst)
     }
 
     /// True if this rank is the lowest-ranked survivor — the coordinator
@@ -499,13 +510,21 @@ impl Rank {
         self.shared.failures.lock().iter().map(|&(r, _)| r).collect()
     }
 
-    /// Mark this rank dead: record the reason, hand its task leases back
-    /// for reissue, and deregister from the world barrier so survivors
-    /// regroup instead of deadlocking.
+    /// Mark this rank dead, whatever the number of survivors (a fatal
+    /// communication error leaves no choice).
     fn mark_dead(&self, reason: String) {
-        if !self.shared.alive[self.id].swap(false, Ordering::SeqCst) {
-            return;
+        if self.alive() {
+            self.shared.live.fetch_sub(1, Ordering::SeqCst);
+            self.die(reason);
         }
+    }
+
+    /// The death of a rank that has already left the live count: record
+    /// the reason, hand its task leases back for reissue, and deregister
+    /// from the world barrier so survivors regroup instead of
+    /// deadlocking.
+    fn die(&self, reason: String) {
+        self.shared.alive[self.id].store(false, Ordering::SeqCst);
         phi_trace::instant("rank.died", self.id as u64);
         self.shared.failures.lock().push((self.id, reason));
         self.shared.leases.on_death(self.id);
@@ -618,8 +637,8 @@ impl Rank {
                             fr.injected.fetch_add(1, Ordering::SeqCst);
                             std::thread::sleep(Duration::from_millis(ms));
                         }
-                        if fr.check_kill(self.id, claim_no, task, self.live_count()) {
-                            self.mark_dead(format!(
+                        if fr.check_kill(self.id, claim_no, task, &self.shared.live) {
+                            self.die(format!(
                                 "fault injection: killed holding task {task} (claim #{claim_no})"
                             ));
                             return Err(CommError::SelfDead);
@@ -1118,6 +1137,11 @@ mod tests {
         if r.lease_reset(n_tasks, mode).is_err() {
             return Vec::new();
         }
+        drain(r)
+    }
+
+    /// Claim and complete leases until none is left or this rank dies.
+    fn drain(r: &Rank) -> Vec<usize> {
         let mut mine = Vec::new();
         loop {
             match r.lease_next() {
@@ -1205,6 +1229,31 @@ mod tests {
         let res = run_world_with_faults(2, Some(plan), |r| lease_drain(r, 6, LeaseMode::Volatile));
         assert_eq!(res.failures.len(), 1, "only one of two ranks may die");
         assert_eq!(surviving_union::<2>(&res), (0..6).collect::<Vec<_>>());
+    }
+
+    /// Regression: the kill check used to be handed a live count read
+    /// before the victim was marked dead, so two ranks reaching their
+    /// kills together both saw two alive and both died. Every task is
+    /// fatal and both ranks leave a spin gate into their first claim side
+    /// by side.
+    #[test]
+    fn two_ranks_reaching_their_kills_together_leave_one_alive() {
+        for rep in 0..500 {
+            let plan = FaultPlan::kill_at_tasks(rep, &[0, 1, 2, 3]);
+            let gate = AtomicUsize::new(0);
+            let res = run_world_with_faults(2, Some(plan), |r| {
+                if r.lease_reset(4, LeaseMode::Volatile).is_err() {
+                    return Vec::new();
+                }
+                gate.fetch_add(1, Ordering::SeqCst);
+                while gate.load(Ordering::SeqCst) < 2 {
+                    std::hint::spin_loop();
+                }
+                drain(r)
+            });
+            assert_eq!(res.failures.len(), 1, "rep {rep}: exactly one of two ranks may die");
+            assert_eq!(surviving_union::<2>(&res), vec![0, 1, 2, 3], "rep {rep}");
+        }
     }
 
     #[test]

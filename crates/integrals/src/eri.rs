@@ -33,17 +33,15 @@ use crate::cart::components;
 use crate::kernels::{ClassKernels, EriKernel, KernelRun, GENERIC_SLOT, N_CLASS_SLOTS};
 use crate::rints::RTable;
 use crate::shell_pairs::ShellPair;
-use phi_chem::Shell;
 
 const PI: f64 = std::f64::consts::PI;
 
 /// Reusable ERI evaluator with thread-private scratch space.
 ///
-/// The hot path is [`EriEngine::shell_quartet_pairs`], which consumes two
+/// The one entry is [`EriEngine::shell_quartet_pairs`], which consumes two
 /// precomputed [`ShellPair`]s and performs no heap allocation per quartet:
 /// all intermediates live in engine-owned buffers that grow to a high-water
-/// mark on first use. [`EriEngine::shell_quartet`] is a compatibility
-/// wrapper that builds the two pairs on the fly.
+/// mark on first use.
 ///
 /// Quartets dispatch by angular-momentum class: classes with a specialized
 /// kernel (see [`crate::kernels`]) run monomorphized batched code, the rest
@@ -111,28 +109,6 @@ impl EriEngine {
     /// generic fallback).
     pub fn spec_quartets_computed(&self) -> u64 {
         self.class_quartets[..GENERIC_SLOT].iter().sum()
-    }
-
-    /// Evaluate the full contracted quartet `(ab|cd)` into `out`, which must
-    /// have length `na * nb * nc * nd` (shell function counts). `out` is
-    /// overwritten.
-    ///
-    /// Compatibility wrapper: builds both shell pairs on the fly (keeping
-    /// every primitive pair) and delegates to
-    /// [`EriEngine::shell_quartet_pairs`]. Production Fock builds construct
-    /// a persistent `ShellPairs` dataset instead and never pay this per-call
-    /// rebuild.
-    pub fn shell_quartet(
-        &mut self,
-        sa: &Shell,
-        sb: &Shell,
-        sc: &Shell,
-        sd: &Shell,
-        out: &mut [f64],
-    ) {
-        let bra = ShellPair::build(0, 0, sa, sb, 0.0);
-        let ket = ShellPair::build(0, 0, sc, sd, 0.0);
-        self.shell_quartet_pairs(&bra, &ket, out);
     }
 
     /// Evaluate the full contracted quartet `(ab|cd)` from precomputed pair
@@ -344,6 +320,7 @@ mod tests {
     use super::*;
     use phi_chem::basis::{AngBlock, BasisName, BasisSet};
     use phi_chem::geom::small;
+    use phi_chem::Shell;
 
     fn prim_shell(l: usize, alpha: f64, center: [f64; 3]) -> Shell {
         let df: f64 = (1..=l).map(|k| 2.0 * k as f64 - 1.0).product();
@@ -358,9 +335,10 @@ mod tests {
     }
 
     fn quartet(engine: &mut EriEngine, a: &Shell, b: &Shell, c: &Shell, d: &Shell) -> Vec<f64> {
-        let mut out =
-            vec![0.0; a.n_functions() * b.n_functions() * c.n_functions() * d.n_functions()];
-        engine.shell_quartet(a, b, c, d, &mut out);
+        let bra = ShellPair::build(0, 0, a, b, 0.0);
+        let ket = ShellPair::build(0, 0, c, d, 0.0);
+        let mut out = vec![0.0; bra.n_fn() * ket.n_fn()];
+        engine.shell_quartet_pairs(&bra, &ket, &mut out);
         out
     }
 

@@ -16,8 +16,8 @@
 //!   of the O(P^2) of brute-force enumeration.
 
 use crate::eri::EriEngine;
-use crate::shell_pairs::ShellPairs;
-use phi_chem::{BasisSet, Shell};
+use crate::shell_pairs::{ShellPair, ShellPairs};
+use phi_chem::BasisSet;
 
 /// Packed lower-triangular index for `i >= j`.
 #[inline]
@@ -62,9 +62,21 @@ pub struct Screening {
 }
 
 impl Screening {
-    /// Exact `Q_ij` for every pair, via the diagonal quartets `(ij|ij)`.
-    pub fn compute(basis: &BasisSet) -> Screening {
-        Screening::compute_hybrid(basis, 0.0)
+    /// Narrow `bound(i, j)`, `i >= j`, into the table, rounding up.
+    fn from_bounds(n: usize, mut bound: impl FnMut(usize, usize) -> f64) -> Screening {
+        let mut q = Vec::with_capacity(n_pairs(n));
+        let mut q_max = 0.0f64;
+        for i in 0..n {
+            for j in 0..=i {
+                let qv = round_up_f32(bound(i, j));
+                q.push(qv);
+                // Maximize over the *stored* (rounded-up) bounds so the
+                // task-level prescreen can never drop a task that holds a
+                // surviving quartet.
+                q_max = q_max.max(qv as f64);
+            }
+        }
+        Screening { n_shells: n, q, q_max }
     }
 
     /// `Q_ij` table read directly out of a persistent [`ShellPairs`]
@@ -75,60 +87,31 @@ impl Screening {
     pub fn from_pairs(basis: &BasisSet, pairs: &ShellPairs) -> Screening {
         let n = basis.n_shells();
         assert_eq!(n, pairs.n_shells(), "pair dataset covers a different basis");
-        let mut q = vec![0.0f32; n_pairs(n)];
-        let mut q_max = 0.0f64;
-        for pr in pairs.iter() {
-            let qv = round_up_f32(pr.schwarz);
-            q[pair_index(pr.i, pr.j)] = qv;
-            // Maximize over the *stored* (rounded-up) bounds so the
-            // task-level prescreen can never drop a task that holds a
-            // surviving quartet.
-            q_max = q_max.max(qv as f64);
-        }
-        Screening { n_shells: n, q, q_max }
+        Screening::from_bounds(n, |i, j| pairs.pair(i, j).schwarz)
     }
 
-    /// Hybrid computation for large systems: pairs whose Gaussian-product
-    /// prefactor bound falls below `est_floor` get the (tiny) bound itself
-    /// instead of an exact ERI evaluation. With `est_floor = 0.0` every pair
-    /// is exact.
+    /// The table without a [`ShellPairs`] dataset, for systems whose pair
+    /// data would not fit (32.5M pairs at 5 nm): each pair is built, its
+    /// diagonal quartet evaluated, and dropped. Pairs whose prefactor bound
+    /// falls below `est_floor` are never built and store that (tiny) bound
+    /// instead. With `est_floor = 0.0` every pair is exact and the table
+    /// equals `from_pairs(ShellPairs::build_with(basis, 0.0))` bit for bit.
     ///
     /// The prefactor bound only decides *which* pairs are negligible; any
     /// pair that could matter at realistic screening thresholds
     /// (tau >= 1e-12) is evaluated exactly.
     pub fn compute_hybrid(basis: &BasisSet, est_floor: f64) -> Screening {
-        let n = basis.n_shells();
-        let mut q = vec![0.0f32; n_pairs(n)];
         let mut engine = EriEngine::new();
         let mut buf: Vec<f64> = Vec::new();
-        let mut q_max = 0.0f64;
-        for i in 0..n {
-            let si = &basis.shells[i];
-            for j in 0..=i {
-                let sj = &basis.shells[j];
-                let est = prefactor_bound(si, sj);
-                let val = if est < est_floor {
-                    est
-                } else {
-                    let (ni, nj) = (si.n_functions(), sj.n_functions());
-                    buf.clear();
-                    buf.resize(ni * nj * ni * nj, 0.0);
-                    engine.shell_quartet(si, sj, si, sj, &mut buf);
-                    let mut m = 0.0f64;
-                    for a in 0..ni {
-                        for b in 0..nj {
-                            let diag = buf[((a * nj + b) * ni + a) * nj + b];
-                            m = m.max(diag.abs());
-                        }
-                    }
-                    m.sqrt()
-                };
-                let qv = round_up_f32(val);
-                q[pair_index(i, j)] = qv;
-                q_max = q_max.max(qv as f64);
+        Screening::from_bounds(basis.n_shells(), |i, j| {
+            let (si, sj) = (&basis.shells[i], &basis.shells[j]);
+            let est = ShellPair::prefactor_bound(si, sj);
+            if est < est_floor {
+                est
+            } else {
+                ShellPair::build(i, j, si, sj, 0.0).schwarz_bound(&mut engine, &mut buf)
             }
-        }
-        Screening { n_shells: n, q, q_max }
+        })
     }
 
     pub fn n_shells(&self) -> usize {
@@ -274,29 +257,6 @@ impl DensityMax {
         m = m.max(self.pair_max(j, k)).max(self.pair_max(j, l));
         m
     }
-}
-
-/// Cheap upper-bound-flavoured estimate of `Q_ij` from the Gaussian product
-/// prefactor: `max_pq |c_p c_q| exp(-mu R^2)`, maximized over block pairs.
-/// Decays with the exact Gaussian rate in the pair distance, which is all
-/// the hybrid path needs.
-fn prefactor_bound(a: &Shell, b: &Shell) -> f64 {
-    let dx = a.center[0] - b.center[0];
-    let dy = a.center[1] - b.center[1];
-    let dz = a.center[2] - b.center[2];
-    let r2 = dx * dx + dy * dy + dz * dz;
-    let mut best = 0.0f64;
-    for ba in &a.blocks {
-        for bb in &b.blocks {
-            for (&ea, &ca) in a.exps.iter().zip(&ba.coefs) {
-                for (&eb, &cb) in b.exps.iter().zip(&bb.coefs) {
-                    let mu = ea * eb / (ea + eb);
-                    best = best.max((ca * cb).abs() * (-mu * r2).exp());
-                }
-            }
-        }
-    }
-    best
 }
 
 // ------------------------------------------------------------------------
@@ -542,7 +502,7 @@ mod tests {
 
     fn water_screening() -> (BasisSet, Screening) {
         let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let s = Screening::compute(&b);
+        let s = Screening::compute_hybrid(&b, 0.0);
         (b, s)
     }
 
@@ -561,6 +521,7 @@ mod tests {
     #[test]
     fn schwarz_bounds_actual_quartets() {
         let (b, s) = water_screening();
+        let pairs = ShellPairs::build_with(&b, 0.0);
         let mut engine = EriEngine::new();
         engine.prefactor_cutoff = 0.0;
         let n = b.n_shells();
@@ -569,17 +530,9 @@ mod tests {
             for j in 0..=i {
                 for k in 0..=i {
                     for l in 0..=k {
-                        let (si, sj, sk, sl) =
-                            (&b.shells[i], &b.shells[j], &b.shells[k], &b.shells[l]);
-                        buf.clear();
-                        buf.resize(
-                            si.n_functions()
-                                * sj.n_functions()
-                                * sk.n_functions()
-                                * sl.n_functions(),
-                            0.0,
-                        );
-                        engine.shell_quartet(si, sj, sk, sl, &mut buf);
+                        let (bra, ket) = (pairs.pair(i, j), pairs.pair(k, l));
+                        buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
+                        engine.shell_quartet_pairs(bra, ket, &mut buf);
                         let vmax = buf.iter().fold(0.0f64, |m, x| m.max(x.abs()));
                         let bound = s.q(i, j) * s.q(k, l);
                         assert!(
@@ -592,19 +545,23 @@ mod tests {
         }
     }
 
+    /// Both constructors run the one Schwarz evaluator on identical pair
+    /// data when nothing is pruned, so the tables agree bit for bit; with
+    /// the default primitive-pair pruning the bounds move below 1e-6
+    /// relative and no survivor decision changes at practical thresholds.
     #[test]
-    fn from_pairs_matches_compute() {
+    fn from_pairs_matches_compute_hybrid() {
         let (b, s) = water_screening();
-        let pairs = crate::ShellPairs::build_with(&b, 0.0);
-        let sp = Screening::from_pairs(&b, &pairs);
-        assert_eq!(s.n_shells(), sp.n_shells());
+        let exact = Screening::from_pairs(&b, &ShellPairs::build_with(&b, 0.0));
+        assert_eq!(s.q_max().to_bits(), exact.q_max().to_bits());
+        let pruned = Screening::from_pairs(&b, &ShellPairs::build(&b));
         for i in 0..b.n_shells() {
             for j in 0..=i {
-                let (qa, qb) = (s.q(i, j), sp.q(i, j));
+                assert_eq!(s.q(i, j).to_bits(), exact.q(i, j).to_bits(), "({i},{j})");
+                let (qa, qb) = (s.q(i, j), pruned.q(i, j));
                 assert!((qa - qb).abs() <= 1e-6 * qa.max(1e-30), "({i},{j}): {qa} vs {qb}");
             }
         }
-        // Survivor decisions must agree at practical thresholds.
         for tau in [1e-6, 1e-10] {
             for i in 0..b.n_shells() {
                 for j in 0..=i {
@@ -612,7 +569,7 @@ mod tests {
                         for l in 0..=k {
                             assert_eq!(
                                 s.survives(i, j, k, l, tau),
-                                sp.survives(i, j, k, l, tau),
+                                pruned.survives(i, j, k, l, tau),
                                 "({i}{j}|{k}{l}) at tau={tau}"
                             );
                         }
@@ -625,24 +582,33 @@ mod tests {
     #[test]
     fn hybrid_matches_exact_for_relevant_pairs() {
         let b = BasisSet::build(&small::h_chain(8, 4.0), BasisName::Sto3g);
-        let exact = Screening::compute(&b);
+        let exact = Screening::from_pairs(&b, &ShellPairs::build_with(&b, 0.0));
         let hybrid = Screening::compute_hybrid(&b, 1e-12);
+        let mut floored = 0;
         for i in 0..b.n_shells() {
             for j in 0..=i {
                 let (qe, qh) = (exact.q(i, j), hybrid.q(i, j));
-                if qe > 1e-8 {
-                    assert!((qe - qh).abs() < 1e-6 * qe, "pair ({i},{j}): {qe} vs {qh}");
+                let est = ShellPair::prefactor_bound(&b.shells[i], &b.shells[j]);
+                if est < 1e-12 {
+                    // Under the floor no pair is built: the entry is the
+                    // rounded-up prefactor bound itself, which the exact
+                    // evaluator does not return.
+                    assert_eq!(qh.to_bits(), (round_up_f32(est) as f64).to_bits());
+                    assert_ne!(qh.to_bits(), qe.to_bits(), "pair ({i},{j}) was evaluated");
+                    assert!(qe < 1e-8, "floored pair ({i},{j}) has exact bound {qe}");
+                    floored += 1;
                 } else {
-                    assert!(qh < 1e-6, "negligible pair got bound {qh}");
+                    assert_eq!(qh.to_bits(), qe.to_bits(), "pair ({i},{j})");
                 }
             }
         }
+        assert!(floored > 0, "no pair fell under the floor");
     }
 
     #[test]
     fn workload_counts_match_bruteforce() {
         let b = BasisSet::build(&small::h_chain(10, 3.0), BasisName::Sto3g);
-        let s = Screening::compute(&b);
+        let s = Screening::compute_hybrid(&b, 0.0);
         for tau in [1e-6, 1e-8, 1e-10] {
             let w = WorkloadStats::compute(&b, &s, tau);
             // Brute force count.
@@ -676,7 +642,7 @@ mod tests {
     #[test]
     fn tighter_threshold_means_more_work() {
         let b = BasisSet::build(&small::h_chain(12, 3.5), BasisName::Sto3g);
-        let s = Screening::compute(&b);
+        let s = Screening::compute_hybrid(&b, 0.0);
         let loose = WorkloadStats::compute(&b, &s, 1e-6);
         let tight = WorkloadStats::compute(&b, &s, 1e-12);
         assert!(tight.surviving_quartets() >= loose.surviving_quartets());
@@ -692,7 +658,7 @@ mod tests {
         }
         let m = phi_chem::Molecule::neutral(atoms);
         let b = BasisSet::build(&m, BasisName::Sto3g);
-        let s = Screening::compute(&b);
+        let s = Screening::compute_hybrid(&b, 0.0);
         let w = WorkloadStats::compute(&b, &s, 1e-10);
         assert!(w.screened_fraction() > 0.3, "screened only {}", w.screened_fraction());
         // Cross-fragment pair bound must be tiny.
@@ -733,7 +699,7 @@ mod tests {
     #[test]
     fn narrowed_bounds_never_round_below_true_bound() {
         let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let pairs = crate::ShellPairs::build_with(&b, 0.0);
+        let pairs = ShellPairs::build_with(&b, 0.0);
         let s = Screening::from_pairs(&b, &pairs);
         let mut rounded_up = 0usize;
         for pr in pairs.iter() {

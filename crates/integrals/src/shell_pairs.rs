@@ -234,6 +234,42 @@ pub struct ShellPair {
 }
 
 impl ShellPair {
+    /// Visit every primitive pair `(pa, pb)` of shells `(sa, sb)` with its
+    /// Gaussian-product prefactor `K = exp(-mu |AB|^2)` and its largest
+    /// `|c_a c_b|` over block pairs; returns `max K max|c_a c_b|` over all of
+    /// them, the pair's prefactor bound.
+    fn scan_prims(sa: &Shell, sb: &Shell, mut visit: impl FnMut(usize, usize, f64, f64)) -> f64 {
+        let dx = sa.center[0] - sb.center[0];
+        let dy = sa.center[1] - sb.center[1];
+        let dz = sa.center[2] - sb.center[2];
+        let r2 = dx * dx + dy * dy + dz * dz;
+        let mut bound = 0.0f64;
+        for (pa, &aexp) in sa.exps.iter().enumerate() {
+            for (pb, &bexp) in sb.exps.iter().enumerate() {
+                let k = (-aexp * bexp / (aexp + bexp) * r2).exp();
+                let mut mc = 0.0f64;
+                for ba in &sa.blocks {
+                    for bb in &sb.blocks {
+                        mc = mc.max((ba.coefs[pa] * bb.coefs[pb]).abs());
+                    }
+                }
+                bound = bound.max(k * mc);
+                visit(pa, pb, k, mc);
+            }
+        }
+        bound
+    }
+
+    /// Cheap stand-in for `Q_ab` that needs no pair data: the Gaussian
+    /// product prefactor `max |c_a c_b| exp(-mu |AB|^2)` over all primitive
+    /// and block pairs. It decays with the exact Gaussian rate in the pair
+    /// distance, so it decides which pairs are negligible
+    /// ([`crate::Screening::compute_hybrid`]) and is the Schwarz value of a
+    /// pair whose every primitive pair was pruned.
+    pub(crate) fn prefactor_bound(sa: &Shell, sb: &Shell) -> f64 {
+        ShellPair::scan_prims(sa, sb, |_, _, _, _| {})
+    }
+
     /// Build the pair data for shells `sa` (side a, basis index `i`) and
     /// `sb` (side b, basis index `j`). Primitive pairs with
     /// `K * max|c_a c_b| < pair_cutoff` are dropped.
@@ -242,49 +278,35 @@ impl ShellPair {
         let b = PairSide::new(j, sb);
         let (la, lb) = (a.max_l, b.max_l);
         let nblk = a.blocks.len() * b.blocks.len();
-        let dx = sa.center[0] - sb.center[0];
-        let dy = sa.center[1] - sb.center[1];
-        let dz = sa.center[2] - sb.center[2];
-        let r2 = dx * dx + dy * dy + dz * dz;
 
         let mut prims = Vec::with_capacity(sa.exps.len() * sb.exps.len());
         let mut coef = Vec::with_capacity(prims.capacity() * nblk);
         let mut max_coef = 0.0f64;
-        let mut prefactor_bound = 0.0f64;
-        for (pa, &aexp) in sa.exps.iter().enumerate() {
-            for (pb, &bexp) in sb.exps.iter().enumerate() {
-                let p = aexp + bexp;
-                let k = (-aexp * bexp / p * r2).exp();
-                let mut mc = 0.0f64;
-                for ba in &sa.blocks {
-                    for bb in &sb.blocks {
-                        mc = mc.max((ba.coefs[pa] * bb.coefs[pb]).abs());
-                    }
-                }
-                prefactor_bound = prefactor_bound.max(k * mc);
-                if k * mc < pair_cutoff {
-                    continue;
-                }
-                max_coef = max_coef.max(mc);
-                for ba in &sa.blocks {
-                    for bb in &sb.blocks {
-                        coef.push(ba.coefs[pa] * bb.coefs[pb]);
-                    }
-                }
-                prims.push(PrimPair {
-                    ex: ETable::build(la, lb, aexp, bexp, sa.center[0], sb.center[0]),
-                    ey: ETable::build(la, lb, aexp, bexp, sa.center[1], sb.center[1]),
-                    ez: ETable::build(la, lb, aexp, bexp, sa.center[2], sb.center[2]),
-                    p,
-                    center: [
-                        (aexp * sa.center[0] + bexp * sb.center[0]) / p,
-                        (aexp * sa.center[1] + bexp * sb.center[1]) / p,
-                        (aexp * sa.center[2] + bexp * sb.center[2]) / p,
-                    ],
-                    k,
-                });
+        let prefactor_bound = ShellPair::scan_prims(sa, sb, |pa, pb, k, mc| {
+            if k * mc < pair_cutoff {
+                return;
             }
-        }
+            let (aexp, bexp) = (sa.exps[pa], sb.exps[pb]);
+            let p = aexp + bexp;
+            max_coef = max_coef.max(mc);
+            for ba in &sa.blocks {
+                for bb in &sb.blocks {
+                    coef.push(ba.coefs[pa] * bb.coefs[pb]);
+                }
+            }
+            prims.push(PrimPair {
+                ex: ETable::build(la, lb, aexp, bexp, sa.center[0], sb.center[0]),
+                ey: ETable::build(la, lb, aexp, bexp, sa.center[1], sb.center[1]),
+                ez: ETable::build(la, lb, aexp, bexp, sa.center[2], sb.center[2]),
+                p,
+                center: [
+                    (aexp * sa.center[0] + bexp * sb.center[0]) / p,
+                    (aexp * sa.center[1] + bexp * sb.center[1]) / p,
+                    (aexp * sa.center[2] + bexp * sb.center[2]) / p,
+                ],
+                k,
+            });
+        });
         let soa = PrimSoA::from_prims(&prims);
         let e3 = E3Sparse::build(&prims, &a, &b);
         ShellPair {
@@ -301,6 +323,28 @@ impl ShellPair {
             l_sum: la + lb,
             prefactor_bound,
         }
+    }
+
+    /// `Q_ab = sqrt(max |(ab|ab)|)` from the diagonal quartet of this pair
+    /// with itself — the one Schwarz evaluator, behind both
+    /// [`ShellPairs::build_with`] and the pair-free
+    /// [`crate::Screening::compute_hybrid`]. A pair whose every primitive
+    /// pair was pruned gets its (tiny) prefactor bound instead. `buf` is
+    /// scratch.
+    pub(crate) fn schwarz_bound(&self, engine: &mut EriEngine, buf: &mut Vec<f64>) -> f64 {
+        if self.prims.is_empty() {
+            return self.prefactor_bound;
+        }
+        let (na, nb) = (self.a.n_fn, self.b.n_fn);
+        buf.resize(na * nb * na * nb, 0.0);
+        engine.shell_quartet_pairs(self, self, buf);
+        let mut m = 0.0f64;
+        for fa in 0..na {
+            for fb in 0..nb {
+                m = m.max(buf[((fa * nb + fb) * na + fa) * nb + fb].abs());
+            }
+        }
+        m.sqrt()
     }
 
     /// Coefficient product `c_a[block ba][prim pa] * c_b[block bb][prim pb]`
@@ -358,29 +402,10 @@ impl ShellPairs {
                 pairs.push(ShellPair::build(i, j, &basis.shells[i], &basis.shells[j], pair_cutoff));
             }
         }
-        // Schwarz bounds via the diagonal quartets (ij|ij), evaluated through
-        // the pair-cached path itself. Pairs whose primitive pairs were all
-        // pruned keep their (tiny) prefactor bound as a stand-in, mirroring
-        // `Screening::compute_hybrid`.
         let mut engine = EriEngine::new();
         let mut buf: Vec<f64> = Vec::new();
         for pr in &mut pairs {
-            pr.schwarz = if pr.prims.is_empty() {
-                pr.prefactor_bound
-            } else {
-                let (ni, nj) = (pr.a.n_fn, pr.b.n_fn);
-                buf.clear();
-                buf.resize(ni * nj * ni * nj, 0.0);
-                engine.shell_quartet_pairs(pr, pr, &mut buf);
-                let mut m = 0.0f64;
-                for fa in 0..ni {
-                    for fb in 0..nj {
-                        let diag = buf[((fa * nj + fb) * ni + fa) * nj + fb];
-                        m = m.max(diag.abs());
-                    }
-                }
-                m.sqrt()
-            };
+            pr.schwarz = pr.schwarz_bound(&mut engine, &mut buf);
         }
         let bytes = pairs.iter().map(|p| p.heap_bytes() + std::mem::size_of::<ShellPair>()).sum();
         ShellPairs { n_shells: n, pairs, bytes }
@@ -528,22 +553,5 @@ mod tests {
             .sum();
         assert!(pairs.bytes() > etable_bytes);
         assert!(pairs.bytes() < 20 * etable_bytes);
-    }
-
-    #[test]
-    fn schwarz_bounds_match_screening_compute() {
-        let basis = BasisSet::build(&small::water(), BasisName::B631g);
-        let pairs = ShellPairs::build_with(&basis, 0.0);
-        let s = crate::Screening::compute(&basis);
-        for i in 0..basis.n_shells() {
-            for j in 0..=i {
-                let q_pair = pairs.pair(i, j).schwarz;
-                let q_ref = s.q(i, j);
-                assert!(
-                    (q_pair - q_ref).abs() <= 1e-6 * q_ref.max(1e-30) + 1e-12,
-                    "({i},{j}): {q_pair} vs {q_ref}"
-                );
-            }
-        }
     }
 }

@@ -509,7 +509,7 @@ mod tests {
     fn toy_workload() -> (Workload, CostModel) {
         let mol = small::c_ring(8, 1.40);
         let b = BasisSet::build(&mol, BasisName::B631gd);
-        let s = Screening::compute(&b);
+        let s = Screening::compute_hybrid(&b, 0.0);
         let stats = WorkloadStats::compute(&b, &s, 1e-10);
         let classes = ShellClasses::classify(&b);
         let eri = EriCostTable::analytic(&classes);

@@ -44,7 +44,7 @@ impl Ctx {
             EriCostTable::analytic(&classes)
         };
         let workload = Workload::build(&basis, &stats, &eri);
-        let cost = CostModel::new(workload_cost_table(&workload, &eri));
+        let cost = CostModel::new(eri);
         Ctx { label: label.to_string(), basis, workload, cost }
     }
 
@@ -72,10 +72,6 @@ impl Ctx {
         self.cost.time_scale = scale;
         scale
     }
-}
-
-fn workload_cost_table(_w: &Workload, eri: &EriCostTable) -> EriCostTable {
-    eri.clone()
 }
 
 // -------------------------------------------------------------- Fig. 3 --

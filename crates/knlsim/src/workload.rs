@@ -113,7 +113,7 @@ mod tests {
 
     fn workload_for(mol: &phi_chem::Molecule, tau: f64) -> (BasisSet, Workload) {
         let b = BasisSet::build(mol, BasisName::Sto3g);
-        let s = Screening::compute(&b);
+        let s = Screening::compute_hybrid(&b, 0.0);
         let stats = WorkloadStats::compute(&b, &s, tau);
         let classes = ShellClasses::classify(&b);
         let eri = EriCostTable::analytic(&classes);

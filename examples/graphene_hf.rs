@@ -28,7 +28,7 @@ fn main() {
             basis.n_shells(),
             basis.n_basis()
         );
-        let screening = Screening::compute(&basis);
+        let screening = Screening::compute_hybrid(&basis, 0.0);
         for tau in [1e-8, 1e-10, 1e-12] {
             let stats = WorkloadStats::compute(&basis, &screening, tau);
             println!(

@@ -11,15 +11,17 @@
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
 use phi_scf::chem::Shell;
-use phi_scf::integrals::EriEngine;
+use phi_scf::integrals::{EriEngine, ShellPair};
 
 /// Relative tolerance matching 12-significant-digit pinned literals.
 const TOL_12SIG: f64 = 1e-11;
 
 /// Evaluate one shell quartet on the given engine.
 fn quartet(engine: &mut EriEngine, a: &Shell, b: &Shell, c: &Shell, d: &Shell) -> Vec<f64> {
-    let mut out = vec![0.0; a.n_functions() * b.n_functions() * c.n_functions() * d.n_functions()];
-    engine.shell_quartet(a, b, c, d, &mut out);
+    let bra = ShellPair::build(0, 0, a, b, 0.0);
+    let ket = ShellPair::build(0, 0, c, d, 0.0);
+    let mut out = vec![0.0; bra.n_fn() * ket.n_fn()];
+    engine.shell_quartet_pairs(&bra, &ket, &mut out);
     out
 }
 

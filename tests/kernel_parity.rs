@@ -16,7 +16,7 @@
 
 use phi_scf::chem::basis::custom_shell;
 use phi_scf::chem::Shell;
-use phi_scf::integrals::EriEngine;
+use phi_scf::integrals::{EriEngine, ShellPair};
 
 /// Seeds to sweep: `PHI_KERNEL_SEEDS=1,2,3` overrides the built-in pair.
 fn seeds() -> Vec<u64> {
@@ -101,11 +101,12 @@ fn assert_parity(
     d: &Shell,
     what: &str,
 ) -> Vec<f64> {
-    let len = a.n_functions() * b.n_functions() * c.n_functions() * d.n_functions();
-    let mut vs = vec![0.0; len];
-    let mut vg = vec![0.0; len];
-    spec.shell_quartet(a, b, c, d, &mut vs);
-    generic.shell_quartet(a, b, c, d, &mut vg);
+    let bra = ShellPair::build(0, 0, a, b, 0.0);
+    let ket = ShellPair::build(0, 0, c, d, 0.0);
+    let mut vs = vec![0.0; bra.n_fn() * ket.n_fn()];
+    let mut vg = vs.clone();
+    spec.shell_quartet_pairs(&bra, &ket, &mut vs);
+    generic.shell_quartet_pairs(&bra, &ket, &mut vg);
     for (k, (x, y)) in vs.iter().zip(&vg).enumerate() {
         assert!(
             (x - y).abs() <= 1e-14,

@@ -17,33 +17,33 @@ fn density(n: usize) -> Mat {
 }
 
 #[test]
-fn pair_based_screening_is_bitwise_identical_to_legacy_compute() {
-    // `Screening::compute` (per-call pair rebuild) and the pair-cached
-    // Schwarz build route the same diagonal quartets through the same
-    // engine, so with pruning disabled the stored f32 bounds must agree
-    // bit for bit — and with them, every survivor decision.
+fn pair_free_screening_is_bitwise_identical_to_the_pair_dataset() {
+    // `Screening::compute_hybrid` (each pair built, evaluated, dropped) and
+    // the `ShellPairs` build run the one Schwarz evaluator on the same pair
+    // data, so with pruning disabled the stored f32 bounds must agree bit
+    // for bit — and with them, every survivor decision.
     for (mol, basis) in [
         (small::water(), BasisName::B631gd),
         (small::h_chain(8, 3.0), BasisName::Sto3g),
         (small::c_ring(6, 1.39), BasisName::B631g),
     ] {
         let b = BasisSet::build(&mol, basis);
-        let legacy = Screening::compute(&b);
+        let exact = Screening::compute_hybrid(&b, 0.0);
         let pairs = ShellPairs::build_with(&b, 0.0);
         let cached = Screening::from_pairs(&b, &pairs);
         let ns = b.n_shells();
         for i in 0..ns {
             for j in 0..=i {
                 assert_eq!(
-                    legacy.q(i, j).to_bits(),
+                    exact.q(i, j).to_bits(),
                     cached.q(i, j).to_bits(),
                     "{basis:?}: Q({i},{j}) differs: {} vs {}",
-                    legacy.q(i, j),
+                    exact.q(i, j),
                     cached.q(i, j)
                 );
             }
         }
-        assert_eq!(legacy.q_max().to_bits(), cached.q_max().to_bits());
+        assert_eq!(exact.q_max().to_bits(), cached.q_max().to_bits());
         // Survivor decisions follow from the bounds; spot-check anyway over
         // every canonical quartet at two thresholds.
         for tau in [1e-6, 1e-10] {
@@ -52,7 +52,7 @@ fn pair_based_screening_is_bitwise_identical_to_legacy_compute() {
                     for k in 0..=i {
                         for l in 0..=k {
                             assert_eq!(
-                                legacy.survives(i, j, k, l, tau),
+                                exact.survives(i, j, k, l, tau),
                                 cached.survives(i, j, k, l, tau)
                             );
                         }
@@ -69,24 +69,24 @@ fn default_pruning_does_not_change_survivor_counts_on_compact_systems() {
     // prefactor bound is far below every screening threshold; on a compact
     // molecule the surviving-quartet census must be unchanged.
     let b = BasisSet::build(&small::water(), BasisName::B631gd);
-    let legacy = Screening::compute(&b);
+    let exact = Screening::compute_hybrid(&b, 0.0);
     let pairs = ShellPairs::build(&b);
     let cached = Screening::from_pairs(&b, &pairs);
     let tau = 1e-10;
     let ns = b.n_shells();
-    let (mut l_count, mut c_count) = (0u64, 0u64);
+    let (mut e_count, mut c_count) = (0u64, 0u64);
     for i in 0..ns {
         for j in 0..=i {
             for k in 0..=i {
                 for l in 0..=k {
-                    l_count += legacy.survives(i, j, k, l, tau) as u64;
+                    e_count += exact.survives(i, j, k, l, tau) as u64;
                     c_count += cached.survives(i, j, k, l, tau) as u64;
                 }
             }
         }
     }
-    assert_eq!(l_count, c_count);
-    assert!(l_count > 0);
+    assert_eq!(e_count, c_count);
+    assert!(e_count > 0);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 use phi_scf::chem::basis::{custom_shell, BasisName, BasisSet};
 use phi_scf::chem::Shell;
 use phi_scf::integrals::boys::boys_single;
-use phi_scf::integrals::{EriEngine, ShellPairs};
+use phi_scf::integrals::{EriEngine, ShellPair, ShellPairs};
 use phi_scf::linalg::{eigh, solve, Mat};
 
 /// Deterministic PRNG (64-bit LCG, top bits) for property-style tests.
@@ -149,6 +149,15 @@ fn arb_rich_shell(rng: &mut Rng) -> Shell {
     custom_shell(0, center, exps, &blocks)
 }
 
+/// `(ab|cd)` from two pairs built on the spot, every primitive pair kept.
+fn quartet(engine: &mut EriEngine, a: &Shell, b: &Shell, c: &Shell, d: &Shell) -> Vec<f64> {
+    let bra = ShellPair::build(0, 0, a, b, 0.0);
+    let ket = ShellPair::build(0, 0, c, d, 0.0);
+    let mut out = vec![0.0; bra.n_fn() * ket.n_fn()];
+    engine.shell_quartet_pairs(&bra, &ket, &mut out);
+    out
+}
+
 #[test]
 fn eri_bra_ket_symmetry() {
     let mut rng = Rng::new(53);
@@ -158,10 +167,8 @@ fn eri_bra_ket_symmetry() {
         let mut engine = EriEngine::new();
         engine.prefactor_cutoff = 0.0;
         let (na, nb, nc, nd) = (a.n_functions(), b.n_functions(), c.n_functions(), d.n_functions());
-        let mut abcd = vec![0.0; na * nb * nc * nd];
-        let mut cdab = vec![0.0; na * nb * nc * nd];
-        engine.shell_quartet(&a, &b, &c, &d, &mut abcd);
-        engine.shell_quartet(&c, &d, &a, &b, &mut cdab);
+        let abcd = quartet(&mut engine, &a, &b, &c, &d);
+        let cdab = quartet(&mut engine, &c, &d, &a, &b);
         for ia in 0..na {
             for ib in 0..nb {
                 for ic in 0..nc {
@@ -187,8 +194,7 @@ fn eri_diagonal_quartets_are_nonnegative() {
         let mut engine = EriEngine::new();
         engine.prefactor_cutoff = 0.0;
         let (na, nb) = (a.n_functions(), b.n_functions());
-        let mut buf = vec![0.0; na * nb * na * nb];
-        engine.shell_quartet(&a, &b, &a, &b, &mut buf);
+        let buf = quartet(&mut engine, &a, &b, &a, &b);
         for ia in 0..na {
             for ib in 0..nb {
                 let diag = buf[((ia * nb + ib) * na + ia) * nb + ib];
@@ -220,10 +226,8 @@ fn eri_pair_cache_matches_on_the_fly() {
         let (a, b, c, d) = (1usize, 0usize, 3usize, 2usize);
         let (sa, sb, sc, sd) =
             (&basis.shells[a], &basis.shells[b], &basis.shells[c], &basis.shells[d]);
-        let len = sa.n_functions() * sb.n_functions() * sc.n_functions() * sd.n_functions();
-        let mut fly = vec![0.0; len];
-        let mut cached = vec![0.0; len];
-        engine.shell_quartet(sa, sb, sc, sd, &mut fly);
+        let fly = quartet(&mut engine, sa, sb, sc, sd);
+        let mut cached = vec![0.0; fly.len()];
         engine.shell_quartet_pairs(pairs.pair(a, b), pairs.pair(c, d), &mut cached);
         for (k, (x, y)) in fly.iter().zip(&cached).enumerate() {
             assert!(
@@ -251,20 +255,14 @@ fn eri_kernel_path_eightfold_symmetry() {
             arb_rich_shell(&mut rng),
         );
         let (na, nb, nc, nd) = (a.n_functions(), b.n_functions(), c.n_functions(), d.n_functions());
-        let eval = |engine: &mut EriEngine, a: &Shell, b: &Shell, c: &Shell, d: &Shell| {
-            let mut out =
-                vec![0.0; a.n_functions() * b.n_functions() * c.n_functions() * d.n_functions()];
-            engine.shell_quartet(a, b, c, d, &mut out);
-            out
-        };
-        let abcd = eval(&mut engine, &a, &b, &c, &d);
-        let bacd = eval(&mut engine, &b, &a, &c, &d);
-        let abdc = eval(&mut engine, &a, &b, &d, &c);
-        let badc = eval(&mut engine, &b, &a, &d, &c);
-        let cdab = eval(&mut engine, &c, &d, &a, &b);
-        let dcab = eval(&mut engine, &d, &c, &a, &b);
-        let cdba = eval(&mut engine, &c, &d, &b, &a);
-        let dcba = eval(&mut engine, &d, &c, &b, &a);
+        let abcd = quartet(&mut engine, &a, &b, &c, &d);
+        let bacd = quartet(&mut engine, &b, &a, &c, &d);
+        let abdc = quartet(&mut engine, &a, &b, &d, &c);
+        let badc = quartet(&mut engine, &b, &a, &d, &c);
+        let cdab = quartet(&mut engine, &c, &d, &a, &b);
+        let dcab = quartet(&mut engine, &d, &c, &a, &b);
+        let cdba = quartet(&mut engine, &c, &d, &b, &a);
+        let dcba = quartet(&mut engine, &d, &c, &b, &a);
         for ia in 0..na {
             for ib in 0..nb {
                 for ic in 0..nc {
@@ -310,12 +308,9 @@ fn eri_kernel_path_respects_schwarz_bound() {
             arb_rich_shell(&mut rng),
         );
         let (na, nb, nc, nd) = (a.n_functions(), b.n_functions(), c.n_functions(), d.n_functions());
-        let mut abcd = vec![0.0; na * nb * nc * nd];
-        let mut abab = vec![0.0; na * nb * na * nb];
-        let mut cdcd = vec![0.0; nc * nd * nc * nd];
-        engine.shell_quartet(&a, &b, &c, &d, &mut abcd);
-        engine.shell_quartet(&a, &b, &a, &b, &mut abab);
-        engine.shell_quartet(&c, &d, &c, &d, &mut cdcd);
+        let abcd = quartet(&mut engine, &a, &b, &c, &d);
+        let abab = quartet(&mut engine, &a, &b, &a, &b);
+        let cdcd = quartet(&mut engine, &c, &d, &c, &d);
         for ia in 0..na {
             for ib in 0..nb {
                 let q_ab = abab[((ia * nb + ib) * na + ia) * nb + ib].max(0.0).sqrt();

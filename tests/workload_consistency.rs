@@ -128,7 +128,7 @@ fn screened_fraction_grows_with_system_extent() {
     let basis_of = |n: usize| BasisSet::build(&small::h_chain(n, 3.0), BasisName::Sto3g);
     let frac = |n: usize| {
         let b = basis_of(n);
-        let s = Screening::compute(&b);
+        let s = Screening::compute_hybrid(&b, 0.0);
         WorkloadStats::compute(&b, &s, 1e-10).screened_fraction()
     };
     let small_sys = frac(6);
