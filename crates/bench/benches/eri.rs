@@ -6,14 +6,17 @@
 //! the only variable is `EriEngine::use_kernels`. Every case first asserts
 //! numerical parity (<= 1e-14 per integral), then measures ns/quartet both
 //! ways. In full mode the per-class speedups are enforced as hard floors
-//! (2x on the d and SP classes the workload is dominated by, 1x meaning no
-//! regression elsewhere) so a kernel regression fails the bench, not just
-//! a dashboard. Smoke mode (`PHI_BENCH_SMOKE=1`) keeps the parity asserts
-//! and skips the floors (timings are meaningless in tiny windows).
+//! (2x on the d and SP classes the workload is dominated by, 2.5x on the
+//! straight-line ssss kernel, 1x meaning no regression elsewhere) so a
+//! kernel regression fails the bench, not just a dashboard. Smoke mode
+//! (`PHI_BENCH_SMOKE=1`) keeps the parity asserts and skips the floors
+//! (timings are meaningless in tiny windows). Both sides share one `boys`,
+//! so a last printed row times its table against the series it replaced.
 
 use phi_bench::microbench::{black_box, smoke_mode, Runner};
 use phi_chem::basis::{BasisName, BasisSet};
 use phi_chem::geom::small;
+use phi_integrals::boys::{boys_batch, boys_series};
 use phi_integrals::{class_index, EriEngine, ShellPairs, CLASS_LABELS};
 
 struct Row {
@@ -31,13 +34,16 @@ fn main() {
     // shells on different atoms so E-tables are nontrivial; ShellPairs
     // stores i >= j so bra/ket are ordered accordingly. The floor column is
     // the enforced speedup bound: >= 2x on the contracted d/SP classes the
-    // workload is dominated by, >= 1x (no regression) on the light classes.
+    // workload is dominated by, >= 1x (no regression) on the light classes,
+    // >= 2.5x on ssss, whose kernel is a different algorithm (one fused
+    // multiply-add chain per primitive quartet, measured ~4x), not a
+    // monomorphized copy of the generic one.
     // Pure (dd|dd) from single-primitive D1 shells is contraction-bound —
     // one primitive quartet leaves nothing for the batched phases to
     // amortize, so its win comes from the precomputed sparse E tables and
     // skipped R-cube zero-fill alone (measured ~1.5x); its floor is 1.3x.
     let cases: [(&str, usize, usize, usize, usize, f64); 5] = [
-        ("(S6 S6|S6 S6) heaviest contraction", 4, 0, 4, 0, 1.0),
+        ("(S6 S6|S6 S6) heaviest contraction", 4, 0, 4, 0, 2.5),
         ("(L3 L3|L3 L3) sp shells", 5, 1, 5, 1, 2.0),
         ("(D1 D1|D1 D1) highest angular momentum", 7, 3, 7, 3, 1.3),
         ("(D1 D1|L3 L3) d x sp", 7, 3, 5, 1, 2.0),
@@ -46,9 +52,17 @@ fn main() {
 
     let r = Runner::new("eri_kernel_ablation");
     let mut rows = Vec::new();
+    // Boys arguments of the cases' primitive quartets, for the last row.
+    let mut ts: Vec<f64> = Vec::new();
     for (name, a, b, c, d, floor) in cases {
         let bra = pairs.pair(a, b);
         let ket = pairs.pair(c, d);
+        for pb in &bra.prims {
+            for pk in &ket.prims {
+                let r2: f64 = (0..3).map(|x| (pb.center[x] - pk.center[x]).powi(2)).sum();
+                ts.push(pb.p * pk.p / (pb.p + pk.p) * r2);
+            }
+        }
         let len = bra.n_fn() * ket.n_fn();
         let class = CLASS_LABELS[class_index(bra.l_sum, ket.l_sum)];
         let mut kernel = EriEngine::new();
@@ -84,6 +98,34 @@ fn main() {
         println!("  -> class {class}: speedup {:.2}x (floor {floor:.1}x)", generic_ns / kernel_ns);
         rows.push(Row { name, class, generic_ns, kernel_ns, floor });
     }
+
+    // Both sides of every row above share `boys`; this row is what its
+    // table buys over the series it replaced, on the arguments the table
+    // serves (T < 35), per F_0..F_m stripe.
+    ts.retain(|&t| t < 35.0);
+    let mut boys_row = format!("boys table vs series, ns per stripe over {} arguments:", ts.len());
+    for m in [0usize, 4, 8] {
+        let mut out = vec![0.0; ts.len() * (m + 1)];
+        let table_ns = r
+            .bench(&format!("boys F_0..F_{m} / table"), || {
+                boys_batch(m, black_box(&ts), &mut out);
+                black_box(out[0]);
+            })
+            .ns_per_iter
+            / ts.len() as f64;
+        let series_ns = r
+            .bench(&format!("boys F_0..F_{m} / series"), || {
+                for (&t, stripe) in black_box(&ts).iter().zip(out.chunks_exact_mut(m + 1)) {
+                    boys_series(t, stripe);
+                }
+                black_box(out[0]);
+            })
+            .ns_per_iter
+            / ts.len() as f64;
+        boys_row +=
+            &format!("  m={m}: {table_ns:.1} vs {series_ns:.1} ({:.1}x)", series_ns / table_ns);
+    }
+    println!("{boys_row}");
 
     if smoke_mode() {
         eprintln!("[smoke] parity checked; speedup floors skipped");

@@ -1,41 +1,88 @@
 //! The Boys function `F_m(T) = ∫₀¹ t^{2m} e^{-T t²} dt`.
 //!
 //! Every Coulomb-type Gaussian integral reduces to Boys function values, so
-//! this sits on the innermost hot path of the ERI engine. Two regimes:
+//! this sits on the innermost hot path of the ERI engine. Three regimes:
 //!
-//! * `T < 35`: evaluate the highest required order by its (all-positive,
-//!   cancellation-free) ascending series, then fill lower orders by the
-//!   numerically stable *downward* recursion
-//!   `F_m = (2T F_{m+1} + e^{-T}) / (2m + 1)`.
+//! * `T < 1e-14`: the `T = 0` limit `1 / (2m + 1)`.
+//! * `T < 35`: the highest required order comes from a pretabulated grid
+//!   `F_m(T_k)`, `T_k = k / 16`, by a fixed 8-term Taylor step from the
+//!   nearest grid point — `dF_m/dT = -F_{m+1}`, so
+//!   `F_m(T) = Σ_j F_{m+j}(T_k) (T_k - T)^j / j!` needs nothing but the
+//!   row itself — and lower orders follow by the numerically stable
+//!   *downward* recursion `F_m = (2T F_{m+1} + e^{-T}) / (2m + 1)`. `F_0`
+//!   alone (the ssss case) costs no `exp` at all.
 //! * `T >= 35`: `erf(sqrt(T)) = 1` to double precision, so
 //!   `F_0 = sqrt(pi / T) / 2` exactly, and the *upward* recursion
 //!   `F_{m+1} = ((2m+1) F_m - e^{-T}) / (2T)` is stable because `2T`
 //!   dominates.
+//!
+//! **The table.** 561 rows (`T_k = 0, 1/16, .., 35`) of `F_0..F_23`, ~105 KB,
+//! one process-wide static filled on first use (one series evaluation per
+//! row, well under a millisecond). With `|T_k - T| <= 1/32` the first
+//! dropped Taylor term is `F_{m+8} / (32^8 8!) < 3e-17 F_m`, below one ulp,
+//! so the error is the rounding of the 8-term Horner sum: measured against
+//! the series over `T ∈ [0, 60]` at 1e-3 steps and `m <= 12`, at most 6e-16
+//! absolute and 3.3e-15 relative (the tests pin 1e-14 / 1e-13). Rows reach
+//! `F_{16+7}`, so orders up to `TABLE_MMAX = 16` (four d shells need 8,
+//! four f shells 12) take the table.
+//!
+//! **The series remains**, as `boys_series`: it generates the table rows,
+//! it evaluates the rare orders above `TABLE_MMAX`, and it is the oracle the
+//! tests compare the table against. It is the all-positive,
+//! cancellation-free ascending series
+//! `F_m(T) = e^{-T} Σ_i (2T)^i / ((2m+1)(2m+3)..(2m+2i+1))` for the top
+//! order, then the same downward recursion.
 
-/// Crossover between the series and the asymptotic branch.
+use std::sync::OnceLock;
+
+/// Crossover between the table and the asymptotic branch.
 const T_ASYMPTOTIC: f64 = 35.0;
 
-/// Fill `out[m] = F_m(T)` for `m = 0..=mmax` (`out.len() == mmax + 1`).
-pub fn boys(t: f64, out: &mut [f64]) {
+/// Grid rows per unit of `T`: `T_k = k / GRID_PER_UNIT`.
+const GRID_PER_UNIT: f64 = 16.0;
+
+/// Grid rows, `T_0 = 0` to `T_560 = 35` inclusive.
+const N_ROWS: usize = (T_ASYMPTOTIC * GRID_PER_UNIT) as usize + 1;
+
+/// Terms of the Taylor step, `j = 0..8`.
+const TAYLOR_TERMS: usize = 8;
+
+/// Highest order evaluated from the table; above it [`boys`] falls back to
+/// the series.
+const TABLE_MMAX: usize = 16;
+
+/// `1 / j` for the Horner step (`INV_J[0]` is unused).
+const INV_J: [f64; TAYLOR_TERMS] =
+    [0.0, 1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0, 1.0 / 5.0, 1.0 / 6.0, 1.0 / 7.0];
+
+/// One grid row `F_0(T_k)..F_{TABLE_MMAX + 7}(T_k)`: 24 doubles, aligned so
+/// the eight values an `F_0` evaluation reads share one cache line.
+#[repr(align(64))]
+struct Row([f64; TABLE_MMAX + TAYLOR_TERMS]);
+
+/// The process-wide table, filled on first use.
+fn table() -> &'static [Row; N_ROWS] {
+    static TABLE: OnceLock<Box<[Row; N_ROWS]>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let rows: Box<[Row]> = (0..N_ROWS)
+            .map(|k| {
+                let mut row = Row([0.0; TABLE_MMAX + TAYLOR_TERMS]);
+                boys_series(k as f64 / GRID_PER_UNIT, &mut row.0);
+                row
+            })
+            .collect();
+        rows.try_into().unwrap_or_else(|_| unreachable!("N_ROWS rows were collected"))
+    })
+}
+
+/// `out[m] = F_m(T)` for `m < out.len()` by the ascending series for the
+/// top order and the downward recursion below it. Not on any hot path: it
+/// generates the table, evaluates orders above `TABLE_MMAX` for [`boys`],
+/// and is the reference the tests and the `eri` bench hold the table
+/// against. Its 300 terms converge for `0 <= T <= 60` and beyond.
+pub fn boys_series(t: f64, out: &mut [f64]) {
     assert!(!out.is_empty());
     let mmax = out.len() - 1;
-    debug_assert!(t >= 0.0, "Boys argument must be non-negative, got {t}");
-    if t < 1e-14 {
-        for (m, o) in out.iter_mut().enumerate() {
-            *o = 1.0 / (2 * m + 1) as f64;
-        }
-        return;
-    }
-    if t >= T_ASYMPTOTIC {
-        let exp_mt = (-t).exp();
-        out[0] = 0.5 * (std::f64::consts::PI / t).sqrt();
-        for m in 0..mmax {
-            out[m + 1] = ((2 * m + 1) as f64 * out[m] - exp_mt) / (2.0 * t);
-        }
-        return;
-    }
-    // Ascending series for the highest order:
-    //   F_m(T) = e^{-T} * sum_{i>=0} (2T)^i / ((2m+1)(2m+3)...(2m+2i+1))
     let exp_mt = (-t).exp();
     let two_t = 2.0 * t;
     let mut term = 1.0 / (2 * mmax + 1) as f64;
@@ -50,16 +97,81 @@ pub fn boys(t: f64, out: &mut [f64]) {
         }
     }
     out[mmax] = exp_mt * sum;
-    // Downward recursion.
-    for m in (0..mmax).rev() {
+    recur_down(two_t, exp_mt, out);
+}
+
+/// Fill `out[..mmax]` from `out[mmax]` by `F_m = (2T F_{m+1} + e^{-T}) / (2m+1)`.
+#[inline(always)]
+fn recur_down(two_t: f64, exp_mt: f64, out: &mut [f64]) {
+    for m in (0..out.len() - 1).rev() {
         out[m] = (two_t * out[m + 1] + exp_mt) / (2 * m + 1) as f64;
     }
 }
 
-/// Convenience scalar version.
+/// The one evaluator behind [`boys`] and [`boys_f0`]. Always inlined, so a
+/// caller with a fixed `out.len()` (the ssss kernel's `F_0`) gets the
+/// recursions and the `exp` folded away while running the same arithmetic.
+#[inline(always)]
+fn boys_into(t: f64, out: &mut [f64]) {
+    let mmax = out.len() - 1;
+    debug_assert!(t >= 0.0, "Boys argument must be non-negative, got {t}");
+    if t < 1e-14 {
+        for (m, o) in out.iter_mut().enumerate() {
+            *o = 1.0 / (2 * m + 1) as f64;
+        }
+    } else if t >= T_ASYMPTOTIC {
+        out[0] = 0.5 * (std::f64::consts::PI / t).sqrt();
+        if mmax > 0 {
+            let exp_mt = (-t).exp();
+            for m in 0..mmax {
+                out[m + 1] = ((2 * m + 1) as f64 * out[m] - exp_mt) / (2.0 * t);
+            }
+        }
+    } else if mmax > TABLE_MMAX {
+        boys_series(t, out);
+    } else {
+        // Nearest grid row: at most N_ROWS - 1 for t < 35, and 0 for the
+        // NaN that also lands here (the cast saturates). The `min` states
+        // that bound where the compiler can use it, in place of a bounds
+        // check that could panic.
+        let k = ((t * GRID_PER_UNIT + 0.5) as usize).min(N_ROWS - 1);
+        let f = &table()[k].0[mmax..mmax + TAYLOR_TERMS];
+        let d = k as f64 / GRID_PER_UNIT - t;
+        // Horner form of sum_j f[j] d^j / j!.
+        let mut top = f[TAYLOR_TERMS - 1];
+        for j in (1..TAYLOR_TERMS).rev() {
+            top = f[j - 1] + top * (d * INV_J[j]);
+        }
+        out[mmax] = top;
+        if mmax > 0 {
+            recur_down(2.0 * t, (-t).exp(), out);
+        }
+    }
+}
+
+/// Fill `out[m] = F_m(T)` for `m = 0..=mmax` (`out.len() == mmax + 1`).
+///
+/// Total in release builds: a negative or `-0.0` argument takes the `T = 0`
+/// limit, `+inf` the asymptotic branch (all zeros), NaN propagates; debug
+/// builds assert `t >= 0`.
+pub fn boys(t: f64, out: &mut [f64]) {
+    assert!(!out.is_empty());
+    boys_into(t, out);
+}
+
+/// `F_0(T)`, bit for bit the value [`boys`] gives a one-element buffer,
+/// inlined into the caller's loop (the ssss kernel).
+#[inline(always)]
+pub(crate) fn boys_f0(t: f64) -> f64 {
+    let mut f = [0.0];
+    boys_into(t, &mut f);
+    f[0]
+}
+
+/// Convenience scalar version, for `m <= 31`.
 pub fn boys_single(m: usize, t: f64) -> f64 {
-    let mut buf = vec![0.0; m + 1];
-    boys(t, &mut buf);
+    let mut buf = [0.0; 32];
+    boys(t, &mut buf[..=m]);
     buf[m]
 }
 
@@ -69,11 +181,11 @@ pub fn boys_single(m: usize, t: f64) -> f64 {
 /// Fills `out[q * (mmax + 1) + m] = F_m(ts[q])` — one contiguous
 /// `F_0..F_mmax` stripe per lane, so the Hermite `R` recursion that follows
 /// streams each quartet's Boys values from one cache line instead of
-/// recomputing the series inside the quartet loop. Each stripe is produced
-/// by the same scalar [`boys`] evaluation (series/asymptotic branches are
-/// data-dependent, so the transcendental core stays scalar); the batching
-/// is in the memory layout and in hoisting the calls out of the per-quartet
-/// recursion. Values are bitwise identical to per-quartet [`boys`] calls.
+/// recomputing them inside the quartet loop. Each stripe is produced by the
+/// same scalar [`boys`] evaluation (the branches are data-dependent, so the
+/// core stays scalar); the batching is in the memory layout and in hoisting
+/// the calls out of the per-quartet recursion. Values are bitwise identical
+/// to per-quartet [`boys`] calls.
 pub fn boys_batch(mmax: usize, ts: &[f64], out: &mut [f64]) {
     let stride = mmax + 1;
     assert!(out.len() >= ts.len() * stride, "boys_batch output buffer too small");
@@ -132,16 +244,146 @@ mod tests {
 
     #[test]
     fn continuous_at_the_branch_point() {
-        // F_m varies genuinely with T (dF/dT ~ -F), so allow for the change
-        // over the 2e-9 argument gap plus a safety margin; what this guards
-        // against is an O(1e-10)+ jump between the two evaluation branches.
-        for m in 0..=10 {
-            let below = boys_single(m, T_ASYMPTOTIC - 1e-9);
-            let above = boys_single(m, T_ASYMPTOTIC + 1e-9);
-            assert!(
-                (below - above).abs() < 1e-10 * (1.0 + below),
-                "discontinuity at branch for m={m}: {below} vs {above}"
-            );
+        // One ulp apart, so F itself moves by ~1e-15 relative at most; the
+        // rest is the table branch against the asymptotic one.
+        let below = T_ASYMPTOTIC.next_down();
+        for mmax in 0..=12 {
+            let (mut lo, mut hi) = ([0.0; 13], [0.0; 13]);
+            boys(below, &mut lo[..=mmax]);
+            boys(T_ASYMPTOTIC, &mut hi[..=mmax]);
+            for m in 0..=mmax {
+                assert!(
+                    (lo[m] - hi[m]).abs() <= 1e-13 * lo[m],
+                    "F_{m} (mmax {mmax}) jumps at the seam: {} vs {}",
+                    lo[m],
+                    hi[m]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn table_matches_series_oracle_over_the_whole_range() {
+        // Step 1e-3 with rotating offsets, so arguments land on grid rows,
+        // between them and at arbitrary distances from both. Above T = 35
+        // the series still converges within its 300 terms, so it also
+        // checks the asymptotic branch.
+        const OFFSETS: [f64; 4] = [0.0, 2.3e-4, 4.9e-4, 7.7e-4];
+        let (mut max_abs, mut max_rel) = (0.0f64, 0.0f64);
+        for i in 0..=60_000usize {
+            let t = (i as f64 * 1e-3 + OFFSETS[i % 4]).min(60.0);
+            for mmax in 0..=12 {
+                let (mut got, mut want) = ([0.0; 13], [0.0; 13]);
+                boys(t, &mut got[..=mmax]);
+                boys_series(t, &mut want[..=mmax]);
+                for m in 0..=mmax {
+                    let abs = (got[m] - want[m]).abs();
+                    max_abs = max_abs.max(abs);
+                    max_rel = max_rel.max(abs / want[m]);
+                }
+            }
+        }
+        assert!(max_abs <= 1e-14, "max abs error {max_abs:e}");
+        assert!(max_rel <= 1e-13, "max rel error {max_rel:e}");
+    }
+
+    #[test]
+    fn continuous_where_the_nearest_row_flips() {
+        // At every grid midpoint the Taylor step switches rows and runs at
+        // its longest reach, Delta/2, from both sides.
+        let row_of = |t: f64| (t * GRID_PER_UNIT + 0.5) as usize;
+        for k in 0..N_ROWS - 1 {
+            let above = (k as f64 + 0.5) / GRID_PER_UNIT;
+            // The index sum rounds, so the flip sits an ulp or two low.
+            let mut below = above.next_down();
+            while row_of(below) != k {
+                below = below.next_down();
+            }
+            assert!(row_of(above) == k + 1 && above - below < 1e-14);
+            for mmax in [0, 4, 8, 12, TABLE_MMAX] {
+                let (mut lo, mut hi) = ([0.0; TABLE_MMAX + 1], [0.0; TABLE_MMAX + 1]);
+                boys(below, &mut lo[..=mmax]);
+                boys(above, &mut hi[..=mmax]);
+                for m in 0..=mmax {
+                    assert!(
+                        (lo[m] - hi[m]).abs() <= 2e-14 * lo[m],
+                        "F_{m} (mmax {mmax}) jumps at T = {above}: {} vs {}",
+                        lo[m],
+                        hi[m]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn total_over_edge_arguments() {
+        // No panic and no out-of-bounds row for anything a release build
+        // can be handed; `mmax` 0 and 8 cover the exp-free and the
+        // recursion paths of every branch.
+        for mmax in [0usize, 8] {
+            let eval = |t: f64| {
+                let mut out = [0.0; 9];
+                boys(t, &mut out[..=mmax]);
+                out
+            };
+            for t in [-0.0, 1e-300] {
+                for (m, v) in eval(t)[..=mmax].iter().enumerate() {
+                    assert_eq!(*v, 1.0 / (2 * m + 1) as f64);
+                }
+            }
+            let (near, at) = (eval(34.999999999), eval(35.0));
+            for m in 0..=mmax {
+                assert!(near[m] > at[m] && near[m] - at[m] < 1e-9 * at[m], "F_{m} near the seam");
+            }
+            assert!(eval(f64::MAX)[0] > 0.0);
+            assert!(eval(f64::MAX)[..=mmax].iter().all(|v| v.is_finite() && *v >= 0.0));
+            assert!(eval(f64::INFINITY)[..=mmax].iter().all(|v| *v == 0.0));
+            // NaN propagates (where the debug assertion does not catch it).
+            if !cfg!(debug_assertions) {
+                assert!(eval(f64::NAN)[..=mmax].iter().all(|v| v.is_nan()));
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "non-negative")]
+    fn nan_trips_the_debug_assertion() {
+        boys_single(0, f64::NAN);
+    }
+
+    #[test]
+    fn orders_above_the_table_are_the_series_bit_for_bit() {
+        for mmax in [TABLE_MMAX + 1, 20, 31] {
+            for &t in &[1e-9, 0.03, 1.0, 7.77, 20.5, 34.999] {
+                let (mut got, mut want) = ([0.0; 32], [0.0; 32]);
+                boys(t, &mut got[..=mmax]);
+                boys_series(t, &mut want[..=mmax]);
+                for m in 0..=mmax {
+                    assert_eq!(got[m].to_bits(), want[m].to_bits(), "F_{m}({t}), mmax {mmax}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_is_per_argument_boys_bit_for_bit() {
+        let ts = [0.0, 1e-15, 0.031, 0.5, 3.125, 17.03, 34.99, 35.0, 80.0, 1e6];
+        for mmax in [0usize, 1, 4, 8, 12, TABLE_MMAX + 2] {
+            let stride = mmax + 1;
+            let mut batch = vec![0.0; ts.len() * stride];
+            boys_batch(mmax, &ts, &mut batch);
+            for (q, &t) in ts.iter().enumerate() {
+                let mut one = vec![0.0; stride];
+                boys(t, &mut one);
+                for m in 0..=mmax {
+                    assert_eq!(batch[q * stride + m].to_bits(), one[m].to_bits());
+                }
+                if mmax == 0 {
+                    assert_eq!(boys_f0(t).to_bits(), one[0].to_bits());
+                }
+            }
         }
     }
 

@@ -14,12 +14,14 @@
 //! `dddd` is `(4,4)` — mirroring how GAMESS groups composite-L shells: all
 //! blocks of an SP shell share exponents, so one kernel instance covers the
 //! whole quartet. Every class with both sides `<=` [`SPEC_LMAX`] gets its
-//! own `eval_spec::<LB, LK>` instantiation (25 in total, covering every
-//! s/p/SP/d combination of 6-31G(d)-style bases); anything hotter — f
-//! shells and beyond — falls back to the generic recursion through the same
-//! [`EriKernel`] trait.
+//! own kernel (25 in total, covering every s/p/SP/d combination of
+//! 6-31G(d)-style bases): `ssss` a straight-line one (`eval_ssss` — one
+//! multiply-add chain per primitive quartet around an inlined `F_0`, none
+//! of the phases below), the other 24 an `eval_spec::<LB, LK>`
+//! instantiation; anything hotter — f shells and beyond — falls back to the
+//! generic recursion through the same [`EriKernel`] trait.
 //!
-//! Per quartet a specialized kernel runs three phases:
+//! Per quartet an `eval_spec` kernel runs three phases:
 //!
 //! 1. **Survivor compaction** (batched, structure-of-arrays): the primitive
 //!    prefactor screen streams the pair datasets' [`PrimSoA`] lanes and
@@ -51,7 +53,7 @@
 //! [`PrimSoA`]: crate::shell_pairs::PrimSoA
 //! [`E3Sparse`]: crate::shell_pairs::E3Sparse
 
-use crate::boys::boys_batch;
+use crate::boys::{boys_batch, boys_f0};
 use crate::eri::GenericKernel;
 use crate::rints::fill_r0_into;
 use crate::shell_pairs::ShellPair;
@@ -370,8 +372,64 @@ fn eval_spec<const LB: usize, const LK: usize>(
     nsurv as u64
 }
 
-/// Dispatch a specialized class slot to its monomorphized instance.
-/// `ci` must be a specialized slot (`< N_SPEC`).
+/// The ssss class: every shell is one s function, so a primitive quartet is
+/// one multiply-add chain and needs no survivor lanes, `R` recursion or `W`
+/// scratch. Streams the two [`PrimSoA`](crate::shell_pairs::PrimSoA)s in
+/// the generic order and accumulates `out[0]` directly, with `F_0` inlined.
+/// Returns the number of primitive quartets computed.
+///
+/// Parity: the generic path's arithmetic for `l = 0` replayed in its order —
+/// `R_000 = F_0` (its `(-2 alpha)^0` factor is exactly 1), stage 1
+/// `W = (E_ket * scale_cd) * F_0`, stage 2 `E_bra * W`, then `wab_full *`
+/// into `out[0]`. The generic path's `0.0 +` accumulator seeds and a pair
+/// whose `E_000` underflowed to an empty entry list add exact zeros there,
+/// which cannot change a sum that starts at `+0.0`.
+fn eval_ssss(bra: &ShellPair, ket: &ShellPair, prefactor_cutoff: f64, out: &mut [f64]) -> u64 {
+    debug_assert!(bra.l_sum == 0 && ket.l_sum == 0 && out.len() == 1);
+    let coef_bound = bra.max_coef * ket.max_coef;
+    let num = 2.0 * PI.powf(2.5);
+    let (bs, ks) = (&bra.soa, &ket.soa);
+    let (norm_a, norm_b) = (bra.a.norms[0], bra.b.norms[0]);
+    let (norm_c, norm_d) = (ket.a.norms[0], ket.b.norms[0]);
+    let mut prim_quartets = 0u64;
+    let mut sum = out[0];
+    for ia in 0..bs.p.len() {
+        let p = bs.p[ia];
+        let (bcx, bcy, bcz, bk) = (bs.cx[ia], bs.cy[ia], bs.cz[ia], bs.k[ia]);
+        let wab = bra.coef(ia, 0, 0);
+        let wab_full = wab * norm_a * norm_b;
+        let e_bra = bra.e3.entries(ia, 0, 0).1.first();
+        for ic in 0..ks.p.len() {
+            let q = ks.p[ic];
+            let base = num / (p * q * (p + q).sqrt());
+            if (base * bk * ks.k[ic] * coef_bound).abs() < prefactor_cutoff {
+                continue;
+            }
+            prim_quartets += 1;
+            let scale_ket = base * ket.coef(ic, 0, 0);
+            if scale_ket == 0.0 || wab == 0.0 {
+                continue;
+            }
+            let (Some(&e_bra), Some(&e_ket)) = (e_bra, ket.e3.entries(ic, 0, 0).1.first()) else {
+                continue;
+            };
+            let alpha = p * q / (p + q);
+            let dx = bcx - ks.cx[ic];
+            let dy = bcy - ks.cy[ic];
+            let dz = bcz - ks.cz[ic];
+            let r2 = dx * dx + dy * dy + dz * dz;
+            let scale_cd = scale_ket * norm_c * norm_d;
+            let w = e_ket * scale_cd * boys_f0(alpha * r2);
+            sum += wab_full * (e_bra * w);
+        }
+    }
+    out[0] = sum;
+    prim_quartets
+}
+
+/// Dispatch a specialized class slot to its kernel: the straight-line
+/// ssss kernel for slot 0, a monomorphized `eval_spec` instance for the
+/// rest. `ci` must be a specialized slot (`< N_SPEC`).
 fn eval_spec_dispatch(
     ci: usize,
     s: &mut KernelScratch,
@@ -386,7 +444,7 @@ fn eval_spec_dispatch(
         };
     }
     match ci {
-        0 => arm!(0, 0),
+        0 => eval_ssss(bra, ket, prefactor_cutoff, out),
         1 => arm!(0, 1),
         2 => arm!(0, 2),
         3 => arm!(0, 3),
@@ -415,7 +473,7 @@ fn eval_spec_dispatch(
     }
 }
 
-/// The full kernel set: the 25 specialized instances plus the generic
+/// The full kernel set: the 25 class kernels plus the generic
 /// fallback, behind one [`EriKernel`] face. This is what [`crate::eri::EriEngine`]
 /// owns; the engine's `use_kernels` toggle routes everything through the
 /// fallback for differential testing and ablation.
