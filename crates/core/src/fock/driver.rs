@@ -313,20 +313,11 @@ impl World<'_> {
         stats.memory_total_peak = world.memory.total_peak();
         stats.per_rank_peak = world.memory.per_rank_peak;
         stats.dlb_calls = world.dlb_calls;
-        stats.faults_injected = world.faults_injected;
         stats.tasks_reclaimed = world.tasks_reclaimed;
         stats.retries = world.lease_retries;
-        stats.retransmits = world.retransmits;
-        stats.acks = world.acks;
-        stats.corruptions_detected = world.corruptions_detected;
-        stats.transient_recoveries = world.transient_recoveries;
+        stats.comm = world.comm;
         for w in windows.iter().flat_map(|ws| ws.iter()) {
-            let ls = w.link_stats();
-            stats.retransmits += ls.retransmits;
-            stats.acks += ls.acks;
-            stats.corruptions_detected += ls.corruptions_detected;
-            stats.transient_recoveries += ls.transient_recoveries;
-            stats.faults_injected += ls.faults_injected as usize;
+            stats.comm += w.link_stats();
         }
         (result, stats)
     }

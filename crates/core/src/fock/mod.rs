@@ -70,6 +70,18 @@ impl FockAlgorithm {
             FockAlgorithm::Sharded { .. } => "sharded",
         }
     }
+
+    /// `(ranks, threads per rank)` the algorithm runs on.
+    pub fn shape(self) -> (usize, usize) {
+        match self {
+            FockAlgorithm::Serial => (1, 1),
+            FockAlgorithm::MpiOnly { n_ranks }
+            | FockAlgorithm::Distributed { n_ranks }
+            | FockAlgorithm::Sharded { n_ranks, .. } => (n_ranks, 1),
+            FockAlgorithm::PrivateFock { n_ranks, n_threads }
+            | FockAlgorithm::SharedFock { n_ranks, n_threads } => (n_ranks, n_threads),
+        }
+    }
 }
 
 /// Result of one two-electron Fock build, spin-generalized: restricted

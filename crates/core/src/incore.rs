@@ -24,7 +24,6 @@ use crate::fock::matrix::ReplicatedFock;
 use crate::fock::{digest, DensitySet, GBuild, ReplicatedDensity};
 use crate::stats::FockBuildStats;
 use phi_chem::BasisSet;
-use phi_linalg::Mat;
 use std::time::Instant;
 
 /// A stored list of surviving shell quartets and their integral blocks.
@@ -71,10 +70,6 @@ impl IncoreEris {
         self.quartets.len()
     }
 
-    pub fn stored_bytes(&self) -> usize {
-        self.values.len() * std::mem::size_of::<f64>()
-    }
-
     /// Build the two-electron matrices for any [`DensitySet`] by replaying
     /// the stored integrals — no ERI evaluation.
     pub fn build_set(&self, basis: &BasisSet, dens: &DensitySet<'_>) -> GBuild {
@@ -112,12 +107,6 @@ impl IncoreEris {
             },
         )
     }
-
-    /// Build `G(D)` by replaying the stored integrals (restricted wrapper
-    /// over [`IncoreEris::build_set`]).
-    pub fn build_g(&self, basis: &BasisSet, d: &Mat) -> GBuild {
-        self.build_set(basis, &DensitySet::Restricted(d))
-    }
 }
 
 impl FockBuilder for IncoreEris {
@@ -137,6 +126,7 @@ mod tests {
     use crate::fock::FockAlgorithm;
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
+    use phi_linalg::Mat;
 
     fn density(n: usize) -> Mat {
         Mat::from_fn(n, n, |i, j| {
@@ -162,7 +152,11 @@ mod tests {
             let mut d = density(b.n_basis());
             d.scale(1.0 + seed as f64 * 0.5);
             let direct = FockAlgorithm::Serial.builder().build(&ctx, &DensitySet::Restricted(&d));
-            assert_eq!(bits(&direct.g), bits(&eris.build_g(&b, &d).g), "seed {seed}");
+            assert_eq!(
+                bits(&direct.g),
+                bits(&eris.build_set(&b, &DensitySet::Restricted(&d)).g),
+                "seed {seed}"
+            );
             assert_eq!(eris.n_quartets() as u64, direct.stats.quartets_computed);
         }
         // Pinned at the commit before the store moved onto `Quartets`.
@@ -226,7 +220,7 @@ mod tests {
         let d = density(b.n_basis());
         let eris = IncoreEris::compute(&ctx, 1 << 30).expect("fits");
         let direct = FockAlgorithm::Serial.builder().build(&ctx, &DensitySet::Restricted(&d));
-        let incore = eris.build_g(&b, &d);
+        let incore = eris.build_set(&b, &DensitySet::Restricted(&d));
         assert!(direct.stats.prim_quartets > 0, "direct build evaluates primitives");
         assert_eq!(incore.stats.prim_quartets, 0, "replay never touches the ERI engine");
         assert_eq!(incore.stats.quartets_computed, direct.stats.quartets_computed);

@@ -59,6 +59,6 @@ pub use incore::IncoreEris;
 pub use memory_model::MemoryModel;
 pub use mp2::{mp2_energy, Mp2Result};
 pub use properties::{dipole_moment, mulliken_charges, mulliken_spin_populations, Dipole};
-pub use purification::{purify_density, purify_density_threaded, Purification};
+pub use purification::{purify_density, Purification};
 pub use scf::{run_scf, BetaSpin, ScfConfig, ScfResult, ScfStop, Spin};
 pub use stats::FockBuildStats;

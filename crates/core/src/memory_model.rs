@@ -157,11 +157,6 @@ impl Table2Row {
     pub fn shared_ratio(&self) -> f64 {
         self.gb_mpi / self.gb_shared
     }
-
-    /// Footprint ratio MPI-only : private-Fock (the paper's "~50x").
-    pub fn private_ratio(&self) -> f64 {
-        self.gb_mpi / self.gb_private
-    }
 }
 
 /// The paper's printed Table 2 values (GB) for comparison output:
@@ -187,7 +182,7 @@ mod tests {
         // hold from the equations alone:
         let row = Table2Row::compute(PaperSystem::Nm10);
         assert!(row.shared_ratio() > 40.0, "shared ratio {}", row.shared_ratio());
-        assert!(row.private_ratio() > 2.0, "private ratio {}", row.private_ratio());
+        assert!(row.gb_mpi / row.gb_private > 2.0, "private ratio");
         // Shared Fock always beats private Fock at 64 threads.
         assert!(row.gb_shared < row.gb_private);
     }

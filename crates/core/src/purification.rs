@@ -46,20 +46,6 @@ fn gershgorin(a: &Mat) -> (f64, f64) {
 /// purification. `x` is the orthogonalizer (`Xᵀ S X = 1`), `n_occ` the
 /// number of doubly occupied orbitals.
 pub fn purify_density(f: &Mat, x: &Mat, n_occ: usize, max_iter: usize, tol: f64) -> Purification {
-    purify_density_threaded(f, x, n_occ, max_iter, tol, 1)
-}
-
-/// Threaded purification: identical algorithm with the matrix products —
-/// its entire cost — split over `n_threads` (what makes purification the
-/// scalable alternative to diagonalization in Chow et al.).
-pub fn purify_density_threaded(
-    f: &Mat,
-    x: &Mat,
-    n_occ: usize,
-    max_iter: usize,
-    tol: f64,
-    n_threads: usize,
-) -> Purification {
     let f_prime = f.congruence(x);
     let n = f_prime.rows();
     let (emin, emax) = gershgorin(&f_prime);
@@ -80,8 +66,8 @@ pub fn purify_density_threaded(
     let mut idempotency = f64::INFINITY;
     for it in 0..max_iter {
         iterations = it + 1;
-        let d2 = d.matmul_threaded(&d, n_threads);
-        let d3 = d2.matmul_threaded(&d, n_threads);
+        let d2 = d.matmul(&d);
+        let d3 = d2.matmul(&d);
         idempotency = d2.max_abs_diff(&d);
         if idempotency < tol {
             converged = true;
@@ -168,19 +154,6 @@ mod tests {
         let mut d2 = p.density.clone();
         d2.scale(2.0);
         assert!(dsd.max_abs_diff(&d2) < 1e-6);
-    }
-
-    #[test]
-    fn threaded_purification_matches_serial() {
-        let (f, x, _s, n_occ) = water_fock();
-        let serial = purify_density(&f, &x, n_occ, 200, 1e-12);
-        let par = purify_density_threaded(&f, &x, n_occ, 200, 1e-12, 4);
-        assert!(par.converged);
-        assert!(
-            serial.density.max_abs_diff(&par.density) < 1e-9,
-            "threaded purification differs by {}",
-            serial.density.max_abs_diff(&par.density)
-        );
     }
 
     #[test]

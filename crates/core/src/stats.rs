@@ -37,10 +37,6 @@ pub struct FockBuildStats {
     pub memory_total_peak: usize,
     /// Peak tracked bytes per rank.
     pub per_rank_peak: Vec<usize>,
-    /// Faults injected by the world's `FaultPlan` during this build
-    /// (rank kills, stragglers, message faults). World-global, set once
-    /// per build like `dlb_calls`; zero without fault injection.
-    pub faults_injected: usize,
     /// Tasks reclaimed from dead ranks and reissued to survivors.
     /// World-global, set once per build.
     pub tasks_reclaimed: usize,
@@ -49,19 +45,11 @@ pub struct FockBuildStats {
     pub retries: usize,
     /// Ranks that died during this build, in order of death.
     pub failed_ranks: Vec<usize>,
-    /// Reliable-delivery retransmissions (rank messages plus DDI window
-    /// requests) during this build. World-global, set once per build.
-    pub retransmits: u64,
-    /// Acks sent by receivers, including re-acks of deduplicated
-    /// duplicates. World-global, set once per build.
-    pub acks: u64,
-    /// Payloads that failed their checksum at a receiver and were
-    /// discarded for retransmission. World-global, set once per build.
-    pub corruptions_detected: u64,
-    /// Reliable operations that succeeded after ≥1 transient fault —
-    /// faults that drained into retry instead of the kill path.
-    /// World-global, set once per build.
-    pub transient_recoveries: u64,
+    /// Faults injected by the `FaultPlan` and the reliable-delivery work
+    /// that absorbed them, summed over the world's rank messages and the
+    /// build's DDI window links. World-global, set once per build like
+    /// `dlb_calls`; all zero without fault injection.
+    pub comm: phi_dmpi::CommStats,
     /// True when this build was an incremental (ΔD) build: the quartet
     /// counts describe the density-weighted ΔD pass, not a full build.
     /// Set by the driver (like `dlb_calls`, not merged).

@@ -8,10 +8,8 @@
 //! benchmarks without data servers; the mode lives here so the memory
 //! model can quantify what the servers would have cost.
 
-use crate::fault::{FaultPlan, FaultSpec, RetryPolicy};
+use crate::fault::{CommStats, EdgeFault, EdgeFaults, FaultPlan, RetryPolicy};
 use crate::sync::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which DDI transport the run models.
@@ -40,39 +38,6 @@ impl DdiMode {
     }
 }
 
-/// Counters of the reliable request/response link underneath a
-/// [`DistributedArray`] (see [`DistributedArray::with_faults`]).
-/// All zero for windows without a fault-injected link.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Remote request messages carried by the link.
-    pub messages: u64,
-    /// Requests acknowledged by the owning side (successful deliveries).
-    pub acks: u64,
-    /// Requests retransmitted after a transient fault.
-    pub retransmits: u64,
-    /// Payloads discarded after failing checksum verification.
-    pub corruptions_detected: u64,
-    /// Requests that were delivered after >= 1 transient fault.
-    pub transient_recoveries: u64,
-    /// Window-edge faults actually injected (drops + corruptions).
-    pub faults_injected: u64,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum LinkFaultKind {
-    Drop,
-    Corrupt,
-}
-
-struct LinkFault {
-    from: usize,
-    to: usize,
-    nth: usize,
-    kind: LinkFaultKind,
-    fired: bool,
-}
-
 /// Reliable-delivery layer for window traffic: every remote get/put/acc
 /// is a logical request message on the `(caller -> owner)` edge. A
 /// [`FaultPlan`]'s `drop@`/`corrupt@` specs are interpreted on these
@@ -83,61 +48,18 @@ struct LinkFault {
 /// within the policy budget, so a transient window fault costs a
 /// retransmission instead of a failed rank.
 struct WindowLink {
-    faults: Mutex<Vec<LinkFault>>,
-    /// Physical 1-based transmission ordinals per (caller, owner) edge.
-    seq: Mutex<HashMap<(usize, usize), usize>>,
+    faults: EdgeFaults,
     policy: RetryPolicy,
-    messages: AtomicU64,
-    acks: AtomicU64,
-    retransmits: AtomicU64,
-    corruptions: AtomicU64,
-    recoveries: AtomicU64,
-    injected: AtomicU64,
+    stats: Mutex<CommStats>,
 }
 
 impl WindowLink {
     fn new(plan: &FaultPlan, policy: RetryPolicy) -> Self {
-        let faults = plan
-            .specs()
-            .iter()
-            .filter_map(|spec| match *spec {
-                FaultSpec::DropMessage { from, to, nth } => {
-                    Some(LinkFault { from, to, nth, kind: LinkFaultKind::Drop, fired: false })
-                }
-                FaultSpec::CorruptMessage { from, to, nth } => {
-                    Some(LinkFault { from, to, nth, kind: LinkFaultKind::Corrupt, fired: false })
-                }
-                _ => None, // kills/delays belong to the world, not the link
-            })
-            .collect();
         WindowLink {
-            faults: Mutex::new(faults),
-            seq: Mutex::new(HashMap::new()),
+            faults: EdgeFaults::new(plan),
             policy,
-            messages: AtomicU64::new(0),
-            acks: AtomicU64::new(0),
-            retransmits: AtomicU64::new(0),
-            corruptions: AtomicU64::new(0),
-            recoveries: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
+            stats: Mutex::new(CommStats::default()),
         }
-    }
-
-    fn fire(&self, from: usize, to: usize) -> Option<LinkFaultKind> {
-        let nth = {
-            let mut seq = self.seq.lock();
-            let n = seq.entry((from, to)).or_insert(0);
-            *n += 1;
-            *n
-        };
-        let mut faults = self.faults.lock();
-        for f in faults.iter_mut() {
-            if !f.fired && f.from == from && f.to == to && f.nth == nth {
-                f.fired = true;
-                return Some(f.kind);
-            }
-        }
-        None
     }
 
     /// Carry one logical request on the `(from -> to)` edge, absorbing
@@ -145,51 +67,35 @@ impl WindowLink {
     /// edge when the retry budget is exhausted (fatal: at real scale
     /// this is where the owner would be declared dead).
     fn deliver(&self, from: usize, to: usize) {
-        self.messages.fetch_add(1, Ordering::SeqCst);
         let attempts = self.policy.max_attempts.max(1);
         let mut suffered_transient = false;
         for attempt in 1..=attempts {
             if attempt > 1 {
                 std::thread::sleep(self.policy.backoff_for(from, to, attempt - 1));
-                self.retransmits.fetch_add(1, Ordering::SeqCst);
+                self.stats.lock().retransmits += 1;
                 phi_trace::instant("ddi.retransmit", to as u64);
             }
-            match self.fire(from, to) {
-                None => {
-                    self.acks.fetch_add(1, Ordering::SeqCst);
-                    if suffered_transient {
-                        self.recoveries.fetch_add(1, Ordering::SeqCst);
-                        phi_trace::instant("ddi.recovered", to as u64);
-                    }
-                    return;
+            let fault = self.faults.fire(from, to);
+            let mut stats = self.stats.lock();
+            let Some(fault) = fault else {
+                stats.acks += 1;
+                if suffered_transient {
+                    stats.transient_recoveries += 1;
+                    phi_trace::instant("ddi.recovered", to as u64);
                 }
-                Some(LinkFaultKind::Drop) => {
-                    self.injected.fetch_add(1, Ordering::SeqCst);
-                    suffered_transient = true;
-                }
-                Some(LinkFaultKind::Corrupt) => {
-                    self.injected.fetch_add(1, Ordering::SeqCst);
-                    self.corruptions.fetch_add(1, Ordering::SeqCst);
-                    phi_trace::instant("ddi.corrupt_detected", to as u64);
-                    suffered_transient = true;
-                }
+                return;
+            };
+            stats.faults_injected += 1;
+            if fault == EdgeFault::Corrupt {
+                stats.corruptions_detected += 1;
+                phi_trace::instant("ddi.corrupt_detected", to as u64);
             }
+            suffered_transient = true;
         }
         panic!(
             "window link: no delivery on edge rank {from} -> rank {to} \
              after {attempts} attempts (retry budget exhausted)"
         );
-    }
-
-    fn stats(&self) -> LinkStats {
-        LinkStats {
-            messages: self.messages.load(Ordering::SeqCst),
-            acks: self.acks.load(Ordering::SeqCst),
-            retransmits: self.retransmits.load(Ordering::SeqCst),
-            corruptions_detected: self.corruptions.load(Ordering::SeqCst),
-            transient_recoveries: self.recoveries.load(Ordering::SeqCst),
-            faults_injected: self.injected.load(Ordering::SeqCst),
-        }
     }
 }
 
@@ -254,15 +160,10 @@ impl DistributedArray {
         self
     }
 
-    /// Counters of the reliable link (all zero without
+    /// The ledger of the reliable link (all zero without
     /// [`with_faults`](Self::with_faults)).
-    pub fn link_stats(&self) -> LinkStats {
-        self.link.as_ref().map_or(LinkStats::default(), |l| l.stats())
-    }
-
-    /// The DDI transport this array models.
-    pub fn mode(&self) -> DdiMode {
-        self.mode
+    pub fn link_stats(&self) -> CommStats {
+        self.link.as_ref().map_or(CommStats::default(), |l| *l.stats.lock())
     }
 
     pub fn len(&self) -> usize {
@@ -417,7 +318,6 @@ mod tests {
     #[test]
     fn one_sided_mode_has_no_server_messages() {
         let a = DistributedArray::new(100, 4);
-        assert_eq!(a.mode(), DdiMode::Mpi3OneSided);
         a.put(0, 0, &[1.0; 50]);
         a.get(1, 0, &mut [0.0; 50]);
         assert_eq!(a.server_messages(), 0);
@@ -493,8 +393,24 @@ mod tests {
             assert_eq!(s.corruptions_detected, 1);
             assert_eq!(s.transient_recoveries, 1, "one request recovered (after two faults)");
             assert_eq!(s.faults_injected, 2);
-            assert_eq!(s.acks, s.messages, "every request was eventually delivered");
+            assert_eq!(s.acks, 2, "the put and the get were each acknowledged once");
         }
+    }
+
+    #[test]
+    fn a_drop_and_a_corruption_of_the_same_window_request_are_a_drop() {
+        // Plan order must not decide: the corruption is listed first.
+        let plan = FaultPlan::parse("3:corrupt@0->1#1,drop@0->1#1").unwrap();
+        let a = DistributedArray::new(100, 4).with_faults(&plan, fast_policy());
+        a.put(0, 25, &[2.0; 25]);
+        let want = CommStats {
+            faults_injected: 1,
+            retransmits: 1,
+            acks: 1,
+            corruptions_detected: 0,
+            transient_recoveries: 1,
+        };
+        assert_eq!(a.link_stats(), want, "the request was lost, not damaged");
     }
 
     #[test]
@@ -502,13 +418,12 @@ mod tests {
         let plan = FaultPlan::parse("3:drop@0->0#1").unwrap();
         let a = DistributedArray::new(100, 4).with_faults(&plan, fast_policy());
         a.put(0, 0, &[1.0; 25]); // own segment: a direct store, no link message
-        assert_eq!(a.link_stats().messages, 0);
-        assert_eq!(a.link_stats().faults_injected, 0);
+        assert_eq!(a.link_stats(), CommStats::default());
         // Data servers route even local access through the link.
         let ds = DistributedArray::new_with_mode(100, 4, DdiMode::DataServer)
             .with_faults(&plan, fast_policy());
         ds.put(0, 0, &[1.0; 25]);
-        assert_eq!(ds.link_stats().messages, 1);
+        assert_eq!(ds.link_stats().acks, 1);
         assert_eq!(ds.link_stats().retransmits, 1, "the local-edge drop fired and was absorbed");
     }
 
@@ -531,6 +446,6 @@ mod tests {
     fn unfaulted_window_reports_zero_link_stats() {
         let a = DistributedArray::new(10, 2);
         a.put(0, 5, &[1.0; 5]);
-        assert_eq!(a.link_stats(), LinkStats::default());
+        assert_eq!(a.link_stats(), CommStats::default());
     }
 }

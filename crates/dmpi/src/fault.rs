@@ -48,7 +48,7 @@
 //!   (claimed but not flushed) at death are reissued.
 
 use crate::sync::Mutex;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
@@ -305,12 +305,6 @@ impl FaultPlan {
         FaultPlan { seed, specs: vec![FaultSpec::KillRandom { count }] }
     }
 
-    /// Append one fault to the plan.
-    pub fn with(mut self, spec: FaultSpec) -> Self {
-        self.specs.push(spec);
-        self
-    }
-
     /// The scheduled faults, in plan order.
     pub fn specs(&self) -> &[FaultSpec] {
         &self.specs
@@ -375,6 +369,87 @@ fn parse_spec(spec: &str) -> Result<FaultSpec, String> {
         return Ok(FaultSpec::CorruptMessage { from, to, nth });
     }
     Err(format!("unknown fault spec '{spec}'"))
+}
+
+/// The fault and reliable-delivery ledger of one communication layer: a
+/// world's rank messages, one DDI window's request link, or — summed with
+/// `+=` — everything a Fock build ran on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CommStats {
+    /// Faults actually injected: rank kills and stragglers (a world only),
+    /// dropped and corrupted transmissions.
+    pub faults_injected: u64,
+    /// Payload retransmissions (attempts after the first).
+    pub retransmits: u64,
+    /// Acks sent by receivers, re-acks of deduplicated duplicates
+    /// included; on a window link, requests the owner acknowledged.
+    pub acks: u64,
+    /// Payloads discarded after failing checksum verification.
+    pub corruptions_detected: u64,
+    /// Reliable operations that succeeded after >= 1 transient fault.
+    pub transient_recoveries: u64,
+}
+
+impl std::ops::AddAssign for CommStats {
+    fn add_assign(&mut self, other: CommStats) {
+        self.faults_injected += other.faults_injected;
+        self.retransmits += other.retransmits;
+        self.acks += other.acks;
+        self.corruptions_detected += other.corruptions_detected;
+        self.transient_recoveries += other.transient_recoveries;
+    }
+}
+
+/// What an injected edge fault does to the transmission it fires on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EdgeFault {
+    /// The transmission never arrives.
+    Drop,
+    /// The payload arrives damaged and fails its checksum.
+    Corrupt,
+}
+
+struct EdgeState {
+    /// Transmissions so far per `(from, to)` edge.
+    sent: HashMap<(usize, usize), usize>,
+    /// Scheduled `(from, to, nth, fault)`, removed as they fire.
+    pending: Vec<(usize, usize, usize, EdgeFault)>,
+}
+
+/// The `drop@`/`corrupt@` specs of a [`FaultPlan`] over one space of
+/// directed edges (a world's rank messages, or one window's requests):
+/// counts physical transmissions per edge and fires each spec once, on the
+/// 1-based ordinal it names.
+pub(crate) struct EdgeFaults(Mutex<EdgeState>);
+
+impl EdgeFaults {
+    pub(crate) fn new(plan: &FaultPlan) -> Self {
+        let pending = plan
+            .specs()
+            .iter()
+            .filter_map(|spec| match *spec {
+                FaultSpec::DropMessage { from, to, nth } => Some((from, to, nth, EdgeFault::Drop)),
+                FaultSpec::CorruptMessage { from, to, nth } => {
+                    Some((from, to, nth, EdgeFault::Corrupt))
+                }
+                _ => None, // kills and delays key on lease claims, not edges
+            })
+            .collect();
+        EdgeFaults(Mutex::new(EdgeState { sent: HashMap::new(), pending }))
+    }
+
+    /// Count one transmission on `from -> to` and return the fault
+    /// scheduled for it. A drop and a corruption of the same transmission
+    /// are a drop: a message that never arrives has nothing to corrupt.
+    pub(crate) fn fire(&self, from: usize, to: usize) -> Option<EdgeFault> {
+        let mut guard = self.0.lock();
+        let EdgeState { sent, pending } = &mut *guard;
+        let nth = sent.entry((from, to)).or_insert(0);
+        *nth += 1;
+        let scheduled = |fault| pending.iter().position(|&f| f == (from, to, *nth, fault));
+        let hit = scheduled(EdgeFault::Drop).or_else(|| scheduled(EdgeFault::Corrupt))?;
+        Some(pending.swap_remove(hit).3)
+    }
 }
 
 /// SplitMix64 step: the deterministic PRNG behind seeded fault choices

@@ -34,9 +34,10 @@ pub mod memory;
 pub mod sync;
 pub mod world;
 
-pub use ddi::{DdiMode, DistributedArray, LinkStats};
+pub use ddi::{DdiMode, DistributedArray};
 pub use fault::{
-    CommError, FaultPlan, FaultSpec, FtBarrier, LeaseClaim, LeaseMode, RetryPolicy, TaskLeases,
+    CommError, CommStats, FaultPlan, FaultSpec, FtBarrier, LeaseClaim, LeaseMode, RetryPolicy,
+    TaskLeases,
 };
 pub use memory::{MemoryReport, MemoryTracker};
 pub use world::{

@@ -23,10 +23,6 @@ impl MemoryTracker {
         }
     }
 
-    pub fn n_ranks(&self) -> usize {
-        self.current.len()
-    }
-
     pub fn on_alloc(&self, rank: usize, bytes: usize) {
         let cur = self.current[rank].fetch_add(bytes, Ordering::Relaxed) + bytes;
         // Monotone max update.

@@ -9,8 +9,8 @@
 //! and finish the computation.
 
 use crate::fault::{
-    splitmix64, CommError, FaultPlan, FaultSpec, FtBarrier, LeaseClaim, LeaseMode, RetryPolicy,
-    TaskLeases,
+    splitmix64, CommError, CommStats, EdgeFault, EdgeFaults, FaultPlan, FaultSpec, FtBarrier,
+    LeaseClaim, LeaseMode, RetryPolicy, TaskLeases,
 };
 use crate::memory::{MemoryReport, MemoryTracker};
 use crate::sync::Mutex;
@@ -73,15 +73,8 @@ struct ClaimKill {
     fired: bool,
 }
 
-struct EdgeFault {
-    from: usize,
-    to: usize,
-    nth: usize,
-    fired: bool,
-}
-
 /// Per-world interpreter of a [`FaultPlan`]: tracks which scheduled
-/// faults have fired and the per-rank / per-edge ordinals they key on.
+/// faults have fired and the per-rank ordinals they key on.
 struct FaultRuntime {
     seed: u64,
     kill_tasks: Mutex<Vec<KillTask>>,
@@ -89,13 +82,10 @@ struct FaultRuntime {
     random_resolved: AtomicBool,
     claim_kills: Mutex<Vec<ClaimKill>>,
     delays: Vec<(usize, usize, u64)>,
-    drops: Mutex<Vec<EdgeFault>>,
-    corrupts: Mutex<Vec<EdgeFault>>,
+    /// Drops and corruptions, keyed on physical rank-message ordinals.
+    edges: EdgeFaults,
     /// Successful lease claims made by each rank (1-based ordinals).
     claims: Vec<AtomicUsize>,
-    /// Messages sent per (from, to) edge (1-based ordinals).
-    msg_seq: Mutex<HashMap<(usize, usize), usize>>,
-    injected: AtomicUsize,
 }
 
 impl FaultRuntime {
@@ -103,8 +93,6 @@ impl FaultRuntime {
         let mut kill_tasks = Vec::new();
         let mut claim_kills = Vec::new();
         let mut delays = Vec::new();
-        let mut drops = Vec::new();
-        let mut corrupts = Vec::new();
         let mut random_kill_count = 0;
         for spec in plan.specs() {
             match *spec {
@@ -114,12 +102,7 @@ impl FaultRuntime {
                 }
                 FaultSpec::KillRandom { count } => random_kill_count += count,
                 FaultSpec::Delay { rank, claim, millis } => delays.push((rank, claim, millis)),
-                FaultSpec::DropMessage { from, to, nth } => {
-                    drops.push(EdgeFault { from, to, nth, fired: false })
-                }
-                FaultSpec::CorruptMessage { from, to, nth } => {
-                    corrupts.push(EdgeFault { from, to, nth, fired: false })
-                }
+                FaultSpec::DropMessage { .. } | FaultSpec::CorruptMessage { .. } => {}
             }
         }
         FaultRuntime {
@@ -129,11 +112,8 @@ impl FaultRuntime {
             random_resolved: AtomicBool::new(false),
             claim_kills: Mutex::new(claim_kills),
             delays,
-            drops: Mutex::new(drops),
-            corrupts: Mutex::new(corrupts),
+            edges: EdgeFaults::new(plan),
             claims: (0..n_ranks).map(|_| AtomicUsize::new(0)).collect(),
-            msg_seq: Mutex::new(HashMap::new()),
-            injected: AtomicUsize::new(0),
         }
     }
 
@@ -169,7 +149,7 @@ impl FaultRuntime {
     /// "May I die" and "I am out of the live count" are one compare-and-
     /// swap on `live`: of two ranks that reach their kills together with
     /// two alive, exactly one is granted. On `true` the caller owes the
-    /// rest of the death ([`Rank::die`]).
+    /// ledger entry and the rest of the death ([`Rank::die`]).
     fn check_kill(&self, rank: usize, claim: usize, task: usize, live: &AtomicUsize) -> bool {
         let mut matched = false;
         {
@@ -190,32 +170,10 @@ impl FaultRuntime {
                 }
             }
         }
-        let granted = matched
+        matched
             && live
                 .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| (n > 1).then(|| n - 1))
-                .is_ok();
-        if granted {
-            self.injected.fetch_add(1, Ordering::SeqCst);
-        }
-        granted
-    }
-
-    fn next_msg_seq(&self, from: usize, to: usize) -> usize {
-        let mut seq = self.msg_seq.lock();
-        let n = seq.entry((from, to)).or_insert(0);
-        *n += 1;
-        *n
-    }
-
-    fn fire_edge(faults: &Mutex<Vec<EdgeFault>>, from: usize, to: usize, nth: usize) -> bool {
-        let mut faults = faults.lock();
-        for f in faults.iter_mut() {
-            if !f.fired && f.from == from && f.to == to && f.nth == nth {
-                f.fired = true;
-                return true;
-            }
-        }
-        false
+                .is_ok()
     }
 }
 
@@ -244,15 +202,8 @@ struct WorldShared {
     /// Retry/backoff policy for the reliable message path and the
     /// failure-aware wait deadlines.
     retry: RetryPolicy,
-    /// Reliable-path payload retransmissions (attempts after the first).
-    retransmits: AtomicU64,
-    /// Acks sent by receivers (including re-acks of deduped duplicates).
-    acks: AtomicU64,
-    /// Payloads whose checksum verification failed at a receiver.
-    corruptions: AtomicU64,
-    /// Reliable operations (sends, barriers) that succeeded after at
-    /// least one transient failure.
-    recoveries: AtomicU64,
+    /// The fault and reliable-delivery ledger of the rank messages.
+    comm: Mutex<CommStats>,
 }
 
 /// Handle a rank's SPMD closure receives. Not `Clone` — exactly one per
@@ -289,21 +240,14 @@ pub struct WorldResult<R> {
     pub comm_bytes: Vec<u64>,
     /// Ranks that died mid-run, with reasons, in order of death.
     pub failures: Vec<(usize, String)>,
-    /// Faults actually injected (kills, delays, drops, corruptions).
-    pub faults_injected: usize,
     /// Tasks reclaimed from dead ranks and queued for reissue.
     pub tasks_reclaimed: usize,
     /// Lease claims served from the reissue queue — recovery work
     /// re-executed by survivors.
     pub lease_retries: usize,
-    /// Reliable-path payload retransmissions (attempts after the first).
-    pub retransmits: u64,
-    /// Acks sent by receivers (including re-acks of deduped duplicates).
-    pub acks: u64,
-    /// Payloads whose checksum verification failed at a receiver.
-    pub corruptions_detected: u64,
-    /// Reliable operations that succeeded after >= 1 transient failure.
-    pub transient_recoveries: u64,
+    /// Faults injected into, and reliable-delivery work done by, the
+    /// world's rank messages.
+    pub comm: CommStats,
 }
 
 impl<R> WorldResult<R> {
@@ -324,13 +268,6 @@ pub struct WorldConfig {
     pub faults: Option<FaultPlan>,
     /// Retry/backoff policy (reliable delivery on by default).
     pub retry: RetryPolicy,
-}
-
-impl WorldConfig {
-    /// Fault-free world with the default (reliable) retry policy.
-    pub fn new(n_ranks: usize) -> Self {
-        WorldConfig { n_ranks, faults: None, retry: RetryPolicy::default() }
-    }
 }
 
 /// Run an SPMD function over `n_ranks` ranks (each on its own OS thread)
@@ -381,10 +318,7 @@ where
         failures: Mutex::new(Vec::new()),
         faults: faults.as_ref().map(|p| FaultRuntime::new(p, n_ranks)),
         retry,
-        retransmits: AtomicU64::new(0),
-        acks: AtomicU64::new(0),
-        corruptions: AtomicU64::new(0),
-        recoveries: AtomicU64::new(0),
+        comm: Mutex::new(CommStats::default()),
     });
     let mut senders = Vec::with_capacity(n_ranks);
     let mut receivers = Vec::with_capacity(n_ranks);
@@ -439,10 +373,11 @@ where
     let dlb_calls = shared.dlb_calls.load(Ordering::Relaxed);
     phi_trace::counter("dlb.calls", dlb_calls as u64);
     phi_trace::counter("tasks.reclaimed", shared.leases.reclaimed() as u64);
-    phi_trace::counter("comm.retransmits", shared.retransmits.load(Ordering::SeqCst));
-    phi_trace::counter("comm.acks", shared.acks.load(Ordering::SeqCst));
-    phi_trace::counter("comm.corruptions", shared.corruptions.load(Ordering::SeqCst));
-    phi_trace::counter("comm.recoveries", shared.recoveries.load(Ordering::SeqCst));
+    let comm = *shared.comm.lock();
+    phi_trace::counter("comm.retransmits", comm.retransmits);
+    phi_trace::counter("comm.acks", comm.acks);
+    phi_trace::counter("comm.corruptions", comm.corruptions_detected);
+    phi_trace::counter("comm.recoveries", comm.transient_recoveries);
 
     let failures = shared.failures.lock().clone();
     WorldResult {
@@ -451,13 +386,9 @@ where
         dlb_calls,
         comm_bytes: shared.comm_bytes.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
         failures,
-        faults_injected: shared.faults.as_ref().map_or(0, |fr| fr.injected.load(Ordering::SeqCst)),
         tasks_reclaimed: shared.leases.reclaimed(),
         lease_retries: shared.leases.reissued_claims(),
-        retransmits: shared.retransmits.load(Ordering::SeqCst),
-        acks: shared.acks.load(Ordering::SeqCst),
-        corruptions_detected: shared.corruptions.load(Ordering::SeqCst),
-        transient_recoveries: shared.recoveries.load(Ordering::SeqCst),
+        comm,
     }
 }
 
@@ -476,10 +407,6 @@ impl Rank {
         self.id
     }
 
-    pub fn size(&self) -> usize {
-        self.shared.n_ranks
-    }
-
     // ----------------------------------------------------- liveness -----
 
     /// Whether this rank is still alive (i.e. not killed by fault
@@ -492,11 +419,6 @@ impl Rank {
     /// this to pick recovery-friendly settings (e.g. flush cadence).
     pub fn faults_enabled(&self) -> bool {
         self.shared.faults.is_some()
-    }
-
-    /// Number of ranks currently alive.
-    pub fn live_count(&self) -> usize {
-        self.shared.live.load(Ordering::SeqCst)
     }
 
     /// True if this rank is the lowest-ranked survivor — the coordinator
@@ -634,10 +556,11 @@ impl Rank {
                     if let Some(fr) = &self.shared.faults {
                         let claim_no = fr.claims[self.id].fetch_add(1, Ordering::SeqCst) + 1;
                         if let Some(ms) = fr.delay_for(self.id, claim_no) {
-                            fr.injected.fetch_add(1, Ordering::SeqCst);
+                            self.shared.comm.lock().faults_injected += 1;
                             std::thread::sleep(Duration::from_millis(ms));
                         }
                         if fr.check_kill(self.id, claim_no, task, &self.shared.live) {
+                            self.shared.comm.lock().faults_injected += 1;
                             self.die(format!(
                                 "fault injection: killed holding task {task} (claim #{claim_no})"
                             ));
@@ -710,20 +633,17 @@ impl Rank {
         }
         let mut payload = data.to_vec();
         let mut checksum = payload_checksum(data);
-        if let Some(fr) = &self.shared.faults {
-            let nth = fr.next_msg_seq(self.id, dest);
-            if FaultRuntime::fire_edge(&fr.drops, self.id, dest, nth) {
-                fr.injected.fetch_add(1, Ordering::SeqCst);
-                return Ok(()); // swallowed by the network
-            }
-            if FaultRuntime::fire_edge(&fr.corrupts, self.id, dest, nth) {
-                fr.injected.fetch_add(1, Ordering::SeqCst);
+        let fault = self.shared.faults.as_ref().and_then(|fr| fr.edges.fire(self.id, dest));
+        if let Some(fault) = fault {
+            self.shared.comm.lock().faults_injected += 1;
+            match fault {
+                EdgeFault::Drop => return Ok(()), // swallowed by the network
                 // Damage the payload but ship the original checksum, so
                 // the receiver's verification catches it.
-                match payload.first_mut() {
+                EdgeFault::Corrupt => match payload.first_mut() {
                     Some(x) => *x = -*x + 1.0,
                     None => checksum ^= 0xDEAD_BEEF,
-                }
+                },
             }
         }
         if charge {
@@ -741,7 +661,7 @@ impl Rank {
 
     fn verify(&self, msg: Message) -> Result<Vec<f64>, CommError> {
         if payload_checksum(&msg.data) != msg.checksum {
-            self.shared.corruptions.fetch_add(1, Ordering::SeqCst);
+            self.shared.comm.lock().corruptions_detected += 1;
             phi_trace::instant("comm.corrupt_detected", msg.from as u64);
             Err(CommError::CorruptPayload { from: msg.from, tag: msg.tag })
         } else {
@@ -766,7 +686,7 @@ impl Rank {
             return Some(msg); // raw message; verified when matched
         }
         if payload_checksum(&msg.data) != msg.checksum {
-            self.shared.corruptions.fetch_add(1, Ordering::SeqCst);
+            self.shared.comm.lock().corruptions_detected += 1;
             phi_trace::instant("comm.corrupt_detected", msg.from as u64);
             return None;
         }
@@ -775,7 +695,7 @@ impl Rank {
             // Ack delivery into this rank's address space. A dead rank
             // cannot ack — its peers' retry budgets will conclude so.
             let _ = self.post(msg.from, msg.tag, msg.seq, true, &[], false);
-            self.shared.acks.fetch_add(1, Ordering::SeqCst);
+            self.shared.comm.lock().acks += 1;
         }
         if fresh {
             Some(msg)
@@ -862,14 +782,14 @@ impl Rank {
         for attempt in 1..=policy.max_attempts {
             if attempt > 1 {
                 std::thread::sleep(policy.backoff_for(self.id, dest, attempt - 1));
-                self.shared.retransmits.fetch_add(1, Ordering::SeqCst);
+                self.shared.comm.lock().retransmits += 1;
                 phi_trace::instant("comm.retransmit", dest as u64);
             }
             self.post(dest, tag, seq, false, data, charge && attempt == 1)?;
             match self.wait_ack(dest, tag, seq, policy.ack_timeout) {
                 Ok(()) => {
                     if suffered_transient {
-                        self.shared.recoveries.fetch_add(1, Ordering::SeqCst);
+                        self.shared.comm.lock().transient_recoveries += 1;
                         phi_trace::instant("comm.recovered", dest as u64);
                     }
                     return Ok(());
@@ -909,7 +829,7 @@ impl Rank {
                 if payload_checksum(&msg.data) != msg.checksum {
                     // A corrupt ack proves nothing about delivery; let
                     // the timeout drive a retransmission.
-                    self.shared.corruptions.fetch_add(1, Ordering::SeqCst);
+                    self.shared.comm.lock().corruptions_detected += 1;
                     phi_trace::instant("comm.corrupt_detected", msg.from as u64);
                     continue;
                 }
@@ -1035,8 +955,8 @@ mod tests {
 
     #[test]
     fn ranks_see_their_ids() {
-        let res = run_world(4, |r| (r.rank(), r.size()));
-        assert_eq!(res.per_rank, vec![(0, 4), (1, 4), (2, 4), (3, 4)]);
+        let res = run_world(4, |r| r.rank());
+        assert_eq!(res.per_rank, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -1195,7 +1115,7 @@ mod tests {
         let plan = FaultPlan::kill_at_tasks(1, &[2]);
         let res = run_world_with_faults(3, Some(plan), |r| lease_drain(r, 12, LeaseMode::Volatile));
         assert_eq!(res.failures.len(), 1, "exactly one rank dies");
-        assert!(res.faults_injected >= 1);
+        assert!(res.comm.faults_injected >= 1);
         assert!(res.tasks_reclaimed >= 1, "the victim died holding task 2");
         assert!(res.lease_retries >= 1);
         assert_eq!(surviving_union::<3>(&res), (0..12).collect::<Vec<_>>());
@@ -1265,7 +1185,7 @@ mod tests {
         // delay fires deterministically.
         let plan = FaultPlan::parse("5:delay@0#1:10").unwrap();
         let res = run_world_with_faults(1, Some(plan), |r| lease_drain(r, 4, LeaseMode::Volatile));
-        assert_eq!(res.faults_injected, 1);
+        assert_eq!(res.comm.faults_injected, 1);
         assert!(res.failures.is_empty());
         assert_eq!(surviving_union::<1>(&res), (0..4).collect::<Vec<_>>());
     }
@@ -1331,17 +1251,22 @@ mod tests {
 
     #[test]
     fn dropped_message_times_out_instead_of_hanging() {
-        let plan = FaultPlan::parse("9:drop@0->1#1").unwrap();
-        let res = run_world_with_faults(2, Some(plan), |r| {
-            if r.rank() == 0 {
-                r.try_send(1, 4, &[1.0, 2.0]).unwrap();
-                None
-            } else {
-                r.recv_timeout(0, 4, Duration::from_millis(80)).err()
-            }
-        });
-        assert_eq!(res.per_rank[1], Some(CommError::Timeout { what: "recv" }));
-        assert_eq!(res.faults_injected, 1);
+        // A drop and a corruption of the same transmission are a drop,
+        // whichever the plan lists first: nothing arrives to be damaged.
+        for plan in ["9:drop@0->1#1", "9:corrupt@0->1#1,drop@0->1#1"] {
+            let faults = FaultPlan::parse(plan).unwrap();
+            let res = run_world_with_faults(2, Some(faults), |r| {
+                if r.rank() == 0 {
+                    r.try_send(1, 4, &[1.0, 2.0]).unwrap();
+                    None
+                } else {
+                    r.recv_timeout(0, 4, Duration::from_millis(80)).err()
+                }
+            });
+            assert_eq!(res.per_rank[1], Some(CommError::Timeout { what: "recv" }), "{plan}");
+            assert_eq!(res.comm.faults_injected, 1, "{plan}");
+            assert_eq!(res.comm.corruptions_detected, 0, "{plan}");
+        }
     }
 
     #[test]
@@ -1356,7 +1281,7 @@ mod tests {
             }
         });
         assert_eq!(res.per_rank[1], Some(CommError::CorruptPayload { from: 0, tag: 4 }));
-        assert_eq!(res.faults_injected, 1);
+        assert_eq!(res.comm.faults_injected, 1);
     }
 
     #[test]
@@ -1404,11 +1329,11 @@ mod tests {
             }
         });
         assert_eq!(res.per_rank[1], vec![1.0, 2.0]);
-        assert_eq!(res.retransmits, 1, "exactly the dropped payload is resent");
-        assert_eq!(res.acks, 1);
-        assert_eq!(res.corruptions_detected, 0);
-        assert_eq!(res.transient_recoveries, 1);
-        assert_eq!(res.faults_injected, 1);
+        assert_eq!(res.comm.retransmits, 1, "exactly the dropped payload is resent");
+        assert_eq!(res.comm.acks, 1);
+        assert_eq!(res.comm.corruptions_detected, 0);
+        assert_eq!(res.comm.transient_recoveries, 1);
+        assert_eq!(res.comm.faults_injected, 1);
         assert!(res.failures.is_empty(), "a transient fault must not kill anyone");
     }
 
@@ -1423,10 +1348,10 @@ mod tests {
             }
         });
         assert_eq!(res.per_rank[1], vec![3.0, -1.0], "the clean retransmission is delivered");
-        assert_eq!(res.corruptions_detected, 1, "the damaged copy is detected and discarded");
-        assert_eq!(res.retransmits, 1);
-        assert_eq!(res.acks, 1);
-        assert_eq!(res.transient_recoveries, 1);
+        assert_eq!(res.comm.corruptions_detected, 1, "the damaged copy is detected and discarded");
+        assert_eq!(res.comm.retransmits, 1);
+        assert_eq!(res.comm.acks, 1);
+        assert_eq!(res.comm.transient_recoveries, 1);
         assert!(res.failures.is_empty());
     }
 
@@ -1448,9 +1373,9 @@ mod tests {
         });
         assert_eq!(res.per_rank[1].0, vec![7.0]);
         assert_eq!(res.per_rank[1].1, Some(CommError::Timeout { what: "recv" }));
-        assert_eq!(res.retransmits, 1);
-        assert_eq!(res.acks, 2, "original ack (lost) plus the re-ack of the duplicate");
-        assert_eq!(res.transient_recoveries, 1);
+        assert_eq!(res.comm.retransmits, 1);
+        assert_eq!(res.comm.acks, 2, "original ack (lost) plus the re-ack of the duplicate");
+        assert_eq!(res.comm.transient_recoveries, 1);
         assert!(res.failures.is_empty());
     }
 
@@ -1471,7 +1396,7 @@ mod tests {
         let err = res.per_rank[0].clone().expect("rank 0's send must fail");
         assert_eq!(err, CommError::RetriesExhausted { to: 1, tag: 4, attempts: 3 });
         assert!(!err.is_transient(), "an exhausted budget escalates as fatal");
-        assert_eq!(res.retransmits, 2, "attempts 2 and 3 were retransmissions");
+        assert_eq!(res.comm.retransmits, 2, "attempts 2 and 3 were retransmissions");
     }
 
     #[test]
@@ -1489,14 +1414,18 @@ mod tests {
         for v in res.per_rank {
             assert_eq!(v, vec![6.0, 4.0]);
         }
-        assert!(res.retransmits >= 3, "each injected fault forces a resend: {}", res.retransmits);
-        assert_eq!(res.corruptions_detected, 1);
+        assert!(
+            res.comm.retransmits >= 3,
+            "each injected fault forces a resend: {}",
+            res.comm.retransmits
+        );
+        assert_eq!(res.comm.corruptions_detected, 1);
         // One recovery per reliable send that survived ≥1 transient
         // fault: rank 1's reduce send (hit by a payload drop AND an ack
         // drop) and rank 2's reduce send (hit by a corruption).
-        assert_eq!(res.transient_recoveries, 2);
+        assert_eq!(res.comm.transient_recoveries, 2);
         assert!(res.failures.is_empty(), "transient faults must not kill ranks");
-        assert_eq!(res.faults_injected, 3);
+        assert_eq!(res.comm.faults_injected, 3);
     }
 
     #[test]
@@ -1512,8 +1441,8 @@ mod tests {
             }
         });
         assert_eq!(res.per_rank[1], Some(CommError::Timeout { what: "recv" }));
-        assert_eq!(res.retransmits, 0);
-        assert_eq!(res.acks, 0);
+        assert_eq!(res.comm.retransmits, 0);
+        assert_eq!(res.comm.acks, 0);
     }
 
     #[test]
@@ -1521,12 +1450,12 @@ mod tests {
         // One rank never reaches the barrier; with a millisecond-scale
         // configured ft_timeout the waiter diagnoses the hang in well
         // under a second instead of the legacy fixed 30 s.
-        let mut cfg = WorldConfig::new(2);
-        cfg.retry = RetryPolicy {
+        let retry = RetryPolicy {
             max_attempts: 2,
             ft_timeout: Duration::from_millis(50),
             ..RetryPolicy::default()
         };
+        let cfg = WorldConfig { n_ranks: 2, faults: None, retry };
         let start = Instant::now();
         let res = run_world_with_config(cfg, |r| {
             if r.rank() == 0 {

@@ -25,9 +25,8 @@
 
 use crate::cost::CostModel;
 use crate::network::Network;
-use crate::node::{ClusterMode, KnlNode, MemoryMode};
+use crate::node::{Affinity, ClusterMode, KnlNode, MemoryMode};
 use crate::workload::{SimTask, Workload};
-use phi_omp::Affinity;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

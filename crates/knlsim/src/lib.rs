@@ -31,5 +31,5 @@ pub mod workload;
 
 pub use cost::{CostModel, EriCostTable};
 pub use des::{simulate, SimAlgorithm, SimConfig, SimResult};
-pub use node::{ClusterMode, KnlNode, MemoryMode};
+pub use node::{Affinity, ClusterMode, KnlNode, MemoryMode};
 pub use workload::Workload;

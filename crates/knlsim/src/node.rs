@@ -50,6 +50,39 @@ impl KnlNode {
     }
 }
 
+/// Placement policy for a rank's threads over its cores (the
+/// `KMP_AFFINITY` axis of paper Figure 3). A cost-model input only: this
+/// process does not pin threads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Affinity {
+    /// Fill hardware threads of a core before moving to the next core
+    /// (`KMP_AFFINITY=compact`). Dense L2 sharing; best cache reuse for
+    /// neighbouring iterations, worst per-thread issue width at low thread
+    /// counts.
+    Compact,
+    /// Spread threads across cores first (`KMP_AFFINITY=scatter`). Maximal
+    /// per-thread resources at low counts; more L2 traffic between
+    /// cooperating threads.
+    Scatter,
+    /// Spread across cores, then pack SMT siblings adjacently
+    /// (`KMP_AFFINITY=balanced` — the KNL-specific mode).
+    Balanced,
+    /// No pinning: the OS migrates threads freely (`KMP_AFFINITY=none`).
+    None,
+}
+
+impl Affinity {
+    /// How many distinct physical cores `n_threads` occupy on a machine
+    /// with `cores` cores and `smt` hardware threads per core.
+    pub fn cores_used(self, n_threads: usize, cores: usize, smt: usize) -> usize {
+        match self {
+            Affinity::Compact => n_threads.div_ceil(smt).min(cores),
+            // Scatter/balanced/none spread over cores first.
+            _ => n_threads.min(cores),
+        }
+    }
+}
+
 /// Cache-coherence cluster mode of the tag-directory mesh (paper §5.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ClusterMode {
@@ -159,6 +192,17 @@ impl MemoryMode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn compact_fills_a_core_before_the_next_and_the_others_spread() {
+        // 8 threads on KNL: compact packs 2 cores at 4 SMT each.
+        assert_eq!(Affinity::Compact.cores_used(8, 64, 4), 2);
+        assert_eq!(Affinity::Scatter.cores_used(8, 64, 4), 8);
+        for a in [Affinity::Compact, Affinity::Scatter, Affinity::Balanced, Affinity::None] {
+            assert_eq!(a.cores_used(1, 64, 4), 1);
+            assert_eq!(a.cores_used(256, 64, 4), 64, "saturation is the same for every policy");
+        }
+    }
 
     #[test]
     fn core_throughput_matches_the_papers_smt_story() {

@@ -5,7 +5,7 @@
 use crate::calibrate::calibrate_eri_costs;
 use crate::cost::{CostModel, EriCostTable};
 use crate::des::{parallel_efficiency, simulate, SimAlgorithm, SimConfig};
-use crate::node::{ClusterMode, MemoryMode};
+use crate::node::{Affinity, ClusterMode, MemoryMode};
 use crate::report::{fmt_gb, fmt_secs, Table};
 use crate::workload::Workload;
 use phi_chem::basis::{BasisName, BasisSet};
@@ -13,7 +13,6 @@ use phi_chem::geom::graphene::PaperSystem;
 use phi_chem::Molecule;
 use phi_integrals::screening::{ShellClasses, WorkloadStats};
 use phi_integrals::Screening;
-use phi_omp::Affinity;
 
 /// Everything the scenarios need about one benchmark system.
 pub struct Ctx {

@@ -96,11 +96,6 @@ impl Workload {
         }
         by_i
     }
-
-    /// Largest single task cost — bounds the achievable makespan.
-    pub fn max_task_cost(&self) -> f64 {
-        self.ij_tasks.iter().fold(0.0f64, |m, t| m.max(t.cost_s))
-    }
 }
 
 #[cfg(test)]
@@ -127,8 +122,7 @@ mod tests {
         assert!(!w.ij_tasks.is_empty());
         let sum: f64 = w.ij_tasks.iter().map(|t| t.cost_s).sum();
         assert!((sum - w.total_cost_s).abs() < 1e-12 * sum.max(1.0));
-        assert!(w.max_task_cost() > 0.0);
-        assert!(w.max_task_cost() <= w.total_cost_s);
+        assert!(w.ij_tasks.iter().all(|t| t.cost_s > 0.0));
     }
 
     #[test]

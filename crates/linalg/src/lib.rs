@@ -20,4 +20,4 @@ pub mod solve;
 pub use eigen::{eigh, jacobi_eigh, Eigh};
 pub use matrix::Mat;
 pub use power::{sym_inv_sqrt, sym_pow};
-pub use solve::{lu_factor, lu_solve, solve, LuFactors};
+pub use solve::solve;

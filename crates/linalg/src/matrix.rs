@@ -186,67 +186,6 @@ impl Mat {
         c
     }
 
-    /// `self * other` with the row range split over `n_threads` OS threads.
-    ///
-    /// Agrees with [`matmul`](Self::matmul) up to floating-point summation
-    /// order (the kernels block differently). This is the parallelism that
-    /// makes purification-based density construction competitive with
-    /// diagonalization — matrix products thread trivially,
-    /// tridiagonalization does not (the diagonalization-scaling problem the
-    /// paper's related work §2 points at).
-    pub fn matmul_threaded(&self, other: &Mat, n_threads: usize) -> Mat {
-        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let (m, k, n) = (self.rows, self.cols, other.cols);
-        let n_threads = n_threads.max(1).min(m.max(1));
-        if n_threads == 1 {
-            return self.matmul(other);
-        }
-        let mut c = Mat::zeros(m, n);
-        let rows_per = m.div_ceil(n_threads);
-        std::thread::scope(|scope| {
-            // Split the output into disjoint row bands, one per thread.
-            let mut rest: &mut [f64] = &mut c.data;
-            let mut handles = Vec::new();
-            for t in 0..n_threads {
-                let lo = t * rows_per;
-                let hi = ((t + 1) * rows_per).min(m);
-                if lo >= hi {
-                    break;
-                }
-                let (band, tail) = rest.split_at_mut((hi - lo) * n);
-                rest = tail;
-                let a = &self.data;
-                let b = &other.data;
-                handles.push(scope.spawn(move || {
-                    for (bi, i) in (lo..hi).enumerate() {
-                        for kk in 0..k {
-                            let aik = a[i * k + kk];
-                            if aik == 0.0 {
-                                continue;
-                            }
-                            let brow = &b[kk * n..(kk + 1) * n];
-                            let crow = &mut band[bi * n..(bi + 1) * n];
-                            for (cv, bv) in crow.iter_mut().zip(brow) {
-                                *cv += aik * bv;
-                            }
-                        }
-                    }
-                }));
-            }
-            for (t, h) in handles.into_iter().enumerate() {
-                if let Err(payload) = h.join() {
-                    let why = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    panic!("matmul worker thread {t} panicked: {why}");
-                }
-            }
-        });
-        c
-    }
-
     /// In-place `self += alpha * other`.
     pub fn axpy(&mut self, alpha: f64, other: &Mat) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
@@ -454,32 +393,6 @@ mod tests {
             let want: f64 = (0..k).map(|kk| a[(i, kk)] * b[(kk, j)]).sum();
             approx(c[(i, j)], want);
         }
-    }
-
-    #[test]
-    fn threaded_matmul_matches_serial() {
-        let (m, k, n) = (53, 47, 61);
-        let a = Mat::from_fn(m, k, |i, j| ((i * 13 + j * 7) % 17) as f64 * 0.25 - 2.0);
-        let b = Mat::from_fn(k, n, |i, j| ((i * 5 + j * 11) % 13) as f64 * 0.5 - 3.0);
-        let serial = a.matmul(&b);
-        for threads in [1, 2, 3, 8, 100] {
-            let par = a.matmul_threaded(&b, threads);
-            assert!(
-                par.max_abs_diff(&serial) < 1e-10,
-                "{threads} threads differ by {}",
-                par.max_abs_diff(&serial)
-            );
-        }
-    }
-
-    #[test]
-    fn threaded_matmul_handles_degenerate_shapes() {
-        let a = Mat::from_fn(1, 3, |_, j| j as f64);
-        let b = Mat::from_fn(3, 1, |i, _| i as f64 + 1.0);
-        let c = a.matmul_threaded(&b, 4);
-        assert!((c[(0, 0)] - (0.0 + 2.0 + 6.0)).abs() < 1e-14);
-        let empty = Mat::zeros(0, 5).matmul_threaded(&Mat::zeros(5, 2), 3);
-        assert_eq!(empty.rows(), 0);
     }
 
     #[test]

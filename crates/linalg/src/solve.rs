@@ -7,23 +7,20 @@ use crate::matrix::Mat;
 
 /// LU factors `P A = L U` stored compactly (Doolittle, unit-diagonal L).
 #[derive(Clone, Debug)]
-pub struct LuFactors {
+struct LuFactors {
     lu: Mat,
     /// Row permutation: row `i` of the factored matrix came from `perm[i]`
     /// of the original.
     perm: Vec<usize>,
-    /// Sign of the permutation, for determinants.
-    sign: f64,
 }
 
 /// Factor a square matrix. Returns `None` if the matrix is numerically
 /// singular (a pivot smaller than `1e-300` is encountered).
-pub fn lu_factor(a: &Mat) -> Option<LuFactors> {
+fn lu_factor(a: &Mat) -> Option<LuFactors> {
     assert!(a.is_square(), "lu_factor requires a square matrix");
     let n = a.rows();
     let mut lu = a.clone();
     let mut perm: Vec<usize> = (0..n).collect();
-    let mut sign = 1.0;
     for k in 0..n {
         // Partial pivoting: largest magnitude in column k at/below the diagonal.
         let mut piv = k;
@@ -45,7 +42,6 @@ pub fn lu_factor(a: &Mat) -> Option<LuFactors> {
                 lu[(piv, j)] = tmp;
             }
             perm.swap(k, piv);
-            sign = -sign;
         }
         let pivot = lu[(k, k)];
         for i in (k + 1)..n {
@@ -57,18 +53,11 @@ pub fn lu_factor(a: &Mat) -> Option<LuFactors> {
             }
         }
     }
-    Some(LuFactors { lu, perm, sign })
-}
-
-impl LuFactors {
-    pub fn det(&self) -> f64 {
-        let n = self.lu.rows();
-        (0..n).fold(self.sign, |acc, i| acc * self.lu[(i, i)])
-    }
+    Some(LuFactors { lu, perm })
 }
 
 /// Solve `A x = b` given precomputed factors.
-pub fn lu_solve(f: &LuFactors, b: &[f64]) -> Vec<f64> {
+fn lu_solve(f: &LuFactors, b: &[f64]) -> Vec<f64> {
     let n = f.lu.rows();
     assert_eq!(b.len(), n);
     // Apply permutation, then forward substitution (L has unit diagonal).
@@ -133,21 +122,6 @@ mod tests {
     fn singular_matrix_returns_none() {
         let a = Mat::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]);
         assert!(solve(&a, &[1.0, 1.0]).is_none());
-    }
-
-    #[test]
-    fn determinant_of_permuted_identity() {
-        // Swapping two rows of I gives det = -1.
-        let a = Mat::from_vec(3, 3, vec![0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
-        let f = lu_factor(&a).unwrap();
-        assert!((f.det() + 1.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn determinant_matches_2x2_formula() {
-        let a = Mat::from_vec(2, 2, vec![3.0, 7.0, 1.0, -4.0]);
-        let f = lu_factor(&a).unwrap();
-        assert!((f.det() - (3.0 * -4.0 - 7.0 * 1.0)).abs() < 1e-12);
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //!
 //! The paper's hybrid algorithms are written against a handful of OpenMP
 //! constructs: `parallel` regions, `master` + `barrier`, worksharing `do`
-//! loops with `schedule(static|dynamic|guided)` and `collapse(2)`, and
+//! loops with `schedule(dynamic)`, `nowait` and `collapse(2)`, and
 //! reductions over thread-private buffers. This crate provides safe Rust
 //! equivalents with the same semantics, so the Fock builders in the `hf`
 //! crate map line-for-line onto Algorithms 2 and 3:
 //!
 //! * [`Team::parallel`] — a parallel region over a fixed-size thread team;
 //! * [`ThreadCtx`] — per-thread view: `thread_num`, `barrier`, `master`,
-//!   `critical`, worksharing loops;
+//!   worksharing loops;
 //! * [`PaddedColumns`] — the paper's Figure 1 data structure: one padded
 //!   column per thread for false-sharing-free accumulation, flushed by a
 //!   chunked row-wise parallel reduction;
@@ -23,7 +23,6 @@
 //! briefly and then parks, so a team may have more threads than the host
 //! has cores.
 
-pub mod affinity;
 mod barrier;
 pub mod reduce;
 pub mod schedule;
@@ -31,7 +30,6 @@ pub mod shared;
 pub mod sync;
 pub mod team;
 
-pub use affinity::Affinity;
 pub use reduce::PaddedColumns;
 pub use schedule::Schedule;
 pub use shared::SharedAccumulator;

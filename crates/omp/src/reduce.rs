@@ -40,18 +40,6 @@ impl PaddedColumns {
         PaddedColumns { data: UnsafeCell::new(vec![0.0; stride * n_cols]), len, stride, n_cols }
     }
 
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn n_cols(&self) -> usize {
-        self.n_cols
-    }
-
     /// Bytes of memory held — the quantity the paper's memory-footprint
     /// model charges for the `FI`/`FJ` buffers.
     pub fn bytes(&self) -> usize {
@@ -121,25 +109,6 @@ impl PaddedColumns {
                     unsafe {
                         *(*self.data.get()).as_mut_ptr().add(col * self.stride + row) = 0.0;
                     }
-                }
-            }
-        }
-    }
-
-    /// Serial flush by the calling thread alone (the naive baseline the
-    /// `reduction` ablation bench compares against). No barriers; call
-    /// single-threaded.
-    pub fn flush_serial(&self, dst: &mut [f64], dst_off: usize) {
-        for row in 0..self.len {
-            let mut sum = 0.0;
-            for col in 0..self.n_cols {
-                let v = unsafe { *(*self.data.get()).as_ptr().add(col * self.stride + row) };
-                sum += v;
-            }
-            dst[dst_off + row] += sum;
-            for col in 0..self.n_cols {
-                unsafe {
-                    *(*self.data.get()).as_mut_ptr().add(col * self.stride + row) = 0.0;
                 }
             }
         }
@@ -214,23 +183,6 @@ mod tests {
         });
         for i in 0..n {
             assert_eq!(dst.load(i), (5 * nt) as f64, "row {i}");
-        }
-    }
-
-    #[test]
-    fn serial_flush_matches_parallel() {
-        let n = 300;
-        let p = PaddedColumns::new(n, 3);
-        for c in 0..3 {
-            for (i, v) in p.col_mut(c).iter_mut().enumerate() {
-                *v = (i % 7) as f64 * (c + 1) as f64;
-            }
-        }
-        let mut dst = vec![0.0; n];
-        p.flush_serial(&mut dst, 0);
-        for (i, v) in dst.iter().enumerate() {
-            let want: f64 = (1..=3).map(|c| (i % 7) as f64 * c as f64).sum();
-            assert_eq!(*v, want);
         }
     }
 

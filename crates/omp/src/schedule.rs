@@ -1,78 +1,20 @@
-//! Worksharing loop schedules (the `schedule(...)` clause).
+//! The worksharing loop schedule (the `schedule(...)` clause).
 //!
 //! The paper uses `schedule(dynamic,1)` for both hybrid algorithms and notes
 //! (§4.3) that static scheduling performed equivalently for the collapsed
-//! loop; both are provided, plus guided, so that ablation benches can
-//! compare them.
+//! loop, so dynamic is the one schedule this runtime carries.
 
 /// How a worksharing loop's iterations are distributed over the team.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Schedule {
-    /// Chunks dealt round-robin to threads up front (OpenMP
-    /// `schedule(static, chunk)`).
-    Static { chunk: usize },
     /// Threads grab the next chunk from a shared counter
     /// (`schedule(dynamic, chunk)`). The paper uses chunk = 1.
     Dynamic { chunk: usize },
-    /// Chunk size decays with remaining work, never below `min_chunk`
-    /// (`schedule(guided, min_chunk)`).
-    Guided { min_chunk: usize },
 }
 
 impl Schedule {
     /// The paper's default for the inner ERI loops.
     pub fn dynamic1() -> Schedule {
         Schedule::Dynamic { chunk: 1 }
-    }
-}
-
-/// Iterator over the chunks of a static schedule for one thread.
-pub(crate) fn static_chunks(
-    n: usize,
-    chunk: usize,
-    thread: usize,
-    n_threads: usize,
-) -> impl Iterator<Item = (usize, usize)> {
-    let chunk = chunk.max(1);
-    let n_chunks = n.div_ceil(chunk);
-    (0..n_chunks).filter_map(move |c| {
-        if c % n_threads == thread {
-            let lo = c * chunk;
-            Some((lo, (lo + chunk).min(n)))
-        } else {
-            None
-        }
-    })
-}
-
-/// Guided chunk size: proportional to remaining / threads, floored.
-pub(crate) fn guided_chunk(remaining: usize, n_threads: usize, min_chunk: usize) -> usize {
-    (remaining / (2 * n_threads)).max(min_chunk.max(1))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn static_chunks_cover_range_exactly_once() {
-        for (n, chunk, nt) in [(100, 7, 4), (5, 1, 8), (64, 64, 2), (0, 3, 3)] {
-            let mut seen = vec![0u32; n];
-            for t in 0..nt {
-                for (lo, hi) in static_chunks(n, chunk, t, nt) {
-                    for s in &mut seen[lo..hi] {
-                        *s += 1;
-                    }
-                }
-            }
-            assert!(seen.iter().all(|&c| c == 1), "n={n} chunk={chunk} nt={nt}: {seen:?}");
-        }
-    }
-
-    #[test]
-    fn guided_chunk_respects_floor() {
-        assert_eq!(guided_chunk(1000, 4, 1), 125);
-        assert_eq!(guided_chunk(3, 4, 2), 2);
-        assert_eq!(guided_chunk(0, 4, 1), 1);
     }
 }

@@ -27,14 +27,6 @@ impl SharedAccumulator {
         SharedAccumulator { data: (0..len).map(|_| AtomicU64::new(0f64.to_bits())).collect() }
     }
 
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Atomically `self[idx] += v`.
     #[inline]
     pub fn add(&self, idx: usize, v: f64) {
@@ -62,21 +54,6 @@ impl SharedAccumulator {
     /// guarantee by construction.
     pub fn snapshot(&self) -> Vec<f64> {
         self.data.iter().map(|c| f64::from_bits(c.load(Ordering::Relaxed))).collect()
-    }
-
-    /// Reset all elements to zero (single-threaded phases only).
-    pub fn zero(&self) {
-        for c in &self.data {
-            c.store(0f64.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Copy values in from a plain slice (single-threaded phases only).
-    pub fn copy_from(&self, src: &[f64]) {
-        assert_eq!(src.len(), self.data.len());
-        for (c, &v) in self.data.iter().zip(src) {
-            c.store(v.to_bits(), Ordering::Relaxed);
-        }
     }
 }
 
@@ -106,14 +83,5 @@ mod tests {
         acc.add(0, 2.5);
         acc.add(0, 0.0);
         assert_eq!(acc.load(0), 2.5);
-    }
-
-    #[test]
-    fn snapshot_and_copy_roundtrip() {
-        let acc = SharedAccumulator::new(4);
-        acc.copy_from(&[1.0, -2.0, 3.5, 0.0]);
-        assert_eq!(acc.snapshot(), vec![1.0, -2.0, 3.5, 0.0]);
-        acc.zero();
-        assert_eq!(acc.snapshot(), vec![0.0; 4]);
     }
 }

@@ -7,8 +7,7 @@
 //! on its last task as on its first.
 
 use crate::barrier::TeamBarrier;
-use crate::schedule::{guided_chunk, static_chunks, Schedule};
-use crate::sync::Mutex;
+use crate::schedule::Schedule;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -31,7 +30,7 @@ const CONSTRUCT_SLOTS: usize = 8;
 struct ConstructSlot {
     /// Sequence number of the construct that owns the slot now.
     owner: AtomicUsize,
-    /// The construct's counter: next loop iteration, or `single` arrivals.
+    /// The construct's counter: the next loop iteration.
     count: AtomicUsize,
     /// Threads that have left the construct.
     left: AtomicUsize,
@@ -41,7 +40,6 @@ struct ConstructSlot {
 struct RegionShared {
     barrier: TeamBarrier,
     slots: [ConstructSlot; CONSTRUCT_SLOTS],
-    critical: Mutex<()>,
 }
 
 /// Per-thread view of a parallel region.
@@ -60,10 +58,6 @@ impl Team {
         Team { n_threads }
     }
 
-    pub fn n_threads(&self) -> usize {
-        self.n_threads
-    }
-
     /// Run a parallel region; returns each thread's result, indexed by
     /// thread number.
     pub fn parallel<R, F>(&self, f: F) -> Vec<R>
@@ -78,7 +72,6 @@ impl Team {
                 count: AtomicUsize::new(0),
                 left: AtomicUsize::new(0),
             }),
-            critical: Mutex::new(()),
         };
         let n = self.n_threads;
         // The caller is the master: workers inherit its rank id so every
@@ -142,12 +135,6 @@ impl ThreadCtx<'_> {
         }
     }
 
-    /// Mutual exclusion (`!$omp critical`).
-    pub fn critical<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _guard = self.shared.critical.lock();
-        f()
-    }
-
     /// Worksharing loop over `0..n` (`!$omp do schedule(...)`), with the
     /// implicit barrier at the end. Every thread of the team must call this
     /// with the same `n` and `sched`.
@@ -161,46 +148,17 @@ impl ThreadCtx<'_> {
         // Per-thread busy time: chunk claiming + loop bodies, but not the
         // trailing barrier — this is the paper's Fig. 8 numerator.
         let _span = phi_trace::span("omp.loop");
-        match sched {
-            Schedule::Static { chunk } => {
-                for (lo, hi) in static_chunks(n, chunk, self.thread_num, self.n_threads) {
-                    for i in lo..hi {
-                        body(i);
-                    }
-                }
-                // No shared counter, so no construct slot: every thread
-                // passes the same `sched`, so the team's slot sequences
-                // stay aligned.
+        let Schedule::Dynamic { chunk } = sched;
+        let chunk = chunk.max(1);
+        self.construct(|counter| loop {
+            let lo = counter.fetch_add(chunk, Ordering::Relaxed);
+            if lo >= n {
+                break;
             }
-            Schedule::Dynamic { chunk } => {
-                let chunk = chunk.max(1);
-                self.construct(|counter| loop {
-                    let lo = counter.fetch_add(chunk, Ordering::Relaxed);
-                    if lo >= n {
-                        break;
-                    }
-                    for i in lo..(lo + chunk).min(n) {
-                        body(i);
-                    }
-                })
+            for i in lo..(lo + chunk).min(n) {
+                body(i);
             }
-            Schedule::Guided { min_chunk } => self.construct(|counter| loop {
-                // Optimistically size the chunk from the remaining work,
-                // then claim it.
-                let seen = counter.load(Ordering::Relaxed);
-                if seen >= n {
-                    break;
-                }
-                let chunk = guided_chunk(n - seen, self.n_threads, min_chunk);
-                let lo = counter.fetch_add(chunk, Ordering::Relaxed);
-                if lo >= n {
-                    break;
-                }
-                for i in lo..(lo + chunk).min(n) {
-                    body(i);
-                }
-            }),
-        }
+        })
     }
 
     /// Collapsed two-level worksharing loop over the rectangle
@@ -220,22 +178,6 @@ impl ThreadCtx<'_> {
             return;
         }
         self.for_each(n1 * n2, sched, |flat| body(flat / n2, flat % n2));
-    }
-
-    /// `!$omp single`: the first thread to arrive runs `f`; the implicit
-    /// barrier at the end synchronizes the team. Returns `Some(result)` on
-    /// the executing thread, `None` elsewhere.
-    pub fn single<T>(&self, f: impl FnOnce() -> T) -> Option<T> {
-        let result =
-            self.construct(|arrivals| (arrivals.fetch_add(1, Ordering::Relaxed) == 0).then(f));
-        self.barrier();
-        result
-    }
-
-    /// `!$omp sections`: each closure runs on exactly one thread, with the
-    /// implicit barrier at the end. Sections are distributed dynamically.
-    pub fn sections(&self, sections: &[&(dyn Fn() + Sync)]) {
-        self.for_each(sections.len(), Schedule::dynamic1(), |k| sections[k]());
     }
 
     /// Run this thread's part of its next worksharing construct against
@@ -307,16 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn static_loop_covers_every_index_once() {
-        check_loop_covers(Schedule::Static { chunk: 4 });
-    }
-
-    #[test]
-    fn guided_loop_covers_every_index_once() {
-        check_loop_covers(Schedule::Guided { min_chunk: 2 });
-    }
-
-    #[test]
     fn collapse2_visits_full_rectangle() {
         let team = Team::new(4);
         let (n1, n2) = (17, 23);
@@ -341,62 +273,6 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 50);
-    }
-
-    #[test]
-    fn critical_sections_are_mutually_exclusive() {
-        let team = Team::new(4);
-        // A non-atomic counter protected only by `critical`: races would be
-        // caught by the final count (and by Miri/TSan-style tooling).
-        let counter = Mutex::new(0u64);
-        team.parallel(|ctx| {
-            for _ in 0..1000 {
-                ctx.critical(|| {
-                    let mut c = counter.lock();
-                    *c += 1;
-                });
-            }
-        });
-        assert_eq!(*counter.lock(), 4000);
-    }
-
-    #[test]
-    fn single_runs_on_exactly_one_thread() {
-        let team = Team::new(4);
-        let count = AtomicU64::new(0);
-        let results = team.parallel(|ctx| {
-            let mut mine = 0;
-            for _ in 0..10 {
-                if ctx.single(|| count.fetch_add(1, Ordering::SeqCst)).is_some() {
-                    mine += 1;
-                }
-            }
-            mine
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 10, "each single runs once");
-        let total: usize = results.iter().sum();
-        assert_eq!(total, 10, "exactly one executor per construct");
-    }
-
-    #[test]
-    fn sections_each_run_once() {
-        let team = Team::new(3);
-        let hits: Vec<AtomicU64> = (0..5).map(|_| AtomicU64::new(0)).collect();
-        team.parallel(|ctx| {
-            let fns: Vec<Box<dyn Fn() + Sync>> = (0..5)
-                .map(|k| {
-                    let hits = &hits;
-                    Box::new(move || {
-                        hits[k].fetch_add(1, Ordering::Relaxed);
-                    }) as Box<dyn Fn() + Sync>
-                })
-                .collect();
-            let refs: Vec<&(dyn Fn() + Sync)> = fns.iter().map(|b| b.as_ref()).collect();
-            ctx.sections(&refs);
-        });
-        for h in &hits {
-            assert_eq!(h.load(Ordering::Relaxed), 1);
-        }
     }
 
     #[test]
@@ -429,11 +305,7 @@ mod tests {
         Team::new(3).parallel(|ctx| {
             for round in 0..rounds {
                 for l in 0..loops {
-                    let sched = if l % 2 == 0 {
-                        Schedule::dynamic1()
-                    } else {
-                        Schedule::Guided { min_chunk: 2 }
-                    };
+                    let sched = Schedule::Dynamic { chunk: 1 + l % 2 };
                     ctx.for_each_nowait(n, sched, &mut |i| {
                         hits[(round * loops + l) * n + i].fetch_add(1, Ordering::Relaxed);
                     });

@@ -6,7 +6,7 @@
 //! build spends its time, so this crate adds the missing layer: every
 //! actor — an `(rank, thread)` pair — records a private, lock-free
 //! stream of timestamped events, and a [`TraceSession`] collects the
-//! streams into a [`TraceReport`] with per-stream histograms, imbalance
+//! streams into a [`TraceReport`] with per-stream span totals, imbalance
 //! ratios, DLB wait totals, Chrome `trace_event` JSON export and a
 //! machine-readable [`TraceSummary`] that shares its schema with the
 //! `knlsim` performance model.
@@ -60,7 +60,7 @@
 mod chrome;
 mod report;
 
-pub use report::{Histogram, InstantEvent, TraceReport, TraceSummary};
+pub use report::{InstantEvent, TraceReport, TraceSummary};
 
 /// One timestamped trace event. Timestamps are nanoseconds since the
 /// process-wide trace epoch (the first clock read in the process).

@@ -1,7 +1,7 @@
 //! Trace analysis: merging streams, deriving the paper's breakdown
-//! metrics (per-thread busy time, imbalance ratio, DLB wait), span
-//! histograms, well-formedness checks, and the machine-readable
-//! summary shared with `knlsim`.
+//! metrics (per-thread busy time, imbalance ratio, DLB wait),
+//! well-formedness checks, and the machine-readable summary shared with
+//! `knlsim`.
 
 use crate::{Event, Stream};
 use std::collections::BTreeMap;
@@ -15,21 +15,6 @@ pub struct InstantEvent {
     pub t: u64,
     pub value: u64,
     pub aux: u64,
-}
-
-/// Fixed-width histogram over span durations (nanoseconds).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    pub lo_ns: u64,
-    pub hi_ns: u64,
-    pub bin_width_ns: u64,
-    pub bins: Vec<u64>,
-}
-
-impl Histogram {
-    pub fn total_count(&self) -> u64 {
-        self.bins.iter().sum()
-    }
 }
 
 /// Everything one [`crate::TraceSession`] recorded, merged per
@@ -188,31 +173,6 @@ impl TraceReport {
             *out.entry(rank).or_insert(0) += ns;
         }
         out
-    }
-
-    /// Histogram of `name` span durations with `n_bins` equal-width
-    /// bins spanning [min, max]. `None` if no such span completed.
-    pub fn histogram_ns(&self, name: &str, n_bins: usize) -> Option<Histogram> {
-        let durations = self.span_durations_ns(name);
-        if durations.is_empty() || n_bins == 0 {
-            return None;
-        }
-        let lo = *durations.iter().min().unwrap();
-        let hi = *durations.iter().max().unwrap();
-        // Smallest equal width whose n_bins bins tightly cover [lo, hi]:
-        // ceil((hi - lo) / n_bins), clamped to 1 for the all-equal case.
-        // (The old `(hi - lo) / n_bins + 1` overstated the width whenever
-        // n_bins divides the range — e.g. hi - lo = 8 with 4 bins reported
-        // width 3, covering 12 ns of an 8 ns range.)
-        let width = (hi - lo).div_ceil(n_bins as u64).max(1);
-        let mut bins = vec![0u64; n_bins];
-        for d in durations {
-            // `d == hi` lands exactly on the upper edge when the range is
-            // a multiple of the width; clamp it into the last bin.
-            let idx = ((d - lo) / width) as usize;
-            bins[idx.min(n_bins - 1)] += 1;
-        }
-        Some(Histogram { lo_ns: lo, hi_ns: hi, bin_width_ns: width, bins })
     }
 
     // -- the paper's breakdown metrics ---------------------------------
@@ -401,7 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn span_totals_and_histogram() {
+    fn span_totals() {
         let report = TraceReport::from_streams(vec![stream(
             0,
             0,
@@ -409,39 +369,7 @@ mod tests {
         )]);
         assert_eq!(report.span_count("x"), 2);
         assert_eq!(report.span_total_ns("x"), 400);
-        let h = report.histogram_ns("x", 4).unwrap();
-        assert_eq!(h.total_count(), 2);
-        assert_eq!((h.lo_ns, h.hi_ns), (100, 300));
-    }
-
-    /// Pins the histogram bin edges: `width = ceil((hi - lo) / n_bins)`,
-    /// so `lo + n_bins * width` tightly covers `hi`. The old
-    /// `(hi - lo) / n_bins + 1` width reported 3 here (covering 12 ns of
-    /// an 8 ns range) and misbinned the upper half of the durations.
-    #[test]
-    fn histogram_bin_edges_tightly_cover_the_range() {
-        // Nine spans with durations 0..=8 ns.
-        let events: Vec<Event> =
-            (0u64..=8).flat_map(|d| [ev_begin("x", 100 * d), ev_end("x", 100 * d + d)]).collect();
-        let report = TraceReport::from_streams(vec![stream(0, 0, events)]);
-        let h = report.histogram_ns("x", 4).unwrap();
-        assert_eq!((h.lo_ns, h.hi_ns), (0, 8));
-        assert_eq!(h.bin_width_ns, 2, "ceil(8 / 4) = 2, not 8 / 4 + 1 = 3");
-        assert_eq!(h.lo_ns + 4 * h.bin_width_ns, h.hi_ns, "bins tightly cover [lo, hi]");
-        // Bins [0,2) [2,4) [4,6) [6,8]: d = 8 sits on the upper edge and
-        // clamps into the last bin.
-        assert_eq!(h.bins, vec![2, 2, 2, 3]);
-        assert_eq!(h.total_count(), 9);
-
-        // Degenerate range: all durations equal -> width clamps to 1.
-        let report = TraceReport::from_streams(vec![stream(
-            0,
-            0,
-            vec![ev_begin("y", 0), ev_end("y", 5), ev_begin("y", 10), ev_end("y", 15)],
-        )]);
-        let h = report.histogram_ns("y", 3).unwrap();
-        assert_eq!(h.bin_width_ns, 1);
-        assert_eq!(h.bins, vec![2, 0, 0]);
+        assert_eq!(report.span_durations_ns("x"), vec![100, 300]);
     }
 
     #[test]

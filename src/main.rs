@@ -193,15 +193,15 @@ fn check_uhf_occupations(
 /// same density + full accumulation matrices as MPI-only, so they share
 /// eq. (3a); the sharded build is the only sub-quadratic row.
 fn per_rank_estimate(alg: FockAlgorithm, n_basis: usize, pair_bytes: usize) -> f64 {
-    let model =
-        |threads: usize| MemoryModel::hybrid(n_basis, 1, threads).with_shell_pairs(pair_bytes);
+    let (ranks, threads) = alg.shape();
+    let model = MemoryModel::hybrid(n_basis, 1, threads).with_shell_pairs(pair_bytes);
     match alg {
-        FockAlgorithm::Serial => model(1).bytes_mpi_only(),
-        FockAlgorithm::MpiOnly { .. } => model(1).bytes_mpi_only(),
-        FockAlgorithm::PrivateFock { n_threads, .. } => model(n_threads).bytes_private_fock(),
-        FockAlgorithm::SharedFock { n_threads, .. } => model(n_threads).bytes_shared_fock(),
-        FockAlgorithm::Distributed { .. } => model(1).bytes_mpi_only(),
-        FockAlgorithm::Sharded { n_ranks, mode } => model(1).with_ddi(mode).bytes_sharded(n_ranks),
+        FockAlgorithm::Serial
+        | FockAlgorithm::MpiOnly { .. }
+        | FockAlgorithm::Distributed { .. } => model.bytes_mpi_only(),
+        FockAlgorithm::PrivateFock { .. } => model.bytes_private_fock(),
+        FockAlgorithm::SharedFock { .. } => model.bytes_shared_fock(),
+        FockAlgorithm::Sharded { mode, .. } => model.with_ddi(mode).bytes_sharded(ranks),
     }
 }
 
@@ -214,13 +214,7 @@ fn check_memory_budget(
     pair_bytes: usize,
 ) -> Result<(), String> {
     let mib = |bytes: f64| bytes / (1024.0 * 1024.0);
-    let (ranks, threads) = match alg {
-        FockAlgorithm::Serial => (1, 1),
-        FockAlgorithm::MpiOnly { n_ranks } | FockAlgorithm::Distributed { n_ranks } => (n_ranks, 1),
-        FockAlgorithm::PrivateFock { n_ranks, n_threads }
-        | FockAlgorithm::SharedFock { n_ranks, n_threads } => (n_ranks, n_threads),
-        FockAlgorithm::Sharded { n_ranks, .. } => (n_ranks, 1),
-    };
+    let (ranks, threads) = alg.shape();
     let sharded = FockAlgorithm::Sharded { n_ranks: ranks, mode: DdiMode::Mpi3OneSided };
     println!("memory model (per rank, N = {n_basis}, budget {budget_mib:.1} MiB):");
     for candidate in [
@@ -479,7 +473,7 @@ fn write_trace(session: phi_scf::trace::TraceSession, path: &str) -> Result<(), 
 
 /// If any build injected faults, summarize the recovery across iterations.
 fn print_fault_summary(stats: &[phi_scf::hf::FockBuildStats]) {
-    let injected: usize = stats.iter().map(|s| s.faults_injected).sum();
+    let injected: u64 = stats.iter().map(|s| s.comm.faults_injected).sum();
     if injected == 0 {
         return;
     }
@@ -490,9 +484,9 @@ fn print_fault_summary(stats: &[phi_scf::hf::FockBuildStats]) {
         "fault injection: {injected} faults fired, up to {failed} rank(s) lost per build, \
          {reclaimed} tasks reclaimed, {retries} recovery claims"
     );
-    let retransmits: u64 = stats.iter().map(|s| s.retransmits).sum();
-    let recovered: u64 = stats.iter().map(|s| s.transient_recoveries).sum();
-    let corrupt: u64 = stats.iter().map(|s| s.corruptions_detected).sum();
+    let retransmits: u64 = stats.iter().map(|s| s.comm.retransmits).sum();
+    let recovered: u64 = stats.iter().map(|s| s.comm.transient_recoveries).sum();
+    let corrupt: u64 = stats.iter().map(|s| s.comm.corruptions_detected).sum();
     if retransmits + recovered + corrupt > 0 {
         println!(
             "reliable delivery: {retransmits} retransmissions, {corrupt} corruptions \

@@ -115,11 +115,11 @@ fn mixed_faults_recover_on_every_builder_with_zero_transient_deaths() {
                 got.stats.failed_ranks
             );
             assert!(
-                got.stats.retransmits > 0,
+                got.stats.comm.retransmits > 0,
                 "{label} seed {seed}: mixed faults fired but nothing was retransmitted"
             );
             assert!(
-                got.stats.transient_recoveries > 0,
+                got.stats.comm.transient_recoveries > 0,
                 "{label} seed {seed}: no transient fault was recovered"
             );
             assert!(
@@ -130,23 +130,23 @@ fn mixed_faults_recover_on_every_builder_with_zero_transient_deaths() {
             // every retransmission beyond a corruption implies at least
             // one detected corruption was paid for by a resend.
             assert!(
-                got.stats.acks >= got.stats.retransmits,
+                got.stats.comm.acks >= got.stats.comm.retransmits,
                 "{label} seed {seed}: {} acks < {} retransmits — successful \
                  retransmissions must each be acked",
-                got.stats.acks,
-                got.stats.retransmits
+                got.stats.comm.acks,
+                got.stats.comm.retransmits
             );
             assert!(
-                got.stats.retransmits >= got.stats.corruptions_detected,
+                got.stats.comm.retransmits >= got.stats.comm.corruptions_detected,
                 "{label} seed {seed}: {} corruptions detected but only {} retransmits",
-                got.stats.corruptions_detected,
-                got.stats.retransmits
+                got.stats.comm.corruptions_detected,
+                got.stats.comm.retransmits
             );
             // The kill plus at least one message fault fired.
             assert!(
-                got.stats.faults_injected >= 2,
+                got.stats.comm.faults_injected >= 2,
                 "{label} seed {seed}: only {} faults fired",
-                got.stats.faults_injected
+                got.stats.comm.faults_injected
             );
         }
     }
@@ -179,7 +179,7 @@ fn chaos_scf_converges_to_the_fault_free_energy() {
             faulty.energy,
             clean.energy
         );
-        let retransmits: u64 = faulty.fock_stats.iter().map(|s| s.retransmits).sum();
+        let retransmits: u64 = faulty.fock_stats.iter().map(|s| s.comm.retransmits).sum();
         let deaths: usize = faulty.fock_stats.iter().map(|s| s.failed_ranks.len()).max().unwrap();
         assert!(retransmits > 0, "seed {seed}: no retransmissions across the whole SCF");
         assert_eq!(deaths, 1, "seed {seed}: transient faults must not add rank deaths");
@@ -217,7 +217,7 @@ fn unreliable_policy_under_drops_collapses_reliable_policy_recovers() {
                 !got.stats.failed_ranks.is_empty(),
                 "fire-and-forget under a dropped reduction message must lose ranks"
             );
-            assert_eq!(got.stats.retransmits, 0);
+            assert_eq!(got.stats.comm.retransmits, 0);
         }
     }
 
@@ -225,6 +225,6 @@ fn unreliable_policy_under_drops_collapses_reliable_policy_recovers() {
     let got = alg.builder_with_comm(Some(plan()), on).build(&ctx, &DensitySet::Restricted(&d));
     let want = FockAlgorithm::Serial.builder().build(&ctx, &DensitySet::Restricted(&d));
     assert!(got.stats.failed_ranks.is_empty(), "reliable delivery must absorb the drop");
-    assert!(got.stats.retransmits > 0);
+    assert!(got.stats.comm.retransmits > 0);
     assert!(got.g.max_abs_diff(&want.g) <= 1e-12);
 }

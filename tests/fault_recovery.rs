@@ -78,10 +78,10 @@ fn check_recovery_after_kills(k: usize) {
                 got.stats.failed_ranks
             );
             assert!(
-                got.stats.faults_injected >= k,
+                got.stats.comm.faults_injected >= k as u64,
                 "{} seed {seed}: {} faults fired",
                 builder.label(),
-                got.stats.faults_injected
+                got.stats.comm.faults_injected
             );
             assert!(
                 got.stats.tasks_reclaimed > 0,

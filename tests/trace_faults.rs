@@ -186,17 +186,17 @@ fn chaos_trace_instants_reconcile_exactly_with_build_stats() {
         let corrupt_instants = report.instants("comm.corrupt_detected").len() as u64
             + report.instants("ddi.corrupt_detected").len() as u64;
         assert_eq!(
-            retransmit_instants, got.stats.retransmits,
+            retransmit_instants, got.stats.comm.retransmits,
             "{label}: retransmit instants vs stats"
         );
         assert_eq!(
-            recovery_instants, got.stats.transient_recoveries,
+            recovery_instants, got.stats.comm.transient_recoveries,
             "{label}: recovery instants vs stats"
         );
         assert_eq!(
-            corrupt_instants, got.stats.corruptions_detected,
+            corrupt_instants, got.stats.comm.corruptions_detected,
             "{label}: corruption instants vs stats"
         );
-        assert!(got.stats.retransmits > 0, "{label}: soak plan must force retransmissions");
+        assert!(got.stats.comm.retransmits > 0, "{label}: soak plan must force retransmissions");
     }
 }
