@@ -9,10 +9,9 @@
 //!   [`Screening`] and the threshold `tau`. Drivers construct it once (via
 //!   [`FockData`]) and hand the same context to every iteration.
 //! * [`FockBuilder`] — the one-method trait drivers build through:
-//!   [`SerialBuilder`], [`ParallelBuilder`] (any [`FockAlgorithm`] in a
-//!   dmpi world; rank/thread topology lives in the algorithm value, it is
-//!   part of *how* work is distributed, not of the problem) and the
-//!   in-core replay.
+//!   [`SerialBuilder`] and [`ParallelBuilder`] (any [`FockAlgorithm`] in
+//!   a dmpi world; rank/thread topology lives in the algorithm value, it
+//!   is part of *how* work is distributed, not of the problem).
 //! * [`DensitySet`] — the spin-generalized input (one matrix for RHF, an
 //!   α/β pair for UHF), so every parallel algorithm serves both SCF
 //!   drivers from a single code path.

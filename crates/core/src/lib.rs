@@ -29,8 +29,8 @@
 //! [`FockAlgorithm::builder`] — the only entry to a build — and hand it a
 //! [`DensitySet`]: one matrix for RHF, an α/β pair for UHF. Every builder
 //! returns the same [`GBuild`] (per-channel `G` matrices plus uniformly
-//! collected [`FockBuildStats`]), so RHF, UHF and the stored-integral
-//! replay ([`incore`]) compose with any algorithm.
+//! collected [`FockBuildStats`]), so RHF and UHF compose with any
+//! algorithm.
 //!
 //! The one driver ([`scf`], RHF and UHF being its one- and two-channel
 //! cases, selected by [`Spin`]) handles the rest of the method:
@@ -43,11 +43,9 @@ pub mod checkpoint;
 pub mod diis;
 pub mod fock;
 pub mod guess;
-pub mod incore;
 pub mod memory_model;
 pub mod mp2;
 pub mod properties;
-pub mod purification;
 pub mod scf;
 pub mod stats;
 
@@ -55,10 +53,8 @@ pub use checkpoint::ScfCheckpoint;
 pub use fock::engine::{FockBuilder, FockContext, FockData};
 pub use fock::incremental::IncrementalFock;
 pub use fock::{DensitySet, FockAlgorithm, GBuild};
-pub use incore::IncoreEris;
 pub use memory_model::MemoryModel;
 pub use mp2::{mp2_energy, Mp2Result};
 pub use properties::{dipole_moment, mulliken_charges, mulliken_spin_populations, Dipole};
-pub use purification::{purify_density, Purification};
 pub use scf::{run_scf, BetaSpin, ScfConfig, ScfResult, ScfStop, Spin};
 pub use stats::FockBuildStats;

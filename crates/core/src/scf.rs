@@ -25,7 +25,7 @@
 
 use crate::checkpoint::{ScfCheckpoint, CHECKPOINT_KEEP};
 use crate::diis::Diis;
-use crate::fock::engine::{FockBuilder, FockData};
+use crate::fock::engine::FockData;
 use crate::fock::incremental::IncrementalFock;
 use crate::fock::{DensitySet, FockAlgorithm};
 use crate::guess::{density_from_orbitals, solve_roothaan};
@@ -81,13 +81,6 @@ pub struct ScfConfig {
     /// `$SCF SHIFT`; per spin channel `S - S D_s S`). Reported virtual
     /// orbital energies include the shift.
     pub level_shift: Option<f64>,
-    /// Conventional (in-core) SCF: store all surviving ERIs up to this many
-    /// bytes and replay them every iteration instead of recomputing
-    /// (GAMESS direct vs conventional SCF). Falls back to the configured
-    /// direct algorithm if the integrals do not fit; compatible with every
-    /// [`FockAlgorithm`] — when the integrals fit, the replay builder is
-    /// used regardless of which direct algorithm was selected.
-    pub incore_max_bytes: Option<usize>,
     /// Deterministic fault plan replayed on every Fock build (rank kills,
     /// stragglers, message faults). The serial algorithm ignores it.
     pub faults: Option<FaultPlan>,
@@ -117,15 +110,6 @@ pub struct ScfConfig {
     /// (clamped to >= 1; `1` makes every build full, reproducing the plain
     /// driver bit for bit). Ignored when `incremental` is false.
     pub full_rebuild_every: usize,
-    /// Build each iteration's density by canonical purification
-    /// ([`crate::purification`]) instead of diagonalization. This is the
-    /// partner of [`FockAlgorithm::Sharded`]: the sharded build avoids
-    /// replicating `N x N` Fock/density matrices per rank, and purification
-    /// avoids the replicated `O(N^3)` eigensolve that `solve_roothaan`
-    /// would reintroduce. Orbital energies and MO coefficients are not
-    /// produced: the result keeps the core-guess values (`<S^2>` needs
-    /// only the densities and is exact either way).
-    pub purification: bool,
 }
 
 impl Default for ScfConfig {
@@ -140,14 +124,12 @@ impl Default for ScfConfig {
             s_threshold: 1e-8,
             damping: None,
             level_shift: None,
-            incore_max_bytes: None,
             faults: None,
             retry: RetryPolicy::default(),
             checkpoint_path: None,
             resume_from: None,
             incremental: false,
             full_rebuild_every: 8,
-            purification: false,
         }
     }
 }
@@ -294,8 +276,8 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
     // Electrons per occupied orbital: 2 in the closed-shell channel, 1 in a
     // spin channel.
     let per_orbital = 2.0 / channels as f64;
-    // `density_from_orbitals` and `purify_density` both return the
-    // closed-shell `2 P`; a spin channel holds the projector `P` itself.
+    // `density_from_orbitals` returns the closed-shell `2 P`; a spin
+    // channel holds the projector `P` itself.
     let occupy = |mut d: Mat| {
         if channels == 2 {
             d.scale(0.5);
@@ -313,21 +295,9 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
     let data = FockData::build(basis);
     let ctx = data.context(basis, config.screening_tau);
     let e_nn = mol.nuclear_repulsion();
+    let builder = config.algorithm.builder_with_comm(config.faults.clone(), config.retry);
 
-    // Conventional SCF: precompute stored integrals if requested & they
-    // fit. The replay is a FockBuilder like any other, so it composes with
-    // every configured algorithm.
-    let incore =
-        config.incore_max_bytes.and_then(|max| crate::incore::IncoreEris::compute(&ctx, max));
-    let direct = config.algorithm.builder_with_comm(config.faults.clone(), config.retry);
-    let builder: &dyn FockBuilder = match &incore {
-        Some(eris) => eris,
-        None => direct.as_ref(),
-    };
-
-    // Initial guess — or the checkpointed state of an interrupted run. The
-    // core-guess orbitals stay in the result if no iteration replaces them
-    // (purification never does).
+    // Initial guess — or the checkpointed state of an interrupted run.
     let (eps0, c0) = solve_roothaan(&h, &x);
     let mut orbital_energies = vec![eps0; channels];
     let mut orbitals = vec![c0; channels];
@@ -395,7 +365,7 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
             let _span = phi_trace::span("scf.fock");
             let d: Vec<&Mat> = d.iter().collect();
             match incremental.as_mut() {
-                Some(inc) => inc.build(ctx, builder, &d),
+                Some(inc) => inc.build(ctx, builder.as_ref(), &d),
                 None => builder.build(&ctx, &DensitySet::from_channels(&d)),
             }
         };
@@ -448,23 +418,13 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
                 f_use.axpy(beta, &shift);
             }
 
-            let mut d_new = occupy(if config.purification {
-                // Diagonalization-free density update: McWeeny/PM
-                // purification keeps the whole iteration free of any
-                // replicated O(N^3) eigensolve (pairs with the sharded
-                // Fock build).
-                let _span = phi_trace::span("scf.purify");
-                crate::purification::purify_density(f_use, &x, occupied[ch], 200, 1e-12).density
-            } else {
-                let (eps, c) = {
-                    let _span = phi_trace::span("scf.diag");
-                    solve_roothaan(f_use, &x)
-                };
-                let d = density_from_orbitals(&c, occupied[ch]);
-                orbital_energies[ch] = eps;
-                orbitals[ch] = c;
-                d
-            });
+            let (eps, c) = {
+                let _span = phi_trace::span("scf.diag");
+                solve_roothaan(f_use, &x)
+            };
+            let mut d_new = occupy(density_from_orbitals(&c, occupied[ch]));
+            orbital_energies[ch] = eps;
+            orbitals[ch] = c;
             if let Some(alpha) = config.damping {
                 d_new.scale(1.0 - alpha);
                 d_new.axpy(alpha, &d[ch]);
@@ -509,8 +469,7 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
         let density = d.pop().expect("two channels");
         // <S^2> = S(S+1) + N_beta - tr(D_a S D_b S): with D_s the occupied
         // projector of spin s, the trace equals sum_ij |<a_i|S|b_j>|^2 over
-        // occupied pairs — but needs only densities, so it works identically
-        // for the diagonalizing and the purification-based update.
+        // occupied pairs.
         let sz = 0.5 * (occupied[0] as f64 - occupied[1] as f64);
         let s_squared = sz * (sz + 1.0) + occupied[1] as f64
             - d[0].matmul(&s).matmul(&density.matmul(&s)).trace();
@@ -689,112 +648,6 @@ mod tests {
                 energies[0]
             );
         }
-    }
-
-    #[test]
-    fn sharded_scf_with_purification_matches_serial_diagonalization() {
-        // The full memory-lean pipeline: sharded Fock build (no replicated
-        // N x N matrices) + purification (no replicated eigensolve) must
-        // land on the serial diagonalizing driver's energy.
-        let mol = small::water();
-        let reference = scf(&mol, BasisName::Sto3g, &ScfConfig::default());
-        let lean = scf(
-            &mol,
-            BasisName::Sto3g,
-            &ScfConfig {
-                algorithm: FockAlgorithm::Sharded {
-                    n_ranks: 3,
-                    mode: phi_dmpi::DdiMode::Mpi3OneSided,
-                },
-                purification: true,
-                max_iterations: 200,
-                ..Default::default()
-            },
-        );
-        assert!(lean.converged, "sharded + purification did not converge");
-        assert!(
-            (lean.energy - reference.energy).abs() < 1e-10,
-            "lean {} vs reference {}",
-            lean.energy,
-            reference.energy
-        );
-        // Purification produces no orbitals: the result keeps the core
-        // guess, i.e. the spectrum of H itself (what `ScfConfig::purification`
-        // documents).
-        let b = BasisSet::build(&mol, BasisName::Sto3g);
-        let h = kinetic_matrix(&b).add(&nuclear_attraction_matrix(&b, &mol));
-        let x = sym_inv_sqrt(&overlap_matrix(&b), ScfConfig::default().s_threshold);
-        let (eps0, c0) = solve_roothaan(&h, &x);
-        assert_eq!(lean.orbital_energies, eps0);
-        assert_eq!(lean.orbitals, c0);
-        assert!(lean.beta.is_none(), "a restricted run has no beta channel");
-    }
-
-    #[test]
-    fn incore_scf_matches_direct_scf() {
-        let mol = small::water();
-        for base in [ScfConfig::default(), uhf(5, 5)] {
-            let direct = scf(&mol, BasisName::B631g, &base);
-            let incore = scf(
-                &mol,
-                BasisName::B631g,
-                &ScfConfig { incore_max_bytes: Some(1 << 30), ..base.clone() },
-            );
-            assert!(incore.converged);
-            assert!(
-                (incore.energy - direct.energy).abs() < 1e-9,
-                "{:?}: in-core {} vs direct {}",
-                base.spin,
-                incore.energy,
-                direct.energy
-            );
-            // If the budget is too small the driver silently falls back.
-            let fallback =
-                scf(&mol, BasisName::B631g, &ScfConfig { incore_max_bytes: Some(16), ..base });
-            assert!((fallback.energy - direct.energy).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn incore_composes_with_any_algorithm() {
-        // The in-core replay is a FockBuilder: it must work (and win) under
-        // a parallel algorithm selection, replaying the stored integrals
-        // instead of dispatching to the configured direct builder.
-        let mol = small::water();
-        let direct = scf(&mol, BasisName::B631g, &ScfConfig::default());
-        let incore_shared = scf(
-            &mol,
-            BasisName::B631g,
-            &ScfConfig {
-                algorithm: FockAlgorithm::SharedFock { n_ranks: 2, n_threads: 2 },
-                incore_max_bytes: Some(1 << 30),
-                ..Default::default()
-            },
-        );
-        assert!(incore_shared.converged);
-        assert!(
-            (incore_shared.energy - direct.energy).abs() < 1e-9,
-            "in-core + shared Fock {} vs direct {}",
-            incore_shared.energy,
-            direct.energy
-        );
-        // The replay really was used: no quartets screened at build time
-        // (screening happened at store time) and no DLB counter traffic.
-        let s = incore_shared.fock_stats.first().expect("at least one iteration");
-        assert_eq!(s.quartets_screened, 0);
-        assert_eq!(s.dlb_calls, 0);
-        // An undersized budget falls back to the configured direct builder.
-        let fallback = scf(
-            &mol,
-            BasisName::B631g,
-            &ScfConfig {
-                algorithm: FockAlgorithm::SharedFock { n_ranks: 2, n_threads: 2 },
-                incore_max_bytes: Some(16),
-                ..Default::default()
-            },
-        );
-        assert!((fallback.energy - direct.energy).abs() < 1e-9);
-        assert!(fallback.fock_stats.first().expect("iterations").dlb_calls > 0);
     }
 
     #[test]
@@ -1063,40 +916,6 @@ mod tests {
             );
         }
         assert!(!want.fock_stats.is_empty(), "UHF surfaces per-iteration Fock stats");
-    }
-
-    #[test]
-    fn sharded_uhf_with_purification_matches_diagonalization() {
-        // Memory-lean open-shell pipeline: sharded spin-Fock builds plus
-        // per-channel purification, including the density-based <S^2>.
-        let mol = small::hydrogen_molecule(5.0);
-        let base = broken_symmetry_uhf(1, 1);
-        let want = scf(&mol, BasisName::Sto3g, &base);
-        let lean = scf(
-            &mol,
-            BasisName::Sto3g,
-            &ScfConfig {
-                algorithm: FockAlgorithm::Sharded {
-                    n_ranks: 2,
-                    mode: phi_dmpi::DdiMode::Mpi3OneSided,
-                },
-                purification: true,
-                ..base
-            },
-        );
-        assert!(want.converged && lean.converged);
-        assert!(
-            (lean.energy - want.energy).abs() < 1e-8,
-            "lean {} vs diagonalizing {}",
-            lean.energy,
-            want.energy
-        );
-        assert!(
-            (s_squared(&lean) - s_squared(&want)).abs() < 1e-6,
-            "<S^2> {} vs {}",
-            s_squared(&lean),
-            s_squared(&want)
-        );
     }
 
     #[test]

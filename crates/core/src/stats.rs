@@ -26,9 +26,9 @@ pub struct FockBuildStats {
     pub dlb_tasks: usize,
     /// Total calls to the global DLB counter, including the final
     /// out-of-range claim each rank makes before exiting its task loop
-    /// (`WorldResult::dlb_calls`). Zero for builders that do not use the counter
-    /// (serial, in-core replay). Set once per build from the world's
-    /// counter — [`FockBuildStats::merge`] deliberately ignores it.
+    /// (`WorldResult::dlb_calls`). Zero for the serial builder, which has
+    /// no counter. Set once per build from the world's counter —
+    /// [`FockBuildStats::merge`] deliberately ignores it.
     pub dlb_calls: usize,
     /// Buffer flushes performed: FI/FJ column-buffer flushes in the
     /// shared-Fock build, scatter-row flushes in the distributed build.

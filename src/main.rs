@@ -36,17 +36,13 @@ OPTIONS:
                          distributed windows — no rank ever holds a full
                          N x N matrix; :os = MPI-3 one-sided (default),
                          :ds = classic DDI data servers
-    --tau <FLOAT>        Schwarz screening threshold   [default: 1e-10]
-    --max-iter <N>       SCF iteration cap             [default: 100]
+    --tau <FLOAT>        Schwarz screening threshold, finite and >= 0
+                                                       [default: 1e-10]
+    --max-iter <N>       SCF iteration cap, N >= 1     [default: 100]
     --uhf <NA>,<NB>      run UHF with NA alpha / NB beta electrons
     --mp2                add the MP2 correlation energy after RHF
                          (closed-shell only: not with --uhf)
     --no-diis            disable DIIS acceleration (RHF and UHF)
-    --purify             build each iteration's density by canonical
-                         purification instead of diagonalization (no
-                         replicated O(N^3) eigensolve; pairs with
-                         --algorithm sharded; RHF and UHF). Orbital
-                         output (and so --mp2) is unavailable
     --memory-budget <MiB>
                          print the per-rank memory-model estimate for every
                          algorithm at the requested rank/thread shape and
@@ -55,8 +51,12 @@ OPTIONS:
                          alternative that fits)
     --incremental        incremental (ΔD) Fock builds: each iteration
                          builds G(ΔD) under density-weighted screening and
-                         accumulates G_n = G_ref + G(ΔD); surviving-quartet
-                         counts collapse as SCF converges (RHF and UHF)
+                         accumulates G_n = G_ref + G(ΔD) (RHF and UHF).
+                         Fewer quartets, not less time: measured 1.3-1.7x
+                         slower than plain builds at 200 functions
+                         (chain:100:1.8 / 6-31G, last build 3.4x fewer
+                         quartets) and within run-to-run noise of them at
+                         102 (benzene / 6-31G(d)); EXPERIMENTS.md \"PR 19\"
     --full-rebuild-every <K>
                          with --incremental, perform a full rebuild every
                          K-th Fock build (K=1: all full)  [default: 8]
@@ -273,8 +273,7 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
     let mut retry = phi_scf::dmpi::RetryPolicy::default();
     let mut trace_path: Option<String> = None;
     let mut incremental = false;
-    let mut full_rebuild_every = 8usize;
-    let mut purify = false;
+    let mut full_rebuild_every: Option<usize> = None;
     let mut memory_budget: Option<f64> = None;
 
     while let Some(a) = args.next() {
@@ -284,9 +283,19 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
             "--xyz" => xyz_path = Some(value("xyz")?),
             "--basis" => basis = value("basis")?,
             "--algorithm" => algorithm = value("algorithm")?,
-            "--tau" => tau = value("tau")?.parse().map_err(|e| format!("bad tau: {e}"))?,
+            "--tau" => {
+                tau = value("tau")?.parse().map_err(|e| format!("bad tau: {e}"))?;
+                // Every quartet fails `Q_ij Q_kl >= NaN` (or `>= inf`): the
+                // run would converge on the bare one-electron energy.
+                if !tau.is_finite() || tau < 0.0 {
+                    return Err("--tau needs a finite value >= 0".into());
+                }
+            }
             "--max-iter" => {
-                max_iter = value("max-iter")?.parse().map_err(|e| format!("bad max-iter: {e}"))?
+                max_iter = value("max-iter")?.parse().map_err(|e| format!("bad max-iter: {e}"))?;
+                if max_iter == 0 {
+                    return Err("--max-iter needs N >= 1".into());
+                }
             }
             "--uhf" => {
                 let v = value("uhf")?;
@@ -300,14 +309,14 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
             "--no-diis" => diis = false,
             "--incremental" => incremental = true,
             "--full-rebuild-every" => {
-                full_rebuild_every = value("full-rebuild-every")?
+                let k: usize = value("full-rebuild-every")?
                     .parse()
                     .map_err(|e| format!("bad full-rebuild-every: {e}"))?;
-                if full_rebuild_every == 0 {
+                if k == 0 {
                     return Err("--full-rebuild-every needs K >= 1".into());
                 }
+                full_rebuild_every = Some(k);
             }
-            "--purify" => purify = true,
             "--memory-budget" => {
                 let mib: f64 = value("memory-budget")?
                     .parse()
@@ -339,6 +348,12 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
         }
     }
 
+    if full_rebuild_every.is_some() && !incremental {
+        return Err("--full-rebuild-every sets the period of --incremental builds and does \
+                    nothing without it (add --incremental or drop the option)"
+            .into());
+    }
+
     let mol = match &xyz_path {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -359,11 +374,6 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
     );
 
     let alg = parse_algorithm(&algorithm)?;
-    if mp2 && purify {
-        return Err("--mp2 needs MO coefficients and orbital energies; \
-                    --purify produces neither (drop one of the two flags)"
-            .into());
-    }
     if mp2 && uhf.is_some() {
         return Err("--mp2 is the closed-shell formula over one set of doubly occupied \
                     orbitals; --uhf produces two spin sets (drop one of the two flags)"
@@ -381,6 +391,7 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
         check_memory_budget(mib, alg, b.n_basis(), pair_bytes)?;
     }
     let trace_session = trace_path.as_deref().map(|_| phi_scf::trace::TraceSession::begin());
+    let defaults = ScfConfig::default();
     let config = ScfConfig {
         spin,
         algorithm: alg,
@@ -390,9 +401,8 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
         faults,
         retry,
         incremental,
-        full_rebuild_every,
-        purification: purify,
-        ..Default::default()
+        full_rebuild_every: full_rebuild_every.unwrap_or(defaults.full_rebuild_every),
+        ..defaults
     };
     let r = run_scf(&mol, &b, &config);
     if let (Some(session), Some(path)) = (trace_session, trace_path.as_deref()) {
@@ -549,10 +559,26 @@ mod tests {
         line.split_whitespace().map(String::from)
     }
 
+    /// `--uhf` with `--mp2`, and every other job whose answer would be wrong
+    /// or whose option would be ignored: each is refused with an error
+    /// naming the flags involved.
     #[test]
     fn uhf_with_mp2_is_refused_naming_both_flags() {
-        let err = run(args("--molecule h2:1.4 --basis sto3g --uhf 1,1 --mp2")).unwrap_err();
-        assert!(err.contains("--uhf") && err.contains("--mp2"), "{err}");
+        for (job, named) in [
+            ("--molecule h2:1.4 --basis sto3g --uhf 1,1 --mp2", &["--uhf", "--mp2"][..]),
+            ("--molecule water --basis sto3g --tau nan", &["--tau", "finite"]),
+            ("--molecule water --basis sto3g --tau inf", &["--tau", "finite"]),
+            ("--molecule water --basis sto3g --tau -1e-10", &["--tau", ">= 0"]),
+            ("--molecule water --basis sto3g --max-iter 0", &["--max-iter", ">= 1"]),
+            (
+                "--molecule water --basis sto3g --full-rebuild-every 3",
+                &["--full-rebuild-every", "--incremental"],
+            ),
+            ("--molecule water --basis sto3g --purify", &["unknown option", "--purify"]),
+        ] {
+            let err = run(args(job)).err().unwrap_or_else(|| panic!("'{job}' ran"));
+            assert!(named.iter().all(|n| err.contains(n)), "'{job}': {err}");
+        }
     }
 
     #[test]

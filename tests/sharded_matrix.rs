@@ -1,9 +1,8 @@
 //! Sharded (non-replicated) build suite: the distribution-aware matrix
 //! layer must produce the serial Fock matrix through both DDI transports
 //! (MPI-3 one-sided and data-server), survive rank deaths mid-build with
-//! its window flushes intact, and drive full RHF/UHF SCF runs — including
-//! the purification partner that avoids the replicated eigensolve — to
-//! the serial energy.
+//! its window flushes intact, and drive full RHF/UHF SCF runs to the
+//! serial energy.
 //!
 //! Fault schedules are seeded and deterministic ([`FaultPlan`]), so every
 //! failure replays exactly; `PHI_FAULT_SEEDS` sweeps extra seeds in CI.
@@ -138,9 +137,9 @@ fn unrestricted_sharded_build_recovers_both_channels() {
     }
 }
 
-/// Full RHF through the sharded build — with and without the purification
-/// partner that replaces the replicated diagonalization — lands on the
-/// serial energy, even when every iteration loses and recovers a rank.
+/// Full RHF through the sharded build — over either DDI transport — lands
+/// on the serial energy, even when every iteration loses and recovers a
+/// rank.
 #[test]
 fn sharded_scf_matches_serial_energy_under_repeated_kills() {
     let mol = small::water();
@@ -148,22 +147,20 @@ fn sharded_scf_matches_serial_energy_under_repeated_kills() {
     let clean = run_scf(&mol, &b, &ScfConfig::default());
     assert!(clean.converged);
 
-    for purification in [false, true] {
+    for mode in [DdiMode::Mpi3OneSided, DdiMode::DataServer] {
         let faulty = run_scf(
             &mol,
             &b,
             &ScfConfig {
-                algorithm: FockAlgorithm::Sharded { n_ranks: 4, mode: DdiMode::Mpi3OneSided },
+                algorithm: FockAlgorithm::Sharded { n_ranks: 4, mode },
                 faults: Some(FaultPlan::random_kills(seeds()[0], 1)),
-                purification,
-                max_iterations: 200,
                 ..Default::default()
             },
         );
-        assert!(faulty.converged, "purification={purification}: SCF did not converge");
+        assert!(faulty.converged, "{mode:?}: SCF did not converge");
         assert!(
             (faulty.energy - clean.energy).abs() < 1e-10,
-            "purification={purification}: {} vs clean {}",
+            "{mode:?}: {} vs clean {}",
             faulty.energy,
             clean.energy
         );
