@@ -45,9 +45,10 @@ fn main() {
     // rank needs and what the sharded stripes + caches need. A budget the
     // *model* places between the two footprints must separate the *live
     // tracker* measurements the same way, or the model is lying.
-    let model = MemoryModel::hybrid(n, 1, 1).with_shell_pairs(pair_bytes);
-    let est_replicated = model.bytes_mpi_only();
-    let est_sharded = model.bytes_sharded(RANKS);
+    let model = MemoryModel { n_basis: n, pair_bytes };
+    let sharded_alg = FockAlgorithm::Sharded { n_ranks: RANKS, mode: DdiMode::Mpi3OneSided };
+    let est_replicated = model.per_rank_bytes(FockAlgorithm::MpiOnly { n_ranks: RANKS });
+    let est_sharded = model.per_rank_bytes(sharded_alg);
     assert!(
         est_sharded < est_replicated,
         "model: sharded {est_sharded:.0} B should undercut replicated {est_replicated:.0} B"
@@ -68,14 +69,8 @@ fn main() {
     );
     assert!(replicated.converged, "replicated SCF did not converge");
 
-    let sharded = run_scf(
-        &mol,
-        &basis,
-        &ScfConfig {
-            algorithm: FockAlgorithm::Sharded { n_ranks: RANKS, mode: DdiMode::Mpi3OneSided },
-            ..Default::default()
-        },
-    );
+    let sharded =
+        run_scf(&mol, &basis, &ScfConfig { algorithm: sharded_alg, ..Default::default() });
     assert!(sharded.converged, "sharded SCF did not converge");
 
     let de_rep = (replicated.energy - serial.energy).abs();

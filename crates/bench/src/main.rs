@@ -1,7 +1,7 @@
 //! `phi-bench`: regenerates every table and figure of the paper.
 //!
 //! ```sh
-//! phi-bench [--quick] [--csv DIR] <experiment>
+//! phi-bench [--quick] <experiment>
 //! ```
 //!
 //! | experiment  | reproduces                                              |
@@ -18,8 +18,7 @@
 //!
 //! `--quick` substitutes a small carbon-ring system for the paper's
 //! graphene datasets (CI-sized smoke mode); without it the real datasets
-//! are generated and screened exactly. `--csv DIR` also writes the table of
-//! a single-figure experiment (`fig3`–`fig7`) to `DIR/<name>.csv`.
+//! are generated and screened exactly.
 
 use hf::memory_model::{Table2Row, PAPER_TABLE2_GB};
 use hf::{DensitySet, FockAlgorithm, FockContext};
@@ -31,17 +30,12 @@ use phi_knlsim::report::{fmt_gb, Table};
 use phi_knlsim::scenarios::{self, Ctx, PAPER_TABLE3};
 use phi_linalg::Mat;
 use std::io::{self, Write};
-use std::path::PathBuf;
 
-const USAGE: &str = "usage: phi-bench [--quick] [--csv DIR] \
-                     <table2|fig3|fig4|fig5|fig6|table3|fig7|ablations|all>";
+const USAGE: &str =
+    "usage: phi-bench [--quick] <table2|fig3|fig4|fig5|fig6|table3|fig7|ablations|all>";
 
-struct Opts {
-    quick: bool,
-    csv: Option<PathBuf>,
-}
-
-type Experiment = fn(&Opts, &mut dyn Write) -> io::Result<()>;
+/// An experiment takes `quick` and the stream to print to.
+type Experiment = fn(bool, &mut dyn Write) -> io::Result<()>;
 
 const EXPERIMENTS: [(&str, Experiment); 9] = [
     ("table2", table2),
@@ -56,16 +50,11 @@ const EXPERIMENTS: [(&str, Experiment); 9] = [
 ];
 
 fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
-    let mut opts = Opts { quick: false, csv: None };
+    let mut quick = false;
     let mut name = None;
-    let mut args = args.iter();
-    while let Some(a) = args.next() {
+    for a in args {
         match a.as_str() {
-            "--quick" => opts.quick = true,
-            "--csv" => {
-                let dir = args.next().ok_or(format!("--csv needs a directory\n{USAGE}"))?;
-                opts.csv = Some(dir.into());
-            }
+            "--quick" => quick = true,
             n if name.is_none() && !n.starts_with('-') => name = Some(n),
             other => return Err(format!("unexpected argument '{other}'\n{USAGE}")),
         }
@@ -75,7 +64,7 @@ fn run(args: &[String], out: &mut dyn Write) -> Result<(), String> {
         .iter()
         .find(|(n, _)| *n == name)
         .ok_or_else(|| format!("unknown experiment '{name}'\n{USAGE}"))?;
-    experiment(&opts, out).map_err(|e| format!("{name}: {e}"))
+    experiment(quick, out).map_err(|e| format!("{name}: {e}"))
 }
 
 fn main() {
@@ -139,18 +128,6 @@ fn anchored_nm20(quick: bool) -> Ctx {
     ctx
 }
 
-/// Print a table and, under `--csv DIR`, also write `DIR/<slug>.csv`.
-fn emit(table: &Table, slug: &str, opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
-    writeln!(out, "{table}")?;
-    if let Some(dir) = &opts.csv {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{slug}.csv"));
-        std::fs::write(&path, table.to_csv())?;
-        eprintln!("[csv] wrote {}", path.display());
-    }
-    Ok(())
-}
-
 /// Table 2 (memory footprints of the three codes for the five graphene
 /// datasets) and the artifact's Table 4 (dataset characteristics), from
 /// three independent sources:
@@ -161,7 +138,7 @@ fn emit(table: &Table, slug: &str, opts: &Opts, out: &mut dyn Write) -> io::Resu
 ///    at reduced rank/thread counts on a small real system — demonstrating
 ///    that the tracker reproduces the replication hierarchy on live
 ///    allocations.
-fn table2(_: &Opts, out: &mut dyn Write) -> io::Result<()> {
+fn table2(_: bool, out: &mut dyn Write) -> io::Result<()> {
     let mut t4 = Table::new(
         "Table 4 (artifact) — dataset characteristics",
         &["name", "atoms", "shells", "basis functions"],
@@ -246,37 +223,37 @@ fn table2(_: &Opts, out: &mut dyn Write) -> io::Result<()> {
 
 /// Figure 3: shared-Fock performance vs OpenMP thread affinity type on a
 /// single node (1.0 nm dataset, 4 MPI ranks, 1–64 threads/rank).
-fn fig3(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
-    let ctx = context(PaperSystem::Nm10, opts.quick);
-    emit(&scenarios::fig3(&ctx), "fig3", opts, out)
+fn fig3(quick: bool, out: &mut dyn Write) -> io::Result<()> {
+    let ctx = context(PaperSystem::Nm10, quick);
+    writeln!(out, "{}", scenarios::fig3(&ctx))
 }
 
 /// Figure 4: single-node scalability of the three codes with respect to
 /// hardware threads (1.0 nm dataset, quad-cache).
-fn fig4(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
-    let ctx = context(PaperSystem::Nm10, opts.quick);
-    emit(&scenarios::fig4(&ctx), "fig4", opts, out)
+fn fig4(quick: bool, out: &mut dyn Write) -> io::Result<()> {
+    let ctx = context(PaperSystem::Nm10, quick);
+    writeln!(out, "{}", scenarios::fig4(&ctx))
 }
 
 /// Figure 5: time-to-solution under different KNL clustering and memory
 /// modes for the small (0.5 nm) and large (2.0 nm) datasets.
-fn fig5(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
-    let small = context(PaperSystem::Nm05, opts.quick);
-    let large = context(PaperSystem::Nm20, opts.quick);
-    emit(&scenarios::fig5(&small, &large), "fig5", opts, out)
+fn fig5(quick: bool, out: &mut dyn Write) -> io::Result<()> {
+    let small = context(PaperSystem::Nm05, quick);
+    let large = context(PaperSystem::Nm20, quick);
+    writeln!(out, "{}", scenarios::fig5(&small, &large))
 }
 
 /// Figure 6: multi-node scalability of the three codes (2.0 nm dataset,
 /// 4–512 nodes).
-fn fig6(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
-    let ctx = anchored_nm20(opts.quick);
-    emit(&scenarios::fig6_table3(&ctx), "fig6_table3", opts, out)
+fn fig6(quick: bool, out: &mut dyn Write) -> io::Result<()> {
+    let ctx = anchored_nm20(quick);
+    writeln!(out, "{}", scenarios::fig6_table3(&ctx))
 }
 
 /// Table 3: Figure 6's times and parallel efficiencies, printed side by
 /// side with the paper's published values.
-fn table3(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
-    let ctx = anchored_nm20(opts.quick);
+fn table3(quick: bool, out: &mut dyn Write) -> io::Result<()> {
+    let ctx = anchored_nm20(quick);
     writeln!(out, "{}", scenarios::fig6_table3(&ctx))?;
 
     let mut paper = Table::new(
@@ -292,16 +269,16 @@ fn table3(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
 
 /// Figure 7: shared-Fock scaling of the 5.0 nm dataset (30,240 basis
 /// functions) up to 3,000 nodes / 192,000 cores.
-fn fig7(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
-    let ctx = context(PaperSystem::Nm50, opts.quick);
-    emit(&scenarios::fig7(&ctx), "fig7", opts, out)
+fn fig7(quick: bool, out: &mut dyn Write) -> io::Result<()> {
+    let ctx = context(PaperSystem::Nm50, quick);
+    writeln!(out, "{}", scenarios::fig7(&ctx))
 }
 
 /// The design-choice ablations of DESIGN.md §5 on the 1.0 nm dataset: lazy
 /// FI flushing, ij-task prescreening, OpenMP schedule, task-partitioning
 /// load balance, and the private/shared crossover.
-fn ablations(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
-    let ctx = context(PaperSystem::Nm10, opts.quick);
+fn ablations(quick: bool, out: &mut dyn Write) -> io::Result<()> {
+    let ctx = context(PaperSystem::Nm10, quick);
     writeln!(out, "{}", scenarios::ablation_flush(&ctx))?;
     writeln!(out, "{}", scenarios::ablation_prescreen(&ctx))?;
     writeln!(out, "{}", scenarios::ablation_schedule(&ctx))?;
@@ -311,22 +288,22 @@ fn ablations(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
 
 /// Every experiment in sequence (Tables 2–4, Figures 3–7, the ablations
 /// and the failure-recovery study), building each dataset once.
-fn all(opts: &Opts, out: &mut dyn Write) -> io::Result<()> {
-    table2(opts, out)?;
+fn all(quick: bool, out: &mut dyn Write) -> io::Result<()> {
+    table2(quick, out)?;
 
     // Single-node studies on the 1.0 nm dataset.
-    let ctx10 = context(PaperSystem::Nm10, opts.quick);
+    let ctx10 = context(PaperSystem::Nm10, quick);
     writeln!(out, "{}", scenarios::fig3(&ctx10))?;
     writeln!(out, "{}", scenarios::fig4(&ctx10))?;
 
     // Mode study on 0.5 nm + 2.0 nm, then multi-node scaling on 2.0 nm.
-    let ctx05 = context(PaperSystem::Nm05, opts.quick);
-    let ctx20 = anchored_nm20(opts.quick);
+    let ctx05 = context(PaperSystem::Nm05, quick);
+    let ctx20 = anchored_nm20(quick);
     writeln!(out, "{}", scenarios::fig5(&ctx05, &ctx20))?;
     writeln!(out, "{}", scenarios::fig6_table3(&ctx20))?;
 
     // 5.0 nm at up to 3,000 nodes.
-    let ctx50 = context(PaperSystem::Nm50, opts.quick);
+    let ctx50 = context(PaperSystem::Nm50, quick);
     writeln!(out, "{}", scenarios::fig7(&ctx50))?;
 
     // Ablations. The ij-task prescreen matters most for the sparsest
@@ -389,7 +366,8 @@ mod tests {
 
     #[test]
     fn bad_arguments_are_errors_naming_the_usage() {
-        for line in ["--quick fig9", "--quick", "fig3 fig4", "--csv", "--fast fig3"] {
+        for line in ["--quick fig9", "--quick", "fig3 fig4", "--csv", "--csv D fig3", "--fast fig3"]
+        {
             let err = run_to_string(line).expect_err(line);
             assert!(err.contains("usage: phi-bench"), "{line}: {err}");
         }

@@ -9,123 +9,59 @@
 //! ```
 //!
 //! The paper runs 256 MPI ranks/node for the MPI-only code and
-//! 4 ranks x 64 threads for the hybrids. The model also exposes the DDI
-//! data-server variant (process count doubled, §6.2) and converts to the
-//! paper's GB units for direct Table 2 comparison.
+//! 4 ranks x 64 threads for the hybrids. [`MemoryModel::per_rank_bytes`] is
+//! the one statement of these equations (per rank: a node holds
+//! `N_mpi_per_node` of them) — the CLI's `--memory-budget`, Table 2, the
+//! `memory_wall` bench and the simulator's capacity check all call it.
 
+use crate::fock::matrix::{shard_cache_elems, shard_flush_entries, tri_len};
+use crate::FockAlgorithm;
 use phi_chem::geom::graphene::PaperSystem;
-use phi_dmpi::DdiMode;
 
 /// Word size of the matrices (double precision).
 const WORD: f64 = 8.0;
 
-/// Node-level memory model for one algorithm configuration.
+/// Per-rank memory model of one system.
 #[derive(Clone, Copy, Debug)]
 pub struct MemoryModel {
     pub n_basis: usize,
-    pub mpi_per_node: usize,
-    pub threads_per_rank: usize,
-    pub ddi: DdiMode,
     /// Bytes of the persistent shell-pair dataset
     /// ([`phi_integrals::ShellPairs::bytes`]). Charged once per MPI rank —
     /// shared read-only by the rank's threads, never replicated per thread,
     /// and not doubled by DDI data servers (data servers hold distributed
     /// arrays, not integral data).
-    pub pair_bytes: f64,
+    pub pair_bytes: usize,
 }
 
 impl MemoryModel {
-    /// The paper's MPI-only configuration (eq. 3a): up to 256 ranks/node.
-    pub fn mpi_only(n_basis: usize, mpi_per_node: usize) -> MemoryModel {
-        MemoryModel {
-            n_basis,
-            mpi_per_node,
-            threads_per_rank: 1,
-            ddi: DdiMode::Mpi3OneSided,
-            pair_bytes: 0.0,
-        }
-    }
-
-    /// The paper's hybrid configuration: 4 ranks x `threads` threads.
-    pub fn hybrid(n_basis: usize, mpi_per_node: usize, threads_per_rank: usize) -> MemoryModel {
-        MemoryModel {
-            n_basis,
-            mpi_per_node,
-            threads_per_rank,
-            ddi: DdiMode::Mpi3OneSided,
-            pair_bytes: 0.0,
-        }
-    }
-
-    pub fn with_ddi(mut self, ddi: DdiMode) -> MemoryModel {
-        self.ddi = ddi;
-        self
-    }
-
-    /// Account for the persistent shell-pair dataset (bytes per copy).
-    pub fn with_shell_pairs(mut self, bytes: usize) -> MemoryModel {
-        self.pair_bytes = bytes as f64;
-        self
-    }
-
-    fn n2(&self) -> f64 {
-        (self.n_basis as f64) * (self.n_basis as f64)
-    }
-
-    fn process_factor(&self) -> f64 {
-        (self.mpi_per_node * self.ddi.processes_per_rank()) as f64
-    }
-
-    /// Per-node contribution of the shell-pair dataset: one copy per rank
-    /// (NOT per compute thread, NOT per data server).
-    fn pair_term(&self) -> f64 {
-        self.pair_bytes * self.mpi_per_node as f64
-    }
-
-    /// Eq. (3a): MPI-only footprint per node, bytes.
-    pub fn bytes_mpi_only(&self) -> f64 {
-        2.5 * self.n2() * self.process_factor() * WORD + self.pair_term()
-    }
-
-    /// Eq. (3b): private-Fock footprint per node, bytes.
-    pub fn bytes_private_fock(&self) -> f64 {
-        (2.0 + self.threads_per_rank as f64) * self.n2() * self.process_factor() * WORD
-            + self.pair_term()
-    }
-
-    /// Eq. (3c): shared-Fock footprint per node, bytes.
-    pub fn bytes_shared_fock(&self) -> f64 {
-        3.5 * self.n2() * self.process_factor() * WORD + self.pair_term()
-    }
-
-    /// Fully sharded build (restricted, [`crate::FockAlgorithm::Sharded`]) per node,
-    /// bytes: the tri-packed density + Fock window stripes (`N(N+1)/2`
-    /// words each, divided over `total_ranks` world ranks, doubled per
-    /// process by DDI data servers since the servers hold the array
-    /// segments) plus the O(N) row cache and flush buffer each compute
-    /// rank keeps. The `N^2`-per-process term that eqs. (3a)-(3c) all
-    /// share is gone — this is the variant that dodges the memory wall.
-    pub fn bytes_sharded(&self, total_ranks: usize) -> f64 {
+    /// Bytes one rank of `alg` holds: the matrices of eqs. (3a)-(3c) plus
+    /// one copy of the shell-pair dataset. `Serial` and `Distributed`
+    /// replicate the same density + full accumulation matrices as MPI-only,
+    /// so they share eq. (3a).
+    ///
+    /// The sharded build is the only sub-quadratic row — the variant that
+    /// dodges the memory wall: the tri-packed density + Fock window stripes
+    /// (`N(N+1)/2` words each, divided over the world's ranks, doubled by
+    /// DDI data servers since the servers hold the array segments) plus the
+    /// O(N) row cache and flush buffer each compute rank keeps.
+    pub fn per_rank_bytes(&self, alg: FockAlgorithm) -> f64 {
         let n = self.n_basis;
-        let tri = crate::fock::matrix::tri_len(n) as f64;
-        let stripes = 2.0 * (tri / total_ranks.max(1) as f64) * WORD;
-        let cache = crate::fock::matrix::shard_cache_elems(n) as f64 * WORD;
-        let flush = crate::fock::matrix::shard_flush_entries(n) as f64 * 16.0;
-        stripes * self.process_factor()
-            + (cache + flush) * self.mpi_per_node as f64
-            + self.pair_term()
-    }
-
-    pub fn gb_mpi_only(&self) -> f64 {
-        self.bytes_mpi_only() / 1e9
-    }
-
-    pub fn gb_private_fock(&self) -> f64 {
-        self.bytes_private_fock() / 1e9
-    }
-
-    pub fn gb_shared_fock(&self) -> f64 {
-        self.bytes_shared_fock() / 1e9
+        let n2 = (n as f64) * (n as f64);
+        let (ranks, threads) = alg.shape();
+        let matrices = match alg {
+            FockAlgorithm::Serial
+            | FockAlgorithm::MpiOnly { .. }
+            | FockAlgorithm::Distributed { .. } => 2.5 * n2 * WORD,
+            FockAlgorithm::PrivateFock { .. } => (2.0 + threads as f64) * n2 * WORD,
+            FockAlgorithm::SharedFock { .. } => 3.5 * n2 * WORD,
+            FockAlgorithm::Sharded { mode, .. } => {
+                let stripes = 2.0 * (tri_len(n) as f64 / ranks.max(1) as f64) * WORD;
+                let cache = shard_cache_elems(n) as f64 * WORD;
+                let flush = shard_flush_entries(n) as f64 * 16.0;
+                stripes * mode.processes_per_rank() as f64 + (cache + flush)
+            }
+        };
+        matrices + self.pair_bytes as f64
     }
 }
 
@@ -142,14 +78,14 @@ pub struct Table2Row {
 
 impl Table2Row {
     pub fn compute(system: PaperSystem) -> Table2Row {
-        let n = system.n_basis_functions();
-        let mpi = MemoryModel::mpi_only(n, 256);
-        let hyb = MemoryModel::hybrid(n, 4, 64);
+        let model = MemoryModel { n_basis: system.n_basis_functions(), pair_bytes: 0 };
+        let gb_per_node =
+            |alg: FockAlgorithm| alg.shape().0 as f64 * model.per_rank_bytes(alg) / 1e9;
         Table2Row {
             system,
-            gb_mpi: mpi.gb_mpi_only(),
-            gb_private: hyb.gb_private_fock(),
-            gb_shared: hyb.gb_shared_fock(),
+            gb_mpi: gb_per_node(FockAlgorithm::MpiOnly { n_ranks: 256 }),
+            gb_private: gb_per_node(FockAlgorithm::PrivateFock { n_ranks: 4, n_threads: 64 }),
+            gb_shared: gb_per_node(FockAlgorithm::SharedFock { n_ranks: 4, n_threads: 64 }),
         }
     }
 
@@ -172,6 +108,7 @@ pub const PAPER_TABLE2_GB: [(f64, f64, f64); 5] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phi_dmpi::DdiMode;
 
     #[test]
     fn ratios_match_the_papers_headline_numbers() {
@@ -197,62 +134,70 @@ mod tests {
         assert!((large.gb_mpi / small.gb_mpi - n_ratio).abs() < 1e-9);
     }
 
+    const HYBRID_4X64: FockAlgorithm = FockAlgorithm::SharedFock { n_ranks: 4, n_threads: 64 };
+
+    fn sharded(n_ranks: usize, mode: DdiMode) -> FockAlgorithm {
+        FockAlgorithm::Sharded { n_ranks, mode }
+    }
+
     #[test]
     fn data_servers_double_everything() {
-        let base = MemoryModel::mpi_only(1800, 64);
-        let with_servers = base.with_ddi(DdiMode::DataServer);
-        assert!((with_servers.bytes_mpi_only() / base.bytes_mpi_only() - 2.0).abs() < 1e-12);
+        // Everything a data server holds, that is: the array segments. The
+        // sharded rows are the only ones with a `DdiMode`; their stripe
+        // term doubles exactly, the rank-local cache and flush buffer stay.
+        let m = MemoryModel { n_basis: 1800, pair_bytes: 0 };
+        let local = shard_cache_elems(1800) as f64 * WORD + shard_flush_entries(1800) as f64 * 16.0;
+        let stripes = |mode| m.per_rank_bytes(sharded(64, mode)) - local;
+        assert!((stripes(DdiMode::DataServer) / stripes(DdiMode::Mpi3OneSided) - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn shell_pair_term_is_per_rank_not_per_thread_or_server() {
         let pair_bytes = 123_456_789usize;
-        let base = MemoryModel::hybrid(1800, 4, 64);
-        let with_pairs = base.with_shell_pairs(pair_bytes);
-        let delta = with_pairs.bytes_shared_fock() - base.bytes_shared_fock();
-        // One copy per rank: 4 ranks x pair_bytes, independent of the 64
-        // threads.
+        let base = MemoryModel { n_basis: 1800, pair_bytes: 0 };
+        let with_pairs = MemoryModel { pair_bytes, ..base };
+        // A node of 4 ranks holds 4 copies, independent of the 64 threads.
+        let per_node = |m: &MemoryModel, alg: FockAlgorithm| 4.0 * m.per_rank_bytes(alg);
+        let delta = per_node(&with_pairs, HYBRID_4X64) - per_node(&base, HYBRID_4X64);
         assert!((delta - 4.0 * pair_bytes as f64).abs() < 1e-6);
-        assert!((with_pairs.bytes_private_fock() - base.bytes_private_fock() - delta).abs() < 1e-6);
-        // Data servers double the matrix replication but NOT the pair data.
-        let servers = with_pairs.with_ddi(DdiMode::DataServer);
-        let base_servers = base.with_ddi(DdiMode::DataServer);
-        let delta_servers = servers.bytes_shared_fock() - base_servers.bytes_shared_fock();
+        let private = FockAlgorithm::PrivateFock { n_ranks: 4, n_threads: 64 };
+        assert!((per_node(&with_pairs, private) - per_node(&base, private) - delta).abs() < 1e-6);
+        // Data servers double the distributed arrays but NOT the pair data.
+        let servers = sharded(4, DdiMode::DataServer);
+        let delta_servers = per_node(&with_pairs, servers) - per_node(&base, servers);
         assert!((delta_servers - delta).abs() < 1e-6);
     }
 
     #[test]
     fn hybrid_thread_count_drives_private_fock_linearly() {
-        let m1 = MemoryModel::hybrid(1800, 4, 1);
-        let m64 = MemoryModel::hybrid(1800, 4, 64);
-        let ratio = m64.bytes_private_fock() / m1.bytes_private_fock();
-        assert!((ratio - 66.0 / 3.0).abs() < 1e-9);
+        let m = MemoryModel { n_basis: 1800, pair_bytes: 0 };
+        let private =
+            |n_threads| m.per_rank_bytes(FockAlgorithm::PrivateFock { n_ranks: 4, n_threads });
+        assert!((private(64) / private(1) - 66.0 / 3.0).abs() < 1e-9);
         // Shared Fock is thread-count independent.
-        assert_eq!(m1.bytes_shared_fock(), m64.bytes_shared_fock());
+        assert_eq!(
+            m.per_rank_bytes(FockAlgorithm::SharedFock { n_ranks: 4, n_threads: 1 }),
+            m.per_rank_bytes(HYBRID_4X64)
+        );
     }
 
     #[test]
     fn sharded_model_escapes_the_quadratic_wall() {
-        // At paper scale, every replicated algorithm's per-node footprint
-        // grows as N^2 per process; the sharded stripes grow as N^2 only
-        // in aggregate across the whole machine, so the per-node number
-        // collapses as ranks are added.
-        let n = PaperSystem::Nm20.n_basis_functions();
-        let m = MemoryModel::hybrid(n, 4, 1);
-        let sharded_64 = m.bytes_sharded(64);
-        assert!(
-            sharded_64 < m.bytes_shared_fock() / 10.0,
-            "sharded {} vs shared Fock {}",
-            sharded_64,
-            m.bytes_shared_fock()
-        );
+        // At paper scale, every replicated algorithm's per-rank footprint
+        // grows as N^2; the sharded stripes grow as N^2 only in aggregate
+        // across the whole machine, so the per-rank number collapses as
+        // ranks are added.
+        let m = MemoryModel { n_basis: PaperSystem::Nm20.n_basis_functions(), pair_bytes: 0 };
+        let shared = m.per_rank_bytes(HYBRID_4X64);
+        let sharded_64 = m.per_rank_bytes(sharded(64, DdiMode::Mpi3OneSided));
+        assert!(sharded_64 < shared / 10.0, "sharded {sharded_64} vs shared Fock {shared}");
         // More world ranks -> thinner stripes, monotonically.
-        assert!(m.bytes_sharded(256) < m.bytes_sharded(64));
+        assert!(m.per_rank_bytes(sharded(256, DdiMode::Mpi3OneSided)) < sharded_64);
         // Data servers double the stripe term but not the rank-local
         // caches: strictly less than a full doubling.
-        let ds = m.with_ddi(DdiMode::DataServer);
-        assert!(ds.bytes_sharded(64) > sharded_64);
-        assert!(ds.bytes_sharded(64) < 2.0 * sharded_64);
+        let ds = m.per_rank_bytes(sharded(64, DdiMode::DataServer));
+        assert!(ds > sharded_64);
+        assert!(ds < 2.0 * sharded_64);
     }
 
     #[test]

@@ -17,9 +17,13 @@ impl EriCostTable {
         self.ns[bra_pc * self.n_pair_classes + ket_pc]
     }
 
-    /// Analytic fallback: quartet cost scales with the primitive-quartet
-    /// count times the component-quartet count of the two pairs. Used when
-    /// wall-clock calibration is unavailable (tests, cross-checks).
+    /// Deterministic stand-in for [`crate::calibrate`]: quartet cost scales
+    /// with the primitive-quartet count plus the component-quartet count of
+    /// the two pairs. It is what `--quick`, CI and every shape test run on,
+    /// because a timed table would make their output differ run to run; it
+    /// is *not* a measurement. Per class pair it sits between 0.06x and 19x
+    /// of the calibrated table (EXPERIMENTS.md "PR 20") — the orderings the
+    /// shape tests assert survive that, absolute seconds do not.
     pub fn analytic(classes: &ShellClasses) -> EriCostTable {
         let npc = classes.n_pair_classes();
         let nc = classes.n_classes();
@@ -38,9 +42,11 @@ impl EriCostTable {
         let mut ns = vec![0.0; npc * npc];
         for bra in 0..npc {
             for ket in 0..npc {
-                // ~110 ns per primitive quartet (E tables + R table) plus
-                // ~6 ns per output component (Hermite sums + digestion) —
-                // the rough proportions measured on the real engine.
+                // 110 ns per primitive quartet plus 6 ns per output
+                // component: the engine's proportions before the class
+                // kernels and the tabulated Boys function (a primitive
+                // ssss quartet is 13.7 ns since PR 17). Kept as is — the
+                // `--quick` tables are pinned byte for byte on it.
                 ns[bra * npc + ket] =
                     110.0 * pair_prims[bra] * pair_prims[ket] + 6.0 * pair_fns[bra] * pair_fns[ket];
             }

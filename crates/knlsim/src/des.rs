@@ -24,9 +24,10 @@
 //!   **`gsumf` allreduce** at the end of every build.
 
 use crate::cost::CostModel;
-use crate::network::Network;
+use crate::network::allreduce_s;
 use crate::node::{Affinity, ClusterMode, KnlNode, MemoryMode};
 use crate::workload::{SimTask, Workload};
+use hf::{FockAlgorithm, MemoryModel};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -36,10 +37,6 @@ pub enum SimAlgorithm {
     MpiOnly,
     PrivateFock,
     SharedFock,
-    /// The non-replicated build (`hf`'s `fock::sharded`): density and
-    /// Fock live as tri-packed stripes in distributed windows, ranks hold
-    /// only O(N) caches, every get/accumulate is one-sided traffic.
-    Sharded,
 }
 
 impl SimAlgorithm {
@@ -48,7 +45,6 @@ impl SimAlgorithm {
             SimAlgorithm::MpiOnly => "MPI-only",
             SimAlgorithm::PrivateFock => "private Fock",
             SimAlgorithm::SharedFock => "shared Fock",
-            SimAlgorithm::Sharded => "sharded",
         }
     }
 
@@ -59,23 +55,15 @@ impl SimAlgorithm {
             SimAlgorithm::MpiOnly => 0.0,
             SimAlgorithm::PrivateFock => 0.35,
             SimAlgorithm::SharedFock => 1.0,
-            // One-sided window traffic bypasses the coherence fabric the
-            // same way two-sided MPI does.
-            SimAlgorithm::Sharded => 0.0,
         }
     }
 
-    /// Matrix words per rank as a multiple of N^2 (the eqs. 3a-3c
-    /// prefactor). `total_ranks` only matters for the sharded build, whose
-    /// two tri-packed window stripes hold `2 * N(N+1)/2 / R ~ N^2 / R`
-    /// words per rank; its O(N) row cache and flush buffer vanish next to
-    /// that at simulated scales.
-    fn matrix_words_per_rank(self, threads: usize, total_ranks: usize) -> f64 {
+    /// The real algorithm this row models, for [`MemoryModel`]'s eqs. (3a)-(3c).
+    fn fock_algorithm(self, n_ranks: usize, n_threads: usize) -> FockAlgorithm {
         match self {
-            SimAlgorithm::MpiOnly => 2.5,
-            SimAlgorithm::PrivateFock => 2.0 + threads as f64,
-            SimAlgorithm::SharedFock => 3.5,
-            SimAlgorithm::Sharded => 1.0 / total_ranks.max(1) as f64,
+            SimAlgorithm::MpiOnly => FockAlgorithm::MpiOnly { n_ranks },
+            SimAlgorithm::PrivateFock => FockAlgorithm::PrivateFock { n_ranks, n_threads },
+            SimAlgorithm::SharedFock => FockAlgorithm::SharedFock { n_ranks, n_threads },
         }
     }
 }
@@ -84,7 +72,6 @@ impl SimAlgorithm {
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     pub node: KnlNode,
-    pub network: Network,
     pub cluster_mode: ClusterMode,
     pub memory_mode: MemoryMode,
     pub affinity: Affinity,
@@ -94,8 +81,6 @@ pub struct SimConfig {
     pub ranks_per_node: usize,
     pub threads_per_rank: usize,
     pub algorithm: SimAlgorithm,
-    /// SCF iterations folded into `total_seconds`.
-    pub scf_iterations: usize,
     /// Ablation: flush FI after every task instead of only on i-change.
     pub eager_fi_flush: bool,
     /// Ablation: static instead of dynamic thread schedule (larger
@@ -111,7 +96,6 @@ impl SimConfig {
     pub fn hybrid(algorithm: SimAlgorithm, nodes: usize) -> SimConfig {
         SimConfig {
             node: KnlNode::default(),
-            network: Network::default(),
             cluster_mode: ClusterMode::Quadrant,
             memory_mode: MemoryMode::Cache,
             affinity: Affinity::Balanced,
@@ -119,7 +103,6 @@ impl SimConfig {
             ranks_per_node: 4,
             threads_per_rank: 64,
             algorithm,
-            scf_iterations: 16,
             eager_fi_flush: false,
             static_schedule: false,
             task_prescreen: true,
@@ -141,14 +124,13 @@ impl SimConfig {
 #[derive(Clone, Debug)]
 pub struct SimResult {
     pub feasible: bool,
-    pub infeasible_reason: Option<String>,
     /// Ranks per node actually used (after memory-driven reduction).
     pub ranks_per_node: usize,
     /// One Fock-build iteration, seconds (scaled by `time_scale`).
     pub fock_seconds: f64,
     /// `gsumf` allreduce per iteration, seconds.
     pub reduction_seconds: f64,
-    /// `scf_iterations x (fock + reduction)`.
+    /// `16 x (fock + reduction)`: a full SCF of the paper's length.
     pub total_seconds: f64,
     /// Mean rank busy fraction during the build (load-balance metric).
     pub busy_fraction: f64,
@@ -157,33 +139,15 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    fn infeasible(reason: String) -> SimResult {
+    fn infeasible() -> SimResult {
         SimResult {
             feasible: false,
-            infeasible_reason: Some(reason),
             ranks_per_node: 0,
             fock_seconds: f64::INFINITY,
             reduction_seconds: f64::INFINITY,
             total_seconds: f64::INFINITY,
             busy_fraction: 0.0,
             footprint_gb: f64::INFINITY,
-        }
-    }
-
-    /// Export this simulated configuration in the shared observability
-    /// schema ([`phi_trace::TraceSummary`]), so model predictions and
-    /// measured traces can be compared field-for-field. Note the
-    /// normalization: here `fock_seconds`/`reduction_seconds` are per
-    /// SCF iteration, while a measured trace sums every build in the
-    /// session — divide the trace side by its iteration count before
-    /// comparing. `busy_fraction` is the mean/max busy ratio in both
-    /// (the inverse of the paper's Fig. 8 imbalance metric).
-    pub fn trace_summary(&self) -> phi_trace::TraceSummary {
-        phi_trace::TraceSummary {
-            fock_seconds: self.fock_seconds,
-            reduction_seconds: self.reduction_seconds,
-            total_seconds: self.total_seconds,
-            busy_fraction: self.busy_fraction,
         }
     }
 }
@@ -196,6 +160,9 @@ const BASE_PROCESS_GB: f64 = 0.78;
 
 /// Cheap per-quartet Schwarz screening test inside the kl/k,l loops.
 const CHECK_NS: f64 = 1.5;
+
+/// SCF iterations folded into `total_seconds` (the paper's runs take 16).
+const SCF_ITERATIONS: usize = 16;
 
 /// f64 wrapper ordered by total order, for the event heap.
 #[derive(Clone, Copy, PartialEq)]
@@ -212,40 +179,27 @@ impl Ord for Time {
     }
 }
 
-/// Per-node footprint in GB for an algorithm/configuration (capacity).
-fn footprint_gb(
-    alg: SimAlgorithm,
-    n_basis: usize,
-    ranks: usize,
-    threads: usize,
-    nodes: usize,
-) -> f64 {
-    let n2 = (n_basis * n_basis) as f64;
-    let total_ranks = (ranks * nodes.max(1)).max(1);
-    let matrices = alg.matrix_words_per_rank(threads, total_ranks) * n2 * 8.0 / 1e9;
+/// Per-node footprint in GB for an algorithm/configuration (capacity):
+/// each rank's process image plus its eqs. (3a)-(3c) matrices.
+fn footprint_gb(alg: SimAlgorithm, n_basis: usize, ranks: usize, threads: usize) -> f64 {
+    let model = MemoryModel { n_basis, pair_bytes: 0 };
+    let matrices = model.per_rank_bytes(alg.fock_algorithm(ranks, threads)) / 1e9;
     ranks as f64 * (BASE_PROCESS_GB + matrices)
 }
 
 /// Hot working set in GB — what competes for MCDRAM bandwidth/cache during
-/// the build. Differs from the capacity footprint in one way: thread-
-/// private Fock buffers are write-mostly streaming targets, so only a small
-/// fraction of them is hot at any instant (weight 0.1). The MPI-only code's
-/// per-process images *are* hot (256 replicated processes thrash the cache
-/// with code + static data too — the paper's §6.1 "cache capacity and cache
-/// line conflict effects").
-fn hot_ws_gb(alg: SimAlgorithm, n_basis: usize, ranks: usize, threads: usize, nodes: usize) -> f64 {
+/// the build. A different quantity from the capacity footprint, hence its
+/// own weights: thread-private Fock buffers are write-mostly streaming
+/// targets, so only a small fraction of them is hot at any instant (weight
+/// 0.1). The MPI-only code's per-process images *are* hot (256 replicated
+/// processes thrash the cache with code + static data too — the paper's
+/// §6.1 "cache capacity and cache line conflict effects").
+fn hot_ws_gb(alg: SimAlgorithm, n_basis: usize, ranks: usize, threads: usize) -> f64 {
     let n2gb = (n_basis * n_basis) as f64 * 8.0 / 1e9;
     match alg {
         SimAlgorithm::MpiOnly => ranks as f64 * (BASE_PROCESS_GB + 2.5 * n2gb),
         SimAlgorithm::PrivateFock => ranks as f64 * (2.0 + 0.1 * threads as f64) * n2gb,
         SimAlgorithm::SharedFock => ranks as f64 * 3.5 * n2gb,
-        // Like MPI-only it runs one process per rank (so the replicated
-        // images stay hot), but of the matrices only the node's window
-        // stripes plus O(N) caches are resident; the rest is remote.
-        SimAlgorithm::Sharded => {
-            let total_ranks = (ranks * nodes.max(1)).max(1) as f64;
-            ranks as f64 * (BASE_PROCESS_GB + n2gb / total_ranks)
-        }
     }
 }
 
@@ -262,12 +216,12 @@ pub fn simulate(workload: &Workload, cost: &CostModel, cfg: &SimConfig) -> SimRe
         // and the chosen memory mode (paper §6.1: "the larger memory
         // requirements of the original MPI-only code restrict...").
         let fits = |ranks: usize| {
-            footprint_gb(cfg.algorithm, workload.n_basis, ranks, threads, cfg.nodes) <= mem_limit
+            footprint_gb(cfg.algorithm, workload.n_basis, ranks, threads) <= mem_limit
                 && cfg
                     .memory_mode
                     .effective_bandwidth(
                         node,
-                        hot_ws_gb(cfg.algorithm, workload.n_basis, ranks, threads, cfg.nodes),
+                        hot_ws_gb(cfg.algorithm, workload.n_basis, ranks, threads),
                     )
                     .is_some()
         };
@@ -275,18 +229,13 @@ pub fn simulate(workload: &Workload, cost: &CostModel, cfg: &SimConfig) -> SimRe
             ranks_per_node /= 2;
         }
     }
-    let fp = footprint_gb(cfg.algorithm, workload.n_basis, ranks_per_node, threads, cfg.nodes);
+    let fp = footprint_gb(cfg.algorithm, workload.n_basis, ranks_per_node, threads);
     if fp > mem_limit {
-        return SimResult::infeasible(format!(
-            "footprint {fp:.0} GB exceeds node memory {mem_limit:.0} GB"
-        ));
+        return SimResult::infeasible();
     }
-    let hot = hot_ws_gb(cfg.algorithm, workload.n_basis, ranks_per_node, threads, cfg.nodes);
+    let hot = hot_ws_gb(cfg.algorithm, workload.n_basis, ranks_per_node, threads);
     let Some(bw) = cfg.memory_mode.effective_bandwidth(node, hot) else {
-        return SimResult::infeasible(format!(
-            "{} cannot hold a {hot:.0} GB working set",
-            cfg.memory_mode.label()
-        ));
+        return SimResult::infeasible();
     };
 
     // --- Per-rank throughput -------------------------------------------
@@ -365,9 +314,6 @@ pub fn simulate(workload: &Workload, cost: &CostModel, cfg: &SimConfig) -> SimRe
         SimAlgorithm::MpiOnly => 0.0,
         SimAlgorithm::PrivateFock => 2.0 * barrier,
         SimAlgorithm::SharedFock => 2.0 * barrier + fj_flush,
-        // One window get (density rows) and one accumulate flush per task,
-        // each a one-sided round trip priced like a DLB pull.
-        SimAlgorithm::Sharded => 2.0 * dlb_latency,
     };
 
     // --- The event loop ---------------------------------------------------
@@ -461,26 +407,17 @@ pub fn simulate(workload: &Workload, cost: &CostModel, cfg: &SimConfig) -> SimRe
     makespan = (makespan + empty_time_per_rank).max(counter_floor);
 
     // --- Reduction and assembly -------------------------------------------
-    // The replicated builds allreduce a full N^2 Fock; the sharded build
-    // only gathers each rank's stripe (1/R of the matrix) for the driver.
-    let reduction_bytes = {
-        let full = (workload.n_basis * workload.n_basis * 8) as f64;
-        match cfg.algorithm {
-            SimAlgorithm::Sharded => full / total_ranks.max(1) as f64,
-            _ => full,
-        }
-    };
-    let reduction = cfg.network.allreduce_s(reduction_bytes, total_ranks, cfg.nodes);
+    let reduction_bytes = (workload.n_basis * workload.n_basis * 8) as f64;
+    let reduction = allreduce_s(reduction_bytes, total_ranks, cfg.nodes);
     let busy_total: f64 = busy.iter().sum();
     let fock = makespan * cost.time_scale;
     let red = reduction * cost.time_scale;
     SimResult {
         feasible: true,
-        infeasible_reason: None,
         ranks_per_node,
         fock_seconds: fock,
         reduction_seconds: red,
-        total_seconds: cfg.scf_iterations as f64 * (fock + red),
+        total_seconds: SCF_ITERATIONS as f64 * (fock + red),
         busy_fraction: busy_total / (total_ranks as f64 * makespan.max(1e-30)),
         footprint_gb: fp,
     }
@@ -527,32 +464,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_summary_shares_the_observability_schema() {
-        let (w, cm) = toy_workload();
-        let r = simulate(&w, &cm, &SimConfig::hybrid(SimAlgorithm::SharedFock, 2));
-        assert!(r.feasible);
-        let s = r.trace_summary();
-        assert_eq!(s.fock_seconds, r.fock_seconds);
-        assert_eq!(s.reduction_seconds, r.reduction_seconds);
-        assert_eq!(s.total_seconds, r.total_seconds);
-        assert_eq!(s.busy_fraction, r.busy_fraction);
-        // The JSON form is the same one the measured-trace summary emits,
-        // so files from either side are interchangeable downstream.
-        let json = s.to_json();
-        for key in ["fock_seconds", "reduction_seconds", "total_seconds", "busy_fraction"] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-    }
-
-    #[test]
     fn busy_fraction_is_a_fraction() {
         let (w, cm) = toy_workload();
-        for alg in [
-            SimAlgorithm::MpiOnly,
-            SimAlgorithm::PrivateFock,
-            SimAlgorithm::SharedFock,
-            SimAlgorithm::Sharded,
-        ] {
+        for alg in [SimAlgorithm::MpiOnly, SimAlgorithm::PrivateFock, SimAlgorithm::SharedFock] {
             let r = simulate(&w, &cm, &SimConfig::hybrid(alg, 2));
             assert!(r.feasible);
             assert!(
@@ -597,56 +511,6 @@ mod tests {
         assert!(r.feasible);
         assert!(r.ranks_per_node < 256, "got {}", r.ranks_per_node);
         assert!(r.footprint_gb <= KnlNode::default().total_memory_gb());
-    }
-
-    #[test]
-    fn flat_mcdram_rejects_big_footprints() {
-        let (mut w, cm) = toy_workload();
-        w.n_basis = 30240;
-        let cfg = SimConfig {
-            memory_mode: MemoryMode::FlatMcdram,
-            ..SimConfig::hybrid(SimAlgorithm::SharedFock, 4)
-        };
-        let r = simulate(&w, &cm, &cfg);
-        assert!(!r.feasible);
-    }
-
-    #[test]
-    fn sharded_stays_feasible_past_the_replicated_memory_wall() {
-        // A basis that makes every replicated footprint blow past node
-        // memory leaves the sharded build standing: its stripes thin with
-        // the world size instead of replicating per process.
-        let (mut w, cm) = toy_workload();
-        w.n_basis = 120_000;
-        let nodes = 16;
-        let rep = simulate(&w, &cm, &SimConfig::hybrid(SimAlgorithm::SharedFock, nodes));
-        let sh = simulate(&w, &cm, &SimConfig::hybrid(SimAlgorithm::Sharded, nodes));
-        assert!(!rep.feasible, "shared Fock should hit the wall");
-        assert!(sh.feasible, "{:?}", sh.infeasible_reason);
-        // And the per-node footprint keeps shrinking as nodes are added.
-        let sh2 = simulate(&w, &cm, &SimConfig::hybrid(SimAlgorithm::Sharded, 4 * nodes));
-        assert!(sh2.feasible && sh2.footprint_gb < sh.footprint_gb);
-    }
-
-    #[test]
-    fn sharded_pays_window_latency_per_task() {
-        // On one node with identical shapes, the sharded build can never
-        // beat MPI-only: it runs the same ij-task list plus a one-sided
-        // round trip per task.
-        let (w, cm) = toy_workload();
-        let cfg = |alg| SimConfig {
-            ranks_per_node: 8,
-            threads_per_rank: 1,
-            algorithm: alg,
-            ..SimConfig::hybrid(alg, 1)
-        };
-        let mpi = simulate(&w, &cm, &cfg(SimAlgorithm::MpiOnly));
-        let sh = simulate(&w, &cm, &cfg(SimAlgorithm::Sharded));
-        assert!(mpi.feasible && sh.feasible);
-        assert!(sh.fock_seconds >= mpi.fock_seconds, "{} vs {}", sh.fock_seconds, mpi.fock_seconds);
-        // But its end-of-build gather moves 1/R of the replicated
-        // allreduce, so the reduction is cheaper.
-        assert!(sh.reduction_seconds < mpi.reduction_seconds);
     }
 
     #[test]

@@ -28,8 +28,3 @@ pub mod node;
 pub mod report;
 pub mod scenarios;
 pub mod workload;
-
-pub use cost::{CostModel, EriCostTable};
-pub use des::{simulate, SimAlgorithm, SimConfig, SimResult};
-pub use node::{Affinity, ClusterMode, KnlNode, MemoryMode};
-pub use workload::Workload;

@@ -5,7 +5,6 @@
 pub struct KnlNode {
     pub cores: usize,
     pub smt: usize,
-    pub freq_ghz: f64,
     pub mcdram_gb: f64,
     pub mcdram_bw_gbs: f64,
     pub ddr_gb: f64,
@@ -17,7 +16,6 @@ impl Default for KnlNode {
         KnlNode {
             cores: 64,
             smt: 4,
-            freq_ghz: 1.3,
             mcdram_gb: 16.0,
             mcdram_bw_gbs: 400.0,
             ddr_gb: 192.0,
@@ -131,30 +129,21 @@ impl ClusterMode {
     }
 }
 
-/// MCDRAM configuration (paper §5.1).
+/// MCDRAM configuration (paper §5.1): the two modes Fig. 5 compares.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MemoryMode {
     /// MCDRAM as a direct-mapped cache in front of DDR4 (the paper's
     /// choice, "quad-cache").
     Cache,
-    /// Flat: allocations pinned in MCDRAM (infeasible above 16 GB).
-    FlatMcdram,
     /// Flat: allocations in DDR4 only.
     FlatDdr,
-    /// Half MCDRAM as cache, half flat.
-    Hybrid,
 }
 
 impl MemoryMode {
-    pub const ALL: [MemoryMode; 4] =
-        [MemoryMode::Cache, MemoryMode::FlatMcdram, MemoryMode::FlatDdr, MemoryMode::Hybrid];
-
     pub fn label(self) -> &'static str {
         match self {
             MemoryMode::Cache => "cache",
-            MemoryMode::FlatMcdram => "flat-MCDRAM",
             MemoryMode::FlatDdr => "flat-DDR",
-            MemoryMode::Hybrid => "hybrid",
         }
     }
 
@@ -166,25 +155,7 @@ impl MemoryMode {
                 let hit = (node.mcdram_gb / ws_gb).min(1.0);
                 Some(hit * node.mcdram_bw_gbs + (1.0 - hit) * node.ddr_bw_gbs)
             }
-            MemoryMode::FlatMcdram => {
-                if ws_gb <= node.mcdram_gb {
-                    Some(node.mcdram_bw_gbs)
-                } else {
-                    None
-                }
-            }
-            MemoryMode::FlatDdr => {
-                if ws_gb <= node.ddr_gb {
-                    Some(node.ddr_bw_gbs)
-                } else {
-                    None
-                }
-            }
-            MemoryMode::Hybrid => {
-                let cache_gb = node.mcdram_gb / 2.0;
-                let hit = (cache_gb / ws_gb).min(1.0);
-                Some(hit * node.mcdram_bw_gbs + (1.0 - hit) * node.ddr_bw_gbs)
-            }
+            MemoryMode::FlatDdr => (ws_gb <= node.ddr_gb).then_some(node.ddr_bw_gbs),
         }
     }
 }
@@ -251,12 +222,5 @@ mod tests {
         assert_eq!(small, node.mcdram_bw_gbs);
         assert!(large < small);
         assert!(large > node.ddr_bw_gbs);
-    }
-
-    #[test]
-    fn flat_mcdram_is_infeasible_beyond_16gb() {
-        let node = KnlNode::default();
-        assert!(MemoryMode::FlatMcdram.effective_bandwidth(&node, 15.0).is_some());
-        assert!(MemoryMode::FlatMcdram.effective_bandwidth(&node, 17.0).is_none());
     }
 }

@@ -30,18 +30,6 @@ impl Table {
     pub fn note(&mut self, s: impl Into<String>) {
         self.notes.push(s.into());
     }
-
-    /// Emit as CSV (headers + rows).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -115,13 +103,6 @@ mod tests {
         assert!(s.contains("=== demo ==="));
         assert!(s.contains("long-header"));
         assert!(s.contains("note: a note"));
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let mut t = Table::new("demo", &["a", "b"]);
-        t.row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.to_csv(), "a,b\n1,2\n");
     }
 
     #[test]

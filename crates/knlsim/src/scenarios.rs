@@ -37,8 +37,7 @@ impl Ctx {
         let stats = WorkloadStats::compute(&basis, &screening, tau);
         let classes = ShellClasses::classify(&basis);
         let eri = if calibrated {
-            let pairs = phi_integrals::ShellPairs::build(&basis);
-            calibrate_eri_costs(&basis, &pairs, &classes)
+            calibrate_eri_costs(&basis, &classes)
         } else {
             EriCostTable::analytic(&classes)
         };

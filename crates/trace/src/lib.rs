@@ -7,9 +7,8 @@
 //! actor — an `(rank, thread)` pair — records a private, lock-free
 //! stream of timestamped events, and a [`TraceSession`] collects the
 //! streams into a [`TraceReport`] with per-stream span totals, imbalance
-//! ratios, DLB wait totals, Chrome `trace_event` JSON export and a
-//! machine-readable [`TraceSummary`] that shares its schema with the
-//! `knlsim` performance model.
+//! ratios, DLB wait totals, Chrome `trace_event` JSON export and the
+//! four-number [`TraceSummary`] the CLI prints.
 //!
 //! # Cost model
 //!

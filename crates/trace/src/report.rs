@@ -1,7 +1,6 @@
 //! Trace analysis: merging streams, deriving the paper's breakdown
 //! metrics (per-thread busy time, imbalance ratio, DLB wait),
-//! well-formedness checks, and the machine-readable summary shared with
-//! `knlsim`.
+//! well-formedness checks, and the four-number summary the CLI prints.
 
 use crate::{Event, Stream};
 use std::collections::BTreeMap;
@@ -276,9 +275,7 @@ impl TraceReport {
         crate::chrome::render(self)
     }
 
-    /// The machine-readable breakdown. Shares its schema with
-    /// `knlsim`'s simulated results so measured and modeled breakdowns
-    /// can sit in one table:
+    /// The four-number breakdown `phi-scf --trace` prints:
     /// * `fock_seconds` — max over ranks of total `fock.build` time;
     /// * `reduction_seconds` — max over ranks of total `mpi.gsum` time;
     /// * `total_seconds` — wall span of the whole recording;
@@ -309,28 +306,13 @@ impl TraceReport {
     }
 }
 
-/// Stable machine-readable breakdown: the schema is shared between
-/// measured traces ([`TraceReport::summary`]) and `knlsim` simulated
-/// results, so `benches/` and EXPERIMENTS.md can compare the two
-/// directly.
+/// Breakdown of one recording; see [`TraceReport::summary`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TraceSummary {
     pub fock_seconds: f64,
     pub reduction_seconds: f64,
     pub total_seconds: f64,
     pub busy_fraction: f64,
-}
-
-impl TraceSummary {
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"fock_seconds\":{},\"reduction_seconds\":{},",
-                "\"total_seconds\":{},\"busy_fraction\":{}}}"
-            ),
-            self.fock_seconds, self.reduction_seconds, self.total_seconds, self.busy_fraction
-        )
-    }
 }
 
 #[cfg(test)]
@@ -399,20 +381,5 @@ mod tests {
     fn well_formed_rejects_unclosed_span() {
         let report = TraceReport::from_streams(vec![stream(0, 0, vec![ev_begin("a", 0)])]);
         assert!(report.check_well_formed().is_err());
-    }
-
-    #[test]
-    fn summary_json_is_stable() {
-        let s = TraceSummary {
-            fock_seconds: 1.5,
-            reduction_seconds: 0.25,
-            total_seconds: 2.0,
-            busy_fraction: 0.75,
-        };
-        assert_eq!(
-            s.to_json(),
-            "{\"fock_seconds\":1.5,\"reduction_seconds\":0.25,\
-             \"total_seconds\":2,\"busy_fraction\":0.75}"
-        );
     }
 }

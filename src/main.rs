@@ -52,11 +52,13 @@ OPTIONS:
     --incremental        incremental (ΔD) Fock builds: each iteration
                          builds G(ΔD) under density-weighted screening and
                          accumulates G_n = G_ref + G(ΔD) (RHF and UHF).
-                         Fewer quartets, not less time: measured 1.3-1.7x
-                         slower than plain builds at 200 functions
-                         (chain:100:1.8 / 6-31G, last build 3.4x fewer
-                         quartets) and within run-to-run noise of them at
-                         102 (benzene / 6-31G(d)); EXPERIMENTS.md \"PR 19\"
+                         Fewer quartets, about the same time: measured
+                         0.87-1.11x of plain builds' Fock time at 200
+                         functions (chain:100:1.8 / 6-31G, last build 3.4x
+                         fewer quartets; 1.4-1.7x before the weighted test
+                         got its global-max pre-test) and within run-to-run
+                         noise at 102 (benzene / 6-31G(d)); EXPERIMENTS.md
+                         \"PR 20\" and \"PR 19\"
     --full-rebuild-every <K>
                          with --incremental, perform a full rebuild every
                          K-th Fock build (K=1: all full)  [default: 8]
@@ -188,23 +190,6 @@ fn check_uhf_occupations(
     Ok(())
 }
 
-/// Per-rank memory-model estimate (bytes) for one algorithm, with the
-/// shell-pair dataset included. `Serial` and `Distributed` replicate the
-/// same density + full accumulation matrices as MPI-only, so they share
-/// eq. (3a); the sharded build is the only sub-quadratic row.
-fn per_rank_estimate(alg: FockAlgorithm, n_basis: usize, pair_bytes: usize) -> f64 {
-    let (ranks, threads) = alg.shape();
-    let model = MemoryModel::hybrid(n_basis, 1, threads).with_shell_pairs(pair_bytes);
-    match alg {
-        FockAlgorithm::Serial
-        | FockAlgorithm::MpiOnly { .. }
-        | FockAlgorithm::Distributed { .. } => model.bytes_mpi_only(),
-        FockAlgorithm::PrivateFock { .. } => model.bytes_private_fock(),
-        FockAlgorithm::SharedFock { .. } => model.bytes_shared_fock(),
-        FockAlgorithm::Sharded { mode, .. } => model.with_ddi(mode).bytes_sharded(ranks),
-    }
-}
-
 /// Apply `--memory-budget`: print the model table and refuse an
 /// over-budget algorithm, pointing at the sharded configuration that fits.
 fn check_memory_budget(
@@ -213,38 +198,34 @@ fn check_memory_budget(
     n_basis: usize,
     pair_bytes: usize,
 ) -> Result<(), String> {
-    let mib = |bytes: f64| bytes / (1024.0 * 1024.0);
+    // Per-rank model estimate, shell-pair dataset included.
+    let model = MemoryModel { n_basis, pair_bytes };
+    let mib = |alg: FockAlgorithm| model.per_rank_bytes(alg) / (1024.0 * 1024.0);
     let (ranks, threads) = alg.shape();
-    let sharded = FockAlgorithm::Sharded { n_ranks: ranks, mode: DdiMode::Mpi3OneSided };
+    let sharded = |n_ranks| FockAlgorithm::Sharded { n_ranks, mode: DdiMode::Mpi3OneSided };
     println!("memory model (per rank, N = {n_basis}, budget {budget_mib:.1} MiB):");
     for candidate in [
         FockAlgorithm::MpiOnly { n_ranks: ranks },
         FockAlgorithm::PrivateFock { n_ranks: ranks, n_threads: threads },
         FockAlgorithm::SharedFock { n_ranks: ranks, n_threads: threads },
         FockAlgorithm::Distributed { n_ranks: ranks },
-        sharded,
+        sharded(ranks),
     ] {
-        let est = mib(per_rank_estimate(candidate, n_basis, pair_bytes));
+        let est = mib(candidate);
         let verdict = if est <= budget_mib { "fits" } else { "OVER BUDGET" };
         println!("  {:<12} {est:>10.2} MiB  {verdict}", candidate.label());
     }
-    let est = mib(per_rank_estimate(alg, n_basis, pair_bytes));
+    let est = mib(alg);
     if est > budget_mib {
         // Stripes thin as ranks are added; the O(N) caches and the
         // shell-pair dataset do not, so a fitting rank count may not exist.
-        let fitting = (0..).map(|i| ranks.max(1) << i).take(13).find(|&r| {
-            let s = FockAlgorithm::Sharded { n_ranks: r, mode: DdiMode::Mpi3OneSided };
-            mib(per_rank_estimate(s, n_basis, pair_bytes)) <= budget_mib
-        });
+        let fitting =
+            (0..).map(|i| ranks.max(1) << i).take(13).find(|&r| mib(sharded(r)) <= budget_mib);
         let hint = match fitting {
-            Some(r) => {
-                let s = FockAlgorithm::Sharded { n_ranks: r, mode: DdiMode::Mpi3OneSided };
-                let sharded_est = mib(per_rank_estimate(s, n_basis, pair_bytes));
-                format!(
-                    "the sharded build fits in ~{sharded_est:.2} MiB — \
-                     try --algorithm sharded:{r}"
-                )
-            }
+            Some(r) => format!(
+                "the sharded build fits in ~{:.2} MiB — try --algorithm sharded:{r}",
+                mib(sharded(r))
+            ),
             None => "even the sharded build cannot fit (its per-rank floor is the \
                      O(N) caches plus the shell-pair dataset); raise the budget"
                 .to_string(),
