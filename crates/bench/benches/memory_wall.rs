@@ -45,7 +45,7 @@ fn main() {
     // rank needs and what the sharded stripes + caches need. A budget the
     // *model* places between the two footprints must separate the *live
     // tracker* measurements the same way, or the model is lying.
-    let model = MemoryModel { n_basis: n, pair_bytes };
+    let model = MemoryModel { n_basis: n, max_shell_width: basis.max_shell_width(), pair_bytes };
     let sharded_alg = FockAlgorithm::Sharded { n_ranks: RANKS, mode: DdiMode::Mpi3OneSided };
     let est_replicated = model.per_rank_bytes(FockAlgorithm::MpiOnly { n_ranks: RANKS });
     let est_sharded = model.per_rank_bytes(sharded_alg);

@@ -137,6 +137,11 @@ impl BasisSet {
     pub fn max_l(&self) -> usize {
         self.shells.iter().map(|s| s.max_l()).max().unwrap_or(0)
     }
+
+    /// Functions in the widest shell (6 for a cartesian d, 4 for SP).
+    pub fn max_shell_width(&self) -> usize {
+        self.shells.iter().map(|s| s.n_functions()).max().unwrap_or(1)
+    }
 }
 
 /// Odd double factorial `(2n - 1)!!` with the convention `(-1)!! = 1`.

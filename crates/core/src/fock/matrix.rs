@@ -12,10 +12,19 @@
 //! * **RowShard** — the matrices live in tri-packed row shards inside
 //!   [`phi_dmpi::DistributedArray`] windows, striped over ranks.
 //!   [`ShardDensity`] reads rows on demand through `get` with a bounded
-//!   row cache; [`RowShardFock`] buffers contributions sparsely and
-//!   flushes them as coalesced `acc` runs. No rank ever materializes a
-//!   full `N x N` matrix — per-rank memory is the owned window stripes
-//!   plus two O(N) caches.
+//!   row cache behind a direct `(window, row)` slot index;
+//!   [`RowShardFock`] buffers contributions sparsely and flushes them as
+//!   coalesced `acc` runs. No rank ever materializes a full `N x N`
+//!   matrix — per-rank memory is the owned window stripes plus O(N)
+//!   state ([`shard_local_bytes`]).
+//!
+//! Between the digester and a Fock backend can sit Algorithm 3's
+//! accumulator, `StripRouter`: per task `(i, j)`, updates touching shell
+//! `i` or `j` collect in dense FI/FJ strips and a quartet's `(k, l)`
+//! Coulomb block in a small scratch, so the backend sees one write per
+//! strip element per task and one per block element per quartet instead
+//! of up to sixteen per unique integral. The shared-Fock build drains it
+//! into a `SharedAccumulator`, the sharded build into [`RowShardFock`].
 //!
 //! The tri-packed layout stores the lower triangle row-major:
 //! element `(p, q)` with `p >= q` lives at `p (p + 1) / 2 + q`, so one
@@ -23,9 +32,11 @@
 //! `N^2` words *per* rank.
 
 use super::{ChannelSink, DensityRead, FockSink, ReplicatedDensity};
+use phi_chem::Shell;
 use phi_dmpi::{DdiMode, DistributedArray};
 use phi_linalg::Mat;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::mem::size_of;
 
 /// Length of a tri-packed lower triangle of an `n x n` symmetric matrix.
 #[inline]
@@ -51,6 +62,37 @@ pub fn shard_cache_elems(n: usize) -> usize {
 /// 16 bytes (packed index + value); O(N) total.
 pub fn shard_flush_entries(n: usize) -> usize {
     (8 * n).max(512)
+}
+
+/// Density windows a sharded build of `nch` spin channels scatters: `D`
+/// restricted; `D_total`, `D_alpha`, `D_beta` unrestricted.
+fn density_windows(nch: usize) -> usize {
+    if nch == 1 {
+        1
+    } else {
+        1 + nch
+    }
+}
+
+/// Bytes of one rank's stripe of `n_windows` tri-packed windows over
+/// `n_ranks` ranks.
+pub fn shard_stripe_bytes(n: usize, n_ranks: usize, n_windows: usize) -> usize {
+    n_windows * tri_len(n).div_ceil(n_ranks.max(1)) * size_of::<f64>()
+}
+
+/// Bytes of the rank-local state of a sharded build over `n` functions,
+/// widest shell `max_width`, `nch` spin channels: the density row cache
+/// and its slot index (one slot per density-window row), the pending
+/// `acc` buffer, and per channel the FI and FJ strips (`max_width x n`
+/// each) and the `(k, l)` scratch (`max_width^2`). O(N): nothing here is
+/// a matrix. The build charges exactly this; `MemoryModel::per_rank_bytes`
+/// prices its restricted row with it.
+pub fn shard_local_bytes(n: usize, max_width: usize, nch: usize) -> usize {
+    let cache =
+        shard_cache_elems(n) * size_of::<f64>() + density_windows(nch) * n * size_of::<Vec<f64>>();
+    let pending = shard_flush_entries(n) * size_of::<(u64, f64)>();
+    let accumulator = nch * (2 * max_width * n + max_width * max_width) * size_of::<f64>();
+    cache + pending + accumulator
 }
 
 // ---------------------------------------------------------------------
@@ -163,10 +205,13 @@ pub fn gather_tri(win: &DistributedArray, n: usize) -> Mat {
 pub struct ShardDensity<'a> {
     wins: &'a [DistributedArray],
     rank: usize,
-    /// `(window, row) -> row values [row*(row+1)/2 .. +row+1)`.
-    cache: HashMap<(u32, u32), Vec<f64>>,
-    /// FIFO eviction order of cached rows.
-    order: VecDeque<(u32, u32)>,
+    n: usize,
+    /// Direct slot index: `rows[window * n + row]` holds that row's values
+    /// `[row*(row+1)/2 .. +row+1)` while it is cached and is empty
+    /// otherwise, so a hit is one index and one length test.
+    rows: Vec<Vec<f64>>,
+    /// FIFO eviction order of cached slots.
+    order: VecDeque<usize>,
     /// Elements currently cached / capacity in elements.
     cached_elems: usize,
     cap_elems: usize,
@@ -177,44 +222,46 @@ impl<'a> ShardDensity<'a> {
         ShardDensity {
             wins,
             rank,
-            cache: HashMap::new(),
+            n,
+            rows: vec![Vec::new(); wins.len() * n],
             order: VecDeque::new(),
             cached_elems: 0,
             cap_elems: shard_cache_elems(n),
         }
     }
 
+    #[inline]
     fn row(&mut self, win: usize, r: usize) -> &[f64] {
-        let key = (win as u32, r as u32);
-        if !self.cache.contains_key(&key) {
-            while self.cached_elems + r + 1 > self.cap_elems {
-                match self.order.pop_front() {
-                    Some(old) => {
-                        if let Some(v) = self.cache.remove(&old) {
-                            self.cached_elems -= v.len();
-                        }
-                    }
-                    None => break, // single row larger than cap: cache it anyway
-                }
-            }
-            let mut buf = vec![0.0; r + 1];
-            self.wins[win].get(self.rank, tri_index(r, 0), &mut buf);
-            self.cached_elems += buf.len();
-            self.cache.insert(key, buf);
-            self.order.push_back(key);
+        let slot = win * self.n + r;
+        if self.rows[slot].is_empty() {
+            self.fetch(slot, r);
         }
-        &self.cache[&key]
+        &self.rows[slot]
+    }
+
+    /// Fetch row `r` into `slot`, evicting the oldest rows past capacity
+    /// (a single row larger than the capacity is cached anyway).
+    #[cold]
+    fn fetch(&mut self, slot: usize, r: usize) {
+        let mut buf = Vec::new();
+        while self.cached_elems + r + 1 > self.cap_elems {
+            let Some(old) = self.order.pop_front() else { break };
+            buf = std::mem::take(&mut self.rows[old]);
+            self.cached_elems -= buf.len();
+        }
+        buf.clear();
+        buf.resize(r + 1, 0.0);
+        self.wins[slot / self.n].get(self.rank, tri_index(r, 0), &mut buf);
+        self.cached_elems += r + 1;
+        self.rows[slot] = buf;
+        self.order.push_back(slot);
     }
 
     /// Symmetric element read from window `win`.
+    #[inline]
     fn value(&mut self, win: usize, p: usize, q: usize) -> f64 {
         let (r, c) = if p >= q { (p, q) } else { (q, p) };
         self.row(win, r)[c]
-    }
-
-    /// Bytes of bounded per-rank state (the row cache at capacity).
-    pub fn budget_bytes(n: usize) -> usize {
-        shard_cache_elems(n) * std::mem::size_of::<f64>()
     }
 }
 
@@ -253,6 +300,9 @@ impl DensityRead for ShardDensity<'_> {
 /// sparse `(channel, tri index, value)` entries and flushed as coalesced
 /// one-sided `acc` runs into the tri-packed Fock windows.
 ///
+/// The buffer never holds more than [`shard_flush_entries`] entries: the
+/// entry that fills it triggers a flush.
+///
 /// Durability contract (the PR 3 fault model): a kill can only fire at a
 /// lease claim, i.e. *between* tasks — so as long as the lease loop
 /// flushes before completing each task (flush-then-complete, like the
@@ -272,11 +322,6 @@ impl<'a> RowShardFock<'a> {
     pub fn new(wins: &'a [DistributedArray], n: usize, rank: usize) -> RowShardFock<'a> {
         let cap = shard_flush_entries(n);
         RowShardFock { wins, rank, pending: Vec::with_capacity(cap), cap, flushes: 0 }
-    }
-
-    /// Whether the pending buffer has reached its capacity.
-    pub fn full(&self) -> bool {
-        self.pending.len() >= self.cap
     }
 
     /// Sort, merge and accumulate every pending entry into the windows as
@@ -319,11 +364,6 @@ impl<'a> RowShardFock<'a> {
         flush_run(&mut self.flushes, self.wins, self.rank, run_start_key, &run);
         self.pending.clear();
     }
-
-    /// Bytes of bounded per-rank state (the pending buffer at capacity).
-    pub fn budget_bytes(n: usize) -> usize {
-        shard_flush_entries(n) * std::mem::size_of::<(u64, f64)>()
-    }
 }
 
 impl ChannelSink for RowShardFock<'_> {
@@ -331,6 +371,130 @@ impl ChannelSink for RowShardFock<'_> {
     fn add(&mut self, ch: usize, mu: usize, nu: usize, v: f64) {
         debug_assert!(mu >= nu);
         self.pending.push((((ch as u64) << 48) | tri_index(mu, nu) as u64, v));
+        if self.pending.len() == self.cap {
+            self.flush();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Algorithm 3's accumulator
+// ---------------------------------------------------------------------
+
+/// Algorithm 3's accumulator routing (lines 25–27) for one spin channel
+/// of one `(i, j)` task; the one router of the shared-Fock and sharded
+/// builds.
+///
+/// A canonical update touching shell `i` goes to the FI strip, one
+/// touching shell `j` (and not `i`) to FJ, and anything else — which can
+/// only be the quartet's pure `(k, l)` Coulomb block — to a scratch that
+/// leaves once per quartet through [`StripRouter::drain_kl`]. A strip is
+/// `width x n`, slot `(mu - lo) * n + other` standing for the canonical
+/// element [`strip_slot`] names; the owner drains it (the shared build by
+/// padded tree reduction, the sharded build by [`drain_strip`]).
+pub(crate) struct StripRouter<'a> {
+    fi: &'a mut [f64],
+    fj: &'a mut [f64],
+    /// The current quartet's `(k, l)` block, row-major `n_k x n_l` from
+    /// (`k_lo`, `l_lo`); all zero between quartets.
+    kl: &'a mut [f64],
+    n: usize,
+    i_lo: usize,
+    i_hi: usize,
+    j_lo: usize,
+    j_hi: usize,
+    k_lo: usize,
+    l_lo: usize,
+    n_l: usize,
+}
+
+impl<'a> StripRouter<'a> {
+    pub(crate) fn new(
+        fi: &'a mut [f64],
+        fj: &'a mut [f64],
+        kl: &'a mut [f64],
+        n: usize,
+        sh_i: &Shell,
+        sh_j: &Shell,
+    ) -> Self {
+        StripRouter {
+            fi,
+            fj,
+            kl,
+            n,
+            i_lo: sh_i.first_bf,
+            i_hi: sh_i.first_bf + sh_i.n_functions(),
+            j_lo: sh_j.first_bf,
+            j_hi: sh_j.first_bf + sh_j.n_functions(),
+            k_lo: 0,
+            l_lo: 0,
+            n_l: 0,
+        }
+    }
+
+    /// Point the `(k, l)` scratch at the next quartet's block.
+    #[inline]
+    pub(crate) fn start_quartet(&mut self, sh_k: &Shell, sh_l: &Shell) {
+        (self.k_lo, self.l_lo, self.n_l) = (sh_k.first_bf, sh_l.first_bf, sh_l.n_functions());
+    }
+
+    /// Hand the digested quartet's nonzero `(k, l)` block elements to
+    /// `add(mu, nu, v)` and leave the scratch zeroed for the next quartet.
+    #[inline]
+    pub(crate) fn drain_kl(&mut self, n_k: usize, mut add: impl FnMut(usize, usize, f64)) {
+        for (at, v) in self.kl[..n_k * self.n_l].iter_mut().enumerate() {
+            if *v != 0.0 {
+                add(self.k_lo + at / self.n_l, self.l_lo + at % self.n_l, std::mem::take(v));
+            }
+        }
+    }
+}
+
+impl FockSink for StripRouter<'_> {
+    #[inline]
+    fn add(&mut self, mu: usize, nu: usize, v: f64) {
+        debug_assert!(mu >= nu);
+        if mu >= self.i_lo && mu < self.i_hi {
+            self.fi[(mu - self.i_lo) * self.n + nu] += v;
+        } else if nu >= self.i_lo && nu < self.i_hi {
+            self.fi[(nu - self.i_lo) * self.n + mu] += v;
+        } else if mu >= self.j_lo && mu < self.j_hi {
+            self.fj[(mu - self.j_lo) * self.n + nu] += v;
+        } else if nu >= self.j_lo && nu < self.j_hi {
+            self.fj[(nu - self.j_lo) * self.n + mu] += v;
+        } else {
+            // Neither index in shell i or j: the Coulomb update of the
+            // (k, l) block, mu in shell k and nu in shell l.
+            self.kl[(mu - self.k_lo) * self.n_l + (nu - self.l_lo)] += v;
+        }
+    }
+}
+
+/// The canonical element `(mu, nu)`, `mu >= nu`, that slot `at` of a strip
+/// over the shell whose first function is `lo` accumulates.
+#[inline]
+pub(crate) fn strip_slot(lo: usize, n: usize, at: usize) -> (usize, usize) {
+    let (g, other) = (lo + at / n, at % n);
+    if g >= other {
+        (g, other)
+    } else {
+        (other, g)
+    }
+}
+
+/// Hand every nonzero slot of `strip` (over the shell whose first function
+/// is `lo`) to `add(mu, nu, v)` and zero it.
+pub(crate) fn drain_strip(
+    strip: &mut [f64],
+    lo: usize,
+    n: usize,
+    mut add: impl FnMut(usize, usize, f64),
+) {
+    for (at, v) in strip.iter_mut().enumerate() {
+        if *v != 0.0 {
+            let (mu, nu) = strip_slot(lo, n, at);
+            add(mu, nu, std::mem::take(v));
+        }
     }
 }
 
@@ -487,6 +651,118 @@ mod tests {
             }
         }
         assert!(reader.cached_elems <= reader.cap_elems.max(n));
+        // The slot index: one slot per window row; exactly the FIFO's slots
+        // are filled, each with its own full row.
+        assert_eq!(reader.rows.len(), n);
+        let filled: Vec<usize> = (0..n).filter(|&s| !reader.rows[s].is_empty()).collect();
+        let mut queued: Vec<usize> = reader.order.iter().copied().collect();
+        queued.sort_unstable();
+        assert_eq!(filled, queued);
+        assert!(filled.iter().all(|&r| reader.rows[r].len() == r + 1));
+        let cached: usize = filled.iter().map(|&r| r + 1).sum();
+        assert_eq!(cached, reader.cached_elems);
+    }
+
+    /// Every canonical update `digest` emits for canonical quartet
+    /// `(i j|k l)`, as `(channel, mu, nu, value)`.
+    struct Recorded(Vec<(usize, usize, usize, f64)>);
+
+    impl ChannelSink for Recorded {
+        fn add(&mut self, ch: usize, mu: usize, nu: usize, v: f64) {
+            self.0.push((ch, mu, nu, v));
+        }
+    }
+
+    /// The routing test over one density set: each update lands in exactly
+    /// one of FI, FJ or the `(k, l)` block, at the slot that drains back to
+    /// it, and the drained quartet equals the replicated digestion.
+    fn assert_routes_once<const NCH: usize>(
+        b: &BasisSet,
+        mut dens: ReplicatedDensity<'_, NCH>,
+        picks: &[(usize, usize, usize, usize)],
+    ) {
+        let (n, w) = (b.n_basis(), b.max_shell_width());
+        let data = FockData::build(b);
+        let ctx = data.context(b, 0.0);
+        let mut quartets = Quartets::new(&ctx);
+        let (mut fi, mut fj, mut kl) = (vec![0.0; n * w], vec![0.0; n * w], vec![0.0; w * w]);
+        for &(i, j, k, l) in picks {
+            let sh = |s: usize| &b.shells[s];
+            quartets.quartet(i, j, k, l, |eri| {
+                let mut updates = Recorded(Vec::new());
+                digest(b, i, j, k, l, eri, &mut dens, &mut updates);
+                let mut want = ReplicatedFock::new(NCH, n);
+                for &(ch, mu, nu, v) in &updates.0 {
+                    want.add(ch, mu, nu, v);
+                }
+
+                // Route a unit update for each; draining must hand back
+                // exactly that one element and leave nothing behind.
+                let mut r = StripRouter::new(&mut fi, &mut fj, &mut kl, n, sh(i), sh(j));
+                r.start_quartet(sh(k), sh(l));
+                for &(_, mu, nu, _) in &updates.0 {
+                    r.add(mu, nu, 1.0);
+                    let mut hits = Vec::new();
+                    r.drain_kl(sh(k).n_functions(), |m, q, v| hits.push((m, q, v)));
+                    drain_strip(&mut *r.fi, sh(i).first_bf, n, |m, q, v| hits.push((m, q, v)));
+                    drain_strip(&mut *r.fj, sh(j).first_bf, n, |m, q, v| hits.push((m, q, v)));
+                    assert_eq!(hits, [(mu, nu, 1.0)], "({i}{j}|{k}{l}) update ({mu}, {nu})");
+                }
+                assert!(fi.iter().chain(&fj).chain(&kl).all(|&v| v == 0.0));
+
+                // Digest through one router per channel, as the builds do,
+                // drain, and compare with the replicated sum.
+                let mut strips: Vec<[Vec<f64>; 3]> = (0..NCH)
+                    .map(|_| [vec![0.0; n * w], vec![0.0; n * w], vec![0.0; w * w]])
+                    .collect();
+                let mut got = ReplicatedFock::new(NCH, n);
+                let mut sets = strips.iter_mut();
+                let mut routers: [StripRouter<'_>; NCH] = std::array::from_fn(|_| {
+                    let [fi, fj, kl] = sets.next().expect("one strip set per channel");
+                    StripRouter::new(fi, fj, kl, n, sh(i), sh(j))
+                });
+                routers.iter_mut().for_each(|r| r.start_quartet(sh(k), sh(l)));
+                digest(b, i, j, k, l, eri, &mut dens, routers.as_mut_slice());
+                for (ch, r) in routers.iter_mut().enumerate() {
+                    r.drain_kl(sh(k).n_functions(), |mu, nu, v| got.add(ch, mu, nu, v));
+                }
+                for (ch, [fi, fj, _]) in strips.iter_mut().enumerate() {
+                    drain_strip(fi, sh(i).first_bf, n, |mu, nu, v| got.add(ch, mu, nu, v));
+                    drain_strip(fj, sh(j).first_bf, n, |mu, nu, v| got.add(ch, mu, nu, v));
+                }
+                for (g, w) in got.bufs.iter().zip(&want.bufs) {
+                    assert!((g - w).abs() <= 1e-14, "({i}{j}|{k}{l}): {g} vs {w}");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn strip_router_lands_every_update_once_rhf_and_uhf() {
+        // Water/6-31G(d): s, SP and d shells. Seeded canonical quartets,
+        // plus the coincidences that send the (k, l) block into FI or FJ.
+        let b = BasisSet::build(&small::water(), BasisName::B631gd);
+        let ns = b.n_shells();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |below: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % below
+        };
+        let mut picks =
+            vec![(ns - 1, ns - 1, ns - 1, ns - 1), (ns - 1, 2, ns - 1, 2), (4, 2, 2, 1)];
+        while picks.len() < 40 {
+            let i = draw(ns);
+            let (j, k) = (draw(i + 1), draw(i + 1));
+            let l = draw(crate::fock::kl_bounds(i, j, k) + 1);
+            picks.push((i, j, k, l));
+        }
+        let n = b.n_basis();
+        let d_a = density(n);
+        let mut d_b = density(n);
+        d_b.scale(0.7);
+        let total = d_a.add(&d_b);
+        assert_routes_once(&b, ReplicatedDensity::restricted(&d_a), &picks);
+        assert_routes_once(&b, ReplicatedDensity::unrestricted(&total, &d_a, &d_b), &picks);
     }
 
     #[test]

@@ -5,23 +5,31 @@
 //! stopped replicating Fock per *thread*; the HONPAS-lineage distributed
 //! codes (and GAMESS's distributed-data SCF) stop replicating density and
 //! Fock per *rank*. Each rank owns a `~N(N+1)/2 / R` stripe of every
-//! window plus two O(N) caches:
+//! window plus O(N) local state:
 //!
 //! * reads go through [`ShardDensity`] — on-demand row `get`s
-//!   with a bounded FIFO row cache;
-//! * writes buffer in [`RowShardFock`] — sparse entries flushed
-//!   as coalesced one-sided `acc` runs whenever the buffer fills and at
-//!   task boundaries.
+//!   with a bounded FIFO row cache behind a direct slot index;
+//! * writes go through Algorithm 3's accumulator (`StripRouter`): per
+//!   task `(i, j)`, updates touching shell `i` or `j` sum into dense FI/FJ
+//!   strips and each quartet's `(k, l)` block into a scratch that is
+//!   pushed once per quartet; the strips drain at task end. Everything
+//!   lands in [`RowShardFock`], whose sparse entries leave as coalesced
+//!   one-sided `acc` runs whenever its buffer fills and at the lease
+//!   loop's flushes.
 //!
-//! Policy row: `ij` pair tasks, no team, [`ShardDensity`] reads and one
-//! [`RowShardFock`] per rank, durable leases (the distributed builder's
-//! contract: windows outlive rank deaths, and under fault injection every
-//! task is flushed before it completes), flush + `ft_barrier`.
+//! Policy row: `ij` pair tasks, no team, [`ShardDensity`] reads, one
+//! strip accumulator and one [`RowShardFock`] per rank, durable leases
+//! (the distributed builder's contract: windows outlive rank deaths, and
+//! under fault injection every task is flushed before it completes — the
+//! strips are already empty then), flush + `ft_barrier`.
 
 use super::driver::{lease_loop, Quartets, Step, World};
 use super::engine::FockContext;
-use super::matrix::{gather_tri, scatter_density, tri_len, RowShardFock, ShardDensity};
-use super::{digest, pair_decode, GBuild, ReplicatedDensity};
+use super::matrix::{
+    drain_strip, gather_tri, scatter_density, shard_local_bytes, shard_stripe_bytes, tri_len,
+    RowShardFock, ShardDensity, StripRouter,
+};
+use super::{digest, pair_decode, ChannelSink, GBuild, ReplicatedDensity};
 use phi_dmpi::{DdiMode, DistributedArray, LeaseMode};
 use phi_integrals::screening::n_pairs;
 
@@ -44,29 +52,49 @@ pub(crate) fn build<const NCH: usize>(
         .collect();
     let f_wins: Vec<DistributedArray> = (0..NCH).map(|_| world.window(tri_len(n), mode)).collect();
     // Per-rank resident bytes: this rank's owned stripe of every window
-    // plus the two bounded caches. Nothing here scales as a full N x N
-    // matrix.
-    let stripe_bytes = (d_wins.len() + f_wins.len())
-        * tri_len(n).div_ceil(world.n_ranks)
-        * std::mem::size_of::<f64>();
-    let resident = stripe_bytes + ShardDensity::budget_bytes(n) + RowShardFock::budget_bytes(n);
+    // plus the O(N) local state. Nothing here scales as a full N x N
+    // matrix; `MemoryModel::per_rank_bytes` states the same two terms.
+    let max_width = basis.max_shell_width();
+    let resident = shard_stripe_bytes(n, world.n_ranks, d_wins.len() + f_wins.len())
+        + shard_local_bytes(n, max_width, NCH);
 
     let (_, stats) = world.run(ctx, resident, &[&d_wins, &f_wins], |rank| {
         let mut dens = ShardDensity::new(&d_wins, n, rank.rank());
         let mut fock = RowShardFock::new(&f_wins, n, rank.rank());
         let mut quartets = Quartets::new(ctx);
+        // Per channel: the FI and FJ strips and the (k, l) scratch.
+        let strip = max_width * n;
+        let (mut fis, mut fjs) = (vec![0.0; NCH * strip], vec![0.0; NCH * strip]);
+        let mut kl_blocks = vec![0.0; NCH * max_width * max_width];
         let (tasks, dead) = lease_loop(rank, n_pair, LeaseMode::Durable, |step| match step {
             Step::Task(t) => {
                 let (i, j) = pair_decode(t);
+                let (sh_i, sh_j) = (&basis.shells[i], &basis.shells[j]);
+                let mut strips = fis.chunks_mut(strip).zip(fjs.chunks_mut(strip));
+                let mut blocks = kl_blocks.chunks_mut(max_width * max_width);
+                let mut routers: [StripRouter<'_>; NCH] = std::array::from_fn(|_| {
+                    let (fi, fj) = strips.next().expect("one FI/FJ pair per channel");
+                    let kl = blocks.next().expect("one (k, l) block per channel");
+                    StripRouter::new(fi, fj, kl, n, sh_i, sh_j)
+                });
+                // The fock buffer flushes itself when full: safe mid-task
+                // because kills only fire at lease claims, between tasks.
                 quartets.pair_task(i, j, |k, l, eri| {
-                    digest(basis, i, j, k, l, eri, &mut dens, &mut fock);
-                    // Capacity flush: keeps the write buffer O(N) even
-                    // inside a large task. Safe under faults because
-                    // kills only fire at lease claims, between tasks.
-                    if fock.full() {
-                        fock.flush();
+                    let (sh_k, sh_l) = (&basis.shells[k], &basis.shells[l]);
+                    routers.iter_mut().for_each(|r| r.start_quartet(sh_k, sh_l));
+                    digest(basis, i, j, k, l, eri, &mut dens, routers.as_mut_slice());
+                    for (ch, r) in routers.iter_mut().enumerate() {
+                        r.drain_kl(sh_k.n_functions(), |mu, nu, v| fock.add(ch, mu, nu, v));
                     }
                 });
+                // Drain the strips now, so they are empty before the lease
+                // loop's flush and at every lease completion.
+                for (ch, (fi, fj)) in fis.chunks_mut(strip).zip(fjs.chunks_mut(strip)).enumerate() {
+                    for (buf, sh) in [(fi, sh_i), (fj, sh_j)] {
+                        let rows = &mut buf[..sh.n_functions() * n];
+                        drain_strip(rows, sh.first_bf, n, |mu, nu, v| fock.add(ch, mu, nu, v));
+                    }
+                }
             }
             Step::Flush => fock.flush(),
         });
@@ -86,6 +114,7 @@ mod tests {
     use crate::fock::engine::FockData;
     use crate::fock::DensitySet::{self, Restricted};
     use crate::fock::FockAlgorithm;
+    use crate::MemoryModel;
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
     use phi_chem::BasisSet;
@@ -160,13 +189,31 @@ mod tests {
         let rep_peak = replicated.stats.max_rank_peak();
         let sh_peak = sharded.stats.max_rank_peak();
         assert!(sh_peak < rep_peak, "sharded {sh_peak} vs replicated {rep_peak}");
-        // Per-rank matrix memory (peak minus the shared read-only pair
-        // dataset) is exactly the budgeted stripe + caches.
-        let tri = crate::fock::matrix::tri_len(n);
-        let budget = 2 * tri.div_ceil(ranks) * 8
-            + crate::fock::matrix::shard_cache_elems(n) * 8
-            + crate::fock::matrix::shard_flush_entries(n) * 16;
-        assert_eq!(sh_peak - data.pairs.bytes(), budget);
+        // The tracked peak (stripes, rank-local state and the shared
+        // read-only pair dataset) is exactly the model's sharded row.
+        let model = MemoryModel {
+            n_basis: n,
+            max_shell_width: b.max_shell_width(),
+            pair_bytes: data.pairs.bytes(),
+        };
+        let alg = FockAlgorithm::Sharded { n_ranks: ranks, mode: DdiMode::Mpi3OneSided };
+        assert_eq!(sh_peak as f64, model.per_rank_bytes(alg));
+    }
+
+    #[test]
+    fn strip_accumulator_keeps_acc_runs_a_fifth_of_per_integral_pushes() {
+        // Water/6-31G(d), sharded:2: pushing every unique integral's
+        // updates straight into the `acc` buffer (the parent of PR 25) made
+        // 1 441 to 1 546 runs over 50 builds. Algorithm 3's strips and
+        // per-quartet (k, l) blocks make 15 to 79; a fifth of the parent's
+        // fewest is the line per-integral pushes must not cross again.
+        let b = BasisSet::build(&small::water(), BasisName::B631gd);
+        let data = FockData::build(&b);
+        let d = density(b.n_basis());
+        let got = FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::Mpi3OneSided }
+            .builder()
+            .build(&data.context(&b, 1e-12), &Restricted(&d));
+        assert!(got.stats.flushes <= 1441 / 5, "{} acc runs", got.stats.flushes);
     }
 
     #[test]
@@ -175,9 +222,9 @@ mod tests {
         // matrix memory is a vanishing fraction of one N x N matrix (the
         // measured version of this claim runs in benches/memory_wall.rs).
         for (n, ranks) in [(500, 4), (2000, 8), (10000, 16)] {
-            let budget = 2 * crate::fock::matrix::tri_len(n).div_ceil(ranks) * 8
-                + crate::fock::matrix::shard_cache_elems(n) * 8
-                + crate::fock::matrix::shard_flush_entries(n) * 16;
+            let model = MemoryModel { n_basis: n, max_shell_width: 6, pair_bytes: 0 };
+            let alg = FockAlgorithm::Sharded { n_ranks: ranks, mode: DdiMode::Mpi3OneSided };
+            let budget = model.per_rank_bytes(alg) as usize;
             assert!(
                 budget < n * n * 8 / (ranks / 2),
                 "n={n} ranks={ranks}: budget {budget} vs full matrix {}",

@@ -13,6 +13,8 @@
 //!   block (`n_k x n_l`, 36 values for d shells) is summed in a
 //!   thread-local scratch and leaves the thread once per quartet.
 //!
+//! That routing is `matrix::StripRouter`, which the sharded build shares.
+//!
 //! `FJ` is flushed (padded chunked tree reduction, paper Figure 1) after
 //! every `kl` loop; `FI` is flushed lazily, only when the task's `i`
 //! changes (lines 15–18 and 33), which removes most of the synchronization
@@ -32,61 +34,11 @@
 
 use super::driver::{readonly_bytes, surviving, Quartets, TeamLeases, World};
 use super::engine::FockContext;
-use super::matrix::ReplicatedFock;
-use super::{digest, pair_decode, FockSink, GBuild, ReplicatedDensity};
+use super::matrix::{strip_slot, ReplicatedFock, StripRouter};
+use super::{digest, pair_decode, GBuild, ReplicatedDensity};
 use crate::stats::FockBuildStats;
 use phi_integrals::screening::{n_pairs, pair_index};
 use phi_omp::{PaddedColumns, Schedule, SharedAccumulator, Team, ThreadCtx};
-
-/// Routes canonical Fock updates to FI / FJ / the quartet's `(k, l)` block
-/// (one instance per spin channel).
-struct SharedFockSink<'a> {
-    fi_col: &'a mut [f64],
-    fj_col: &'a mut [f64],
-    /// The current quartet's pure `(k, l)` Coulomb block, row-major
-    /// `n_k x n_l` from (`k_lo`, `l_lo`); all zero between quartets.
-    kl: &'a mut [f64],
-    fock: &'a SharedAccumulator,
-    n: usize,
-    i_lo: usize,
-    i_hi: usize,
-    j_lo: usize,
-    j_hi: usize,
-    k_lo: usize,
-    l_lo: usize,
-    n_l: usize,
-}
-
-impl SharedFockSink<'_> {
-    /// Add the digested quartet's `(k, l)` block to the shared Fock matrix
-    /// and leave the scratch zeroed for the next quartet.
-    fn end_quartet(&mut self, n_k: usize) {
-        for (at, v) in self.kl[..n_k * self.n_l].iter_mut().enumerate() {
-            let (mu, nu) = (self.k_lo + at / self.n_l, self.l_lo + at % self.n_l);
-            self.fock.add(mu * self.n + nu, std::mem::take(v));
-        }
-    }
-}
-
-impl FockSink for SharedFockSink<'_> {
-    #[inline]
-    fn add(&mut self, mu: usize, nu: usize, v: f64) {
-        debug_assert!(mu >= nu);
-        if mu >= self.i_lo && mu < self.i_hi {
-            self.fi_col[(mu - self.i_lo) * self.n + nu] += v;
-        } else if nu >= self.i_lo && nu < self.i_hi {
-            self.fi_col[(nu - self.i_lo) * self.n + mu] += v;
-        } else if mu >= self.j_lo && mu < self.j_hi {
-            self.fj_col[(mu - self.j_lo) * self.n + nu] += v;
-        } else if nu >= self.j_lo && nu < self.j_hi {
-            self.fj_col[(nu - self.j_lo) * self.n + mu] += v;
-        } else {
-            // Neither index in shell i or j: the Coulomb update of the
-            // (k, l) block, mu in shell k and nu in shell l.
-            self.kl[(mu - self.k_lo) * self.n_l + (nu - self.l_lo)] += v;
-        }
-    }
-}
 
 /// Algorithm 3 over `world.n_ranks` ranks x `n_threads` threads: one
 /// shared Fock matrix and one FI/FJ buffer pair per spin channel; every
@@ -101,7 +53,7 @@ pub(crate) fn build<const NCH: usize>(
     let basis = ctx.basis;
     let n = basis.n_basis();
     let n_pair = n_pairs(basis.n_shells());
-    let max_width = basis.shells.iter().map(|s| s.n_functions()).max().unwrap_or(1);
+    let max_width = basis.max_shell_width();
     // Per rank: one shared copy of each density, S/H/C, and the shared
     // Fock matrices (line 4: shared(Fock)).
     let fock_bytes = NCH * n * n * std::mem::size_of::<f64>();
@@ -128,11 +80,9 @@ pub(crate) fn build<const NCH: usize>(
                 let sh = &basis.shells[shell];
                 let (lo, width) = (sh.first_bf, sh.n_functions());
                 for (col, fock) in cols.iter().zip(&focks) {
-                    col.flush_rows_with(tctx, width * n, |row, sum| {
-                        let g = lo + row / n;
-                        let other = row % n;
-                        let idx = if g >= other { g * n + other } else { other * n + g };
-                        fock.add(idx, sum);
+                    col.flush_rows_with(tctx, width * n, |at, sum| {
+                        let (mu, nu) = strip_slot(lo, n, at);
+                        fock.add(mu * n + nu, sum);
                     });
                 }
                 // Master-counted, so summing the per-thread contributions
@@ -174,34 +124,30 @@ pub(crate) fn build<const NCH: usize>(
 
                 let (sh_i, sh_j) = (&basis.shells[i], &basis.shells[j]);
                 let mut blocks = kl_blocks.chunks_mut(max_width * max_width);
-                let mut sinks: [SharedFockSink<'_>; NCH] =
-                    std::array::from_fn(|ch| SharedFockSink {
-                        fi_col: fis[ch].col_mut(tctx.thread_num()),
-                        fj_col: fjs[ch].col_mut(tctx.thread_num()),
-                        kl: blocks.next().expect("one (k, l) block per channel"),
-                        fock: &focks[ch],
+                let mut sinks: [StripRouter<'_>; NCH] = std::array::from_fn(|ch| {
+                    StripRouter::new(
+                        fis[ch].col_mut(tctx.thread_num()),
+                        fjs[ch].col_mut(tctx.thread_num()),
+                        blocks.next().expect("one (k, l) block per channel"),
                         n,
-                        i_lo: sh_i.first_bf,
-                        i_hi: sh_i.first_bf + sh_i.n_functions(),
-                        j_lo: sh_j.first_bf,
-                        j_hi: sh_j.first_bf + sh_j.n_functions(),
-                        k_lo: 0,
-                        l_lo: 0,
-                        n_l: 0,
-                    });
+                        sh_i,
+                        sh_j,
+                    )
+                });
 
                 // Workshared kl loop (lines 19-30); its barrier is the one
-                // the FJ flush needs before it reads the columns.
+                // the FJ flush needs before it reads the columns. A
+                // quartet's (k, l) block leaves the thread once, as atomic
+                // adds into the shared Fock.
                 tctx.for_each_nowait(pair_index(i, j) + 1, Schedule::dynamic1(), &mut |kl| {
                     let (k, l) = pair_decode(kl);
                     let (sh_k, sh_l) = (&basis.shells[k], &basis.shells[l]);
                     quartets.quartet(i, j, k, l, |eri| {
-                        for s in &mut sinks {
-                            (s.k_lo, s.l_lo, s.n_l) =
-                                (sh_k.first_bf, sh_l.first_bf, sh_l.n_functions());
-                        }
+                        sinks.iter_mut().for_each(|s| s.start_quartet(sh_k, sh_l));
                         digest(basis, i, j, k, l, eri, &mut dens, sinks.as_mut_slice());
-                        sinks.iter_mut().for_each(|s| s.end_quartet(sh_k.n_functions()));
+                        for (s, fock) in sinks.iter_mut().zip(&focks) {
+                            s.drain_kl(sh_k.n_functions(), |mu, nu, v| fock.add(mu * n + nu, v));
+                        }
                     });
                 });
                 tctx.barrier();

@@ -14,7 +14,7 @@
 //! `N_mpi_per_node` of them) — the CLI's `--memory-budget`, Table 2, the
 //! `memory_wall` bench and the simulator's capacity check all call it.
 
-use crate::fock::matrix::{shard_cache_elems, shard_flush_entries, tri_len};
+use crate::fock::matrix::{shard_local_bytes, shard_stripe_bytes};
 use crate::FockAlgorithm;
 use phi_chem::geom::graphene::PaperSystem;
 
@@ -25,6 +25,9 @@ const WORD: f64 = 8.0;
 #[derive(Clone, Copy, Debug)]
 pub struct MemoryModel {
     pub n_basis: usize,
+    /// Functions in the widest shell ([`phi_chem::BasisSet::max_shell_width`]):
+    /// the row count of the sharded build's FI/FJ strips.
+    pub max_shell_width: usize,
     /// Bytes of the persistent shell-pair dataset
     /// ([`phi_integrals::ShellPairs::bytes`]). Charged once per MPI rank —
     /// shared read-only by the rank's threads, never replicated per thread,
@@ -43,7 +46,10 @@ impl MemoryModel {
     /// dodges the memory wall: the tri-packed density + Fock window stripes
     /// (`N(N+1)/2` words each, divided over the world's ranks, doubled by
     /// DDI data servers since the servers hold the array segments) plus the
-    /// O(N) row cache and flush buffer each compute rank keeps.
+    /// O(N) state each compute rank keeps — row cache, `acc` buffer, FI/FJ
+    /// strips and `(k, l)` scratch. These are the two terms the restricted
+    /// sharded build charges its tracker, so the one-sided row equals the
+    /// tracked per-rank peak byte for byte.
     pub fn per_rank_bytes(&self, alg: FockAlgorithm) -> f64 {
         let n = self.n_basis;
         let n2 = (n as f64) * (n as f64);
@@ -55,10 +61,8 @@ impl MemoryModel {
             FockAlgorithm::PrivateFock { .. } => (2.0 + threads as f64) * n2 * WORD,
             FockAlgorithm::SharedFock { .. } => 3.5 * n2 * WORD,
             FockAlgorithm::Sharded { mode, .. } => {
-                let stripes = 2.0 * (tri_len(n) as f64 / ranks.max(1) as f64) * WORD;
-                let cache = shard_cache_elems(n) as f64 * WORD;
-                let flush = shard_flush_entries(n) as f64 * 16.0;
-                stripes * mode.processes_per_rank() as f64 + (cache + flush)
+                let stripes = shard_stripe_bytes(n, ranks, 2) * mode.processes_per_rank();
+                (stripes + shard_local_bytes(n, self.max_shell_width, 1)) as f64
             }
         };
         matrices + self.pair_bytes as f64
@@ -78,7 +82,12 @@ pub struct Table2Row {
 
 impl Table2Row {
     pub fn compute(system: PaperSystem) -> Table2Row {
-        let model = MemoryModel { n_basis: system.n_basis_functions(), pair_bytes: 0 };
+        // 6-31G(d): the widest shell is a cartesian d.
+        let model = MemoryModel {
+            n_basis: system.n_basis_functions(),
+            max_shell_width: phi_chem::basis::n_cart(2),
+            pair_bytes: 0,
+        };
         let gb_per_node =
             |alg: FockAlgorithm| alg.shape().0 as f64 * model.per_rank_bytes(alg) / 1e9;
         Table2Row {
@@ -144,9 +153,9 @@ mod tests {
     fn data_servers_double_everything() {
         // Everything a data server holds, that is: the array segments. The
         // sharded rows are the only ones with a `DdiMode`; their stripe
-        // term doubles exactly, the rank-local cache and flush buffer stay.
-        let m = MemoryModel { n_basis: 1800, pair_bytes: 0 };
-        let local = shard_cache_elems(1800) as f64 * WORD + shard_flush_entries(1800) as f64 * 16.0;
+        // term doubles exactly, the rank-local state stays.
+        let m = MemoryModel { n_basis: 1800, max_shell_width: 6, pair_bytes: 0 };
+        let local = shard_local_bytes(1800, 6, 1) as f64;
         let stripes = |mode| m.per_rank_bytes(sharded(64, mode)) - local;
         assert!((stripes(DdiMode::DataServer) / stripes(DdiMode::Mpi3OneSided) - 2.0).abs() < 1e-9);
     }
@@ -154,7 +163,7 @@ mod tests {
     #[test]
     fn shell_pair_term_is_per_rank_not_per_thread_or_server() {
         let pair_bytes = 123_456_789usize;
-        let base = MemoryModel { n_basis: 1800, pair_bytes: 0 };
+        let base = MemoryModel { n_basis: 1800, max_shell_width: 6, pair_bytes: 0 };
         let with_pairs = MemoryModel { pair_bytes, ..base };
         // A node of 4 ranks holds 4 copies, independent of the 64 threads.
         let per_node = |m: &MemoryModel, alg: FockAlgorithm| 4.0 * m.per_rank_bytes(alg);
@@ -170,7 +179,7 @@ mod tests {
 
     #[test]
     fn hybrid_thread_count_drives_private_fock_linearly() {
-        let m = MemoryModel { n_basis: 1800, pair_bytes: 0 };
+        let m = MemoryModel { n_basis: 1800, max_shell_width: 6, pair_bytes: 0 };
         let private =
             |n_threads| m.per_rank_bytes(FockAlgorithm::PrivateFock { n_ranks: 4, n_threads });
         assert!((private(64) / private(1) - 66.0 / 3.0).abs() < 1e-9);
@@ -187,7 +196,8 @@ mod tests {
         // grows as N^2; the sharded stripes grow as N^2 only in aggregate
         // across the whole machine, so the per-rank number collapses as
         // ranks are added.
-        let m = MemoryModel { n_basis: PaperSystem::Nm20.n_basis_functions(), pair_bytes: 0 };
+        let n_basis = PaperSystem::Nm20.n_basis_functions();
+        let m = MemoryModel { n_basis, max_shell_width: 6, pair_bytes: 0 };
         let shared = m.per_rank_bytes(HYBRID_4X64);
         let sharded_64 = m.per_rank_bytes(sharded(64, DdiMode::Mpi3OneSided));
         assert!(sharded_64 < shared / 10.0, "sharded {sharded_64} vs shared Fock {shared}");

@@ -181,8 +181,12 @@ impl Ord for Time {
 
 /// Per-node footprint in GB for an algorithm/configuration (capacity):
 /// each rank's process image plus its eqs. (3a)-(3c) matrices.
-fn footprint_gb(alg: SimAlgorithm, n_basis: usize, ranks: usize, threads: usize) -> f64 {
-    let model = MemoryModel { n_basis, pair_bytes: 0 };
+fn footprint_gb(alg: SimAlgorithm, workload: &Workload, ranks: usize, threads: usize) -> f64 {
+    let model = MemoryModel {
+        n_basis: workload.n_basis,
+        max_shell_width: workload.max_shell_width,
+        pair_bytes: 0,
+    };
     let matrices = model.per_rank_bytes(alg.fock_algorithm(ranks, threads)) / 1e9;
     ranks as f64 * (BASE_PROCESS_GB + matrices)
 }
@@ -216,7 +220,7 @@ pub fn simulate(workload: &Workload, cost: &CostModel, cfg: &SimConfig) -> SimRe
         // and the chosen memory mode (paper §6.1: "the larger memory
         // requirements of the original MPI-only code restrict...").
         let fits = |ranks: usize| {
-            footprint_gb(cfg.algorithm, workload.n_basis, ranks, threads) <= mem_limit
+            footprint_gb(cfg.algorithm, workload, ranks, threads) <= mem_limit
                 && cfg
                     .memory_mode
                     .effective_bandwidth(
@@ -229,7 +233,7 @@ pub fn simulate(workload: &Workload, cost: &CostModel, cfg: &SimConfig) -> SimRe
             ranks_per_node /= 2;
         }
     }
-    let fp = footprint_gb(cfg.algorithm, workload.n_basis, ranks_per_node, threads);
+    let fp = footprint_gb(cfg.algorithm, workload, ranks_per_node, threads);
     if fp > mem_limit {
         return SimResult::infeasible();
     }

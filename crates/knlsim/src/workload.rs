@@ -69,7 +69,7 @@ impl Workload {
             surviving_quartets: stats.surviving_quartets(),
             total_quartets: stats.total_quartets,
             sum_klmax_tasks: sum_klmax,
-            max_shell_width: basis.shells.iter().map(|s| s.n_functions()).max().unwrap_or(1),
+            max_shell_width: basis.max_shell_width(),
         }
     }
 

@@ -47,7 +47,7 @@
 //! | `mpi.gsum` | fault-tolerant global sum |
 //! | `mpi.barrier` | fault-tolerant world barrier |
 //! | `fock.build` | one builder invocation (per rank) |
-//! | `fock.flush_fi` / `fock.flush_fj` / `fock.flush_scatter` | shared-Fock / distributed flushes |
+//! | `fock.flush_fi` / `fock.flush_fj` / `fock.flush_scatter` | shared-Fock / distributed and sharded flushes |
 //! | `scf.iteration` / `scf.fock` / `scf.diag` / `scf.diis` | SCF driver phases (RHF and UHF) |
 //!
 //! Instants: `rank.died` (value = rank id), `task.reissued`

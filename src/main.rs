@@ -195,11 +195,9 @@ fn check_uhf_occupations(
 fn check_memory_budget(
     budget_mib: f64,
     alg: FockAlgorithm,
-    n_basis: usize,
-    pair_bytes: usize,
+    model: MemoryModel,
 ) -> Result<(), String> {
-    // Per-rank model estimate, shell-pair dataset included.
-    let model = MemoryModel { n_basis, pair_bytes };
+    let n_basis = model.n_basis;
     let mib = |alg: FockAlgorithm| model.per_rank_bytes(alg) / (1024.0 * 1024.0);
     let (ranks, threads) = alg.shape();
     let sharded = |n_ranks| FockAlgorithm::Sharded { n_ranks, mode: DdiMode::Mpi3OneSided };
@@ -368,8 +366,13 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
         None => Spin::Restricted,
     };
     if let Some(mib) = memory_budget {
-        let pair_bytes = phi_scf::integrals::ShellPairs::build(&b).bytes();
-        check_memory_budget(mib, alg, b.n_basis(), pair_bytes)?;
+        // Per-rank model estimate, shell-pair dataset included.
+        let model = MemoryModel {
+            n_basis: b.n_basis(),
+            max_shell_width: b.max_shell_width(),
+            pair_bytes: phi_scf::integrals::ShellPairs::build(&b).bytes(),
+        };
+        check_memory_budget(mib, alg, model)?;
     }
     let trace_session = trace_path.as_deref().map(|_| phi_scf::trace::TraceSession::begin());
     let defaults = ScfConfig::default();
