@@ -208,7 +208,7 @@ fn run_policy<const NCH: usize>(
             super::shared_fock::build(ctx, dens, &world(n_ranks), n_threads)
         }
         FockAlgorithm::Distributed { n_ranks } => {
-            super::distributed::build(ctx, dens, &world(n_ranks))
+            super::sharded::build_distributed(ctx, dens, &world(n_ranks))
         }
         FockAlgorithm::Sharded { n_ranks, mode } => {
             super::sharded::build(ctx, dens, &world(n_ranks), mode)

@@ -14,9 +14,14 @@
 //!   [`ShardDensity`] reads rows on demand through `get` with a bounded
 //!   row cache behind a direct `(window, row)` slot index;
 //!   [`RowShardFock`] buffers contributions sparsely and flushes them as
-//!   coalesced `acc` runs. No rank ever materializes a full `N x N`
-//!   matrix — per-rank memory is the owned window stripes plus O(N)
-//!   state ([`shard_local_bytes`]).
+//!   coalesced `acc` runs. Per rank that costs the owned window stripes
+//!   ([`shard_stripe_bytes`]) plus O(N) state: [`shard_reader_bytes`]
+//!   for the reader, [`shard_writer_bytes`] for the writer.
+//!
+//! The two window builds (`fock::sharded`) share the RowShard writer and
+//! differ only in the reader: `Sharded` reads through [`ShardDensity`], so
+//! no rank ever materializes a full `N x N` matrix; `Distributed` reads its
+//! replicated density ([`replicated_density_bytes`]).
 //!
 //! Between the digester and a Fock backend can sit Algorithm 3's
 //! accumulator, `StripRouter`: per task `(i, j)`, updates touching shell
@@ -24,7 +29,7 @@
 //! Coulomb block in a small scratch, so the backend sees one write per
 //! strip element per task and one per block element per quartet instead
 //! of up to sixteen per unique integral. The shared-Fock build drains it
-//! into a `SharedAccumulator`, the sharded build into [`RowShardFock`].
+//! into a `SharedAccumulator`, the window builds into [`RowShardFock`].
 //!
 //! The tri-packed layout stores the lower triangle row-major:
 //! element `(p, q)` with `p >= q` lives at `p (p + 1) / 2 + q`, so one
@@ -64,9 +69,9 @@ pub fn shard_flush_entries(n: usize) -> usize {
     (8 * n).max(512)
 }
 
-/// Density windows a sharded build of `nch` spin channels scatters: `D`
-/// restricted; `D_total`, `D_alpha`, `D_beta` unrestricted.
-fn density_windows(nch: usize) -> usize {
+/// Density matrices a build of `nch` spin channels reads: `D` restricted;
+/// `D_total`, `D_alpha`, `D_beta` unrestricted.
+fn density_matrices(nch: usize) -> usize {
     if nch == 1 {
         1
     } else {
@@ -80,19 +85,31 @@ pub fn shard_stripe_bytes(n: usize, n_ranks: usize, n_windows: usize) -> usize {
     n_windows * tri_len(n).div_ceil(n_ranks.max(1)) * size_of::<f64>()
 }
 
-/// Bytes of the rank-local state of a sharded build over `n` functions,
-/// widest shell `max_width`, `nch` spin channels: the density row cache
-/// and its slot index (one slot per density-window row), the pending
-/// `acc` buffer, and per channel the FI and FJ strips (`max_width x n`
-/// each) and the `(k, l)` scratch (`max_width^2`). O(N): nothing here is
-/// a matrix. The build charges exactly this; `MemoryModel::per_rank_bytes`
-/// prices its restricted row with it.
-pub fn shard_local_bytes(n: usize, max_width: usize, nch: usize) -> usize {
-    let cache =
-        shard_cache_elems(n) * size_of::<f64>() + density_windows(nch) * n * size_of::<Vec<f64>>();
+/// Bytes of one rank's [`ShardDensity`] over `n` functions and `nch` spin
+/// channels: the row cache and its slot index (one slot per density-window
+/// row). O(N).
+pub fn shard_reader_bytes(n: usize, nch: usize) -> usize {
+    shard_cache_elems(n) * size_of::<f64>() + density_matrices(nch) * n * size_of::<Vec<f64>>()
+}
+
+/// Bytes of a whole replicated density set of `nch` spin channels over `n`
+/// functions: the reader of the distributed window build.
+pub fn replicated_density_bytes(n: usize, nch: usize) -> usize {
+    density_matrices(nch) * n * n * size_of::<f64>()
+}
+
+/// Bytes of one rank's window writer over `n` functions, widest shell
+/// `max_width`, `nch` spin channels: the pending `acc` buffer, and per
+/// channel the FI and FJ strips (`max_width x n` each) and the `(k, l)`
+/// scratch (`max_width^2`). O(N): nothing here is a matrix.
+///
+/// A window build charges its reader's bytes, its Fock stripes and exactly
+/// this; `MemoryModel::per_rank_bytes` prices the restricted rows with the
+/// same functions.
+pub fn shard_writer_bytes(n: usize, max_width: usize, nch: usize) -> usize {
     let pending = shard_flush_entries(n) * size_of::<(u64, f64)>();
     let accumulator = nch * (2 * max_width * n + max_width * max_width) * size_of::<f64>();
-    cache + pending + accumulator
+    pending + accumulator
 }
 
 // ---------------------------------------------------------------------
@@ -305,8 +322,8 @@ impl DensityRead for ShardDensity<'_> {
 ///
 /// Durability contract (the PR 3 fault model): a kill can only fire at a
 /// lease claim, i.e. *between* tasks — so as long as the lease loop
-/// flushes before completing each task (flush-then-complete, like the
-/// distributed builder), a dead rank never strands completed work, and
+/// flushes before completing each task (flush-then-complete under durable
+/// leases), a dead rank never strands completed work, and
 /// capacity-triggered flushes mid-task are safe in every mode.
 pub struct RowShardFock<'a> {
     wins: &'a [DistributedArray],
@@ -382,7 +399,7 @@ impl ChannelSink for RowShardFock<'_> {
 // ---------------------------------------------------------------------
 
 /// Algorithm 3's accumulator routing (lines 25–27) for one spin channel
-/// of one `(i, j)` task; the one router of the shared-Fock and sharded
+/// of one `(i, j)` task; the one router of the shared-Fock and window
 /// builds.
 ///
 /// A canonical update touching shell `i` goes to the FI strip, one
@@ -391,7 +408,7 @@ impl ChannelSink for RowShardFock<'_> {
 /// leaves once per quartet through [`StripRouter::drain_kl`]. A strip is
 /// `width x n`, slot `(mu - lo) * n + other` standing for the canonical
 /// element [`strip_slot`] names; the owner drains it (the shared build by
-/// padded tree reduction, the sharded build by [`drain_strip`]).
+/// padded tree reduction, the window builds by [`drain_strip`]).
 pub(crate) struct StripRouter<'a> {
     fi: &'a mut [f64],
     fj: &'a mut [f64],
@@ -495,53 +512,6 @@ pub(crate) fn drain_strip(
             let (mu, nu) = strip_slot(lo, n, at);
             add(mu, nu, std::mem::take(v));
         }
-    }
-}
-
-/// Row-buffer write backend of the *distributed* builder (N x N Fock
-/// striped over ranks, full local scatter buffer): canonical updates land
-/// in a row-major lower-triangle buffer, flushed as whole touched rows.
-/// Predates the sparse [`RowShardFock`]; kept for the builder that
-/// deliberately trades a full local buffer for fewer `acc` calls.
-pub struct RowBufferFock {
-    /// Lower-triangular accumulation for the rows this rank touched.
-    pub buf: Vec<f64>,
-    pub touched: Vec<bool>,
-    pub n: usize,
-}
-
-impl RowBufferFock {
-    pub fn new(n: usize) -> RowBufferFock {
-        RowBufferFock { buf: vec![0.0; n * n], touched: vec![false; n], n }
-    }
-
-    /// Flush every touched row into the distributed array and clear it;
-    /// returns the number of row segments accumulated.
-    pub fn flush_rows(&mut self, fock: &DistributedArray, rank: usize) -> u64 {
-        let n = self.n;
-        let mut flushed = 0u64;
-        for row in 0..n {
-            if !self.touched[row] {
-                continue;
-            }
-            self.touched[row] = false;
-            // Lower-triangular row segment [row*n, row*n + row].
-            let seg = &mut self.buf[row * n..row * n + row + 1];
-            if seg.iter().any(|&v| v != 0.0) {
-                fock.acc(rank, row * n, seg);
-                seg.iter_mut().for_each(|v| *v = 0.0);
-                flushed += 1;
-            }
-        }
-        flushed
-    }
-}
-
-impl FockSink for RowBufferFock {
-    #[inline]
-    fn add(&mut self, mu: usize, nu: usize, v: f64) {
-        self.buf[mu * self.n + nu] += v;
-        self.touched[mu] = true;
     }
 }
 

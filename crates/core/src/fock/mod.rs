@@ -24,7 +24,6 @@
 //! algorithm module is a policy over it (task space, team schedule, accumulator,
 //! lease mode, final reduce — see DESIGN.md §3.1).
 
-mod distributed;
 pub(crate) mod driver;
 pub mod engine;
 pub mod incremental;
@@ -50,8 +49,9 @@ pub enum FockAlgorithm {
     PrivateFock { n_ranks: usize, n_threads: usize },
     /// Algorithm 3: hybrid, density and Fock both shared per rank.
     SharedFock { n_ranks: usize, n_threads: usize },
-    /// Related-work baseline: Fock distributed over ranks (one-sided
-    /// accumulates), never replicated or reduced.
+    /// Related-work baseline: the sharded build's Fock windows over a
+    /// replicated density per rank — Fock distributed over ranks
+    /// (one-sided accumulates), never replicated or reduced.
     Distributed { n_ranks: usize },
     /// Fully sharded: density *and* Fock live in tri-packed DDI windows;
     /// no rank ever holds a full N x N matrix. `mode` picks the DDI

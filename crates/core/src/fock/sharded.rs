@@ -1,65 +1,103 @@
-//! Fully sharded Fock build: density *and* Fock live in tri-packed DDI
-//! windows striped over ranks — no rank ever holds a full `N x N` matrix.
+//! The window builds: Fock lives in tri-packed DDI windows striped over
+//! ranks and is never replicated or reduced. Two rows run one body and
+//! differ in exactly one thing, where density is read from:
 //!
-//! This is the step past the paper's ~200x memory headline: Algorithm 3
-//! stopped replicating Fock per *thread*; the HONPAS-lineage distributed
-//! codes (and GAMESS's distributed-data SCF) stop replicating density and
-//! Fock per *rank*. Each rank owns a `~N(N+1)/2 / R` stripe of every
-//! window plus O(N) local state:
+//! * `Sharded` — density lives in tri-packed windows too, read through
+//!   [`ShardDensity`]: on-demand row `get`s with a bounded FIFO row cache
+//!   behind a direct slot index. No rank ever holds a full `N x N`
+//!   matrix. This is the step past the paper's ~200x memory headline:
+//!   Algorithm 3 stopped replicating Fock per *thread*; the HONPAS-lineage
+//!   distributed codes stop replicating density and Fock per *rank*.
+//! * `Distributed` — the paper's §2 related-work design point (Harrison et
+//!   al.'s node-distributed SCF, the GAMESS distributed-data SCF of Alexeev
+//!   et al.): each rank reads its own replicated density
+//!   ([`ReplicatedDensity`]) and only Fock is distributed.
 //!
-//! * reads go through [`ShardDensity`] — on-demand row `get`s
-//!   with a bounded FIFO row cache behind a direct slot index;
-//! * writes go through Algorithm 3's accumulator (`StripRouter`): per
-//!   task `(i, j)`, updates touching shell `i` or `j` sum into dense FI/FJ
-//!   strips and each quartet's `(k, l)` block into a scratch that is
-//!   pushed once per quartet; the strips drain at task end. Everything
-//!   lands in [`RowShardFock`], whose sparse entries leave as coalesced
-//!   one-sided `acc` runs whenever its buffer fills and at the lease
-//!   loop's flushes.
+//! Each rank owns a `~N(N+1)/2 / R` stripe of every window plus its
+//! reader and O(N) writer state. Writes go through Algorithm 3's
+//! accumulator (`StripRouter`): per task `(i, j)`, updates touching shell
+//! `i` or `j` sum into dense FI/FJ strips and each quartet's `(k, l)`
+//! block into a scratch that is pushed once per quartet; the strips drain
+//! at task end. Everything lands in [`RowShardFock`], whose sparse entries
+//! leave as coalesced one-sided `acc` runs whenever its buffer fills and
+//! at the lease loop's flushes.
 //!
-//! Policy row: `ij` pair tasks, no team, [`ShardDensity`] reads, one
-//! strip accumulator and one [`RowShardFock`] per rank, durable leases
-//! (the distributed builder's contract: windows outlive rank deaths, and
-//! under fault injection every task is flushed before it completes — the
-//! strips are already empty then), flush + `ft_barrier`.
+//! Policy row: `ij` pair tasks, no team, the row's density reader, one
+//! strip accumulator and one [`RowShardFock`] per rank into tri-packed
+//! Fock windows, durable leases (windows outlive rank deaths, and under
+//! fault injection every task is flushed before it completes — the strips
+//! are already empty then), flush + `ft_barrier`.
 
 use super::driver::{lease_loop, Quartets, Step, World};
 use super::engine::FockContext;
 use super::matrix::{
-    drain_strip, gather_tri, scatter_density, shard_local_bytes, shard_stripe_bytes, tri_len,
-    RowShardFock, ShardDensity, StripRouter,
+    drain_strip, gather_tri, replicated_density_bytes, scatter_density, shard_reader_bytes,
+    shard_stripe_bytes, shard_writer_bytes, tri_len, RowShardFock, ShardDensity, StripRouter,
 };
-use super::{digest, pair_decode, ChannelSink, GBuild, ReplicatedDensity};
+use super::{digest, pair_decode, ChannelSink, DensityRead, GBuild, ReplicatedDensity};
 use phi_dmpi::{DdiMode, DistributedArray, LeaseMode};
 use phi_integrals::screening::n_pairs;
 
-/// DLB over `(i, j)` pairs, sharded density reads and sharded Fock
-/// accumulation through `mode`'s DDI transport.
+/// `Sharded`: the window build over density scattered into `mode`'s
+/// tri-packed windows and read through [`ShardDensity`].
 pub(crate) fn build<const NCH: usize>(
     ctx: &FockContext<'_>,
     dens: ReplicatedDensity<'_, NCH>,
     world: &World<'_>,
     mode: DdiMode,
 ) -> GBuild {
-    let basis = ctx.basis;
-    let n = basis.n_basis();
-    let n_pair = n_pairs(basis.n_shells());
+    let n = ctx.basis.n_basis();
     // The density scatter is the driver's job (it already owns the full
     // matrices); the link faults attach only after it.
     let d_wins: Vec<DistributedArray> = scatter_density(&dens, n, world.n_ranks, mode)
         .into_iter()
         .map(|w| world.reliable(w))
         .collect();
-    let f_wins: Vec<DistributedArray> = (0..NCH).map(|_| world.window(tri_len(n), mode)).collect();
-    // Per-rank resident bytes: this rank's owned stripe of every window
-    // plus the O(N) local state. Nothing here scales as a full N x N
-    // matrix; `MemoryModel::per_rank_bytes` states the same two terms.
-    let max_width = basis.max_shell_width();
-    let resident = shard_stripe_bytes(n, world.n_ranks, d_wins.len() + f_wins.len())
-        + shard_local_bytes(n, max_width, NCH);
+    let reader_bytes =
+        shard_stripe_bytes(n, world.n_ranks, d_wins.len()) + shard_reader_bytes(n, NCH);
+    window_build::<NCH, _>(ctx, world, mode, reader_bytes, &d_wins, |rank| {
+        ShardDensity::new(&d_wins, n, rank)
+    })
+}
 
-    let (_, stats) = world.run(ctx, resident, &[&d_wins, &f_wins], |rank| {
-        let mut dens = ShardDensity::new(&d_wins, n, rank.rank());
+/// `Distributed`: the window build over every rank's own replicated
+/// density — no density windows.
+pub(crate) fn build_distributed<const NCH: usize>(
+    ctx: &FockContext<'_>,
+    dens: ReplicatedDensity<'_, NCH>,
+    world: &World<'_>,
+) -> GBuild {
+    let reader_bytes = replicated_density_bytes(ctx.basis.n_basis(), NCH);
+    window_build::<NCH, _>(ctx, world, DdiMode::Mpi3OneSided, reader_bytes, &[], |_| dens)
+}
+
+/// The one window-build body: DLB over `(i, j)` pairs, density from
+/// `reader(rank)`, Fock accumulated into tri-packed windows through
+/// `mode`'s DDI transport. `reader_bytes` is what the reader keeps per
+/// rank; `d_wins` are its windows, if any, whose link counters belong to
+/// the build.
+fn window_build<const NCH: usize, D: DensityRead>(
+    ctx: &FockContext<'_>,
+    world: &World<'_>,
+    mode: DdiMode,
+    reader_bytes: usize,
+    d_wins: &[DistributedArray],
+    reader: impl Fn(usize) -> D + Sync,
+) -> GBuild {
+    let basis = ctx.basis;
+    let n = basis.n_basis();
+    let n_pair = n_pairs(basis.n_shells());
+    let f_wins: Vec<DistributedArray> = (0..NCH).map(|_| world.window(tri_len(n), mode)).collect();
+    // Per-rank resident bytes: the reader, this rank's stripe of every
+    // Fock window and the O(N) writer. `MemoryModel::per_rank_bytes`
+    // states the same terms.
+    let max_width = basis.max_shell_width();
+    let resident = reader_bytes
+        + shard_stripe_bytes(n, world.n_ranks, f_wins.len())
+        + shard_writer_bytes(n, max_width, NCH);
+
+    let (_, stats) = world.run(ctx, resident, &[d_wins, &f_wins], |rank| {
+        let mut dens = reader(rank.rank());
         let mut fock = RowShardFock::new(&f_wins, n, rank.rank());
         let mut quartets = Quartets::new(ctx);
         // Per channel: the FI and FJ strips and the (k, l) scratch.
@@ -151,6 +189,40 @@ mod tests {
     }
 
     #[test]
+    fn matches_serial_for_various_rank_counts() {
+        let b = BasisSet::build(&small::water(), BasisName::Sto3g);
+        let data = FockData::build(&b);
+        let d = density(b.n_basis());
+        let want =
+            FockAlgorithm::Serial.builder().build(&data.context(&b, 1e-12), &Restricted(&d)).g;
+        for n_ranks in [1, 2, 4] {
+            let got = FockAlgorithm::Distributed { n_ranks }
+                .builder()
+                .build(&data.context(&b, 1e-12), &Restricted(&d));
+            assert!(
+                got.g.max_abs_diff(&want) < 1e-12,
+                "{n_ranks} ranks: diff {}",
+                got.g.max_abs_diff(&want)
+            );
+            // The Fock contributions left through `acc` runs.
+            assert!(got.stats.flushes > 0);
+        }
+    }
+
+    #[test]
+    fn matches_serial_on_sparse_systems() {
+        let b = BasisSet::build(&small::h_chain(8, 5.0), BasisName::Sto3g);
+        let data = FockData::build(&b);
+        let d = density(b.n_basis());
+        let want =
+            FockAlgorithm::Serial.builder().build(&data.context(&b, 1e-10), &Restricted(&d)).g;
+        let got = FockAlgorithm::Distributed { n_ranks: 3 }
+            .builder()
+            .build(&data.context(&b, 1e-10), &Restricted(&d));
+        assert!(got.g.max_abs_diff(&want) < 1e-12, "diff {}", got.g.max_abs_diff(&want));
+    }
+
+    #[test]
     fn unrestricted_sharded_matches_serial() {
         let b = BasisSet::build(&small::water(), BasisName::B631g);
         let data = FockData::build(&b);
@@ -201,19 +273,58 @@ mod tests {
     }
 
     #[test]
+    fn fock_memory_is_distributed_not_replicated() {
+        // Versus Algorithm 1 at the same rank count, the tracked footprint
+        // must be smaller: the Fock matrix is striped, not copied. Past the
+        // O(N) writer floors, as in the sharded test above.
+        let b = BasisSet::build(&small::h_chain(50, 2.0), BasisName::Sto3g);
+        let data = FockData::build(&b);
+        let d = density(b.n_basis());
+        let ranks = 4;
+        let replicated = FockAlgorithm::MpiOnly { n_ranks: ranks }
+            .builder()
+            .build(&data.context(&b, 1e-12), &Restricted(&d));
+        let alg = FockAlgorithm::Distributed { n_ranks: ranks };
+        let distributed = alg.builder().build(&data.context(&b, 1e-12), &Restricted(&d));
+        assert!(
+            distributed.stats.memory_total_peak < replicated.stats.memory_total_peak,
+            "distributed {} vs replicated {}",
+            distributed.stats.memory_total_peak,
+            replicated.stats.memory_total_peak
+        );
+        // One density copy, the Fock stripe and the writer: exactly the
+        // model's distributed row.
+        let model = MemoryModel {
+            n_basis: b.n_basis(),
+            max_shell_width: b.max_shell_width(),
+            pair_bytes: data.pairs.bytes(),
+        };
+        assert_eq!(distributed.stats.max_rank_peak() as f64, model.per_rank_bytes(alg));
+    }
+
+    #[test]
     fn strip_accumulator_keeps_acc_runs_a_fifth_of_per_integral_pushes() {
-        // Water/6-31G(d), sharded:2: pushing every unique integral's
+        // Water/6-31G(d) on two ranks: pushing every unique integral's
         // updates straight into the `acc` buffer (the parent of PR 25) made
-        // 1 441 to 1 546 runs over 50 builds. Algorithm 3's strips and
-        // per-quartet (k, l) blocks make 15 to 79; a fifth of the parent's
-        // fewest is the line per-integral pushes must not cross again.
+        // 1 441 to 1 546 runs over 50 sharded builds. Algorithm 3's strips
+        // and per-quartet (k, l) blocks make 15 to 79; a fifth of the
+        // parent's fewest is the line per-integral pushes must not cross
+        // again, in either window build.
         let b = BasisSet::build(&small::water(), BasisName::B631gd);
         let data = FockData::build(&b);
         let d = density(b.n_basis());
-        let got = FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::Mpi3OneSided }
-            .builder()
-            .build(&data.context(&b, 1e-12), &Restricted(&d));
-        assert!(got.stats.flushes <= 1441 / 5, "{} acc runs", got.stats.flushes);
+        for alg in [
+            FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::Mpi3OneSided },
+            FockAlgorithm::Distributed { n_ranks: 2 },
+        ] {
+            let got = alg.builder().build(&data.context(&b, 1e-12), &Restricted(&d));
+            assert!(
+                got.stats.flushes <= 1441 / 5,
+                "{}: {} acc runs",
+                alg.label(),
+                got.stats.flushes
+            );
+        }
     }
 
     #[test]

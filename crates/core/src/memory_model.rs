@@ -14,7 +14,9 @@
 //! `N_mpi_per_node` of them) — the CLI's `--memory-budget`, Table 2, the
 //! `memory_wall` bench and the simulator's capacity check all call it.
 
-use crate::fock::matrix::{shard_local_bytes, shard_stripe_bytes};
+use crate::fock::matrix::{
+    replicated_density_bytes, shard_reader_bytes, shard_stripe_bytes, shard_writer_bytes,
+};
 use crate::FockAlgorithm;
 use phi_chem::geom::graphene::PaperSystem;
 
@@ -26,7 +28,7 @@ const WORD: f64 = 8.0;
 pub struct MemoryModel {
     pub n_basis: usize,
     /// Functions in the widest shell ([`phi_chem::BasisSet::max_shell_width`]):
-    /// the row count of the sharded build's FI/FJ strips.
+    /// the row count of the window builds' FI/FJ strips.
     pub max_shell_width: usize,
     /// Bytes of the persistent shell-pair dataset
     /// ([`phi_integrals::ShellPairs::bytes`]). Charged once per MPI rank —
@@ -38,31 +40,35 @@ pub struct MemoryModel {
 
 impl MemoryModel {
     /// Bytes one rank of `alg` holds: the matrices of eqs. (3a)-(3c) plus
-    /// one copy of the shell-pair dataset. `Serial` and `Distributed`
-    /// replicate the same density + full accumulation matrices as MPI-only,
-    /// so they share eq. (3a).
+    /// one copy of the shell-pair dataset. `Serial` replicates the same
+    /// density + full accumulation matrices as MPI-only, so it shares
+    /// eq. (3a).
     ///
-    /// The sharded build is the only sub-quadratic row — the variant that
-    /// dodges the memory wall: the tri-packed density + Fock window stripes
-    /// (`N(N+1)/2` words each, divided over the world's ranks, doubled by
-    /// DDI data servers since the servers hold the array segments) plus the
-    /// O(N) state each compute rank keeps — row cache, `acc` buffer, FI/FJ
-    /// strips and `(k, l)` scratch. These are the two terms the restricted
-    /// sharded build charges its tracker, so the one-sided row equals the
-    /// tracked per-rank peak byte for byte.
+    /// The two window builds price what their restricted builds charge the
+    /// tracker, so these rows equal the tracked per-rank peak byte for
+    /// byte (one-sided transport). Both hold a stripe of the tri-packed
+    /// Fock window (`N(N+1)/2` words divided over the world's ranks) and
+    /// the O(N) writer — `acc` buffer, FI/FJ strips, `(k, l)` scratch.
+    /// `Distributed` adds one whole density copy. `Sharded` adds a density
+    /// window stripe and the O(N) row cache instead, which makes it the
+    /// only sub-quadratic row — the variant that dodges the memory wall;
+    /// DDI data servers double its stripes, since the servers hold the
+    /// array segments.
     pub fn per_rank_bytes(&self, alg: FockAlgorithm) -> f64 {
         let n = self.n_basis;
         let n2 = (n as f64) * (n as f64);
         let (ranks, threads) = alg.shape();
+        let writer = shard_writer_bytes(n, self.max_shell_width, 1);
         let matrices = match alg {
-            FockAlgorithm::Serial
-            | FockAlgorithm::MpiOnly { .. }
-            | FockAlgorithm::Distributed { .. } => 2.5 * n2 * WORD,
+            FockAlgorithm::Serial | FockAlgorithm::MpiOnly { .. } => 2.5 * n2 * WORD,
             FockAlgorithm::PrivateFock { .. } => (2.0 + threads as f64) * n2 * WORD,
             FockAlgorithm::SharedFock { .. } => 3.5 * n2 * WORD,
+            FockAlgorithm::Distributed { .. } => {
+                (replicated_density_bytes(n, 1) + shard_stripe_bytes(n, ranks, 1) + writer) as f64
+            }
             FockAlgorithm::Sharded { mode, .. } => {
                 let stripes = shard_stripe_bytes(n, ranks, 2) * mode.processes_per_rank();
-                (stripes + shard_local_bytes(n, self.max_shell_width, 1)) as f64
+                (stripes + shard_reader_bytes(n, 1) + writer) as f64
             }
         };
         matrices + self.pair_bytes as f64
@@ -155,7 +161,7 @@ mod tests {
         // sharded rows are the only ones with a `DdiMode`; their stripe
         // term doubles exactly, the rank-local state stays.
         let m = MemoryModel { n_basis: 1800, max_shell_width: 6, pair_bytes: 0 };
-        let local = shard_local_bytes(1800, 6, 1) as f64;
+        let local = (shard_reader_bytes(1800, 1) + shard_writer_bytes(1800, 6, 1)) as f64;
         let stripes = |mode| m.per_rank_bytes(sharded(64, mode)) - local;
         assert!((stripes(DdiMode::DataServer) / stripes(DdiMode::Mpi3OneSided) - 2.0).abs() < 1e-9);
     }

@@ -31,8 +31,8 @@ pub struct FockBuildStats {
     /// [`FockBuildStats::merge`] deliberately ignores it.
     pub dlb_calls: usize,
     /// Buffer flushes performed: FI/FJ column-buffer flushes in the
-    /// shared-Fock build, scatter-row flushes in the distributed build,
-    /// `acc` runs in the sharded build.
+    /// shared-Fock build, `acc` runs in the window builds (distributed and
+    /// sharded).
     pub flushes: u64,
     /// Sum of per-rank peak tracked bytes (the paper's footprint metric).
     pub memory_total_peak: usize,

@@ -32,10 +32,12 @@ OPTIONS:
                          shared:<R>x<T> | distributed:<ranks> |
                          sharded:<ranks>[:os|:ds]
                          (applies to RHF and UHF)      [default: shared:2x2]
-                         sharded keeps density and Fock in tri-packed
-                         distributed windows — no rank ever holds a full
-                         N x N matrix; :os = MPI-3 one-sided (default),
-                         :ds = classic DDI data servers
+                         distributed and sharded keep Fock in tri-packed
+                         distributed windows; distributed reads a full
+                         density copy per rank, sharded keeps density in
+                         windows too, so no rank holds a full N x N
+                         matrix; sharded's :os = MPI-3 one-sided
+                         (default), :ds = classic DDI data servers
     --tau <FLOAT>        Schwarz screening threshold, finite and >= 0
                                                        [default: 1e-10]
     --max-iter <N>       SCF iteration cap, N >= 1     [default: 100]
