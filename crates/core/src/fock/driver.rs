@@ -251,18 +251,16 @@ pub(crate) struct World<'a> {
     pub(crate) n_ranks: usize,
     /// Deterministic fault plan applied to the build; `None` runs clean.
     pub(crate) faults: Option<&'a FaultPlan>,
-    /// Reliable-delivery policy for the world's message path and the DDI
-    /// window links.
+    /// Deadline of the world's failure-aware waits.
     pub(crate) retry: RetryPolicy,
 }
 
 impl World<'_> {
-    /// Put a DDI window on this world's reliable link, so that under a
-    /// fault plan drops and corruptions of window requests drain into
-    /// retransmission.
+    /// Arm a DDI window with this world's fault plan, so that drops and
+    /// corruptions of window requests drain into retransmission.
     pub(crate) fn reliable(&self, w: DistributedArray) -> DistributedArray {
         match self.faults {
-            Some(plan) => w.with_faults(plan, self.retry),
+            Some(plan) => w.with_faults(plan),
             None => w,
         }
     }

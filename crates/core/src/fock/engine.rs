@@ -153,8 +153,7 @@ pub struct ParallelBuilder {
     pub algorithm: FockAlgorithm,
     /// Deterministic fault plan applied to every build; `None` runs clean.
     pub faults: Option<FaultPlan>,
-    /// Reliable-delivery policy for the world's message path and the DDI
-    /// window links.
+    /// Deadline of the world's failure-aware waits.
     pub retry: RetryPolicy,
 }
 
@@ -228,14 +227,14 @@ impl FockAlgorithm {
         self.builder_with_comm(faults, RetryPolicy::default())
     }
 
-    /// The [`FockBuilder`] implementing this algorithm under `faults`
-    /// and the reliable-delivery policy `retry`.
+    /// The [`FockBuilder`] implementing this algorithm under `faults`,
+    /// with `retry` bounding its failure-aware waits.
     ///
     /// The serial reference build runs in-process with no ranks to kill
     /// and no messages to lose; it ignores both. Every parallel builder
     /// threads them into its world so rank kills, stragglers and message
     /// faults replay deterministically on each SCF iteration — and so
-    /// transient message faults drain into acked retransmission instead
+    /// dropped or corrupted messages drain into retransmission instead
     /// of the kill path.
     pub fn builder_with_comm(
         self,

@@ -84,9 +84,8 @@ pub struct ScfConfig {
     /// Deterministic fault plan replayed on every Fock build (rank kills,
     /// stragglers, message faults). The serial algorithm ignores it.
     pub faults: Option<FaultPlan>,
-    /// Reliable-delivery policy for rank messages and DDI window
-    /// requests: ack timeouts, retransmit budget, deterministic backoff,
-    /// and the (formerly hard-coded) barrier/receive timeouts.
+    /// Deadline of every parallel build's failure-aware waits (barriers,
+    /// lease polls, receives); `--comm-timeout-ms` sets it.
     pub retry: RetryPolicy,
     /// Write an [`ScfCheckpoint`] here after every iteration. The format
     /// holds one density, so checkpointing is restricted-only.

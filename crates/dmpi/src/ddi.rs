@@ -8,7 +8,7 @@
 //! benchmarks without data servers; the mode lives here so the memory
 //! model can quantify what the servers would have cost.
 
-use crate::fault::{CommStats, EdgeFault, EdgeFaults, FaultPlan, RetryPolicy};
+use crate::fault::{CommStats, FaultPlan, Layer, Link};
 use crate::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -39,67 +39,6 @@ impl DdiMode {
     }
 }
 
-/// Reliable-delivery layer for window traffic: every remote get/put/acc
-/// is a logical request message on the `(caller -> owner)` edge. A
-/// [`FaultPlan`]'s `drop@`/`corrupt@` specs are interpreted on these
-/// window edges (in their own per-edge ordinal space, independent of
-/// the world's rank-message ordinals): a dropped request never reaches
-/// the owner, a corrupt one is detected by checksum and discarded —
-/// either way the link backs off deterministically and retransmits
-/// within the policy budget, so a transient window fault costs a
-/// retransmission instead of a failed rank.
-struct WindowLink {
-    faults: EdgeFaults,
-    policy: RetryPolicy,
-    stats: Mutex<CommStats>,
-}
-
-impl WindowLink {
-    fn new(plan: &FaultPlan, policy: RetryPolicy) -> Self {
-        WindowLink {
-            faults: EdgeFaults::new(plan),
-            policy,
-            stats: Mutex::new(CommStats::default()),
-        }
-    }
-
-    /// Carry one logical request on the `(from -> to)` edge, absorbing
-    /// transient faults by bounded retransmission. Panics with a named
-    /// edge when the retry budget is exhausted (fatal: at real scale
-    /// this is where the owner would be declared dead).
-    fn deliver(&self, from: usize, to: usize) {
-        let attempts = self.policy.max_attempts.max(1);
-        let mut suffered_transient = false;
-        for attempt in 1..=attempts {
-            if attempt > 1 {
-                std::thread::sleep(self.policy.backoff_for(from, to, attempt - 1));
-                self.stats.lock().retransmits += 1;
-                phi_trace::instant("ddi.retransmit", to as u64);
-            }
-            let fault = self.faults.fire(from, to);
-            let mut stats = self.stats.lock();
-            let Some(fault) = fault else {
-                stats.acks += 1;
-                if suffered_transient {
-                    stats.transient_recoveries += 1;
-                    phi_trace::instant("ddi.recovered", to as u64);
-                }
-                return;
-            };
-            stats.faults_injected += 1;
-            if fault == EdgeFault::Corrupt {
-                stats.corruptions_detected += 1;
-                phi_trace::instant("ddi.corrupt_detected", to as u64);
-            }
-            suffered_transient = true;
-        }
-        panic!(
-            "window link: no delivery on edge rank {from} -> rank {to} \
-             after {attempts} attempts (retry budget exhausted)"
-        );
-    }
-}
-
 /// A globally addressable 1-D `f64` array striped over ranks in equal
 /// blocks (DDI's `ddi_create` / `ddi_get` / `ddi_put` / `ddi_acc`).
 ///
@@ -121,7 +60,10 @@ pub struct DistributedArray {
     /// `DdiMode` means). Plain tallies read after the fact, so `Relaxed`.
     remote_bytes: AtomicU64,
     server_messages: AtomicU64,
-    link: Option<Arc<WindowLink>>,
+    /// Boxed: inline, the link would make every window several times
+    /// larger, and the builds index slices of windows in their flush
+    /// loops.
+    link: Option<Box<Link>>,
 }
 
 impl DistributedArray {
@@ -153,20 +95,20 @@ impl DistributedArray {
         }
     }
 
-    /// Attach a fault-injected reliable link: the plan's `drop@`/
-    /// `corrupt@` specs fire on this window's `(caller -> owner)` edges
-    /// (their own ordinal space, independent of the world's rank
-    /// messages) and are absorbed by bounded, deterministically
-    /// backed-off retransmission per `policy`.
-    pub fn with_faults(mut self, plan: &FaultPlan, policy: RetryPolicy) -> Self {
-        self.link = Some(Arc::new(WindowLink::new(plan, policy)));
+    /// Put every remote request on a retransmit link armed by `plan`: its
+    /// `drop@`/`corrupt@` specs fire on this window's `(caller -> owner)`
+    /// edges (their own ordinal space, independent of the world's rank
+    /// messages), so a dropped or corrupted get/put/acc is resent instead
+    /// of failing a rank.
+    pub fn with_faults(mut self, plan: &FaultPlan) -> Self {
+        self.link = Some(Box::new(Link::new(plan, Layer::Ddi)));
         self
     }
 
-    /// The ledger of the reliable link (all zero without
+    /// The ledger of the link (all zero without
     /// [`with_faults`](Self::with_faults)).
     pub fn link_stats(&self) -> CommStats {
-        self.link.as_ref().map_or(CommStats::default(), |l| *l.stats.lock())
+        self.link.as_ref().map_or_else(CommStats::default, |l| l.stats())
     }
 
     pub fn len(&self) -> usize {
@@ -196,17 +138,20 @@ impl DistributedArray {
             let seg = self.owner(pos);
             let seg_lo = pos - seg * self.seg_len;
             let take = (data_len - off).min(self.seg_len - seg_lo);
-            // Remote accesses ride the (possibly fault-injected)
-            // reliable link first: the segment mutation below only
-            // happens once the logical request got through, exactly
-            // like a real get/put/acc that was dropped in flight.
+            // Remote accesses ride the fault-armed link first: the segment
+            // mutation below only happens once the request got through,
+            // exactly like a real get/put/acc that was dropped in flight.
+            // An exhausted budget panics naming the edge rather than
+            // killing the caller: earlier segments of this access have
+            // landed, so a durable-lease reissue of the task would add
+            // them twice.
             let remote = match self.mode {
                 DdiMode::Mpi3OneSided => seg != caller,
                 DdiMode::DataServer => true,
             };
             if remote {
                 if let Some(link) = &self.link {
-                    link.deliver(caller, seg);
+                    link.deliver(caller, seg).unwrap_or_else(|e| panic!("window link: {e}"));
                 }
             }
             let mut guard = self.segments[seg].lock();
@@ -369,22 +314,14 @@ mod tests {
         assert!(out.iter().all(|&v| v == 4000.0), "{out:?}");
     }
 
-    // ------------------------------------------------ reliable link -----
-
-    fn fast_policy() -> RetryPolicy {
-        RetryPolicy {
-            backoff_base: std::time::Duration::from_millis(1),
-            backoff_cap: std::time::Duration::from_millis(4),
-            ..RetryPolicy::default()
-        }
-    }
+    // ---------------------------------------------------- the link -----
 
     #[test]
     fn link_retransmits_through_dropped_and_corrupt_window_requests() {
         let plan = FaultPlan::parse("3:drop@0->1#1,corrupt@0->1#2").unwrap();
         for mode in [DdiMode::Mpi3OneSided, DdiMode::DataServer] {
             let a = DistributedArray::new_with_mode(100, 4, mode) // seg_len 25
-                .with_faults(&plan, fast_policy());
+                .with_faults(&plan);
             // First remote request on edge 0 -> 1 is dropped, its
             // retransmission is corrupted, the third copy lands.
             a.put(0, 25, &[2.0; 25]);
@@ -404,7 +341,7 @@ mod tests {
     fn a_drop_and_a_corruption_of_the_same_window_request_are_a_drop() {
         // Plan order must not decide: the corruption is listed first.
         let plan = FaultPlan::parse("3:corrupt@0->1#1,drop@0->1#1").unwrap();
-        let a = DistributedArray::new(100, 4).with_faults(&plan, fast_policy());
+        let a = DistributedArray::new(100, 4).with_faults(&plan);
         a.put(0, 25, &[2.0; 25]);
         let want = CommStats {
             faults_injected: 1,
@@ -419,12 +356,11 @@ mod tests {
     #[test]
     fn link_faults_do_not_fire_on_local_one_sided_access() {
         let plan = FaultPlan::parse("3:drop@0->0#1").unwrap();
-        let a = DistributedArray::new(100, 4).with_faults(&plan, fast_policy());
+        let a = DistributedArray::new(100, 4).with_faults(&plan);
         a.put(0, 0, &[1.0; 25]); // own segment: a direct store, no link message
         assert_eq!(a.link_stats(), CommStats::default());
         // Data servers route even local access through the link.
-        let ds = DistributedArray::new_with_mode(100, 4, DdiMode::DataServer)
-            .with_faults(&plan, fast_policy());
+        let ds = DistributedArray::new_with_mode(100, 4, DdiMode::DataServer).with_faults(&plan);
         ds.put(0, 0, &[1.0; 25]);
         assert_eq!(ds.link_stats().acks, 1);
         assert_eq!(ds.link_stats().retransmits, 1, "the local-edge drop fired and was absorbed");
@@ -432,17 +368,17 @@ mod tests {
 
     #[test]
     fn link_budget_exhaustion_panics_with_a_named_edge() {
-        let plan = FaultPlan::parse("3:drop@0->1#1,drop@0->1#2").unwrap();
-        let mut policy = fast_policy();
-        policy.max_attempts = 2;
-        let a = DistributedArray::new(100, 4).with_faults(&plan, policy);
+        let drops: Vec<String> =
+            (1..=crate::fault::MAX_ATTEMPTS).map(|n| format!("drop@0->1#{n}")).collect();
+        let plan = FaultPlan::parse(&format!("3:{}", drops.join(","))).unwrap();
+        let a = DistributedArray::new(100, 4).with_faults(&plan);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             a.put(0, 25, &[1.0; 25]);
         }))
         .expect_err("an exhausted link budget must not silently drop the put");
         let msg = err.downcast_ref::<String>().expect("panic payload is a String");
         assert!(msg.contains("rank 0 -> rank 1"), "panic names the edge: {msg}");
-        assert!(msg.contains("2 attempts"), "panic names the budget: {msg}");
+        assert!(msg.contains("4 attempts"), "panic names the budget: {msg}");
     }
 
     #[test]

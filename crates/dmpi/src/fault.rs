@@ -7,15 +7,18 @@
 //!
 //! * [`FaultPlan`] — a seeded, deterministic schedule of injected faults
 //!   (kill a rank at a DLB task, delay a straggler, drop or corrupt a
-//!   point-to-point payload), parsed from a compact `"seed:spec,..."`
-//!   grammar so a failing run is exactly reproducible from its CLI flag;
+//!   transmission), parsed from a compact `"seed:spec,..."` grammar so a
+//!   failing run is exactly reproducible from its CLI flag;
 //! * [`CommError`] — typed communication errors that replace aborts, so
 //!   a builder can observe "I am dead" or "a peer timed out" and unwind
 //!   cleanly instead of poisoning the process;
-//! * [`FtBarrier`] — a failure-aware barrier: waits time out instead of
+//! * `Link` — the one retransmit loop, shared by rank messages and DDI
+//!   window requests: a transmission the plan drops or corrupts is resent
+//!   after a backoff, within [`MAX_ATTEMPTS`];
+//! * `FtBarrier` — a failure-aware barrier: waits time out instead of
 //!   hanging forever, and a dying rank *deregisters* so survivors
 //!   regroup immediately around the smaller world;
-//! * [`TaskLeases`] — a lease table over the DLB task range: every claim
+//! * `TaskLeases` — a lease table over the DLB task range: every claim
 //!   is recorded, and when a rank dies its lost tasks are reclaimed and
 //!   re-issued to survivors exactly once.
 //!
@@ -27,10 +30,11 @@
 //!          | "kill@" <rank> "#" <claim>     kill rank <rank> at its <claim>-th claim
 //!          | "kill*" <count>                kill at <count> seed-chosen task indices
 //!          | "delay@" <rank> "#" <claim> ":" <ms>   straggler: sleep <ms> on that claim
-//!          | "drop@" <from> "->" <to> "#" <nth>     drop the <nth> message from->to
-//!          | "corrupt@" <from> "->" <to> "#" <nth>  corrupt the <nth> message from->to
+//!          | "drop@" <from> "->" <to> "#" <nth>     drop the <nth> transmission from->to
+//!          | "corrupt@" <from> "->" <to> "#" <nth>  corrupt the <nth> transmission from->to
 //! ```
 //!
+//! Claims and transmissions are counted from 1, so `#0` is an error.
 //! Example: `"42:kill@3,delay@1#5:20"` — seed 42, kill whoever claims
 //! task 3, and make rank 1 sleep 20 ms on its fifth claim.
 //!
@@ -53,15 +57,19 @@ use std::fmt;
 use std::sync::{Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
+/// Transmission attempts the retransmit loop makes per message before
+/// giving up with [`CommError::RetriesExhausted`].
+pub const MAX_ATTEMPTS: usize = 4;
+
+/// Backoff before the first retransmission; each further one doubles it,
+/// so the budget sleeps 2, 4 and 8 ms at most.
+const BACKOFF_BASE: Duration = Duration::from_millis(2);
+
 /// A typed communication failure. Replaces the panics/aborts that a
-/// brittle world would raise, so callers can unwind and regroup.
-///
-/// The variants split into two severities (see
-/// [`is_transient`](CommError::is_transient)): *transient* failures — a
-/// dropped or corrupt message, a recoverable timeout — are expected to
-/// drain into the retry/retransmit machinery of a [`RetryPolicy`],
-/// while *fatal* failures — a dead caller, a failed peer, an exhausted
-/// retry budget — escalate into the mark-dead / lease-reclaim path.
+/// brittle world would raise, so callers can unwind and regroup. Every
+/// variant is fatal to the operation that returns it: a dropped or
+/// corrupted transmission never surfaces, because the retransmit loop
+/// absorbs it or ends in [`RetriesExhausted`](CommError::RetriesExhausted).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
     /// The calling rank has been marked dead (by fault injection); it
@@ -78,33 +86,14 @@ pub enum CommError {
         /// What was being waited on, for diagnostics.
         what: &'static str,
     },
-    /// A received payload failed its checksum.
-    CorruptPayload {
-        /// Sender of the damaged message.
-        from: usize,
-        /// Message tag.
-        tag: u64,
-    },
-    /// A reliable send burned its whole retry budget without ever being
-    /// acknowledged. Fatal: the peer is presumed dead or unreachable.
+    /// Every one of the [`MAX_ATTEMPTS`] transmissions on an edge was
+    /// dropped or corrupted: the destination is presumed unreachable.
     RetriesExhausted {
+        /// The sending rank.
+        from: usize,
         /// The unreachable destination rank.
         to: usize,
-        /// Tag of the undeliverable message.
-        tag: u64,
-        /// How many transmission attempts were made.
-        attempts: usize,
     },
-}
-
-impl CommError {
-    /// True for failures a bounded retry is expected to absorb (lost or
-    /// corrupt message, recoverable timeout); false for fatal ones
-    /// (dead caller, failed peer, exhausted retry budget) that must
-    /// escalate into the mark-dead / lease-reclaim path.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, CommError::Timeout { .. } | CommError::CorruptPayload { .. })
-    }
 }
 
 impl fmt::Display for CommError {
@@ -113,187 +102,62 @@ impl fmt::Display for CommError {
             CommError::SelfDead => write!(f, "calling rank is dead"),
             CommError::RankFailed { rank } => write!(f, "rank {rank} failed"),
             CommError::Timeout { what } => write!(f, "timed out waiting on {what}"),
-            CommError::CorruptPayload { from, tag } => {
-                write!(f, "corrupt payload from rank {from} (tag {tag})")
-            }
-            CommError::RetriesExhausted { to, tag, attempts } => {
-                write!(f, "no ack from rank {to} after {attempts} attempts (tag {tag})")
-            }
+            CommError::RetriesExhausted { from, to } => write!(
+                f,
+                "no delivery on edge rank {from} -> rank {to} after {MAX_ATTEMPTS} attempts \
+                 (retry budget exhausted)"
+            ),
         }
     }
 }
 
 impl std::error::Error for CommError {}
 
-/// Retry/backoff policy for the reliable message path and the
-/// failure-aware waits of a world.
-///
-/// A reliable send transmits its payload with a per-edge sequence
-/// number and waits [`ack_timeout`](RetryPolicy::ack_timeout) for the
-/// receiver's ack; on a transient failure (ack lost, payload dropped or
-/// corrupt in flight) it backs off deterministically and retransmits,
-/// up to [`max_attempts`](RetryPolicy::max_attempts) total
-/// transmissions. The backoff schedule is a pure function of
-/// `(seed, edge, attempt)` — no wall-clock or entropy reads — so a
-/// faulted run replays identically and virtual-time harnesses can
-/// precompute every sleep.
-///
-/// The policy also owns the world's failure-aware wait deadlines
-/// ([`ft_timeout`](RetryPolicy::ft_timeout) for barriers and lease
-/// polls, [`recv_timeout`](RetryPolicy::recv_timeout) for blocking
-/// receives), replacing the hard-coded 30 s / 60 s constants that
-/// fault tests previously depended on.
+/// The deadline of a world's failure-aware waits: barriers, lease polls
+/// and receives (`--comm-timeout-ms`). Long enough that it only fires on
+/// a genuine hang, short enough that a wedged run still terminates with a
+/// diagnosis. The retransmit budget and backoff are constants
+/// ([`MAX_ATTEMPTS`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total transmission attempts per reliable message (>= 1). `1`
-    /// disables the ack/retransmit protocol entirely — see
-    /// [`RetryPolicy::none`].
-    pub max_attempts: usize,
-    /// How long a sender waits for an ack before retransmitting.
-    pub ack_timeout: Duration,
-    /// Backoff before the first retransmission.
-    pub backoff_base: Duration,
-    /// Multiplier applied to the backoff per further retransmission.
-    pub backoff_factor: u32,
-    /// Upper bound on any single backoff sleep.
-    pub backoff_cap: Duration,
-    /// Seed for the deterministic backoff jitter.
-    pub seed: u64,
-    /// Deadline for failure-aware barriers and the lease poll loop:
-    /// long enough that it only fires on a genuine hang, short enough
-    /// that a wedged run still terminates with a diagnosis.
-    pub ft_timeout: Duration,
-    /// How long a blocking receive waits before concluding the message
-    /// will never arrive.
-    pub recv_timeout: Duration,
+    /// How long any failure-aware wait blocks before timing out.
+    pub timeout: Duration,
 }
 
 impl Default for RetryPolicy {
-    /// Reliable delivery with a small retry budget and the legacy wait
-    /// deadlines (30 s barrier/lease, 60 s receive).
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            ack_timeout: Duration::from_millis(200),
-            backoff_base: Duration::from_millis(2),
-            backoff_factor: 2,
-            backoff_cap: Duration::from_millis(50),
-            seed: 0x9E37_79B9_7F4A_7C15,
-            ft_timeout: Duration::from_secs(30),
-            recv_timeout: Duration::from_secs(60),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No reliability layer at all: single transmission, no acks, no
-    /// retransmits — the raw fire-and-forget semantics of the legacy
-    /// message path. The A/B baseline for overhead benchmarks.
-    pub fn none() -> Self {
-        RetryPolicy { max_attempts: 1, ..RetryPolicy::default() }
-    }
-
-    /// Whether the ack/retransmit protocol is active.
-    pub fn reliable(&self) -> bool {
-        self.max_attempts > 1
-    }
-
-    /// Set both failure-aware wait deadlines (barrier/lease and
-    /// receive) to `timeout` — the `--comm-timeout-ms` CLI knob.
-    pub fn with_comm_timeout(mut self, timeout: Duration) -> Self {
-        self.ft_timeout = timeout;
-        self.recv_timeout = timeout;
-        self
-    }
-
-    /// Backoff before retransmission number `retry` (1-based) on the
-    /// `from -> to` edge: exponential in `retry`, capped, with a
-    /// deterministic jitter of up to half the step derived from
-    /// `(seed, edge, retry)`. Pure function — identical across replays.
-    pub fn backoff_for(&self, from: usize, to: usize, retry: usize) -> Duration {
-        let base = self.backoff_base.as_nanos() as u64;
-        let factor = u64::from(self.backoff_factor.max(1));
-        let mut step = base;
-        for _ in 1..retry {
-            step = step.saturating_mul(factor);
-        }
-        let mut state = self
-            .seed
-            .wrapping_add((from as u64) << 32)
-            .wrapping_add(to as u64)
-            .wrapping_add((retry as u64) << 48);
-        let jitter = if step == 0 { 0 } else { splitmix64(&mut state) % (step / 2 + 1) };
-        Duration::from_nanos(step.saturating_add(jitter)).min(self.backoff_cap)
+        RetryPolicy { timeout: Duration::from_secs(30) }
     }
 }
 
 /// One injected fault from a [`FaultPlan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultSpec {
+pub(crate) enum FaultSpec {
     /// Kill whichever rank claims global task `task` (fires once).
-    KillAtTask {
-        /// Global DLB task index that is fatal to claim.
-        task: usize,
-    },
+    KillAtTask { task: usize },
     /// Kill rank `rank` when it makes its `claim`-th successful claim
     /// (1-based).
-    KillAtClaim {
-        /// Rank to kill.
-        rank: usize,
-        /// 1-based successful-claim ordinal at which it dies.
-        claim: usize,
-    },
+    KillAtClaim { rank: usize, claim: usize },
     /// Kill at `count` seed-chosen distinct task indices (resolved once
     /// the task range is known).
-    KillRandom {
-        /// How many distinct fatal task indices to choose.
-        count: usize,
-    },
+    KillRandom { count: usize },
     /// Make rank `rank` sleep `millis` ms on its `claim`-th claim.
-    Delay {
-        /// Straggling rank.
-        rank: usize,
-        /// 1-based claim ordinal on which to sleep.
-        claim: usize,
-        /// Sleep duration in milliseconds.
-        millis: u64,
-    },
-    /// Silently drop the `nth` (1-based) message from `from` to `to`.
-    DropMessage {
-        /// Sending rank.
-        from: usize,
-        /// Receiving rank.
-        to: usize,
-        /// 1-based message ordinal on the (from, to) edge.
-        nth: usize,
-    },
-    /// Corrupt the payload of the `nth` (1-based) message from `from`
-    /// to `to`; the receiver detects it by checksum.
-    CorruptMessage {
-        /// Sending rank.
-        from: usize,
-        /// Receiving rank.
-        to: usize,
-        /// 1-based message ordinal on the (from, to) edge.
-        nth: usize,
-    },
+    Delay { rank: usize, claim: usize, millis: u64 },
+    /// Drop the `nth` (1-based) transmission from `from` to `to`.
+    DropMessage { from: usize, to: usize, nth: usize },
+    /// Corrupt the `nth` (1-based) transmission from `from` to `to`.
+    CorruptMessage { from: usize, to: usize, nth: usize },
 }
 
 /// A deterministic, seeded schedule of injected faults.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Seed for any randomized choices (e.g. [`FaultSpec::KillRandom`]).
+    /// Seed for any randomized choices (`kill*<count>`).
     pub seed: u64,
     specs: Vec<FaultSpec>,
 }
 
 impl FaultPlan {
-    /// An empty plan with the given seed; add faults with the builder
-    /// methods or use [`FaultPlan::parse`].
-    pub fn new(seed: u64) -> Self {
-        FaultPlan { seed, specs: Vec::new() }
-    }
-
     /// Plan that kills whichever ranks claim the given global tasks.
     pub fn kill_at_tasks(seed: u64, tasks: &[usize]) -> Self {
         let specs = tasks.iter().map(|&task| FaultSpec::KillAtTask { task }).collect();
@@ -306,8 +170,23 @@ impl FaultPlan {
     }
 
     /// The scheduled faults, in plan order.
-    pub fn specs(&self) -> &[FaultSpec] {
+    pub(crate) fn specs(&self) -> &[FaultSpec] {
         &self.specs
+    }
+
+    /// The highest rank a spec names (a `kill@`/`delay@` rank or an
+    /// edge's endpoint), so a caller can refuse a plan that a world with
+    /// fewer ranks would silently never fire.
+    pub fn max_rank(&self) -> Option<usize> {
+        self.specs
+            .iter()
+            .filter_map(|spec| match *spec {
+                FaultSpec::KillAtClaim { rank, .. } | FaultSpec::Delay { rank, .. } => Some(rank),
+                FaultSpec::DropMessage { from, to, .. }
+                | FaultSpec::CorruptMessage { from, to, .. } => Some(from.max(to)),
+                FaultSpec::KillAtTask { .. } | FaultSpec::KillRandom { .. } => None,
+            })
+            .max()
     }
 
     /// Parse the `"seed:spec,spec,..."` grammar (see module docs).
@@ -315,11 +194,8 @@ impl FaultPlan {
         let (seed_str, rest) =
             text.split_once(':').ok_or_else(|| format!("fault plan '{text}' needs 'seed:spec'"))?;
         let seed: u64 = seed_str.parse().map_err(|_| format!("bad fault seed '{seed_str}'"))?;
-        let mut plan = FaultPlan::new(seed);
-        for spec in rest.split(',').filter(|s| !s.is_empty()) {
-            plan.specs.push(parse_spec(spec)?);
-        }
-        Ok(plan)
+        let specs = rest.split(',').filter(|s| !s.is_empty()).map(parse_spec);
+        Ok(FaultPlan { seed, specs: specs.collect::<Result<_, _>>()? })
     }
 }
 
@@ -327,12 +203,21 @@ fn parse_usize(s: &str, what: &str) -> Result<usize, String> {
     s.parse().map_err(|_| format!("bad {what} '{s}'"))
 }
 
+/// A 1-based claim or transmission ordinal: `#0` would name an event that
+/// never comes, so the spec could never fire.
+fn parse_ordinal(s: &str, what: &str) -> Result<usize, String> {
+    match parse_usize(s, what)? {
+        0 => Err(format!("bad {what} '0': ordinals count from 1, so #0 never fires")),
+        n => Ok(n),
+    }
+}
+
 fn parse_edge(body: &str, kind: &str) -> Result<(usize, usize, usize), String> {
     let (edge, nth) =
         body.split_once('#').ok_or_else(|| format!("{kind} needs '<from>-><to>#<nth>'"))?;
     let (from, to) =
         edge.split_once("->").ok_or_else(|| format!("{kind} needs '<from>-><to>#<nth>'"))?;
-    Ok((parse_usize(from, "rank")?, parse_usize(to, "rank")?, parse_usize(nth, "message index")?))
+    Ok((parse_usize(from, "rank")?, parse_usize(to, "rank")?, parse_ordinal(nth, "message index")?))
 }
 
 fn parse_spec(spec: &str) -> Result<FaultSpec, String> {
@@ -340,7 +225,7 @@ fn parse_spec(spec: &str) -> Result<FaultSpec, String> {
         return if let Some((rank, claim)) = body.split_once('#') {
             Ok(FaultSpec::KillAtClaim {
                 rank: parse_usize(rank, "rank")?,
-                claim: parse_usize(claim, "claim index")?,
+                claim: parse_ordinal(claim, "claim index")?,
             })
         } else {
             Ok(FaultSpec::KillAtTask { task: parse_usize(body, "task index")? })
@@ -356,7 +241,7 @@ fn parse_spec(spec: &str) -> Result<FaultSpec, String> {
             rank_claim.split_once('#').ok_or("delay needs '<rank>#<claim>:<millis>'")?;
         return Ok(FaultSpec::Delay {
             rank: parse_usize(rank, "rank")?,
-            claim: parse_usize(claim, "claim index")?,
+            claim: parse_ordinal(claim, "claim index")?,
             millis: ms.parse().map_err(|_| format!("bad delay millis '{ms}'"))?,
         });
     }
@@ -371,22 +256,21 @@ fn parse_spec(spec: &str) -> Result<FaultSpec, String> {
     Err(format!("unknown fault spec '{spec}'"))
 }
 
-/// The fault and reliable-delivery ledger of one communication layer: a
+/// The fault and retransmission ledger of one communication layer: a
 /// world's rank messages, one DDI window's request link, or — summed with
-/// `+=` — everything a Fock build ran on.
+/// `+=` — everything a Fock build ran on. All zero without a fault plan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommStats {
     /// Faults actually injected: rank kills and stragglers (a world only),
     /// dropped and corrupted transmissions.
     pub faults_injected: u64,
-    /// Payload retransmissions (attempts after the first).
+    /// Retransmissions (attempts after the first).
     pub retransmits: u64,
-    /// Acks sent by receivers, re-acks of deduplicated duplicates
-    /// included; on a window link, requests the owner acknowledged.
+    /// Transmissions that got through on a fault-armed link.
     pub acks: u64,
-    /// Payloads discarded after failing checksum verification.
+    /// Corrupted transmissions detected and resent.
     pub corruptions_detected: u64,
-    /// Reliable operations that succeeded after >= 1 transient fault.
+    /// Messages delivered after >= 1 dropped or corrupted attempt.
     pub transient_recoveries: u64,
 }
 
@@ -402,10 +286,10 @@ impl std::ops::AddAssign for CommStats {
 
 /// What an injected edge fault does to the transmission it fires on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EdgeFault {
+enum EdgeFault {
     /// The transmission never arrives.
     Drop,
-    /// The payload arrives damaged and fails its checksum.
+    /// The payload arrives damaged.
     Corrupt,
 }
 
@@ -418,12 +302,12 @@ struct EdgeState {
 
 /// The `drop@`/`corrupt@` specs of a [`FaultPlan`] over one space of
 /// directed edges (a world's rank messages, or one window's requests):
-/// counts physical transmissions per edge and fires each spec once, on the
-/// 1-based ordinal it names.
-pub(crate) struct EdgeFaults(Mutex<EdgeState>);
+/// counts transmissions per edge and fires each spec once, on the 1-based
+/// ordinal it names.
+struct EdgeFaults(Mutex<EdgeState>);
 
 impl EdgeFaults {
-    pub(crate) fn new(plan: &FaultPlan) -> Self {
+    fn new(plan: &FaultPlan) -> Self {
         let pending = plan
             .specs()
             .iter()
@@ -441,7 +325,7 @@ impl EdgeFaults {
     /// Count one transmission on `from -> to` and return the fault
     /// scheduled for it. A drop and a corruption of the same transmission
     /// are a drop: a message that never arrives has nothing to corrupt.
-    pub(crate) fn fire(&self, from: usize, to: usize) -> Option<EdgeFault> {
+    fn fire(&self, from: usize, to: usize) -> Option<EdgeFault> {
         let mut guard = self.0.lock();
         let EdgeState { sent, pending } = &mut *guard;
         let nth = sent.entry((from, to)).or_insert(0);
@@ -452,10 +336,74 @@ impl EdgeFaults {
     }
 }
 
-/// SplitMix64 step: the deterministic PRNG behind seeded fault choices
-/// and payload checksums. Small, dependency-free, and good enough for
-/// reproducible test schedules.
-pub fn splitmix64(state: &mut u64) -> u64 {
+/// Which traffic a [`Link`] carries; names its trace instants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Layer {
+    /// A world's rank messages: `comm.*` instants.
+    Comm,
+    /// One DDI window's get/put/acc requests: `ddi.*` instants.
+    Ddi,
+}
+
+/// The one retransmit loop, armed by a [`FaultPlan`]: rank messages and
+/// DDI window requests both ride it. The plan's `drop@`/`corrupt@` specs
+/// fire on this link's own edges and ordinals. A damaged transmission is
+/// detected where it is injected — in-process, a payload can only be
+/// damaged by the injector, so no checksum travels — and resent after a
+/// backoff. Without a plan there is no link, and a message is one move.
+pub(crate) struct Link {
+    edges: EdgeFaults,
+    layer: Layer,
+    pub(crate) stats: Mutex<CommStats>,
+}
+
+impl Link {
+    pub(crate) fn new(plan: &FaultPlan, layer: Layer) -> Self {
+        Link { edges: EdgeFaults::new(plan), layer, stats: Mutex::new(CommStats::default()) }
+    }
+
+    /// Carry one transmission on `from -> to`. Returns once an attempt
+    /// gets through (the caller then moves the data), or
+    /// [`CommError::RetriesExhausted`] after [`MAX_ATTEMPTS`] damaged ones.
+    pub(crate) fn deliver(&self, from: usize, to: usize) -> Result<(), CommError> {
+        let (retransmit, recovered, corrupt) = match self.layer {
+            Layer::Comm => ("comm.retransmit", "comm.recovered", "comm.corrupt_detected"),
+            Layer::Ddi => ("ddi.retransmit", "ddi.recovered", "ddi.corrupt_detected"),
+        };
+        for attempt in 1..=MAX_ATTEMPTS {
+            if attempt > 1 {
+                std::thread::sleep(BACKOFF_BASE * (1 << (attempt - 2)));
+                self.stats.lock().retransmits += 1;
+                phi_trace::instant(retransmit, to as u64);
+            }
+            let fault = self.edges.fire(from, to);
+            let mut stats = self.stats.lock();
+            let Some(fault) = fault else {
+                stats.acks += 1;
+                if attempt > 1 {
+                    stats.transient_recoveries += 1;
+                    phi_trace::instant(recovered, to as u64);
+                }
+                return Ok(());
+            };
+            stats.faults_injected += 1;
+            if fault == EdgeFault::Corrupt {
+                stats.corruptions_detected += 1;
+                phi_trace::instant(corrupt, to as u64);
+            }
+        }
+        Err(CommError::RetriesExhausted { from, to })
+    }
+
+    pub(crate) fn stats(&self) -> CommStats {
+        *self.stats.lock()
+    }
+}
+
+/// SplitMix64 step: the deterministic PRNG behind seeded fault choices.
+/// Small, dependency-free, and good enough for reproducible test
+/// schedules.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -473,14 +421,14 @@ struct BarrierState {
 /// of unbounded hangs, and a [`deregister`](FtBarrier::deregister)
 /// operation so a dying rank permanently leaves the group and current
 /// waiters regroup around the survivors.
-pub struct FtBarrier {
+pub(crate) struct FtBarrier {
     state: StdMutex<BarrierState>,
     cv: Condvar,
 }
 
 impl FtBarrier {
     /// Barrier over `n` participants.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         FtBarrier {
             state: StdMutex::new(BarrierState { expected: n, arrived: 0, generation: 0 }),
             cv: Condvar::new(),
@@ -494,7 +442,7 @@ impl FtBarrier {
     /// Wait for the current generation to complete, or time out. On
     /// timeout the caller's arrival is withdrawn so the barrier count
     /// stays consistent.
-    pub fn wait(&self, timeout: Duration) -> Result<(), CommError> {
+    pub(crate) fn wait(&self, timeout: Duration) -> Result<(), CommError> {
         let deadline = Instant::now() + timeout;
         let mut s = self.lock();
         s.arrived += 1;
@@ -518,57 +466,9 @@ impl FtBarrier {
         Ok(())
     }
 
-    /// Register an arrival without blocking. Returns `None` if this
-    /// arrival completed the barrier (waiters are released), otherwise
-    /// the generation token to poll with
-    /// [`wait_released`](FtBarrier::wait_released) /
-    /// [`withdraw`](FtBarrier::withdraw). This split lets a rank keep
-    /// servicing its message channel (acking peers' retransmissions)
-    /// while parked at a barrier — without progress there, a peer whose
-    /// ack was lost would retransmit into silence forever.
-    pub fn arrive(&self) -> Option<u64> {
-        let mut s = self.lock();
-        s.arrived += 1;
-        if s.arrived >= s.expected {
-            s.arrived = 0;
-            s.generation = s.generation.wrapping_add(1);
-            self.cv.notify_all();
-            None
-        } else {
-            Some(s.generation)
-        }
-    }
-
-    /// Block up to `timeout` for generation `gen` to complete; true if
-    /// it has (the caller's pending arrival is consumed by the
-    /// release), false on timeout (the arrival still stands).
-    pub fn wait_released(&self, gen: u64, timeout: Duration) -> bool {
-        let mut s = self.lock();
-        if s.generation != gen {
-            return true;
-        }
-        let (guard, _timed_out) =
-            self.cv.wait_timeout(s, timeout).unwrap_or_else(|e| e.into_inner());
-        s = guard;
-        s.generation != gen
-    }
-
-    /// Withdraw a pending arrival registered by
-    /// [`arrive`](FtBarrier::arrive) (a caller giving up). Returns
-    /// false if generation `gen` already completed — the arrival was
-    /// consumed and there is nothing to withdraw.
-    pub fn withdraw(&self, gen: u64) -> bool {
-        let mut s = self.lock();
-        if s.generation != gen {
-            return false;
-        }
-        s.arrived = s.arrived.saturating_sub(1);
-        true
-    }
-
     /// Permanently remove one participant (a dying rank). If the
     /// remaining waiters now satisfy the barrier, they are released.
-    pub fn deregister(&self) {
+    pub(crate) fn deregister(&self) {
         let mut s = self.lock();
         s.expected = s.expected.saturating_sub(1);
         if s.expected > 0 && s.arrived >= s.expected {
@@ -576,11 +476,6 @@ impl FtBarrier {
             s.generation = s.generation.wrapping_add(1);
             self.cv.notify_all();
         }
-    }
-
-    /// Current number of registered participants.
-    pub fn expected(&self) -> usize {
-        self.lock().expected
     }
 }
 
@@ -598,7 +493,7 @@ pub enum LeaseMode {
 
 /// Outcome of a lease claim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeaseClaim {
+pub(crate) enum LeaseClaim {
     /// A task was leased to the caller.
     Task {
         /// The claimed task index.
@@ -635,14 +530,14 @@ struct LeaseState {
 /// Lease table over a DLB task range `0..n_tasks`. Every claim records
 /// an owner; [`on_death`](TaskLeases::on_death) reclaims a dead rank's
 /// lost tasks and queues each for reissue exactly once.
-pub struct TaskLeases {
+pub(crate) struct TaskLeases {
     inner: Mutex<LeaseState>,
 }
 
 impl TaskLeases {
     /// Empty table for a world of `n_ranks` ranks; call
     /// [`reset`](TaskLeases::reset) before claiming.
-    pub fn new(n_ranks: usize) -> Self {
+    pub(crate) fn new(n_ranks: usize) -> Self {
         TaskLeases {
             inner: Mutex::new(LeaseState {
                 n_tasks: 0,
@@ -662,7 +557,7 @@ impl TaskLeases {
     /// Start a new task range. Recovery counters (`reclaimed`,
     /// `reissued_claims`) accumulate across resets so a whole world run
     /// can be summarized.
-    pub fn reset(&self, n_tasks: usize, mode: LeaseMode) {
+    pub(crate) fn reset(&self, n_tasks: usize, mode: LeaseMode) {
         let mut s = self.inner.lock();
         s.n_tasks = n_tasks;
         s.mode = mode;
@@ -679,7 +574,7 @@ impl TaskLeases {
     /// Claim the next task for `rank`: reissued recovery work first,
     /// then fresh tasks, else [`LeaseClaim::Pending`] /
     /// [`LeaseClaim::Exhausted`].
-    pub fn claim(&self, rank: usize) -> LeaseClaim {
+    pub(crate) fn claim(&self, rank: usize) -> LeaseClaim {
         let mut s = self.inner.lock();
         if let Some((task, dead)) = s.reissue.pop_front() {
             s.queued[task] = false;
@@ -703,7 +598,7 @@ impl TaskLeases {
     }
 
     /// Mark `task` complete and release its lease.
-    pub fn complete(&self, task: usize) {
+    pub(crate) fn complete(&self, task: usize) {
         let mut s = self.inner.lock();
         s.owner[task] = None;
         s.done[task] = true;
@@ -711,7 +606,7 @@ impl TaskLeases {
 
     /// Reclaim the dead rank's lost tasks per the table's
     /// [`LeaseMode`]; returns how many were queued for reissue.
-    pub fn on_death(&self, rank: usize) -> usize {
+    pub(crate) fn on_death(&self, rank: usize) -> usize {
         let mut s = self.inner.lock();
         let owned = std::mem::take(&mut s.ever_owned[rank]);
         let mut count = 0;
@@ -740,20 +635,14 @@ impl TaskLeases {
         count
     }
 
-    /// True once every task in the current range is complete.
-    pub fn all_complete(&self) -> bool {
-        let s = self.inner.lock();
-        s.done.iter().all(|&d| d)
-    }
-
     /// Total tasks reclaimed from dead ranks (cumulative across resets).
-    pub fn reclaimed(&self) -> usize {
+    pub(crate) fn reclaimed(&self) -> usize {
         self.inner.lock().reclaimed
     }
 
     /// Total claims served from the reissue queue — recovery retries
     /// performed by survivors (cumulative across resets).
-    pub fn reissued_claims(&self) -> usize {
+    pub(crate) fn reissued_claims(&self) -> usize {
         self.inner.lock().reissued_claims
     }
 }
@@ -780,6 +669,8 @@ mod tests {
                 FaultSpec::CorruptMessage { from: 2, to: 0, nth: 3 },
             ]
         );
+        assert_eq!(p.max_rank(), Some(2));
+        assert_eq!(FaultPlan::parse("1:kill@9,kill*3").unwrap().max_rank(), None);
     }
 
     #[test]
@@ -789,6 +680,13 @@ mod tests {
         assert!(FaultPlan::parse("1:exploded@3").is_err());
         assert!(FaultPlan::parse("1:delay@1#2").is_err());
         assert!(FaultPlan::parse("1:drop@0#1").is_err());
+        // 1-based ordinals: a `#0` spec would never fire.
+        for spec in ["1:kill@1#0", "1:delay@1#0:5", "1:drop@0->1#0", "1:corrupt@1->0#0"] {
+            let err = FaultPlan::parse(spec).expect_err(spec);
+            assert!(err.contains("'0'") && err.contains("from 1"), "{spec}: {err}");
+        }
+        // A task index and a kill count are not ordinals.
+        assert!(FaultPlan::parse("1:kill@0,kill*0").is_ok());
     }
 
     #[test]
@@ -844,7 +742,13 @@ mod tests {
             std::thread::sleep(Duration::from_millis(30));
             b.deregister();
         });
-        assert_eq!(b.expected(), 2);
+        // Two participants remain: a pair completes the next generation.
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let b = Arc::clone(&b);
+                scope.spawn(move || b.wait(Duration::from_secs(5)).unwrap());
+            }
+        });
     }
 
     #[test]
@@ -864,7 +768,6 @@ mod tests {
             }
         }
         assert_eq!(got, vec![0, 1, 2]);
-        assert!(t.all_complete());
         assert_eq!(t.reclaimed(), 0);
     }
 
@@ -888,7 +791,7 @@ mod tests {
         for task in [0, 1, 2, 3] {
             t.complete(task);
         }
-        assert!(t.all_complete());
+        assert_eq!(t.claim(1), LeaseClaim::Exhausted);
         assert_eq!(t.reissued_claims(), 2);
     }
 
@@ -904,7 +807,7 @@ mod tests {
         t.complete(1);
         assert_eq!(t.claim(1), LeaseClaim::Task { task: 2, reissued: false, prev_owner: None });
         t.complete(2);
-        assert!(t.all_complete());
+        assert_eq!(t.claim(1), LeaseClaim::Exhausted);
         assert_eq!(t.reclaimed(), 1);
     }
 
@@ -937,41 +840,9 @@ mod tests {
         t.complete(0);
         assert_eq!(t.claim(2), LeaseClaim::Task { task: 1, reissued: false, prev_owner: None });
         t.complete(1);
-        assert!(t.all_complete());
+        assert_eq!(t.claim(2), LeaseClaim::Exhausted);
         assert_eq!(t.reclaimed(), 2);
         assert_eq!(t.reissued_claims(), 2);
-    }
-
-    #[test]
-    fn taxonomy_splits_transient_from_fatal() {
-        assert!(CommError::Timeout { what: "ack" }.is_transient());
-        assert!(CommError::CorruptPayload { from: 0, tag: 1 }.is_transient());
-        assert!(!CommError::SelfDead.is_transient());
-        assert!(!CommError::RankFailed { rank: 2 }.is_transient());
-        assert!(!CommError::RetriesExhausted { to: 1, tag: 9, attempts: 4 }.is_transient());
-    }
-
-    #[test]
-    fn backoff_is_deterministic_capped_and_grows() {
-        let p = RetryPolicy::default();
-        for retry in 1..=6 {
-            assert_eq!(p.backoff_for(0, 1, retry), p.backoff_for(0, 1, retry), "replayable");
-            assert!(p.backoff_for(0, 1, retry) <= p.backoff_cap);
-        }
-        // Pre-cap the schedule is non-decreasing in the retry number.
-        assert!(p.backoff_for(2, 3, 1) >= p.backoff_base);
-        assert!(p.backoff_for(2, 3, 2) >= p.backoff_for(2, 3, 1).min(p.backoff_cap / 2));
-        // Different edges jitter differently (with overwhelming probability).
-        assert_ne!(p.backoff_for(0, 1, 1), p.backoff_for(1, 0, 1));
-    }
-
-    #[test]
-    fn none_policy_disables_reliability() {
-        assert!(!RetryPolicy::none().reliable());
-        assert!(RetryPolicy::default().reliable());
-        let p = RetryPolicy::default().with_comm_timeout(Duration::from_millis(750));
-        assert_eq!(p.ft_timeout, Duration::from_millis(750));
-        assert_eq!(p.recv_timeout, Duration::from_millis(750));
     }
 
     #[test]
@@ -979,6 +850,5 @@ mod tests {
         let t = TaskLeases::new(1);
         t.reset(0, LeaseMode::Volatile);
         assert_eq!(t.claim(0), LeaseClaim::Exhausted);
-        assert!(t.all_complete());
     }
 }

@@ -24,9 +24,11 @@
 //!   double the process count per node and hence the replicated footprint).
 
 //! * **Failure is a first-class input.** [`fault::FaultPlan`] schedules
-//!   deterministic rank kills, stragglers and message faults;
-//!   [`fault::TaskLeases`] and the failure-aware barrier/reduction let
-//!   survivors reclaim a dead rank's tasks and finish the computation.
+//!   deterministic rank kills, stragglers and message faults; task leases
+//!   and the failure-aware barrier/reduction let survivors reclaim a dead
+//!   rank's tasks and finish the computation, and one retransmit loop
+//!   absorbs dropped or corrupted rank messages and window requests. A run
+//!   without a plan pays for none of it.
 
 pub mod ddi;
 pub mod fault;
@@ -35,11 +37,6 @@ pub mod sync;
 pub mod world;
 
 pub use ddi::{DdiMode, DistributedArray};
-pub use fault::{
-    CommError, CommStats, FaultPlan, FaultSpec, FtBarrier, LeaseClaim, LeaseMode, RetryPolicy,
-    TaskLeases,
-};
+pub use fault::{CommError, CommStats, FaultPlan, LeaseMode, RetryPolicy, MAX_ATTEMPTS};
 pub use memory::{MemoryReport, MemoryTracker};
-pub use world::{
-    run_world, run_world_with_config, run_world_with_faults, Rank, WorldConfig, WorldResult,
-};
+pub use world::{run_world, run_world_with_config, Rank, WorldConfig, WorldResult};

@@ -1,22 +1,25 @@
 //! SPMD worlds: spawning ranks, barriers, point-to-point messages and
 //! collectives — with optional deterministic fault injection.
 //!
-//! A world can be started with a [`FaultPlan`]
-//! via [`run_world_with_faults`]: ranks then die, straggle, or lose
-//! messages exactly where the plan says, and the failure-aware
-//! primitives ([`Rank::lease_next`], [`Rank::ft_barrier`],
-//! [`Rank::try_gsumf`], [`Rank::recv_timeout`]) let survivors regroup
-//! and finish the computation.
+//! A world started with a [`FaultPlan`] (via [`run_world_with_config`])
+//! kills ranks, delays stragglers and drops or corrupts rank messages
+//! exactly where the plan says. Its messages then ride the retransmit loop
+//! that DDI window requests ride too ([`crate::fault`]): a transmission the
+//! plan damages is resent, and the data reaches the destination's channel
+//! only once an attempt gets through. Without a plan a message is one
+//! channel send. The failure-aware primitives ([`Rank::lease_next`],
+//! [`Rank::ft_barrier`], [`Rank::try_gsumf`]) let survivors regroup and
+//! finish the computation.
 
 use crate::fault::{
-    splitmix64, CommError, CommStats, EdgeFault, EdgeFaults, FaultPlan, FaultSpec, FtBarrier,
-    LeaseClaim, LeaseMode, RetryPolicy, TaskLeases,
+    splitmix64, CommError, CommStats, FaultPlan, FaultSpec, FtBarrier, Layer, LeaseClaim,
+    LeaseMode, Link, RetryPolicy, TaskLeases,
 };
 use crate::memory::{MemoryReport, MemoryTracker};
 use crate::sync::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,42 +27,16 @@ use std::time::{Duration, Instant};
 /// outstanding tasks.
 const LEASE_POLL: Duration = Duration::from_micros(50);
 
-/// How long a rank parked at a barrier blocks between channel-pumping
-/// sweeps. Short enough that a peer's retransmission is re-acked well
-/// inside one ack timeout; release itself is condvar-notified, so
-/// barrier exit latency does not pay this granularity.
-const BARRIER_PUMP_SLICE: Duration = Duration::from_millis(1);
+/// Reserved tag for the reduction messages of [`Rank::try_gsumf`].
+const TAG_REDUCE: u64 = u64::MAX - 3;
+/// Reserved tag for the broadcast messages of [`Rank::try_gsumf`].
+const TAG_BCAST: u64 = u64::MAX - 4;
 
-/// Reserved tag for the reliable reduction messages of
-/// [`Rank::try_gsumf`].
-const TAG_RELIABLE_REDUCE: u64 = u64::MAX - 3;
-/// Reserved tag for the reliable broadcast messages of
-/// [`Rank::try_gsumf`].
-const TAG_RELIABLE_BCAST: u64 = u64::MAX - 4;
-
-/// A tagged point-to-point message. The checksum travels with the
-/// payload so corruption injected (or, at real scale, suffered) in
-/// flight is detected at the receiver. Reliable-path messages carry a
-/// per-edge sequence number (`seq > 0`) for ack correlation and
-/// duplicate suppression; acks are empty-payload control messages with
-/// `ack = true` echoing the `(tag, seq)` they acknowledge.
+/// A tagged point-to-point message.
 struct Message {
     from: usize,
     tag: u64,
-    seq: u64,
-    ack: bool,
     data: Vec<f64>,
-    checksum: u64,
-}
-
-fn payload_checksum(data: &[f64]) -> u64 {
-    let mut state = 0x9E37_79B9_7F4A_7C15 ^ (data.len() as u64);
-    let mut acc = 0u64;
-    for v in data {
-        state ^= v.to_bits();
-        acc ^= splitmix64(&mut state);
-    }
-    acc
 }
 
 struct KillTask {
@@ -82,8 +59,9 @@ struct FaultRuntime {
     random_resolved: AtomicBool,
     claim_kills: Mutex<Vec<ClaimKill>>,
     delays: Vec<(usize, usize, u64)>,
-    /// Drops and corruptions, keyed on physical rank-message ordinals.
-    edges: EdgeFaults,
+    /// The rank messages' retransmit loop; its ledger also counts the
+    /// kills and stragglers that fire.
+    link: Link,
     /// Successful lease claims made by each rank (1-based ordinals).
     claims: Vec<AtomicUsize>,
 }
@@ -112,7 +90,7 @@ impl FaultRuntime {
             random_resolved: AtomicBool::new(false),
             claim_kills: Mutex::new(claim_kills),
             delays,
-            edges: EdgeFaults::new(plan),
+            link: Link::new(plan, Layer::Comm),
             claims: (0..n_ranks).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
@@ -185,10 +163,6 @@ struct WorldShared {
     dlb_calls: AtomicUsize,
     leases: TaskLeases,
     mem: MemoryTracker,
-    /// Bytes moved per rank: point-to-point payloads plus each rank's
-    /// contribution to collectives. The communication volume the cluster
-    /// model charges for is thereby observable on real runs.
-    comm_bytes: Vec<AtomicU64>,
     /// Liveness flags; a rank marked dead has deregistered from the
     /// barrier and abandoned its task leases.
     alive: Vec<AtomicBool>,
@@ -199,11 +173,8 @@ struct WorldShared {
     /// Ranks that died, with reasons, in order of death.
     failures: Mutex<Vec<(usize, String)>>,
     faults: Option<FaultRuntime>,
-    /// Retry/backoff policy for the reliable message path and the
-    /// failure-aware wait deadlines.
+    /// Deadline of the failure-aware waits.
     retry: RetryPolicy,
-    /// The fault and reliable-delivery ledger of the rank messages.
-    comm: Mutex<CommStats>,
 }
 
 /// Handle a rank's SPMD closure receives. Not `Clone` — exactly one per
@@ -219,11 +190,6 @@ pub struct Rank {
     /// Mutex (not RefCell) so a `Rank` can be shared with an OpenMP-style
     /// thread team; p2p calls themselves remain one-rank operations.
     stash: Mutex<VecDeque<Message>>,
-    /// Next reliable sequence number per destination (outgoing edges).
-    next_seq: Mutex<HashMap<usize, u64>>,
-    /// Sequence numbers already delivered per source (incoming edges) —
-    /// the dedup set that makes retransmission at-most-once delivery.
-    delivered: Mutex<HashMap<usize, HashSet<u64>>>,
 }
 
 /// Everything a finished world returns: per-rank results plus the memory
@@ -236,8 +202,6 @@ pub struct WorldResult<R> {
     pub memory: MemoryReport,
     /// Total DLB counter calls (including lease claims).
     pub dlb_calls: usize,
-    /// Bytes each rank moved (p2p payloads + collective contributions).
-    pub comm_bytes: Vec<u64>,
     /// Ranks that died mid-run, with reasons, in order of death.
     pub failures: Vec<(usize, String)>,
     /// Tasks reclaimed from dead ranks and queued for reissue.
@@ -245,8 +209,8 @@ pub struct WorldResult<R> {
     /// Lease claims served from the reissue queue — recovery work
     /// re-executed by survivors.
     pub lease_retries: usize,
-    /// Faults injected into, and reliable-delivery work done by, the
-    /// world's rank messages.
+    /// Faults injected into, and retransmissions made by, the world's
+    /// rank messages (all zero without a fault plan).
     pub comm: CommStats,
 }
 
@@ -258,41 +222,26 @@ impl<R> WorldResult<R> {
 }
 
 /// Full configuration of a world: rank count, optional fault plan, and
-/// the retry/backoff policy governing the reliable message path and
-/// failure-aware wait deadlines.
+/// the deadline of its failure-aware waits.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// Number of SPMD ranks to spawn.
     pub n_ranks: usize,
     /// Optional deterministic fault schedule.
     pub faults: Option<FaultPlan>,
-    /// Retry/backoff policy (reliable delivery on by default).
+    /// Deadline of barriers, lease polls and receives.
     pub retry: RetryPolicy,
 }
 
 /// Run an SPMD function over `n_ranks` ranks (each on its own OS thread)
-/// and collect their results. Equivalent to
-/// [`run_world_with_faults`]`(n_ranks, None, f)`.
+/// with no fault plan and the default [`RetryPolicy`], and collect their
+/// results.
 pub fn run_world<R, F>(n_ranks: usize, f: F) -> WorldResult<R>
 where
     R: Send,
     F: Fn(&Rank) -> R + Sync,
 {
-    run_world_with_faults(n_ranks, None, f)
-}
-
-/// Run an SPMD function over `n_ranks` ranks under an optional
-/// deterministic [`FaultPlan`] and the default [`RetryPolicy`].
-pub fn run_world_with_faults<R, F>(
-    n_ranks: usize,
-    faults: Option<FaultPlan>,
-    f: F,
-) -> WorldResult<R>
-where
-    R: Send,
-    F: Fn(&Rank) -> R + Sync,
-{
-    run_world_with_config(WorldConfig { n_ranks, faults, retry: RetryPolicy::default() }, f)
+    run_world_with_config(WorldConfig { n_ranks, faults: None, retry: RetryPolicy::default() }, f)
 }
 
 /// Run an SPMD function over a fully specified [`WorldConfig`]. If any
@@ -312,13 +261,11 @@ where
         dlb_calls: AtomicUsize::new(0),
         leases: TaskLeases::new(n_ranks),
         mem: MemoryTracker::new(n_ranks),
-        comm_bytes: (0..n_ranks).map(|_| AtomicU64::new(0)).collect(),
         alive: (0..n_ranks).map(|_| AtomicBool::new(true)).collect(),
         live: AtomicUsize::new(n_ranks),
         failures: Mutex::new(Vec::new()),
         faults: faults.as_ref().map(|p| FaultRuntime::new(p, n_ranks)),
         retry,
-        comm: Mutex::new(CommStats::default()),
     });
     let mut senders = Vec::with_capacity(n_ranks);
     let mut receivers = Vec::with_capacity(n_ranks);
@@ -336,8 +283,6 @@ where
             senders: senders.clone(),
             receiver: Mutex::new(receiver),
             stash: Mutex::new(VecDeque::new()),
-            next_seq: Mutex::new(HashMap::new()),
-            delivered: Mutex::new(HashMap::new()),
         })
         .collect();
 
@@ -373,7 +318,7 @@ where
     let dlb_calls = shared.dlb_calls.load(Ordering::Relaxed);
     phi_trace::counter("dlb.calls", dlb_calls as u64);
     phi_trace::counter("tasks.reclaimed", shared.leases.reclaimed() as u64);
-    let comm = *shared.comm.lock();
+    let comm = shared.faults.as_ref().map_or_else(CommStats::default, |fr| fr.link.stats());
     phi_trace::counter("comm.retransmits", comm.retransmits);
     phi_trace::counter("comm.acks", comm.acks);
     phi_trace::counter("comm.corruptions", comm.corruptions_detected);
@@ -384,7 +329,6 @@ where
         per_rank,
         memory: shared.mem.report(),
         dlb_calls,
-        comm_bytes: shared.comm_bytes.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
         failures,
         tasks_reclaimed: shared.leases.reclaimed(),
         lease_retries: shared.leases.reissued_claims(),
@@ -427,11 +371,6 @@ impl Rank {
         self.alive() && (0..self.id).all(|r| !self.shared.alive[r].load(Ordering::SeqCst))
     }
 
-    /// Ranks that have died so far, in order of death.
-    pub fn failed_ranks(&self) -> Vec<usize> {
-        self.shared.failures.lock().iter().map(|&(r, _)| r).collect()
-    }
-
     /// Mark this rank dead, whatever the number of survivors (a fatal
     /// communication error leaves no choice).
     fn mark_dead(&self, reason: String) {
@@ -457,54 +396,16 @@ impl Rank {
 
     /// Failure-aware world barrier: only live ranks participate, a dead
     /// caller errors immediately, and a wedged barrier times out (after
-    /// the [`RetryPolicy`] `ft_timeout`) instead of hanging forever.
-    ///
-    /// This is a *progress* barrier: while parked, the rank keeps
-    /// draining and acking its message channel. That
-    /// matters for reliable delivery — a rank that finished its part of
-    /// a collective and reached the exit barrier must still re-ack a
-    /// peer's retransmissions (whose original ack the network lost), or
-    /// the peer would retry into silence and burn its budget on a fault
-    /// that was already recovered.
+    /// the [`RetryPolicy`] timeout) instead of hanging forever. A plain
+    /// wait suffices: a rank only dies inside its own calls, and a sender
+    /// never waits on its receiver, so no peer needs this rank to make
+    /// progress while it is parked.
     pub fn ft_barrier(&self) -> Result<(), CommError> {
         if !self.alive() {
             return Err(CommError::SelfDead);
         }
         let _span = phi_trace::span("mpi.barrier");
-        let Some(gen) = self.shared.barrier.arrive() else {
-            return Ok(()); // our arrival completed the barrier
-        };
-        let deadline = Instant::now() + self.shared.retry.ft_timeout;
-        loop {
-            if self.shared.barrier.wait_released(gen, BARRIER_PUMP_SLICE) {
-                return Ok(());
-            }
-            if !self.alive() {
-                // deregister (in mark_dead) already withdrew our slot
-                // from `expected`; drop the pending arrival too.
-                self.shared.barrier.withdraw(gen);
-                return Err(CommError::SelfDead);
-            }
-            if Instant::now() >= deadline {
-                if self.shared.barrier.withdraw(gen) {
-                    return Err(CommError::Timeout { what: "barrier" });
-                }
-                return Ok(()); // released at the last instant
-            }
-            self.pump_channel();
-        }
-    }
-
-    /// Drain every already-delivered message through
-    /// [`pump`](Self::pump), stashing survivors for later receives.
-    /// Safe wherever the rank has no reliable send in flight (sends
-    /// block until acked, so a rank parked at a barrier never does).
-    fn pump_channel(&self) {
-        while let Ok(msg) = { self.receiver.lock().try_recv() } {
-            if let Some(m) = self.pump(msg) {
-                self.stash.lock().push_back(m);
-            }
-        }
+        self.shared.barrier.wait(self.shared.retry.timeout)
     }
 
     // -------------------------------------------------- task leases -----
@@ -539,7 +440,7 @@ impl Rank {
         // DLB wait: claim-lock contention plus any Pending polling until
         // a task (or exhaustion) arrives — the paper's idle-time metric.
         let _span = phi_trace::span("dlb.wait");
-        let deadline = Instant::now() + self.shared.retry.ft_timeout;
+        let deadline = Instant::now() + self.shared.retry.timeout;
         loop {
             match self.shared.leases.claim(self.id) {
                 LeaseClaim::Task { task, reissued, prev_owner } => {
@@ -556,11 +457,11 @@ impl Rank {
                     if let Some(fr) = &self.shared.faults {
                         let claim_no = fr.claims[self.id].fetch_add(1, Ordering::SeqCst) + 1;
                         if let Some(ms) = fr.delay_for(self.id, claim_no) {
-                            self.shared.comm.lock().faults_injected += 1;
+                            fr.link.stats.lock().faults_injected += 1;
                             std::thread::sleep(Duration::from_millis(ms));
                         }
                         if fr.check_kill(self.id, claim_no, task, &self.shared.live) {
-                            self.shared.comm.lock().faults_injected += 1;
+                            fr.link.stats.lock().faults_injected += 1;
                             self.die(format!(
                                 "fault injection: killed holding task {task} (claim #{claim_no})"
                             ));
@@ -603,279 +504,70 @@ impl Rank {
 
     // ---------------------------------------------------------- p2p -----
 
-    /// Non-blocking tagged send to `dest` with raw (fire-and-forget)
-    /// semantics. Under fault injection the scheduled message on this
-    /// edge may be silently dropped or have its payload corrupted in
-    /// flight — and stays lost: recovery is the caller's problem. The
-    /// reliable path is [`send_reliable`](Self::send_reliable).
-    pub fn try_send(&self, dest: usize, tag: u64, data: &[f64]) -> Result<(), CommError> {
-        self.post(dest, tag, 0, false, data, true)
-    }
-
-    /// One physical transmission on the `self -> dest` edge. Every
-    /// outgoing message — raw, reliable data, retransmission, or ack —
-    /// funnels through here, so injected edge faults key on physical
-    /// 1-based transmission ordinals. `charge` controls communication-
-    /// volume accounting: collectives charge each rank's contribution
-    /// once at a higher level, and the protocol's acks/retransmits are
-    /// never charged.
-    fn post(
-        &self,
-        dest: usize,
-        tag: u64,
-        seq: u64,
-        ack: bool,
-        data: &[f64],
-        charge: bool,
-    ) -> Result<(), CommError> {
+    /// Tagged send to `dest`. Under a fault plan the message first rides
+    /// the world's retransmit loop, and its data reaches `dest`'s channel
+    /// only once an attempt gets through; a burned budget is
+    /// [`CommError::RetriesExhausted`].
+    fn send(&self, dest: usize, tag: u64, data: &[f64]) -> Result<(), CommError> {
         if !self.alive() {
             return Err(CommError::SelfDead);
         }
-        let mut payload = data.to_vec();
-        let mut checksum = payload_checksum(data);
-        let fault = self.shared.faults.as_ref().and_then(|fr| fr.edges.fire(self.id, dest));
-        if let Some(fault) = fault {
-            self.shared.comm.lock().faults_injected += 1;
-            match fault {
-                EdgeFault::Drop => return Ok(()), // swallowed by the network
-                // Damage the payload but ship the original checksum, so
-                // the receiver's verification catches it.
-                EdgeFault::Corrupt => match payload.first_mut() {
-                    Some(x) => *x = -*x + 1.0,
-                    None => checksum ^= 0xDEAD_BEEF,
-                },
-            }
-        }
-        if charge {
-            self.count_bytes(payload.len());
+        if let Some(fr) = &self.shared.faults {
+            fr.link.deliver(self.id, dest)?;
         }
         self.senders[dest]
-            .send(Message { from: self.id, tag, seq, ack, data: payload, checksum })
+            .send(Message { from: self.id, tag, data: data.to_vec() })
             .map_err(|_| CommError::RankFailed { rank: dest })
     }
 
-    fn count_bytes(&self, elems: usize) {
-        self.shared.comm_bytes[self.id]
-            .fetch_add((elems * std::mem::size_of::<f64>()) as u64, Ordering::Relaxed);
-    }
-
-    fn verify(&self, msg: Message) -> Result<Vec<f64>, CommError> {
-        if payload_checksum(&msg.data) != msg.checksum {
-            self.shared.comm.lock().corruptions_detected += 1;
-            phi_trace::instant("comm.corrupt_detected", msg.from as u64);
-            Err(CommError::CorruptPayload { from: msg.from, tag: msg.tag })
-        } else {
-            Ok(msg.data)
-        }
-    }
-
-    /// Housekeeping applied to every message pulled off the channel.
-    /// Returns the message if it should be kept (matched or stashed);
-    /// `None` if the protocol consumed it: stale acks are discarded,
-    /// corrupt reliable payloads are dropped (the sender's ack timeout
-    /// drives the retransmission that recovers them), and duplicate
-    /// reliable deliveries are suppressed but re-acked — the first ack
-    /// may be what the network lost.
-    fn pump(&self, msg: Message) -> Option<Message> {
-        if msg.ack {
-            // An ack reaching a generic receive path is stale: acks are
-            // awaited synchronously right after their data send.
-            return None;
-        }
-        if msg.seq == 0 {
-            return Some(msg); // raw message; verified when matched
-        }
-        if payload_checksum(&msg.data) != msg.checksum {
-            self.shared.comm.lock().corruptions_detected += 1;
-            phi_trace::instant("comm.corrupt_detected", msg.from as u64);
-            return None;
-        }
-        let fresh = self.delivered.lock().entry(msg.from).or_default().insert(msg.seq);
-        if self.shared.retry.reliable() {
-            // Ack delivery into this rank's address space. A dead rank
-            // cannot ack — its peers' retry budgets will conclude so.
-            let _ = self.post(msg.from, msg.tag, msg.seq, true, &[], false);
-            self.shared.comm.lock().acks += 1;
-        }
-        if fresh {
-            Some(msg)
-        } else {
-            None
-        }
-    }
-
-    /// Receive the message matching `(from, tag)`, waiting at most
-    /// `timeout`. Unmatched messages are stashed for later calls, so
-    /// tagged out-of-order delivery works; a message that never arrives
-    /// returns [`CommError::Timeout`] instead of hanging forever, and a
-    /// payload failing its checksum returns
-    /// [`CommError::CorruptPayload`]. Messages from a peer's
-    /// [`send_reliable`](Self::send_reliable) are acked and deduplicated
-    /// transparently.
-    pub fn recv_timeout(
-        &self,
-        from: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Vec<f64>, CommError> {
-        // Check earlier unmatched messages first.
+    /// Receive the message matching `(from, tag)`, waiting at most the
+    /// [`RetryPolicy`] timeout. Unmatched messages are stashed for later
+    /// calls, so tagged out-of-order delivery works, and a message that
+    /// never arrives returns [`CommError::Timeout`] instead of hanging.
+    fn recv(&self, from: usize, tag: u64) -> Result<Vec<f64>, CommError> {
         {
             let mut stash = self.stash.lock();
             if let Some(pos) = stash.iter().position(|m| m.from == from && m.tag == tag) {
-                let msg = stash.remove(pos).expect("position is valid");
-                return self.verify(msg);
+                return Ok(stash.remove(pos).expect("position is valid").data);
             }
         }
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now() + self.shared.retry.timeout;
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(CommError::Timeout { what: "recv" });
-            }
-            let msg = match self.receiver.lock().recv_timeout(remaining) {
-                Ok(msg) => msg,
-                Err(RecvTimeoutError::Timeout) => return Err(CommError::Timeout { what: "recv" }),
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::RankFailed { rank: from })
-                }
-            };
-            let Some(msg) = self.pump(msg) else { continue };
+            // This rank holds a sender to itself, so the channel never
+            // disconnects: every error is the deadline.
+            let msg = self
+                .receiver
+                .lock()
+                .recv_timeout(remaining)
+                .map_err(|_| CommError::Timeout { what: "recv" })?;
             if msg.from == from && msg.tag == tag {
-                return self.verify(msg);
+                return Ok(msg.data);
             }
             self.stash.lock().push_back(msg);
         }
-    }
-
-    // ------------------------------------------- reliable delivery ------
-
-    /// Reliable tagged send: the payload travels with a per-edge
-    /// sequence number, and the call blocks until the receiver's ack
-    /// arrives. On a transient failure (payload or ack lost/corrupt in
-    /// flight) the sender backs off deterministically and retransmits;
-    /// the receiver deduplicates by sequence number, so delivery is
-    /// exactly-once even when the ack was what the network lost. A
-    /// burned retry budget is fatal:
-    /// [`CommError::RetriesExhausted`].
-    pub fn send_reliable(&self, dest: usize, tag: u64, data: &[f64]) -> Result<(), CommError> {
-        self.send_reliable_inner(dest, tag, data, true)
-    }
-
-    fn send_reliable_inner(
-        &self,
-        dest: usize,
-        tag: u64,
-        data: &[f64],
-        charge: bool,
-    ) -> Result<(), CommError> {
-        let seq = {
-            let mut s = self.next_seq.lock();
-            let n = s.entry(dest).or_insert(0);
-            *n += 1;
-            *n
-        };
-        let policy = &self.shared.retry;
-        if !policy.reliable() {
-            return self.post(dest, tag, seq, false, data, charge);
-        }
-        let mut suffered_transient = false;
-        for attempt in 1..=policy.max_attempts {
-            if attempt > 1 {
-                std::thread::sleep(policy.backoff_for(self.id, dest, attempt - 1));
-                self.shared.comm.lock().retransmits += 1;
-                phi_trace::instant("comm.retransmit", dest as u64);
-            }
-            self.post(dest, tag, seq, false, data, charge && attempt == 1)?;
-            match self.wait_ack(dest, tag, seq, policy.ack_timeout) {
-                Ok(()) => {
-                    if suffered_transient {
-                        self.shared.comm.lock().transient_recoveries += 1;
-                        phi_trace::instant("comm.recovered", dest as u64);
-                    }
-                    return Ok(());
-                }
-                Err(e) if e.is_transient() => suffered_transient = true,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(CommError::RetriesExhausted { to: dest, tag, attempts: policy.max_attempts })
-    }
-
-    /// Wait for the ack matching `(dest, tag, seq)`, pumping (acking,
-    /// deduplicating, stashing) any cross-traffic that arrives in the
-    /// meantime so concurrent reliable exchanges with other peers make
-    /// progress.
-    fn wait_ack(
-        &self,
-        dest: usize,
-        tag: u64,
-        seq: u64,
-        timeout: Duration,
-    ) -> Result<(), CommError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(CommError::Timeout { what: "ack" });
-            }
-            let msg = match self.receiver.lock().recv_timeout(remaining) {
-                Ok(msg) => msg,
-                Err(RecvTimeoutError::Timeout) => return Err(CommError::Timeout { what: "ack" }),
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::RankFailed { rank: dest })
-                }
-            };
-            if msg.ack {
-                if payload_checksum(&msg.data) != msg.checksum {
-                    // A corrupt ack proves nothing about delivery; let
-                    // the timeout drive a retransmission.
-                    self.shared.comm.lock().corruptions_detected += 1;
-                    phi_trace::instant("comm.corrupt_detected", msg.from as u64);
-                    continue;
-                }
-                if msg.from == dest && msg.tag == tag && msg.seq == seq {
-                    return Ok(());
-                }
-                continue; // stale duplicate ack from an earlier exchange
-            }
-            let Some(msg) = self.pump(msg) else { continue };
-            self.stash.lock().push_back(msg);
-        }
-    }
-
-    /// Receive the next reliable (or raw) message matching `(from,
-    /// tag)`, waiting up to the policy's receive deadline. Acking and
-    /// deduplication happen in the message pump, so this is just a
-    /// policy-timed [`recv_timeout`](Self::recv_timeout).
-    pub fn recv_reliable(&self, from: usize, tag: u64) -> Result<Vec<f64>, CommError> {
-        self.recv_timeout(from, tag, self.shared.retry.recv_timeout)
     }
 
     // --------------------------------------------------- collectives ----
 
     /// Failure-aware global sum (`ddi_gsumf`) over the *surviving*
     /// ranks, in place. Collective: every live rank must call with an
-    /// equally sized slice. A binomial reduction tree to the lowest live rank followed by a
-    /// binomial broadcast, carried over the reliable message path so a
-    /// dropped or corrupt payload anywhere in the tree drains into
-    /// retransmission instead of a dead rank. Dead ranks must not call,
-    /// and a wedged phase times out instead of hanging.
+    /// equally sized slice. A binomial reduction tree to the lowest live
+    /// rank followed by a binomial broadcast; under a fault plan a dropped
+    /// or corrupted tree message drains into retransmission instead of a
+    /// dead rank. Dead ranks must not call, and a wedged phase times out
+    /// instead of hanging.
     ///
     /// The entry barrier freezes the live-rank set: kills only fire
     /// inside [`lease_next`](Self::lease_next), so once every survivor
     /// has entered the collective they all derive the same tree. A
-    /// fatal communication failure (retry budget exhausted, peer dead)
-    /// escalates into the mark-dead/lease-reclaim path so the
-    /// remaining ranks regroup.
+    /// fatal communication failure (retry budget exhausted, timeout)
+    /// escalates into the mark-dead/lease-reclaim path.
     pub fn try_gsumf(&self, data: &mut [f64]) -> Result<(), CommError> {
         if !self.alive() {
             return Err(CommError::SelfDead);
         }
         let _span = phi_trace::span("mpi.gsum");
-        // Each rank is charged its contribution once, as a collective;
-        // the tree's internal transmissions and acks are not counted
-        // on top.
-        self.count_bytes(data.len());
         self.ft_barrier()?;
         let live: Vec<usize> = (0..self.shared.n_ranks)
             .filter(|&r| self.shared.alive[r].load(Ordering::SeqCst))
@@ -886,8 +578,6 @@ impl Rank {
         };
         if let Err(e) = self.tree_exchange(&live, me, data) {
             if e != CommError::SelfDead {
-                // The reliable layer already absorbed every transient
-                // fault it could; what surfaces here is fatal.
                 self.mark_dead(format!("gsum failed on rank {}: {e}", self.id));
             }
             return Err(e);
@@ -897,17 +587,17 @@ impl Rank {
     }
 
     /// Binomial reduce-to-`live[0]` + broadcast over the live ranks,
-    /// addressed by position in `live`, on the reliable message path.
+    /// addressed by position in `live`.
     fn tree_exchange(&self, live: &[usize], me: usize, data: &mut [f64]) -> Result<(), CommError> {
         let p = live.len();
         let mut step = 1;
         while step < p {
             if me & step != 0 {
-                self.send_reliable_inner(live[me - step], TAG_RELIABLE_REDUCE, data, false)?;
+                self.send(live[me - step], TAG_REDUCE, data)?;
                 break;
             } else if me + step < p {
                 let peer = live[me + step];
-                let incoming = self.recv_reliable(peer, TAG_RELIABLE_REDUCE)?;
+                let incoming = self.recv(peer, TAG_REDUCE)?;
                 assert_eq!(
                     incoming.len(),
                     data.len(),
@@ -923,7 +613,7 @@ impl Rank {
         if me != 0 {
             let lowest = me & me.wrapping_neg();
             let parent = live[me - lowest];
-            let got = self.recv_reliable(parent, TAG_RELIABLE_BCAST)?;
+            let got = self.recv(parent, TAG_BCAST)?;
             assert_eq!(
                 got.len(),
                 data.len(),
@@ -941,7 +631,7 @@ impl Rank {
         while bit > 0 {
             let dest = me | bit;
             if dest != me && dest < p {
-                self.send_reliable_inner(live[dest], TAG_RELIABLE_BCAST, data, false)?;
+                self.send(live[dest], TAG_BCAST, data)?;
             }
             bit >>= 1;
         }
@@ -952,6 +642,23 @@ impl Rank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::MAX_ATTEMPTS;
+
+    fn config(n_ranks: usize, faults: Option<FaultPlan>) -> WorldConfig {
+        WorldConfig { n_ranks, faults, retry: RetryPolicy::default() }
+    }
+
+    fn faulted(n_ranks: usize, plan: &str) -> WorldConfig {
+        config(n_ranks, Some(FaultPlan::parse(plan).unwrap()))
+    }
+
+    /// A clean world whose waits give up after `ms` milliseconds.
+    fn impatient(n_ranks: usize, ms: u64) -> WorldConfig {
+        WorldConfig {
+            retry: RetryPolicy { timeout: Duration::from_millis(ms) },
+            ..config(n_ranks, None)
+        }
+    }
 
     #[test]
     fn ranks_see_their_ids() {
@@ -972,6 +679,7 @@ mod tests {
             for v in res.per_rank {
                 assert_eq!(v, vec![tri, n_ranks as f64, -tri]);
             }
+            assert_eq!(res.comm, CommStats::default(), "no plan, no ledger");
         }
     }
 
@@ -994,36 +702,19 @@ mod tests {
 
     #[test]
     fn point_to_point_roundtrip() {
-        let wait = Duration::from_secs(10);
         let res = run_world(2, |r| {
             if r.rank() == 0 {
-                r.try_send(1, 7, &[1.0, 2.0, 3.0]).unwrap();
-                r.recv_timeout(1, 8, wait).unwrap()
+                r.send(1, 7, &[1.0, 2.0, 3.0]).unwrap();
+                r.recv(1, 8).unwrap()
             } else {
-                let got = r.recv_timeout(0, 7, wait).unwrap();
+                let got = r.recv(0, 7).unwrap();
                 let doubled: Vec<f64> = got.iter().map(|x| 2.0 * x).collect();
-                r.try_send(0, 8, &doubled).unwrap();
+                r.send(0, 8, &doubled).unwrap();
                 got
             }
         });
         assert_eq!(res.per_rank[0], vec![2.0, 4.0, 6.0]);
         assert_eq!(res.per_rank[1], vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn communication_volume_is_accounted() {
-        let res = run_world(3, |r| {
-            if r.rank() == 0 {
-                r.try_send(1, 1, &[0.0; 100]).unwrap(); // 800 bytes p2p
-            } else if r.rank() == 1 {
-                r.recv_timeout(0, 1, Duration::from_secs(10)).unwrap();
-            }
-            let mut v = vec![0.0; 10]; // 80 bytes collective contribution
-            r.try_gsumf(&mut v).unwrap();
-        });
-        assert_eq!(res.comm_bytes[0], 880);
-        assert_eq!(res.comm_bytes[1], 80);
-        assert_eq!(res.comm_bytes[2], 80);
     }
 
     #[test]
@@ -1113,7 +804,9 @@ mod tests {
     #[test]
     fn killed_rank_tasks_are_reissued_to_survivors() {
         let plan = FaultPlan::kill_at_tasks(1, &[2]);
-        let res = run_world_with_faults(3, Some(plan), |r| lease_drain(r, 12, LeaseMode::Volatile));
+        let res = run_world_with_config(config(3, Some(plan)), |r| {
+            lease_drain(r, 12, LeaseMode::Volatile)
+        });
         assert_eq!(res.failures.len(), 1, "exactly one rank dies");
         assert!(res.comm.faults_injected >= 1);
         assert!(res.tasks_reclaimed >= 1, "the victim died holding task 2");
@@ -1124,7 +817,9 @@ mod tests {
     #[test]
     fn two_kills_leave_one_survivor_covering_everything() {
         let plan = FaultPlan::kill_at_tasks(7, &[1, 5]);
-        let res = run_world_with_faults(3, Some(plan), |r| lease_drain(r, 10, LeaseMode::Volatile));
+        let res = run_world_with_config(config(3, Some(plan)), |r| {
+            lease_drain(r, 10, LeaseMode::Volatile)
+        });
         assert_eq!(res.failures.len(), 2, "two distinct ranks die");
         assert!(res.tasks_reclaimed >= 2);
         assert_eq!(surviving_union::<3>(&res), (0..10).collect::<Vec<_>>());
@@ -1133,9 +828,8 @@ mod tests {
     #[test]
     fn seeded_random_kills_are_deterministic_and_survivable() {
         for seed in [11u64, 12, 13] {
-            let res = run_world_with_faults(4, Some(FaultPlan::random_kills(seed, 2)), |r| {
-                lease_drain(r, 20, LeaseMode::Volatile)
-            });
+            let cfg = config(4, Some(FaultPlan::random_kills(seed, 2)));
+            let res = run_world_with_config(cfg, |r| lease_drain(r, 20, LeaseMode::Volatile));
             assert_eq!(res.failures.len(), 2, "seed {seed}: two ranks die");
             assert_eq!(surviving_union::<4>(&res), (0..20).collect::<Vec<_>>());
         }
@@ -1146,7 +840,9 @@ mod tests {
         // Every task is fatal, but the world must never fully die: the
         // last survivor absorbs the remaining kills and finishes.
         let plan = FaultPlan::kill_at_tasks(3, &[0, 1, 2, 3, 4, 5]);
-        let res = run_world_with_faults(2, Some(plan), |r| lease_drain(r, 6, LeaseMode::Volatile));
+        let res = run_world_with_config(config(2, Some(plan)), |r| {
+            lease_drain(r, 6, LeaseMode::Volatile)
+        });
         assert_eq!(res.failures.len(), 1, "only one of two ranks may die");
         assert_eq!(surviving_union::<2>(&res), (0..6).collect::<Vec<_>>());
     }
@@ -1161,7 +857,7 @@ mod tests {
         for rep in 0..500 {
             let plan = FaultPlan::kill_at_tasks(rep, &[0, 1, 2, 3]);
             let gate = AtomicUsize::new(0);
-            let res = run_world_with_faults(2, Some(plan), |r| {
+            let res = run_world_with_config(config(2, Some(plan)), |r| {
                 if r.lease_reset(4, LeaseMode::Volatile).is_err() {
                     return Vec::new();
                 }
@@ -1183,8 +879,9 @@ mod tests {
         // scheduling (the peer can drain the whole range first), and the
         // injected-fault count flaps. Alone, rank 0 must claim, so the
         // delay fires deterministically.
-        let plan = FaultPlan::parse("5:delay@0#1:10").unwrap();
-        let res = run_world_with_faults(1, Some(plan), |r| lease_drain(r, 4, LeaseMode::Volatile));
+        let res = run_world_with_config(faulted(1, "5:delay@0#1:10"), |r| {
+            lease_drain(r, 4, LeaseMode::Volatile)
+        });
         assert_eq!(res.comm.faults_injected, 1);
         assert!(res.failures.is_empty());
         assert_eq!(surviving_union::<1>(&res), (0..4).collect::<Vec<_>>());
@@ -1193,7 +890,7 @@ mod tests {
     #[test]
     fn gsumf_regroups_around_survivors() {
         let plan = FaultPlan::kill_at_tasks(2, &[0]);
-        let res = run_world_with_faults(3, Some(plan), |r| {
+        let res = run_world_with_config(config(3, Some(plan)), |r| {
             if r.lease_reset(6, LeaseMode::Volatile).is_err() {
                 return -1.0;
             }
@@ -1222,9 +919,9 @@ mod tests {
 
     #[test]
     fn recv_timeout_on_never_sent_message() {
-        let res = run_world(2, |r| {
+        let res = run_world_with_config(impatient(2, 50), |r| {
             if r.rank() == 0 {
-                r.recv_timeout(1, 99, Duration::from_millis(50)).err()
+                r.recv(1, 99).err()
             } else {
                 None
             }
@@ -1237,227 +934,131 @@ mod tests {
         let res = run_world(2, |r| {
             if r.rank() == 0 {
                 for tag in [3u64, 2, 1] {
-                    r.try_send(1, tag, &[tag as f64]).unwrap();
+                    r.send(1, tag, &[tag as f64]).unwrap();
                 }
                 vec![]
             } else {
-                (1..=3u64)
-                    .map(|tag| r.recv_timeout(0, tag, Duration::from_secs(2)).unwrap()[0])
-                    .collect()
+                (1..=3u64).map(|tag| r.recv(0, tag).unwrap()[0]).collect()
             }
         });
         assert_eq!(res.per_rank[1], vec![1.0, 2.0, 3.0]);
     }
 
-    #[test]
-    fn dropped_message_times_out_instead_of_hanging() {
-        // A drop and a corruption of the same transmission are a drop,
-        // whichever the plan lists first: nothing arrives to be damaged.
-        for plan in ["9:drop@0->1#1", "9:corrupt@0->1#1,drop@0->1#1"] {
-            let faults = FaultPlan::parse(plan).unwrap();
-            let res = run_world_with_faults(2, Some(faults), |r| {
-                if r.rank() == 0 {
-                    r.try_send(1, 4, &[1.0, 2.0]).unwrap();
-                    None
-                } else {
-                    r.recv_timeout(0, 4, Duration::from_millis(80)).err()
-                }
-            });
-            assert_eq!(res.per_rank[1], Some(CommError::Timeout { what: "recv" }), "{plan}");
-            assert_eq!(res.comm.faults_injected, 1, "{plan}");
-            assert_eq!(res.comm.corruptions_detected, 0, "{plan}");
-        }
-    }
+    // ------------------------------------------------ retransmission ----
 
-    #[test]
-    fn corrupted_payload_is_detected_by_checksum() {
-        let plan = FaultPlan::parse("9:corrupt@0->1#1").unwrap();
-        let res = run_world_with_faults(2, Some(plan), |r| {
+    /// Rank 0 sends `data` to rank 1 under `plan`; rank 1 returns what
+    /// it received.
+    fn one_message(plan: &str, data: &'static [f64]) -> WorldResult<Vec<f64>> {
+        run_world_with_config(faulted(2, plan), |r| {
             if r.rank() == 0 {
-                r.try_send(1, 4, &[1.0, 2.0]).unwrap();
-                None
-            } else {
-                r.recv_timeout(0, 4, Duration::from_secs(2)).err()
-            }
-        });
-        assert_eq!(res.per_rank[1], Some(CommError::CorruptPayload { from: 0, tag: 4 }));
-        assert_eq!(res.comm.faults_injected, 1);
-    }
-
-    #[test]
-    fn second_message_on_the_edge_passes_after_a_drop() {
-        let plan = FaultPlan::parse("9:drop@0->1#1").unwrap();
-        let res = run_world_with_faults(2, Some(plan), |r| {
-            if r.rank() == 0 {
-                r.try_send(1, 4, &[1.0]).unwrap(); // dropped
-                r.try_send(1, 5, &[2.0]).unwrap(); // delivered
+                r.send(1, 4, data).unwrap();
                 vec![]
             } else {
-                r.recv_timeout(0, 5, Duration::from_secs(2)).unwrap()
+                r.recv(0, 4).unwrap()
             }
-        });
-        assert_eq!(res.per_rank[1], vec![2.0]);
-    }
-
-    // --------------------------------------------- reliable delivery ----
-
-    /// Small-timeout policy for protocol tests: injected faults recover
-    /// in milliseconds instead of wall-clock minutes, and a genuinely
-    /// wedged exchange still terminates the test with a diagnosis.
-    fn fast_policy() -> RetryPolicy {
-        RetryPolicy {
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(4),
-            ft_timeout: Duration::from_secs(10),
-            recv_timeout: Duration::from_secs(10),
-            ..RetryPolicy::default()
-        }
-    }
-
-    fn faulted_cfg(n_ranks: usize, plan: &str) -> WorldConfig {
-        WorldConfig { n_ranks, faults: Some(FaultPlan::parse(plan).unwrap()), retry: fast_policy() }
+        })
     }
 
     #[test]
     fn reliable_send_recovers_from_a_dropped_payload() {
-        let res = run_world_with_config(faulted_cfg(2, "9:drop@0->1#1"), |r| {
-            if r.rank() == 0 {
-                r.send_reliable(1, 4, &[1.0, 2.0]).unwrap();
-                vec![]
-            } else {
-                r.recv_reliable(0, 4).unwrap()
-            }
-        });
-        assert_eq!(res.per_rank[1], vec![1.0, 2.0]);
-        assert_eq!(res.comm.retransmits, 1, "exactly the dropped payload is resent");
-        assert_eq!(res.comm.acks, 1);
-        assert_eq!(res.comm.corruptions_detected, 0);
-        assert_eq!(res.comm.transient_recoveries, 1);
-        assert_eq!(res.comm.faults_injected, 1);
-        assert!(res.failures.is_empty(), "a transient fault must not kill anyone");
+        // A drop and a corruption of the same transmission are a drop,
+        // whichever the plan lists first: nothing arrives to be damaged.
+        for plan in ["9:drop@0->1#1", "9:corrupt@0->1#1,drop@0->1#1"] {
+            let res = one_message(plan, &[1.0, 2.0]);
+            assert_eq!(res.per_rank[1], vec![1.0, 2.0], "{plan}");
+            let want = CommStats {
+                faults_injected: 1,
+                retransmits: 1,
+                acks: 1,
+                corruptions_detected: 0,
+                transient_recoveries: 1,
+            };
+            assert_eq!(res.comm, want, "{plan}: exactly the dropped attempt is resent");
+            assert!(res.failures.is_empty(), "a transient fault must not kill anyone");
+        }
     }
 
     #[test]
     fn reliable_send_recovers_from_a_corrupt_payload() {
-        let res = run_world_with_config(faulted_cfg(2, "9:corrupt@0->1#1"), |r| {
-            if r.rank() == 0 {
-                r.send_reliable(1, 4, &[3.0, -1.0]).unwrap();
-                vec![]
-            } else {
-                r.recv_reliable(0, 4).unwrap()
-            }
-        });
+        let res = one_message("9:corrupt@0->1#1", &[3.0, -1.0]);
         assert_eq!(res.per_rank[1], vec![3.0, -1.0], "the clean retransmission is delivered");
-        assert_eq!(res.comm.corruptions_detected, 1, "the damaged copy is detected and discarded");
+        assert_eq!(res.comm.corruptions_detected, 1, "the damaged attempt is detected");
         assert_eq!(res.comm.retransmits, 1);
-        assert_eq!(res.comm.acks, 1);
         assert_eq!(res.comm.transient_recoveries, 1);
         assert!(res.failures.is_empty());
     }
 
     #[test]
-    fn lost_ack_is_reacked_and_delivery_stays_exactly_once() {
-        // Drop the FIRST physical message on the 1 -> 0 edge: the ack.
-        // The sender times out and retransmits; the receiver must dedup
-        // the duplicate payload (deliver once) but ack it again.
-        let res = run_world_with_config(faulted_cfg(2, "9:drop@1->0#1"), |r| {
+    fn second_message_on_the_edge_passes_after_a_drop() {
+        // Ordinals count attempts: the first message's retransmission is
+        // #2, so the second message is #3 and passes untouched.
+        let res = run_world_with_config(faulted(2, "9:drop@0->1#1"), |r| {
             if r.rank() == 0 {
-                r.send_reliable(1, 4, &[7.0]).unwrap();
-                (vec![], None)
+                r.send(1, 4, &[1.0]).unwrap();
+                r.send(1, 5, &[2.0]).unwrap();
+                vec![]
             } else {
-                let first = r.recv_reliable(0, 4).unwrap();
-                // The duplicate was suppressed: nothing else arrives.
-                let dup = r.recv_timeout(0, 4, Duration::from_millis(300)).err();
-                (first, dup)
+                let second = r.recv(0, 5).unwrap();
+                [r.recv(0, 4).unwrap(), second].concat()
             }
         });
-        assert_eq!(res.per_rank[1].0, vec![7.0]);
-        assert_eq!(res.per_rank[1].1, Some(CommError::Timeout { what: "recv" }));
+        assert_eq!(res.per_rank[1], vec![1.0, 2.0]);
         assert_eq!(res.comm.retransmits, 1);
-        assert_eq!(res.comm.acks, 2, "original ack (lost) plus the re-ack of the duplicate");
-        assert_eq!(res.comm.transient_recoveries, 1);
-        assert!(res.failures.is_empty());
+        assert_eq!(res.comm.acks, 2);
     }
 
     #[test]
     fn exhausted_retry_budget_is_a_fatal_error() {
-        let mut cfg = faulted_cfg(2, "9:drop@0->1#1,drop@0->1#2,drop@0->1#3");
-        cfg.retry.max_attempts = 3;
-        cfg.retry.ack_timeout = Duration::from_millis(60);
+        let drops: Vec<String> = (1..=MAX_ATTEMPTS).map(|n| format!("drop@0->1#{n}")).collect();
+        let cfg = WorldConfig {
+            retry: RetryPolicy { timeout: Duration::from_millis(200) },
+            ..faulted(2, &format!("9:{}", drops.join(",")))
+        };
         let res = run_world_with_config(cfg, |r| {
             if r.rank() == 0 {
-                r.send_reliable(1, 4, &[1.0]).err()
+                r.send(1, 4, &[1.0]).err()
             } else {
-                r.recv_timeout(0, 4, Duration::from_millis(400)).err().map(|_| {
-                    CommError::Timeout { what: "recv" } // normalize: only rank 0's error matters
-                })
+                // Nothing ever reaches the channel.
+                r.recv(0, 4).err()
             }
         });
-        let err = res.per_rank[0].clone().expect("rank 0's send must fail");
-        assert_eq!(err, CommError::RetriesExhausted { to: 1, tag: 4, attempts: 3 });
-        assert!(!err.is_transient(), "an exhausted budget escalates as fatal");
-        assert_eq!(res.comm.retransmits, 2, "attempts 2 and 3 were retransmissions");
+        assert_eq!(res.per_rank[0], Some(CommError::RetriesExhausted { from: 0, to: 1 }));
+        assert_eq!(res.per_rank[1], Some(CommError::Timeout { what: "recv" }));
+        assert_eq!(res.comm.retransmits, MAX_ATTEMPTS as u64 - 1);
+        assert_eq!(res.comm.acks, 0);
     }
 
     #[test]
     fn gsumf_retransmits_through_dropped_and_corrupt_tree_messages() {
-        // Faults on reduction-tree data edges (1->0, 2->0) and on an ack
+        // Faults on two reduction edges (1->0, 2->0) and on a broadcast
         // edge (0->1): every one must drain into retransmission.
-        let res = run_world_with_config(
-            faulted_cfg(4, "9:drop@1->0#1,corrupt@2->0#1,drop@0->1#1"),
-            |r| {
+        let res =
+            run_world_with_config(faulted(4, "9:drop@1->0#1,corrupt@2->0#1,drop@0->1#1"), |r| {
                 let mut v = vec![r.rank() as f64, 1.0];
                 r.try_gsumf(&mut v).unwrap();
                 v
-            },
-        );
+            });
         for v in res.per_rank {
             assert_eq!(v, vec![6.0, 4.0]);
         }
-        assert!(
-            res.comm.retransmits >= 3,
-            "each injected fault forces a resend: {}",
-            res.comm.retransmits
-        );
-        assert_eq!(res.comm.corruptions_detected, 1);
-        // One recovery per reliable send that survived ≥1 transient
-        // fault: rank 1's reduce send (hit by a payload drop AND an ack
-        // drop) and rank 2's reduce send (hit by a corruption).
-        assert_eq!(res.comm.transient_recoveries, 2);
+        let want = CommStats {
+            faults_injected: 3,
+            retransmits: 3,
+            acks: 6, // three reduce and three broadcast messages
+            corruptions_detected: 1,
+            transient_recoveries: 3,
+        };
+        assert_eq!(res.comm, want);
         assert!(res.failures.is_empty(), "transient faults must not kill ranks");
-        assert_eq!(res.comm.faults_injected, 3);
-    }
-
-    #[test]
-    fn unreliable_policy_keeps_raw_fire_and_forget_semantics() {
-        let mut cfg = faulted_cfg(2, "9:drop@0->1#1");
-        cfg.retry = RetryPolicy::none().with_comm_timeout(Duration::from_secs(5));
-        let res = run_world_with_config(cfg, |r| {
-            if r.rank() == 0 {
-                r.send_reliable(1, 4, &[1.0]).unwrap();
-                None
-            } else {
-                r.recv_timeout(0, 4, Duration::from_millis(100)).err()
-            }
-        });
-        assert_eq!(res.per_rank[1], Some(CommError::Timeout { what: "recv" }));
-        assert_eq!(res.comm.retransmits, 0);
-        assert_eq!(res.comm.acks, 0);
     }
 
     #[test]
     fn comm_timeouts_are_configurable_not_hard_coded() {
         // One rank never reaches the barrier; with a millisecond-scale
-        // configured ft_timeout the waiter diagnoses the hang in well
-        // under a second instead of the legacy fixed 30 s.
-        let retry = RetryPolicy {
-            max_attempts: 2,
-            ft_timeout: Duration::from_millis(50),
-            ..RetryPolicy::default()
-        };
-        let cfg = WorldConfig { n_ranks: 2, faults: None, retry };
+        // configured timeout the waiter diagnoses the hang in well under
+        // a second instead of the default 30 s.
         let start = Instant::now();
-        let res = run_world_with_config(cfg, |r| {
+        let res = run_world_with_config(impatient(2, 50), |r| {
             if r.rank() == 0 {
                 r.ft_barrier().err()
             } else {

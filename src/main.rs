@@ -12,7 +12,7 @@
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::{graphene, small};
 use phi_scf::chem::Molecule;
-use phi_scf::dmpi::{DdiMode, FaultPlan};
+use phi_scf::dmpi::{DdiMode, FaultPlan, RetryPolicy};
 use phi_scf::hf::{mp2_energy, run_scf, FockAlgorithm, MemoryModel, ScfConfig, ScfResult, Spin};
 
 const HELP: &str = "\
@@ -70,11 +70,12 @@ OPTIONS:
                          delay@<rank>#<claim>:<ms> |
                          drop@<from>-><to>#<nth> |
                          corrupt@<from>-><to>#<nth>
+                         (parallel algorithms only; every rank named must
+                         exist, and claims and messages count from #1)
                          e.g. --faults 42:kill@3,delay@1#2:50
     --comm-timeout-ms <MS>
-                         barrier/receive timeout for the failure-aware
-                         collectives (replaces the old hard-coded 30-60 s
-                         ceilings; ack timeouts scale to min(MS, 200) ms)
+                         barrier/lease/receive timeout for the
+                         failure-aware collectives     [default: 30000]
                          (parallel algorithms only; survivors reclaim the
                          dead ranks' tasks and finish the build)
     --trace <FILE>       record a span trace of the whole run and write it
@@ -192,6 +193,24 @@ fn check_uhf_occupations(
     Ok(())
 }
 
+/// `--faults` only fires inside a world: refuse a plan the serial build
+/// would ignore, or one naming a rank the algorithm does not run.
+fn check_fault_plan(plan: &FaultPlan, alg: FockAlgorithm, spec: &str) -> Result<(), String> {
+    if alg == FockAlgorithm::Serial {
+        return Err("--faults needs a parallel --algorithm: serial has no ranks to kill and \
+                    no messages to lose"
+            .into());
+    }
+    let (ranks, _) = alg.shape();
+    match plan.max_rank() {
+        Some(rank) if rank >= ranks => Err(format!(
+            "--faults names rank {rank}, but --algorithm {spec} runs ranks 0..{}",
+            ranks - 1
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Apply `--memory-budget`: print the model table and refuse an
 /// over-budget algorithm, pointing at the sharded configuration that fits.
 fn check_memory_budget(
@@ -251,7 +270,7 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
     let mut mp2 = false;
     let mut diis = true;
     let mut faults: Option<FaultPlan> = None;
-    let mut retry = phi_scf::dmpi::RetryPolicy::default();
+    let mut retry = RetryPolicy::default();
     let mut trace_path: Option<String> = None;
     let mut incremental = false;
     let mut full_rebuild_every: Option<usize> = None;
@@ -315,10 +334,7 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
                 if ms == 0 {
                     return Err("--comm-timeout-ms needs MS >= 1".into());
                 }
-                retry = retry.with_comm_timeout(std::time::Duration::from_millis(ms));
-                // Ack timeouts longer than the receive ceiling would turn
-                // every transient fault into a barrier timeout first.
-                retry.ack_timeout = retry.ack_timeout.min(retry.ft_timeout);
+                retry = RetryPolicy { timeout: std::time::Duration::from_millis(ms) };
             }
             "--trace" => trace_path = Some(value("trace")?),
             "--help" | "-h" => {
@@ -355,6 +371,9 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
     );
 
     let alg = parse_algorithm(&algorithm)?;
+    if let Some(plan) = &faults {
+        check_fault_plan(plan, alg, &algorithm)?;
+    }
     if mp2 && uhf.is_some() {
         return Err("--mp2 is the closed-shell formula over one set of doubly occupied \
                     orbitals; --uhf produces two spin sets (drop one of the two flags)"
@@ -561,6 +580,19 @@ mod tests {
                 &["--full-rebuild-every", "--incremental"],
             ),
             ("--molecule water --basis sto3g --purify", &["unknown option", "--purify"]),
+            (
+                "--molecule water --basis sto3g --algorithm serial --faults 1:kill@3",
+                &["--faults", "serial"],
+            ),
+            (
+                "--molecule water --basis sto3g --algorithm mpi:2 --faults 1:kill@2#1",
+                &["--faults", "rank 2", "mpi:2"],
+            ),
+            (
+                "--molecule water --basis sto3g --algorithm sharded:2 --faults 1:drop@0->3#1",
+                &["--faults", "rank 3", "sharded:2"],
+            ),
+            ("--molecule water --basis sto3g --faults 1:delay@0#0:5", &["claim index", "#0"]),
         ] {
             let err = run(args(job)).err().unwrap_or_else(|| panic!("'{job}' ran"));
             assert!(named.iter().all(|n| err.contains(n)), "'{job}': {err}");

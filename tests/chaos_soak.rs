@@ -2,21 +2,24 @@
 //! corruptions and stragglers in the same run — against every parallel
 //! builder, including the sharded build under both DDI transports.
 //!
-//! The contract under test is the transient/fatal taxonomy of PR 8:
+//! The contract under test:
 //!
 //! * the kill is the only fatal fault — exactly one rank dies, its
 //!   leases are reclaimed, and the build completes on the survivors;
-//! * every drop/corrupt drains into acked retransmission
-//!   (`retransmits > 0`, `transient_recoveries > 0`) and costs **zero**
-//!   additional rank deaths;
-//! * the recovered Fock matrix matches the serial reference to 1e-12.
+//! * every drop/corrupt drains into retransmission (`retransmits > 0`,
+//!   `transient_recoveries > 0`) and costs **zero** additional rank
+//!   deaths;
+//! * the recovered Fock matrix matches the serial reference to 1e-12;
+//! * a clean build runs no protocol at all: its ledger is all zero.
 //!
 //! Plans are seeded and replay deterministically; CI sweeps extra seeds
 //! through `PHI_FAULT_SEEDS` with a hang-guard timeout on the job.
 
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
-use phi_scf::dmpi::{DdiMode, FaultPlan, RetryPolicy};
+use phi_scf::dmpi::{
+    run_world_with_config, CommStats, DdiMode, FaultPlan, RetryPolicy, WorldConfig, MAX_ATTEMPTS,
+};
 use phi_scf::hf::{run_scf, DensitySet, FockAlgorithm, FockData, ScfConfig};
 use phi_scf::linalg::Mat;
 use std::time::Duration;
@@ -66,22 +69,6 @@ fn mixed_plan(seed: u64) -> FaultPlan {
     .expect("chaos plan parses")
 }
 
-/// Millisecond-scale timeouts so a dropped message costs tens of
-/// milliseconds, not the defaults' 200 ms — and so a genuine hang is
-/// diagnosed in seconds. Budget of 5 attempts absorbs the
-/// drop-then-corrupt chains the plan schedules.
-fn soak_policy() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 5,
-        ack_timeout: Duration::from_millis(40),
-        backoff_base: Duration::from_millis(1),
-        backoff_cap: Duration::from_millis(8),
-        ft_timeout: Duration::from_secs(10),
-        recv_timeout: Duration::from_secs(20),
-        ..RetryPolicy::default()
-    }
-}
-
 fn density(n: usize) -> Mat {
     Mat::from_fn(n, n, |i, j| {
         let (i, j) = if i >= j { (i, j) } else { (j, i) };
@@ -100,7 +87,7 @@ fn mixed_faults_recover_on_every_builder_with_zero_transient_deaths() {
 
     for seed in seeds() {
         for alg in algorithms() {
-            let builder = alg.builder_with_comm(Some(mixed_plan(seed)), soak_policy());
+            let builder = alg.builder_with_faults(Some(mixed_plan(seed)));
             let got = builder.build(&ctx, &DensitySet::Restricted(&d));
             let label = builder.label();
             let diff = got.g.max_abs_diff(&want.g);
@@ -126,15 +113,13 @@ fn mixed_faults_recover_on_every_builder_with_zero_transient_deaths() {
                 got.stats.tasks_reclaimed > 0,
                 "{label} seed {seed}: the killed rank died holding a lease"
             );
-            // Counter coherence: acked traffic implies acks were counted;
-            // every retransmission beyond a corruption implies at least
-            // one detected corruption was paid for by a resend.
+            // Counter coherence: every recovered message was delivered,
+            // and every detected corruption was paid for by a resend.
             assert!(
-                got.stats.comm.acks >= got.stats.comm.retransmits,
-                "{label} seed {seed}: {} acks < {} retransmits — successful \
-                 retransmissions must each be acked",
+                got.stats.comm.acks >= got.stats.comm.transient_recoveries,
+                "{label} seed {seed}: {} deliveries < {} recoveries",
                 got.stats.comm.acks,
-                got.stats.comm.retransmits
+                got.stats.comm.transient_recoveries
             );
             assert!(
                 got.stats.comm.retransmits >= got.stats.comm.corruptions_detected,
@@ -168,7 +153,6 @@ fn chaos_scf_converges_to_the_fault_free_energy() {
             &ScfConfig {
                 algorithm: FockAlgorithm::MpiOnly { n_ranks: 4 },
                 faults: Some(mixed_plan(seed)),
-                retry: soak_policy(),
                 ..Default::default()
             },
         );
@@ -188,43 +172,56 @@ fn chaos_scf_converges_to_the_fault_free_energy() {
 
 #[test]
 fn unreliable_policy_under_drops_collapses_reliable_policy_recovers() {
-    // The control experiment: same drop fault, reliability off
-    // (max_attempts = 1) versus on. Without retransmission a dropped
-    // reduction message is unrecoverable — the sender exhausts its single
-    // attempt, the root's receive times out, the broadcast never happens,
-    // and the world collapses with no survivor to return the Fock. With
-    // it, the identical plan costs one retransmission.
+    // The control experiment. A plan that drops every attempt the
+    // retransmit budget allows on one reduction edge collapses the
+    // MPI-only build's collective: rank 1 gives up after MAX_ATTEMPTS - 1
+    // resends and dies, the root's receive times out, the broadcast never
+    // happens, and no rank finishes the sum. With one drop on the same
+    // edge, the budget costs one retransmission and nobody dies.
+    let drops: Vec<String> = (1..=MAX_ATTEMPTS).map(|n| format!("drop@1->0#{n}")).collect();
+    let collapsed = run_world_with_config(
+        WorldConfig {
+            n_ranks: 4,
+            faults: Some(FaultPlan::parse(&format!("7:{}", drops.join(","))).unwrap()),
+            retry: RetryPolicy { timeout: Duration::from_millis(500) },
+        },
+        |r| r.try_gsumf(&mut [r.rank() as f64]).is_ok(),
+    );
+    assert!(collapsed.per_rank.iter().all(|&ok| !ok), "a sum missing rank 1 must not finish");
+    assert!(collapsed.failed_ranks().contains(&1), "the exhausted sender escalates");
+    assert_eq!(collapsed.comm.retransmits, MAX_ATTEMPTS as u64 - 1);
+    assert_eq!(collapsed.comm.faults_injected, MAX_ATTEMPTS as u64, "every attempt was lost");
+
     let mol = small::water();
     let b = BasisSet::build(&mol, BasisName::Sto3g);
     let data = FockData::build(&b);
     let ctx = data.context(&b, 1e-12);
     let d = density(b.n_basis());
-    let plan = || FaultPlan::parse("7:drop@1->0#1").expect("plan parses");
-
-    let off = RetryPolicy {
-        ft_timeout: Duration::from_millis(500),
-        recv_timeout: Duration::from_millis(500),
-        ..RetryPolicy::none()
-    };
+    let plan = FaultPlan::parse("7:drop@1->0#1").expect("plan parses");
     let alg = FockAlgorithm::MpiOnly { n_ranks: 4 };
-    let collapsed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        alg.builder_with_comm(Some(plan()), off).build(&ctx, &DensitySet::Restricted(&d))
-    }));
-    match collapsed {
-        Err(_) => {} // every rank timed out: "no surviving rank returned the reduced Fock"
-        Ok(got) => {
-            assert!(
-                !got.stats.failed_ranks.is_empty(),
-                "fire-and-forget under a dropped reduction message must lose ranks"
-            );
-            assert_eq!(got.stats.comm.retransmits, 0);
-        }
-    }
-
-    let on = soak_policy();
-    let got = alg.builder_with_comm(Some(plan()), on).build(&ctx, &DensitySet::Restricted(&d));
+    let got = alg.builder_with_faults(Some(plan)).build(&ctx, &DensitySet::Restricted(&d));
     let want = FockAlgorithm::Serial.builder().build(&ctx, &DensitySet::Restricted(&d));
-    assert!(got.stats.failed_ranks.is_empty(), "reliable delivery must absorb the drop");
-    assert!(got.stats.comm.retransmits > 0);
+    assert!(got.stats.failed_ranks.is_empty(), "retransmission must absorb the drop");
+    assert_eq!(got.stats.comm.retransmits, 1);
     assert!(got.g.max_abs_diff(&want.g) <= 1e-12);
+}
+
+#[test]
+fn clean_parallel_builds_report_an_empty_comm_ledger() {
+    // Without a fault plan there is no link: each message is one channel
+    // send, with no checksum, no ack and nothing to count.
+    let b = BasisSet::build(&small::water(), BasisName::Sto3g);
+    let data = FockData::build(&b);
+    let ctx = data.context(&b, 1e-12);
+    let d = density(b.n_basis());
+    for alg in [
+        FockAlgorithm::MpiOnly { n_ranks: 2 },
+        FockAlgorithm::PrivateFock { n_ranks: 1, n_threads: 2 },
+        FockAlgorithm::SharedFock { n_ranks: 1, n_threads: 2 },
+        FockAlgorithm::Distributed { n_ranks: 2 },
+        FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::Mpi3OneSided },
+    ] {
+        let got = alg.builder().build(&ctx, &DensitySet::Restricted(&d));
+        assert_eq!(got.stats.comm, CommStats::default(), "{}", alg.label());
+    }
 }

@@ -13,12 +13,11 @@
 
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
-use phi_scf::dmpi::{DdiMode, FaultPlan, RetryPolicy};
+use phi_scf::dmpi::{DdiMode, FaultPlan};
 use phi_scf::hf::{DensitySet, FockAlgorithm, FockBuildStats, FockData};
 use phi_scf::linalg::Mat;
 use phi_scf::trace::{TraceReport, TraceSession};
 use std::collections::BTreeSet;
-use std::time::Duration;
 
 fn algorithms() -> [FockAlgorithm; 4] {
     [
@@ -145,9 +144,9 @@ fn clean_builds_trace_no_fault_events() {
 /// Trace-side reconciliation: the retransmit/recovery instants the world
 /// and the window links emit must agree exactly with the stats counters
 /// the builders return — the deterministic replacement for asserting on
-/// wall-clock behavior. The plan and policy are `tests/chaos_soak.rs`'s
-/// seed-11 soak; the test lives here because exact totals need every
-/// test in the binary to hold the session lock around its builds.
+/// wall-clock behavior. The plan is `tests/chaos_soak.rs`'s seed-11
+/// soak; the test lives here because exact totals need every test in the
+/// binary to hold the session lock around its builds.
 #[test]
 fn chaos_trace_instants_reconcile_exactly_with_build_stats() {
     let b = BasisSet::build(&small::water(), BasisName::Sto3g);
@@ -159,22 +158,13 @@ fn chaos_trace_instants_reconcile_exactly_with_build_stats() {
          corrupt@1->0#2,corrupt@2->0#2,delay@0#1:3,delay@3#1:2",
     )
     .expect("chaos plan parses");
-    let policy = RetryPolicy {
-        max_attempts: 5,
-        ack_timeout: Duration::from_millis(40),
-        backoff_base: Duration::from_millis(1),
-        backoff_cap: Duration::from_millis(8),
-        ft_timeout: Duration::from_secs(10),
-        recv_timeout: Duration::from_secs(20),
-        ..RetryPolicy::default()
-    };
 
     for alg in [
         FockAlgorithm::MpiOnly { n_ranks: 4 },
         FockAlgorithm::Sharded { n_ranks: 4, mode: DdiMode::DataServer },
     ] {
         let session = TraceSession::begin();
-        let builder = alg.builder_with_comm(Some(plan.clone()), policy);
+        let builder = alg.builder_with_faults(Some(plan.clone()));
         let got = builder.build(&ctx, &DensitySet::Restricted(&d));
         let report = session.finish();
         let label = builder.label();
