@@ -22,7 +22,7 @@
 use super::engine::FockContext;
 use super::kl_bounds;
 use crate::stats::FockBuildStats;
-use phi_dmpi::{DdiMode, DistributedArray, FaultPlan, LeaseMode, Rank, RetryPolicy, WorldConfig};
+use phi_dmpi::{DistributedArray, FaultPlan, LeaseMode, Rank, RetryPolicy, WorldConfig};
 use phi_integrals::EriEngine;
 use phi_omp::ThreadCtx;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -268,8 +268,8 @@ impl World<'_> {
     /// A zeroed window of `len` elements striped over this world's ranks.
     /// Windows are created outside the world, so flushed contributions
     /// survive rank deaths.
-    pub(crate) fn window(&self, len: usize, mode: DdiMode) -> DistributedArray {
-        self.reliable(DistributedArray::new_with_mode(len, self.n_ranks, mode))
+    pub(crate) fn window(&self, len: usize) -> DistributedArray {
+        self.reliable(DistributedArray::new(len, self.n_ranks))
     }
 
     /// Run `body` on every rank and assemble the build's statistics.

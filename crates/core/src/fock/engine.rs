@@ -209,9 +209,7 @@ fn run_policy<const NCH: usize>(
         FockAlgorithm::Distributed { n_ranks } => {
             super::sharded::build_distributed(ctx, dens, &world(n_ranks))
         }
-        FockAlgorithm::Sharded { n_ranks, mode } => {
-            super::sharded::build(ctx, dens, &world(n_ranks), mode)
-        }
+        FockAlgorithm::Sharded { n_ranks, .. } => super::sharded::build(ctx, dens, &world(n_ranks)),
     }
 }
 
@@ -304,7 +302,7 @@ mod tests {
             FockAlgorithm::PrivateFock { n_ranks: 2, n_threads: 2 },
             FockAlgorithm::SharedFock { n_ranks: 1, n_threads: 3 },
             FockAlgorithm::Distributed { n_ranks: 2 },
-            FockAlgorithm::Sharded { n_ranks: 2, mode: phi_dmpi::DdiMode::DataServer },
+            FockAlgorithm::Sharded { n_ranks: 2, mode: phi_dmpi::DdiMode::Mpi3OneSided },
         ] {
             let builder = alg.builder();
             let got = builder.build(&ctx, &dens);

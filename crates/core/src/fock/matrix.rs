@@ -38,7 +38,7 @@
 
 use super::{ChannelSink, DensityRead, FockSink, ReplicatedDensity};
 use phi_chem::Shell;
-use phi_dmpi::{DdiMode, DistributedArray};
+use phi_dmpi::DistributedArray;
 use phi_linalg::Mat;
 use std::collections::VecDeque;
 use std::mem::size_of;
@@ -178,7 +178,6 @@ pub fn scatter_density<const NCH: usize>(
     dens: &ReplicatedDensity<'_, NCH>,
     n: usize,
     n_ranks: usize,
-    mode: DdiMode,
 ) -> Vec<DistributedArray> {
     let pack = |m: &Mat| {
         let mut buf = vec![0.0; tri_len(n)];
@@ -187,7 +186,7 @@ pub fn scatter_density<const NCH: usize>(
                 buf[tri_index(p, q)] = m[(p, q)];
             }
         }
-        let win = DistributedArray::new_with_mode(tri_len(n), n_ranks, mode);
+        let win = DistributedArray::new(tri_len(n), n_ranks);
         win.put(0, 0, &buf);
         win
     };
@@ -555,8 +554,8 @@ mod tests {
         fock.into_mats()
     }
 
-    /// The sweep over the RowShard backends in both DDI modes must land
-    /// within 1e-12 of `want` in every channel.
+    /// The sweep over the RowShard backends must land within 1e-12 of
+    /// `want` in every channel.
     fn assert_rowshard_matches<const NCH: usize>(
         label: &str,
         b: &BasisSet,
@@ -564,22 +563,19 @@ mod tests {
         want: &[Mat],
     ) {
         let n = b.n_basis();
-        for mode in [DdiMode::Mpi3OneSided, DdiMode::DataServer] {
-            let d_wins = scatter_density(&dens, n, 3, mode);
-            let f_wins: Vec<DistributedArray> =
-                (0..NCH).map(|_| DistributedArray::new_with_mode(tri_len(n), 3, mode)).collect();
-            let mut fock = RowShardFock::new(&f_wins, n, 0);
-            sweep(b, &mut ShardDensity::new(&d_wins, n, 0), &mut fock);
-            fock.flush();
-            for (ch, want_ch) in want.iter().enumerate() {
-                let got = gather_tri(&f_wins[ch], n);
-                assert!(
-                    got.max_abs_diff(want_ch) < 1e-12,
-                    "{label} ch {ch} {:?}: diff {}",
-                    mode,
-                    got.max_abs_diff(want_ch)
-                );
-            }
+        let d_wins = scatter_density(&dens, n, 3);
+        let f_wins: Vec<DistributedArray> =
+            (0..NCH).map(|_| DistributedArray::new(tri_len(n), 3)).collect();
+        let mut fock = RowShardFock::new(&f_wins, n, 0);
+        sweep(b, &mut ShardDensity::new(&d_wins, n, 0), &mut fock);
+        fock.flush();
+        for (ch, want_ch) in want.iter().enumerate() {
+            let got = gather_tri(&f_wins[ch], n);
+            assert!(
+                got.max_abs_diff(want_ch) < 1e-12,
+                "{label} ch {ch}: diff {}",
+                got.max_abs_diff(want_ch)
+            );
         }
     }
 
@@ -613,7 +609,7 @@ mod tests {
     fn shard_density_cache_stays_bounded_and_reads_symmetric() {
         let n = 40;
         let d = density(n);
-        let wins = scatter_density(&ReplicatedDensity::restricted(&d), n, 4, DdiMode::Mpi3OneSided);
+        let wins = scatter_density(&ReplicatedDensity::restricted(&d), n, 4);
         let mut reader = ShardDensity::new(&wins, n, 1);
         for p in 0..n {
             for q in 0..n {
@@ -757,9 +753,7 @@ mod tests {
     fn scatter_gather_roundtrip() {
         let n = 17;
         let d = density(n);
-        for mode in [DdiMode::Mpi3OneSided, DdiMode::DataServer] {
-            let wins = scatter_density(&ReplicatedDensity::restricted(&d), n, 5, mode);
-            assert_eq!(gather_tri(&wins[0], n).max_abs_diff(&d), 0.0);
-        }
+        let wins = scatter_density(&ReplicatedDensity::restricted(&d), n, 5);
+        assert_eq!(gather_tri(&wins[0], n).max_abs_diff(&d), 0.0);
     }
 }

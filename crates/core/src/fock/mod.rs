@@ -54,8 +54,8 @@ pub enum FockAlgorithm {
     /// (one-sided accumulates), never replicated or reduced.
     Distributed { n_ranks: usize },
     /// Fully sharded: density *and* Fock live in tri-packed DDI windows;
-    /// no rank ever holds a full N x N matrix. `mode` picks the DDI
-    /// transport (data servers vs MPI-3 one-sided).
+    /// no rank ever holds a full N x N matrix. `mode` has one value, the
+    /// MPI-3 one-sided transport every window build runs.
     Sharded { n_ranks: usize, mode: phi_dmpi::DdiMode },
 }
 

@@ -35,27 +35,24 @@ use super::matrix::{
     shard_stripe_bytes, shard_writer_bytes, tri_len, RowShardFock, ShardDensity, StripRouter,
 };
 use super::{digest, pair_decode, ChannelSink, DensityRead, GBuild, ReplicatedDensity};
-use phi_dmpi::{DdiMode, DistributedArray, LeaseMode};
+use phi_dmpi::{DistributedArray, LeaseMode};
 use phi_integrals::screening::n_pairs;
 
-/// `Sharded`: the window build over density scattered into `mode`'s
-/// tri-packed windows and read through [`ShardDensity`].
+/// `Sharded`: the window build over density scattered into tri-packed
+/// windows and read through [`ShardDensity`].
 pub(crate) fn build<const NCH: usize>(
     ctx: &FockContext<'_>,
     dens: ReplicatedDensity<'_, NCH>,
     world: &World<'_>,
-    mode: DdiMode,
 ) -> GBuild {
     let n = ctx.basis.n_basis();
     // The density scatter is the driver's job (it already owns the full
     // matrices); the link faults attach only after it.
-    let d_wins: Vec<DistributedArray> = scatter_density(&dens, n, world.n_ranks, mode)
-        .into_iter()
-        .map(|w| world.reliable(w))
-        .collect();
+    let d_wins: Vec<DistributedArray> =
+        scatter_density(&dens, n, world.n_ranks).into_iter().map(|w| world.reliable(w)).collect();
     let reader_bytes =
         shard_stripe_bytes(n, world.n_ranks, d_wins.len()) + shard_reader_bytes(n, NCH);
-    window_build::<NCH, _>(ctx, world, mode, reader_bytes, &d_wins, |rank| {
+    window_build::<NCH, _>(ctx, world, reader_bytes, &d_wins, |rank| {
         ShardDensity::new(&d_wins, n, rank)
     })
 }
@@ -68,18 +65,16 @@ pub(crate) fn build_distributed<const NCH: usize>(
     world: &World<'_>,
 ) -> GBuild {
     let reader_bytes = replicated_density_bytes(ctx.basis.n_basis(), NCH);
-    window_build::<NCH, _>(ctx, world, DdiMode::Mpi3OneSided, reader_bytes, &[], |_| dens)
+    window_build::<NCH, _>(ctx, world, reader_bytes, &[], |_| dens)
 }
 
 /// The one window-build body: DLB over `(i, j)` pairs, density from
-/// `reader(rank)`, Fock accumulated into tri-packed windows through
-/// `mode`'s DDI transport. `reader_bytes` is what the reader keeps per
-/// rank; `d_wins` are its windows, if any, whose link counters belong to
-/// the build.
+/// `reader(rank)`, Fock accumulated into tri-packed windows by one-sided
+/// `acc`. `reader_bytes` is what the reader keeps per rank; `d_wins` are
+/// its windows, if any, whose link counters belong to the build.
 fn window_build<const NCH: usize, D: DensityRead>(
     ctx: &FockContext<'_>,
     world: &World<'_>,
-    mode: DdiMode,
     reader_bytes: usize,
     d_wins: &[DistributedArray],
     reader: impl Fn(usize) -> D + Sync,
@@ -87,7 +82,7 @@ fn window_build<const NCH: usize, D: DensityRead>(
     let basis = ctx.basis;
     let n = basis.n_basis();
     let n_pair = n_pairs(basis.n_shells());
-    let f_wins: Vec<DistributedArray> = (0..NCH).map(|_| world.window(tri_len(n), mode)).collect();
+    let f_wins: Vec<DistributedArray> = (0..NCH).map(|_| world.window(tri_len(n))).collect();
     // Per-rank resident bytes: the reader, this rank's stripe of every
     // Fock window and the O(N) writer. `MemoryModel::per_rank_bytes`
     // states the same terms.
@@ -148,7 +143,6 @@ fn window_build<const NCH: usize, D: DensityRead>(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::fock::engine::FockData;
     use crate::fock::DensitySet::{self, Restricted};
     use crate::fock::FockAlgorithm;
@@ -156,6 +150,7 @@ mod tests {
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
     use phi_chem::BasisSet;
+    use phi_dmpi::DdiMode;
     use phi_linalg::Mat;
 
     fn density(n: usize) -> Mat {
@@ -166,25 +161,22 @@ mod tests {
     }
 
     #[test]
-    fn matches_serial_for_various_rank_counts_and_modes() {
+    fn sharded_matches_serial_for_various_rank_counts() {
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
         let data = FockData::build(&b);
         let d = density(b.n_basis());
         let want =
             FockAlgorithm::Serial.builder().build(&data.context(&b, 1e-12), &Restricted(&d)).g;
         for n_ranks in [1, 2, 4] {
-            for mode in [DdiMode::Mpi3OneSided, DdiMode::DataServer] {
-                let got = FockAlgorithm::Sharded { n_ranks, mode }
-                    .builder()
-                    .build(&data.context(&b, 1e-12), &Restricted(&d));
-                assert!(
-                    got.g.max_abs_diff(&want) < 1e-12,
-                    "{n_ranks} ranks {}: diff {}",
-                    mode.label(),
-                    got.g.max_abs_diff(&want)
-                );
-                assert!(got.stats.flushes > 0);
-            }
+            let got = FockAlgorithm::Sharded { n_ranks, mode: DdiMode::Mpi3OneSided }
+                .builder()
+                .build(&data.context(&b, 1e-12), &Restricted(&d));
+            assert!(
+                got.g.max_abs_diff(&want) < 1e-12,
+                "{n_ranks} ranks: diff {}",
+                got.g.max_abs_diff(&want)
+            );
+            assert!(got.stats.flushes > 0);
         }
     }
 

@@ -32,9 +32,7 @@ pub struct MemoryModel {
     pub max_shell_width: usize,
     /// Bytes of the persistent shell-pair dataset
     /// ([`phi_integrals::ShellPairs::bytes`]). Charged once per MPI rank —
-    /// shared read-only by the rank's threads, never replicated per thread,
-    /// and not doubled by DDI data servers (data servers hold distributed
-    /// arrays, not integral data).
+    /// shared read-only by the rank's threads, never replicated per thread.
     pub pair_bytes: usize,
 }
 
@@ -46,14 +44,12 @@ impl MemoryModel {
     ///
     /// The two window builds price what their restricted builds charge the
     /// tracker, so these rows equal the tracked per-rank peak byte for
-    /// byte (one-sided transport). Both hold a stripe of the tri-packed
-    /// Fock window (`N(N+1)/2` words divided over the world's ranks) and
-    /// the O(N) writer — `acc` buffer, FI/FJ strips, `(k, l)` scratch.
-    /// `Distributed` adds one whole density copy. `Sharded` adds a density
-    /// window stripe and the O(N) row cache instead, which makes it the
-    /// only sub-quadratic row — the variant that dodges the memory wall;
-    /// DDI data servers double its stripes, since the servers hold the
-    /// array segments.
+    /// byte. Both hold a stripe of the tri-packed Fock window (`N(N+1)/2`
+    /// words divided over the world's ranks) and the O(N) writer — `acc`
+    /// buffer, FI/FJ strips, `(k, l)` scratch. `Distributed` adds one whole
+    /// density copy. `Sharded` adds a density window stripe and the O(N)
+    /// row cache instead, which makes it the only sub-quadratic row — the
+    /// variant that dodges the memory wall.
     pub fn per_rank_bytes(&self, alg: FockAlgorithm) -> f64 {
         let n = self.n_basis;
         let n2 = (n as f64) * (n as f64);
@@ -66,9 +62,8 @@ impl MemoryModel {
             FockAlgorithm::Distributed { .. } => {
                 (replicated_density_bytes(n, 1) + shard_stripe_bytes(n, ranks, 1) + writer) as f64
             }
-            FockAlgorithm::Sharded { mode, .. } => {
-                let stripes = shard_stripe_bytes(n, ranks, 2) * mode.processes_per_rank();
-                (stripes + shard_reader_bytes(n, 1) + writer) as f64
+            FockAlgorithm::Sharded { .. } => {
+                (shard_stripe_bytes(n, ranks, 2) + shard_reader_bytes(n, 1) + writer) as f64
             }
         };
         matrices + self.pair_bytes as f64
@@ -151,23 +146,12 @@ mod tests {
 
     const HYBRID_4X64: FockAlgorithm = FockAlgorithm::SharedFock { n_ranks: 4, n_threads: 64 };
 
-    fn sharded(n_ranks: usize, mode: DdiMode) -> FockAlgorithm {
-        FockAlgorithm::Sharded { n_ranks, mode }
+    fn sharded(n_ranks: usize) -> FockAlgorithm {
+        FockAlgorithm::Sharded { n_ranks, mode: DdiMode::Mpi3OneSided }
     }
 
     #[test]
-    fn data_servers_double_everything() {
-        // Everything a data server holds, that is: the array segments. The
-        // sharded rows are the only ones with a `DdiMode`; their stripe
-        // term doubles exactly, the rank-local state stays.
-        let m = MemoryModel { n_basis: 1800, max_shell_width: 6, pair_bytes: 0 };
-        let local = (shard_reader_bytes(1800, 1) + shard_writer_bytes(1800, 6, 1)) as f64;
-        let stripes = |mode| m.per_rank_bytes(sharded(64, mode)) - local;
-        assert!((stripes(DdiMode::DataServer) / stripes(DdiMode::Mpi3OneSided) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn shell_pair_term_is_per_rank_not_per_thread_or_server() {
+    fn shell_pair_term_is_per_rank_not_per_thread() {
         let pair_bytes = 123_456_789usize;
         let base = MemoryModel { n_basis: 1800, max_shell_width: 6, pair_bytes: 0 };
         let with_pairs = MemoryModel { pair_bytes, ..base };
@@ -177,10 +161,6 @@ mod tests {
         assert!((delta - 4.0 * pair_bytes as f64).abs() < 1e-6);
         let private = FockAlgorithm::PrivateFock { n_ranks: 4, n_threads: 64 };
         assert!((per_node(&with_pairs, private) - per_node(&base, private) - delta).abs() < 1e-6);
-        // Data servers double the distributed arrays but NOT the pair data.
-        let servers = sharded(4, DdiMode::DataServer);
-        let delta_servers = per_node(&with_pairs, servers) - per_node(&base, servers);
-        assert!((delta_servers - delta).abs() < 1e-6);
     }
 
     #[test]
@@ -205,15 +185,10 @@ mod tests {
         let n_basis = PaperSystem::Nm20.n_basis_functions();
         let m = MemoryModel { n_basis, max_shell_width: 6, pair_bytes: 0 };
         let shared = m.per_rank_bytes(HYBRID_4X64);
-        let sharded_64 = m.per_rank_bytes(sharded(64, DdiMode::Mpi3OneSided));
+        let sharded_64 = m.per_rank_bytes(sharded(64));
         assert!(sharded_64 < shared / 10.0, "sharded {sharded_64} vs shared Fock {shared}");
         // More world ranks -> thinner stripes, monotonically.
-        assert!(m.per_rank_bytes(sharded(256, DdiMode::Mpi3OneSided)) < sharded_64);
-        // Data servers double the stripe term but not the rank-local
-        // caches: strictly less than a full doubling.
-        let ds = m.per_rank_bytes(sharded(64, DdiMode::DataServer));
-        assert!(ds > sharded_64);
-        assert!(ds < 2.0 * sharded_64);
+        assert!(m.per_rank_bytes(sharded(256)) < sharded_64);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   of a build to exactly one live rank, like a `ddi_dlbnext` loop;
 //!   [`Rank::try_gsumf`] is an all-reduce sum over `f64` slices like
 //!   `ddi_gsumf`.
-//! * **DDI process model.** [`ddi::DdiMode`] captures the data-server vs
-//!   MPI-3 one-sided distinction the paper discusses in §6.2 (data servers
-//!   double the process count per node and hence the replicated footprint).
+//! * **DDI windows.** [`ddi::DistributedArray`] is DDI's distributed array
+//!   over MPI-3 one-sided windows, the transport the paper ran (§6.2): no
+//!   data-server processes.
 
 //! * **Failure is a first-class input.** [`fault::FaultPlan`] schedules
 //!   deterministic rank kills, stragglers and message faults; task leases

@@ -30,14 +30,13 @@ OPTIONS:
     --basis <NAME>       sto3g | 631g | 631gd | 631gdp [default: 631g]
     --algorithm <SPEC>   serial | mpi:<ranks> | private:<R>x<T> |
                          shared:<R>x<T> | distributed:<ranks> |
-                         sharded:<ranks>[:os|:ds]
+                         sharded:<ranks>
                          (applies to RHF and UHF)      [default: shared:2x2]
                          distributed and sharded keep Fock in tri-packed
-                         distributed windows; distributed reads a full
-                         density copy per rank, sharded keeps density in
-                         windows too, so no rank holds a full N x N
-                         matrix; sharded's :os = MPI-3 one-sided
-                         (default), :ds = classic DDI data servers
+                         MPI-3 one-sided windows; distributed reads a
+                         full density copy per rank, sharded keeps
+                         density in windows too, so no rank holds a full
+                         N x N matrix
     --tau <FLOAT>        Schwarz screening threshold, finite and >= 0
                                                        [default: 1e-10]
     --max-iter <N>       SCF iteration cap, N >= 1     [default: 100]
@@ -91,30 +90,38 @@ fn parse_molecule(spec: &str) -> Result<Molecule, String> {
         Some((n, a)) => (n, Some(a)),
         None => (spec, None),
     };
+    // An empty molecule has no basis to build on, a one-atom ring sits at
+    // radius 1/sin(pi), and a zero, negative or non-finite length puts
+    // atoms on top of each other or nowhere.
+    let count = |s: &str, min: usize| match s.parse() {
+        Ok(n) if n >= min => Ok(n),
+        _ => Err(format!("bad atom count '{s}' (need an integer >= {min})")),
+    };
+    let length = |s: &str, what: &str| match s.parse::<f64>() {
+        Ok(x) if x.is_finite() && x > 0.0 => Ok(x),
+        _ => Err(format!("bad {what} '{s}' (need a finite length > 0)")),
+    };
     match name {
         "water" => Ok(small::water()),
         "methane" => Ok(small::methane()),
         "benzene" => Ok(small::benzene()),
         "hehp" => Ok(small::heh_cation()),
         "h2" => {
-            let r = arg.map(|a| a.parse().map_err(|_| format!("bad bond length '{a}'")));
+            let r = arg.map(|a| length(a, "bond length"));
             Ok(small::hydrogen_molecule(r.transpose()?.unwrap_or(1.4)))
         }
         "ring" => {
             let n = arg.ok_or("ring needs an atom count, e.g. ring:8")?;
-            Ok(small::c_ring(n.parse().map_err(|_| format!("bad count '{n}'"))?, 1.40))
+            Ok(small::c_ring(count(n, 2)?, 1.40))
         }
         "chain" => {
             let a = arg.ok_or("chain needs <n>:<spacing>, e.g. chain:8:1.8")?;
             let (n, sp) = a.split_once(':').ok_or("chain needs <n>:<spacing>")?;
-            Ok(small::h_chain(
-                n.parse().map_err(|_| format!("bad count '{n}'"))?,
-                sp.parse().map_err(|_| format!("bad spacing '{sp}'"))?,
-            ))
+            Ok(small::h_chain(count(n, 1)?, length(sp, "spacing")?))
         }
         "graphene" => {
             let n = arg.ok_or("graphene needs an atom count, e.g. graphene:16")?;
-            Ok(graphene::graphene_flake(n.parse().map_err(|_| format!("bad count '{n}'"))?))
+            Ok(graphene::graphene_flake(count(n, 1)?))
         }
         other => Err(format!("unknown molecule '{other}'")),
     }
@@ -128,6 +135,11 @@ fn parse_basis(spec: &str) -> Result<BasisName, String> {
         "631gdp" | "6-31g(d,p)" | "6-31gdp" => Ok(BasisName::B631gdp),
         other => Err(format!("unknown basis '{other}'")),
     }
+}
+
+/// The sharded build on `n_ranks` ranks, over the one DDI transport.
+fn sharded(n_ranks: usize) -> FockAlgorithm {
+    FockAlgorithm::Sharded { n_ranks, mode: DdiMode::Mpi3OneSided }
 }
 
 fn parse_algorithm(spec: &str) -> Result<FockAlgorithm, String> {
@@ -155,15 +167,7 @@ fn parse_algorithm(spec: &str) -> Result<FockAlgorithm, String> {
             Ok(FockAlgorithm::SharedFock { n_ranks: r, n_threads: t })
         }
         "distributed" => Ok(FockAlgorithm::Distributed { n_ranks: count(cfg, "rank")? }),
-        "sharded" => {
-            let (ranks, mode) = match cfg.split_once(':') {
-                Some((r, "os")) => (r, DdiMode::Mpi3OneSided),
-                Some((r, "ds")) => (r, DdiMode::DataServer),
-                Some((_, m)) => return Err(format!("unknown DDI mode '{m}' (os or ds)")),
-                None => (cfg, DdiMode::Mpi3OneSided),
-            };
-            Ok(FockAlgorithm::Sharded { n_ranks: count(ranks, "rank")?, mode })
-        }
+        "sharded" => Ok(sharded(count(cfg, "rank")?)),
         other => Err(format!("unknown algorithm '{other}'")),
     }
 }
@@ -221,7 +225,6 @@ fn check_memory_budget(
     let n_basis = model.n_basis;
     let mib = |alg: FockAlgorithm| model.per_rank_bytes(alg) / (1024.0 * 1024.0);
     let (ranks, threads) = alg.shape();
-    let sharded = |n_ranks| FockAlgorithm::Sharded { n_ranks, mode: DdiMode::Mpi3OneSided };
     println!("memory model (per rank, N = {n_basis}, budget {budget_mib:.1} MiB):");
     for candidate in [
         FockAlgorithm::MpiOnly { n_ranks: ranks },
@@ -359,6 +362,9 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
         }
         None => parse_molecule(&molecule)?,
     };
+    if !mol.nuclear_repulsion().is_finite() {
+        return Err(format!("{molecule}: two nuclei coincide (infinite nuclear repulsion)"));
+    }
     let basis_name = parse_basis(&basis)?;
     let b = BasisSet::build(&mol, basis_name);
     println!(
@@ -383,6 +389,13 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
         Some((n_alpha, n_beta)) => {
             check_uhf_occupations(n_alpha, n_beta, mol.n_electrons(), b.n_basis())?;
             Spin::Unrestricted { n_alpha, n_beta, break_symmetry: false }
+        }
+        None if !mol.n_electrons().is_multiple_of(2) => {
+            return Err(format!(
+                "RHF needs an even electron count, but {molecule} has {}; run it \
+                 open-shell with --uhf NA,NB",
+                mol.n_electrons()
+            ))
         }
         None => Spin::Restricted,
     };
@@ -527,7 +540,6 @@ mod tests {
             "mpi:0",
             "distributed:0",
             "sharded:0",
-            "sharded:0:ds",
             "private:0x2",
             "private:2x0",
             "shared:0x1",
@@ -541,10 +553,12 @@ mod tests {
             parse_algorithm("shared:1x2"),
             Ok(FockAlgorithm::SharedFock { n_ranks: 1, n_threads: 2 })
         );
-        assert_eq!(
-            parse_algorithm("sharded:2:ds"),
-            Ok(FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::DataServer })
-        );
+        assert_eq!(parse_algorithm("sharded:2"), Ok(sharded(2)));
+        // One DDI transport, so one sharded spelling.
+        for spec in ["sharded:2:ds", "sharded:2:os"] {
+            let err = parse_algorithm(spec).expect_err(spec);
+            assert!(err.contains("'2:"), "{spec}: {err}");
+        }
         assert!(parse_algorithm("shared:2").is_err());
         assert!(parse_algorithm("mpi:-1").is_err());
     }
@@ -569,7 +583,21 @@ mod tests {
     /// naming the flags involved.
     #[test]
     fn uhf_with_mp2_is_refused_naming_both_flags() {
-        for (job, named) in [
+        let xyz = |name: &str, text: &str| {
+            let file = format!("phi-scf-{}-{name}.xyz", std::process::id());
+            let path = std::env::temp_dir().join(file);
+            std::fs::write(&path, text).expect("the temp dir is writable");
+            path.display().to_string()
+        };
+        let (stacked, lone) =
+            (xyz("stacked", "2\n\nH 0 0 0\nH 0 0 0\n"), xyz("lone", "1\n\nH 0 0 0\n"));
+        let odd = &["even electron count", "--uhf NA,NB"][..];
+        let xyz_jobs = [
+            (format!("--xyz {stacked} --basis sto3g"), &["nuclei coincide"][..]),
+            (format!("--xyz {lone} --basis sto3g"), odd),
+            (format!("--xyz {lone} --basis sto3g --mp2"), odd),
+        ];
+        let jobs = [
             ("--molecule h2:1.4 --basis sto3g --uhf 1,1 --mp2", &["--uhf", "--mp2"][..]),
             ("--molecule water --basis sto3g --tau nan", &["--tau", "finite"]),
             ("--molecule water --basis sto3g --tau inf", &["--tau", "finite"]),
@@ -593,9 +621,25 @@ mod tests {
                 &["--faults", "rank 3", "sharded:2"],
             ),
             ("--molecule water --basis sto3g --faults 1:delay@0#0:5", &["claim index", "#0"]),
-        ] {
-            let err = run(args(job)).err().unwrap_or_else(|| panic!("'{job}' ran"));
+            ("--molecule chain:0:1.8 --basis sto3g", &["atom count '0'", ">= 1"]),
+            ("--molecule ring:0 --basis sto3g", &["atom count '0'", ">= 2"]),
+            ("--molecule ring:1 --basis sto3g", &["atom count '1'", ">= 2"]),
+            ("--molecule graphene:0 --basis sto3g", &["atom count '0'", ">= 1"]),
+            ("--molecule h2:nan --basis sto3g", &["bond length 'nan'", "finite"]),
+            ("--molecule h2:inf --basis sto3g", &["bond length 'inf'", "finite"]),
+            ("--molecule h2:0 --basis sto3g", &["bond length '0'", "> 0"]),
+            ("--molecule h2:-1 --basis sto3g", &["bond length '-1'", "> 0"]),
+            ("--molecule chain:2:0 --basis sto3g", &["spacing '0'", "> 0"]),
+            ("--molecule chain:3:1.8 --basis sto3g", odd),
+            ("--molecule chain:3:1.8 --basis sto3g --mp2", odd),
+        ];
+        let owned = jobs.into_iter().map(|(job, named)| (job.to_string(), named));
+        for (job, named) in owned.chain(xyz_jobs) {
+            let err = run(args(&job)).err().unwrap_or_else(|| panic!("'{job}' ran"));
             assert!(named.iter().all(|n| err.contains(n)), "'{job}': {err}");
+        }
+        for path in [stacked, lone] {
+            let _ = std::fs::remove_file(path);
         }
     }
 

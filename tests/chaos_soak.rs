@@ -1,6 +1,6 @@
 //! Chaos soak: *mixed* fault plans — a rank kill, message drops, payload
 //! corruptions and stragglers in the same run — against every parallel
-//! builder, including the sharded build under both DDI transports.
+//! builder, the sharded build included.
 //!
 //! The contract under test:
 //!
@@ -42,16 +42,15 @@ fn seeds() -> Vec<u64> {
 }
 
 /// Every parallel builder at four ranks — the replicated family (whose
-/// faults ride the reliable gsum tree) and the distributed family
-/// (whose faults ride the DDI window links), sharded in both DDI modes.
-fn algorithms() -> [FockAlgorithm; 6] {
+/// faults ride the reliable gsum tree) and the window family (whose
+/// faults ride the DDI window links).
+fn algorithms() -> [FockAlgorithm; 5] {
     [
         FockAlgorithm::MpiOnly { n_ranks: 4 },
         FockAlgorithm::PrivateFock { n_ranks: 4, n_threads: 2 },
         FockAlgorithm::SharedFock { n_ranks: 4, n_threads: 2 },
         FockAlgorithm::Distributed { n_ranks: 4 },
         FockAlgorithm::Sharded { n_ranks: 4, mode: DdiMode::Mpi3OneSided },
-        FockAlgorithm::Sharded { n_ranks: 4, mode: DdiMode::DataServer },
     ]
 }
 

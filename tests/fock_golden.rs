@@ -218,7 +218,6 @@ fn every_algorithm_matches_serial() {
         FockAlgorithm::SharedFock { n_ranks: 2, n_threads: 2 },
         FockAlgorithm::Distributed { n_ranks: 3 },
         FockAlgorithm::Sharded { n_ranks: 3, mode: DdiMode::Mpi3OneSided },
-        FockAlgorithm::Sharded { n_ranks: 3, mode: DdiMode::DataServer },
     ];
     for sys in &SYSTEMS {
         let basis = BasisSet::build(&(sys.molecule)(), sys.basis);

@@ -1,8 +1,7 @@
 //! Sharded (non-replicated) build suite: the distribution-aware matrix
-//! layer must produce the serial Fock matrix through both DDI transports
-//! (MPI-3 one-sided and data-server), survive rank deaths mid-build with
-//! its window flushes intact, and drive full RHF/UHF SCF runs to the
-//! serial energy.
+//! layer must produce the serial Fock matrix through its MPI-3 one-sided
+//! windows, survive rank deaths mid-build with its window flushes intact,
+//! and drive full RHF/UHF SCF runs to the serial energy.
 //!
 //! Fault schedules are seeded and deterministic ([`FaultPlan`]), so every
 //! failure replays exactly; `PHI_FAULT_SEEDS` sweeps extra seeds in CI.
@@ -12,6 +11,8 @@ use phi_scf::chem::geom::small;
 use phi_scf::dmpi::{DdiMode, FaultPlan};
 use phi_scf::hf::{run_scf, DensitySet, FockAlgorithm, FockData, ScfConfig, Spin};
 use phi_scf::linalg::Mat;
+
+const SHARDED4: FockAlgorithm = FockAlgorithm::Sharded { n_ranks: 4, mode: DdiMode::Mpi3OneSided };
 
 /// Seeds to sweep: `PHI_FAULT_SEEDS=1,2,3` overrides the built-in pair.
 fn seeds() -> Vec<u64> {
@@ -37,12 +38,12 @@ fn density(n: usize) -> Mat {
     })
 }
 
-/// Kill one of four ranks mid-build through BOTH DDI transports and
-/// require the recovered sharded Fock to match serial: the durable lease
-/// plus flush-then-complete ordering means a dead rank's unflushed
-/// contributions are re-digested by a survivor, never double-counted.
+/// Kill one of four ranks mid-build and require the recovered sharded
+/// Fock to match serial: the durable lease plus flush-then-complete
+/// ordering means a dead rank's unflushed contributions are re-digested by
+/// a survivor, never double-counted.
 #[test]
-fn sharded_build_recovers_from_a_rank_death_in_both_ddi_modes() {
+fn sharded_build_recovers_from_a_rank_death() {
     let mol = small::water();
     let b = BasisSet::build(&mol, BasisName::Sto3g);
     let data = FockData::build(&b);
@@ -51,38 +52,31 @@ fn sharded_build_recovers_from_a_rank_death_in_both_ddi_modes() {
     let want = FockAlgorithm::Serial.builder().build(&ctx, &DensitySet::Restricted(&d));
 
     for seed in seeds() {
-        for mode in [DdiMode::Mpi3OneSided, DdiMode::DataServer] {
-            let alg = FockAlgorithm::Sharded { n_ranks: 4, mode };
-            let plan = FaultPlan::random_kills(seed, 1);
-            let got = alg.builder_with_faults(Some(plan)).build(&ctx, &DensitySet::Restricted(&d));
-            let diff = got.g.max_abs_diff(&want.g);
-            assert!(diff <= 1e-12, "{mode:?} seed {seed}: Fock diff {diff:e} after a kill");
-            assert_eq!(
-                got.stats.failed_ranks.len(),
-                1,
-                "{mode:?} seed {seed}: expected one dead rank, got {:?}",
-                got.stats.failed_ranks
-            );
-            assert!(
-                got.stats.tasks_reclaimed > 0,
-                "{mode:?} seed {seed}: the dead rank's lease must be reclaimed"
-            );
-            assert!(
-                got.stats.retries > 0,
-                "{mode:?} seed {seed}: reclaimed tasks must be re-served"
-            );
-        }
+        let plan = FaultPlan::random_kills(seed, 1);
+        let got = SHARDED4.builder_with_faults(Some(plan)).build(&ctx, &DensitySet::Restricted(&d));
+        let diff = got.g.max_abs_diff(&want.g);
+        assert!(diff <= 1e-12, "seed {seed}: Fock diff {diff:e} after a kill");
+        assert_eq!(
+            got.stats.failed_ranks.len(),
+            1,
+            "seed {seed}: expected one dead rank, got {:?}",
+            got.stats.failed_ranks
+        );
+        assert!(
+            got.stats.tasks_reclaimed > 0,
+            "seed {seed}: the dead rank's lease must be reclaimed"
+        );
+        assert!(got.stats.retries > 0, "seed {seed}: reclaimed tasks must be re-served");
     }
 }
 
-/// The two transports must be numerically interchangeable under the same
-/// fault schedule — the data-server mode only changes who owns the bytes
-/// and what traffic is charged, never the arithmetic. Which survivor
+/// Two builds under the same fault plan agree to machine precision. The
+/// kill lands on whichever rank claims the seeded task, and which survivor
 /// re-digests a reclaimed task is a thread race, so window accumulation
-/// order (and the last-ulp rounding) can differ between runs; anything
-/// beyond that is a real divergence.
+/// order (and the last-ulp rounding) can differ between the replays;
+/// anything beyond that is a real divergence.
 #[test]
-fn ddi_transports_agree_to_machine_precision_under_faults() {
+fn sharded_fault_replays_agree_to_machine_precision() {
     let mol = small::water();
     let b = BasisSet::build(&mol, BasisName::Sto3g);
     let data = FockData::build(&b);
@@ -90,22 +84,17 @@ fn ddi_transports_agree_to_machine_precision_under_faults() {
     let d = density(b.n_basis());
 
     for seed in seeds() {
-        let build = |mode| {
-            let alg = FockAlgorithm::Sharded { n_ranks: 4, mode };
-            alg.builder_with_faults(Some(FaultPlan::random_kills(seed, 1)))
+        let build = || {
+            SHARDED4
+                .builder_with_faults(Some(FaultPlan::random_kills(seed, 1)))
                 .build(&ctx, &DensitySet::Restricted(&d))
         };
-        let os = build(DdiMode::Mpi3OneSided);
-        let ds = build(DdiMode::DataServer);
-        let diff = os.g.max_abs_diff(&ds.g);
-        assert!(
-            diff <= 1e-13,
-            "seed {seed}: transports diverged by {diff:e} under an identical fault replay"
-        );
-        // The kill targets whichever rank claims the seeded task index, so
-        // the victim's identity is a race; only the death count replays.
-        assert_eq!(os.stats.failed_ranks.len(), 1, "seed {seed}");
-        assert_eq!(ds.stats.failed_ranks.len(), 1, "seed {seed}");
+        let (first, second) = (build(), build());
+        let diff = first.g.max_abs_diff(&second.g);
+        assert!(diff <= 1e-13, "seed {seed}: replays diverged by {diff:e} under one fault plan");
+        // Only the death count replays, not the victim's identity.
+        assert_eq!(first.stats.failed_ranks.len(), 1, "seed {seed}");
+        assert_eq!(second.stats.failed_ranks.len(), 1, "seed {seed}");
     }
 }
 
@@ -126,20 +115,16 @@ fn unrestricted_sharded_build_recovers_both_channels() {
     let want = FockAlgorithm::Serial.builder().build(&ctx, &dens);
     let want_b = want.g_beta.as_ref().expect("serial beta channel");
 
-    for mode in [DdiMode::Mpi3OneSided, DdiMode::DataServer] {
-        let alg = FockAlgorithm::Sharded { n_ranks: 4, mode };
-        let got = alg.builder_with_faults(Some(FaultPlan::random_kills(7, 1))).build(&ctx, &dens);
-        let got_b = got.g_beta.as_ref().expect("recovered beta channel");
-        assert!(got.g.max_abs_diff(&want.g) <= 1e-12, "{mode:?} alpha");
-        assert!(got_b.max_abs_diff(want_b) <= 1e-12, "{mode:?} beta");
-        assert_eq!(got.stats.failed_ranks.len(), 1);
-        assert!(got.stats.tasks_reclaimed > 0);
-    }
+    let got = SHARDED4.builder_with_faults(Some(FaultPlan::random_kills(7, 1))).build(&ctx, &dens);
+    let got_b = got.g_beta.as_ref().expect("recovered beta channel");
+    assert!(got.g.max_abs_diff(&want.g) <= 1e-12, "alpha");
+    assert!(got_b.max_abs_diff(want_b) <= 1e-12, "beta");
+    assert_eq!(got.stats.failed_ranks.len(), 1);
+    assert!(got.stats.tasks_reclaimed > 0);
 }
 
-/// Full RHF through the sharded build — over either DDI transport — lands
-/// on the serial energy, even when every iteration loses and recovers a
-/// rank.
+/// Full RHF through the sharded build lands on the serial energy, even
+/// when every iteration loses and recovers a rank.
 #[test]
 fn sharded_scf_matches_serial_energy_under_repeated_kills() {
     let mol = small::water();
@@ -147,26 +132,24 @@ fn sharded_scf_matches_serial_energy_under_repeated_kills() {
     let clean = run_scf(&mol, &b, &ScfConfig::default());
     assert!(clean.converged);
 
-    for mode in [DdiMode::Mpi3OneSided, DdiMode::DataServer] {
-        let faulty = run_scf(
-            &mol,
-            &b,
-            &ScfConfig {
-                algorithm: FockAlgorithm::Sharded { n_ranks: 4, mode },
-                faults: Some(FaultPlan::random_kills(seeds()[0], 1)),
-                ..Default::default()
-            },
-        );
-        assert!(faulty.converged, "{mode:?}: SCF did not converge");
-        assert!(
-            (faulty.energy - clean.energy).abs() < 1e-10,
-            "{mode:?}: {} vs clean {}",
-            faulty.energy,
-            clean.energy
-        );
-        let reclaimed: usize = faulty.fock_stats.iter().map(|s| s.tasks_reclaimed).sum();
-        assert!(reclaimed > 0, "every iteration killed a rank");
-    }
+    let faulty = run_scf(
+        &mol,
+        &b,
+        &ScfConfig {
+            algorithm: SHARDED4,
+            faults: Some(FaultPlan::random_kills(seeds()[0], 1)),
+            ..Default::default()
+        },
+    );
+    assert!(faulty.converged, "SCF did not converge");
+    assert!(
+        (faulty.energy - clean.energy).abs() < 1e-10,
+        "{} vs clean {}",
+        faulty.energy,
+        clean.energy
+    );
+    let reclaimed: usize = faulty.fock_stats.iter().map(|s| s.tasks_reclaimed).sum();
+    assert!(reclaimed > 0, "every iteration killed a rank");
 }
 
 /// UHF parity: a stretched-H2 triplet through the sharded build matches
@@ -184,7 +167,7 @@ fn sharded_uhf_matches_serial_energy() {
         &b,
         &ScfConfig {
             spin,
-            algorithm: FockAlgorithm::Sharded { n_ranks: 3, mode: DdiMode::DataServer },
+            algorithm: FockAlgorithm::Sharded { n_ranks: 3, mode: DdiMode::Mpi3OneSided },
             ..Default::default()
         },
     );

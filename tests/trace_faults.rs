@@ -161,7 +161,7 @@ fn chaos_trace_instants_reconcile_exactly_with_build_stats() {
 
     for alg in [
         FockAlgorithm::MpiOnly { n_ranks: 4 },
-        FockAlgorithm::Sharded { n_ranks: 4, mode: DdiMode::DataServer },
+        FockAlgorithm::Sharded { n_ranks: 4, mode: DdiMode::Mpi3OneSided },
     ] {
         let session = TraceSession::begin();
         let builder = alg.builder_with_faults(Some(plan.clone()));

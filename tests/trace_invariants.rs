@@ -20,8 +20,7 @@ use phi_scf::hf::{run_scf, DensitySet, FockAlgorithm, FockBuildStats, FockData, 
 use phi_scf::linalg::Mat;
 use phi_scf::trace::{Event, Stream, TraceReport, TraceSession};
 
-/// Every parallel builder at two world sizes each (the sharded build
-/// once per DDI transport).
+/// Every parallel builder at two world sizes each.
 fn algorithms() -> Vec<FockAlgorithm> {
     vec![
         FockAlgorithm::MpiOnly { n_ranks: 2 },
@@ -33,7 +32,7 @@ fn algorithms() -> Vec<FockAlgorithm> {
         FockAlgorithm::Distributed { n_ranks: 2 },
         FockAlgorithm::Distributed { n_ranks: 4 },
         FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::Mpi3OneSided },
-        FockAlgorithm::Sharded { n_ranks: 4, mode: DdiMode::DataServer },
+        FockAlgorithm::Sharded { n_ranks: 4, mode: DdiMode::Mpi3OneSided },
     ]
 }
 
