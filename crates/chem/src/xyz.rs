@@ -10,6 +10,9 @@ use crate::molecule::{Atom, Molecule};
 use crate::ANGSTROM;
 
 /// Parse an XYZ document. The comment line may carry `charge=<int>`.
+///
+/// Only a molecule an SCF can run on parses: at least one atom, every
+/// coordinate finite, and no more positive charge than protons.
 pub fn parse_xyz(text: &str) -> Result<Molecule, String> {
     let mut lines = text.lines();
     let n: usize = lines
@@ -18,6 +21,9 @@ pub fn parse_xyz(text: &str) -> Result<Molecule, String> {
         .trim()
         .parse()
         .map_err(|e| format!("bad atom count: {e}"))?;
+    if n == 0 {
+        return Err("atom count 0: a molecule needs at least one atom".into());
+    }
     let comment = lines.next().unwrap_or("");
     let charge = comment
         .split_whitespace()
@@ -40,17 +46,24 @@ pub fn parse_xyz(text: &str) -> Result<Molecule, String> {
             Element::from_symbol(sym).ok_or(format!("line {}: unknown element '{sym}'", k + 3))?;
         let mut coord = [0.0; 3];
         for c in &mut coord {
-            *c = parts
+            let v = parts
                 .next()
                 .ok_or(format!("line {}: missing coordinate", k + 3))?
                 .parse::<f64>()
-                .map_err(|e| format!("line {}: bad coordinate: {e}", k + 3))?
-                * ANGSTROM;
+                .map_err(|e| format!("line {}: bad coordinate: {e}", k + 3))?;
+            if !v.is_finite() {
+                return Err(format!("line {}: coordinate {v} is not finite", k + 3));
+            }
+            *c = v * ANGSTROM;
         }
         atoms.push(Atom { element, pos: coord });
     }
     if atoms.len() != n {
         return Err(format!("declared {n} atoms but found {}", atoms.len()));
+    }
+    let protons: u32 = atoms.iter().map(|a| a.element.atomic_number()).sum();
+    if i64::from(charge) > i64::from(protons) {
+        return Err(format!("charge={charge} exceeds the {protons} protons of the nuclei"));
     }
     Ok(Molecule::new(atoms, charge))
 }
@@ -110,6 +123,17 @@ mod tests {
         assert!(parse_xyz("2\nc\nH 0 0 0\n").is_err(), "too few atoms");
         assert!(parse_xyz("1\nc\nH 0 0\n").is_err(), "missing coordinate");
         assert!(parse_xyz("1\nc\nH 0 0 0\nH 1 1 1\n").is_err(), "too many atoms");
+        // Parseable, but no SCF could run on them: each gets a named error.
+        for (text, named) in [
+            ("0\nempty\n", "atom count 0"),
+            ("1\nc\nHe nan 0 0\n", "coordinate NaN is not finite"),
+            ("2\nc\nH 0 0 0\nH 0 0 inf\n", "coordinate inf is not finite"),
+            ("1\ncharge=5\nHe 0 0 0\n", "charge=5 exceeds the 2 protons"),
+        ] {
+            let err = parse_xyz(text).expect_err(text);
+            assert!(err.contains(named), "{text:?}: {err}");
+        }
+        assert_eq!(parse_xyz("1\ncharge=2\nHe 0 0 0\n").map(|m| m.n_electrons()), Ok(0));
     }
 
     #[test]

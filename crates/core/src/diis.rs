@@ -78,20 +78,6 @@ impl Diis {
         }
     }
 
-    /// Copy the `(Fock, error)` history for checkpointing, oldest first.
-    pub fn snapshot(&self) -> Vec<(Mat, Mat)> {
-        self.history.iter().cloned().collect()
-    }
-
-    /// Replace the history with a checkpointed snapshot (truncating to the
-    /// window if the snapshot came from a longer-history run).
-    pub fn restore(&mut self, history: Vec<(Mat, Mat)>) {
-        self.history = history.into_iter().collect();
-        while self.history.len() > self.max_len {
-            self.history.pop_front();
-        }
-    }
-
     pub fn len(&self) -> usize {
         self.history.len()
     }

@@ -47,8 +47,8 @@ pub struct IncrementalFock {
 
 impl IncrementalFock {
     /// A ΔD norm this many times larger than the smallest seen since the
-    /// last full rebuild signals density recovery (oscillation, level-shift
-    /// kick-in, restart) and forces a full rebuild.
+    /// last full rebuild signals density recovery (oscillation, a DIIS
+    /// jump) and forces a full rebuild.
     const RECOVERY_FACTOR: f64 = 10.0;
 
     /// `full_rebuild_every`: a full rebuild every this many builds
@@ -80,8 +80,7 @@ impl IncrementalFock {
             deltas.as_ref().map(|ds| ds.iter().map(|m| m.frobenius_norm()).fold(0.0, f64::max));
 
         let full = match delta_norm {
-            // First build (or first after a checkpoint resume): no
-            // reference state exists yet.
+            // First build: no reference state exists yet.
             None => true,
             Some(norm) => {
                 self.since_full + 1 >= self.k

@@ -39,7 +39,6 @@
 //! Fock timings and the per-rank memory accounting that reproduce the
 //! paper's tables.
 
-pub mod checkpoint;
 pub mod diis;
 pub mod fock;
 pub mod guess;
@@ -49,7 +48,6 @@ pub mod properties;
 pub mod scf;
 pub mod stats;
 
-pub use checkpoint::ScfCheckpoint;
 pub use fock::engine::{FockBuilder, FockContext, FockData};
 pub use fock::incremental::IncrementalFock;
 pub use fock::{DensitySet, FockAlgorithm, GBuild};

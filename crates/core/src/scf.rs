@@ -20,10 +20,9 @@
 //! come out of one [`DensitySet::Unrestricted`] build per iteration, so
 //! every surviving ERI is evaluated once and digested into both spin
 //! channels under any of the paper's parallel algorithms; everything after
-//! the build (energy, DIIS, level shift, density update, damping, RMS) is
-//! the restricted step applied per channel.
+//! the build (energy, DIIS, density update, RMS) is the restricted step
+//! applied per channel.
 
-use crate::checkpoint::{ScfCheckpoint, CHECKPOINT_KEEP};
 use crate::diis::Diis;
 use crate::fock::engine::FockData;
 use crate::fock::incremental::IncrementalFock;
@@ -34,7 +33,6 @@ use phi_chem::{BasisSet, Molecule};
 use phi_dmpi::{FaultPlan, RetryPolicy};
 use phi_integrals::{kinetic_matrix, nuclear_attraction_matrix, overlap_matrix};
 use phi_linalg::{sym_inv_sqrt, Mat};
-use std::path::PathBuf;
 
 /// Spin treatment: how many density channels the SCF loop carries and how
 /// their orbitals are occupied.
@@ -73,31 +71,12 @@ pub struct ScfConfig {
     pub diis: bool,
     /// Eigenvalue cutoff for near-linear-dependent overlap directions.
     pub s_threshold: f64,
-    /// Density damping: `D <- (1-a) D_new + a D_old` with `a` in [0, 1).
-    /// Stabilizes oscillatory cases (GAMESS `$SCF DAMP`).
-    pub damping: Option<f64>,
-    /// Level shift `beta` added to the virtual orbital spectrum via
-    /// `F <- F + beta (S - S D S / 2)` before diagonalization (GAMESS
-    /// `$SCF SHIFT`; per spin channel `S - S D_s S`). Reported virtual
-    /// orbital energies include the shift.
-    pub level_shift: Option<f64>,
     /// Deterministic fault plan replayed on every Fock build (rank kills,
     /// stragglers, message faults). The serial algorithm ignores it.
     pub faults: Option<FaultPlan>,
     /// Deadline of every parallel build's failure-aware waits (barriers,
     /// lease polls, receives); `--comm-timeout-ms` sets it.
     pub retry: RetryPolicy,
-    /// Write an [`ScfCheckpoint`] here after every iteration. The format
-    /// holds one density, so checkpointing is restricted-only.
-    pub checkpoint_path: Option<PathBuf>,
-    /// Resume from a previously written checkpoint instead of the core
-    /// guess; the resumed run reproduces the uninterrupted one bit-for-bit
-    /// (for deterministic builds, i.e. [`FockAlgorithm::Serial`]).
-    ///
-    /// Checkpoints store no incremental reference state, so the first
-    /// build of a resumed run is always a full rebuild — which is what
-    /// keeps the non-incremental bit-for-bit restart claim intact.
-    pub resume_from: Option<PathBuf>,
     /// Incremental (ΔD) Fock builds: iteration `n` builds `G(ΔD)` with
     /// `ΔD = D_n - D_ref` under density-weighted screening and accumulates
     /// `G_n = G_ref + G(ΔD)` (see [`crate::fock::incremental`]; valid per
@@ -121,12 +100,8 @@ impl Default for ScfConfig {
             max_iterations: 100,
             diis: true,
             s_threshold: 1e-8,
-            damping: None,
-            level_shift: None,
             faults: None,
             retry: RetryPolicy::default(),
-            checkpoint_path: None,
-            resume_from: None,
             incremental: false,
             full_rebuild_every: 8,
         }
@@ -261,20 +236,6 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
         occupied[0],
         basis.n_shells()
     );
-    assert!(
-        channels == 1 || (config.checkpoint_path.is_none() && config.resume_from.is_none()),
-        "checkpoints hold one density (format PHISCF1): an unrestricted run can neither \
-         write nor resume one — drop checkpoint_path/resume_from"
-    );
-    if let Some(alpha) = config.damping {
-        assert!(
-            (0.0..1.0).contains(&alpha),
-            "damping factor {alpha} out of range: must be in [0, 1)"
-        );
-    }
-    // Electrons per occupied orbital: 2 in the closed-shell channel, 1 in a
-    // spin channel.
-    let per_orbital = 2.0 / channels as f64;
     // `density_from_orbitals` returns the closed-shell `2 P`; a spin
     // channel holds the projector `P` itself.
     let occupy = |mut d: Mat| {
@@ -296,7 +257,7 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
     let e_nn = mol.nuclear_repulsion();
     let builder = config.algorithm.builder_with_comm(config.faults.clone(), config.retry);
 
-    // Initial guess — or the checkpointed state of an interrupted run.
+    // Initial guess.
     let (eps0, c0) = solve_roothaan(&h, &x);
     let mut orbital_energies = vec![eps0; channels];
     let mut orbitals = vec![c0; channels];
@@ -319,43 +280,18 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
         .collect();
     let mut diis = Diis::new(8);
     let mut energy_history = Vec::new();
-    let mut start_iter = 0;
-    if let Some(path) = &config.resume_from {
-        // A corrupt or truncated primary falls back through the rotated
-        // generations; only when none is loadable does resume fail, and
-        // then with every candidate's own named error.
-        let (ck, loaded_from) = ScfCheckpoint::load_with_fallback(path, CHECKPOINT_KEEP)
-            .unwrap_or_else(|e| {
-                panic!("failed to resume SCF from checkpoint {}: {e}", path.display())
-            });
-        if loaded_from != *path {
-            phi_trace::instant("checkpoint.fallback", 1);
-        }
-        assert_eq!(
-            ck.density.rows(),
-            n,
-            "checkpoint {} was taken with {} basis functions, this run has {n}",
-            path.display(),
-            ck.density.rows()
-        );
-        d = vec![ck.density];
-        diis.restore(ck.diis);
-        energy_history = ck.energy_history;
-        start_iter = ck.iteration;
-    }
     let mut fock_stats = Vec::new();
     let mut converged = false;
     let mut stop_reason = ScfStop::MaxIterations;
     let mut divergence = DivergenceDetector::new();
-    let mut iterations = start_iter;
+    let mut iterations = 0;
     let mut e_elec = 0.0;
-    // ΔD bookkeeping starts with no reference state, so the first build —
-    // including the first build after a checkpoint resume — is always a
-    // full rebuild.
+    // ΔD bookkeeping starts with no reference state, so the first build is
+    // always a full rebuild.
     let mut incremental =
         config.incremental.then(|| IncrementalFock::new(config.full_rebuild_every));
 
-    for it in start_iter..config.max_iterations {
+    for it in 0..config.max_iterations {
         iterations = it + 1;
         let _iter_span = phi_trace::span("scf.iteration");
         // One spin-generalized build per iteration: every surviving ERI is
@@ -393,7 +329,7 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
             break;
         }
 
-        let mut f_use = if config.diis {
+        let f_use = if config.diis {
             let _span = phi_trace::span("scf.diis");
             // One extrapolation over the stacked channels: `<e_k, e_l>`
             // then sums over spins, and both Focks share the coefficients.
@@ -405,50 +341,20 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
         };
 
         let mut rms = 0.0;
-        for (ch, f_use) in f_use.iter_mut().enumerate() {
-            if let Some(beta) = config.level_shift {
-                // Raise the virtual spectrum by beta: with D / per_orbital
-                // the occupied projector (in the S metric),
-                // S - S D S / per_orbital annihilates occupied orbitals and
-                // acts as beta * S on virtuals.
-                let sds = s.matmul(&d[ch]).matmul(&s);
-                let mut shift = s.clone();
-                shift.axpy(-1.0 / per_orbital, &sds);
-                f_use.axpy(beta, &shift);
-            }
-
+        for (ch, f_use) in f_use.iter().enumerate() {
             let (eps, c) = {
                 let _span = phi_trace::span("scf.diag");
                 solve_roothaan(f_use, &x)
             };
-            let mut d_new = occupy(density_from_orbitals(&c, occupied[ch]));
+            let d_new = occupy(density_from_orbitals(&c, occupied[ch]));
             orbital_energies[ch] = eps;
             orbitals[ch] = c;
-            if let Some(alpha) = config.damping {
-                d_new.scale(1.0 - alpha);
-                d_new.axpy(alpha, &d[ch]);
-            }
 
             // RMS density change, summed over channels.
             rms += d_new.sub(&d[ch]).frobenius_norm();
             d[ch] = d_new;
         }
         let rms = rms / (n as f64);
-
-        // Checkpoint the post-update state: density, DIIS history, energy
-        // history. A run resumed from here replays iteration it+1 onward
-        // exactly.
-        if let Some(path) = &config.checkpoint_path {
-            let ck = ScfCheckpoint {
-                iteration: iterations,
-                density: d[0].clone(),
-                energy_history: energy_history.clone(),
-                diis: diis.snapshot(),
-            };
-            ck.save_rotating(path, CHECKPOINT_KEEP).unwrap_or_else(|e| {
-                panic!("failed to write SCF checkpoint to {}: {e}", path.display())
-            });
-        }
 
         if rms < config.convergence {
             converged = true;
@@ -457,13 +363,7 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
         }
     }
 
-    // A run resumed at/after max_iterations never enters the loop; report
-    // the checkpointed energy rather than a stale zero.
-    let energy = if iterations == start_iter {
-        energy_history.last().copied().unwrap_or(e_nn)
-    } else {
-        e_elec + e_nn
-    };
+    let energy = e_elec + e_nn;
     let beta = (channels == 2).then(|| {
         let density = d.pop().expect("two channels");
         // <S^2> = S(S+1) + N_beta - tr(D_a S D_b S): with D_s the occupied
@@ -595,7 +495,13 @@ mod tests {
     fn energy_is_invariant_under_rigid_motion() {
         let mol = small::water();
         let cfg = ScfConfig::default();
-        let e0 = scf(&mol, BasisName::Sto3g, &cfg).energy;
+        let first = scf(&mol, BasisName::Sto3g, &cfg);
+        // A serial run is bitwise reproducible: the same input replays every
+        // iteration's energy to the last bit.
+        let again = scf(&mol, BasisName::Sto3g, &cfg);
+        let bits = |r: &ScfResult| r.energy_history.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&first), bits(&again), "two serial runs of one input differ");
+        let e0 = first.energy;
         let e1 = scf(&mol.translated([2.0, -1.0, 3.0]), BasisName::Sto3g, &cfg).energy;
         let e2 = scf(&mol.rotated_z(1.1), BasisName::Sto3g, &cfg).energy;
         assert!((e0 - e1).abs() < 1e-9, "translation changed E: {e0} vs {e1}");
@@ -645,52 +551,6 @@ mod tests {
                 (e - energies[0]).abs() < 1e-8,
                 "algorithm {k} energy {e} vs serial {}",
                 energies[0]
-            );
-        }
-    }
-
-    #[test]
-    fn damping_and_level_shift_preserve_the_converged_energy() {
-        // Closed-shell water, and the water cation as an unrestricted
-        // doublet: both knobs act per spin channel.
-        let water = small::water();
-        let cation = Molecule::new(water.atoms().to_vec(), 1);
-        for (mol, base) in [(&water, ScfConfig::default()), (&cation, uhf(5, 4))] {
-            let plain = scf(mol, BasisName::Sto3g, &base);
-            let damped = scf(
-                mol,
-                BasisName::Sto3g,
-                &ScfConfig { damping: Some(0.3), max_iterations: 200, ..base.clone() },
-            );
-            let shifted = scf(
-                mol,
-                BasisName::Sto3g,
-                &ScfConfig { level_shift: Some(0.5), max_iterations: 200, ..base.clone() },
-            );
-            let what = format!("{:?}", base.spin);
-            assert!(plain.converged && damped.converged && shifted.converged, "{what}");
-            assert!(
-                (damped.energy - plain.energy).abs() < 1e-7,
-                "{what}: damped {}",
-                damped.energy
-            );
-            assert!(
-                (shifted.energy - plain.energy).abs() < 1e-7,
-                "{what}: shifted {}",
-                shifted.energy
-            );
-            // The level shift raises virtual orbital energies but not
-            // occupied (`orbital_energies` is the alpha spin of the doublet,
-            // which has as many occupied orbitals as water).
-            let n_occ = water.n_occupied();
-            assert!(
-                (shifted.orbital_energies[n_occ - 1] - plain.orbital_energies[n_occ - 1]).abs()
-                    < 1e-5,
-                "{what}: occupied spectrum must be untouched"
-            );
-            assert!(
-                shifted.orbital_energies[n_occ] > plain.orbital_energies[n_occ] + 0.4,
-                "{what}: virtual spectrum must be raised by ~the shift"
             );
         }
     }
@@ -757,49 +617,6 @@ mod tests {
         let hist = [a, b, a, b, a, -74.5, -74.6];
         for k in 1..=hist.len() {
             assert_eq!(det.check(&hist[..k]), None, "short 2-cycle flagged at len {k}");
-        }
-    }
-
-    #[test]
-    fn checkpoint_resume_reproduces_uninterrupted_energy_bit_for_bit() {
-        let mol = small::water();
-        let full = scf(&mol, BasisName::Sto3g, &ScfConfig::default());
-        assert!(full.converged);
-
-        // Interrupted run: stop after 4 iterations, checkpointing each one.
-        let path =
-            std::env::temp_dir().join(format!("phiscf_resume_test_{}.ckpt", std::process::id()));
-        let interrupted = scf(
-            &mol,
-            BasisName::Sto3g,
-            &ScfConfig {
-                max_iterations: 4,
-                checkpoint_path: Some(path.clone()),
-                ..Default::default()
-            },
-        );
-        assert!(!interrupted.converged, "4 iterations must not be enough");
-
-        // Resume and run to convergence.
-        let resumed = scf(
-            &mol,
-            BasisName::Sto3g,
-            &ScfConfig { resume_from: Some(path.clone()), ..Default::default() },
-        );
-        let _ = std::fs::remove_file(&path);
-        assert!(resumed.converged);
-        assert_eq!(
-            resumed.energy.to_bits(),
-            full.energy.to_bits(),
-            "resumed {} vs uninterrupted {} must agree bit-for-bit",
-            resumed.energy,
-            full.energy
-        );
-        assert_eq!(resumed.iterations, full.iterations);
-        // The stitched history matches the uninterrupted one exactly.
-        assert_eq!(resumed.energy_history.len(), full.energy_history.len());
-        for (k, (r, f)) in resumed.energy_history.iter().zip(&full.energy_history).enumerate() {
-            assert_eq!(r.to_bits(), f.to_bits(), "iteration {k}: {r} vs {f}");
         }
     }
 
@@ -923,13 +740,5 @@ mod tests {
         // He/STO-3G has one function: two alpha electrons cannot fit.
         let he = Molecule::neutral(vec![Atom { element: Element::He, pos: [0.0; 3] }]);
         scf(&he, BasisName::Sto3g, &uhf(2, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpoints hold one density")]
-    fn unrestricted_checkpointing_is_refused_by_name() {
-        let path = std::env::temp_dir().join("phiscf_uhf_never_written.ckpt");
-        let config = ScfConfig { checkpoint_path: Some(path), ..uhf(1, 1) };
-        scf(&small::hydrogen_molecule(1.4), BasisName::Sto3g, &config);
     }
 }

@@ -41,9 +41,7 @@ fn main() {
         return;
     }
 
-    // A real SCF on a C6 monolayer flake (one graphene hexagon). Small
-    // graphene fragments have near-degenerate frontier orbitals, so the run
-    // uses a level shift and damping (the same aids GAMESS would need here).
+    // A real SCF on a C6 monolayer flake (one graphene hexagon).
     let mol = graphene_flake(6);
     let basis = BasisSet::build(&mol, BasisName::Sto3g);
     println!(
@@ -53,10 +51,6 @@ fn main() {
     );
     let config = ScfConfig {
         algorithm: FockAlgorithm::SharedFock { n_ranks: 2, n_threads: 2 },
-        max_iterations: 40,
-        convergence: 1e-6,
-        level_shift: Some(0.3),
-        damping: Some(0.2),
         ..Default::default()
     };
     let result = run_scf(&mol, &basis, &config);

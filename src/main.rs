@@ -13,7 +13,9 @@ use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::{graphene, small};
 use phi_scf::chem::Molecule;
 use phi_scf::dmpi::{DdiMode, FaultPlan, RetryPolicy};
-use phi_scf::hf::{mp2_energy, run_scf, FockAlgorithm, MemoryModel, ScfConfig, ScfResult, Spin};
+use phi_scf::hf::{
+    mp2_energy, run_scf, FockAlgorithm, MemoryModel, ScfConfig, ScfResult, ScfStop, Spin,
+};
 
 const HELP: &str = "\
 phi-scf — Hartree-Fock with the SC'17 hybrid MPI/OpenMP Fock builders
@@ -172,27 +174,38 @@ fn parse_algorithm(spec: &str) -> Result<FockAlgorithm, String> {
     }
 }
 
-/// `run_scf`'s preconditions on `--uhf NA,NB`, as an error instead of
-/// its asserts.
-fn check_uhf_occupations(
-    na: usize,
-    nb: usize,
-    n_electrons: usize,
-    n_basis: usize,
-) -> Result<(), String> {
-    if na + nb != n_electrons {
-        return Err(format!(
-            "--uhf {na},{nb} places {} electrons but the molecule has {n_electrons}",
-            na + nb
-        ));
-    }
-    if na < nb {
-        return Err(format!("--uhf {na},{nb}: convention is NA >= NB (try --uhf {nb},{na})"));
-    }
-    if na > n_basis {
-        return Err(format!(
-            "--uhf {na},{nb}: {na} alpha electrons do not fit in {n_basis} basis functions"
-        ));
+/// `run_scf`'s preconditions on the occupations of either spin treatment,
+/// as an error instead of its asserts.
+fn check_occupations(spin: Spin, n_electrons: usize, n_basis: usize) -> Result<(), String> {
+    // The largest channel's occupied orbitals must fit in the basis.
+    let (occupied, what) = match spin {
+        Spin::Restricted if !n_electrons.is_multiple_of(2) => {
+            return Err(format!(
+                "RHF needs an even electron count, but the molecule has {n_electrons}; run \
+                 it open-shell with --uhf NA,NB"
+            ))
+        }
+        Spin::Restricted => {
+            let occupied = n_electrons / 2;
+            (occupied, format!("RHF's {occupied} doubly occupied orbitals"))
+        }
+        Spin::Unrestricted { n_alpha: na, n_beta: nb, .. } => {
+            if na + nb != n_electrons {
+                return Err(format!(
+                    "--uhf {na},{nb} places {} electrons but the molecule has {n_electrons}",
+                    na + nb
+                ));
+            }
+            if na < nb {
+                return Err(format!(
+                    "--uhf {na},{nb}: convention is NA >= NB (try --uhf {nb},{na})"
+                ));
+            }
+            (na, format!("--uhf {na},{nb}: {na} alpha electrons"))
+        }
+    };
+    if occupied > n_basis {
+        return Err(format!("{what} do not fit in {n_basis} basis functions"));
     }
     Ok(())
 }
@@ -386,19 +399,10 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
             .into());
     }
     let spin = match uhf {
-        Some((n_alpha, n_beta)) => {
-            check_uhf_occupations(n_alpha, n_beta, mol.n_electrons(), b.n_basis())?;
-            Spin::Unrestricted { n_alpha, n_beta, break_symmetry: false }
-        }
-        None if !mol.n_electrons().is_multiple_of(2) => {
-            return Err(format!(
-                "RHF needs an even electron count, but {molecule} has {}; run it \
-                 open-shell with --uhf NA,NB",
-                mol.n_electrons()
-            ))
-        }
+        Some((n_alpha, n_beta)) => Spin::Unrestricted { n_alpha, n_beta, break_symmetry: false },
         None => Spin::Restricted,
     };
+    check_occupations(spin, mol.n_electrons(), b.n_basis())?;
     if let Some(mib) = memory_budget {
         // Per-rank model estimate, shell-pair dataset included.
         let model = MemoryModel {
@@ -425,6 +429,13 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
     let r = run_scf(&mol, &b, &config);
     if let (Some(session), Some(path)) = (trace_session, trace_path.as_deref()) {
         write_trace(session, path)?;
+    }
+    if r.stop_reason == ScfStop::NumericalDivergence {
+        return Err(format!(
+            "{molecule}: the SCF energy became {} at iteration {}, so there is no answer to \
+             print (a geometry far outside the integrals' range does this)",
+            r.energy, r.iterations
+        ));
     }
     let method = match (spin, &r.beta) {
         (Spin::Unrestricted { n_alpha, n_beta, .. }, Some(beta)) => format!(
@@ -565,13 +576,17 @@ mod tests {
 
     #[test]
     fn uhf_occupations_are_checked_against_the_molecule() {
+        let uhf = |n_alpha, n_beta| Spin::Unrestricted { n_alpha, n_beta, break_symmetry: false };
         // H2: 2 electrons, 2 STO-3G functions.
-        assert_eq!(check_uhf_occupations(1, 1, 2, 2), Ok(()));
-        assert_eq!(check_uhf_occupations(2, 0, 2, 2), Ok(()));
-        assert!(check_uhf_occupations(0, 2, 2, 2).unwrap_err().contains("NA >= NB"));
-        assert!(check_uhf_occupations(2, 1, 2, 2).unwrap_err().contains("has 2"));
-        // He/STO-3G: one function cannot hold two alpha electrons.
-        assert!(check_uhf_occupations(2, 0, 2, 1).unwrap_err().contains("do not fit"));
+        assert_eq!(check_occupations(uhf(1, 1), 2, 2), Ok(()));
+        assert_eq!(check_occupations(uhf(2, 0), 2, 2), Ok(()));
+        assert_eq!(check_occupations(Spin::Restricted, 2, 2), Ok(()));
+        assert!(check_occupations(uhf(0, 2), 2, 2).unwrap_err().contains("NA >= NB"));
+        assert!(check_occupations(uhf(2, 1), 2, 2).unwrap_err().contains("has 2"));
+        // He/STO-3G: one function cannot hold two alpha electrons, and the
+        // same check serves RHF (H with charge=-3: four electrons).
+        assert!(check_occupations(uhf(2, 0), 2, 1).unwrap_err().contains("do not fit"));
+        assert!(check_occupations(Spin::Restricted, 4, 1).unwrap_err().contains("do not fit"));
     }
 
     fn args(line: &str) -> impl Iterator<Item = String> + '_ {
@@ -589,13 +604,29 @@ mod tests {
             std::fs::write(&path, text).expect("the temp dir is writable");
             path.display().to_string()
         };
-        let (stacked, lone) =
-            (xyz("stacked", "2\n\nH 0 0 0\nH 0 0 0\n"), xyz("lone", "1\n\nH 0 0 0\n"));
+        let files = [
+            ("stacked", "2\n\nH 0 0 0\nH 0 0 0\n"),
+            ("lone", "1\n\nH 0 0 0\n"),
+            ("empty", "0\n\n"),
+            ("nan", "1\n\nHe nan 0 0\n"),
+            ("inf", "2\n\nH 0 0 0\nH 0 0 inf\n"),
+            ("stripped", "1\ncharge=5\nHe 0 0 0\n"),
+            ("anion", "1\ncharge=-3\nH 0 0 0\n"),
+            ("far", "1\n\nHe 1e300 0 0\n"),
+        ];
+        let paths: Vec<String> = files.iter().map(|(name, text)| xyz(name, text)).collect();
         let odd = &["even electron count", "--uhf NA,NB"][..];
+        let serial = |k: usize| format!("--xyz {} --basis sto3g --algorithm serial", paths[k]);
         let xyz_jobs = [
-            (format!("--xyz {stacked} --basis sto3g"), &["nuclei coincide"][..]),
-            (format!("--xyz {lone} --basis sto3g"), odd),
-            (format!("--xyz {lone} --basis sto3g --mp2"), odd),
+            (serial(0), &["nuclei coincide"][..]),
+            (serial(1), odd),
+            (serial(1) + " --mp2", odd),
+            (serial(2), &["atom count 0"]),
+            (serial(3), &["coordinate NaN", "not finite"]),
+            (serial(4), &["coordinate inf", "not finite"]),
+            (serial(5), &["charge=5", "2 protons"]),
+            (serial(6), &["RHF's 2 doubly occupied orbitals", "do not fit in 1"]),
+            (serial(7), &["energy became", "iteration 1"]),
         ];
         let jobs = [
             ("--molecule h2:1.4 --basis sto3g --uhf 1,1 --mp2", &["--uhf", "--mp2"][..]),
@@ -638,7 +669,7 @@ mod tests {
             let err = run(args(&job)).err().unwrap_or_else(|| panic!("'{job}' ran"));
             assert!(named.iter().all(|n| err.contains(n)), "'{job}': {err}");
         }
-        for path in [stacked, lone] {
+        for path in paths {
             let _ = std::fs::remove_file(path);
         }
     }

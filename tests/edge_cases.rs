@@ -18,7 +18,8 @@ fn non_convergence_is_reported_not_hidden() {
 #[test]
 fn near_linear_dependence_is_projected_out() {
     // Two hydrogens almost on top of each other: the overlap matrix is
-    // nearly singular; the s_threshold projection must keep SCF stable.
+    // nearly singular; the default s_threshold projection must keep SCF
+    // stable.
     let mol = Molecule::new(
         vec![
             Atom { element: Element::H, pos: [0.0, 0.0, 0.0] },
@@ -27,7 +28,7 @@ fn near_linear_dependence_is_projected_out() {
         0,
     );
     let b = BasisSet::build(&mol, BasisName::Sto3g);
-    let r = run_scf(&mol, &b, &ScfConfig { s_threshold: 1e-6, ..Default::default() });
+    let r = run_scf(&mol, &b, &ScfConfig::default());
     assert!(r.converged, "linear dependence must not break SCF");
     assert!(r.energy.is_finite());
     // Two coincident protons with two electrons: helium-like energy plus
