@@ -9,10 +9,10 @@
 //!   hand the ERI buffer to the policy's digest closure, count) and the
 //!   single point where a worker's trace counters and
 //!   [`FockBuildStats`] are emitted;
-//! * [`lease_loop`] — the flat per-rank lease loop of the MPI-only,
-//!   distributed and sharded builds;
-//! * [`TeamLeases`] — the team lease loop of the private- and shared-Fock
-//!   builds (master claims, the team follows);
+//! * [`LeaseLoop`] — the one lease loop: a rank's master thread claims
+//!   and completes leases, its team follows, and the loop owns the
+//!   flush-before-complete contract. The MPI-only, distributed and
+//!   sharded builds run it as a team of one;
 //! * [`World`] — the dmpi world wrapper: spawn, memory charge, per-rank
 //!   stat merge, the world-global counters, "lowest live rank returns the
 //!   result".
@@ -118,60 +118,18 @@ impl<'c> Quartets<'c> {
     }
 }
 
-/// What [`lease_loop`] asks of its policy.
+/// What [`LeaseLoop::run`] asks of its policy.
 pub(crate) enum Step {
     /// Run leased task `t`.
     Task(usize),
-    /// Make everything accumulated so far durable (a no-op for volatile
-    /// accumulators).
+    /// Make everything this thread accumulated so far durable. Rows
+    /// without a durable accumulator ignore it.
     Flush,
 }
 
-/// The flat per-rank lease loop: claim tasks until every one is complete
-/// or this rank dies. Returns `(tasks claimed, rank died)`.
-///
-/// Under fault injection every task is flushed *before* its lease
-/// completes, so a dead rank never strands completed-but-unflushed work
-/// (kills fire inside `lease_next`, between tasks). In a clean run no
-/// rank can die: completion is eager — so the last incomplete tasks are
-/// never this rank's own unflushed batch, which would make its next lease
-/// poll wait on itself — and flushes batch every 32 tasks purely to
-/// amortize one-sided calls. A surviving rank flushes once more on exit;
-/// the policy then runs its final reduce.
-pub(crate) fn lease_loop(
-    rank: &Rank,
-    n_tasks: usize,
-    mode: LeaseMode,
-    mut step: impl FnMut(Step),
-) -> (usize, bool) {
-    let fault_mode = rank.faults_enabled();
-    let mut tasks = 0usize;
-    let mut dead = rank.lease_reset(n_tasks, mode).is_err();
-    while !dead {
-        let t = match rank.lease_next() {
-            Ok(Some(t)) => t,
-            Ok(None) => break,
-            Err(_) => {
-                dead = true;
-                break;
-            }
-        };
-        tasks += 1;
-        step(Step::Task(t));
-        if fault_mode {
-            step(Step::Flush);
-            rank.lease_complete(t);
-        } else {
-            rank.lease_complete(t);
-            if tasks.is_multiple_of(32) {
-                step(Step::Flush);
-            }
-        }
-    }
-    if !dead {
-        step(Step::Flush);
-    }
-    (tasks, dead)
+/// The `runs` filter of a row without a task-level prescreen.
+pub(crate) fn every_task(_: usize) -> bool {
+    true
 }
 
 /// Sentinel the master stores when every task is complete.
@@ -180,40 +138,48 @@ const TASK_DONE: usize = usize::MAX;
 /// thread team unwinds cleanly at the next barrier.
 const TASK_DEAD: usize = usize::MAX - 1;
 
-/// The team lease loop: one rank's lease stream shared by its thread
-/// team. Leases are volatile — a killed rank's partial sums die with it
-/// and everything it ever computed is reissued to survivors.
-pub(crate) struct TeamLeases<'r> {
+/// The one lease loop: one rank's lease stream shared by its thread team
+/// (a team of one for the flat rows).
+pub(crate) struct LeaseLoop<'r> {
     rank: &'r Rank,
     n_tasks: usize,
     current: AtomicUsize,
 }
 
-impl<'r> TeamLeases<'r> {
+impl<'r> LeaseLoop<'r> {
     /// Collective over ranks; call before the team's parallel region.
-    pub(crate) fn new(rank: &'r Rank, n_tasks: usize) -> Self {
+    pub(crate) fn new(rank: &'r Rank, n_tasks: usize, mode: LeaseMode) -> Self {
         // If this errors the rank is already doomed; the master's first
         // lease claim observes the same condition and unwinds the whole
         // team cleanly.
-        let _ = rank.lease_reset(n_tasks, LeaseMode::Volatile);
-        TeamLeases { rank, n_tasks, current: AtomicUsize::new(0) }
+        let _ = rank.lease_reset(n_tasks, mode);
+        LeaseLoop { rank, n_tasks, current: AtomicUsize::new(0) }
     }
 
     /// Run by every thread of the team: the master claims leases until it
     /// holds one that `runs` (a lease that does not is complete at once
     /// and the team never hears of it) or the stream ends, and broadcasts
-    /// it; every thread then runs `task` on it. `task` must cross at least
-    /// one team barrier, after which no thread touches the task's
-    /// accumulators outside a flush: that barrier is what lets the master
-    /// complete the lease and overwrite the broadcast slot. Returns the
+    /// it; every thread then runs `Step::Task` on it. In a team of more
+    /// than one, the task must cross at least one team barrier, after
+    /// which no thread touches the task's accumulators outside a flush:
+    /// that barrier is what lets the master overwrite the broadcast slot.
+    ///
+    /// The master completes a lease at its next claim. Under fault
+    /// injection every thread first runs `Step::Flush` and the team passes
+    /// a barrier, so a dead rank never strands completed-but-unflushed
+    /// work (kills fire inside `lease_next`, between tasks). In a clean
+    /// run no rank can die, and each thread flushes every 32 tasks purely
+    /// to amortize one-sided calls. Every thread flushes once more at the
+    /// end of the stream, and never once its rank is dead. Returns the
     /// tasks run, counted on the master only.
     pub(crate) fn run(
         &self,
         tctx: &ThreadCtx<'_>,
         runs: impl Fn(usize) -> bool,
-        mut task: impl FnMut(usize),
+        mut step: impl FnMut(Step),
     ) -> usize {
-        let mut tasks = 0usize;
+        let fault_mode = self.rank.faults_enabled();
+        let mut ran = 0usize;
         let mut held: Option<usize> = None;
         loop {
             // A kill fires inside the claim; the master then broadcasts
@@ -226,7 +192,6 @@ impl<'r> TeamLeases<'r> {
                     match self.rank.lease_next() {
                         Ok(Some(t)) if runs(t) => {
                             held = Some(t);
-                            tasks += 1;
                             break t;
                         }
                         Ok(Some(t)) => self.rank.lease_complete(t),
@@ -239,9 +204,19 @@ impl<'r> TeamLeases<'r> {
             tctx.barrier();
             let t = self.current.load(Ordering::SeqCst);
             if t >= self.n_tasks {
-                return tasks;
+                if t == TASK_DONE {
+                    step(Step::Flush);
+                }
+                return if tctx.is_master() { ran } else { 0 };
             }
-            task(t);
+            step(Step::Task(t));
+            ran += 1;
+            if fault_mode {
+                step(Step::Flush);
+                tctx.barrier();
+            } else if ran.is_multiple_of(32) {
+                step(Step::Flush);
+            }
         }
     }
 }
@@ -330,4 +305,80 @@ pub(crate) fn surviving<T>(result: Option<T>, stats: &FockBuildStats) -> T {
             stats.failed_ranks
         )
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{every_task, LeaseLoop, Step};
+    use phi_dmpi::{FaultPlan, LeaseMode, RetryPolicy, WorldConfig};
+    use phi_omp::Team;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The one loop's contract on a 3-rank world with teams of one and two:
+    /// each thread adds 1 per task to private pending state. Under durable
+    /// leases `Step::Flush` moves it into shared per-task counters; under
+    /// volatile leases it is ignored and the survivors' private sums are
+    /// reduced. Either way every task lands exactly once per thread, with
+    /// or without a rank killed holding a lease.
+    #[test]
+    fn every_task_lands_once_per_thread_under_both_lease_modes() {
+        const N_TASKS: usize = 40;
+        for faults in [None, Some(FaultPlan::kill_at_tasks(1, &[5]))] {
+            for mode in [LeaseMode::Volatile, LeaseMode::Durable] {
+                for n_threads in [1, 2] {
+                    let label = format!("{mode:?}, {n_threads} threads, faults {faults:?}");
+                    let flushed: Vec<AtomicUsize> =
+                        (0..N_TASKS).map(|_| AtomicUsize::new(0)).collect();
+                    let cfg = WorldConfig {
+                        n_ranks: 3,
+                        faults: faults.clone(),
+                        retry: RetryPolicy::default(),
+                    };
+                    let world = phi_dmpi::run_world_with_config(cfg, |rank| {
+                        let leases = LeaseLoop::new(rank, N_TASKS, mode);
+                        let per_thread = Team::new(n_threads).parallel(|tctx| {
+                            let (mut pending, mut ran) = (vec![0; N_TASKS], vec![0; N_TASKS]);
+                            let tasks = leases.run(tctx, every_task, |step| match step {
+                                Step::Task(t) => {
+                                    pending[t] += 1;
+                                    ran[t] += 1;
+                                    // Every row's task crosses a team barrier.
+                                    tctx.barrier();
+                                }
+                                Step::Flush => {
+                                    assert!(rank.alive(), "{label}: a dead rank flushed");
+                                    if mode == LeaseMode::Durable {
+                                        for (sum, p) in flushed.iter().zip(&mut pending) {
+                                            sum.fetch_add(std::mem::take(p), Ordering::SeqCst);
+                                        }
+                                    }
+                                }
+                            });
+                            (tasks, ran)
+                        });
+                        let tasks: usize = per_thread.iter().map(|(tasks, _)| tasks).sum();
+                        let mut sums = vec![0; N_TASKS];
+                        for (_, ran) in &per_thread {
+                            sums.iter_mut().zip(ran).for_each(|(s, r)| *s += r);
+                        }
+                        (tasks, rank.alive().then_some(sums))
+                    });
+                    assert_eq!(world.failed_ranks().len(), faults.iter().len(), "{label}");
+                    let tasks: usize = world.per_rank.iter().map(|(tasks, _)| tasks).sum();
+                    let landed: Vec<usize> = match mode {
+                        LeaseMode::Durable => {
+                            flushed.iter().map(|c| c.load(Ordering::SeqCst)).collect()
+                        }
+                        LeaseMode::Volatile => (0..N_TASKS)
+                            .map(|t| world.per_rank.iter().flat_map(|(_, s)| s).map(|s| s[t]).sum())
+                            .collect(),
+                    };
+                    assert_eq!(landed, vec![n_threads; N_TASKS], "{label}");
+                    if faults.is_none() {
+                        assert_eq!(tasks, N_TASKS, "{label}: tasks run, counted on masters");
+                    }
+                }
+            }
+        }
+    }
 }

@@ -320,9 +320,11 @@ impl DensityRead for ShardDensity<'_> {
 /// entry that fills it triggers a flush.
 ///
 /// Durability contract (the PR 3 fault model): a kill can only fire at a
-/// lease claim, i.e. *between* tasks — so as long as the lease loop
-/// flushes before completing each task (flush-then-complete under durable
-/// leases), a dead rank never strands completed work, and
+/// lease claim, i.e. *between* tasks. Under fault injection the driver's
+/// `LeaseLoop` has every thread that holds one of these run `Step::Flush`
+/// after each task, and the team pass a barrier, before the master
+/// completes the lease at its next claim (flush-then-complete under
+/// durable leases). So a dead rank never strands completed work, and
 /// capacity-triggered flushes mid-task are safe in every mode.
 pub struct RowShardFock<'a> {
     wins: &'a [DistributedArray],

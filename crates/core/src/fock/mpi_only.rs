@@ -10,16 +10,17 @@
 //! the replicated matrices are *really allocated* per rank through the
 //! tracker, so the returned report scales linearly with the rank count.
 //!
-//! Policy row: `ij` pair tasks, no team, one [`ReplicatedFock`] per rank,
+//! Policy row: `ij` pair tasks, a team of one, one [`ReplicatedFock`] per rank,
 //! volatile leases (a dead rank's partial sums never reach the reduction,
 //! so everything it ever computed is reissued), `gsumf` reduce.
 
-use super::driver::{lease_loop, readonly_bytes, surviving, Quartets, Step, World};
+use super::driver::{every_task, readonly_bytes, surviving, LeaseLoop, Quartets, Step, World};
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
 use super::{digest, pair_decode, GBuild, ReplicatedDensity};
 use phi_dmpi::LeaseMode;
 use phi_integrals::screening::n_pairs;
+use phi_omp::Team;
 
 /// Algorithm 1 over `world.n_ranks` ranks. Tasks leased to a rank that
 /// dies mid-build are reclaimed and recomputed by survivors, so the result
@@ -38,24 +39,28 @@ pub(crate) fn build<const NCH: usize>(
     let resident = fock_bytes + readonly_bytes(n) + fock_bytes;
 
     let (fock, stats) = world.run(ctx, resident, &[], |rank| {
-        let mut dens = dens;
-        let mut fock = ReplicatedFock::new(NCH, n);
-        let mut quartets = Quartets::new(ctx);
-        let (tasks, mut dead) = lease_loop(rank, n_pair, LeaseMode::Volatile, |step| {
-            if let Step::Task(t) = step {
-                let (i, j) = pair_decode(t);
-                quartets.pair_task(i, j, |k, l, eri| {
-                    digest(basis, i, j, k, l, eri, &mut dens, &mut fock)
+        let leases = LeaseLoop::new(rank, n_pair, LeaseMode::Volatile);
+        let (mut fock, stats) = Team::new(1)
+            .parallel(|tctx| {
+                let mut dens = dens;
+                let mut fock = ReplicatedFock::new(NCH, n);
+                let mut quartets = Quartets::new(ctx);
+                let tasks = leases.run(tctx, every_task, |step| {
+                    let Step::Task(t) = step else { return };
+                    let (i, j) = pair_decode(t);
+                    quartets.pair_task(i, j, |k, l, eri| {
+                        digest(basis, i, j, k, l, eri, &mut dens, &mut fock)
+                    });
                 });
-            }
-        });
+                (fock, quartets.finish(tasks, 0))
+            })
+            .pop()
+            .expect("a team of one");
         // 2e-Fock matrix reduction over the surviving MPI ranks
         // (Algorithm 1 line 16) — one collective covering every spin
         // channel. Dead ranks have deregistered and must stay out.
-        if !dead {
-            dead = rank.try_gsumf(fock.as_mut_slice()).is_err();
-        }
-        ((!dead).then_some(fock), quartets.finish(tasks, 0))
+        let dead = !rank.alive() || rank.try_gsumf(fock.as_mut_slice()).is_err();
+        ((!dead).then_some(fock), stats)
     });
     GBuild::from_channels(surviving(fock, &stats).into_mats(), stats)
 }

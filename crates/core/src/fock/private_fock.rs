@@ -13,11 +13,12 @@
 //! schedule, one [`ReplicatedFock`] per thread, volatile leases, thread
 //! reduction then `gsumf`.
 
-use super::driver::{readonly_bytes, surviving, Quartets, TeamLeases, World};
+use super::driver::{every_task, readonly_bytes, surviving, LeaseLoop, Quartets, Step, World};
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
 use super::{digest, kl_bounds, GBuild, ReplicatedDensity};
 use crate::stats::FockBuildStats;
+use phi_dmpi::LeaseMode;
 use phi_omp::{Schedule, Team};
 
 /// Algorithm 2 over `world.n_ranks` ranks x `n_threads` threads.
@@ -36,26 +37,23 @@ pub(crate) fn build<const NCH: usize>(
     let resident = fock_bytes + readonly_bytes(n) + (n_threads + 1) * fock_bytes;
 
     let (fock, stats) = world.run(ctx, resident, &[], |rank| {
-        let leases = TeamLeases::new(rank, basis.n_shells());
+        let leases = LeaseLoop::new(rank, basis.n_shells(), LeaseMode::Volatile);
         let per_thread = Team::new(n_threads).parallel(|tctx| {
             let mut dens = dens;
             let mut fock = ReplicatedFock::new(NCH, n);
             let mut quartets = Quartets::new(ctx);
             // Every i task runs: Algorithm 2 has no task-level prescreen.
-            let tasks = leases.run(
-                tctx,
-                |_| true,
-                |i| {
-                    // Merged (j, k) loops under a dynamic schedule (lines 7-20).
-                    tctx.collapse2(i + 1, i + 1, Schedule::dynamic1(), |j, k| {
-                        for l in 0..=kl_bounds(i, j, k) {
-                            quartets.quartet(i, j, k, l, |eri| {
-                                digest(basis, i, j, k, l, eri, &mut dens, &mut fock)
-                            });
-                        }
-                    });
-                },
-            );
+            let tasks = leases.run(tctx, every_task, |step| {
+                let Step::Task(i) = step else { return };
+                // Merged (j, k) loops under a dynamic schedule (lines 7-20).
+                tctx.collapse2(i + 1, i + 1, Schedule::dynamic1(), |j, k| {
+                    for l in 0..=kl_bounds(i, j, k) {
+                        quartets.quartet(i, j, k, l, |eri| {
+                            digest(basis, i, j, k, l, eri, &mut dens, &mut fock)
+                        });
+                    }
+                });
+            });
             (fock, quartets.finish(tasks, 0))
         });
 

@@ -20,15 +20,16 @@
 //! block into a scratch that is pushed once per quartet; the strips drain
 //! at task end. Everything lands in [`RowShardFock`], whose sparse entries
 //! leave as coalesced one-sided `acc` runs whenever its buffer fills and
-//! at the lease loop's flushes.
+//! at the driver lease loop's `Step::Flush`es.
 //!
-//! Policy row: `ij` pair tasks, no team, the row's density reader, one
-//! strip accumulator and one [`RowShardFock`] per rank into tri-packed
-//! Fock windows, durable leases (windows outlive rank deaths, and under
-//! fault injection every task is flushed before it completes — the strips
-//! are already empty then), flush + `ft_barrier`.
+//! Policy row: `ij` pair tasks, the lease loop as a team of one, the row's
+//! density reader, one strip accumulator and one [`RowShardFock`] per rank
+//! into tri-packed Fock windows, durable leases (windows outlive rank
+//! deaths, and under fault injection every task is flushed before the
+//! master completes it at its next claim — the strips are already empty
+//! then), flush + `ft_barrier`.
 
-use super::driver::{lease_loop, Quartets, Step, World};
+use super::driver::{every_task, LeaseLoop, Quartets, Step, World};
 use super::engine::FockContext;
 use super::matrix::{
     drain_strip, gather_tri, replicated_density_bytes, scatter_density, shard_reader_bytes,
@@ -37,6 +38,7 @@ use super::matrix::{
 use super::{digest, pair_decode, ChannelSink, DensityRead, GBuild, ReplicatedDensity};
 use phi_dmpi::{DistributedArray, LeaseMode};
 use phi_integrals::screening::n_pairs;
+use phi_omp::Team;
 
 /// `Sharded`: the window build over density scattered into tri-packed
 /// windows and read through [`ShardDensity`].
@@ -92,15 +94,17 @@ fn window_build<const NCH: usize, D: DensityRead>(
         + shard_writer_bytes(n, max_width, NCH);
 
     let (_, stats) = world.run(ctx, resident, &[d_wins, &f_wins], |rank| {
-        let mut dens = reader(rank.rank());
-        let mut fock = RowShardFock::new(&f_wins, n, rank.rank());
-        let mut quartets = Quartets::new(ctx);
-        // Per channel: the FI and FJ strips and the (k, l) scratch.
-        let strip = max_width * n;
-        let (mut fis, mut fjs) = (vec![0.0; NCH * strip], vec![0.0; NCH * strip]);
-        let mut kl_blocks = vec![0.0; NCH * max_width * max_width];
-        let (tasks, dead) = lease_loop(rank, n_pair, LeaseMode::Durable, |step| match step {
-            Step::Task(t) => {
+        let leases = LeaseLoop::new(rank, n_pair, LeaseMode::Durable);
+        let mut stats = Team::new(1).parallel(|tctx| {
+            let mut dens = reader(rank.rank());
+            let mut fock = RowShardFock::new(&f_wins, n, rank.rank());
+            let mut quartets = Quartets::new(ctx);
+            // Per channel: the FI and FJ strips and the (k, l) scratch.
+            let strip = max_width * n;
+            let (mut fis, mut fjs) = (vec![0.0; NCH * strip], vec![0.0; NCH * strip]);
+            let mut kl_blocks = vec![0.0; NCH * max_width * max_width];
+            let tasks = leases.run(tctx, every_task, |step| {
+                let Step::Task(t) = step else { return fock.flush() };
                 let (i, j) = pair_decode(t);
                 let (sh_i, sh_j) = (&basis.shells[i], &basis.shells[j]);
                 let mut strips = fis.chunks_mut(strip).zip(fjs.chunks_mut(strip));
@@ -122,21 +126,20 @@ fn window_build<const NCH: usize, D: DensityRead>(
                 });
                 // Drain the strips now, so they are empty before the lease
                 // loop's flush and at every lease completion.
-                for (ch, (fi, fj)) in fis.chunks_mut(strip).zip(fjs.chunks_mut(strip)).enumerate() {
+                let strips = fis.chunks_mut(strip).zip(fjs.chunks_mut(strip));
+                for (ch, (fi, fj)) in strips.enumerate() {
                     for (buf, sh) in [(fi, sh_i), (fj, sh_j)] {
                         let rows = &mut buf[..sh.n_functions() * n];
                         drain_strip(rows, sh.first_bf, n, |mu, nu, v| fock.add(ch, mu, nu, v));
                     }
                 }
-            }
-            Step::Flush => fock.flush(),
+            });
+            quartets.finish(tasks, fock.flushes)
         });
-        if !dead {
-            // Every live rank's accumulates must land before anyone
-            // reads; dead ranks have deregistered.
-            let _ = rank.ft_barrier();
-        }
-        (None::<()>, quartets.finish(tasks, fock.flushes))
+        // Every live rank's accumulates must land before anyone reads;
+        // a dead rank has deregistered, and its barrier returns at once.
+        let _ = rank.ft_barrier();
+        (None::<()>, stats.pop().expect("a team of one"))
     });
     GBuild::from_channels(f_wins.iter().map(|w| gather_tri(w, n)).collect(), stats)
 }

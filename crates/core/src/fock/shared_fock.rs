@@ -32,11 +32,12 @@
 //! `kl` team schedule, shared Fock + FI/FJ column sinks, volatile leases,
 //! `gsumf` reduce.
 
-use super::driver::{readonly_bytes, surviving, Quartets, TeamLeases, World};
+use super::driver::{readonly_bytes, surviving, LeaseLoop, Quartets, Step, World};
 use super::engine::FockContext;
 use super::matrix::{strip_slot, ReplicatedFock, StripRouter};
 use super::{digest, pair_decode, GBuild, ReplicatedDensity};
 use crate::stats::FockBuildStats;
+use phi_dmpi::LeaseMode;
 use phi_integrals::screening::{n_pairs, pair_index};
 use phi_omp::{PaddedColumns, Schedule, SharedAccumulator, Team, ThreadCtx};
 
@@ -94,7 +95,7 @@ pub(crate) fn build<const NCH: usize>(
                 }
             };
 
-        let leases = TeamLeases::new(rank, n_pair);
+        let leases = LeaseLoop::new(rank, n_pair, LeaseMode::Volatile);
         let per_thread = Team::new(n_threads).parallel(|tctx| {
             let mut dens = dens;
             let mut quartets = Quartets::new(ctx);
@@ -111,7 +112,8 @@ pub(crate) fn build<const NCH: usize>(
                 let (i, j) = pair_decode(ij);
                 ctx.task_survives(i, j)
             };
-            let tasks = leases.run(tctx, survives, |ij| {
+            let tasks = leases.run(tctx, survives, |step| {
+                let Step::Task(ij) = step else { return };
                 let (i, j) = pair_decode(ij);
                 // Flush FI lazily, only when i changes (lines 15-18). The
                 // kl loop that wrote it ended at a barrier one task ago;

@@ -189,6 +189,18 @@ impl FaultPlan {
             .max()
     }
 
+    /// The highest task a `kill@<task>` names, so a caller can refuse a
+    /// plan whose kill a build with fewer tasks would silently never fire.
+    pub fn max_task(&self) -> Option<usize> {
+        self.specs
+            .iter()
+            .filter_map(|spec| match *spec {
+                FaultSpec::KillAtTask { task } => Some(task),
+                _ => None,
+            })
+            .max()
+    }
+
     /// Parse the `"seed:spec,spec,..."` grammar (see module docs).
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let (seed_str, rest) =
@@ -671,6 +683,9 @@ mod tests {
         );
         assert_eq!(p.max_rank(), Some(2));
         assert_eq!(FaultPlan::parse("1:kill@9,kill*3").unwrap().max_rank(), None);
+        assert_eq!(p.max_task(), Some(3));
+        assert_eq!(FaultPlan::parse("1:kill@9,kill@2,kill*30").unwrap().max_task(), Some(9));
+        assert_eq!(FaultPlan::parse("1:kill@0#1,drop@0->1#1").unwrap().max_task(), None);
     }
 
     #[test]

@@ -119,8 +119,12 @@ impl ThreadCtx<'_> {
         self.thread_num == 0
     }
 
-    /// Team barrier (`!$omp barrier`).
+    /// Team barrier (`!$omp barrier`). A team of one has nothing to wait
+    /// for, so it opens no span either.
     pub fn barrier(&self) {
+        if self.n_threads == 1 {
+            return;
+        }
         let _span = phi_trace::span("omp.barrier_wait");
         self.shared.barrier.wait();
     }

@@ -16,6 +16,7 @@ use phi_scf::dmpi::{DdiMode, FaultPlan, RetryPolicy};
 use phi_scf::hf::{
     mp2_energy, run_scf, FockAlgorithm, MemoryModel, ScfConfig, ScfResult, ScfStop, Spin,
 };
+use phi_scf::integrals::screening::n_pairs;
 
 const HELP: &str = "\
 phi-scf — Hartree-Fock with the SC'17 hybrid MPI/OpenMP Fock builders
@@ -33,7 +34,8 @@ OPTIONS:
     --algorithm <SPEC>   serial | mpi:<ranks> | private:<R>x<T> |
                          shared:<R>x<T> | distributed:<ranks> |
                          sharded:<ranks>
-                         (applies to RHF and UHF)      [default: shared:2x2]
+                         (applies to RHF and UHF; at most 256 ranks x
+                         threads)                      [default: shared:2x2]
                          distributed and sharded keep Fock in tri-packed
                          MPI-3 one-sided windows; distributed reads a
                          full density copy per rank, sharded keeps
@@ -71,8 +73,9 @@ OPTIONS:
                          delay@<rank>#<claim>:<ms> |
                          drop@<from>-><to>#<nth> |
                          corrupt@<from>-><to>#<nth>
-                         (parallel algorithms only; every rank named must
-                         exist, and claims and messages count from #1)
+                         (parallel algorithms only; every rank and task
+                         named must exist, and claims and messages count
+                         from #1)
                          e.g. --faults 42:kill@3,delay@1#2:50
     --comm-timeout-ms <MS>
                          barrier/lease/receive timeout for the
@@ -144,6 +147,9 @@ fn sharded(n_ranks: usize) -> FockAlgorithm {
     FockAlgorithm::Sharded { n_ranks, mode: DdiMode::Mpi3OneSided }
 }
 
+/// The most ranks x threads one `--algorithm` may start.
+const MAX_WORKERS: usize = 256;
+
 fn parse_algorithm(spec: &str) -> Result<FockAlgorithm, String> {
     if spec == "serial" {
         return Ok(FockAlgorithm::Serial);
@@ -158,19 +164,31 @@ fn parse_algorithm(spec: &str) -> Result<FockAlgorithm, String> {
         let (r, t) = s.split_once('x').ok_or_else(|| format!("need <R>x<T>, got '{s}'"))?;
         Ok((count(r, "rank")?, count(t, "thread")?))
     };
-    match name {
-        "mpi" => Ok(FockAlgorithm::MpiOnly { n_ranks: count(cfg, "rank")? }),
+    let alg = match name {
+        "mpi" => FockAlgorithm::MpiOnly { n_ranks: count(cfg, "rank")? },
         "private" => {
             let (r, t) = parse_rt(cfg)?;
-            Ok(FockAlgorithm::PrivateFock { n_ranks: r, n_threads: t })
+            FockAlgorithm::PrivateFock { n_ranks: r, n_threads: t }
         }
         "shared" => {
             let (r, t) = parse_rt(cfg)?;
-            Ok(FockAlgorithm::SharedFock { n_ranks: r, n_threads: t })
+            FockAlgorithm::SharedFock { n_ranks: r, n_threads: t }
         }
-        "distributed" => Ok(FockAlgorithm::Distributed { n_ranks: count(cfg, "rank")? }),
-        "sharded" => Ok(sharded(count(cfg, "rank")?)),
-        other => Err(format!("unknown algorithm '{other}'")),
+        "distributed" => FockAlgorithm::Distributed { n_ranks: count(cfg, "rank")? },
+        "sharded" => sharded(count(cfg, "rank")?),
+        other => return Err(format!("unknown algorithm '{other}'")),
+    };
+    // Every rank and every thread is an OS thread of this process: past
+    // one KNL node's 64 cores x 4 hardware threads (the paper's largest
+    // single-node shape) a spawn fails or memory runs out mid-build.
+    let (ranks, threads) = alg.shape();
+    match ranks.checked_mul(threads) {
+        Some(workers) if workers <= MAX_WORKERS => Ok(alg),
+        workers => Err(format!(
+            "--algorithm {spec} runs {} workers (ranks x threads); at most {MAX_WORKERS}, one \
+             KNL node's 64 cores x 4 hardware threads, can start",
+            workers.map_or("more than usize::MAX".to_string(), |w| w.to_string())
+        )),
     }
 }
 
@@ -211,18 +229,37 @@ fn check_occupations(spin: Spin, n_electrons: usize, n_basis: usize) -> Result<(
 }
 
 /// `--faults` only fires inside a world: refuse a plan the serial build
-/// would ignore, or one naming a rank the algorithm does not run.
-fn check_fault_plan(plan: &FaultPlan, alg: FockAlgorithm, spec: &str) -> Result<(), String> {
+/// would ignore, or one naming a rank the algorithm does not run or a task
+/// it never leases out of a basis of `n_shells` shells.
+fn check_fault_plan(
+    plan: &FaultPlan,
+    alg: FockAlgorithm,
+    spec: &str,
+    n_shells: usize,
+) -> Result<(), String> {
     if alg == FockAlgorithm::Serial {
         return Err("--faults needs a parallel --algorithm: serial has no ranks to kill and \
                     no messages to lose"
             .into());
     }
     let (ranks, _) = alg.shape();
-    match plan.max_rank() {
-        Some(rank) if rank >= ranks => Err(format!(
+    if let Some(rank) = plan.max_rank().filter(|&rank| rank >= ranks) {
+        return Err(format!(
             "--faults names rank {rank}, but --algorithm {spec} runs ranks 0..{}",
             ranks - 1
+        ));
+    }
+    // Algorithm 2 leases one task per shell `i`, every other row one per
+    // shell pair `(i, j)`.
+    let (tasks, what) = match alg {
+        FockAlgorithm::PrivateFock { .. } => (n_shells, "shell"),
+        _ => (n_pairs(n_shells), "shell-pair"),
+    };
+    match plan.max_task() {
+        Some(task) if task >= tasks => Err(format!(
+            "--faults kills at task {task}, but --algorithm {spec} leases {tasks} {what} tasks \
+             (0..{})",
+            tasks - 1
         )),
         _ => Ok(()),
     }
@@ -391,7 +428,7 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
 
     let alg = parse_algorithm(&algorithm)?;
     if let Some(plan) = &faults {
-        check_fault_plan(plan, alg, &algorithm)?;
+        check_fault_plan(plan, alg, &algorithm, b.n_shells())?;
     }
     if mp2 && uhf.is_some() {
         return Err("--mp2 is the closed-shell formula over one set of doubly occupied \
@@ -652,6 +689,28 @@ mod tests {
                 &["--faults", "rank 3", "sharded:2"],
             ),
             ("--molecule water --basis sto3g --faults 1:delay@0#0:5", &["claim index", "#0"]),
+            // Water/STO-3G has 4 shells, so 10 pair tasks and 4 shell tasks.
+            (
+                "--molecule water --basis sto3g --algorithm mpi:2 --faults 1:kill@10",
+                &["--faults", "task 10", "mpi:2", "10 shell-pair tasks"],
+            ),
+            (
+                "--molecule water --basis sto3g --algorithm private:2x2 --faults 1:kill@4",
+                &["--faults", "task 4", "private:2x2", "4 shell tasks"],
+            ),
+            (
+                "--molecule water --basis sto3g --algorithm sharded:2 --faults 1:kill@10",
+                &["--faults", "task 10", "sharded:2", "10 shell-pair tasks"],
+            ),
+            ("--molecule water --basis sto3g --algorithm mpi:257", &["mpi:257", "257 workers"]),
+            (
+                "--molecule water --basis sto3g --algorithm shared:4x65",
+                &["shared:4x65", "260 workers", "at most 256"],
+            ),
+            (
+                "--molecule water --basis sto3g --algorithm shared:99999999999x99999999999",
+                &["shared:99999999999x99999999999", "more than usize::MAX workers"],
+            ),
             ("--molecule chain:0:1.8 --basis sto3g", &["atom count '0'", ">= 1"]),
             ("--molecule ring:0 --basis sto3g", &["atom count '0'", ">= 2"]),
             ("--molecule ring:1 --basis sto3g", &["atom count '1'", ">= 2"]),

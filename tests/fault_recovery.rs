@@ -8,7 +8,7 @@
 
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
-use phi_scf::dmpi::FaultPlan;
+use phi_scf::dmpi::{DdiMode, FaultPlan};
 use phi_scf::hf::{run_scf, DensitySet, FockAlgorithm, FockData, ScfConfig};
 use phi_scf::linalg::Mat;
 
@@ -29,14 +29,15 @@ fn seeds() -> Vec<u64> {
     }
 }
 
-/// All four parallel builders at four ranks (so up to two deaths still
+/// All five parallel builders at four ranks (so up to two deaths still
 /// leave a quorum of survivors).
-fn algorithms() -> [FockAlgorithm; 4] {
+fn algorithms() -> [FockAlgorithm; 5] {
     [
         FockAlgorithm::MpiOnly { n_ranks: 4 },
         FockAlgorithm::PrivateFock { n_ranks: 4, n_threads: 2 },
         FockAlgorithm::SharedFock { n_ranks: 4, n_threads: 2 },
         FockAlgorithm::Distributed { n_ranks: 4 },
+        FockAlgorithm::Sharded { n_ranks: 4, mode: DdiMode::Mpi3OneSided },
     ]
 }
 

@@ -279,6 +279,16 @@ fn shared_fock_counters_match_the_pinned_values() {
             assert!((34..=42).contains(&stats.flushes), "flushes {}", stats.flushes);
         }
     }
+    // The flat rows lease every one of the 36 ij pairs through the same
+    // loop, as a team of one, plus each rank's out-of-range claim.
+    for alg in [
+        FockAlgorithm::MpiOnly { n_ranks: 2 },
+        FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::Mpi3OneSided },
+        FockAlgorithm::Distributed { n_ranks: 2 },
+    ] {
+        let stats = alg.builder().build(&ctx, &DensitySet::Restricted(&d)).stats;
+        assert_eq!((stats.dlb_tasks, stats.dlb_calls), (36, 38), "{}", alg.label());
+    }
 }
 
 #[test]

@@ -160,6 +160,38 @@ fn fock_build_spans_appear_once_per_rank() {
     }
 }
 
+/// Team barriers each build crosses on h_chain(8, 5.0)/STO-3G at the
+/// density and threshold `fock_golden.rs` pins the shared-Fock counters
+/// at. Per thread the shared-Fock build crosses 27 lease broadcasts (26
+/// tasks run, then the end of the stream), 26 `kl` loop barriers and 7
+/// FI-flush barriers for the changes of `i`; the private-Fock build a
+/// broadcast and a `collapse(2)` barrier per shell plus the last
+/// broadcast. The flat rows run the lease loop as a team of one, which
+/// opens no barrier span at all.
+#[test]
+fn team_barrier_spans_match_the_pinned_values() {
+    let b = BasisSet::build(&small::h_chain(8, 5.0), BasisName::Sto3g);
+    let data = FockData::build(&b);
+    let ctx = data.context(&b, 1e-10);
+    let n = b.n_basis();
+    let d = Mat::from_fn(n, n, |i, j| {
+        let (i, j) = if i >= j { (i, j) } else { (j, i) };
+        0.3 + 0.1 * ((i * 7 + j * 3) % 5) as f64 - 0.05 * (i as f64 - j as f64)
+    });
+    for (alg, spans) in [
+        (FockAlgorithm::SharedFock { n_ranks: 1, n_threads: 2 }, 120),
+        (FockAlgorithm::PrivateFock { n_ranks: 1, n_threads: 2 }, 34),
+        (FockAlgorithm::MpiOnly { n_ranks: 2 }, 0),
+        (FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::Mpi3OneSided }, 0),
+        (FockAlgorithm::Distributed { n_ranks: 2 }, 0),
+    ] {
+        let session = TraceSession::begin();
+        alg.builder().build(&ctx, &DensitySet::Restricted(&d));
+        let report = session.finish();
+        assert_eq!(report.span_count("omp.barrier_wait"), spans, "{}", alg.label());
+    }
+}
+
 #[test]
 fn counter_totals_reconcile_exactly_with_build_stats() {
     let mut algs = algorithms();

@@ -4,6 +4,7 @@
 
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
+use phi_scf::dmpi::DdiMode;
 use phi_scf::hf::{DensitySet, FockAlgorithm, FockContext, FockData};
 use phi_scf::integrals::screening::WorkloadStats;
 use phi_scf::integrals::{Screening, ShellPairs};
@@ -100,6 +101,7 @@ fn builder_counters_are_deterministic_across_algorithms() {
         (FockAlgorithm::PrivateFock { n_ranks: 2, n_threads: 2 }, 2),
         (FockAlgorithm::SharedFock { n_ranks: 2, n_threads: 2 }, 2),
         (FockAlgorithm::Distributed { n_ranks: 3 }, 3),
+        (FockAlgorithm::Sharded { n_ranks: 3, mode: DdiMode::Mpi3OneSided }, 3),
     ] {
         let got = alg.builder().build(&ctx, &dens);
         let label = alg.label();
