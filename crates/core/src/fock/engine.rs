@@ -27,7 +27,7 @@ use super::driver::World;
 use super::{DensitySet, FockAlgorithm, GBuild, ReplicatedDensity};
 use phi_chem::BasisSet;
 use phi_dmpi::{FaultPlan, RetryPolicy};
-use phi_integrals::{DensityMax, Screening, ShellPairs};
+use phi_integrals::{Screening, ShellPairs};
 
 /// Borrowed view of everything a Fock build needs besides the density:
 /// basis, shell-pair dataset, screening, and the Schwarz threshold.
@@ -41,12 +41,6 @@ pub struct FockContext<'a> {
     pub screening: &'a Screening,
     /// Schwarz screening threshold on `Q_ij * Q_kl`.
     pub tau: f64,
-    /// Per-shell-pair density-max table for density-weighted screening.
-    /// `None` (the default) keeps the static `Q_ij * Q_kl >= tau` test and
-    /// bit-identical results with pre-incremental builds; incremental
-    /// drivers refresh a table from ΔD each iteration and attach it with
-    /// [`FockContext::with_dmax`].
-    pub dmax: Option<&'a DensityMax>,
     /// Route ERI evaluation through the class-specialized kernels
     /// (default). Cleared by differential tests and ablations to force the
     /// generic recursion in every builder's engines.
@@ -60,14 +54,7 @@ impl<'a> FockContext<'a> {
         screening: &'a Screening,
         tau: f64,
     ) -> FockContext<'a> {
-        FockContext { basis, pairs, screening, tau, dmax: None, eri_kernels: true }
-    }
-
-    /// The same context with a density-max table attached: every builder's
-    /// quartet test and `ij`-task prescreen become density-weighted.
-    pub fn with_dmax(mut self, dmax: &'a DensityMax) -> FockContext<'a> {
-        self.dmax = Some(dmax);
-        self
+        FockContext { basis, pairs, screening, tau, eri_kernels: true }
     }
 
     /// The same context with the class-specialized ERI kernels toggled —
@@ -87,19 +74,16 @@ impl<'a> FockContext<'a> {
         e
     }
 
-    /// The quartet-level screening test every builder applies: static
-    /// Schwarz when no density table is attached, density-weighted
-    /// otherwise.
+    /// The quartet-level Schwarz test every builder applies.
     #[inline]
     pub fn survives(&self, i: usize, j: usize, k: usize, l: usize) -> bool {
-        self.screening.survives_weighted(self.dmax, i, j, k, l, self.tau)
+        self.screening.survives(i, j, k, l, self.tau)
     }
 
-    /// The `ij`-task-level prescreen (Algorithm 3, line 13), weighted by
-    /// the attached density table when present.
+    /// The `ij`-task-level prescreen (Algorithm 3, line 13).
     #[inline]
     pub fn task_survives(&self, i: usize, j: usize) -> bool {
-        self.screening.task_survives_weighted(self.dmax, i, j, self.tau)
+        self.screening.task_survives(i, j, self.tau)
     }
 }
 

@@ -26,7 +26,6 @@
 
 pub(crate) mod driver;
 pub mod engine;
-pub mod incremental;
 pub mod matrix;
 mod mpi_only;
 mod private_fock;
@@ -141,24 +140,6 @@ impl<'a> DensitySet<'a> {
             [d] => DensitySet::Restricted(d),
             [alpha, beta] => DensitySet::Unrestricted { alpha, beta },
             _ => panic!("a density set has 1 (RHF) or 2 (UHF) channels, got {}", mats.len()),
-        }
-    }
-
-    /// Per-shell-pair density-max table over every matrix this set feeds
-    /// into digestion. Restricted input bounds `|D|`; unrestricted input
-    /// bounds `|D_alpha| + |D_beta|`, which dominates each spin density
-    /// *and* the Coulomb source `D_total = D_alpha + D_beta` — so one
-    /// table covers every channel's updates.
-    pub fn density_max(&self, basis: &BasisSet) -> phi_integrals::DensityMax {
-        match *self {
-            DensitySet::Restricted(d) => {
-                phi_integrals::DensityMax::build(basis, |p, q| d[(p, q)].abs())
-            }
-            DensitySet::Unrestricted { alpha, beta } => {
-                phi_integrals::DensityMax::build(basis, |p, q| {
-                    alpha[(p, q)].abs() + beta[(p, q)].abs()
-                })
-            }
         }
     }
 }

@@ -49,7 +49,6 @@ pub mod scf;
 pub mod stats;
 
 pub use fock::engine::{FockBuilder, FockContext, FockData};
-pub use fock::incremental::IncrementalFock;
 pub use fock::{DensitySet, FockAlgorithm, GBuild};
 pub use memory_model::MemoryModel;
 pub use mp2::{mp2_energy, Mp2Result};

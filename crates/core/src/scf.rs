@@ -25,7 +25,6 @@
 
 use crate::diis::Diis;
 use crate::fock::engine::FockData;
-use crate::fock::incremental::IncrementalFock;
 use crate::fock::{DensitySet, FockAlgorithm};
 use crate::guess::{density_from_orbitals, solve_roothaan};
 use crate::stats::FockBuildStats;
@@ -77,17 +76,6 @@ pub struct ScfConfig {
     /// Deadline of every parallel build's failure-aware waits (barriers,
     /// lease polls, receives); `--comm-timeout-ms` sets it.
     pub retry: RetryPolicy,
-    /// Incremental (ΔD) Fock builds: iteration `n` builds `G(ΔD)` with
-    /// `ΔD = D_n - D_ref` under density-weighted screening and accumulates
-    /// `G_n = G_ref + G(ΔD)` (see [`crate::fock::incremental`]; valid per
-    /// spin channel too, each `G_s` being jointly linear in the spin
-    /// densities). Lossy but bounded: periodic full rebuilds cap the
-    /// accumulated screening error.
-    pub incremental: bool,
-    /// In incremental mode, perform a full rebuild every this many builds
-    /// (clamped to >= 1; `1` makes every build full, reproducing the plain
-    /// driver bit for bit). Ignored when `incremental` is false.
-    pub full_rebuild_every: usize,
 }
 
 impl Default for ScfConfig {
@@ -102,8 +90,6 @@ impl Default for ScfConfig {
             s_threshold: 1e-8,
             faults: None,
             retry: RetryPolicy::default(),
-            incremental: false,
-            full_rebuild_every: 8,
         }
     }
 }
@@ -286,10 +272,6 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
     let mut divergence = DivergenceDetector::new();
     let mut iterations = 0;
     let mut e_elec = 0.0;
-    // ΔD bookkeeping starts with no reference state, so the first build is
-    // always a full rebuild.
-    let mut incremental =
-        config.incremental.then(|| IncrementalFock::new(config.full_rebuild_every));
 
     for it in 0..config.max_iterations {
         iterations = it + 1;
@@ -299,10 +281,7 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
         let gb = {
             let _span = phi_trace::span("scf.fock");
             let d: Vec<&Mat> = d.iter().collect();
-            match incremental.as_mut() {
-                Some(inc) => inc.build(ctx, builder.as_ref(), &d),
-                None => builder.build(&ctx, &DensitySet::from_channels(&d)),
-            }
+            builder.build(&ctx, &DensitySet::from_channels(&d))
         };
         fock_stats.push(gb.stats);
         let f: Vec<Mat> = std::iter::once(gb.g)

@@ -51,10 +51,6 @@ pub struct FockBuildStats {
     /// build's DDI window links. World-global, set once per build like
     /// `dlb_calls`; all zero without fault injection.
     pub comm: phi_dmpi::CommStats,
-    /// True when this build was an incremental (ΔD) build: the quartet
-    /// counts describe the density-weighted ΔD pass, not a full build.
-    /// Set by the driver (like `dlb_calls`, not merged).
-    pub incremental: bool,
 }
 
 impl FockBuildStats {

@@ -34,7 +34,8 @@
 //!          | "corrupt@" <from> "->" <to> "#" <nth>  corrupt the <nth> transmission from->to
 //! ```
 //!
-//! Claims and transmissions are counted from 1, so `#0` is an error.
+//! Claims and transmissions are counted from 1, so `#0` is an error, and
+//! so is `kill*0`.
 //! Example: `"42:kill@3,delay@1#5:20"` — seed 42, kill whoever claims
 //! task 3, and make rank 1 sleep 20 ms on its fifth claim.
 //!
@@ -201,6 +202,18 @@ impl FaultPlan {
             .max()
     }
 
+    /// The longest `delay@` a spec names, so a caller can refuse a
+    /// straggler that would outlive the failure-aware waits' timeout.
+    pub fn max_delay_ms(&self) -> Option<u64> {
+        self.specs
+            .iter()
+            .filter_map(|spec| match *spec {
+                FaultSpec::Delay { millis, .. } => Some(millis),
+                _ => None,
+            })
+            .max()
+    }
+
     /// Parse the `"seed:spec,spec,..."` grammar (see module docs).
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let (seed_str, rest) =
@@ -244,7 +257,10 @@ fn parse_spec(spec: &str) -> Result<FaultSpec, String> {
         };
     }
     if let Some(body) = spec.strip_prefix("kill*") {
-        return Ok(FaultSpec::KillRandom { count: parse_usize(body, "kill count")? });
+        return match parse_usize(body, "kill count")? {
+            0 => Err("bad kill count '0': kill*0 kills nothing".into()),
+            count => Ok(FaultSpec::KillRandom { count }),
+        };
     }
     if let Some(body) = spec.strip_prefix("delay@") {
         let (rank_claim, ms) =
@@ -686,6 +702,12 @@ mod tests {
         assert_eq!(p.max_task(), Some(3));
         assert_eq!(FaultPlan::parse("1:kill@9,kill@2,kill*30").unwrap().max_task(), Some(9));
         assert_eq!(FaultPlan::parse("1:kill@0#1,drop@0->1#1").unwrap().max_task(), None);
+        assert_eq!(p.max_delay_ms(), Some(20));
+        assert_eq!(
+            FaultPlan::parse("1:delay@0#1:7,delay@1#1:90").unwrap().max_delay_ms(),
+            Some(90)
+        );
+        assert_eq!(FaultPlan::parse("1:kill@9").unwrap().max_delay_ms(), None);
     }
 
     #[test]
@@ -700,8 +722,10 @@ mod tests {
             let err = FaultPlan::parse(spec).expect_err(spec);
             assert!(err.contains("'0'") && err.contains("from 1"), "{spec}: {err}");
         }
-        // A task index and a kill count are not ordinals.
-        assert!(FaultPlan::parse("1:kill@0,kill*0").is_ok());
+        // A task index is not an ordinal; a kill count of 0 kills nothing.
+        assert!(FaultPlan::parse("1:kill@0").is_ok());
+        let err = FaultPlan::parse("1:kill*0").expect_err("kill*0");
+        assert!(err.contains("kill*0"), "{err}");
     }
 
     #[test]

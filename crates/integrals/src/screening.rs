@@ -142,127 +142,6 @@ impl Screening {
     pub fn task_survives(&self, i: usize, j: usize, tau: f64) -> bool {
         self.q(i, j) * self.q_max >= tau
     }
-
-    /// Density-weighted quartet test: `Q_ij * Q_kl * D_fac >= tau`, where
-    /// `D_fac` is the largest per-shell-pair density magnitude over the six
-    /// pairs a quartet's Coulomb and exchange updates touch
-    /// (`kl`, `ij`, `jl`, `jk`, `il`, `ik` — Algorithm 1's update set).
-    /// Since `|G| <= 2 Q_ij Q_kl max|D|` per destination, a quartet failing
-    /// this test contributes below tau to every Fock element it updates.
-    ///
-    /// The six look-ups run only for quartets that pass the same test with
-    /// the *global* density max first: it bounds every pair factor and
-    /// multiplying by `qq >= 0` is monotone, so the verdict is unchanged
-    /// while the rejections — 98.5 % of a 200-function chain's tests — cost
-    /// one multiply.
-    ///
-    /// With `dmax = None` this degrades to the static [`Self::survives`]
-    /// test, so unweighted builds stay bit-identical.
-    #[inline]
-    pub fn survives_weighted(
-        &self,
-        dmax: Option<&DensityMax>,
-        i: usize,
-        j: usize,
-        k: usize,
-        l: usize,
-        tau: f64,
-    ) -> bool {
-        let qq = self.q(i, j) * self.q(k, l);
-        match dmax {
-            None => qq >= tau,
-            Some(d) => qq * d.global_max() >= tau && qq * d.quartet_factor(i, j, k, l) >= tau,
-        }
-    }
-
-    /// Density-weighted `ij`-task prescreen: `Q_ij * Q_max * D_max >= tau`
-    /// with the *global* density max. For any quartet of the task,
-    /// `Q_kl <= Q_max` and every per-pair density factor is `<= D_max`, so
-    /// this is a necessary condition of [`Self::survives_weighted`] — the
-    /// prescreen never drops a task holding a surviving weighted quartet.
-    #[inline]
-    pub fn task_survives_weighted(
-        &self,
-        dmax: Option<&DensityMax>,
-        i: usize,
-        j: usize,
-        tau: f64,
-    ) -> bool {
-        let qb = self.q(i, j) * self.q_max;
-        match dmax {
-            None => qb >= tau,
-            Some(d) => qb * d.global_max() >= tau,
-        }
-    }
-}
-
-/// Per-shell-pair density-max table `D_ij^max` for density-weighted
-/// screening.
-///
-/// Refreshed once per Fock build from the incoming density (or density
-/// *difference* in incremental mode): entry `(i, j)` is the largest
-/// absolute density-matrix element over the basis-function block of shell
-/// pair `(i, j)`. Like the `Q` table the entries are stored as `f32` with
-/// upward rounding, so they remain genuine upper bounds.
-pub struct DensityMax {
-    n_shells: usize,
-    d: Vec<f32>,
-    d_max: f64,
-}
-
-impl DensityMax {
-    /// Build the table for `basis` from `abs_den(p, q)` = the absolute
-    /// density value for basis functions `p`, `q` (maximized over spin
-    /// channels by the caller when several matrices feed one build).
-    pub fn build(basis: &BasisSet, abs_den: impl Fn(usize, usize) -> f64) -> DensityMax {
-        let n = basis.n_shells();
-        let mut d = vec![0.0f32; n_pairs(n)];
-        let mut d_max = 0.0f64;
-        for i in 0..n {
-            let si = &basis.shells[i];
-            for j in 0..=i {
-                let sj = &basis.shells[j];
-                let mut m = 0.0f64;
-                for p in si.first_bf..si.first_bf + si.n_functions() {
-                    for q in sj.first_bf..sj.first_bf + sj.n_functions() {
-                        m = m.max(abs_den(p, q));
-                    }
-                }
-                let dv = round_up_f32(m);
-                d[pair_index(i, j)] = dv;
-                d_max = d_max.max(dv as f64);
-            }
-        }
-        DensityMax { n_shells: n, d, d_max }
-    }
-
-    pub fn n_shells(&self) -> usize {
-        self.n_shells
-    }
-
-    /// `D_ij^max` (order of `i`, `j` irrelevant).
-    #[inline]
-    pub fn pair_max(&self, i: usize, j: usize) -> f64 {
-        let (i, j) = if i >= j { (i, j) } else { (j, i) };
-        self.d[pair_index(i, j)] as f64
-    }
-
-    /// Largest entry in the table.
-    #[inline]
-    pub fn global_max(&self) -> f64 {
-        self.d_max
-    }
-
-    /// Largest density factor over the six shell pairs a quartet `(ij|kl)`
-    /// updates: Coulomb destinations `ij`/`kl` read `D_kl`/`D_ij`, exchange
-    /// destinations read the four cross pairs.
-    #[inline]
-    pub fn quartet_factor(&self, i: usize, j: usize, k: usize, l: usize) -> f64 {
-        let mut m = self.pair_max(i, j).max(self.pair_max(k, l));
-        m = m.max(self.pair_max(i, k)).max(self.pair_max(i, l));
-        m = m.max(self.pair_max(j, k)).max(self.pair_max(j, l));
-        m
-    }
 }
 
 // ------------------------------------------------------------------------
@@ -749,109 +628,6 @@ mod tests {
         // Exact-representable values must pass through unchanged.
         assert_eq!(round_up_f32(0.5), 0.5f32);
         assert_eq!(round_up_f32(0.0), 0.0f32);
-    }
-
-    #[test]
-    fn density_max_covers_shell_blocks() {
-        let b = BasisSet::build(&small::water(), BasisName::B631g);
-        // Synthetic |D|: distinct value per (p, q) so block maxima are
-        // easy to cross-check.
-        let den = |p: usize, q: usize| ((p * 31 + q * 7) % 13) as f64 * 0.1;
-        let sym = |p: usize, q: usize| den(p, q).max(den(q, p));
-        let dm = DensityMax::build(&b, sym);
-        assert_eq!(dm.n_shells(), b.n_shells());
-        let mut global = 0.0f64;
-        for i in 0..b.n_shells() {
-            for j in 0..=i {
-                let (si, sj) = (&b.shells[i], &b.shells[j]);
-                let mut want = 0.0f64;
-                for p in si.first_bf..si.first_bf + si.n_functions() {
-                    for q in sj.first_bf..sj.first_bf + sj.n_functions() {
-                        want = want.max(sym(p, q));
-                    }
-                }
-                let got = dm.pair_max(i, j);
-                assert!(got >= want && got <= want * (1.0 + 1e-6) + 1e-30);
-                assert_eq!(dm.pair_max(i, j), dm.pair_max(j, i));
-                global = global.max(got);
-            }
-        }
-        assert_eq!(dm.global_max(), global);
-    }
-
-    #[test]
-    fn weighted_tests_degrade_to_static_without_table() {
-        let (b, s) = water_screening();
-        let n = b.n_shells();
-        for tau in [1e-6, 1e-10] {
-            for i in 0..n {
-                for j in 0..=i {
-                    assert_eq!(
-                        s.task_survives(i, j, tau),
-                        s.task_survives_weighted(None, i, j, tau)
-                    );
-                    for k in 0..=i {
-                        for l in 0..=k {
-                            assert_eq!(
-                                s.survives(i, j, k, l, tau),
-                                s.survives_weighted(None, i, j, k, l, tau)
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn weighted_task_prescreen_is_necessary_for_weighted_quartets() {
-        let (b, s) = water_screening();
-        let n = b.n_shells();
-        let tau = 1e-8;
-        // Small density: most quartets die under the weighted test. Then a
-        // seeded ΔD-like table, log-uniform over 1e-12..1e-4, so verdicts
-        // fall on both sides of tau.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut random = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            10f64.powf(-4.0 - 8.0 * (state >> 11) as f64 / (1u64 << 53) as f64)
-        };
-        let nbf = b.n_basis();
-        let table: Vec<f64> = (0..nbf * nbf).map(|_| random()).collect();
-        for dm in [
-            DensityMax::build(&b, |p, q| if p == q { 1e-5 } else { 1e-7 }),
-            DensityMax::build(&b, |p, q| table[p * nbf + q].max(table[q * nbf + p])),
-        ] {
-            let (mut weighted_killed, mut weighted_kept) = (0u64, 0u64);
-            for i in 0..n {
-                for j in 0..=i {
-                    let task = s.task_survives_weighted(Some(&dm), i, j, tau);
-                    for k in 0..=i {
-                        for l in 0..=(if k == i { j } else { k }) {
-                            let q_surv = s.survives_weighted(Some(&dm), i, j, k, l, tau);
-                            // The global-max pre-test changes no verdict: the
-                            // six-pair test, written out, agrees everywhere.
-                            let six = [(i, j), (k, l), (i, k), (i, l), (j, k), (j, l)]
-                                .iter()
-                                .fold(0.0f64, |m, &(a, c)| m.max(dm.pair_max(a, c)));
-                            assert_eq!(
-                                q_surv,
-                                s.q(i, j) * s.q(k, l) * six >= tau,
-                                "({i}{j}|{k}{l})"
-                            );
-                            // Prescreen must never drop a surviving quartet.
-                            assert!(!q_surv || task, "task ({i},{j}) dropped live quartet");
-                            if s.survives(i, j, k, l, tau) && !q_surv {
-                                weighted_killed += 1;
-                            }
-                            weighted_kept += q_surv as u64;
-                        }
-                    }
-                }
-            }
-            assert!(weighted_killed > 0, "weighted test should prune below the static test");
-            assert!(weighted_kept > 0, "a table that kills everything tests one verdict only");
-        }
     }
 
     #[test]

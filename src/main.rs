@@ -54,19 +54,6 @@ OPTIONS:
                          refuse to run an algorithm whose estimate exceeds
                          the budget (the error names the sharded
                          alternative that fits)
-    --incremental        incremental (ΔD) Fock builds: each iteration
-                         builds G(ΔD) under density-weighted screening and
-                         accumulates G_n = G_ref + G(ΔD) (RHF and UHF).
-                         Fewer quartets, about the same time: measured
-                         0.87-1.11x of plain builds' Fock time at 200
-                         functions (chain:100:1.8 / 6-31G, last build 3.4x
-                         fewer quartets; 1.4-1.7x before the weighted test
-                         got its global-max pre-test) and within run-to-run
-                         noise at 102 (benzene / 6-31G(d)); EXPERIMENTS.md
-                         \"PR 20\" and \"PR 19\"
-    --full-rebuild-every <K>
-                         with --incremental, perform a full rebuild every
-                         K-th Fock build (K=1: all full)  [default: 8]
     --faults <SPEC>      deterministic fault injection, replayed on every
                          Fock build: <seed>:<fault>[,<fault>...] with
                          kill@<task> | kill@<rank>#<claim> | kill*<count> |
@@ -74,8 +61,9 @@ OPTIONS:
                          drop@<from>-><to>#<nth> |
                          corrupt@<from>-><to>#<nth>
                          (parallel algorithms only; every rank and task
-                         named must exist, and claims and messages count
-                         from #1)
+                         named must exist, claims and messages count
+                         from #1, kill* needs a count >= 1, and a delay
+                         must be shorter than --comm-timeout-ms)
                          e.g. --faults 42:kill@3,delay@1#2:50
     --comm-timeout-ms <MS>
                          barrier/lease/receive timeout for the
@@ -229,13 +217,15 @@ fn check_occupations(spin: Spin, n_electrons: usize, n_basis: usize) -> Result<(
 }
 
 /// `--faults` only fires inside a world: refuse a plan the serial build
-/// would ignore, or one naming a rank the algorithm does not run or a task
-/// it never leases out of a basis of `n_shells` shells.
+/// would ignore, one naming a rank the algorithm does not run or a task it
+/// never leases out of a basis of `n_shells` shells, or a straggler that
+/// outlives the failure-aware waits' `timeout`.
 fn check_fault_plan(
     plan: &FaultPlan,
     alg: FockAlgorithm,
     spec: &str,
     n_shells: usize,
+    timeout: std::time::Duration,
 ) -> Result<(), String> {
     if alg == FockAlgorithm::Serial {
         return Err("--faults needs a parallel --algorithm: serial has no ranks to kill and \
@@ -247,6 +237,16 @@ fn check_fault_plan(
         return Err(format!(
             "--faults names rank {rank}, but --algorithm {spec} runs ranks 0..{}",
             ranks - 1
+        ));
+    }
+    // The survivors' waits give up on a rank that sleeps past the timeout
+    // without marking it dead, so the build loses its result.
+    let timeout_ms = timeout.as_millis();
+    if let Some(ms) = plan.max_delay_ms().filter(|&ms| u128::from(ms) >= timeout_ms) {
+        return Err(format!(
+            "--faults delays a rank {ms} ms, but --comm-timeout-ms is {timeout_ms}: a straggler \
+             that outlives the timeout is a kill (spell it kill@<rank>#<claim>, or shorten \
+             the delay)"
         ));
     }
     // Algorithm 2 leases one task per shell `i`, every other row one per
@@ -325,8 +325,6 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
     let mut faults: Option<FaultPlan> = None;
     let mut retry = RetryPolicy::default();
     let mut trace_path: Option<String> = None;
-    let mut incremental = false;
-    let mut full_rebuild_every: Option<usize> = None;
     let mut memory_budget: Option<f64> = None;
 
     while let Some(a) = args.next() {
@@ -360,16 +358,6 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
             }
             "--mp2" => mp2 = true,
             "--no-diis" => diis = false,
-            "--incremental" => incremental = true,
-            "--full-rebuild-every" => {
-                let k: usize = value("full-rebuild-every")?
-                    .parse()
-                    .map_err(|e| format!("bad full-rebuild-every: {e}"))?;
-                if k == 0 {
-                    return Err("--full-rebuild-every needs K >= 1".into());
-                }
-                full_rebuild_every = Some(k);
-            }
             "--memory-budget" => {
                 let mib: f64 = value("memory-budget")?
                     .parse()
@@ -398,12 +386,6 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
         }
     }
 
-    if full_rebuild_every.is_some() && !incremental {
-        return Err("--full-rebuild-every sets the period of --incremental builds and does \
-                    nothing without it (add --incremental or drop the option)"
-            .into());
-    }
-
     let mol = match &xyz_path {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -428,7 +410,7 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
 
     let alg = parse_algorithm(&algorithm)?;
     if let Some(plan) = &faults {
-        check_fault_plan(plan, alg, &algorithm, b.n_shells())?;
+        check_fault_plan(plan, alg, &algorithm, b.n_shells(), retry.timeout)?;
     }
     if mp2 && uhf.is_some() {
         return Err("--mp2 is the closed-shell formula over one set of doubly occupied \
@@ -450,7 +432,6 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
         check_memory_budget(mib, alg, model)?;
     }
     let trace_session = trace_path.as_deref().map(|_| phi_scf::trace::TraceSession::begin());
-    let defaults = ScfConfig::default();
     let config = ScfConfig {
         spin,
         algorithm: alg,
@@ -459,9 +440,7 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
         diis,
         faults,
         retry,
-        incremental,
-        full_rebuild_every: full_rebuild_every.unwrap_or(defaults.full_rebuild_every),
-        ..defaults
+        ..ScfConfig::default()
     };
     let r = run_scf(&mol, &b, &config);
     if let (Some(session), Some(path)) = (trace_session, trace_path.as_deref()) {
@@ -501,16 +480,6 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
             s.screened_fraction() * 100.0,
             s.dlb_tasks
         );
-    }
-    if incremental {
-        if let (Some(first), Some(last)) = (r.fock_stats.first(), r.fock_stats.last()) {
-            let ratio = first.quartets_computed as f64 / (last.quartets_computed.max(1)) as f64;
-            println!(
-                "incremental: final build computed {} quartets ({ratio:.1}x fewer than the \
-                 first full build's {})",
-                last.quartets_computed, first.quartets_computed
-            );
-        }
     }
     if mp2 {
         if !r.converged {
@@ -671,10 +640,6 @@ mod tests {
             ("--molecule water --basis sto3g --tau inf", &["--tau", "finite"]),
             ("--molecule water --basis sto3g --tau -1e-10", &["--tau", ">= 0"]),
             ("--molecule water --basis sto3g --max-iter 0", &["--max-iter", ">= 1"]),
-            (
-                "--molecule water --basis sto3g --full-rebuild-every 3",
-                &["--full-rebuild-every", "--incremental"],
-            ),
             ("--molecule water --basis sto3g --purify", &["unknown option", "--purify"]),
             (
                 "--molecule water --basis sto3g --algorithm serial --faults 1:kill@3",
@@ -689,6 +654,27 @@ mod tests {
                 &["--faults", "rank 3", "sharded:2"],
             ),
             ("--molecule water --basis sto3g --faults 1:delay@0#0:5", &["claim index", "#0"]),
+            ("--molecule water --basis sto3g --faults 1:kill*0", &["kill count '0'", "kill*0"]),
+            (
+                "--molecule water --algorithm mpi:2 --max-iter 2 --comm-timeout-ms 500 \
+                 --faults 1:delay@0#1:2000",
+                &["--faults", "2000 ms", "--comm-timeout-ms is 500", "kill@<rank>#<claim>"],
+            ),
+            (
+                "--molecule water --algorithm private:2x2 --max-iter 2 --comm-timeout-ms 500 \
+                 --faults 1:delay@0#1:2000",
+                &["--faults", "2000 ms", "--comm-timeout-ms is 500"],
+            ),
+            (
+                "--molecule water --algorithm shared:2x2 --max-iter 2 --comm-timeout-ms 500 \
+                 --faults 1:delay@0#1:2000",
+                &["--faults", "2000 ms", "--comm-timeout-ms is 500"],
+            ),
+            (
+                "--molecule water --algorithm sharded:2 --comm-timeout-ms 500 \
+                 --faults 1:delay@1#1:500",
+                &["--faults", "500 ms", "--comm-timeout-ms is 500"],
+            ),
             // Water/STO-3G has 4 shells, so 10 pair tasks and 4 shell tasks.
             (
                 "--molecule water --basis sto3g --algorithm mpi:2 --faults 1:kill@10",

@@ -179,33 +179,3 @@ fn sharded_uhf_matches_serial_energy() {
         clean.energy
     );
 }
-
-/// The incremental (dD) path composes with the sharded build: later
-/// iterations digest the density *difference* through the same windows
-/// and must still converge to the full-rebuild energy.
-#[test]
-fn incremental_sharded_scf_matches_full_rebuilds() {
-    let mol = small::water();
-    let b = BasisSet::build(&mol, BasisName::B631g);
-    let full = run_scf(
-        &mol,
-        &b,
-        &ScfConfig {
-            algorithm: FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::Mpi3OneSided },
-            ..Default::default()
-        },
-    );
-    assert!(full.converged);
-
-    let inc = run_scf(
-        &mol,
-        &b,
-        &ScfConfig {
-            algorithm: FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::Mpi3OneSided },
-            incremental: true,
-            ..Default::default()
-        },
-    );
-    assert!(inc.converged);
-    assert!((inc.energy - full.energy).abs() < 1e-9, "{} vs {}", inc.energy, full.energy);
-}

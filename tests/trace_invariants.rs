@@ -223,40 +223,10 @@ fn counter_totals_reconcile_exactly_with_build_stats() {
     }
 }
 
-/// The counters must still reconcile exactly with the stats during an
-/// incremental run: the weighted screening predicate changes *which*
-/// quartets survive, not how the survivors are counted. (Lives here and
-/// not in `incremental_parity.rs` because every test in this binary holds
-/// a session, so no concurrently running test can leak counters into it.)
-#[test]
-fn incremental_run_counters_reconcile_exactly_with_stats() {
-    let mol = small::water();
-    let b = BasisSet::build(&mol, BasisName::Sto3g);
-    let config = ScfConfig {
-        algorithm: FockAlgorithm::SharedFock { n_ranks: 2, n_threads: 2 },
-        incremental: true,
-        full_rebuild_every: 4,
-        ..Default::default()
-    };
-    let session = TraceSession::begin();
-    let r = run_scf(&mol, &b, &config);
-    let report = session.finish();
-    assert!(r.converged);
-    assert!(r.fock_stats.iter().any(|s| s.incremental));
-
-    let sum = |f: fn(&FockBuildStats) -> u64| r.fock_stats.iter().map(f).sum::<u64>();
-    assert_eq!(report.counter_total("quartets_computed"), sum(|s| s.quartets_computed));
-    assert_eq!(report.counter_total("quartets_screened"), sum(|s| s.quartets_screened));
-    assert_eq!(report.counter_total("flushes"), sum(|s| s.flushes));
-    assert_eq!(
-        report.counter_total("dlb.calls") as usize,
-        r.fock_stats.iter().map(|s| s.dlb_calls).sum::<usize>()
-    );
-}
-
 /// The default build traces: a whole SCF inside a session yields a
-/// well-formed report with one `scf.iteration` span per iteration and
-/// the quartet counter equal to the sum over the per-build stats.
+/// well-formed report with one `scf.iteration` span per iteration, and
+/// the quartet, flush and DLB-claim counters equal to the sums over the
+/// per-build stats.
 #[test]
 fn whole_scf_run_is_traced_by_the_default_build() {
     let mol = small::water();
@@ -272,8 +242,12 @@ fn whole_scf_run_is_traced_by_the_default_build() {
     assert!(!report.is_empty(), "a default build must record inside a session");
     report.check_well_formed().unwrap();
     assert_eq!(report.span_count("scf.iteration"), r.iterations);
+    let sum = |f: fn(&FockBuildStats) -> u64| r.fock_stats.iter().map(f).sum::<u64>();
+    assert_eq!(report.counter_total("quartets_computed"), sum(|s| s.quartets_computed));
+    assert_eq!(report.counter_total("quartets_screened"), sum(|s| s.quartets_screened));
+    assert_eq!(report.counter_total("flushes"), sum(|s| s.flushes));
     assert_eq!(
-        report.counter_total("quartets_computed"),
-        r.fock_stats.iter().map(|s| s.quartets_computed).sum::<u64>()
+        report.counter_total("dlb.calls") as usize,
+        r.fock_stats.iter().map(|s| s.dlb_calls).sum::<usize>()
     );
 }
