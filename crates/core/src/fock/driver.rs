@@ -5,6 +5,9 @@
 //! index space, the thread-level schedule and the Fock accumulator. This
 //! module owns everything that does *not* differ, exactly once:
 //!
+//! * [`SignificantPairs`] — the `kl` index space of every row: the shell
+//!   pairs some quartet can survive on, built once per build and borrowed
+//!   by every rank and thread;
 //! * [`Quartets`] — the per-thread quartet evaluator (screen, evaluate,
 //!   hand the ERI buffer to the policy's digest closure, count) and the
 //!   single point where a worker's trace counters and
@@ -20,10 +23,9 @@
 //! Each algorithm module supplies only its policy row (DESIGN.md §3.1).
 
 use super::engine::FockContext;
-use super::kl_bounds;
 use crate::stats::FockBuildStats;
 use phi_dmpi::{DistributedArray, FaultPlan, LeaseMode, Rank, RetryPolicy, WorldConfig};
-use phi_integrals::EriEngine;
+use phi_integrals::{EriEngine, Screening};
 use phi_omp::ThreadCtx;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -36,10 +38,82 @@ pub(crate) fn readonly_bytes(n: usize) -> usize {
     3 * n * n * std::mem::size_of::<f64>()
 }
 
+/// The significant-pair list: every shell pair `(k, l)`, `k >= l`, with
+/// `Q_kl * Q_max >= tau`, ascending by `pair_index(k, l)` and indexed by
+/// row `k`. No quartet outside it can survive, since
+/// `Q_ij * Q_kl <= Q_max * Q_kl` (DESIGN.md §3.1), so it is the `kl`
+/// index space of every row; each visited quartet is still tested.
+///
+/// Built per build from the `Q` table, not stored in [`FockData`]: the
+/// frozen benchmark constructs that struct field by field. Like the table
+/// it comes from, it is read-only, shared and not charged per rank.
+///
+/// [`FockData`]: super::engine::FockData
+pub struct SignificantPairs {
+    /// Row `k` is `kl[starts[k]..starts[k + 1]]`.
+    starts: Vec<usize>,
+    kl: Vec<[u32; 2]>,
+}
+
+impl SignificantPairs {
+    /// One scan of the `Q` table under the task prescreen's test.
+    pub fn new(screening: &Screening, tau: f64) -> SignificantPairs {
+        let n_shells = screening.n_shells();
+        let mut starts = Vec::with_capacity(n_shells + 1);
+        let mut kl = Vec::new();
+        starts.push(0);
+        for k in 0..n_shells {
+            let significant = (0..=k).filter(|&l| screening.task_survives(k, l, tau));
+            kl.extend(significant.map(|l| [k as u32, l as u32]));
+            starts.push(kl.len());
+        }
+        SignificantPairs { starts, kl }
+    }
+
+    /// Number of significant pairs.
+    pub fn len(&self) -> usize {
+        self.kl.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.kl.is_empty()
+    }
+
+    /// Bytes the list occupies.
+    pub fn bytes(&self) -> usize {
+        self.starts.len() * std::mem::size_of::<usize>()
+            + self.kl.len() * std::mem::size_of::<[u32; 2]>()
+    }
+
+    /// Row `k`'s significant pairs with `l <= l_max`, ascending in `l`.
+    pub(crate) fn row(&self, k: usize, l_max: usize) -> &[[u32; 2]] {
+        let row = &self.kl[self.starts[k]..self.starts[k + 1]];
+        &row[..row.partition_point(|&[_, l]| l as usize <= l_max)]
+    }
+
+    /// Whether `(i, j)`, `i >= j`, is significant.
+    pub(crate) fn contains(&self, i: usize, j: usize) -> bool {
+        self.row(i, j).last() == Some(&[i as u32, j as u32])
+    }
+
+    /// The `kl` index space of task `(i, j)`: every significant `(k, l)`
+    /// with `pair_index(k, l) <= pair_index(i, j)`, in that order. Empty
+    /// when `(i, j)` is not significant, since then no quartet of the task
+    /// survives.
+    pub(crate) fn ket_space(&self, i: usize, j: usize) -> &[[u32; 2]] {
+        if self.contains(i, j) {
+            &self.kl[..self.starts[i] + self.row(i, j).len()]
+        } else {
+            &[]
+        }
+    }
+}
+
 /// The quartet evaluator of one worker (a rank, or a thread of a rank's
 /// team): its ERI engine, scratch buffer and quartet counts.
 pub(crate) struct Quartets<'c> {
     ctx: FockContext<'c>,
+    kl: &'c SignificantPairs,
     engine: EriEngine,
     eri_buf: Vec<f64>,
     computed: u64,
@@ -47,8 +121,15 @@ pub(crate) struct Quartets<'c> {
 }
 
 impl<'c> Quartets<'c> {
-    pub(crate) fn new(ctx: &FockContext<'c>) -> Self {
-        Quartets { ctx: *ctx, engine: ctx.engine(), eri_buf: Vec::new(), computed: 0, screened: 0 }
+    pub(crate) fn new(ctx: &FockContext<'c>, kl: &'c SignificantPairs) -> Self {
+        Quartets {
+            ctx: *ctx,
+            kl,
+            engine: ctx.engine(),
+            eri_buf: Vec::new(),
+            computed: 0,
+            screened: 0,
+        }
     }
 
     /// Evaluate canonical quartet `(ij|kl)` if it survives screening and
@@ -78,18 +159,18 @@ impl<'c> Quartets<'c> {
         self.computed += 1;
     }
 
-    /// One `(i, j)` pair task: every canonical `(k, l)` under it (the
-    /// inner loops of Algorithm 1).
+    /// One `(i, j)` pair task: every significant canonical `(k, l)`
+    /// under it (the inner loops of Algorithm 1).
     pub(crate) fn pair_task(
         &mut self,
         i: usize,
         j: usize,
         mut digest: impl FnMut(usize, usize, &[f64]),
     ) {
-        for k in 0..=i {
-            for l in 0..=kl_bounds(i, j, k) {
-                self.quartet(i, j, k, l, |eri| digest(k, l, eri));
-            }
+        let kl = self.kl;
+        for &[k, l] in kl.ket_space(i, j) {
+            let (k, l) = (k as usize, l as usize);
+            self.quartet(i, j, k, l, |eri| digest(k, l, eri));
         }
     }
 
@@ -309,10 +390,93 @@ pub(crate) fn surviving<T>(result: Option<T>, stats: &FockBuildStats) -> T {
 
 #[cfg(test)]
 mod tests {
-    use super::{every_task, LeaseLoop, Step};
+    use super::{every_task, LeaseLoop, SignificantPairs, Step};
+    use crate::fock::engine::FockData;
+    use crate::fock::kl_bounds;
+    use phi_chem::basis::{BasisName, BasisSet};
+    use phi_chem::geom::small;
     use phi_dmpi::{FaultPlan, LeaseMode, RetryPolicy, WorldConfig};
+    use phi_integrals::screening::n_pairs;
+    use phi_integrals::Screening;
     use phi_omp::Team;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Hold the list to the quartet test it stands in for: a pair is listed
+    /// exactly when some quartet survives on it, and every task's `kl` space
+    /// holds every `(k, l)` of its surviving canonical quartets, ascending.
+    fn assert_list_is_sound(s: &Screening, tau: f64, label: &str) {
+        let kl = SignificantPairs::new(s, tau);
+        let ns = s.n_shells();
+        let pairs: Vec<(usize, usize)> =
+            (0..ns).flat_map(|i| (0..=i).map(move |j| (i, j))).collect();
+        for &(k, l) in &pairs {
+            let some_survive = pairs.iter().any(|&(i, j)| s.survives(i, j, k, l, tau));
+            assert_eq!(kl.contains(k, l), some_survive, "{label}: pair ({k}, {l})");
+        }
+        for &(i, j) in &pairs {
+            let space: Vec<(usize, usize)> =
+                kl.ket_space(i, j).iter().map(|&[k, l]| (k as usize, l as usize)).collect();
+            assert!(space.windows(2).all(|w| w[0] < w[1]), "{label}: ({i}, {j}) out of order");
+            for k in 0..=i {
+                for l in 0..=kl_bounds(i, j, k) {
+                    if s.survives(i, j, k, l, tau) {
+                        assert!(space.contains(&(k, l)), "{label}: ({i}{j}|{k}{l}) not visited");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Hand-built tables at the threshold's edges. The bounds are f32, so
+    /// every product of two is exact in f64: a division form `Q_kl >= tau /
+    /// Q_max` agrees with the product except where `0 / 0` is NaN, and an
+    /// all-zero table at `tau = 0` (every product `0 >= 0` survives) is the
+    /// table on which it drops every pair. A strict `>` would drop the pairs
+    /// whose product equals `tau`.
+    #[test]
+    fn hand_built_tables_keep_every_pair_a_quartet_survives_on() {
+        let zeros = Screening::from_bounds(4, |_, _| 0.0);
+        assert_eq!(SignificantPairs::new(&zeros, 0.0).len(), n_pairs(4));
+        assert_list_is_sound(&zeros, 0.0, "all-zero table, tau = 0");
+        assert!(SignificantPairs::new(&zeros, f64::MIN_POSITIVE).is_empty());
+
+        // Q_max = 3 on (0, 0); the pairs straddle tau = 3 * (1/3 in f32).
+        let third = 1.0f32 / 3.0;
+        let bounds = [3.0, third, third.next_down(), 0.5, third.next_up(), 0.0];
+        let table = Screening::from_bounds(3, |i, j| bounds[i * (i + 1) / 2 + j] as f64);
+        let tau = 3.0 * third as f64;
+        let list = SignificantPairs::new(&table, tau);
+        assert_eq!(list.kl, [[0, 0], [1, 0], [2, 0], [2, 1]], "the pair at equality stays");
+        for tau in [tau, tau.next_up(), tau.next_down(), 0.0, 1.5] {
+            assert_list_is_sound(&table, tau, &format!("straddling table, tau = {tau:e}"));
+        }
+    }
+
+    /// Seeded H chains at spacings from bonded to nearly dissociated, at
+    /// the default threshold and at thresholds set exactly on one pair's
+    /// `Q_kl * Q_max`.
+    #[test]
+    fn seeded_chains_visit_every_surviving_quartet() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for seed in 0..8 {
+            let (n_atoms, spacing) = (4 + (draw() * 6.0) as usize, 1.4 + draw() * 6.0);
+            let basis = if seed % 2 == 0 { BasisName::Sto3g } else { BasisName::B631g };
+            let b = BasisSet::build(&small::h_chain(n_atoms, spacing), basis);
+            let s = FockData::build(&b).screening;
+            let ns = s.n_shells();
+            let k = (draw() * ns as f64) as usize;
+            let l = (draw() * (k + 1) as f64) as usize;
+            let edge = s.q(k, l) * s.q_max();
+            for tau in [1e-10, edge, edge.next_up()] {
+                let label = format!("seed {seed}: H{n_atoms} at {spacing:.3} bohr, tau {tau:e}");
+                assert_list_is_sound(&s, tau, &label);
+            }
+        }
+    }
 
     /// The one loop's contract on a 3-rank world with teams of one and two:
     /// each thread adds 1 per task to private pending state. Under durable

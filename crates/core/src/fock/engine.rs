@@ -23,7 +23,7 @@
 //! policy rows over the one task-loop driver (`fock/driver.rs`); adding
 //! one is one row.
 
-use super::driver::World;
+use super::driver::{SignificantPairs, World};
 use super::{DensitySet, FockAlgorithm, GBuild, ReplicatedDensity};
 use phi_chem::BasisSet;
 use phi_dmpi::{FaultPlan, RetryPolicy};
@@ -181,19 +181,25 @@ fn run_policy<const NCH: usize>(
     dens: ReplicatedDensity<'_, NCH>,
 ) -> GBuild {
     let world = |n_ranks| World { n_ranks, faults, retry };
+    // Every row's kl index space, read by every rank and thread.
+    let kl = &SignificantPairs::new(ctx.screening, ctx.tau);
     match alg {
-        FockAlgorithm::Serial => super::serial::build(ctx, dens),
-        FockAlgorithm::MpiOnly { n_ranks } => super::mpi_only::build(ctx, dens, &world(n_ranks)),
+        FockAlgorithm::Serial => super::serial::build(ctx, kl, dens),
+        FockAlgorithm::MpiOnly { n_ranks } => {
+            super::mpi_only::build(ctx, kl, dens, &world(n_ranks))
+        }
         FockAlgorithm::PrivateFock { n_ranks, n_threads } => {
-            super::private_fock::build(ctx, dens, &world(n_ranks), n_threads)
+            super::private_fock::build(ctx, kl, dens, &world(n_ranks), n_threads)
         }
         FockAlgorithm::SharedFock { n_ranks, n_threads } => {
-            super::shared_fock::build(ctx, dens, &world(n_ranks), n_threads)
+            super::shared_fock::build(ctx, kl, dens, &world(n_ranks), n_threads)
         }
         FockAlgorithm::Distributed { n_ranks } => {
-            super::sharded::build_distributed(ctx, dens, &world(n_ranks))
+            super::sharded::build_distributed(ctx, kl, dens, &world(n_ranks))
         }
-        FockAlgorithm::Sharded { n_ranks, .. } => super::sharded::build(ctx, dens, &world(n_ranks)),
+        FockAlgorithm::Sharded { n_ranks, .. } => {
+            super::sharded::build(ctx, kl, dens, &world(n_ranks))
+        }
     }
 }
 

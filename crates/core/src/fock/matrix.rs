@@ -519,7 +519,7 @@ pub(crate) fn drain_strip(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fock::driver::Quartets;
+    use crate::fock::driver::{Quartets, SignificantPairs};
     use crate::fock::engine::FockData;
     use crate::fock::DensitySet::Restricted;
     use crate::fock::{digest, FockAlgorithm};
@@ -538,7 +538,8 @@ mod tests {
     fn sweep(b: &BasisSet, dens: &mut impl DensityRead, sink: &mut impl ChannelSink) {
         let data = FockData::build(b);
         let ctx = data.context(b, 1e-14);
-        let mut quartets = Quartets::new(&ctx);
+        let sig = SignificantPairs::new(ctx.screening, ctx.tau);
+        let mut quartets = Quartets::new(&ctx, &sig);
         for i in 0..b.n_shells() {
             for j in 0..=i {
                 quartets.pair_task(i, j, |k, l, eri| digest(b, i, j, k, l, eri, dens, sink));
@@ -652,7 +653,8 @@ mod tests {
         let (n, w) = (b.n_basis(), b.max_shell_width());
         let data = FockData::build(b);
         let ctx = data.context(b, 0.0);
-        let mut quartets = Quartets::new(&ctx);
+        let sig = SignificantPairs::new(ctx.screening, ctx.tau);
+        let mut quartets = Quartets::new(&ctx, &sig);
         let (mut fi, mut fj, mut kl) = (vec![0.0; n * w], vec![0.0; n * w], vec![0.0; w * w]);
         for &(i, j, k, l) in picks {
             let sh = |s: usize| &b.shells[s];

@@ -25,6 +25,7 @@
 //! lease mode, final reduce — see DESIGN.md §3.1).
 
 pub(crate) mod driver;
+pub use driver::SignificantPairs;
 pub mod engine;
 pub mod matrix;
 mod mpi_only;
@@ -413,8 +414,8 @@ pub fn tri_to_full(buf: &[f64], n: usize) -> Mat {
     m
 }
 
-/// Canonical shell-quartet enumeration shared by the serial and MPI-only
-/// builders: yields `(k, l)` for a given `(i, j)` task.
+/// Canonical shell-quartet enumeration: the last `l` of row `k` in task
+/// `(i, j)`.
 #[inline]
 pub fn kl_bounds(i: usize, j: usize, k: usize) -> usize {
     // l runs over 0..=bound; canonical unique-quartet bound (see module

@@ -3,8 +3,8 @@
 //! Every rank replicates the density matrices, overlap matrix, MO
 //! coefficients and its own Fock accumulation buffers. Work is distributed
 //! by the global DLB counter over `(i, j)` shell-pair tasks; each task runs
-//! the full canonical `(k, l)` loops. The final Fock matrices are summed
-//! over ranks with `gsumf`.
+//! its canonical `(k, l)` loops over the significant-pair list. The final
+//! Fock matrices are summed over ranks with `gsumf`.
 //!
 //! The memory pathology the paper attacks is visible here by construction:
 //! the replicated matrices are *really allocated* per rank through the
@@ -14,7 +14,9 @@
 //! volatile leases (a dead rank's partial sums never reach the reduction,
 //! so everything it ever computed is reissued), `gsumf` reduce.
 
-use super::driver::{every_task, readonly_bytes, surviving, LeaseLoop, Quartets, Step, World};
+use super::driver::{
+    every_task, readonly_bytes, surviving, LeaseLoop, Quartets, SignificantPairs, Step, World,
+};
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
 use super::{digest, pair_decode, GBuild, ReplicatedDensity};
@@ -27,6 +29,7 @@ use phi_omp::Team;
 /// matches serial regardless of how many (< all) ranks fail.
 pub(crate) fn build<const NCH: usize>(
     ctx: &FockContext<'_>,
+    kl: &SignificantPairs,
     dens: ReplicatedDensity<'_, NCH>,
     world: &World<'_>,
 ) -> GBuild {
@@ -44,7 +47,7 @@ pub(crate) fn build<const NCH: usize>(
             .parallel(|tctx| {
                 let mut dens = dens;
                 let mut fock = ReplicatedFock::new(NCH, n);
-                let mut quartets = Quartets::new(ctx);
+                let mut quartets = Quartets::new(ctx, kl);
                 let tasks = leases.run(tctx, every_task, |step| {
                     let Step::Task(t) = step else { return };
                     let (i, j) = pair_decode(t);

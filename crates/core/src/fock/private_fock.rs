@@ -13,7 +13,9 @@
 //! schedule, one [`ReplicatedFock`] per thread, volatile leases, thread
 //! reduction then `gsumf`.
 
-use super::driver::{every_task, readonly_bytes, surviving, LeaseLoop, Quartets, Step, World};
+use super::driver::{
+    every_task, readonly_bytes, surviving, LeaseLoop, Quartets, SignificantPairs, Step, World,
+};
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
 use super::{digest, kl_bounds, GBuild, ReplicatedDensity};
@@ -24,6 +26,7 @@ use phi_omp::{Schedule, Team};
 /// Algorithm 2 over `world.n_ranks` ranks x `n_threads` threads.
 pub(crate) fn build<const NCH: usize>(
     ctx: &FockContext<'_>,
+    kl: &SignificantPairs,
     dens: ReplicatedDensity<'_, NCH>,
     world: &World<'_>,
     n_threads: usize,
@@ -41,13 +44,18 @@ pub(crate) fn build<const NCH: usize>(
         let per_thread = Team::new(n_threads).parallel(|tctx| {
             let mut dens = dens;
             let mut fock = ReplicatedFock::new(NCH, n);
-            let mut quartets = Quartets::new(ctx);
+            let mut quartets = Quartets::new(ctx, kl);
             // Every i task runs: Algorithm 2 has no task-level prescreen.
             let tasks = leases.run(tctx, every_task, |step| {
                 let Step::Task(i) = step else { return };
-                // Merged (j, k) loops under a dynamic schedule (lines 7-20).
+                // Merged (j, k) loops under a dynamic schedule (lines 7-20);
+                // l runs over row k of the significant-pair list.
                 tctx.collapse2(i + 1, i + 1, Schedule::dynamic1(), |j, k| {
-                    for l in 0..=kl_bounds(i, j, k) {
+                    if !kl.contains(i, j) {
+                        return;
+                    }
+                    for &[_, l] in kl.row(k, kl_bounds(i, j, k)) {
+                        let l = l as usize;
                         quartets.quartet(i, j, k, l, |eri| {
                             digest(basis, i, j, k, l, eri, &mut dens, &mut fock)
                         });

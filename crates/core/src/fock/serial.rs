@@ -1,11 +1,11 @@
 //! Serial reference Fock build: the canonical quartet loops of Algorithm 1
-//! on a single thread, no MPI, no OpenMP. Ground truth for the parallel
+//! over the significant-pair list on a single thread, no MPI, no OpenMP. Ground truth for the parallel
 //! builders and the baseline for workload statistics.
 //!
 //! Policy row: every `ij` pair in order, no leases, no team, one
 //! [`ReplicatedFock`], no reduce.
 
-use super::driver::Quartets;
+use super::driver::{Quartets, SignificantPairs};
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
 use super::{digest, GBuild, ReplicatedDensity};
@@ -16,13 +16,14 @@ use std::time::Instant;
 /// channel.
 pub(crate) fn build<const NCH: usize>(
     ctx: &FockContext<'_>,
+    kl: &SignificantPairs,
     mut dens: ReplicatedDensity<'_, NCH>,
 ) -> GBuild {
     let _span = phi_trace::span("fock.build");
     let start = Instant::now();
     let basis = ctx.basis;
     let mut fock = ReplicatedFock::new(NCH, basis.n_basis());
-    let mut quartets = Quartets::new(ctx);
+    let mut quartets = Quartets::new(ctx, kl);
     for i in 0..basis.n_shells() {
         for j in 0..=i {
             quartets

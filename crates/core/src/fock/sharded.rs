@@ -29,7 +29,7 @@
 //! master completes it at its next claim — the strips are already empty
 //! then), flush + `ft_barrier`.
 
-use super::driver::{every_task, LeaseLoop, Quartets, Step, World};
+use super::driver::{every_task, LeaseLoop, Quartets, SignificantPairs, Step, World};
 use super::engine::FockContext;
 use super::matrix::{
     drain_strip, gather_tri, replicated_density_bytes, scatter_density, shard_reader_bytes,
@@ -44,6 +44,7 @@ use phi_omp::Team;
 /// windows and read through [`ShardDensity`].
 pub(crate) fn build<const NCH: usize>(
     ctx: &FockContext<'_>,
+    kl: &SignificantPairs,
     dens: ReplicatedDensity<'_, NCH>,
     world: &World<'_>,
 ) -> GBuild {
@@ -54,7 +55,7 @@ pub(crate) fn build<const NCH: usize>(
         scatter_density(&dens, n, world.n_ranks).into_iter().map(|w| world.reliable(w)).collect();
     let reader_bytes =
         shard_stripe_bytes(n, world.n_ranks, d_wins.len()) + shard_reader_bytes(n, NCH);
-    window_build::<NCH, _>(ctx, world, reader_bytes, &d_wins, |rank| {
+    window_build::<NCH, _>(ctx, kl, world, reader_bytes, &d_wins, |rank| {
         ShardDensity::new(&d_wins, n, rank)
     })
 }
@@ -63,11 +64,12 @@ pub(crate) fn build<const NCH: usize>(
 /// density — no density windows.
 pub(crate) fn build_distributed<const NCH: usize>(
     ctx: &FockContext<'_>,
+    kl: &SignificantPairs,
     dens: ReplicatedDensity<'_, NCH>,
     world: &World<'_>,
 ) -> GBuild {
     let reader_bytes = replicated_density_bytes(ctx.basis.n_basis(), NCH);
-    window_build::<NCH, _>(ctx, world, reader_bytes, &[], |_| dens)
+    window_build::<NCH, _>(ctx, kl, world, reader_bytes, &[], |_| dens)
 }
 
 /// The one window-build body: DLB over `(i, j)` pairs, density from
@@ -76,6 +78,7 @@ pub(crate) fn build_distributed<const NCH: usize>(
 /// its windows, if any, whose link counters belong to the build.
 fn window_build<const NCH: usize, D: DensityRead>(
     ctx: &FockContext<'_>,
+    kl: &SignificantPairs,
     world: &World<'_>,
     reader_bytes: usize,
     d_wins: &[DistributedArray],
@@ -98,7 +101,7 @@ fn window_build<const NCH: usize, D: DensityRead>(
         let mut stats = Team::new(1).parallel(|tctx| {
             let mut dens = reader(rank.rank());
             let mut fock = RowShardFock::new(&f_wins, n, rank.rank());
-            let mut quartets = Quartets::new(ctx);
+            let mut quartets = Quartets::new(ctx, kl);
             // Per channel: the FI and FJ strips and the (k, l) scratch.
             let strip = max_width * n;
             let (mut fis, mut fjs) = (vec![0.0; NCH * strip], vec![0.0; NCH * strip]);

@@ -29,16 +29,18 @@
 //! DESIGN.md §6 lists what each one orders.
 //!
 //! Policy row: combined `ij` pair tasks with the task prescreen, dynamic
-//! `kl` team schedule, shared Fock + FI/FJ column sinks, volatile leases,
-//! `gsumf` reduce.
+//! team schedule over the task's significant `kl` list positions, shared
+//! Fock + FI/FJ column sinks, volatile leases, `gsumf` reduce.
 
-use super::driver::{readonly_bytes, surviving, LeaseLoop, Quartets, Step, World};
+use super::driver::{
+    readonly_bytes, surviving, LeaseLoop, Quartets, SignificantPairs, Step, World,
+};
 use super::engine::FockContext;
 use super::matrix::{strip_slot, ReplicatedFock, StripRouter};
 use super::{digest, pair_decode, GBuild, ReplicatedDensity};
 use crate::stats::FockBuildStats;
 use phi_dmpi::LeaseMode;
-use phi_integrals::screening::{n_pairs, pair_index};
+use phi_integrals::screening::n_pairs;
 use phi_omp::{PaddedColumns, Schedule, SharedAccumulator, Team, ThreadCtx};
 
 /// Algorithm 3 over `world.n_ranks` ranks x `n_threads` threads: one
@@ -47,6 +49,7 @@ use phi_omp::{PaddedColumns, Schedule, SharedAccumulator, Team, ThreadCtx};
 /// leaves the thread.
 pub(crate) fn build<const NCH: usize>(
     ctx: &FockContext<'_>,
+    kl: &SignificantPairs,
     dens: ReplicatedDensity<'_, NCH>,
     world: &World<'_>,
     n_threads: usize,
@@ -98,7 +101,7 @@ pub(crate) fn build<const NCH: usize>(
         let leases = LeaseLoop::new(rank, n_pair, LeaseMode::Volatile);
         let per_thread = Team::new(n_threads).parallel(|tctx| {
             let mut dens = dens;
-            let mut quartets = Quartets::new(ctx);
+            let mut quartets = Quartets::new(ctx, kl);
             let mut kl_blocks = vec![0.0; NCH * max_width * max_width];
             let mut flushes = 0u64;
             // The last task's i shell; identical across threads because
@@ -137,12 +140,14 @@ pub(crate) fn build<const NCH: usize>(
                     )
                 });
 
-                // Workshared kl loop (lines 19-30); its barrier is the one
-                // the FJ flush needs before it reads the columns. A
-                // quartet's (k, l) block leaves the thread once, as atomic
-                // adds into the shared Fock.
-                tctx.for_each_nowait(pair_index(i, j) + 1, Schedule::dynamic1(), &mut |kl| {
-                    let (k, l) = pair_decode(kl);
+                // Workshared kl loop (lines 19-30) over the merged
+                // significant kl index; its barrier is the one the FJ
+                // flush needs before it reads the columns. A quartet's
+                // (k, l) block leaves the thread once, as atomic adds into
+                // the shared Fock.
+                let kls = kl.ket_space(i, j);
+                tctx.for_each_nowait(kls.len(), Schedule::dynamic1(), &mut |p| {
+                    let [k, l] = kls[p].map(|s| s as usize);
                     let (sh_k, sh_l) = (&basis.shells[k], &basis.shells[l]);
                     quartets.quartet(i, j, k, l, |eri| {
                         sinks.iter_mut().for_each(|s| s.start_quartet(sh_k, sh_l));

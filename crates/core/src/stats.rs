@@ -13,7 +13,10 @@ pub struct FockBuildStats {
     pub seconds: f64,
     /// Shell quartets whose ERIs were computed.
     pub quartets_computed: u64,
-    /// Shell quartets eliminated by Schwarz screening.
+    /// Quartet tests that failed: quartets on the significant-pair list
+    /// that Schwarz screening rejected. Quartets on pairs off the list are
+    /// never tested, so `quartets_computed + quartets_screened` is the
+    /// tests performed.
     pub quartets_screened: u64,
     /// Primitive quartets evaluated inside the ERI engine.
     pub prim_quartets: u64,
@@ -54,13 +57,19 @@ pub struct FockBuildStats {
 }
 
 impl FockBuildStats {
-    /// Fraction of canonical quartets screened out.
-    pub fn screened_fraction(&self) -> f64 {
-        let total = self.quartets_computed + self.quartets_screened;
-        if total == 0 {
+    /// Fraction of the `P(P+1)/2` canonical quartets, `P` the shell pairs
+    /// of `n_shells` shells, that were not computed. Not
+    /// `quartets_screened` over the tests: rows walk only significant
+    /// pairs, so the tests performed are not the canonical quartets.
+    /// Quartets recomputed after a rank death can push the computed count
+    /// past the canonical one; the fraction then reads 0.
+    pub fn screened_fraction(&self, n_shells: usize) -> f64 {
+        let pairs = phi_integrals::screening::n_pairs(n_shells) as f64;
+        let canonical = pairs * (pairs + 1.0) / 2.0;
+        if canonical == 0.0 {
             0.0
         } else {
-            self.quartets_screened as f64 / total as f64
+            (1.0 - self.quartets_computed as f64 / canonical).max(0.0)
         }
     }
 
@@ -104,8 +113,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn screened_fraction_handles_empty() {
-        assert_eq!(FockBuildStats::default().screened_fraction(), 0.0);
+    fn screened_fraction_counts_canonical_quartets() {
+        assert_eq!(FockBuildStats::default().screened_fraction(0), 0.0);
+        // 2 shells: 3 pairs, 6 canonical quartets, whatever was tested.
+        let s = |computed, screened| FockBuildStats {
+            quartets_computed: computed,
+            quartets_screened: screened,
+            ..Default::default()
+        };
+        assert_eq!(s(0, 0).screened_fraction(2), 1.0);
+        assert_eq!(s(3, 0).screened_fraction(2), 0.5);
+        assert_eq!(s(3, 3).screened_fraction(2), 0.5);
+        assert_eq!(s(6, 0).screened_fraction(2), 0.0);
+        assert_eq!(s(9, 0).screened_fraction(2), 0.0);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub struct Screening {
 
 impl Screening {
     /// Narrow `bound(i, j)`, `i >= j`, into the table, rounding up.
-    fn from_bounds(n: usize, mut bound: impl FnMut(usize, usize) -> f64) -> Screening {
+    pub fn from_bounds(n: usize, mut bound: impl FnMut(usize, usize) -> f64) -> Screening {
         let mut q = Vec::with_capacity(n_pairs(n));
         let mut q_max = 0.0f64;
         for i in 0..n {

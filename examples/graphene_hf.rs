@@ -60,10 +60,9 @@ fn main() {
     );
     let s = &result.fock_stats[0];
     println!(
-        "per Fock build: {} quartets computed, {} screened ({:.1}%), {} DLB tasks",
+        "per Fock build: {} quartets computed, {:.1}% of canonical screened, {} DLB tasks",
         s.quartets_computed,
-        s.quartets_screened,
-        s.screened_fraction() * 100.0,
+        s.screened_fraction(basis.n_shells()) * 100.0,
         s.dlb_tasks
     );
 }

@@ -8,6 +8,7 @@
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::graphene::PaperSystem;
 use phi_scf::chem::geom::small;
+use phi_scf::hf::fock::SignificantPairs;
 use phi_scf::hf::memory_model::Table2Row;
 use phi_scf::hf::{DensitySet, FockAlgorithm, FockContext};
 use phi_scf::integrals::{Screening, ShellPairs};
@@ -38,6 +39,13 @@ fn main() {
     let pairs = ShellPairs::build(&basis);
     let screening = Screening::from_pairs(&basis, &pairs);
     println!("  shell-pair dataset: {} bytes (shared per rank)", pairs.bytes());
+    let kl = SignificantPairs::new(&screening, 1e-10);
+    println!(
+        "  significant-pair list: {} of {} pairs, {} bytes (per build, read by every rank)",
+        kl.len(),
+        pairs.len(),
+        kl.bytes()
+    );
     let n = basis.n_basis();
     let d = Mat::identity(n);
     let ctx = FockContext::new(&basis, &pairs, &screening, 1e-10);

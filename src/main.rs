@@ -13,8 +13,9 @@ use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::{graphene, small};
 use phi_scf::chem::Molecule;
 use phi_scf::dmpi::{DdiMode, FaultPlan, RetryPolicy};
+use phi_scf::hf::fock::SignificantPairs;
 use phi_scf::hf::{
-    mp2_energy, run_scf, FockAlgorithm, MemoryModel, ScfConfig, ScfResult, ScfStop, Spin,
+    mp2_energy, run_scf, FockAlgorithm, FockData, MemoryModel, ScfConfig, ScfResult, ScfStop, Spin,
 };
 use phi_scf::integrals::screening::n_pairs;
 
@@ -423,11 +424,23 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
     };
     check_occupations(spin, mol.n_electrons(), b.n_basis())?;
     if let Some(mib) = memory_budget {
-        // Per-rank model estimate, shell-pair dataset included.
+        // Per-rank model estimate, shell-pair dataset included. The
+        // significant-pair list is built once per build and read by every
+        // rank, like the Schwarz table it comes from.
+        let data = FockData::build(&b);
+        let kl = SignificantPairs::new(&data.screening, tau);
+        println!(
+            "shell-pair dataset: {} bytes per rank; significant-pair list: {} of {} pairs, \
+             {} bytes per build",
+            data.pairs.bytes(),
+            kl.len(),
+            data.pairs.len(),
+            kl.bytes()
+        );
         let model = MemoryModel {
             n_basis: b.n_basis(),
             max_shell_width: b.max_shell_width(),
-            pair_bytes: phi_scf::integrals::ShellPairs::build(&b).bytes(),
+            pair_bytes: data.pairs.bytes(),
         };
         check_memory_budget(mib, alg, model)?;
     }
@@ -477,7 +490,7 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
         println!(
             "per build: {} quartets computed, {:.1}% screened, {} DLB tasks",
             s.quartets_computed,
-            s.screened_fraction() * 100.0,
+            s.screened_fraction(b.n_shells()) * 100.0,
             s.dlb_tasks
         );
     }

@@ -6,9 +6,8 @@
 //!
 //! The parity suites compare builders with each other, so they cannot see
 //! a change that moves serial and the parallel builders together; the
-//! pinned numbers here can. The same goes for the shared-Fock build's
-//! task, claim, flush and quartet counts, pinned to the commit before its
-//! team synchronisation was rewritten.
+//! pinned numbers here can. The counts each build does (quartets, tasks,
+//! claims, flushes) are pinned in `tests/work_ledger.rs`.
 
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
@@ -248,46 +247,6 @@ fn every_algorithm_matches_serial() {
                 assert_eq!(got.g_beta.is_some(), want.g_beta.is_some());
             }
         }
-    }
-}
-
-#[test]
-fn shared_fock_counters_match_the_pinned_values() {
-    // h_chain(8, 5.0)/STO-3G: 36 ij leases, 10 rejected by the task
-    // prescreen, 8 distinct i among the 26 that run.
-    let basis = BasisSet::build(&small::h_chain(8, 5.0), BasisName::Sto3g);
-    let data = FockData::build(&basis);
-    let ctx = data.context(&basis, TAU);
-    let d = density(basis.n_basis(), 0);
-    for n_ranks in [1, 2] {
-        let stats = FockAlgorithm::SharedFock { n_ranks, n_threads: 2 }
-            .builder()
-            .build(&ctx, &DensitySet::Restricted(&d))
-            .stats;
-        assert_eq!(stats.dlb_tasks, 26, "{n_ranks} ranks: tasks run");
-        // Every lease, rejected or run, plus each rank's out-of-range claim.
-        assert_eq!(stats.dlb_calls, 36 + n_ranks, "{n_ranks} ranks: claims");
-        assert_eq!(stats.quartets_computed, 271, "{n_ranks} ranks");
-        assert_eq!(stats.quartets_screened, 160, "{n_ranks} ranks");
-        // One FJ flush per task run, one FI flush per run of equal i in a
-        // rank's lease sequence: 8 on one rank; on two, which rank gets
-        // which lease is a race, and each sees at most all 8 (the parent
-        // commit read 39 to 41 over 200 builds).
-        if n_ranks == 1 {
-            assert_eq!(stats.flushes, 34);
-        } else {
-            assert!((34..=42).contains(&stats.flushes), "flushes {}", stats.flushes);
-        }
-    }
-    // The flat rows lease every one of the 36 ij pairs through the same
-    // loop, as a team of one, plus each rank's out-of-range claim.
-    for alg in [
-        FockAlgorithm::MpiOnly { n_ranks: 2 },
-        FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::Mpi3OneSided },
-        FockAlgorithm::Distributed { n_ranks: 2 },
-    ] {
-        let stats = alg.builder().build(&ctx, &DensitySet::Restricted(&d)).stats;
-        assert_eq!((stats.dlb_tasks, stats.dlb_calls), (36, 38), "{}", alg.label());
     }
 }
 
