@@ -5,9 +5,10 @@
 //! index space, the thread-level schedule and the Fock accumulator. This
 //! module owns everything that does *not* differ, exactly once:
 //!
-//! * [`SignificantPairs`] — the `kl` index space of every row: the shell
-//!   pairs some quartet can survive on, built once per build and borrowed
-//!   by every rank and thread;
+//! * [`SignificantPairs`] — the `kl` index space of every row and the
+//!   task space of every pair-task row: the shell pairs some quartet can
+//!   survive on, built once per build and borrowed by every rank and
+//!   thread;
 //! * [`Quartets`] — the per-thread quartet evaluator (screen, evaluate,
 //!   hand the ERI buffer to the policy's digest closure, count) and the
 //!   single point where a worker's trace counters and
@@ -42,7 +43,8 @@ pub(crate) fn readonly_bytes(n: usize) -> usize {
 /// `Q_kl * Q_max >= tau`, ascending by `pair_index(k, l)` and indexed by
 /// row `k`. No quartet outside it can survive, since
 /// `Q_ij * Q_kl <= Q_max * Q_kl` (DESIGN.md §3.1), so it is the `kl`
-/// index space of every row; each visited quartet is still tested.
+/// index space of every row, and its positions are the task space of
+/// every pair-task row; each visited quartet is still tested.
 ///
 /// Built per build from the `Q` table, not stored in [`FockData`]: the
 /// frozen benchmark constructs that struct field by field. Like the table
@@ -96,16 +98,18 @@ impl SignificantPairs {
         self.row(i, j).last() == Some(&[i as u32, j as u32])
     }
 
-    /// The `kl` index space of task `(i, j)`: every significant `(k, l)`
-    /// with `pair_index(k, l) <= pair_index(i, j)`, in that order. Empty
-    /// when `(i, j)` is not significant, since then no quartet of the task
-    /// survives.
-    pub(crate) fn ket_space(&self, i: usize, j: usize) -> &[[u32; 2]] {
-        if self.contains(i, j) {
-            &self.kl[..self.starts[i] + self.row(i, j).len()]
-        } else {
-            &[]
-        }
+    /// The pair at list position `p`: the shells `(i, j)` of pair task `p`.
+    #[inline]
+    pub(crate) fn pair(&self, p: usize) -> (usize, usize) {
+        let [i, j] = self.kl[p];
+        (i as usize, j as usize)
+    }
+
+    /// The `kl` index space of pair task `p`: the list prefix up to and
+    /// including its own pair, every significant `(k, l)` with
+    /// `pair_index(k, l) <= pair_index(i, j)`, in that order.
+    pub(crate) fn ket_space(&self, p: usize) -> &[[u32; 2]] {
+        &self.kl[..=p]
     }
 }
 
@@ -159,16 +163,11 @@ impl<'c> Quartets<'c> {
         self.computed += 1;
     }
 
-    /// One `(i, j)` pair task: every significant canonical `(k, l)`
-    /// under it (the inner loops of Algorithm 1).
-    pub(crate) fn pair_task(
-        &mut self,
-        i: usize,
-        j: usize,
-        mut digest: impl FnMut(usize, usize, &[f64]),
-    ) {
-        let kl = self.kl;
-        for &[k, l] in kl.ket_space(i, j) {
+    /// Pair task `p`, the list's `p`-th pair `(i, j)`: every significant
+    /// canonical `(k, l)` under it (the inner loops of Algorithm 1).
+    pub(crate) fn pair_task(&mut self, p: usize, mut digest: impl FnMut(usize, usize, &[f64])) {
+        let (kl, (i, j)) = (self.kl, self.kl.pair(p));
+        for &[k, l] in kl.ket_space(p) {
             let (k, l) = (k as usize, l as usize);
             self.quartet(i, j, k, l, |eri| digest(k, l, eri));
         }
@@ -208,11 +207,6 @@ pub(crate) enum Step {
     Flush,
 }
 
-/// The `runs` filter of a row without a task-level prescreen.
-pub(crate) fn every_task(_: usize) -> bool {
-    true
-}
-
 /// Sentinel the master stores when every task is complete.
 const TASK_DONE: usize = usize::MAX;
 /// Sentinel the master stores when its rank has been killed: the whole
@@ -237,13 +231,12 @@ impl<'r> LeaseLoop<'r> {
         LeaseLoop { rank, n_tasks, current: AtomicUsize::new(0) }
     }
 
-    /// Run by every thread of the team: the master claims leases until it
-    /// holds one that `runs` (a lease that does not is complete at once
-    /// and the team never hears of it) or the stream ends, and broadcasts
-    /// it; every thread then runs `Step::Task` on it. In a team of more
-    /// than one, the task must cross at least one team barrier, after
-    /// which no thread touches the task's accumulators outside a flush:
-    /// that barrier is what lets the master overwrite the broadcast slot.
+    /// Run by every thread of the team: the master claims the next lease,
+    /// or learns that the stream has ended, and broadcasts it; every thread
+    /// then runs `Step::Task` on it. In a team of more than one, the task
+    /// must cross at least one team barrier, after which no thread touches
+    /// the task's accumulators outside a flush: that barrier is what lets
+    /// the master overwrite the broadcast slot.
     ///
     /// The master completes a lease at its next claim. Under fault
     /// injection every thread first runs `Step::Flush` and the team passes
@@ -253,12 +246,7 @@ impl<'r> LeaseLoop<'r> {
     /// to amortize one-sided calls. Every thread flushes once more at the
     /// end of the stream, and never once its rank is dead. Returns the
     /// tasks run, counted on the master only.
-    pub(crate) fn run(
-        &self,
-        tctx: &ThreadCtx<'_>,
-        runs: impl Fn(usize) -> bool,
-        mut step: impl FnMut(Step),
-    ) -> usize {
+    pub(crate) fn run(&self, tctx: &ThreadCtx<'_>, mut step: impl FnMut(Step)) -> usize {
         let fault_mode = self.rank.faults_enabled();
         let mut ran = 0usize;
         let mut held: Option<usize> = None;
@@ -269,16 +257,13 @@ impl<'r> LeaseLoop<'r> {
                 if let Some(t) = held.take() {
                     self.rank.lease_complete(t);
                 }
-                let next = loop {
-                    match self.rank.lease_next() {
-                        Ok(Some(t)) if runs(t) => {
-                            held = Some(t);
-                            break t;
-                        }
-                        Ok(Some(t)) => self.rank.lease_complete(t),
-                        Ok(None) => break TASK_DONE,
-                        Err(_) => break TASK_DEAD,
+                let next = match self.rank.lease_next() {
+                    Ok(Some(t)) => {
+                        held = Some(t);
+                        t
                     }
+                    Ok(None) => TASK_DONE,
+                    Err(_) => TASK_DEAD,
                 };
                 self.current.store(next, Ordering::SeqCst);
             });
@@ -390,7 +375,7 @@ pub(crate) fn surviving<T>(result: Option<T>, stats: &FockBuildStats) -> T {
 
 #[cfg(test)]
 mod tests {
-    use super::{every_task, LeaseLoop, SignificantPairs, Step};
+    use super::{LeaseLoop, SignificantPairs, Step};
     use crate::fock::engine::FockData;
     use crate::fock::kl_bounds;
     use phi_chem::basis::{BasisName, BasisSet};
@@ -402,8 +387,9 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Hold the list to the quartet test it stands in for: a pair is listed
-    /// exactly when some quartet survives on it, and every task's `kl` space
-    /// holds every `(k, l)` of its surviving canonical quartets, ascending.
+    /// exactly when some quartet survives on it, and every pair task's `kl`
+    /// space holds every `(k, l)` of its surviving canonical quartets,
+    /// ascending. An unlisted `(i, j)` has no task, so none may survive.
     fn assert_list_is_sound(s: &Screening, tau: f64, label: &str) {
         let kl = SignificantPairs::new(s, tau);
         let ns = s.n_shells();
@@ -414,8 +400,10 @@ mod tests {
             assert_eq!(kl.contains(k, l), some_survive, "{label}: pair ({k}, {l})");
         }
         for &(i, j) in &pairs {
-            let space: Vec<(usize, usize)> =
-                kl.ket_space(i, j).iter().map(|&[k, l]| (k as usize, l as usize)).collect();
+            let space: Vec<(usize, usize)> = match (0..kl.len()).find(|&p| kl.pair(p) == (i, j)) {
+                Some(p) => kl.ket_space(p).iter().map(|&[k, l]| (k as usize, l as usize)).collect(),
+                None => Vec::new(),
+            };
             assert!(space.windows(2).all(|w| w[0] < w[1]), "{label}: ({i}, {j}) out of order");
             for k in 0..=i {
                 for l in 0..=kl_bounds(i, j, k) {
@@ -485,7 +473,7 @@ mod tests {
     /// reduced. Either way every task lands exactly once per thread, with
     /// or without a rank killed holding a lease.
     #[test]
-    fn every_task_lands_once_per_thread_under_both_lease_modes() {
+    fn each_task_lands_once_per_thread_under_both_lease_modes() {
         const N_TASKS: usize = 40;
         for faults in [None, Some(FaultPlan::kill_at_tasks(1, &[5]))] {
             for mode in [LeaseMode::Volatile, LeaseMode::Durable] {
@@ -502,7 +490,7 @@ mod tests {
                         let leases = LeaseLoop::new(rank, N_TASKS, mode);
                         let per_thread = Team::new(n_threads).parallel(|tctx| {
                             let (mut pending, mut ran) = (vec![0; N_TASKS], vec![0; N_TASKS]);
-                            let tasks = leases.run(tctx, every_task, |step| match step {
+                            let tasks = leases.run(tctx, |step| match step {
                                 Step::Task(t) => {
                                     pending[t] += 1;
                                     ran[t] += 1;

@@ -79,12 +79,6 @@ impl<'a> FockContext<'a> {
     pub fn survives(&self, i: usize, j: usize, k: usize, l: usize) -> bool {
         self.screening.survives(i, j, k, l, self.tau)
     }
-
-    /// The `ij`-task-level prescreen (Algorithm 3, line 13).
-    #[inline]
-    pub fn task_survives(&self, i: usize, j: usize) -> bool {
-        self.screening.task_survives(i, j, self.tau)
-    }
 }
 
 /// Owned per-(geometry, basis) build data: the persistent shell-pair

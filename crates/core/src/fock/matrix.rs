@@ -540,10 +540,9 @@ mod tests {
         let ctx = data.context(b, 1e-14);
         let sig = SignificantPairs::new(ctx.screening, ctx.tau);
         let mut quartets = Quartets::new(&ctx, &sig);
-        for i in 0..b.n_shells() {
-            for j in 0..=i {
-                quartets.pair_task(i, j, |k, l, eri| digest(b, i, j, k, l, eri, dens, sink));
-            }
+        for p in 0..sig.len() {
+            let (i, j) = sig.pair(p);
+            quartets.pair_task(p, |k, l, eri| digest(b, i, j, k, l, eri, dens, sink));
         }
     }
 

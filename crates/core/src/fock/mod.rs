@@ -427,21 +427,6 @@ pub fn kl_bounds(i: usize, j: usize, k: usize) -> usize {
     }
 }
 
-/// Inverse of [`phi_integrals::screening::pair_index`]: recover `(i, j)`
-/// from a combined `ij` task index
-/// (Algorithm 3 lines 11 and 21, "deduce I and J indices").
-#[inline]
-pub fn pair_decode(t: usize) -> (usize, usize) {
-    let mut i = ((((8 * t + 1) as f64).sqrt() as usize).max(1) - 1) / 2;
-    while (i + 1) * (i + 2) / 2 <= t {
-        i += 1;
-    }
-    while i * (i + 1) / 2 > t {
-        i -= 1;
-    }
-    (i, t - i * (i + 1) / 2)
-}
-
 /// Brute-force reference: build G (the two-electron Fock contribution)
 /// from the full AO ERI tensor with no symmetry exploitation. O(N^4)
 /// memory and quartet evaluations — tests only.
@@ -471,7 +456,6 @@ mod tests {
     use super::*;
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
-    use phi_integrals::screening::pair_index;
 
     /// Serial restricted `G(D)` at threshold `tau`.
     fn serial_g(b: &BasisSet, tau: f64, d: &Mat) -> Mat {
@@ -591,21 +575,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn pair_encode_decode_roundtrip() {
-        let mut t = 0;
-        for i in 0..60 {
-            for j in 0..=i {
-                assert_eq!(pair_index(i, j), t);
-                assert_eq!(pair_decode(t), (i, j));
-                t += 1;
-            }
-        }
-        // A large index as well.
-        let big = pair_index(8063, 4000);
-        assert_eq!(pair_decode(big), (8063, 4000));
     }
 
     #[test]

@@ -2,26 +2,27 @@
 //!
 //! Every rank replicates the density matrices, overlap matrix, MO
 //! coefficients and its own Fock accumulation buffers. Work is distributed
-//! by the global DLB counter over `(i, j)` shell-pair tasks; each task runs
-//! its canonical `(k, l)` loops over the significant-pair list. The final
-//! Fock matrices are summed over ranks with `gsumf`.
+//! by the global DLB counter over the significant-pair list's positions,
+//! one `(i, j)` shell-pair task each; each task runs its canonical
+//! `(k, l)` loops over the list prefix up to its own pair. The final Fock
+//! matrices are summed over ranks with `gsumf`.
 //!
 //! The memory pathology the paper attacks is visible here by construction:
 //! the replicated matrices are *really allocated* per rank through the
 //! tracker, so the returned report scales linearly with the rank count.
 //!
-//! Policy row: `ij` pair tasks, a team of one, one [`ReplicatedFock`] per rank,
-//! volatile leases (a dead rank's partial sums never reach the reduction,
-//! so everything it ever computed is reissued), `gsumf` reduce.
+//! Policy row: significant `ij` pair tasks, a team of one, one
+//! [`ReplicatedFock`] per rank, volatile leases (a dead rank's partial sums
+//! never reach the reduction, so everything it ever computed is reissued),
+//! `gsumf` reduce.
 
 use super::driver::{
-    every_task, readonly_bytes, surviving, LeaseLoop, Quartets, SignificantPairs, Step, World,
+    readonly_bytes, surviving, LeaseLoop, Quartets, SignificantPairs, Step, World,
 };
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
-use super::{digest, pair_decode, GBuild, ReplicatedDensity};
+use super::{digest, GBuild, ReplicatedDensity};
 use phi_dmpi::LeaseMode;
-use phi_integrals::screening::n_pairs;
 use phi_omp::Team;
 
 /// Algorithm 1 over `world.n_ranks` ranks. Tasks leased to a rank that
@@ -35,23 +36,22 @@ pub(crate) fn build<const NCH: usize>(
 ) -> GBuild {
     let basis = ctx.basis;
     let n = basis.n_basis();
-    let n_pair = n_pairs(basis.n_shells());
     // Everything replicated per rank (the paper's memory bottleneck):
     // every spin-channel density, S/H/C, and the Fock accumulators.
     let fock_bytes = NCH * n * n * std::mem::size_of::<f64>();
     let resident = fock_bytes + readonly_bytes(n) + fock_bytes;
 
     let (fock, stats) = world.run(ctx, resident, &[], |rank| {
-        let leases = LeaseLoop::new(rank, n_pair, LeaseMode::Volatile);
+        let leases = LeaseLoop::new(rank, kl.len(), LeaseMode::Volatile);
         let (mut fock, stats) = Team::new(1)
             .parallel(|tctx| {
                 let mut dens = dens;
                 let mut fock = ReplicatedFock::new(NCH, n);
                 let mut quartets = Quartets::new(ctx, kl);
-                let tasks = leases.run(tctx, every_task, |step| {
-                    let Step::Task(t) = step else { return };
-                    let (i, j) = pair_decode(t);
-                    quartets.pair_task(i, j, |k, l, eri| {
+                let tasks = leases.run(tctx, |step| {
+                    let Step::Task(p) = step else { return };
+                    let (i, j) = kl.pair(p);
+                    quartets.pair_task(p, |k, l, eri| {
                         digest(basis, i, j, k, l, eri, &mut dens, &mut fock)
                     });
                 });
@@ -73,6 +73,7 @@ mod tests {
     use crate::fock::engine::FockData;
     use crate::fock::DensitySet::Restricted;
     use crate::fock::FockAlgorithm;
+    use crate::fock::SignificantPairs;
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
     use phi_chem::BasisSet;
@@ -109,9 +110,8 @@ mod tests {
         let ctx = data.context(&b, 1e-12);
         let d = density(b.n_basis());
         let out = FockAlgorithm::MpiOnly { n_ranks: 3 }.builder().build(&ctx, &Restricted(&d));
-        let ns = b.n_shells();
-        let p = ns * (ns + 1) / 2;
-        assert_eq!(out.stats.dlb_tasks, p, "every ij pair is one task");
+        let p = SignificantPairs::new(&data.screening, 1e-12).len();
+        assert_eq!(out.stats.dlb_tasks, p, "every significant ij pair is one task");
         // Each counter call hands out one task; every rank also makes one
         // final out-of-range call before leaving the loop.
         assert_eq!(out.stats.dlb_calls, p + 3);

@@ -14,7 +14,7 @@
 //! reduction then `gsumf`.
 
 use super::driver::{
-    every_task, readonly_bytes, surviving, LeaseLoop, Quartets, SignificantPairs, Step, World,
+    readonly_bytes, surviving, LeaseLoop, Quartets, SignificantPairs, Step, World,
 };
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
@@ -45,8 +45,9 @@ pub(crate) fn build<const NCH: usize>(
             let mut dens = dens;
             let mut fock = ReplicatedFock::new(NCH, n);
             let mut quartets = Quartets::new(ctx, kl);
-            // Every i task runs: Algorithm 2 has no task-level prescreen.
-            let tasks = leases.run(tctx, every_task, |step| {
+            // Algorithm 2 has no task-level prescreen: an insignificant
+            // (i, j) is skipped inside the task.
+            let tasks = leases.run(tctx, |step| {
                 let Step::Task(i) = step else { return };
                 // Merged (j, k) loops under a dynamic schedule (lines 7-20);
                 // l runs over row k of the significant-pair list.

@@ -1,9 +1,11 @@
 //! Serial reference Fock build: the canonical quartet loops of Algorithm 1
-//! over the significant-pair list on a single thread, no MPI, no OpenMP. Ground truth for the parallel
-//! builders and the baseline for workload statistics.
+//! over the significant-pair list on a single thread, no MPI, no OpenMP.
+//! Ground truth for the parallel builders and the baseline for workload
+//! statistics.
 //!
-//! Policy row: every `ij` pair in order, no leases, no team, one
-//! [`ReplicatedFock`], no reduce.
+//! Policy row: every position of the significant-pair list in order (the
+//! pair rows' task space, unleased), no team, one [`ReplicatedFock`], no
+//! reduce.
 
 use super::driver::{Quartets, SignificantPairs};
 use super::engine::FockContext;
@@ -24,11 +26,9 @@ pub(crate) fn build<const NCH: usize>(
     let basis = ctx.basis;
     let mut fock = ReplicatedFock::new(NCH, basis.n_basis());
     let mut quartets = Quartets::new(ctx, kl);
-    for i in 0..basis.n_shells() {
-        for j in 0..=i {
-            quartets
-                .pair_task(i, j, |k, l, eri| digest(basis, i, j, k, l, eri, &mut dens, &mut fock));
-        }
+    for p in 0..kl.len() {
+        let (i, j) = kl.pair(p);
+        quartets.pair_task(p, |k, l, eri| digest(basis, i, j, k, l, eri, &mut dens, &mut fock));
     }
     let mut stats = quartets.finish(0, 0);
     stats.seconds = start.elapsed().as_secs_f64();

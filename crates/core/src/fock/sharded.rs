@@ -15,29 +15,29 @@
 //!
 //! Each rank owns a `~N(N+1)/2 / R` stripe of every window plus its
 //! reader and O(N) writer state. Writes go through Algorithm 3's
-//! accumulator (`StripRouter`): per task `(i, j)`, updates touching shell
-//! `i` or `j` sum into dense FI/FJ strips and each quartet's `(k, l)`
-//! block into a scratch that is pushed once per quartet; the strips drain
-//! at task end. Everything lands in [`RowShardFock`], whose sparse entries
-//! leave as coalesced one-sided `acc` runs whenever its buffer fills and
-//! at the driver lease loop's `Step::Flush`es.
+//! accumulator (`StripRouter`): per task, a significant pair `(i, j)`
+//! leased by its list position, updates touching shell `i` or `j` sum into
+//! dense FI/FJ strips and each quartet's `(k, l)` block into a scratch
+//! that is pushed once per quartet; the strips drain at task end.
+//! Everything lands in [`RowShardFock`], whose sparse entries leave as
+//! coalesced one-sided `acc` runs whenever its buffer fills and at the
+//! driver lease loop's `Step::Flush`es.
 //!
-//! Policy row: `ij` pair tasks, the lease loop as a team of one, the row's
-//! density reader, one strip accumulator and one [`RowShardFock`] per rank
-//! into tri-packed Fock windows, durable leases (windows outlive rank
-//! deaths, and under fault injection every task is flushed before the
-//! master completes it at its next claim — the strips are already empty
-//! then), flush + `ft_barrier`.
+//! Policy row: significant `ij` pair tasks, the lease loop as a team of
+//! one, the row's density reader, one strip accumulator and one
+//! [`RowShardFock`] per rank into tri-packed Fock windows, durable leases
+//! (windows outlive rank deaths, and under fault injection every task is
+//! flushed before the master completes it at its next claim — the strips
+//! are already empty then), flush + `ft_barrier`.
 
-use super::driver::{every_task, LeaseLoop, Quartets, SignificantPairs, Step, World};
+use super::driver::{LeaseLoop, Quartets, SignificantPairs, Step, World};
 use super::engine::FockContext;
 use super::matrix::{
     drain_strip, gather_tri, replicated_density_bytes, scatter_density, shard_reader_bytes,
     shard_stripe_bytes, shard_writer_bytes, tri_len, RowShardFock, ShardDensity, StripRouter,
 };
-use super::{digest, pair_decode, ChannelSink, DensityRead, GBuild, ReplicatedDensity};
+use super::{digest, ChannelSink, DensityRead, GBuild, ReplicatedDensity};
 use phi_dmpi::{DistributedArray, LeaseMode};
-use phi_integrals::screening::n_pairs;
 use phi_omp::Team;
 
 /// `Sharded`: the window build over density scattered into tri-packed
@@ -72,10 +72,11 @@ pub(crate) fn build_distributed<const NCH: usize>(
     window_build::<NCH, _>(ctx, kl, world, reader_bytes, &[], |_| dens)
 }
 
-/// The one window-build body: DLB over `(i, j)` pairs, density from
-/// `reader(rank)`, Fock accumulated into tri-packed windows by one-sided
-/// `acc`. `reader_bytes` is what the reader keeps per rank; `d_wins` are
-/// its windows, if any, whose link counters belong to the build.
+/// The one window-build body: DLB over significant `(i, j)` pairs,
+/// density from `reader(rank)`, Fock accumulated into tri-packed windows
+/// by one-sided `acc`. `reader_bytes` is what the reader keeps per rank;
+/// `d_wins` are its windows, if any, whose link counters belong to the
+/// build.
 fn window_build<const NCH: usize, D: DensityRead>(
     ctx: &FockContext<'_>,
     kl: &SignificantPairs,
@@ -86,7 +87,6 @@ fn window_build<const NCH: usize, D: DensityRead>(
 ) -> GBuild {
     let basis = ctx.basis;
     let n = basis.n_basis();
-    let n_pair = n_pairs(basis.n_shells());
     let f_wins: Vec<DistributedArray> = (0..NCH).map(|_| world.window(tri_len(n))).collect();
     // Per-rank resident bytes: the reader, this rank's stripe of every
     // Fock window and the O(N) writer. `MemoryModel::per_rank_bytes`
@@ -97,7 +97,7 @@ fn window_build<const NCH: usize, D: DensityRead>(
         + shard_writer_bytes(n, max_width, NCH);
 
     let (_, stats) = world.run(ctx, resident, &[d_wins, &f_wins], |rank| {
-        let leases = LeaseLoop::new(rank, n_pair, LeaseMode::Durable);
+        let leases = LeaseLoop::new(rank, kl.len(), LeaseMode::Durable);
         let mut stats = Team::new(1).parallel(|tctx| {
             let mut dens = reader(rank.rank());
             let mut fock = RowShardFock::new(&f_wins, n, rank.rank());
@@ -106,9 +106,9 @@ fn window_build<const NCH: usize, D: DensityRead>(
             let strip = max_width * n;
             let (mut fis, mut fjs) = (vec![0.0; NCH * strip], vec![0.0; NCH * strip]);
             let mut kl_blocks = vec![0.0; NCH * max_width * max_width];
-            let tasks = leases.run(tctx, every_task, |step| {
-                let Step::Task(t) = step else { return fock.flush() };
-                let (i, j) = pair_decode(t);
+            let tasks = leases.run(tctx, |step| {
+                let Step::Task(p) = step else { return fock.flush() };
+                let (i, j) = kl.pair(p);
                 let (sh_i, sh_j) = (&basis.shells[i], &basis.shells[j]);
                 let mut strips = fis.chunks_mut(strip).zip(fjs.chunks_mut(strip));
                 let mut blocks = kl_blocks.chunks_mut(max_width * max_width);
@@ -119,7 +119,7 @@ fn window_build<const NCH: usize, D: DensityRead>(
                 });
                 // The fock buffer flushes itself when full: safe mid-task
                 // because kills only fire at lease claims, between tasks.
-                quartets.pair_task(i, j, |k, l, eri| {
+                quartets.pair_task(p, |k, l, eri| {
                     let (sh_k, sh_l) = (&basis.shells[k], &basis.shells[l]);
                     routers.iter_mut().for_each(|r| r.start_quartet(sh_k, sh_l));
                     digest(basis, i, j, k, l, eri, &mut dens, routers.as_mut_slice());
@@ -298,31 +298,6 @@ mod tests {
             pair_bytes: data.pairs.bytes(),
         };
         assert_eq!(distributed.stats.max_rank_peak() as f64, model.per_rank_bytes(alg));
-    }
-
-    #[test]
-    fn strip_accumulator_keeps_acc_runs_a_fifth_of_per_integral_pushes() {
-        // Water/6-31G(d) on two ranks: pushing every unique integral's
-        // updates straight into the `acc` buffer (the parent of PR 25) made
-        // 1 441 to 1 546 runs over 50 sharded builds. Algorithm 3's strips
-        // and per-quartet (k, l) blocks make 15 to 79; a fifth of the
-        // parent's fewest is the line per-integral pushes must not cross
-        // again, in either window build.
-        let b = BasisSet::build(&small::water(), BasisName::B631gd);
-        let data = FockData::build(&b);
-        let d = density(b.n_basis());
-        for alg in [
-            FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::Mpi3OneSided },
-            FockAlgorithm::Distributed { n_ranks: 2 },
-        ] {
-            let got = alg.builder().build(&data.context(&b, 1e-12), &Restricted(&d));
-            assert!(
-                got.stats.flushes <= 1441 / 5,
-                "{}: {} acc runs",
-                alg.label(),
-                got.stats.flushes
-            );
-        }
     }
 
     #[test]

@@ -20,27 +20,27 @@
 //! changes (lines 15–18 and 33), which removes most of the synchronization
 //! the naive scheme would pay.
 //!
-//! MPI tasks are combined `ij` pair indices pulled from the DLB counter,
-//! prescreened at the task level (line 13) by the master inside its claim,
-//! so whole iterations of the most costly top loop vanish for sparse
-//! systems without the team synchronizing on them.
+//! MPI tasks are the significant-pair list's positions pulled from the DLB
+//! counter, one combined `ij` pair each. The list holds exactly the pairs
+//! the task-level prescreen (line 13) keeps, so that prescreen is the
+//! task space itself: whole iterations of the most costly top loop vanish
+//! for sparse systems before any lease is handed out.
 //!
-//! A task that runs costs the team two barriers, three when `i` changes;
+//! A task costs the team two barriers, three when `i` changes;
 //! DESIGN.md §6 lists what each one orders.
 //!
-//! Policy row: combined `ij` pair tasks with the task prescreen, dynamic
-//! team schedule over the task's significant `kl` list positions, shared
-//! Fock + FI/FJ column sinks, volatile leases, `gsumf` reduce.
+//! Policy row: significant combined `ij` pair tasks, dynamic team schedule
+//! over the task's significant `kl` list positions, shared Fock + FI/FJ
+//! column sinks, volatile leases, `gsumf` reduce.
 
 use super::driver::{
     readonly_bytes, surviving, LeaseLoop, Quartets, SignificantPairs, Step, World,
 };
 use super::engine::FockContext;
 use super::matrix::{strip_slot, ReplicatedFock, StripRouter};
-use super::{digest, pair_decode, GBuild, ReplicatedDensity};
+use super::{digest, GBuild, ReplicatedDensity};
 use crate::stats::FockBuildStats;
 use phi_dmpi::LeaseMode;
-use phi_integrals::screening::n_pairs;
 use phi_omp::{PaddedColumns, Schedule, SharedAccumulator, Team, ThreadCtx};
 
 /// Algorithm 3 over `world.n_ranks` ranks x `n_threads` threads: one
@@ -56,7 +56,6 @@ pub(crate) fn build<const NCH: usize>(
 ) -> GBuild {
     let basis = ctx.basis;
     let n = basis.n_basis();
-    let n_pair = n_pairs(basis.n_shells());
     let max_width = basis.max_shell_width();
     // Per rank: one shared copy of each density, S/H/C, and the shared
     // Fock matrices (line 4: shared(Fock)).
@@ -98,7 +97,7 @@ pub(crate) fn build<const NCH: usize>(
                 }
             };
 
-        let leases = LeaseLoop::new(rank, n_pair, LeaseMode::Volatile);
+        let leases = LeaseLoop::new(rank, kl.len(), LeaseMode::Volatile);
         let per_thread = Team::new(n_threads).parallel(|tctx| {
             let mut dens = dens;
             let mut quartets = Quartets::new(ctx, kl);
@@ -108,16 +107,9 @@ pub(crate) fn build<const NCH: usize>(
             // every thread follows the same task sequence.
             let mut iold: Option<usize> = None;
 
-            // Task-level prescreen (lines 13-14), evaluated by the master
-            // inside its claim: whole iterations of the most costly top
-            // loop vanish for sparse systems, barriers included.
-            let survives = |ij: usize| {
-                let (i, j) = pair_decode(ij);
-                ctx.task_survives(i, j)
-            };
-            let tasks = leases.run(tctx, survives, |step| {
-                let Step::Task(ij) = step else { return };
-                let (i, j) = pair_decode(ij);
+            let tasks = leases.run(tctx, |step| {
+                let Step::Task(p) = step else { return };
+                let (i, j) = kl.pair(p);
                 // Flush FI lazily, only when i changes (lines 15-18). The
                 // kl loop that wrote it ended at a barrier one task ago;
                 // this barrier keeps the next loop off the columns until
@@ -145,7 +137,7 @@ pub(crate) fn build<const NCH: usize>(
                 // flush needs before it reads the columns. A quartet's
                 // (k, l) block leaves the thread once, as atomic adds into
                 // the shared Fock.
-                let kls = kl.ket_space(i, j);
+                let kls = kl.ket_space(p);
                 tctx.for_each_nowait(kls.len(), Schedule::dynamic1(), &mut |p| {
                     let [k, l] = kls[p].map(|s| s as usize);
                     let (sh_k, sh_l) = (&basis.shells[k], &basis.shells[l]);
@@ -240,13 +232,15 @@ mod tests {
 
     #[test]
     fn sparse_system_with_prescreened_tasks_is_race_free() {
-        // A spread-out H chain prescreens many ij leases, which the master
-        // drops inside its claim. The hazard on that path: a thread that
-        // has not yet read the broadcast slot when the master overwrites
-        // it misses a task, and the team's collective sequences diverge
-        // (deadlock) or a surviving task is skipped (wrong Fock matrix).
-        // Dense molecules (water etc.) never prescreen, so only sparse
-        // systems can expose it.
+        // A spread-out H chain prescreens 10 of its 36 ij pairs, so its
+        // lease stream is the 26 significant ones: consecutive leases jump
+        // over the dropped pairs and change i often. Paper Algorithm 3
+        // rejected such pairs after the lease broadcast, where a thread
+        // that had not yet read the slot when the master overwrote it
+        // missed a task: the team's collective sequences diverged
+        // (deadlock) or a surviving task was skipped (wrong Fock matrix).
+        // No lease is ever rejected, so every broadcast is followed by a
+        // worked task and its barrier; this keeps that shape under load.
         let b = BasisSet::build(&small::h_chain(8, 5.0), BasisName::Sto3g);
         let data = FockData::build(&b);
         let d = density(b.n_basis());

@@ -6,15 +6,16 @@
 //! `phi-omp` substrates:
 //!
 //! * [`FockAlgorithm::MpiOnly`] — Algorithm 1, the stock GAMESS scheme:
-//!   every rank replicates all matrices, DLB over `(i,j)` shell pairs,
-//!   `gsumf` reduction;
+//!   every rank replicates all matrices, DLB over the significant `(i,j)`
+//!   shell pairs, `gsumf` reduction;
 //! * [`FockAlgorithm::PrivateFock`] — Algorithm 2 ("shared density, private
 //!   Fock"): hybrid ranks x threads, density shared per rank, Fock
 //!   replicated per thread, MPI DLB over `i`, collapsed `(j,k)` OpenMP loop;
 //! * [`FockAlgorithm::SharedFock`] — Algorithm 3 ("shared density, shared
 //!   Fock"): density and Fock both shared per rank, MPI DLB over combined
-//!   `ij` pairs with task-level Schwarz prescreening, OpenMP over combined
-//!   `kl`, thread-private `FI`/`FJ` column buffers with lazy `FI` flushing.
+//!   `ij` pairs that pass the task-level Schwarz prescreen (the
+//!   significant-pair list), OpenMP over combined `kl`, thread-private
+//!   `FI`/`FJ` column buffers with lazy `FI` flushing.
 //!
 //! [`FockAlgorithm::Serial`] defines ground truth (up to floating-point
 //! summation order) for all three; [`FockAlgorithm::Distributed`] adds the

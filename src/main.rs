@@ -17,7 +17,6 @@ use phi_scf::hf::fock::SignificantPairs;
 use phi_scf::hf::{
     mp2_energy, run_scf, FockAlgorithm, FockData, MemoryModel, ScfConfig, ScfResult, ScfStop, Spin,
 };
-use phi_scf::integrals::screening::n_pairs;
 
 const HELP: &str = "\
 phi-scf — Hartree-Fock with the SC'17 hybrid MPI/OpenMP Fock builders
@@ -62,9 +61,11 @@ OPTIONS:
                          drop@<from>-><to>#<nth> |
                          corrupt@<from>-><to>#<nth>
                          (parallel algorithms only; every rank and task
-                         named must exist, claims and messages count
-                         from #1, kill* needs a count >= 1, and a delay
-                         must be shorter than --comm-timeout-ms)
+                         named must exist: a task is a shell on private
+                         and a position in the significant-pair list at
+                         --tau on every other row; claims and messages
+                         count from #1, kill* needs a count >= 1, and a
+                         delay must be shorter than --comm-timeout-ms)
                          e.g. --faults 42:kill@3,delay@1#2:50
     --comm-timeout-ms <MS>
                          barrier/lease/receive timeout for the
@@ -219,13 +220,15 @@ fn check_occupations(spin: Spin, n_electrons: usize, n_basis: usize) -> Result<(
 
 /// `--faults` only fires inside a world: refuse a plan the serial build
 /// would ignore, one naming a rank the algorithm does not run or a task it
-/// never leases out of a basis of `n_shells` shells, or a straggler that
-/// outlives the failure-aware waits' `timeout`.
+/// never leases out of a basis of `n_shells` shells and `n_significant`
+/// significant shell pairs, or a straggler that outlives the failure-aware
+/// waits' `timeout`.
 fn check_fault_plan(
     plan: &FaultPlan,
     alg: FockAlgorithm,
     spec: &str,
     n_shells: usize,
+    n_significant: usize,
     timeout: std::time::Duration,
 ) -> Result<(), String> {
     if alg == FockAlgorithm::Serial {
@@ -251,17 +254,19 @@ fn check_fault_plan(
         ));
     }
     // Algorithm 2 leases one task per shell `i`, every other row one per
-    // shell pair `(i, j)`.
+    // significant shell pair `(i, j)`; `--tau` can leave none.
     let (tasks, what) = match alg {
         FockAlgorithm::PrivateFock { .. } => (n_shells, "shell"),
-        _ => (n_pairs(n_shells), "shell-pair"),
+        _ => (n_significant, "significant shell-pair"),
     };
     match plan.max_task() {
-        Some(task) if task >= tasks => Err(format!(
-            "--faults kills at task {task}, but --algorithm {spec} leases {tasks} {what} tasks \
-             (0..{})",
-            tasks - 1
-        )),
+        Some(task) if task >= tasks => {
+            let range = tasks.checked_sub(1).map_or(String::new(), |last| format!(" (0..{last})"));
+            Err(format!(
+                "--faults kills at task {task}, but --algorithm {spec} leases {tasks} {what} \
+                 tasks{range}"
+            ))
+        }
         _ => Ok(()),
     }
 }
@@ -410,8 +415,15 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
     );
 
     let alg = parse_algorithm(&algorithm)?;
-    if let Some(plan) = &faults {
-        check_fault_plan(plan, alg, &algorithm, b.n_shells(), retry.timeout)?;
+    // The pair data and significant-pair list of the checks below; the
+    // list is what the pair rows lease. `run_scf` builds its own.
+    let checked = (faults.is_some() || memory_budget.is_some()).then(|| {
+        let data = FockData::build(&b);
+        let kl = SignificantPairs::new(&data.screening, tau);
+        (data, kl)
+    });
+    if let (Some(plan), Some((_, kl))) = (&faults, &checked) {
+        check_fault_plan(plan, alg, &algorithm, b.n_shells(), kl.len(), retry.timeout)?;
     }
     if mp2 && uhf.is_some() {
         return Err("--mp2 is the closed-shell formula over one set of doubly occupied \
@@ -423,12 +435,10 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
         None => Spin::Restricted,
     };
     check_occupations(spin, mol.n_electrons(), b.n_basis())?;
-    if let Some(mib) = memory_budget {
+    if let (Some(mib), Some((data, kl))) = (memory_budget, &checked) {
         // Per-rank model estimate, shell-pair dataset included. The
         // significant-pair list is built once per build and read by every
         // rank, like the Schwarz table it comes from.
-        let data = FockData::build(&b);
-        let kl = SignificantPairs::new(&data.screening, tau);
         println!(
             "shell-pair dataset: {} bytes per rank; significant-pair list: {} of {} pairs, \
              {} bytes per build",
@@ -688,10 +698,11 @@ mod tests {
                  --faults 1:delay@1#1:500",
                 &["--faults", "500 ms", "--comm-timeout-ms is 500"],
             ),
-            // Water/STO-3G has 4 shells, so 10 pair tasks and 4 shell tasks.
+            // Water/STO-3G has 4 shells, so 4 shell tasks, and all 10 of
+            // its pairs are significant.
             (
                 "--molecule water --basis sto3g --algorithm mpi:2 --faults 1:kill@10",
-                &["--faults", "task 10", "mpi:2", "10 shell-pair tasks"],
+                &["--faults", "task 10", "mpi:2", "10 significant shell-pair tasks"],
             ),
             (
                 "--molecule water --basis sto3g --algorithm private:2x2 --faults 1:kill@4",
@@ -699,7 +710,17 @@ mod tests {
             ),
             (
                 "--molecule water --basis sto3g --algorithm sharded:2 --faults 1:kill@10",
-                &["--faults", "task 10", "sharded:2", "10 shell-pair tasks"],
+                &["--faults", "task 10", "sharded:2", "10 significant shell-pair tasks"],
+            ),
+            // The pair rows lease only the significant pairs: 26 of the
+            // 36 at 5 bohr, and none when tau screens every pair.
+            (
+                "--molecule chain:8:5.0 --basis sto3g --algorithm mpi:2 --faults 1:kill@26",
+                &["--faults", "task 26", "mpi:2", "26 significant shell-pair tasks (0..25)"],
+            ),
+            (
+                "--tau 1e30 --algorithm mpi:2 --faults 1:kill@0",
+                &["--faults", "task 0", "mpi:2", "leases 0 significant shell-pair tasks"],
             ),
             ("--molecule water --basis sto3g --algorithm mpi:257", &["mpi:257", "257 workers"]),
             (

@@ -108,9 +108,9 @@ fn c6_631gd_breakdown_has_the_paper_shape() {
     }
 
     // -- the same physics under every breakdown ------------------------
-    // The shared-Fock task prescreen can only drop whole tasks whose
-    // quartets the serial loop screens one-by-one, so computed counts
-    // match exactly and screened counts can only shrink.
+    // Every row leases or walks the same significant pairs, and a pair
+    // left out of that list has no quartet the serial loop could keep, so
+    // computed counts match exactly and screened counts cannot grow.
     assert_eq!(shared1_stats.quartets_computed, serial_stats.quartets_computed);
     assert_eq!(shared2_stats.quartets_computed, serial_stats.quartets_computed);
     assert!(shared1_stats.quartets_screened <= serial_stats.quartets_screened);

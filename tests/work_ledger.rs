@@ -1,8 +1,9 @@
 //! The work ledger: one Fock build at the core-guess density through every
 //! row, on the benchmark's H₂₈/6-31G chain, on water/6-31G(d) (every
 //! shell type the benchmark's water trimer has, at a tenth of the cost)
-//! and on a spread-out H₈/STO-3G chain whose task prescreen rejects leases
-//! on one and two ranks, with the work each build did pinned.
+//! and on a spread-out H₈/STO-3G chain whose significant-pair list, the
+//! pair rows' task space, holds 26 of its 36 pairs, with the work each
+//! build did pinned.
 //!
 //! A change that claims to move no work shows it here as unchanged pins; a
 //! change that moves work updates the pins in the same diff and says why.
@@ -112,18 +113,18 @@ fn h28_631g_ledger_holds_on_every_row() {
     };
     let rows = [
         row(FockAlgorithm::Serial, 0, 0, 0..=0, 0),
-        // Every pair leased, plus each rank's out-of-range claim.
-        row(MPI, 1_596, 1_598, 0..=0, 1_703_837),
+        // Every significant pair leased, plus each rank's out-of-range
+        // claim: the other 928 pairs are no task at all.
+        row(MPI, 668, 670, 0..=0, 1_703_837),
         // One lease per shell `i`, plus the end-of-stream claim.
         row(PRIVATE, 56, 57, 0..=0, 1_754_013),
-        // The task prescreen rejects 928 of the 1 596 leases; one FJ flush
-        // per task run plus one FI flush per run of equal `i`.
-        row(SHARED, 668, 1_597, 724..=724, 1_705_885),
-        // Measured 20 494–20 811 over about 1 500 builds per row.
-        row(DISTRIBUTED, 1_596, 1_598, 20_300..=21_000, 1_618_965),
-        row(SHARDED, 1_596, 1_598, 20_300..=21_000, 1_609_797),
-        row(DISTRIBUTED1, 1_596, 1_597, 20_624..=20_624, 1_625_349),
-        row(SHARDED1, 1_596, 1_597, 20_624..=20_624, 1_622_565),
+        // One FJ flush per task plus one FI flush per run of equal `i`.
+        row(SHARED, 668, 669, 724..=724, 1_705_885),
+        // Measured 20 369–20 731 over about 2 400 builds per row.
+        row(DISTRIBUTED, 668, 670, 20_150..=20_900, 1_618_965),
+        row(SHARDED, 668, 670, 20_150..=20_900, 1_609_797),
+        row(DISTRIBUTED1, 668, 669, 20_594..=20_594, 1_625_349),
+        row(SHARDED1, 668, 669, 20_594..=20_594, 1_622_565),
     ];
     check(&small::h_chain(28, 1.8), BasisName::B631g, work, &rows);
 }
@@ -154,6 +155,11 @@ fn water_631gd_ledger_holds_on_every_row() {
         row(SHARED, 36, 37, 44..=44, 122_028),
         // Measured 11–128 over about 8 000 builds per row: with 36 tasks, how
         // they split between the ranks moves the count by a factor of ten.
+        // Pushing every unique integral's updates straight into the `acc`
+        // buffer, without Algorithm 3's strips and per-quartet (k, l)
+        // blocks, made 1 441 to 1 546 runs over 50 two-rank sharded builds;
+        // the upper bound, under a seventh of the fewest, is the line such
+        // pushes must not cross again in either window build.
         row(DISTRIBUTED, 36, 38, 5..=200, 117_444),
         row(SHARDED, 36, 38, 5..=200, 123_964),
         row(DISTRIBUTED1, 36, 37, 62..=62, 118_204),
@@ -165,8 +171,8 @@ fn water_631gd_ledger_holds_on_every_row() {
 
 #[test]
 fn h8_sto3g_ledger_holds_on_every_row() {
-    // h_chain(8, 5.0)/STO-3G: 36 ij leases, 26 of them significant, so the
-    // task prescreen rejects 10, and 8 distinct i among the 26 that run.
+    // h_chain(8, 5.0)/STO-3G: 36 ij pairs, 26 of them significant, with 8
+    // distinct i among them.
     let work = Work {
         computed: 271,
         screened: 80,
@@ -182,19 +188,18 @@ fn h8_sto3g_ledger_holds_on_every_row() {
     };
     let rows = [
         row(FockAlgorithm::Serial, 0, 0, 0..=0, 0),
-        // The flat rows lease every one of the 36 ij pairs through the same
-        // loop, as a team of one, plus each rank's out-of-range claim.
-        row(MPI, 36, 38, 0..=0, 71_445),
-        // Every lease, rejected or run, plus the out-of-range claim. One FJ
-        // flush per task run, one FI flush per run of equal i in a rank's
-        // lease sequence: 8 on one rank.
-        row(SHARED, 26, 37, 34..=34, 71_957),
+        // Every row but private leases the 26 significant ij pairs through
+        // the same loop, plus each rank's out-of-range claim.
+        row(MPI, 26, 28, 0..=0, 71_445),
+        // One FJ flush per task, one FI flush per run of equal i in a
+        // rank's lease sequence: 8 on one rank.
+        row(SHARED, 26, 27, 34..=34, 71_957),
         // On two ranks which rank gets which lease is a race, and each sees
         // at most all 8 i: 34 to 41 over 4 000 builds.
-        row(SHARED2, 26, 38, 34..=42, 71_957),
-        // Measured 2–10 over 4 000 builds per row.
-        row(DISTRIBUTED, 36, 38, 1..=20, 77_869),
-        row(SHARDED, 36, 38, 1..=20, 85_885),
+        row(SHARED2, 26, 28, 34..=42, 71_957),
+        // Measured 1–5 over 600 builds per row.
+        row(DISTRIBUTED, 26, 28, 1..=20, 77_869),
+        row(SHARDED, 26, 28, 1..=20, 85_885),
     ];
     check(&small::h_chain(8, 5.0), BasisName::Sto3g, work, &rows);
 }

@@ -5,6 +5,7 @@
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
 use phi_scf::dmpi::DdiMode;
+use phi_scf::hf::fock::SignificantPairs;
 use phi_scf::hf::{DensitySet, FockAlgorithm, FockContext, FockData};
 use phi_scf::integrals::screening::WorkloadStats;
 use phi_scf::integrals::{Screening, ShellPairs};
@@ -95,7 +96,7 @@ fn builder_counters_are_deterministic_across_algorithms() {
     let total = serial.stats.quartets_computed + serial.stats.quartets_screened;
 
     let ns = basis.n_shells();
-    let n_pair = ns * (ns + 1) / 2;
+    let n_significant = SignificantPairs::new(&data.screening, tau).len();
     for (alg, ranks) in [
         (FockAlgorithm::MpiOnly { n_ranks: 3 }, 3),
         (FockAlgorithm::PrivateFock { n_ranks: 2, n_threads: 2 }, 2),
@@ -115,13 +116,49 @@ fn builder_counters_are_deterministic_across_algorithms() {
             "{label}: full canonical coverage"
         );
         // DLB accounting: tasks pulled plus one final out-of-range claim
-        // per rank — exact, not approximate.
+        // per rank — exact, not approximate. Every row but private leases
+        // the significant pairs.
         let tasks = match alg {
             FockAlgorithm::PrivateFock { .. } => ns,
-            _ => n_pair,
+            _ => n_significant,
         };
         assert_eq!(got.stats.dlb_tasks, tasks, "{label}: one lease per task");
         assert_eq!(got.stats.dlb_calls, tasks + ranks, "{label}: claims + final polls");
+    }
+}
+
+#[test]
+fn a_threshold_above_every_product_leaves_an_empty_lease_stream() {
+    // With tau above Q_max^2 no quartet survives and no pair is
+    // significant, so every pair row's lease stream is empty: each rank
+    // makes one claim, finds the stream exhausted and returns G = 0.
+    // Private leases shells, and every (i, j) inside them is skipped. Two
+    // ranks, of two threads each for the hybrid rows.
+    let basis = BasisSet::build(&small::water(), BasisName::Sto3g);
+    let data = FockData::build(&basis);
+    let tau = 2.0 * data.screening.q_max() * data.screening.q_max();
+    assert!(SignificantPairs::new(&data.screening, tau).is_empty());
+    let ctx = data.context(&basis, tau);
+    let d = Mat::identity(basis.n_basis());
+    let ns = basis.n_shells();
+    for alg in [
+        FockAlgorithm::MpiOnly { n_ranks: 2 },
+        FockAlgorithm::PrivateFock { n_ranks: 2, n_threads: 2 },
+        FockAlgorithm::SharedFock { n_ranks: 2, n_threads: 2 },
+        FockAlgorithm::Distributed { n_ranks: 2 },
+        FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::Mpi3OneSided },
+    ] {
+        let got = alg.builder().build(&ctx, &DensitySet::Restricted(&d));
+        let label = alg.label();
+        assert_eq!(got.g.max_abs(), 0.0, "{label}: G");
+        let s = &got.stats;
+        assert_eq!((s.quartets_computed, s.quartets_screened), (0, 0), "{label}: quartet tests");
+        let tasks = match alg {
+            FockAlgorithm::PrivateFock { .. } => ns,
+            _ => 0,
+        };
+        assert_eq!(s.dlb_tasks, tasks, "{label}: tasks leased");
+        assert_eq!(s.dlb_calls, tasks + 2, "{label}: one exhausted claim per rank");
     }
 }
 
