@@ -100,7 +100,7 @@ impl SignificantPairs {
 
     /// The pair at list position `p`: the shells `(i, j)` of pair task `p`.
     #[inline]
-    pub(crate) fn pair(&self, p: usize) -> (usize, usize) {
+    pub fn pair(&self, p: usize) -> (usize, usize) {
         let [i, j] = self.kl[p];
         (i as usize, j as usize)
     }

@@ -45,5 +45,5 @@ pub use kernels::{
 pub use one_electron::{
     dipole_matrices, kinetic_matrix, nuclear_attraction_matrix, overlap_matrix,
 };
-pub use screening::{Screening, WorkloadStats};
+pub use screening::Screening;
 pub use shell_pairs::{ShellPair, ShellPairs};

@@ -1,22 +1,18 @@
-//! Cauchy–Schwarz screening and screened-workload statistics.
+//! Cauchy–Schwarz screening.
 //!
 //! The paper screens shell quartets with `|(ij|kl)| <= Q_ij * Q_kl`,
 //! `Q_ij = sqrt((ij|ij))` (§4.1), and additionally prescreens whole `ij`
 //! MPI tasks in the shared-Fock algorithm (Algorithm 3, line 13). This
-//! module computes:
+//! module holds:
 //!
-//! * [`Screening`] — the per-shell-pair `Q` table used by the real Fock
-//!   builders;
-//! * [`WorkloadStats`] — for every surviving `ij` task, how many canonical
-//!   `kl` quartets survive, broken down by shell-class pair. This is the
-//!   exact screened workload of one Fock-build iteration, and it is what the
-//!   cluster simulator distributes over ranks and threads. Counting uses a
-//!   Fenwick tree over quantized `Q` values, so the full statistics for the
-//!   5 nm system (8,064 shells, 32.5M shell pairs) cost O(P log B) instead
-//!   of the O(P^2) of brute-force enumeration.
+//! * [`Screening`] — the per-shell-pair `Q` table and both tests, read by
+//!   the real Fock builders and, through the builders' significant-pair
+//!   list, by the cluster simulator (`phi-knlsim::workload`);
+//! * [`ShellClasses`] — the cost-equivalent shell classes the simulator
+//!   prices quartets by.
 
 use crate::eri::EriEngine;
-use crate::shell_pairs::{ShellPair, ShellPairs};
+use crate::shell_pairs::{ShellPair, ShellPairs, DEFAULT_PAIR_CUTOFF};
 use phi_chem::BasisSet;
 
 /// Packed lower-triangular index for `i >= j`.
@@ -91,11 +87,12 @@ impl Screening {
     }
 
     /// The table without a [`ShellPairs`] dataset, for systems whose pair
-    /// data would not fit (32.5M pairs at 5 nm): each pair is built, its
-    /// diagonal quartet evaluated, and dropped. Pairs whose prefactor bound
-    /// falls below `est_floor` are never built and store that (tiny) bound
-    /// instead. With `est_floor = 0.0` every pair is exact and the table
-    /// equals `from_pairs(ShellPairs::build_with(basis, 0.0))` bit for bit.
+    /// data would not fit (32.5M pairs at 5 nm): each pair is built at the
+    /// builders' [`DEFAULT_PAIR_CUTOFF`], its diagonal quartet evaluated,
+    /// and dropped. Pairs whose prefactor bound falls below `est_floor` are
+    /// never built and store that (tiny) bound instead. With
+    /// `est_floor = 0.0` the table equals the builders'
+    /// `from_pairs(ShellPairs::build(basis))` bit for bit.
     ///
     /// The prefactor bound only decides *which* pairs are negligible; any
     /// pair that could matter at realistic screening thresholds
@@ -109,7 +106,8 @@ impl Screening {
             if est < est_floor {
                 est
             } else {
-                ShellPair::build(i, j, si, sj, 0.0).schwarz_bound(&mut engine, &mut buf)
+                ShellPair::build(i, j, si, sj, DEFAULT_PAIR_CUTOFF)
+                    .schwarz_bound(&mut engine, &mut buf)
             }
         })
     }
@@ -214,171 +212,6 @@ impl ShellClasses {
     }
 }
 
-// ------------------------------------------------------------------------
-// Fenwick tree over quantized Q buckets.
-// ------------------------------------------------------------------------
-
-/// Q values are quantized onto a log scale covering [1e-30, 1e5] with
-/// `N_BUCKETS` levels (~0.0043 decades per bucket, i.e. ~1% resolution —
-/// far finer than any workload-modeling need).
-const N_BUCKETS: usize = 8192;
-const LOG_MIN: f64 = -30.0;
-const LOG_MAX: f64 = 5.0;
-
-#[inline]
-fn bucket_of(q: f64) -> usize {
-    if q <= 0.0 {
-        return 0;
-    }
-    let x = (q.log10() - LOG_MIN) / (LOG_MAX - LOG_MIN);
-    ((x * (N_BUCKETS - 1) as f64).round().max(0.0) as usize).min(N_BUCKETS - 1)
-}
-
-struct Fenwick {
-    tree: Vec<u32>,
-    total: u64,
-}
-
-impl Fenwick {
-    fn new() -> Fenwick {
-        Fenwick { tree: vec![0; N_BUCKETS + 1], total: 0 }
-    }
-
-    fn insert(&mut self, bucket: usize) {
-        let mut i = bucket + 1;
-        while i <= N_BUCKETS {
-            self.tree[i] += 1;
-            i += i & i.wrapping_neg();
-        }
-        self.total += 1;
-    }
-
-    /// Count of inserted values in buckets `0..=bucket`.
-    fn prefix(&self, bucket: usize) -> u64 {
-        let mut i = bucket + 1;
-        let mut s = 0u64;
-        while i > 0 {
-            s += self.tree[i] as u64;
-            i -= i & i.wrapping_neg();
-        }
-        s
-    }
-
-    /// Count of inserted values with bucket index >= `bucket`.
-    fn count_at_least(&self, bucket: usize) -> u64 {
-        if bucket == 0 {
-            self.total
-        } else {
-            self.total - self.prefix(bucket - 1)
-        }
-    }
-}
-
-// ------------------------------------------------------------------------
-// Workload statistics.
-// ------------------------------------------------------------------------
-
-/// One surviving `ij` MPI task of a Fock-build iteration.
-#[derive(Clone, Copy, Debug)]
-pub struct IjTask {
-    pub i: u32,
-    pub j: u32,
-    /// Schwarz bound of the task's bra pair.
-    pub q: f32,
-}
-
-/// Exact screened workload of one Fock-build iteration.
-///
-/// `tasks[t]` is the `t`-th surviving `ij` pair in canonical (triangular)
-/// order; `kl_counts[t * n_pair_classes + c]` is the number of canonical
-/// `kl <= ij` quartets of kl-pair-class `c` that survive
-/// `Q_ij Q_kl >= tau`.
-pub struct WorkloadStats {
-    pub tau: f64,
-    pub n_shells: usize,
-    pub classes: ShellClasses,
-    pub tasks: Vec<IjTask>,
-    pub kl_counts: Vec<u32>,
-    /// Total surviving quartets per kl pair class (sums of `kl_counts`).
-    pub totals_by_class: Vec<u64>,
-    /// Total canonical quartets before screening.
-    pub total_quartets: u128,
-    /// Shell pairs dropped by the task-level prescreen.
-    pub pairs_prescreened: u64,
-}
-
-impl WorkloadStats {
-    /// Count the screened workload. `screening` must cover the same basis.
-    pub fn compute(basis: &BasisSet, screening: &Screening, tau: f64) -> WorkloadStats {
-        let n = basis.n_shells();
-        assert_eq!(n, screening.n_shells());
-        let classes = ShellClasses::classify(basis);
-        let npc = classes.n_pair_classes();
-        let mut fenwicks: Vec<Fenwick> = (0..npc).map(|_| Fenwick::new()).collect();
-
-        let mut tasks = Vec::new();
-        let mut kl_counts: Vec<u32> = Vec::new();
-        let mut totals = vec![0u64; npc];
-        let mut prescreened = 0u64;
-
-        let q_max = screening.q_max().max(f64::MIN_POSITIVE);
-        for i in 0..n {
-            for j in 0..=i {
-                let qij = screening.q(i, j);
-                // Insert this pair as a potential kl partner for itself and
-                // all later tasks (canonical kl <= ij is inclusive).
-                fenwicks[classes.pair_class(i, j)].insert(bucket_of(qij));
-                if qij * q_max < tau {
-                    prescreened += 1;
-                    continue;
-                }
-                // Threshold for partners: q_kl >= tau / q_ij.
-                let thr_bucket = bucket_of(tau / qij);
-                let mut any = 0u64;
-                let base = kl_counts.len();
-                kl_counts.resize(base + npc, 0);
-                for (c, fw) in fenwicks.iter().enumerate() {
-                    let cnt = fw.count_at_least(thr_bucket);
-                    kl_counts[base + c] = cnt.min(u32::MAX as u64) as u32;
-                    totals[c] += cnt;
-                    any += cnt;
-                }
-                if any == 0 {
-                    kl_counts.truncate(base);
-                    prescreened += 1;
-                    continue;
-                }
-                tasks.push(IjTask { i: i as u32, j: j as u32, q: qij as f32 });
-            }
-        }
-        let p = n_pairs(n) as u128;
-        WorkloadStats {
-            tau,
-            n_shells: n,
-            classes,
-            tasks,
-            kl_counts,
-            totals_by_class: totals,
-            total_quartets: p * (p + 1) / 2,
-            pairs_prescreened: prescreened,
-        }
-    }
-
-    pub fn n_pair_classes(&self) -> usize {
-        self.classes.n_pair_classes()
-    }
-
-    /// Total surviving quartets over all tasks.
-    pub fn surviving_quartets(&self) -> u128 {
-        self.totals_by_class.iter().map(|&x| x as u128).sum()
-    }
-
-    /// Fraction of canonical quartets removed by screening.
-    pub fn screened_fraction(&self) -> f64 {
-        1.0 - self.surviving_quartets() as f64 / self.total_quartets as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,19 +264,19 @@ mod tests {
     }
 
     /// Both constructors run the one Schwarz evaluator on identical pair
-    /// data when nothing is pruned, so the tables agree bit for bit; with
-    /// the default primitive-pair pruning the bounds move below 1e-6
-    /// relative and no survivor decision changes at practical thresholds.
+    /// data, pruned at the builders' cutoff, so the tables agree bit for
+    /// bit; without the pruning the bounds move below 1e-6 relative and no
+    /// survivor decision changes at practical thresholds.
     #[test]
     fn from_pairs_matches_compute_hybrid() {
         let (b, s) = water_screening();
+        let built = Screening::from_pairs(&b, &ShellPairs::build(&b));
+        assert_eq!(s.q_max().to_bits(), built.q_max().to_bits());
         let exact = Screening::from_pairs(&b, &ShellPairs::build_with(&b, 0.0));
-        assert_eq!(s.q_max().to_bits(), exact.q_max().to_bits());
-        let pruned = Screening::from_pairs(&b, &ShellPairs::build(&b));
         for i in 0..b.n_shells() {
             for j in 0..=i {
-                assert_eq!(s.q(i, j).to_bits(), exact.q(i, j).to_bits(), "({i},{j})");
-                let (qa, qb) = (s.q(i, j), pruned.q(i, j));
+                assert_eq!(s.q(i, j).to_bits(), built.q(i, j).to_bits(), "({i},{j})");
+                let (qa, qb) = (exact.q(i, j), built.q(i, j));
                 assert!((qa - qb).abs() <= 1e-6 * qa.max(1e-30), "({i},{j}): {qa} vs {qb}");
             }
         }
@@ -453,8 +286,8 @@ mod tests {
                     for k in 0..=i {
                         for l in 0..=k {
                             assert_eq!(
-                                s.survives(i, j, k, l, tau),
-                                pruned.survives(i, j, k, l, tau),
+                                exact.survives(i, j, k, l, tau),
+                                built.survives(i, j, k, l, tau),
                                 "({i}{j}|{k}{l}) at tau={tau}"
                             );
                         }
@@ -467,19 +300,22 @@ mod tests {
     #[test]
     fn hybrid_matches_exact_for_relevant_pairs() {
         let b = BasisSet::build(&small::h_chain(8, 4.0), BasisName::Sto3g);
-        let exact = Screening::from_pairs(&b, &ShellPairs::build_with(&b, 0.0));
+        let built = Screening::from_pairs(&b, &ShellPairs::build(&b));
         let hybrid = Screening::compute_hybrid(&b, 1e-12);
         let mut floored = 0;
         for i in 0..b.n_shells() {
             for j in 0..=i {
-                let (qe, qh) = (exact.q(i, j), hybrid.q(i, j));
+                let (qe, qh) = (built.q(i, j), hybrid.q(i, j));
                 let est = ShellPair::prefactor_bound(&b.shells[i], &b.shells[j]);
                 if est < 1e-12 {
                     // Under the floor no pair is built: the entry is the
-                    // rounded-up prefactor bound itself, which the exact
-                    // evaluator does not return.
+                    // rounded-up prefactor bound itself, which the
+                    // evaluator returns only for a pair whose every
+                    // primitive pair the builders' cutoff pruned.
                     assert_eq!(qh.to_bits(), (round_up_f32(est) as f64).to_bits());
-                    assert_ne!(qh.to_bits(), qe.to_bits(), "pair ({i},{j}) was evaluated");
+                    if est >= DEFAULT_PAIR_CUTOFF {
+                        assert_ne!(qh.to_bits(), qe.to_bits(), "pair ({i},{j}) was evaluated");
+                    }
                     assert!(qe < 1e-8, "floored pair ({i},{j}) has exact bound {qe}");
                     floored += 1;
                 } else {
@@ -488,66 +324,6 @@ mod tests {
             }
         }
         assert!(floored > 0, "no pair fell under the floor");
-    }
-
-    #[test]
-    fn workload_counts_match_bruteforce() {
-        let b = BasisSet::build(&small::h_chain(10, 3.0), BasisName::Sto3g);
-        let s = Screening::compute_hybrid(&b, 0.0);
-        for tau in [1e-6, 1e-8, 1e-10] {
-            let w = WorkloadStats::compute(&b, &s, tau);
-            // Brute force count.
-            let n = b.n_shells();
-            let mut brute = 0u64;
-            for i in 0..n {
-                for j in 0..=i {
-                    let ij = pair_index(i, j);
-                    for k in 0..=i {
-                        for l in 0..=(if k == i { j } else { k }) {
-                            let kl = pair_index(k, l);
-                            assert!(kl <= ij);
-                            if s.q(i, j) * s.q(k, l) >= tau {
-                                brute += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            let counted = w.surviving_quartets() as u64;
-            // Quantization can shift boundary cases; with smooth H-chain Q
-            // distributions the disagreement must stay well under 1%.
-            let diff = (counted as i64 - brute as i64).unsigned_abs();
-            assert!(
-                diff as f64 <= 0.01 * brute as f64 + 2.0,
-                "tau={tau}: counted {counted}, brute {brute}"
-            );
-        }
-    }
-
-    #[test]
-    fn tighter_threshold_means_more_work() {
-        let b = BasisSet::build(&small::h_chain(12, 3.5), BasisName::Sto3g);
-        let s = Screening::compute_hybrid(&b, 0.0);
-        let loose = WorkloadStats::compute(&b, &s, 1e-6);
-        let tight = WorkloadStats::compute(&b, &s, 1e-12);
-        assert!(tight.surviving_quartets() >= loose.surviving_quartets());
-        assert!(tight.tasks.len() >= loose.tasks.len());
-    }
-
-    #[test]
-    fn distant_fragments_screen_out() {
-        // Two H2 molecules 60 bohr apart: inter-fragment quartets must die.
-        let mut atoms = small::hydrogen_molecule(1.4).atoms().to_vec();
-        for a in small::hydrogen_molecule(1.4).translated([0.0, 0.0, 60.0]).atoms() {
-            atoms.push(*a);
-        }
-        let m = phi_chem::Molecule::neutral(atoms);
-        let b = BasisSet::build(&m, BasisName::Sto3g);
-        let s = Screening::compute_hybrid(&b, 0.0);
-        let w = WorkloadStats::compute(&b, &s, 1e-10);
-        assert!(w.screened_fraction() > 0.3, "screened only {}", w.screened_fraction());
-        // Cross-fragment pair bound must be tiny.
-        assert!(s.q(0, b.n_shells() - 1) < 1e-12);
     }
 
     #[test]
@@ -561,19 +337,6 @@ mod tests {
         assert_eq!(c.descr[2], (4, 1, 1));
         assert_eq!(c.descr[3], (6, 1, 2));
         assert_eq!(c.n_pair_classes(), 10);
-    }
-
-    #[test]
-    fn fenwick_counts() {
-        let mut f = Fenwick::new();
-        for b in [0, 5, 5, 100, N_BUCKETS - 1] {
-            f.insert(b);
-        }
-        assert_eq!(f.count_at_least(0), 5);
-        assert_eq!(f.count_at_least(1), 4);
-        assert_eq!(f.count_at_least(5), 4);
-        assert_eq!(f.count_at_least(6), 2);
-        assert_eq!(f.count_at_least(N_BUCKETS - 1), 1);
     }
 
     /// Regression for the f32-narrowing bug: `val as f32` rounds to
@@ -628,17 +391,5 @@ mod tests {
         // Exact-representable values must pass through unchanged.
         assert_eq!(round_up_f32(0.5), 0.5f32);
         assert_eq!(round_up_f32(0.0), 0.0f32);
-    }
-
-    #[test]
-    fn bucket_monotonicity() {
-        let mut prev = 0;
-        for k in 0..100 {
-            let q = 1e-25 * 10f64.powf(k as f64 * 0.3);
-            let b = bucket_of(q);
-            assert!(b >= prev);
-            prev = b;
-        }
-        assert_eq!(bucket_of(0.0), 0);
     }
 }

@@ -86,8 +86,9 @@ pub struct SimConfig {
     /// Ablation: static instead of dynamic thread schedule (larger
     /// straggler tail; the paper found the difference insignificant).
     pub static_schedule: bool,
-    /// Ablation: disable the shared-Fock ij-task prescreen, so skipped
-    /// tasks still sweep their Schwarz-check loops.
+    /// Ablation: disable the ij-task prescreen (GAMESS's loop): the pair
+    /// rows claim every canonical pair, and each pair off the list still
+    /// sweeps its dense Schwarz-check loop.
     pub task_prescreen: bool,
 }
 
@@ -158,7 +159,7 @@ impl SimResult {
 /// caps the MPI-only code at 128 hardware threads (Fig. 4 text).
 const BASE_PROCESS_GB: f64 = 0.78;
 
-/// Cheap per-quartet Schwarz screening test inside the kl/k,l loops.
+/// One quartet's Schwarz test inside the `kl` loops.
 const CHECK_NS: f64 = 1.5;
 
 /// SCF iterations folded into `total_seconds` (the paper's runs take 16).
@@ -286,9 +287,12 @@ pub fn simulate(workload: &Workload, cost: &CostModel, cfg: &SimConfig) -> SimRe
         }
         _ => &workload.ij_tasks,
     };
-    // DLB claims made beyond the real task list (empty/prescreened pulls).
+    // DLB claims that find no work: Algorithm 2 leases every shell, the
+    // pair rows lease the list's positions, or every canonical pair when
+    // the line-13 prescreen is off (GAMESS's loop).
     let claim_space = match cfg.algorithm {
         SimAlgorithm::PrivateFock => workload.n_shells,
+        _ if cfg.task_prescreen => tasks.len(),
         _ => workload.total_pairs,
     };
     let empty_claims = claim_space.saturating_sub(tasks.len());
@@ -336,20 +340,8 @@ pub fn simulate(workload: &Workload, cost: &CostModel, cfg: &SimConfig) -> SimRe
         let start = free.max(counter_free) + dlb_latency;
         counter_free = free.max(counter_free) + dlb_service;
 
-        // Screening-check sweep inside the task's kl/k,l loops.
-        let klmax = match cfg.algorithm {
-            SimAlgorithm::PrivateFock => {
-                // collapse(2): (i+1)^2 (j,k) cells, each scanning ~k l-checks;
-                // approximate the check count by the canonical quartets of i.
-                let i = task.i as usize;
-                ((i + 1) * (i + 1)) as f64 * (i as f64 + 1.0) / 2.0
-            }
-            _ => {
-                let i = task.i as usize;
-                (i * (i + 1) / 2 + task.j as usize + 1) as f64
-            }
-        };
-        let check_cost = klmax * CHECK_NS * 1e-9;
+        // The quartet tests the builders run over the task's `kl` space.
+        let check_cost = task.n_tests as f64 * CHECK_NS * 1e-9;
 
         // Shared-Fock atomic adds.
         let atomic = if cfg.algorithm == SimAlgorithm::SharedFock {
@@ -395,11 +387,10 @@ pub fn simulate(workload: &Workload, cost: &CostModel, cfg: &SimConfig) -> SimRe
             _ => barrier, // master pull + team barrier before the skip
         };
     let mut empty_time_per_rank = empty_claims as f64 * empty_wall / total_ranks as f64;
-    if cfg.algorithm == SimAlgorithm::SharedFock && !cfg.task_prescreen {
-        // Without the line-13 prescreen, non-surviving tasks still sweep
-        // their whole Schwarz-check loops (workshared over the team).
-        let skipped_checks =
-            (workload.total_quartets - workload.sum_klmax_tasks) as f64 * CHECK_NS * 1e-9;
+    if cfg.algorithm != SimAlgorithm::PrivateFock && !cfg.task_prescreen {
+        // Without the line-13 prescreen, every pair off the list still
+        // sweeps its dense Schwarz-check loop (workshared over the team).
+        let skipped_checks = workload.unlisted_checks as f64 * CHECK_NS * 1e-9;
         empty_time_per_rank += skipped_checks
             / (threads as f64)
             / total_ranks as f64
@@ -443,17 +434,15 @@ mod tests {
     use crate::cost::EriCostTable;
     use phi_chem::basis::{BasisName, BasisSet};
     use phi_chem::geom::small;
-    use phi_integrals::screening::{ShellClasses, WorkloadStats};
+    use phi_integrals::screening::ShellClasses;
     use phi_integrals::Screening;
 
     fn toy_workload() -> (Workload, CostModel) {
         let mol = small::c_ring(8, 1.40);
         let b = BasisSet::build(&mol, BasisName::B631gd);
         let s = Screening::compute_hybrid(&b, 0.0);
-        let stats = WorkloadStats::compute(&b, &s, 1e-10);
-        let classes = ShellClasses::classify(&b);
-        let eri = EriCostTable::analytic(&classes);
-        let w = Workload::build(&b, &stats, &eri);
+        let eri = EriCostTable::analytic(&ShellClasses::classify(&b));
+        let w = Workload::build(&b, &s, 1e-10, &eri);
         let cm = CostModel::new(eri);
         (w, cm)
     }

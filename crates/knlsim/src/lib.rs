@@ -5,9 +5,10 @@
 //! in DESIGN.md, this crate replaces the machine with a calibrated model
 //! driven by *real measured quantities*:
 //!
-//! * the exact Schwarz-screened workload of each dataset (shell-pair tasks
-//!   and surviving quartet counts per cost class) from
-//!   `phi-integrals::screening`;
+//! * the builders' own task list, `hf::fock::SignificantPairs` over the
+//!   `phi-integrals::screening` `Q` table, with each task's quartet tests
+//!   and its surviving quartets per cost class counted exactly
+//!   ([`workload`]);
 //! * per-quartet ERI+digestion costs measured by running the actual Rust
 //!   engine on representative shell quartets ([`calibrate`]);
 //! * the per-node memory footprint from the `hf` memory model, which

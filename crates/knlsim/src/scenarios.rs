@@ -11,7 +11,7 @@ use crate::workload::Workload;
 use phi_chem::basis::{BasisName, BasisSet};
 use phi_chem::geom::graphene::PaperSystem;
 use phi_chem::Molecule;
-use phi_integrals::screening::{ShellClasses, WorkloadStats};
+use phi_integrals::screening::ShellClasses;
 use phi_integrals::Screening;
 
 /// Everything the scenarios need about one benchmark system.
@@ -34,14 +34,13 @@ impl Ctx {
     ) -> Ctx {
         let basis = BasisSet::build(mol, basis_name);
         let screening = Screening::compute_hybrid(&basis, est_floor);
-        let stats = WorkloadStats::compute(&basis, &screening, tau);
         let classes = ShellClasses::classify(&basis);
         let eri = if calibrated {
             calibrate_eri_costs(&basis, &classes)
         } else {
             EriCostTable::analytic(&classes)
         };
-        let workload = Workload::build(&basis, &stats, &eri);
+        let workload = Workload::build(&basis, &screening, tau, &eri);
         let cost = CostModel::new(eri);
         Ctx { label: label.to_string(), basis, workload, cost }
     }
@@ -368,7 +367,7 @@ pub fn ablation_loadbalance(ctx: &Ctx, nodes: usize) -> Table {
         let r = simulate(&ctx.workload, &ctx.cost, &cfg);
         let space = match alg {
             SimAlgorithm::PrivateFock => ctx.workload.n_shells,
-            _ => ctx.workload.total_pairs,
+            _ => ctx.workload.ij_tasks.len(),
         };
         t.row(vec![
             alg.label().to_string(),
@@ -465,7 +464,7 @@ pub fn failure_recovery(ctx: &Ctx, nodes: usize) -> Table {
             let (rr, kk) = (ranks as f64, k as f64);
             let lost = if leases == "durable" {
                 // One in-flight task per dead rank, relative to total work.
-                kk / ctx.workload.total_pairs.max(1) as f64
+                kk / ctx.workload.ij_tasks.len().max(1) as f64
             } else {
                 phi * kk / rr
             };

@@ -1,9 +1,20 @@
-//! Translate the exact screened workload statistics into cost-weighted
-//! task lists for the simulator.
+//! The builders' task list, counted exactly and cost-weighted for the
+//! simulator.
+//!
+//! Task `p` is the `p`-th pair of [`SignificantPairs`], the list every
+//! pair-task row leases, and its `kl` space is the list prefix `0..=p`.
+//! Its surviving quartets per ket pair class are counted with one Fenwick
+//! tree per class over the ranks of that class's sorted distinct bounds:
+//! the test `Q_ij * Q_kl >= tau` is monotone in `Q_kl`, so a binary search
+//! with that product finds the first passing rank and the tree counts the
+//! prefix's pairs at or above it. O(P log P) for a list of P pairs, and
+//! exact: no quotient `tau / Q_ij` is ever formed (DESIGN.md §3.1).
 
 use crate::cost::EriCostTable;
+use hf::fock::SignificantPairs;
 use phi_chem::BasisSet;
-use phi_integrals::screening::WorkloadStats;
+use phi_integrals::screening::{n_pairs, pair_index, ShellClasses};
+use phi_integrals::Screening;
 
 /// One MPI task with its nominal single-thread cost.
 #[derive(Clone, Copy, Debug)]
@@ -14,6 +25,8 @@ pub struct SimTask {
     pub cost_s: f64,
     /// Surviving quartets inside the task (thread-level work items).
     pub n_items: u64,
+    /// Quartet tests the builders perform on the task: its `kl` space.
+    pub n_tests: u64,
 }
 
 /// The screened workload of one Fock-build iteration, cost-weighted.
@@ -21,56 +34,96 @@ pub struct SimTask {
 pub struct Workload {
     pub n_basis: usize,
     pub n_shells: usize,
-    /// Canonical shell-pair count (the MPI-only / shared-Fock task space).
+    /// Canonical shell-pair count.
     pub total_pairs: usize,
-    /// Surviving `ij` tasks in canonical order.
+    /// One task per significant pair, in list order.
     pub ij_tasks: Vec<SimTask>,
     pub total_cost_s: f64,
     pub surviving_quartets: u128,
-    /// Total canonical quartets (screened or not) — the Schwarz-check loop
-    /// trip count of the non-prescreened algorithms.
-    pub total_quartets: u128,
-    /// Sum of `klmax` over surviving tasks — the check trip count of the
-    /// prescreened shared-Fock algorithm.
-    pub sum_klmax_tasks: u128,
+    /// Quartet tests a dense sweep of every pair off the list makes
+    /// (`pair_index + 1` each): GAMESS's loop without Algorithm 3's
+    /// line-13 prescreen.
+    pub unlisted_checks: u128,
     pub max_shell_width: usize,
 }
 
 impl Workload {
-    /// Build from the exact screening statistics plus a cost table.
-    pub fn build(basis: &BasisSet, stats: &WorkloadStats, eri: &EriCostTable) -> Workload {
-        assert_eq!(stats.n_pair_classes(), eri.n_pair_classes, "cost table class mismatch");
-        let npc = stats.n_pair_classes();
-        let mut ij_tasks = Vec::with_capacity(stats.tasks.len());
+    /// Count the list `SignificantPairs::new(screening, tau)` exactly and
+    /// price it with `eri`.
+    pub fn build(
+        basis: &BasisSet,
+        screening: &Screening,
+        tau: f64,
+        eri: &EriCostTable,
+    ) -> Workload {
+        let classes = ShellClasses::classify(basis);
+        let npc = classes.n_pair_classes();
+        assert_eq!(npc, eri.n_pair_classes, "cost table class mismatch");
+        let list = SignificantPairs::new(screening, tau);
+        let listed: Vec<(usize, usize, usize, f64)> = (0..list.len())
+            .map(|p| {
+                let (i, j) = list.pair(p);
+                (i, j, classes.pair_class(i, j), screening.q(i, j))
+            })
+            .collect();
+
+        // Each class's sorted distinct bounds: the ranks its tree counts.
+        let mut bounds: Vec<Vec<f64>> = vec![Vec::new(); npc];
+        for &(_, _, c, q) in &listed {
+            bounds[c].push(q);
+        }
+        for b in &mut bounds {
+            b.sort_by(f64::total_cmp);
+            b.dedup();
+        }
+        let mut trees: Vec<Fenwick> = bounds.iter().map(|b| Fenwick::new(b.len())).collect();
+
+        let mut ij_tasks = Vec::with_capacity(listed.len());
         let mut total_cost = 0.0;
-        let mut sum_klmax: u128 = 0;
-        for (t, task) in stats.tasks.iter().enumerate() {
-            let bra_pc = stats.classes.pair_class(task.i as usize, task.j as usize);
-            let counts = &stats.kl_counts[t * npc..(t + 1) * npc];
+        let mut surviving: u128 = 0;
+        let mut listed_checks: u128 = 0;
+        for (p, &(i, j, bra_pc, qij)) in listed.iter().enumerate() {
+            trees[bra_pc].insert(bounds[bra_pc].partition_point(|&b| b < qij));
             let mut cost_ns = 0.0;
             let mut items = 0u64;
-            for (c, &cnt) in counts.iter().enumerate() {
+            for (c, (tree, b)) in trees.iter().zip(&bounds).enumerate() {
+                // The ranks failing `Screening::survives`' own product
+                // test: a tie at tau survives.
+                let first = b.partition_point(|&qkl| qij * qkl < tau);
+                let cnt = tree.count_from(first);
                 cost_ns += cnt as f64 * eri.get(bra_pc, c);
-                items += cnt as u64;
+                items += cnt;
             }
             let cost_s = cost_ns * 1e-9;
             total_cost += cost_s;
-            let i = task.i as usize;
-            sum_klmax += (i * (i + 1) / 2 + task.j as usize + 1) as u128;
-            ij_tasks.push(SimTask { i: task.i, j: task.j, cost_s, n_items: items });
+            surviving += items as u128;
+            listed_checks += pair_index(i, j) as u128 + 1;
+            ij_tasks.push(SimTask {
+                i: i as u32,
+                j: j as u32,
+                cost_s,
+                n_items: items,
+                n_tests: p as u64 + 1,
+            });
         }
-        let ns = stats.n_shells;
+        let total_pairs = n_pairs(basis.n_shells());
+        let all_checks = total_pairs as u128 * (total_pairs as u128 + 1) / 2;
         Workload {
             n_basis: basis.n_basis(),
-            n_shells: ns,
-            total_pairs: ns * (ns + 1) / 2,
+            n_shells: basis.n_shells(),
+            total_pairs,
             ij_tasks,
             total_cost_s: total_cost,
-            surviving_quartets: stats.surviving_quartets(),
-            total_quartets: stats.total_quartets,
-            sum_klmax_tasks: sum_klmax,
+            surviving_quartets: surviving,
+            unlisted_checks: all_checks - listed_checks,
             max_shell_width: basis.max_shell_width(),
         }
+    }
+
+    /// Fraction of the canonical quartets no task computes.
+    pub fn screened_fraction(&self) -> f64 {
+        let p = self.total_pairs as f64;
+        1.0 - self.surviving_quartets as f64 / (p * (p + 1.0) / 2.0)
     }
 
     /// Group `ij` tasks by their `i` index — the MPI task space of
@@ -83,6 +136,7 @@ impl Workload {
                 Some(last) if last.i == t.i => {
                     last.cost_s += t.cost_s;
                     last.n_items += t.n_items;
+                    last.n_tests += t.n_tests;
                 }
                 _ => by_i.push(*t),
             }
@@ -98,27 +152,55 @@ impl Workload {
     }
 }
 
+/// Counts of inserted ranks, queried by suffix.
+struct Fenwick {
+    tree: Vec<u32>,
+    total: u64,
+}
+
+impl Fenwick {
+    fn new(n_ranks: usize) -> Fenwick {
+        Fenwick { tree: vec![0; n_ranks + 1], total: 0 }
+    }
+
+    fn insert(&mut self, rank: usize) {
+        let mut i = rank + 1;
+        while i < self.tree.len() {
+            self.tree[i] += 1;
+            i += i & i.wrapping_neg();
+        }
+        self.total += 1;
+    }
+
+    /// Inserted ranks `>= rank`.
+    fn count_from(&self, rank: usize) -> u64 {
+        let mut i = rank;
+        let mut below = 0u64;
+        while i > 0 {
+            below += self.tree[i] as u64;
+            i -= i & i.wrapping_neg();
+        }
+        self.total - below
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use phi_chem::basis::{BasisName, BasisSet};
     use phi_chem::geom::small;
-    use phi_integrals::screening::{ShellClasses, WorkloadStats};
-    use phi_integrals::Screening;
 
-    fn workload_for(mol: &phi_chem::Molecule, tau: f64) -> (BasisSet, Workload) {
+    fn workload_for(mol: &phi_chem::Molecule, tau: f64) -> (BasisSet, Screening, Workload) {
         let b = BasisSet::build(mol, BasisName::Sto3g);
         let s = Screening::compute_hybrid(&b, 0.0);
-        let stats = WorkloadStats::compute(&b, &s, tau);
-        let classes = ShellClasses::classify(&b);
-        let eri = EriCostTable::analytic(&classes);
-        let w = Workload::build(&b, &stats, &eri);
-        (b, w)
+        let eri = EriCostTable::analytic(&ShellClasses::classify(&b));
+        let w = Workload::build(&b, &s, tau, &eri);
+        (b, s, w)
     }
 
     #[test]
     fn costs_are_positive_and_sum() {
-        let (_b, w) = workload_for(&small::water(), 1e-10);
+        let (_b, _s, w) = workload_for(&small::water(), 1e-10);
         assert!(!w.ij_tasks.is_empty());
         let sum: f64 = w.ij_tasks.iter().map(|t| t.cost_s).sum();
         assert!((sum - w.total_cost_s).abs() < 1e-12 * sum.max(1.0));
@@ -127,11 +209,13 @@ mod tests {
 
     #[test]
     fn grouping_by_i_preserves_total_cost() {
-        let (_b, w) = workload_for(&small::h_chain(10, 2.5), 1e-10);
+        let (_b, _s, w) = workload_for(&small::h_chain(10, 2.5), 1e-10);
         let by_i = w.tasks_by_i();
         assert!(by_i.len() <= w.n_shells);
         let sum: f64 = by_i.iter().map(|t| t.cost_s).sum();
         assert!((sum - w.total_cost_s).abs() < 1e-12 * sum.max(1.0));
+        let tests = |ts: &[SimTask]| ts.iter().map(|t| t.n_tests).sum::<u64>();
+        assert_eq!(tests(&by_i), tests(&w.ij_tasks));
         // i values strictly increasing after grouping.
         for pair in by_i.windows(2) {
             assert!(pair[0].i < pair[1].i);
@@ -141,9 +225,38 @@ mod tests {
     #[test]
     fn screening_shrinks_the_workload() {
         let mol = small::h_chain(12, 4.0);
-        let (_b1, loose) = workload_for(&mol, 1e-4);
-        let (_b2, tight) = workload_for(&mol, 1e-12);
+        let (_b1, _s1, loose) = workload_for(&mol, 1e-4);
+        let (_b2, _s2, tight) = workload_for(&mol, 1e-12);
         assert!(loose.total_cost_s < tight.total_cost_s);
         assert!(loose.surviving_quartets < tight.surviving_quartets);
+        assert!(loose.ij_tasks.len() <= tight.ij_tasks.len());
+    }
+
+    #[test]
+    fn distant_fragments_screen_out() {
+        // Two H2 molecules 60 bohr apart: inter-fragment pairs leave the
+        // list and most canonical quartets are screened.
+        let mut atoms = small::hydrogen_molecule(1.4).atoms().to_vec();
+        for a in small::hydrogen_molecule(1.4).translated([0.0, 0.0, 60.0]).atoms() {
+            atoms.push(*a);
+        }
+        let m = phi_chem::Molecule::neutral(atoms);
+        let (b, s, w) = workload_for(&m, 1e-10);
+        assert!(w.screened_fraction() > 0.3, "screened only {}", w.screened_fraction());
+        assert!(w.ij_tasks.len() < w.total_pairs);
+        assert!(w.unlisted_checks > 0);
+        assert!(s.q(0, b.n_shells() - 1) < 1e-12);
+    }
+
+    #[test]
+    fn fenwick_counts_suffixes() {
+        let mut f = Fenwick::new(8);
+        for r in [0, 5, 5, 2, 7] {
+            f.insert(r);
+        }
+        let want = [5, 4, 4, 3, 3, 3, 1, 1, 0];
+        for (r, &n) in want.iter().enumerate() {
+            assert_eq!(f.count_from(r), n, "rank {r}");
+        }
     }
 }

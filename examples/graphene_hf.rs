@@ -10,8 +10,10 @@
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::graphene::{graphene_flake, PaperSystem};
 use phi_scf::hf::{run_scf, FockAlgorithm, ScfConfig};
-use phi_scf::integrals::screening::WorkloadStats;
+use phi_scf::integrals::screening::ShellClasses;
 use phi_scf::integrals::Screening;
+use phi_scf::knlsim::cost::EriCostTable;
+use phi_scf::knlsim::workload::Workload;
 
 fn main() {
     let paper_mode = std::env::args().any(|a| a == "paper");
@@ -29,13 +31,14 @@ fn main() {
             basis.n_basis()
         );
         let screening = Screening::compute_hybrid(&basis, 0.0);
+        let eri = EriCostTable::analytic(&ShellClasses::classify(&basis));
         for tau in [1e-8, 1e-10, 1e-12] {
-            let stats = WorkloadStats::compute(&basis, &screening, tau);
+            let w = Workload::build(&basis, &screening, tau, &eri);
             println!(
                 "tau = {tau:>7.0e}: {:>9} surviving ij tasks, {:>14} surviving quartets, {:.1}% screened out",
-                stats.tasks.len(),
-                stats.surviving_quartets(),
-                stats.screened_fraction() * 100.0
+                w.ij_tasks.len(),
+                w.surviving_quartets,
+                w.screened_fraction() * 100.0
             );
         }
         return;

@@ -19,9 +19,9 @@ fn density(n: usize) -> Mat {
 #[test]
 fn pair_free_screening_is_bitwise_identical_to_the_pair_dataset() {
     // `Screening::compute_hybrid` (each pair built, evaluated, dropped) and
-    // the `ShellPairs` build run the one Schwarz evaluator on the same pair
-    // data, so with pruning disabled the stored f32 bounds must agree bit
-    // for bit — and with them, every survivor decision.
+    // the builders' `ShellPairs` build run the one Schwarz evaluator on the
+    // same pair data, pruned at the same cutoff, so the stored f32 bounds
+    // must agree bit for bit — and with them, every survivor decision.
     for (mol, basis) in [
         (small::water(), BasisName::B631gd),
         (small::h_chain(8, 3.0), BasisName::Sto3g),
@@ -29,7 +29,7 @@ fn pair_free_screening_is_bitwise_identical_to_the_pair_dataset() {
     ] {
         let b = BasisSet::build(&mol, basis);
         let exact = Screening::compute_hybrid(&b, 0.0);
-        let pairs = ShellPairs::build_with(&b, 0.0);
+        let pairs = ShellPairs::build(&b);
         let cached = Screening::from_pairs(&b, &pairs);
         let ns = b.n_shells();
         for i in 0..ns {
@@ -69,7 +69,7 @@ fn default_pruning_does_not_change_survivor_counts_on_compact_systems() {
     // prefactor bound is far below every screening threshold; on a compact
     // molecule the surviving-quartet census must be unchanged.
     let b = BasisSet::build(&small::water(), BasisName::B631gd);
-    let exact = Screening::compute_hybrid(&b, 0.0);
+    let exact = Screening::from_pairs(&b, &ShellPairs::build_with(&b, 0.0));
     let pairs = ShellPairs::build(&b);
     let cached = Screening::from_pairs(&b, &pairs);
     let tau = 1e-10;

@@ -1,18 +1,25 @@
-//! The simulator's workload statistics must agree with what the *real*
-//! Fock builders actually do: same quartet counts, same screening
-//! behaviour. This ties the performance model to the executing code.
+//! The simulator's workload must agree with what the *real* Fock
+//! builders actually do: same tasks, same quartet counts, same quartet
+//! tests. This ties the performance model to the executing code.
 
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
 use phi_scf::dmpi::DdiMode;
 use phi_scf::hf::fock::SignificantPairs;
 use phi_scf::hf::{DensitySet, FockAlgorithm, FockContext, FockData};
-use phi_scf::integrals::screening::WorkloadStats;
+use phi_scf::integrals::screening::ShellClasses;
 use phi_scf::integrals::{Screening, ShellPairs};
+use phi_scf::knlsim::cost::EriCostTable;
+use phi_scf::knlsim::workload::Workload;
 use phi_scf::linalg::Mat;
 
+fn workload(basis: &BasisSet, screening: &Screening, tau: f64) -> Workload {
+    let eri = EriCostTable::analytic(&ShellClasses::classify(basis));
+    Workload::build(basis, screening, tau, &eri)
+}
+
 #[test]
-fn fenwick_counts_match_real_build_quartets() {
+fn simulated_counts_match_real_build_quartets() {
     for (mol, label) in [
         (small::water(), "water"),
         (small::h_chain(12, 3.0), "H12"),
@@ -22,19 +29,70 @@ fn fenwick_counts_match_real_build_quartets() {
         let pairs = ShellPairs::build(&basis);
         let screening = Screening::from_pairs(&basis, &pairs);
         let tau = 1e-9;
-        let stats = WorkloadStats::compute(&basis, &screening, tau);
+        let w = workload(&basis, &screening, tau);
         let n = basis.n_basis();
         let d = Mat::identity(n);
         let build = FockAlgorithm::Serial
             .builder()
             .build(&FockContext::new(&basis, &pairs, &screening, tau), &DensitySet::Restricted(&d));
-        let counted = stats.surviving_quartets() as i64;
-        let real = build.stats.quartets_computed as i64;
-        // Quantized-bucket boundary effects only: within 1% + small slack.
-        assert!(
-            (counted - real).unsigned_abs() as f64 <= 0.01 * real as f64 + 3.0,
-            "{label}: statistics {counted} vs real build {real}"
+        assert_eq!(
+            w.surviving_quartets, build.stats.quartets_computed as u128,
+            "{label}: simulated vs real build"
         );
+    }
+}
+
+/// On the work ledger's three systems the simulator's tasks are the
+/// builders' list positions, counted exactly, at the default tau and at a
+/// tau set exactly on one quartet's product (a tie, which the builders'
+/// `>=` keeps and a strict `>` would drop). The workload is built from the
+/// simulator's pair-free `Q` table, the builds from the builders' dataset.
+#[test]
+fn simulated_workload_is_the_ledgers_work_exactly() {
+    for (mol, basis, label) in [
+        (small::h_chain(28, 1.8), BasisName::B631g, "H28/6-31G"),
+        (small::water(), BasisName::B631gd, "water/6-31G(d)"),
+        (small::h_chain(8, 5.0), BasisName::Sto3g, "H8/STO-3G"),
+    ] {
+        let b = BasisSet::build(&mol, basis);
+        let data = FockData::build(&b);
+        let screening = Screening::compute_hybrid(&b, 0.0);
+        let at_default = SignificantPairs::new(&screening, 1e-10);
+        let (ti, tj) = at_default.pair(at_default.len() / 2);
+        let tie = screening.q(ti, tj) * screening.q(ti, tj);
+        for tau in [1e-10, tie] {
+            let w = workload(&b, &screening, tau);
+            let list = SignificantPairs::new(&screening, tau);
+            assert_eq!(w.ij_tasks.len(), list.len(), "{label} tau={tau}: tasks");
+            let mut ties = 0;
+            for (p, t) in w.ij_tasks.iter().enumerate() {
+                let (i, j) = list.pair(p);
+                assert_eq!((t.i as usize, t.j as usize), (i, j), "{label}: task {p}");
+                let mut scan = 0;
+                for kl in 0..=p {
+                    let (k, l) = list.pair(kl);
+                    scan += screening.survives(i, j, k, l, tau) as u64;
+                    ties += (screening.q(i, j) * screening.q(k, l) == tau) as usize;
+                }
+                assert_eq!(t.n_items, scan, "{label} tau={tau}: task {p}'s survivors");
+            }
+            if tau == tie {
+                assert!(ties > 0, "{label}: no quartet sits on tau");
+            }
+            let d = Mat::identity(b.n_basis());
+            let s = FockAlgorithm::Serial
+                .builder()
+                .build(&data.context(&b, tau), &DensitySet::Restricted(&d))
+                .stats;
+            let items: u64 = w.ij_tasks.iter().map(|t| t.n_items).sum();
+            let tests: u64 = w.ij_tasks.iter().map(|t| t.n_tests).sum();
+            assert_eq!(items, s.quartets_computed, "{label} tau={tau}: quartets computed");
+            assert_eq!(
+                tests,
+                s.quartets_computed + s.quartets_screened,
+                "{label} tau={tau}: quartet tests"
+            );
+        }
     }
 }
 
@@ -49,8 +107,8 @@ fn prescreened_tasks_do_no_work_in_the_real_builder() {
     let pairs = ShellPairs::build(&basis);
     let screening = Screening::from_pairs(&basis, &pairs);
     let tau = 1e-10;
-    let stats = WorkloadStats::compute(&basis, &screening, tau);
-    assert!(stats.pairs_prescreened > 0, "distant fragments must prescreen pairs");
+    let w = workload(&basis, &screening, tau);
+    assert!(w.total_pairs > w.ij_tasks.len(), "distant fragments must prescreen pairs");
 
     let n = basis.n_basis();
     let d = Mat::identity(n);
@@ -168,7 +226,7 @@ fn screened_fraction_grows_with_system_extent() {
     let frac = |n: usize| {
         let b = basis_of(n);
         let s = Screening::compute_hybrid(&b, 0.0);
-        WorkloadStats::compute(&b, &s, 1e-10).screened_fraction()
+        workload(&b, &s, 1e-10).screened_fraction()
     };
     let small_sys = frac(6);
     let large_sys = frac(24);
