@@ -250,7 +250,9 @@ impl FockSink for TriSink<'_> {
 ///
 /// `quartet` is the ERI buffer laid out `[n_i][n_j][n_k][n_l]`. The one
 /// digester of the crate: every builder, replicated or sharded, RHF or
-/// UHF, is an instantiation of it.
+/// UHF, is an instantiation of it. The orbit's duplicate search runs only
+/// where an index can coincide (`si == sj`, `sk == sl` or one shell pair
+/// on both sides); elsewhere the eight ordered tuples are distinct.
 #[allow(clippy::too_many_arguments)]
 pub fn digest<D: DensityRead, S: ChannelSink + ?Sized>(
     basis: &BasisSet,
@@ -272,6 +274,7 @@ pub fn digest<D: DensityRead, S: ChannelSink + ?Sized>(
     let same_ij = si == sj;
     let same_kl = sk == sl;
     let same_pair = si == sk && sj == sl;
+    let distinct = !(same_ij || same_kl || same_pair);
 
     for a in 0..ni {
         let mu = fi + a;
@@ -291,7 +294,7 @@ pub fn digest<D: DensityRead, S: ChannelSink + ?Sized>(
                     if x == 0.0 {
                         continue;
                     }
-                    digest_value(mu, nu, lam, sig, x, dens, sink);
+                    digest_value(mu, nu, lam, sig, x, distinct, dens, sink);
                 }
             }
         }
@@ -316,13 +319,18 @@ pub fn digest_quartet(
 }
 
 /// Apply the updates of one unique integral value over its ordered orbit.
+/// `distinct` asserts that the eight ordered tuples are pairwise different
+/// (`mu != nu`, `lam != sig`, `{mu, nu} != {lam, sig}`), which skips the
+/// duplicate search; the updates and their order are the same either way.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 pub fn digest_value<D: DensityRead, S: ChannelSink + ?Sized>(
     mu: usize,
     nu: usize,
     lam: usize,
     sig: usize,
     x: f64,
+    distinct: bool,
     dens: &mut D,
     sink: &mut S,
 ) {
@@ -339,9 +347,10 @@ pub fn digest_value<D: DensityRead, S: ChannelSink + ?Sized>(
         (lam, sig, nu, mu),
         (sig, lam, nu, mu),
     ];
+    debug_assert!(!distinct || (1..8).all(|idx| !orbit[..idx].contains(&orbit[idx])));
     for (idx, &(a, b, c, e)) in orbit.iter().enumerate() {
         // Skip duplicates arising from index coincidences.
-        if orbit[..idx].contains(&(a, b, c, e)) {
+        if !distinct && orbit[..idx].contains(&(a, b, c, e)) {
             continue;
         }
         // Coulomb: F_ab += D_ce * X  (canonical emission only).
@@ -541,8 +550,9 @@ mod tests {
             let mut got = vec![0.0; n * n];
             {
                 let mut sink = TriSink { buf: &mut got, n };
+                let sink = std::slice::from_mut(&mut sink);
                 let mut dens = ReplicatedDensity::restricted(&d);
-                digest_value(mu, nu, lam, sig, x, &mut dens, std::slice::from_mut(&mut sink));
+                digest_value(mu, nu, lam, sig, x, false, &mut dens, sink);
             }
             // Reference: enumerate the orbit as a set, apply full updates.
             let mut orbit = vec![
@@ -575,6 +585,95 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Digest every canonical quartet of `quartets` into fresh
+    /// lower-triangle buffers, once through `digest` and once through a
+    /// reference loop that walks each canonical integral's orbit with the
+    /// duplicate search always on, and require bitwise-equal results.
+    fn assert_digest_matches_searched_orbits<const NCH: usize>(
+        b: &BasisSet,
+        quartets: &[([usize; 4], Vec<f64>)],
+        mut dens: ReplicatedDensity<'_, NCH>,
+    ) {
+        let n = b.n_basis();
+        let mut got = vec![vec![0.0; n * n]; NCH];
+        let mut want = got.clone();
+        let mut sinks: Vec<TriSink> = got.iter_mut().map(|buf| TriSink { buf, n }).collect();
+        let mut refs: Vec<TriSink> = want.iter_mut().map(|buf| TriSink { buf, n }).collect();
+        for ([si, sj, sk, sl], eri) in quartets {
+            let (si, sj, sk, sl) = (*si, *sj, *sk, *sl);
+            digest(b, si, sj, sk, sl, eri, &mut dens, sinks.as_mut_slice());
+            let sh = [&b.shells[si], &b.shells[sj], &b.shells[sk], &b.shells[sl]];
+            let [ni, nj, nk, nl] = sh.map(|s| s.n_functions());
+            for a in 0..ni {
+                let mu = sh[0].first_bf + a;
+                for bb in 0..if si == sj { a + 1 } else { nj } {
+                    let nu = sh[1].first_bf + bb;
+                    for c in 0..nk {
+                        let lam = sh[2].first_bf + c;
+                        for dd in 0..if sk == sl { c + 1 } else { nl } {
+                            let sig = sh[3].first_bf + dd;
+                            let canonical = mu * (mu + 1) / 2 + nu >= lam * (lam + 1) / 2 + sig;
+                            let x = eri[((a * nj + bb) * nk + c) * nl + dd];
+                            if (canonical || (si, sj) != (sk, sl)) && x != 0.0 {
+                                let refs = refs.as_mut_slice();
+                                digest_value(mu, nu, lam, sig, x, false, &mut dens, refs);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        drop((sinks, refs));
+        for ch in 0..NCH {
+            for (k, (g, w)) in got[ch].iter().zip(&want[ch]).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "channel {ch}, element {k}: {g:e} vs {w:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn digest_matches_the_searched_orbit_walk_bitwise() {
+        // Water/6-31G(d) has SP and d shells and same-shell pairs, so both
+        // of digest's paths run: the searched orbit where an index can
+        // coincide and the unsearched one where the orbit is distinct.
+        let b = BasisSet::build(&small::water(), BasisName::B631gd);
+        let n = b.n_basis();
+        let data = FockData::build(&b);
+        let mut engine = phi_integrals::EriEngine::new();
+        let mut quartets = Vec::new();
+        let (mut distinct, mut searched) = (0, 0);
+        for i in 0..b.n_shells() {
+            for j in 0..=i {
+                for k in 0..=i {
+                    for l in 0..=kl_bounds(i, j, k) {
+                        let (bra, ket) = (data.pairs.pair(i, j), data.pairs.pair(k, l));
+                        let mut eri = vec![0.0; bra.n_fn() * ket.n_fn()];
+                        engine.shell_quartet_pairs(bra, ket, &mut eri);
+                        if i != j && k != l && (i, j) != (k, l) {
+                            distinct += 1;
+                        } else {
+                            searched += 1;
+                        }
+                        quartets.push(([i, j, k, l], eri));
+                    }
+                }
+            }
+        }
+        assert!(distinct > 0 && searched > 0, "{distinct} distinct, {searched} searched");
+        let d = test_density(n);
+        assert_digest_matches_searched_orbits(&b, &quartets, ReplicatedDensity::restricted(&d));
+        let mut beta = Mat::zeros(n, n);
+        let mut total = Mat::zeros(n, n);
+        for p in 0..n {
+            for q in 0..n {
+                beta[(p, q)] = 0.6 * d[(p, q)] - 0.01 * (p + q) as f64;
+                total[(p, q)] = d[(p, q)] + beta[(p, q)];
+            }
+        }
+        let uhf = ReplicatedDensity::unrestricted(&total, &d, &beta);
+        assert_digest_matches_searched_orbits(&b, &quartets, uhf);
     }
 
     #[test]

@@ -530,9 +530,11 @@ mod tests {
 
     #[test]
     fn specialized_kernels_match_generic_bitwise() {
-        // The kernel layer's design contract is exact arithmetic replay, so
-        // parity here is bitwise (not just 1e-14): any FP reordering in
-        // either path trips this immediately.
+        // Single-primitive shells: every bra primitive pair has exactly one
+        // ket primitive pair, so the kernels' sum over ket primitives has
+        // one term and their arithmetic replays the generic path's, bit for
+        // bit. Deeper contractions reassociate that sum; they are held to
+        // 1e-14 in tests/kernel_parity.rs, not here.
         let shells = [
             prim_shell(0, 1.2, [0.0, 0.0, 0.0]),
             prim_shell(1, 0.8, [1.0, 0.0, 0.5]),

@@ -36,19 +36,27 @@
 //!    replayed from the pair datasets' precomputed sparse [`E3Sparse`]
 //!    entries instead of walking dense tables, and the stage-1 inner loops
 //!    run unit-stride over a simplex-packed `W` scratch so rustc
-//!    autovectorizes them.
+//!    autovectorizes them. Phase 1 emits survivors bra-primitive-pair
+//!    major, so each bra primitive pair's survivors form one run: stage 1
+//!    (the ket contraction) sums every survivor of the run into one `W`,
+//!    and stage 2 (the bra expansion, linear in `W`) runs once per run
+//!    instead of once per primitive quartet — McMurchie–Davidson's early
+//!    contraction over the ket primitives.
 //!
-//! **Parity contract.** A specialized kernel is not "close to" the generic
-//! path — it replays the *same arithmetic in the same order*: the same
-//! screening test, the same operation order in every prefactor and scale
-//! factor, Boys values from the same scalar evaluator, the `R` recursion
-//! through the shared `fill_r0_into` core, `E` products stored in generic
-//! iteration order with the parity sign applied as an exact IEEE negation,
-//! and per-output-element accumulation in the same survivor/entry order.
-//! Results agree with the generic path to the last bit (up to the sign of
-//! exact zeros); `tests/kernel_parity.rs` enforces `<= 1e-14` per integral
-//! across seeded random geometries, exponents, contraction depths and
-//! degenerate configurations.
+//! **Parity contract.** A specialized kernel performs the generic path's
+//! arithmetic: the same screening test, the same operation order in every
+//! prefactor and scale factor, Boys values from the same scalar evaluator,
+//! the `R` recursion through the shared `fill_r0_into` core, and `E`
+//! products stored in generic iteration order with the parity sign applied
+//! as an exact IEEE negation. The one difference is where the ket
+//! primitives are summed: the generic path adds every primitive quartet's
+//! bra expansion into the output, the kernels add the ket primitives' `W`
+//! first and expand once. Where each bra primitive pair has one surviving
+//! ket primitive pair (ssss, single-primitive shells) the two agree to the
+//! last bit (up to the sign of exact zeros); elsewhere the reassociated sum
+//! agrees within `tests/kernel_parity.rs`'s `<= 1e-14` per integral, which
+//! that file enforces across seeded random geometries, exponents,
+//! contraction depths and degenerate configurations.
 //!
 //! [`PrimSoA`]: crate::shell_pairs::PrimSoA
 //! [`E3Sparse`]: crate::shell_pairs::E3Sparse
@@ -164,7 +172,8 @@ pub struct KernelScratch {
     dz: Vec<f64>,
     /// Survivor lanes: Boys argument `alpha |PQ|^2`.
     targ: Vec<f64>,
-    /// Survivor lanes: originating primitive-pair indices.
+    /// Survivor lanes: originating primitive-pair indices (runs of equal
+    /// `ip_ab` share one stage 2).
     ip_ab: Vec<u32>,
     ip_cd: Vec<u32>,
     /// Batched Boys values, `fm[q * (l_total+1) + m] = F_m(targ[q])`.
@@ -172,7 +181,8 @@ pub struct KernelScratch {
     /// Rolling buffers of the shared `R` recursion (no zero-fill mode).
     r_prev: Vec<f64>,
     r_cur: Vec<f64>,
-    /// Stage-1 intermediate `W[simplex_tuv * ncd + cd]` (simplex-packed).
+    /// Stage-1 intermediate `W[simplex_tuv * ncd + cd]` (simplex-packed),
+    /// summed over one bra primitive pair's surviving ket primitives.
     w: Vec<f64>,
     /// Per-(cd function pair) unit-stride staging row of stage 1.
     wtmp: Vec<f64>,
@@ -184,8 +194,9 @@ pub struct KernelScratch {
 /// angular momenta, so every loop bound below is a compile-time constant.
 /// Returns the number of primitive quartets computed.
 ///
-/// Bitwise-parity notes are inline at each stage; the scheme and operation
-/// order mirror `GenericKernel::eval` exactly.
+/// Parity notes are inline at each stage; the scheme and operation order
+/// mirror `GenericKernel::eval` except for the sum over ket primitives,
+/// which is taken in `W` before the bra expansion (see the module doc).
 fn eval_spec<const LB: usize, const LK: usize>(
     s: &mut KernelScratch,
     bra: &ShellPair,
@@ -260,9 +271,11 @@ fn eval_spec<const LB: usize, const LK: usize>(
     }
     boys_batch(l_total, &s.targ, &mut s.fm);
 
-    // Phase C: per survivor, the shared R recursion (zero-fill skipped: the
-    // contraction below reads only on-simplex entries) and both contraction
-    // stages with const bounds.
+    // Phase C: per run of survivors sharing one bra primitive pair (phase A
+    // emits them contiguously, ip_ab outer), the shared R recursion
+    // (zero-fill skipped: the contraction below reads only on-simplex
+    // entries) and stage 1 per survivor, summed into W; then stage 2 once
+    // per run. Both stages have const bounds.
     let (nfa, nfb, nfc, nfd) = (bra.a.n_fn, bra.b.n_fn, ket.a.n_fn, ket.b.n_fn);
     let ncd = nfc * nfd;
     if s.w.len() < ntuv * ncd {
@@ -275,71 +288,84 @@ fn eval_spec<const LB: usize, const LK: usize>(
         s.acc.resize(ncd, 0.0);
     }
 
-    for qi in 0..nsurv {
-        let base = s.base[qi];
-        fill_r0_into(
-            l_total,
-            s.alpha[qi],
-            s.dx[qi],
-            s.dy[qi],
-            s.dz[qi],
-            &s.fm[qi * rdim..(qi + 1) * rdim],
-            &mut s.r_prev,
-            &mut s.r_cur,
-            false,
-        );
-        let r: &[f64] = &s.r_prev;
-        let ip_cd = s.ip_cd[qi] as usize;
-
-        // Stage 1: ket contraction into W[sidx * ncd + cdi]. Per cd function
-        // pair the precomputed sparse E entries are replayed in generic
-        // iteration order into a unit-stride staging row, then placed into
-        // the cd column. Per W slot the accumulation order (entries of its
-        // own function pair, ascending) is exactly the generic path's.
+    let mut q0 = 0;
+    for run in s.ip_ab[..nsurv].chunk_by(|x, y| x == y) {
         let w = &mut s.w[..ntuv * ncd];
         w.iter_mut().for_each(|x| *x = 0.0);
-        for fc in 0..nfc {
-            let bci = ket.a.fn_block[fc] as usize;
-            let norm_c = ket.a.norms[fc];
-            for fd in 0..nfd {
-                let cdi = fc * nfd + fd;
-                let wcd = ket.coef(ip_cd, bci, ket.b.fn_block[fd] as usize);
-                let scale_ket = base * wcd;
-                if scale_ket == 0.0 {
-                    continue;
-                }
-                let scale_cd = scale_ket * norm_c * ket.b.norms[fd];
-                let (tuvs, vals) = ket.e3.entries(ip_cd, fc, fd);
-                let wtmp = &mut s.wtmp[..ntuv];
-                wtmp.iter_mut().for_each(|x| *x = 0.0);
-                for (ei, tuv) in tuvs.iter().enumerate() {
-                    let (tau, nu, phi) = (tuv[0] as usize, tuv[1] as usize, tuv[2] as usize);
-                    // Generic: (((sign*etx)*ety)*etz)*scale_cd. Negation is
-                    // exact, so sign-after-product is bitwise identical.
-                    let v0 = vals[ei] * scale_cd;
-                    let e_ket = if (tau + nu + phi) % 2 == 1 { -v0 } else { v0 };
-                    for t in 0..=LB {
-                        let rt = (t + tau) * rdim;
-                        for u in 0..=(LB - t) {
-                            let row = offs[t * (LB + 1) + u] as usize;
-                            let rbase = (rt + u + nu) * rdim + phi;
-                            for v in 0..=(LB - t - u) {
-                                wtmp[row + v] += e_ket * r[rbase + v];
+        for qi in q0..q0 + run.len() {
+            let base = s.base[qi];
+            fill_r0_into(
+                l_total,
+                s.alpha[qi],
+                s.dx[qi],
+                s.dy[qi],
+                s.dz[qi],
+                &s.fm[qi * rdim..(qi + 1) * rdim],
+                &mut s.r_prev,
+                &mut s.r_cur,
+                false,
+            );
+            let r: &[f64] = &s.r_prev;
+            let ip_cd = s.ip_cd[qi] as usize;
+
+            // Stage 1: ket contraction into W[sidx * ncd + cdi]. Per cd
+            // function pair the precomputed sparse E entries are replayed in
+            // generic iteration order into a unit-stride staging row, then
+            // stored into the cd column by the run's first survivor and added
+            // by the rest (the store spares one-survivor runs a read of W).
+            // W is linear in the ket primitives, so the run's survivors sum
+            // into one W before the bra expansion.
+            for fc in 0..nfc {
+                let bci = ket.a.fn_block[fc] as usize;
+                let norm_c = ket.a.norms[fc];
+                for fd in 0..nfd {
+                    let cdi = fc * nfd + fd;
+                    let wcd = ket.coef(ip_cd, bci, ket.b.fn_block[fd] as usize);
+                    let scale_ket = base * wcd;
+                    if scale_ket == 0.0 {
+                        continue;
+                    }
+                    let scale_cd = scale_ket * norm_c * ket.b.norms[fd];
+                    let (tuvs, vals) = ket.e3.entries(ip_cd, fc, fd);
+                    let wtmp = &mut s.wtmp[..ntuv];
+                    wtmp.iter_mut().for_each(|x| *x = 0.0);
+                    for (ei, tuv) in tuvs.iter().enumerate() {
+                        let (tau, nu, phi) = (tuv[0] as usize, tuv[1] as usize, tuv[2] as usize);
+                        // Generic: (((sign*etx)*ety)*etz)*scale_cd. Negation
+                        // is exact, so sign-after-product is bitwise identical.
+                        let v0 = vals[ei] * scale_cd;
+                        let e_ket = if (tau + nu + phi) % 2 == 1 { -v0 } else { v0 };
+                        for t in 0..=LB {
+                            let rt = (t + tau) * rdim;
+                            for u in 0..=(LB - t) {
+                                let row = offs[t * (LB + 1) + u] as usize;
+                                let rbase = (rt + u + nu) * rdim + phi;
+                                for v in 0..=(LB - t - u) {
+                                    wtmp[row + v] += e_ket * r[rbase + v];
+                                }
                             }
                         }
                     }
-                }
-                for (sidx, &wv) in wtmp.iter().enumerate() {
-                    w[sidx * ncd + cdi] = wv;
+                    if qi == q0 {
+                        for (sidx, &wv) in wtmp.iter().enumerate() {
+                            w[sidx * ncd + cdi] = wv;
+                        }
+                    } else {
+                        for (sidx, &wv) in wtmp.iter().enumerate() {
+                            w[sidx * ncd + cdi] += wv;
+                        }
+                    }
                 }
             }
         }
+        q0 += run.len();
 
-        // Stage 2: bra expansion. Per bra function pair, replay the sparse
-        // bra E entries (entry order = generic order) against the packed W
-        // rows; the inner cd loop is unit-stride, as in the generic path.
+        // Stage 2: bra expansion, once per bra primitive pair. Per bra
+        // function pair, replay the sparse bra E entries (entry order =
+        // generic order) against the packed W rows; the inner cd loop is
+        // unit-stride, as in the generic path.
         let w = &s.w[..ntuv * ncd];
-        let ip_ab = s.ip_ab[qi] as usize;
+        let ip_ab = run[0] as usize;
         for fa in 0..nfa {
             let bai = bra.a.fn_block[fa] as usize;
             let norm_a = bra.a.norms[fa];
