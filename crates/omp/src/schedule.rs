@@ -7,8 +7,11 @@
 /// How a worksharing loop's iterations are distributed over the team.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Schedule {
-    /// Threads grab the next chunk from a shared counter
-    /// (`schedule(dynamic, chunk)`). The paper uses chunk = 1.
+    /// `schedule(dynamic, chunk)`; the paper uses chunk = 1. Thread `t` of
+    /// `T` takes chunks of its contiguous home range `[t·n/T, (t+1)·n/T)`
+    /// from its own counter, then steals chunks from teammates' ranges
+    /// once its own is spent, so every index still goes out exactly once,
+    /// `chunk` at a time.
     Dynamic { chunk: usize },
 }
 

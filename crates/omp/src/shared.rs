@@ -6,12 +6,14 @@
 //! disjoint" without `unsafe`; instead [`SharedAccumulator`] performs the
 //! adds atomically (relaxed CAS on the f64 bit pattern).
 //!
-//! The CAS is cheap only while the cache line stays put. Neighbouring `kl`
-//! iterations go to different threads under `schedule(dynamic,1)` and write
-//! neighbouring elements, so an add per integral bounced lines between
-//! cores often enough to show in the benchmark's two-thread builds. Callers
-//! therefore sum in thread-local storage and add once per unit of work: the
-//! shared-Fock sink once per quartet, the column flushes once per row
+//! The CAS is cheap only while the cache line stays put. Under the dynamic
+//! schedule each thread's `kl` iterations are a contiguous run of its home
+//! range ([`Schedule::Dynamic`](crate::Schedule::Dynamic)), so most of its
+//! `(k,l)` writes land on lines no teammate is writing; the runs' ends and
+//! the stolen tail still share lines. An add per integral bounced lines
+//! between cores often enough to show in the benchmark's two-thread builds,
+//! so callers sum in thread-local storage and add once per unit of work:
+//! the shared-Fock sink once per quartet, the column flushes once per row
 //! (DESIGN.md, safe-Rust substitution row).
 
 use std::sync::atomic::{AtomicU64, Ordering};

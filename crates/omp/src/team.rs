@@ -1,10 +1,18 @@
 //! Thread teams and parallel regions.
 //!
-//! A region's shared state is fixed-size: one spin-then-park
-//! `TeamBarrier` and a small ring of `ConstructSlot`s that worksharing
-//! constructs take in encounter order. Nothing is allocated or locked per
-//! construct, so a region that runs one loop per `ij` task costs the same
-//! on its last task as on its first.
+//! A region's shared state is allocated once, when the region starts: one
+//! spin-then-park `TeamBarrier`, a small ring of `ConstructSlot`s that
+//! worksharing constructs take in encounter order, and one cache-line
+//! padded claim counter per thread for each slot. Nothing is allocated or
+//! locked per construct, so a region that runs one loop per `ij` task
+//! costs the same on its last task as on its first.
+//!
+//! A dynamic loop over `0..n` gives thread `t` the home range
+//! `[t·n/T, (t+1)·n/T)`. A thread claims `chunk` indices at a time from
+//! its own counter, so claims stay on its core while it has home work;
+//! once its range is spent it claims from teammates `t+1, t+2, …`
+//! (wrapping) until every range is spent, so the tail still balances one
+//! chunk at a time.
 
 use crate::barrier::TeamBarrier;
 use crate::schedule::Schedule;
@@ -23,23 +31,31 @@ pub struct Team {
 /// it has to wait for a slot.
 const CONSTRUCT_SLOTS: usize = 8;
 
-/// The shared state of one live worksharing construct. Slot `s` serves
-/// constructs `s`, `s + CONSTRUCT_SLOTS`, ... of the region in turn; the
-/// last thread to leave a construct hands the slot, zeroed, to the next.
+/// The hand-over state of one live worksharing construct. Slot `s` serves
+/// constructs `s`, `s + CONSTRUCT_SLOTS`, ... of the region in turn,
+/// together with its row of per-thread claim counters; the last thread to
+/// leave a construct zeroes that row and hands the slot to the next.
 #[repr(align(64))]
 struct ConstructSlot {
     /// Sequence number of the construct that owns the slot now.
     owner: AtomicUsize,
-    /// The construct's counter: the next loop iteration.
-    count: AtomicUsize,
     /// Threads that have left the construct.
     left: AtomicUsize,
 }
+
+/// One thread's claim counter for one construct slot: how many indices of
+/// that thread's home range have been handed out. Padded so that claims
+/// on a thread's own range never touch a line a teammate is claiming on.
+#[repr(align(64))]
+struct ClaimCounter(AtomicUsize);
 
 /// State shared by all threads of one parallel region.
 struct RegionShared {
     barrier: TeamBarrier,
     slots: [ConstructSlot; CONSTRUCT_SLOTS],
+    /// Slot `s`'s claim counters are `counters[s * T..(s + 1) * T]`, one
+    /// per thread of the team of `T`.
+    counters: Vec<ClaimCounter>,
 }
 
 /// Per-thread view of a parallel region.
@@ -69,9 +85,11 @@ impl Team {
             barrier: TeamBarrier::new(self.n_threads),
             slots: std::array::from_fn(|s| ConstructSlot {
                 owner: AtomicUsize::new(s),
-                count: AtomicUsize::new(0),
                 left: AtomicUsize::new(0),
             }),
+            counters: (0..CONSTRUCT_SLOTS * self.n_threads)
+                .map(|_| ClaimCounter(AtomicUsize::new(0)))
+                .collect(),
         };
         let n = self.n_threads;
         // The caller is the master: workers inherit its rank id so every
@@ -147,20 +165,30 @@ impl ThreadCtx<'_> {
         self.barrier();
     }
 
-    /// Worksharing loop without the trailing barrier (`nowait`).
+    /// Worksharing loop without the trailing barrier (`nowait`). Thread
+    /// `t` of `T` first claims from its home range `[t·n/T, (t+1)·n/T)`,
+    /// then from teammates' ranges in the order `t+1, t+2, …` (wrapping).
     pub fn for_each_nowait(&self, n: usize, sched: Schedule, body: &mut impl FnMut(usize)) {
         // Per-thread busy time: chunk claiming + loop bodies, but not the
         // trailing barrier — this is the paper's Fig. 8 numerator.
         let _span = phi_trace::span("omp.loop");
         let Schedule::Dynamic { chunk } = sched;
         let chunk = chunk.max(1);
-        self.construct(|counter| loop {
-            let lo = counter.fetch_add(chunk, Ordering::Relaxed);
-            if lo >= n {
-                break;
-            }
-            for i in lo..(lo + chunk).min(n) {
-                body(i);
+        let team = self.n_threads;
+        // `t·n/T`, without forming `t·n`.
+        let home = |t: usize| t * (n / team) + t * (n % team) / team;
+        self.construct(|counters| {
+            for v in (0..team).map(|d| (self.thread_num + d) % team) {
+                let (start, end) = (home(v), home(v + 1));
+                loop {
+                    let lo = start + counters[v].0.fetch_add(chunk, Ordering::Relaxed);
+                    if lo >= end {
+                        break;
+                    }
+                    for i in lo..(lo + chunk).min(end) {
+                        body(i);
+                    }
+                }
             }
         })
     }
@@ -185,23 +213,25 @@ impl ThreadCtx<'_> {
     }
 
     /// Run this thread's part of its next worksharing construct against
-    /// the construct's shared counter. Lock-free: one load to enter, one
-    /// add to leave; a thread waits only when it is `CONSTRUCT_SLOTS`
-    /// constructs ahead of a teammate.
-    fn construct<T>(&self, part: impl FnOnce(&AtomicUsize) -> T) -> T {
+    /// the construct's per-thread claim counters, one per teammate.
+    /// Lock-free: one load to enter, one add to leave; a thread waits only
+    /// when it is `CONSTRUCT_SLOTS` constructs ahead of a teammate.
+    fn construct<T>(&self, part: impl FnOnce(&[ClaimCounter]) -> T) -> T {
         let seq = self.loop_seq.get();
         self.loop_seq.set(seq + 1);
-        let slot = &self.shared.slots[seq % CONSTRUCT_SLOTS];
+        let s = seq % CONSTRUCT_SLOTS;
+        let slot = &self.shared.slots[s];
+        let counters = &self.shared.counters[s * self.n_threads..(s + 1) * self.n_threads];
         // Acquire pairs with the hand-over below: the zeroed counters of
         // the previous owner are visible before this construct uses them.
         while slot.owner.load(Ordering::Acquire) != seq {
             std::thread::yield_now();
         }
-        let out = part(&slot.count);
+        let out = part(counters);
         // AcqRel chains the leavers, so the last one resets after every
-        // teammate's final `count` access.
+        // teammate's final claim on any of the slot's counters.
         if slot.left.fetch_add(1, Ordering::AcqRel) + 1 == self.n_threads {
-            slot.count.store(0, Ordering::Relaxed);
+            counters.iter().for_each(|c| c.0.store(0, Ordering::Relaxed));
             slot.left.store(0, Ordering::Relaxed);
             slot.owner.store(seq + CONSTRUCT_SLOTS, Ordering::Release);
         }
@@ -288,6 +318,36 @@ mod tests {
             sum
         });
         assert_eq!(r[0], 4950);
+        // A team of one owns the whole range and claims it in order.
+        for chunk in [1, 3] {
+            let order = team.parallel(|ctx| {
+                let mut order = Vec::new();
+                ctx.for_each(100, Schedule::Dynamic { chunk }, |i| order.push(i));
+                order
+            });
+            assert_eq!(order[0], (0..100).collect::<Vec<_>>(), "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn idle_threads_steal_from_a_slow_home_range() {
+        // Thread 0's home range is 0..n/2 and every index of it sleeps, so
+        // thread 1 spends its own half long before thread 0 can, and must
+        // then take some of thread 0's indices.
+        let n = 64;
+        let ran_by: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect();
+        Team::new(2).parallel(|ctx| {
+            ctx.for_each(n, Schedule::dynamic1(), |i| {
+                if i < n / 2 {
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                }
+                let prev = ran_by[i].swap(ctx.thread_num(), Ordering::Relaxed);
+                assert_eq!(prev, usize::MAX, "index {i} ran twice");
+            });
+        });
+        let ran_by: Vec<usize> = ran_by.iter().map(|t| t.load(Ordering::Relaxed)).collect();
+        assert!(ran_by.iter().all(|&t| t < 2), "an index never ran: {ran_by:?}");
+        assert!(ran_by[..n / 2].contains(&1), "thread 1 stole nothing: {ran_by:?}");
     }
 
     #[test]

@@ -399,19 +399,24 @@ fn g_build_is_linear_and_symmetric() {
 fn dynamic_worksharing_partitions_any_range() {
     use std::sync::atomic::{AtomicU32, Ordering};
     let mut rng = Rng::new(71);
-    for _ in 0..16 {
-        let n = rng.index(500);
+    for round in 0..32 {
         let threads = 1 + rng.index(5);
-        let chunk = 1 + rng.index(7);
+        // Every other range is shorter than the team, so some threads'
+        // home ranges are empty.
+        let n = if round % 2 == 0 { rng.index(500) } else { rng.index(threads) };
+        let sched = phi_scf::omp::Schedule::Dynamic { chunk: 1 + rng.index(7) };
         let team = phi_scf::omp::Team::new(threads);
-        let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+        let hits: Vec<AtomicU32> = (0..2 * n).map(|_| AtomicU32::new(0)).collect();
         team.parallel(|ctx| {
-            ctx.for_each(n, phi_scf::omp::Schedule::Dynamic { chunk }, |i| {
+            ctx.for_each(n, sched, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            ctx.for_each_nowait(n, sched, &mut |i| {
+                hits[n + i].fetch_add(1, Ordering::Relaxed);
             });
         });
         for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "index {i} hit wrong count");
+            assert_eq!(h.load(Ordering::Relaxed), 1, "index {i} of n = {n}, {threads} threads");
         }
     }
 }
