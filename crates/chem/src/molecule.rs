@@ -96,18 +96,6 @@ impl Molecule {
             .collect();
         Molecule { atoms, charge: self.charge }
     }
-
-    /// Geometric centroid (Bohr).
-    pub fn centroid(&self) -> [f64; 3] {
-        let n = self.atoms.len().max(1) as f64;
-        let mut c = [0.0; 3];
-        for a in &self.atoms {
-            for (ck, pk) in c.iter_mut().zip(&a.pos) {
-                *ck += pk / n;
-            }
-        }
-        c
-    }
 }
 
 /// Euclidean distance between two points.

@@ -2,8 +2,8 @@
 //! *write* Fock contributions, independent of where the matrices live.
 //!
 //! The read side is the [`DensityRead`] trait, the write side
-//! [`ChannelSink`]; the one digester (`fock::digest`) is generic over
-//! both. Each has two backends:
+//! [`ChannelSink`]; the one digester ([`super::digest`]) is generic
+//! over both. Each has two backends:
 //!
 //! * **Replicated** — the matrices exist in full on every rank:
 //!   [`super::ReplicatedDensity`] reads them and [`ReplicatedFock`] owns
@@ -23,21 +23,21 @@
 //! no rank ever materializes a full `N x N` matrix; `Distributed` reads its
 //! replicated density ([`replicated_density_bytes`]).
 //!
-//! Between the digester and a Fock backend can sit Algorithm 3's
-//! accumulator, `StripRouter`: per task `(i, j)`, updates touching shell
+//! The digester hands over six result blocks per quartet, each element
+//! written once. Between it and a Fock backend can sit Algorithm 3's
+//! accumulator, `StripRouter`: per task `(i, j)`, blocks touching shell
 //! `i` or `j` collect in dense FI/FJ strips and a quartet's `(k, l)`
-//! Coulomb block in a small scratch, so the backend sees one write per
-//! strip element per task and one per block element per quartet instead
-//! of up to sixteen per unique integral. The shared-Fock build drains it
-//! into a `SharedAccumulator`, the window builds into [`RowShardFock`].
+//! Coulomb block passes straight on, so the backend sees one write per
+//! strip element per task and one per block element per quartet. The
+//! shared-Fock build drains it into a `SharedAccumulator`, the window
+//! builds into [`RowShardFock`].
 //!
 //! The tri-packed layout stores the lower triangle row-major:
 //! element `(p, q)` with `p >= q` lives at `p (p + 1) / 2 + q`, so one
 //! matrix costs `N (N + 1) / 2` words total across all ranks instead of
 //! `N^2` words *per* rank.
 
-use super::{ChannelSink, DensityRead, FockSink, ReplicatedDensity};
-use phi_chem::Shell;
+use super::{Block, ChannelSink, DensityRead, ReplicatedDensity, Span};
 use phi_dmpi::DistributedArray;
 use phi_linalg::Mat;
 use std::collections::VecDeque;
@@ -100,8 +100,10 @@ pub fn replicated_density_bytes(n: usize, nch: usize) -> usize {
 
 /// Bytes of one rank's window writer over `n` functions, widest shell
 /// `max_width`, `nch` spin channels: the pending `acc` buffer, and per
-/// channel the FI and FJ strips (`max_width x n` each) and the `(k, l)`
-/// scratch (`max_width^2`). O(N): nothing here is a matrix.
+/// channel the FI and FJ strips (`max_width x n` each) and a quartet's
+/// `(k, l)` block (`max_width^2`), which the digester's per-worker
+/// scratch holds on its way to the buffer. O(N): nothing here is a
+/// matrix.
 ///
 /// A window build charges its reader's bytes, its Fock stripes and exactly
 /// this; `MemoryModel::per_rank_bytes` prices the restricted rows with the
@@ -158,10 +160,10 @@ impl ReplicatedFock {
 }
 
 impl ChannelSink for ReplicatedFock {
-    #[inline]
-    fn add(&mut self, ch: usize, mu: usize, nu: usize, v: f64) {
-        debug_assert!(mu >= nu);
-        self.bufs[(ch * self.n + mu) * self.n + nu] += v;
+    #[inline(always)]
+    fn add_block(&mut self, ch: usize, blk: &Block<'_>) {
+        let n = self.n;
+        blk.for_each(|mu, nu, v| self.bufs[(ch * n + mu) * n + nu] += v);
     }
 }
 
@@ -272,13 +274,6 @@ impl<'a> ShardDensity<'a> {
         self.rows[slot] = buf;
         self.order.push_back(slot);
     }
-
-    /// Symmetric element read from window `win`.
-    #[inline]
-    fn value(&mut self, win: usize, p: usize, q: usize) -> f64 {
-        let (r, c) = if p >= q { (p, q) } else { (q, p) };
-        self.row(win, r)[c]
-    }
 }
 
 impl DensityRead for ShardDensity<'_> {
@@ -298,13 +293,33 @@ impl DensityRead for ShardDensity<'_> {
         }
     }
 
-    fn coulomb(&mut self, p: usize, q: usize) -> f64 {
-        self.value(0, p, q)
-    }
-
-    fn exchange(&mut self, ch: usize, p: usize, q: usize) -> f64 {
-        let win = if self.wins.len() == 1 { 0 } else { 1 + ch };
-        self.value(win, p, q)
+    /// One cached row slice per row, or per column when `rows` precede
+    /// `cols` (which are then the stored rows). A restricted build's one
+    /// window is every source.
+    fn block(&mut self, src: usize, rows: Span, cols: Span, out: &mut [f64]) {
+        let (win, nc) = (if self.wins.len() == 1 { 0 } else { src }, cols.n);
+        if rows.lo >= cols.lo {
+            for a in 0..rows.n {
+                let p = rows.lo + a;
+                // Over one shell, row p stores columns up to p only.
+                let len = nc.min(p + 1 - cols.lo);
+                out[a * nc..][..len].copy_from_slice(&self.row(win, p)[cols.lo..][..len]);
+            }
+            if rows == cols {
+                for a in 0..nc {
+                    for b in a + 1..nc {
+                        out[a * nc + b] = out[b * nc + a];
+                    }
+                }
+            }
+        } else {
+            for b in 0..nc {
+                let col = &self.row(win, cols.lo + b)[rows.lo..][..rows.n];
+                for (a, &v) in col.iter().enumerate() {
+                    out[a * nc + b] = v;
+                }
+            }
+        }
     }
 }
 
@@ -334,12 +349,14 @@ pub struct RowShardFock<'a> {
     cap: usize,
     /// One-sided `acc` runs issued so far.
     pub flushes: u64,
+    /// Entries pushed into the pending buffer so far.
+    pub entries: u64,
 }
 
 impl<'a> RowShardFock<'a> {
     pub fn new(wins: &'a [DistributedArray], n: usize, rank: usize) -> RowShardFock<'a> {
         let cap = shard_flush_entries(n);
-        RowShardFock { wins, rank, pending: Vec::with_capacity(cap), cap, flushes: 0 }
+        RowShardFock { wins, rank, pending: Vec::with_capacity(cap), cap, flushes: 0, entries: 0 }
     }
 
     /// Sort, merge and accumulate every pending entry into the windows as
@@ -382,16 +399,27 @@ impl<'a> RowShardFock<'a> {
         flush_run(&mut self.flushes, self.wins, self.rank, run_start_key, &run);
         self.pending.clear();
     }
-}
 
-impl ChannelSink for RowShardFock<'_> {
+    /// Buffer the canonical update `F_ch[mu, nu] += v`; a zero is no
+    /// update.
     #[inline]
-    fn add(&mut self, ch: usize, mu: usize, nu: usize, v: f64) {
+    pub fn add(&mut self, ch: usize, mu: usize, nu: usize, v: f64) {
         debug_assert!(mu >= nu);
+        if v == 0.0 {
+            return;
+        }
         self.pending.push((((ch as u64) << 48) | tri_index(mu, nu) as u64, v));
+        self.entries += 1;
         if self.pending.len() == self.cap {
             self.flush();
         }
+    }
+}
+
+impl ChannelSink for RowShardFock<'_> {
+    #[inline(always)]
+    fn add_block(&mut self, ch: usize, blk: &Block<'_>) {
+        blk.for_each(|mu, nu, v| self.add(ch, mu, nu, v));
     }
 }
 
@@ -399,93 +427,50 @@ impl ChannelSink for RowShardFock<'_> {
 // Algorithm 3's accumulator
 // ---------------------------------------------------------------------
 
-/// Algorithm 3's accumulator routing (lines 25–27) for one spin channel
+/// Algorithm 3's accumulator routing (lines 25–27) for every spin channel
 /// of one `(i, j)` task; the one router of the shared-Fock and window
 /// builds.
 ///
-/// A canonical update touching shell `i` goes to the FI strip, one
-/// touching shell `j` (and not `i`) to FJ, and anything else — which can
-/// only be the quartet's pure `(k, l)` Coulomb block — to a scratch that
-/// leaves once per quartet through [`StripRouter::drain_kl`]. A strip is
+/// A digested block touching shell `i` goes to the FI strip, one touching
+/// shell `j` (and not `i`) to FJ, and anything else — which can only be
+/// the quartet's `(k, l)` Coulomb block, summed over the whole quartet by
+/// the digester — straight on to `kl`, once per quartet. A strip is
 /// `width x n`, slot `(mu - lo) * n + other` standing for the canonical
 /// element [`strip_slot`] names; the owner drains it (the shared build by
 /// padded tree reduction, the window builds by [`drain_strip`]).
-pub(crate) struct StripRouter<'a> {
-    fi: &'a mut [f64],
-    fj: &'a mut [f64],
-    /// The current quartet's `(k, l)` block, row-major `n_k x n_l` from
-    /// (`k_lo`, `l_lo`); all zero between quartets.
-    kl: &'a mut [f64],
-    n: usize,
-    i_lo: usize,
-    i_hi: usize,
-    j_lo: usize,
-    j_hi: usize,
-    k_lo: usize,
-    l_lo: usize,
-    n_l: usize,
+pub(crate) struct StripRouter<'a, K: ?Sized, const NCH: usize> {
+    pub(crate) fi: [&'a mut [f64]; NCH],
+    pub(crate) fj: [&'a mut [f64]; NCH],
+    pub(crate) kl: &'a mut K,
+    pub(crate) n: usize,
+    pub(crate) i: Span,
+    pub(crate) j: Span,
 }
 
-impl<'a> StripRouter<'a> {
-    pub(crate) fn new(
-        fi: &'a mut [f64],
-        fj: &'a mut [f64],
-        kl: &'a mut [f64],
-        n: usize,
-        sh_i: &Shell,
-        sh_j: &Shell,
-    ) -> Self {
-        StripRouter {
-            fi,
-            fj,
-            kl,
-            n,
-            i_lo: sh_i.first_bf,
-            i_hi: sh_i.first_bf + sh_i.n_functions(),
-            j_lo: sh_j.first_bf,
-            j_hi: sh_j.first_bf + sh_j.n_functions(),
-            k_lo: 0,
-            l_lo: 0,
-            n_l: 0,
-        }
-    }
-
-    /// Point the `(k, l)` scratch at the next quartet's block.
-    #[inline]
-    pub(crate) fn start_quartet(&mut self, sh_k: &Shell, sh_l: &Shell) {
-        (self.k_lo, self.l_lo, self.n_l) = (sh_k.first_bf, sh_l.first_bf, sh_l.n_functions());
-    }
-
-    /// Hand the digested quartet's nonzero `(k, l)` block elements to
-    /// `add(mu, nu, v)` and leave the scratch zeroed for the next quartet.
-    #[inline]
-    pub(crate) fn drain_kl(&mut self, n_k: usize, mut add: impl FnMut(usize, usize, f64)) {
-        for (at, v) in self.kl[..n_k * self.n_l].iter_mut().enumerate() {
-            if *v != 0.0 {
-                add(self.k_lo + at / self.n_l, self.l_lo + at % self.n_l, std::mem::take(v));
-            }
-        }
-    }
-}
-
-impl FockSink for StripRouter<'_> {
-    #[inline]
-    fn add(&mut self, mu: usize, nu: usize, v: f64) {
-        debug_assert!(mu >= nu);
-        if mu >= self.i_lo && mu < self.i_hi {
-            self.fi[(mu - self.i_lo) * self.n + nu] += v;
-        } else if nu >= self.i_lo && nu < self.i_hi {
-            self.fi[(nu - self.i_lo) * self.n + mu] += v;
-        } else if mu >= self.j_lo && mu < self.j_hi {
-            self.fj[(mu - self.j_lo) * self.n + nu] += v;
-        } else if nu >= self.j_lo && nu < self.j_hi {
-            self.fj[(nu - self.j_lo) * self.n + mu] += v;
+impl<K: ChannelSink + ?Sized, const NCH: usize> ChannelSink for StripRouter<'_, K, NCH> {
+    #[inline(always)]
+    fn add_block(&mut self, ch: usize, blk: &Block<'_>) {
+        let (r, c) = (blk.rows.lo, blk.cols.lo);
+        if self.i.contains(r) || self.i.contains(c) {
+            strip_add(self.fi[ch], self.i, self.n, blk);
+        } else if self.j.contains(r) || self.j.contains(c) {
+            strip_add(self.fj[ch], self.j, self.n, blk);
         } else {
-            // Neither index in shell i or j: the Coulomb update of the
-            // (k, l) block, mu in shell k and nu in shell l.
-            self.kl[(mu - self.k_lo) * self.n_l + (nu - self.l_lo)] += v;
+            self.kl.add_block(ch, blk);
         }
     }
+}
+
+/// Add `blk`, which touches shell `sh`, into the strip over `sh`: slot
+/// `(g - sh.lo) * n + other` for `g` its row when its rows lie in `sh`,
+/// its column when its columns do.
+#[inline(always)]
+fn strip_add(strip: &mut [f64], sh: Span, n: usize, blk: &Block<'_>) {
+    let rows_in = sh.contains(blk.rows.lo);
+    blk.for_each(|mu, nu, v| {
+        let (g, other) = if rows_in { (mu, nu) } else { (nu, mu) };
+        strip[(g - sh.lo) * n + other] += v;
+    });
 }
 
 /// The canonical element `(mu, nu)`, `mu >= nu`, that slot `at` of a strip
@@ -613,9 +598,23 @@ mod tests {
         let d = density(n);
         let wins = scatter_density(&ReplicatedDensity::restricted(&d), n, 4);
         let mut reader = ShardDensity::new(&wins, n, 1);
+        let unit = |lo| Span { lo, n: 1 };
         for p in 0..n {
             for q in 0..n {
-                assert_eq!(reader.coulomb(p, q), d[(p, q)], "({p},{q})");
+                let mut v = [0.0];
+                reader.block(0, unit(p), unit(q), &mut v);
+                assert_eq!(v[0], d[(p, q)], "({p},{q})");
+            }
+        }
+        // Whole blocks in every orientation: below, above and on the
+        // diagonal, the last one mirrored from the stored triangle.
+        for (rows, cols) in [((20, 5), (3, 4)), ((3, 4), (20, 5)), ((11, 6), (11, 6))] {
+            let (rows, cols) = (Span { lo: rows.0, n: rows.1 }, Span { lo: cols.0, n: cols.1 });
+            let mut got = vec![0.0; rows.n * cols.n];
+            reader.block(0, rows, cols, &mut got);
+            for (at, v) in got.iter().enumerate() {
+                let (p, q) = (rows.lo + at / cols.n, cols.lo + at % cols.n);
+                assert_eq!(*v, d[(p, q)], "block {rows:?} x {cols:?} at ({p},{q})");
             }
         }
         assert!(reader.cached_elems <= reader.cap_elems.max(n));
@@ -631,19 +630,28 @@ mod tests {
         assert_eq!(cached, reader.cached_elems);
     }
 
-    /// Every canonical update `digest` emits for canonical quartet
-    /// `(i j|k l)`, as `(channel, mu, nu, value)`.
+    /// Every canonical update the digester emits, as
+    /// `(channel, mu, nu, value)`.
     struct Recorded(Vec<(usize, usize, usize, f64)>);
 
     impl ChannelSink for Recorded {
-        fn add(&mut self, ch: usize, mu: usize, nu: usize, v: f64) {
-            self.0.push((ch, mu, nu, v));
+        fn add_block(&mut self, ch: usize, blk: &Block<'_>) {
+            blk.for_each(|mu, nu, v| self.0.push((ch, mu, nu, v)));
+        }
+    }
+
+    /// A `1 x 1` block: one canonical update.
+    fn unit(mu: usize, nu: usize, v: &f64) -> Block<'_> {
+        Block {
+            rows: Span { lo: mu, n: 1 },
+            cols: Span { lo: nu, n: 1 },
+            vals: std::slice::from_ref(v),
         }
     }
 
     /// The routing test over one density set: each update lands in exactly
-    /// one of FI, FJ or the `(k, l)` block, at the slot that drains back to
-    /// it, and the drained quartet equals the replicated digestion.
+    /// one of FI, FJ or the `(k, l)` destination, at the slot that drains
+    /// back to it, and the drained quartet equals the replicated digestion.
     fn assert_routes_once<const NCH: usize>(
         b: &BasisSet,
         mut dens: ReplicatedDensity<'_, NCH>,
@@ -654,7 +662,7 @@ mod tests {
         let ctx = data.context(b, 0.0);
         let sig = SignificantPairs::new(ctx.screening, ctx.tau);
         let mut quartets = Quartets::new(&ctx, &sig);
-        let (mut fi, mut fj, mut kl) = (vec![0.0; n * w], vec![0.0; n * w], vec![0.0; w * w]);
+        let mut strips = vec![0.0; 2 * NCH * n * w];
         for &(i, j, k, l) in picks {
             let sh = |s: usize| &b.shells[s];
             quartets.quartet(i, j, k, l, |eri| {
@@ -662,42 +670,52 @@ mod tests {
                 digest(b, i, j, k, l, eri, &mut dens, &mut updates);
                 let mut want = ReplicatedFock::new(NCH, n);
                 for &(ch, mu, nu, v) in &updates.0 {
-                    want.add(ch, mu, nu, v);
+                    want.add_block(ch, &unit(mu, nu, &v));
                 }
 
                 // Route a unit update for each; draining must hand back
                 // exactly that one element and leave nothing behind.
-                let mut r = StripRouter::new(&mut fi, &mut fj, &mut kl, n, sh(i), sh(j));
-                r.start_quartet(sh(k), sh(l));
-                for &(_, mu, nu, _) in &updates.0 {
-                    r.add(mu, nu, 1.0);
-                    let mut hits = Vec::new();
-                    r.drain_kl(sh(k).n_functions(), |m, q, v| hits.push((m, q, v)));
-                    drain_strip(&mut *r.fi, sh(i).first_bf, n, |m, q, v| hits.push((m, q, v)));
-                    drain_strip(&mut *r.fj, sh(j).first_bf, n, |m, q, v| hits.push((m, q, v)));
+                let (fi, fj) = strips.split_at_mut(NCH * n * w);
+                let (mut fi, mut fj) = (fi.chunks_mut(n * w), fj.chunks_mut(n * w));
+                let mut kl = Recorded(Vec::new());
+                let mut r = StripRouter::<_, NCH> {
+                    fi: std::array::from_fn(|_| fi.next().expect("one FI strip per channel")),
+                    fj: std::array::from_fn(|_| fj.next().expect("one FJ strip per channel")),
+                    kl: &mut kl,
+                    n,
+                    i: Span::of(sh(i)),
+                    j: Span::of(sh(j)),
+                };
+                for &(ch, mu, nu, _) in &updates.0 {
+                    r.add_block(ch, &unit(mu, nu, &1.0));
+                    let mut hits: Vec<_> = r.kl.0.drain(..).map(|(_, m, q, v)| (m, q, v)).collect();
+                    let push = |m, q, v| hits.push((m, q, v));
+                    drain_strip(&mut *r.fi[ch], sh(i).first_bf, n, push);
+                    let push = |m, q, v| hits.push((m, q, v));
+                    drain_strip(&mut *r.fj[ch], sh(j).first_bf, n, push);
                     assert_eq!(hits, [(mu, nu, 1.0)], "({i}{j}|{k}{l}) update ({mu}, {nu})");
                 }
-                assert!(fi.iter().chain(&fj).chain(&kl).all(|&v| v == 0.0));
+                assert!(strips.iter().all(|&v| v == 0.0));
 
-                // Digest through one router per channel, as the builds do,
-                // drain, and compare with the replicated sum.
-                let mut strips: Vec<[Vec<f64>; 3]> = (0..NCH)
-                    .map(|_| [vec![0.0; n * w], vec![0.0; n * w], vec![0.0; w * w]])
-                    .collect();
+                // Digest through the router, as the builds do, drain, and
+                // compare with the replicated sum.
                 let mut got = ReplicatedFock::new(NCH, n);
-                let mut sets = strips.iter_mut();
-                let mut routers: [StripRouter<'_>; NCH] = std::array::from_fn(|_| {
-                    let [fi, fj, kl] = sets.next().expect("one strip set per channel");
-                    StripRouter::new(fi, fj, kl, n, sh(i), sh(j))
-                });
-                routers.iter_mut().for_each(|r| r.start_quartet(sh(k), sh(l)));
-                digest(b, i, j, k, l, eri, &mut dens, routers.as_mut_slice());
-                for (ch, r) in routers.iter_mut().enumerate() {
-                    r.drain_kl(sh(k).n_functions(), |mu, nu, v| got.add(ch, mu, nu, v));
-                }
-                for (ch, [fi, fj, _]) in strips.iter_mut().enumerate() {
-                    drain_strip(fi, sh(i).first_bf, n, |mu, nu, v| got.add(ch, mu, nu, v));
-                    drain_strip(fj, sh(j).first_bf, n, |mu, nu, v| got.add(ch, mu, nu, v));
+                let (fi, fj) = strips.split_at_mut(NCH * n * w);
+                let (mut fis, mut fjs) = (fi.chunks_mut(n * w), fj.chunks_mut(n * w));
+                let mut r = StripRouter::<_, NCH> {
+                    fi: std::array::from_fn(|_| fis.next().expect("one FI strip per channel")),
+                    fj: std::array::from_fn(|_| fjs.next().expect("one FJ strip per channel")),
+                    kl: &mut got,
+                    n,
+                    i: Span::of(sh(i)),
+                    j: Span::of(sh(j)),
+                };
+                digest(b, i, j, k, l, eri, &mut dens, &mut r);
+                let (fi, fj) = strips.split_at_mut(NCH * n * w);
+                for (ch, (fi, fj)) in fi.chunks_mut(n * w).zip(fj.chunks_mut(n * w)).enumerate() {
+                    for (strip, lo) in [(fi, sh(i).first_bf), (fj, sh(j).first_bf)] {
+                        drain_strip(strip, lo, n, |mu, nu, v| got.add_block(ch, &unit(mu, nu, &v)));
+                    }
                 }
                 for (g, w) in got.bufs.iter().zip(&want.bufs) {
                     assert!((g - w).abs() <= 1e-14, "({i}{j}|{k}{l}): {g} vs {w}");
@@ -743,12 +761,20 @@ mod tests {
         acc.add(0, 3, 1, 0.5); // duplicate key: merged before the acc
         acc.add(0, 3, 2, 1.0); // adjacent: same run
         acc.add(0, 6, 0, 4.0); // separate run
+                               // A block pushes its nonzero entries only: (6, 1), adjacent.
+        let vals = [0.0, 0.5, 0.0, 0.0];
+        acc.add_block(
+            0,
+            &Block { rows: Span { lo: 6, n: 2 }, cols: Span { lo: 0, n: 2 }, vals: &vals },
+        );
+        assert_eq!(acc.entries, 5);
         acc.flush();
         assert_eq!(acc.flushes, 2, "two coalesced runs");
         let m = gather_tri(&wins[0], n);
         assert_eq!(m[(3, 1)], 2.5);
         assert_eq!(m[(3, 2)], 1.0);
         assert_eq!(m[(6, 0)], 4.0);
+        assert_eq!(m[(6, 1)], 0.5);
         assert_eq!(m[(5, 5)], 0.0);
     }
 

@@ -16,9 +16,10 @@
 //! Each rank owns a `~N(N+1)/2 / R` stripe of every window plus its
 //! reader and O(N) writer state. Writes go through Algorithm 3's
 //! accumulator (`StripRouter`): per task, a significant pair `(i, j)`
-//! leased by its list position, updates touching shell `i` or `j` sum into
-//! dense FI/FJ strips and each quartet's `(k, l)` block into a scratch
-//! that is pushed once per quartet; the strips drain at task end.
+//! leased by its list position, result blocks touching shell `i` or `j`
+//! sum into dense FI/FJ strips, and each quartet's `(k, l)` block, summed
+//! over the quartet by the digester, is pushed once per quartet; the
+//! strips drain at task end.
 //! Everything lands in [`RowShardFock`], whose sparse entries leave as
 //! coalesced one-sided `acc` runs whenever its buffer fills and at the
 //! driver lease loop's `Step::Flush`es.
@@ -36,7 +37,7 @@ use super::matrix::{
     drain_strip, gather_tri, replicated_density_bytes, scatter_density, shard_reader_bytes,
     shard_stripe_bytes, shard_writer_bytes, tri_len, RowShardFock, ShardDensity, StripRouter,
 };
-use super::{digest, ChannelSink, DensityRead, GBuild, ReplicatedDensity};
+use super::{digest, DensityRead, GBuild, ReplicatedDensity, Span};
 use phi_dmpi::{DistributedArray, LeaseMode};
 use phi_omp::Team;
 
@@ -102,30 +103,27 @@ fn window_build<const NCH: usize, D: DensityRead>(
             let mut dens = reader(rank.rank());
             let mut fock = RowShardFock::new(&f_wins, n, rank.rank());
             let mut quartets = Quartets::new(ctx, kl);
-            // Per channel: the FI and FJ strips and the (k, l) scratch.
+            // Per channel: the FI and FJ strips.
             let strip = max_width * n;
             let (mut fis, mut fjs) = (vec![0.0; NCH * strip], vec![0.0; NCH * strip]);
-            let mut kl_blocks = vec![0.0; NCH * max_width * max_width];
             let tasks = leases.run(tctx, |step| {
                 let Step::Task(p) = step else { return fock.flush() };
                 let (i, j) = kl.pair(p);
                 let (sh_i, sh_j) = (&basis.shells[i], &basis.shells[j]);
-                let mut strips = fis.chunks_mut(strip).zip(fjs.chunks_mut(strip));
-                let mut blocks = kl_blocks.chunks_mut(max_width * max_width);
-                let mut routers: [StripRouter<'_>; NCH] = std::array::from_fn(|_| {
-                    let (fi, fj) = strips.next().expect("one FI/FJ pair per channel");
-                    let kl = blocks.next().expect("one (k, l) block per channel");
-                    StripRouter::new(fi, fj, kl, n, sh_i, sh_j)
-                });
-                // The fock buffer flushes itself when full: safe mid-task
+                let (mut fi, mut fj) = (fis.chunks_mut(strip), fjs.chunks_mut(strip));
+                let mut router = StripRouter::<_, NCH> {
+                    fi: std::array::from_fn(|_| fi.next().expect("one FI strip per channel")),
+                    fj: std::array::from_fn(|_| fj.next().expect("one FJ strip per channel")),
+                    kl: &mut fock,
+                    n,
+                    i: Span::of(sh_i),
+                    j: Span::of(sh_j),
+                };
+                // Each quartet's (k, l) block goes straight to the fock
+                // buffer, which flushes itself when full: safe mid-task
                 // because kills only fire at lease claims, between tasks.
                 quartets.pair_task(p, |k, l, eri| {
-                    let (sh_k, sh_l) = (&basis.shells[k], &basis.shells[l]);
-                    routers.iter_mut().for_each(|r| r.start_quartet(sh_k, sh_l));
-                    digest(basis, i, j, k, l, eri, &mut dens, routers.as_mut_slice());
-                    for (ch, r) in routers.iter_mut().enumerate() {
-                        r.drain_kl(sh_k.n_functions(), |mu, nu, v| fock.add(ch, mu, nu, v));
-                    }
+                    digest(basis, i, j, k, l, eri, &mut dens, &mut router)
                 });
                 // Drain the strips now, so they are empty before the lease
                 // loop's flush and at every lease completion.
@@ -137,7 +135,9 @@ fn window_build<const NCH: usize, D: DensityRead>(
                     }
                 }
             });
-            quartets.finish(tasks, fock.flushes)
+            let mut stats = quartets.finish(tasks, fock.flushes);
+            stats.acc_entries = fock.entries;
+            stats
         });
         // Every live rank's accumulates must land before anyone reads;
         // a dead rank has deregistered, and its barrier returns at once.

@@ -9,9 +9,9 @@
 //! * updates touching shell `j`'s block -> thread-private `FJ` buffer,
 //! * the `(k, l)` Coulomb block -> the shared Fock matrix. Threads own
 //!   distinct `kl` iterations, so the paper writes it unsynchronized; safe
-//!   Rust needs atomic adds, which are only cheap when rare: a quartet's
-//!   block (`n_k x n_l`, 36 values for d shells) is summed in a
-//!   thread-local scratch and leaves the thread once per quartet.
+//!   Rust needs atomic adds, which are only cheap when rare: the digester
+//!   sums a quartet's block (`n_k x n_l`, 36 values for d shells) in its
+//!   own scratch, so it leaves the thread once per quartet.
 //!
 //! That routing is `matrix::StripRouter`, which the sharded build shares.
 //!
@@ -38,7 +38,7 @@ use super::driver::{
 };
 use super::engine::FockContext;
 use super::matrix::{strip_slot, ReplicatedFock, StripRouter};
-use super::{digest, GBuild, ReplicatedDensity};
+use super::{digest, Block, ChannelSink, GBuild, ReplicatedDensity, Span};
 use crate::stats::FockBuildStats;
 use phi_dmpi::LeaseMode;
 use phi_omp::{PaddedColumns, Schedule, SharedAccumulator, Team, ThreadCtx};
@@ -101,7 +101,7 @@ pub(crate) fn build<const NCH: usize>(
         let per_thread = Team::new(n_threads).parallel(|tctx| {
             let mut dens = dens;
             let mut quartets = Quartets::new(ctx, kl);
-            let mut kl_blocks = vec![0.0; NCH * max_width * max_width];
+            let mut shared = SharedFock { focks: &focks, n };
             let mut flushes = 0u64;
             // The last task's i shell; identical across threads because
             // every thread follows the same task sequence.
@@ -119,18 +119,15 @@ pub(crate) fn build<const NCH: usize>(
                     tctx.barrier();
                 }
 
-                let (sh_i, sh_j) = (&basis.shells[i], &basis.shells[j]);
-                let mut blocks = kl_blocks.chunks_mut(max_width * max_width);
-                let mut sinks: [StripRouter<'_>; NCH] = std::array::from_fn(|ch| {
-                    StripRouter::new(
-                        fis[ch].col_mut(tctx.thread_num()),
-                        fjs[ch].col_mut(tctx.thread_num()),
-                        blocks.next().expect("one (k, l) block per channel"),
-                        n,
-                        sh_i,
-                        sh_j,
-                    )
-                });
+                let t = tctx.thread_num();
+                let mut router = StripRouter::<_, NCH> {
+                    fi: std::array::from_fn(|ch| fis[ch].col_mut(t)),
+                    fj: std::array::from_fn(|ch| fjs[ch].col_mut(t)),
+                    kl: &mut shared,
+                    n,
+                    i: Span::of(&basis.shells[i]),
+                    j: Span::of(&basis.shells[j]),
+                };
 
                 // Workshared kl loop (lines 19-30) over the merged
                 // significant kl index; its barrier is the one the FJ
@@ -140,13 +137,8 @@ pub(crate) fn build<const NCH: usize>(
                 let kls = kl.ket_space(p);
                 tctx.for_each_nowait(kls.len(), Schedule::dynamic1(), &mut |p| {
                     let [k, l] = kls[p].map(|s| s as usize);
-                    let (sh_k, sh_l) = (&basis.shells[k], &basis.shells[l]);
                     quartets.quartet(i, j, k, l, |eri| {
-                        sinks.iter_mut().for_each(|s| s.start_quartet(sh_k, sh_l));
-                        digest(basis, i, j, k, l, eri, &mut dens, sinks.as_mut_slice());
-                        for (s, fock) in sinks.iter_mut().zip(&focks) {
-                            s.drain_kl(sh_k.n_functions(), |mu, nu, v| fock.add(mu * n + nu, v));
-                        }
+                        digest(basis, i, j, k, l, eri, &mut dens, &mut router)
                     });
                 });
                 tctx.barrier();
@@ -179,6 +171,20 @@ pub(crate) fn build<const NCH: usize>(
     });
     let fock = ReplicatedFock::from_raw(surviving(bufs, &stats), NCH, n);
     GBuild::from_channels(fock.into_mats(), stats)
+}
+
+/// The rank's shared Fock matrices as the `(k, l)` block's destination:
+/// one atomic add per nonzero element.
+struct SharedFock<'a> {
+    focks: &'a [SharedAccumulator],
+    n: usize,
+}
+
+impl ChannelSink for SharedFock<'_> {
+    #[inline(always)]
+    fn add_block(&mut self, ch: usize, blk: &Block<'_>) {
+        blk.for_each(|mu, nu, v| self.focks[ch].add(mu * self.n + nu, v));
+    }
 }
 
 #[cfg(test)]

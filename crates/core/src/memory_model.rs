@@ -46,7 +46,7 @@ impl MemoryModel {
     /// tracker, so these rows equal the tracked per-rank peak byte for
     /// byte. Both hold a stripe of the tri-packed Fock window (`N(N+1)/2`
     /// words divided over the world's ranks) and the O(N) writer — `acc`
-    /// buffer, FI/FJ strips, `(k, l)` scratch. `Distributed` adds one whole
+    /// buffer, FI/FJ strips, `(k, l)` block. `Distributed` adds one whole
     /// density copy. `Sharded` adds a density window stripe and the O(N)
     /// row cache instead, which makes it the only sub-quadratic row — the
     /// variant that dodges the memory wall.

@@ -37,6 +37,10 @@ pub struct FockBuildStats {
     /// shared-Fock build, `acc` runs in the window builds (distributed and
     /// sharded).
     pub flushes: u64,
+    /// Entries the window builds pushed into their `acc` buffers (zero
+    /// on every other row): one per nonzero element of a drained strip
+    /// or of a quartet's `(k, l)` block.
+    pub acc_entries: u64,
     /// Sum of per-rank peak tracked bytes (the paper's footprint metric).
     pub memory_total_peak: usize,
     /// Peak tracked bytes per rank.
@@ -104,6 +108,7 @@ impl FockBuildStats {
         }
         acc.dlb_tasks += other.dlb_tasks;
         acc.flushes += other.flushes;
+        acc.acc_entries += other.acc_entries;
         acc
     }
 }

@@ -79,6 +79,7 @@ impl Mat {
     }
 
     /// Borrow row `i` as a contiguous slice.
+    #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }

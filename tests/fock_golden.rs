@@ -254,8 +254,9 @@ fn every_algorithm_matches_serial() {
 fn shared_fock_uhf_matches_serial_where_kl_meets_ij() {
     // OH/6-31G(d): six shells, one of them d, so most canonical quartets
     // have k or l equal to i or j and their (k, l) Coulomb block lands in
-    // FI or FJ, while the rest go through the per-quartet (k, l) scratch
-    // up to 6 x 6 wide; both channels of both routes are held to serial.
+    // FI or FJ, while the rest leave as the digester's per-quartet (k, l)
+    // block, up to 6 x 6 wide; both channels of both routes are held to
+    // serial.
     let oh = Molecule::neutral(vec![
         Atom { element: Element::O, pos: [0.0, 0.0, 0.0] },
         Atom { element: Element::H, pos: [0.3, -0.2, 1.8] },

@@ -35,6 +35,8 @@ struct Row {
     dlb_tasks: usize,
     dlb_calls: usize,
     flushes: RangeInclusive<u64>,
+    /// Entries pushed into the window rows' `acc` buffers; zero elsewhere.
+    acc_entries: u64,
     max_rank_peak: usize,
 }
 
@@ -88,6 +90,7 @@ fn check(mol: &Molecule, basis: BasisName, work: Work<'_>, rows: &[Row]) {
         assert_eq!(s.dlb_tasks, row.dlb_tasks, "{label}: DLB tasks");
         assert_eq!(s.dlb_calls, row.dlb_calls, "{label}: DLB claims");
         assert!(row.flushes.contains(&s.flushes), "{label}: flushes {}", s.flushes);
+        assert_eq!(s.acc_entries, row.acc_entries, "{label}: acc entries");
         assert_eq!(s.max_rank_peak(), row.max_rank_peak, "{label}: busiest rank's peak bytes");
     }
 }
@@ -104,27 +107,28 @@ fn h28_631g_ledger_holds_on_every_row() {
         classes: &[("b0k0", 203_065)],
         max_tests_per_computed: 1.15,
     };
-    let row = |algorithm, dlb_tasks, dlb_calls, flushes, max_rank_peak| Row {
+    let row = |algorithm, dlb_tasks, dlb_calls, flushes, acc_entries, max_rank_peak| Row {
         algorithm,
         dlb_tasks,
         dlb_calls,
         flushes,
+        acc_entries,
         max_rank_peak,
     };
     let rows = [
-        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0),
+        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 0),
         // Every significant pair leased, plus each rank's out-of-range
         // claim: the other 928 pairs are no task at all.
-        row(MPI, 668, 670, 0..=0, 1_703_837),
+        row(MPI, 668, 670, 0..=0, 0, 1_703_837),
         // One lease per shell `i`, plus the end-of-stream claim.
-        row(PRIVATE, 56, 57, 0..=0, 1_754_013),
+        row(PRIVATE, 56, 57, 0..=0, 0, 1_754_013),
         // One FJ flush per task plus one FI flush per run of equal `i`.
-        row(SHARED, 668, 669, 724..=724, 1_705_885),
+        row(SHARED, 668, 669, 724..=724, 0, 1_705_885),
         // Measured 20 369–20 731 over about 2 400 builds per row.
-        row(DISTRIBUTED, 668, 670, 20_150..=20_900, 1_618_965),
-        row(SHARDED, 668, 670, 20_150..=20_900, 1_609_797),
-        row(DISTRIBUTED1, 668, 669, 20_594..=20_594, 1_625_349),
-        row(SHARDED1, 668, 669, 20_594..=20_594, 1_622_565),
+        row(DISTRIBUTED, 668, 670, 20_150..=20_900, 229_195, 1_618_965),
+        row(SHARDED, 668, 670, 20_150..=20_900, 229_195, 1_609_797),
+        row(DISTRIBUTED1, 668, 669, 20_594..=20_594, 229_195, 1_625_349),
+        row(SHARDED1, 668, 669, 20_594..=20_594, 229_195, 1_622_565),
     ];
     check(&small::h_chain(28, 1.8), BasisName::B631g, work, &rows);
 }
@@ -141,18 +145,19 @@ fn water_631gd_ledger_holds_on_every_row() {
         ("b3k0", 2), ("b3k1", 4), ("b3k2", 8), ("b3k3", 3),
         ("b4k0", 1), ("b4k1", 2), ("b4k2", 4), ("b4k3", 2), ("b4k4", 1),
     ];
-    let row = |algorithm, dlb_tasks, dlb_calls, flushes, max_rank_peak| Row {
+    let row = |algorithm, dlb_tasks, dlb_calls, flushes, acc_entries, max_rank_peak| Row {
         algorithm,
         dlb_tasks,
         dlb_calls,
         flushes,
+        acc_entries,
         max_rank_peak,
     };
     let rows = [
-        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0),
-        row(MPI, 36, 38, 0..=0, 117_932),
-        row(PRIVATE, 8, 9, 0..=0, 123_708),
-        row(SHARED, 36, 37, 44..=44, 122_028),
+        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 0),
+        row(MPI, 36, 38, 0..=0, 0, 117_932),
+        row(PRIVATE, 8, 9, 0..=0, 0, 123_708),
+        row(SHARED, 36, 37, 44..=44, 0, 122_028),
         // Measured 11–128 over about 8 000 builds per row: with 36 tasks, how
         // they split between the ranks moves the count by a factor of ten.
         // Pushing every unique integral's updates straight into the `acc`
@@ -160,10 +165,10 @@ fn water_631gd_ledger_holds_on_every_row() {
         // blocks, made 1 441 to 1 546 runs over 50 two-rank sharded builds;
         // the upper bound, under a seventh of the fewest, is the line such
         // pushes must not cross again in either window build.
-        row(DISTRIBUTED, 36, 38, 5..=200, 117_444),
-        row(SHARDED, 36, 38, 5..=200, 123_964),
-        row(DISTRIBUTED1, 36, 37, 62..=62, 118_204),
-        row(SHARDED1, 36, 37, 62..=62, 125_484),
+        row(DISTRIBUTED, 36, 38, 5..=200, 4_151, 117_444),
+        row(SHARDED, 36, 38, 5..=200, 4_151, 123_964),
+        row(DISTRIBUTED1, 36, 37, 62..=62, 4_151, 118_204),
+        row(SHARDED1, 36, 37, 62..=62, 4_151, 125_484),
     ];
     let work = Work { computed: 666, screened: 0, classes: &classes, max_tests_per_computed: 1.0 };
     check(&small::water(), BasisName::B631gd, work, &rows);
@@ -179,27 +184,28 @@ fn h8_sto3g_ledger_holds_on_every_row() {
         classes: &[("b0k0", 271)],
         max_tests_per_computed: 1.3,
     };
-    let row = |algorithm, dlb_tasks, dlb_calls, flushes, max_rank_peak| Row {
+    let row = |algorithm, dlb_tasks, dlb_calls, flushes, acc_entries, max_rank_peak| Row {
         algorithm,
         dlb_tasks,
         dlb_calls,
         flushes,
+        acc_entries,
         max_rank_peak,
     };
     let rows = [
-        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0),
+        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 0),
         // Every row but private leases the 26 significant ij pairs through
         // the same loop, plus each rank's out-of-range claim.
-        row(MPI, 26, 28, 0..=0, 71_445),
+        row(MPI, 26, 28, 0..=0, 0, 71_445),
         // One FJ flush per task, one FI flush per run of equal i in a
         // rank's lease sequence: 8 on one rank.
-        row(SHARED, 26, 27, 34..=34, 71_957),
+        row(SHARED, 26, 27, 34..=34, 0, 71_957),
         // On two ranks which rank gets which lease is a race, and each sees
         // at most all 8 i: 34 to 41 over 4 000 builds.
-        row(SHARED2, 26, 28, 34..=42, 71_957),
+        row(SHARED2, 26, 28, 34..=42, 0, 71_957),
         // Measured 1–5 over 600 builds per row.
-        row(DISTRIBUTED, 26, 28, 1..=20, 77_869),
-        row(SHARDED, 26, 28, 1..=20, 85_885),
+        row(DISTRIBUTED, 26, 28, 1..=20, 391, 77_869),
+        row(SHARDED, 26, 28, 1..=20, 391, 85_885),
     ];
     check(&small::h_chain(8, 5.0), BasisName::Sto3g, work, &rows);
 }
