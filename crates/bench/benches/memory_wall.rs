@@ -9,16 +9,14 @@
 //! exceeds the budget, every sharded rank's peak fits under it.
 //!
 //! Hard asserts (not timed):
-//! - all runs converge, and both parallel RHF energies — plus a sharded
-//!   UHF run against its serial UHF reference (on water/6-31G(d,p), to
-//!   keep the parity leg cheap next to the flake runs) — match within
-//!   1e-10;
+//! - all runs converge, and both parallel energies match the serial one
+//!   within 1e-10;
 //! - replicated per-rank peak (live tracker) > budget > sharded per-rank
 //!   peak, and sharded < replicated outright;
 //! - the tracker peaks bracket their own model estimates' ordering (the
 //!   model is a prediction; the tracker is the measurement).
 
-use hf::{run_scf, FockAlgorithm, MemoryModel, ScfConfig, ScfResult, Spin};
+use hf::{run_scf, FockAlgorithm, MemoryModel, ScfConfig, ScfResult};
 use phi_bench::microbench::smoke_mode;
 use phi_chem::basis::{BasisName, BasisSet};
 use phi_chem::geom::graphene;
@@ -87,35 +85,6 @@ fn main() {
     );
     assert!(sh_peak < budget, "sharded rank peak {sh_peak} B should fit the {budget} B budget");
     assert!(sh_peak < rep_peak, "sharded {sh_peak} B must undercut replicated {rep_peak} B");
-
-    // UHF parity through the same sharded windows (three density stripes,
-    // two Fock channels). The leg runs on water in 6-31G(d,p): it
-    // exercises the identical sharded window path at a fraction of a
-    // flake run's cost. Equal spin counts on a closed-shell molecule give
-    // a well-conditioned unrestricted reference.
-    let uhf_label = "water, 6-31G(d,p)";
-    let uhf_mol = phi_chem::geom::small::water();
-    let uhf_basis = BasisSet::build(&uhf_mol, BasisName::B631gdp);
-    let (na, nb) = (uhf_mol.n_electrons() / 2, uhf_mol.n_electrons() / 2);
-    let spin = Spin::Unrestricted { n_alpha: na, n_beta: nb, break_symmetry: false };
-    let uhf_serial = run_scf(&uhf_mol, &uhf_basis, &ScfConfig { spin, ..Default::default() });
-    assert!(uhf_serial.converged, "serial UHF reference did not converge");
-    let uhf_sharded = run_scf(
-        &uhf_mol,
-        &uhf_basis,
-        &ScfConfig {
-            spin,
-            algorithm: FockAlgorithm::Sharded { n_ranks: RANKS, mode: DdiMode::Mpi3OneSided },
-            ..Default::default()
-        },
-    );
-    assert!(uhf_sharded.converged, "sharded UHF did not converge");
-    let de_uhf = (uhf_sharded.energy - uhf_serial.energy).abs();
-    assert!(de_uhf <= 1e-10, "sharded UHF off serial by {de_uhf:.3e}");
-    println!(
-        "# UHF energy ({uhf_label}): serial {:.10}, sharded {:.10}",
-        uhf_serial.energy, uhf_sharded.energy
-    );
 
     let t_rep = replicated.time_to_form_fock();
     let t_sh = sharded.time_to_form_fock();

@@ -59,8 +59,6 @@ pub struct AngBlock {
 /// A contracted shell instantiated on an atom.
 #[derive(Clone, Debug)]
 pub struct Shell {
-    /// Index of the atom this shell sits on.
-    pub atom: usize,
     /// Center coordinates (Bohr).
     pub center: [f64; 3],
     /// Primitive exponents, shared by all blocks.
@@ -100,12 +98,12 @@ impl BasisSet {
     pub fn build(mol: &Molecule, name: BasisName) -> BasisSet {
         let mut shells = Vec::new();
         let mut first_bf = 0;
-        for (ai, atom) in mol.atoms().iter().enumerate() {
+        for atom in mol.atoms() {
             let specs = data::shells_for(atom.element, name).unwrap_or_else(|| {
                 panic!("no {} data for element {}", name.label(), atom.element.symbol())
             });
             for spec in specs {
-                let shell = instantiate(spec, ai, atom.pos, first_bf);
+                let shell = instantiate(spec, atom.pos, first_bf);
                 first_bf += shell.n_functions();
                 shells.push(shell);
             }
@@ -189,27 +187,22 @@ fn normalize_block(l: usize, exps: &[f64], raw: &[f64]) -> Vec<f64> {
 /// Build a custom contracted shell from raw (unnormalized) coefficients.
 /// Used for non-standard bases (e.g. zeta-scaled STO-3G validation cases)
 /// and by tests.
-pub fn custom_shell(
-    atom: usize,
-    center: [f64; 3],
-    exps: Vec<f64>,
-    raw_blocks: &[(usize, Vec<f64>)],
-) -> Shell {
+pub fn custom_shell(center: [f64; 3], exps: Vec<f64>, raw_blocks: &[(usize, Vec<f64>)]) -> Shell {
     let blocks = raw_blocks
         .iter()
         .map(|(l, raw)| AngBlock { l: *l, coefs: normalize_block(*l, &exps, raw) })
         .collect();
-    Shell { atom, center, exps, blocks, first_bf: 0 }
+    Shell { center, exps, blocks, first_bf: 0 }
 }
 
-fn instantiate(spec: &data::ShellData, atom: usize, center: [f64; 3], first_bf: usize) -> Shell {
+fn instantiate(spec: &data::ShellData, center: [f64; 3], first_bf: usize) -> Shell {
     let exps: Vec<f64> = spec.exps.to_vec();
     let blocks = spec
         .blocks
         .iter()
         .map(|&(l, raw)| AngBlock { l, coefs: normalize_block(l, &exps, raw) })
         .collect();
-    Shell { atom, center, exps, blocks, first_bf }
+    Shell { center, exps, blocks, first_bf }
 }
 
 #[cfg(test)]

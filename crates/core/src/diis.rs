@@ -33,10 +33,6 @@ impl Diis {
     /// Push a new `(F, error)` pair and return the extrapolated Fock
     /// matrix. Falls back to the raw `F` while the history is short or the
     /// DIIS system is singular.
-    ///
-    /// Nothing here needs `F` square: an unrestricted run passes its spin
-    /// channels stacked ([`Mat::vstack`]), so one set of coefficients
-    /// minimizes the summed error of both spins.
     pub fn extrapolate(&mut self, f: Mat, err: Mat) -> Mat {
         self.history.push_back((f, err));
         if self.history.len() > self.max_len {
@@ -108,13 +104,10 @@ mod tests {
         let f1 = Mat::from_fn(2, 2, |i, j| if i == j { 1.0 } else { 0.1 });
         let f2 = Mat::from_fn(2, 2, |i, j| if i == j { 3.0 } else { -0.1 });
         let e1 = Mat::from_fn(2, 2, |_, _| 1.0);
-        let mut e2 = e1.clone();
-        e2.scale(-1.0);
+        let e2 = Mat::from_fn(2, 2, |_, _| -1.0);
         diis.extrapolate(f1.clone(), e1);
         let out = diis.extrapolate(f2.clone(), e2);
-        let mut avg = f1.clone();
-        avg.axpy(1.0, &f2);
-        avg.scale(0.5);
+        let avg = Mat::from_fn(2, 2, |i, j| 0.5 * (f1[(i, j)] + f2[(i, j)]));
         assert!(out.max_abs_diff(&avg) < 1e-10);
     }
 

@@ -12,11 +12,9 @@
 //!   [`SerialBuilder`] and [`ParallelBuilder`] (any [`FockAlgorithm`] in
 //!   a dmpi world; rank/thread topology lives in the algorithm value, it
 //!   is part of *how* work is distributed, not of the problem).
-//! * [`DensitySet`] — the spin-generalized input (one matrix for RHF, an
-//!   α/β pair for UHF), so every parallel algorithm serves both SCF
-//!   drivers from a single code path.
+//! * [`DensitySet`] — the closed-shell density the build digests.
 //!
-//! Every build returns the same [`GBuild`]: per-channel `G` matrices plus
+//! Every build returns the same [`GBuild`]: the `G` matrix plus
 //! [`crate::stats::FockBuildStats`] collected identically across
 //! algorithms (quartets computed/screened, DLB counter calls, buffer
 //! flushes, wall time, tracked memory). The algorithms themselves are
@@ -103,10 +101,10 @@ impl FockData {
     }
 }
 
-/// One Fock-build algorithm: consumes a spin-generalized density set and
-/// produces the matching two-electron matrices with uniform statistics.
+/// One Fock-build algorithm: consumes a density and produces its
+/// two-electron matrix with uniform statistics.
 pub trait FockBuilder {
-    /// Build `G` for every spin channel of `dens`.
+    /// Build `G(D)` for the density of `dens`.
     fn build(&self, ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild;
 
     /// Human-readable algorithm name (for logs and bench tables).
@@ -145,8 +143,7 @@ impl FockBuilder for ParallelBuilder {
     }
 }
 
-/// The one dynamic dispatch of a build: pick the density backend here,
-/// outside every loop, so the policies below it are monomorphic.
+/// Algorithm -> policy row (DESIGN.md §3.1).
 fn build_with(
     alg: FockAlgorithm,
     faults: Option<&FaultPlan>,
@@ -154,26 +151,8 @@ fn build_with(
     ctx: &FockContext<'_>,
     dens: &DensitySet<'_>,
 ) -> GBuild {
-    match *dens {
-        DensitySet::Restricted(d) => {
-            run_policy(alg, faults, retry, ctx, ReplicatedDensity::restricted(d))
-        }
-        DensitySet::Unrestricted { alpha, beta } => {
-            let total = alpha.add(beta);
-            let dens = ReplicatedDensity::unrestricted(&total, alpha, beta);
-            run_policy(alg, faults, retry, ctx, dens)
-        }
-    }
-}
-
-/// Algorithm -> policy row (DESIGN.md §3.1).
-fn run_policy<const NCH: usize>(
-    alg: FockAlgorithm,
-    faults: Option<&FaultPlan>,
-    retry: RetryPolicy,
-    ctx: &FockContext<'_>,
-    dens: ReplicatedDensity<'_, NCH>,
-) -> GBuild {
+    let DensitySet::Restricted(d) = *dens;
+    let dens = ReplicatedDensity(d);
     let world = |n_ranks| World { n_ranks, faults, retry };
     // Every row's kl index space, read by every rank and thread.
     let kl = &SignificantPairs::new(ctx.screening, ctx.tau);
@@ -266,43 +245,7 @@ mod tests {
                 builder.label(),
                 got.g.max_abs_diff(&want.g)
             );
-            assert!(got.g_beta.is_none());
             assert!(got.stats.quartets_computed > 0);
-        }
-    }
-
-    #[test]
-    fn every_algorithm_builds_unrestricted_through_the_trait() {
-        let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let data = FockData::build(&b);
-        let ctx = data.context(&b, 1e-12);
-        let d_a = density(b.n_basis(), 1);
-        let d_b = density(b.n_basis(), 4);
-        let dens = DensitySet::Unrestricted { alpha: &d_a, beta: &d_b };
-        let want = FockAlgorithm::Serial.builder().build(&ctx, &dens);
-        let want_b = want.g_beta.as_ref().expect("serial UHF beta channel");
-        for alg in [
-            FockAlgorithm::MpiOnly { n_ranks: 2 },
-            FockAlgorithm::PrivateFock { n_ranks: 2, n_threads: 2 },
-            FockAlgorithm::SharedFock { n_ranks: 1, n_threads: 3 },
-            FockAlgorithm::Distributed { n_ranks: 2 },
-            FockAlgorithm::Sharded { n_ranks: 2, mode: phi_dmpi::DdiMode::Mpi3OneSided },
-        ] {
-            let builder = alg.builder();
-            let got = builder.build(&ctx, &dens);
-            let got_b = got.g_beta.as_ref().expect("UHF build returns a beta channel");
-            assert!(
-                got.g.max_abs_diff(&want.g) < 1e-10,
-                "{} alpha: diff {}",
-                builder.label(),
-                got.g.max_abs_diff(&want.g)
-            );
-            assert!(
-                got_b.max_abs_diff(want_b) < 1e-10,
-                "{} beta: diff {}",
-                builder.label(),
-                got_b.max_abs_diff(want_b)
-            );
         }
     }
 

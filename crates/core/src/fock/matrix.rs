@@ -2,21 +2,21 @@
 //! *write* Fock contributions, independent of where the matrices live.
 //!
 //! The read side is the [`DensityRead`] trait, the write side
-//! [`ChannelSink`]; the one digester ([`super::digest`]) is generic
-//! over both. Each has two backends:
+//! [`FockSink`]; the one digester ([`super::digest`]) is generic over
+//! both. Each has two backends:
 //!
 //! * **Replicated** — the matrices exist in full on every rank:
-//!   [`super::ReplicatedDensity`] reads them and [`ReplicatedFock`] owns
-//!   the per-channel lower-triangle accumulation buffers the serial,
-//!   MPI-only and private-Fock builds digest into.
+//!   [`super::ReplicatedDensity`] reads the density and [`ReplicatedFock`]
+//!   owns the lower-triangle accumulation buffer the serial, MPI-only and
+//!   private-Fock builds digest into.
 //! * **RowShard** — the matrices live in tri-packed row shards inside
 //!   [`phi_dmpi::DistributedArray`] windows, striped over ranks.
 //!   [`ShardDensity`] reads rows on demand through `get` with a bounded
-//!   row cache behind a direct `(window, row)` slot index;
-//!   [`RowShardFock`] buffers contributions sparsely and flushes them as
-//!   coalesced `acc` runs. Per rank that costs the owned window stripes
-//!   ([`shard_stripe_bytes`]) plus O(N) state: [`shard_reader_bytes`]
-//!   for the reader, [`shard_writer_bytes`] for the writer.
+//!   row cache behind a direct row slot index; [`RowShardFock`] buffers
+//!   contributions sparsely and flushes them as coalesced `acc` runs. Per
+//!   rank that costs the owned window stripes ([`shard_stripe_bytes`])
+//!   plus O(N) state: [`shard_reader_bytes`] for the reader,
+//!   [`shard_writer_bytes`] for the writer.
 //!
 //! The two window builds (`fock::sharded`) share the RowShard writer and
 //! differ only in the reader: `Sharded` reads through [`ShardDensity`], so
@@ -37,7 +37,7 @@
 //! matrix costs `N (N + 1) / 2` words total across all ranks instead of
 //! `N^2` words *per* rank.
 
-use super::{Block, ChannelSink, DensityRead, ReplicatedDensity, Span};
+use super::{Block, DensityRead, FockSink, Span};
 use phi_dmpi::DistributedArray;
 use phi_linalg::Mat;
 use std::collections::VecDeque;
@@ -64,19 +64,9 @@ pub fn shard_cache_elems(n: usize) -> usize {
 }
 
 /// Pending-entry capacity of the sharded Fock write buffer. Each entry is
-/// 16 bytes (packed index + value); O(N) total.
+/// 16 bytes (tri index + value); O(N) total.
 pub fn shard_flush_entries(n: usize) -> usize {
     (8 * n).max(512)
-}
-
-/// Density matrices a build of `nch` spin channels reads: `D` restricted;
-/// `D_total`, `D_alpha`, `D_beta` unrestricted.
-fn density_matrices(nch: usize) -> usize {
-    if nch == 1 {
-        1
-    } else {
-        1 + nch
-    }
 }
 
 /// Bytes of one rank's stripe of `n_windows` tri-packed windows over
@@ -85,32 +75,30 @@ pub fn shard_stripe_bytes(n: usize, n_ranks: usize, n_windows: usize) -> usize {
     n_windows * tri_len(n).div_ceil(n_ranks.max(1)) * size_of::<f64>()
 }
 
-/// Bytes of one rank's [`ShardDensity`] over `n` functions and `nch` spin
-/// channels: the row cache and its slot index (one slot per density-window
-/// row). O(N).
-pub fn shard_reader_bytes(n: usize, nch: usize) -> usize {
-    shard_cache_elems(n) * size_of::<f64>() + density_matrices(nch) * n * size_of::<Vec<f64>>()
+/// Bytes of one rank's [`ShardDensity`] over `n` functions: the row cache
+/// and its slot index (one slot per density-window row). O(N).
+pub fn shard_reader_bytes(n: usize) -> usize {
+    shard_cache_elems(n) * size_of::<f64>() + n * size_of::<Vec<f64>>()
 }
 
-/// Bytes of a whole replicated density set of `nch` spin channels over `n`
-/// functions: the reader of the distributed window build.
-pub fn replicated_density_bytes(n: usize, nch: usize) -> usize {
-    density_matrices(nch) * n * n * size_of::<f64>()
+/// Bytes of a replicated density over `n` functions: the reader of the
+/// distributed window build.
+pub fn replicated_density_bytes(n: usize) -> usize {
+    n * n * size_of::<f64>()
 }
 
 /// Bytes of one rank's window writer over `n` functions, widest shell
-/// `max_width`, `nch` spin channels: the pending `acc` buffer, and per
-/// channel the FI and FJ strips (`max_width x n` each) and a quartet's
-/// `(k, l)` block (`max_width^2`), which the digester's per-worker
-/// scratch holds on its way to the buffer. O(N): nothing here is a
-/// matrix.
+/// `max_width`: the pending `acc` buffer, the FI and FJ strips
+/// (`max_width x n` each) and a quartet's `(k, l)` block (`max_width^2`),
+/// which the digester's per-worker scratch holds on its way to the buffer.
+/// O(N): nothing here is a matrix.
 ///
 /// A window build charges its reader's bytes, its Fock stripes and exactly
-/// this; `MemoryModel::per_rank_bytes` prices the restricted rows with the
-/// same functions.
-pub fn shard_writer_bytes(n: usize, max_width: usize, nch: usize) -> usize {
-    let pending = shard_flush_entries(n) * size_of::<(u64, f64)>();
-    let accumulator = nch * (2 * max_width * n + max_width * max_width) * size_of::<f64>();
+/// this; `MemoryModel::per_rank_bytes` prices the rows with the same
+/// functions.
+pub fn shard_writer_bytes(n: usize, max_width: usize) -> usize {
+    let pending = shard_flush_entries(n) * size_of::<(usize, f64)>();
+    let accumulator = (2 * max_width * n + max_width * max_width) * size_of::<f64>();
     pending + accumulator
 }
 
@@ -118,52 +106,43 @@ pub fn shard_writer_bytes(n: usize, max_width: usize, nch: usize) -> usize {
 // Replicated backend (write side)
 // ---------------------------------------------------------------------
 
-/// The replicated write-side backend: per-channel lower-triangle
-/// accumulation buffers (channel-major) owned in full by one rank or one
-/// thread.
+/// The replicated write-side backend: a lower-triangle accumulation
+/// buffer owned in full by one rank or one thread.
 pub struct ReplicatedFock {
-    bufs: Vec<f64>,
+    buf: Vec<f64>,
     n: usize,
 }
 
 impl ReplicatedFock {
-    pub fn new(nch: usize, n: usize) -> ReplicatedFock {
-        ReplicatedFock { bufs: vec![0.0; nch * n * n], n }
+    pub fn new(n: usize) -> ReplicatedFock {
+        ReplicatedFock { buf: vec![0.0; n * n], n }
     }
 
-    /// Wrap an existing channel-major lower-triangle buffer (e.g. the
-    /// snapshot a `gsumf` reduction produced) in the replicated backend.
-    pub fn from_raw(bufs: Vec<f64>, nch: usize, n: usize) -> ReplicatedFock {
-        debug_assert_eq!(bufs.len(), nch * n * n);
-        ReplicatedFock { bufs, n }
-    }
-
-    /// The raw channel-major accumulation buffer (e.g. for `gsumf`).
+    /// The raw accumulation buffer (e.g. for `gsumf`).
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.bufs
+        &mut self.buf
     }
 
     /// Sum another replica into this one (the OpenMP
     /// `reduction(+ : Fock)` step of Algorithm 2).
     pub fn reduce_from(&mut self, other: &ReplicatedFock) {
-        debug_assert_eq!(self.bufs.len(), other.bufs.len());
-        for (dst, src) in self.bufs.iter_mut().zip(&other.bufs) {
+        debug_assert_eq!(self.buf.len(), other.buf.len());
+        for (dst, src) in self.buf.iter_mut().zip(&other.buf) {
             *dst += src;
         }
     }
 
-    /// Mirror each channel's lower triangle into a full symmetric matrix.
-    pub fn into_mats(self) -> Vec<Mat> {
-        let n = self.n;
-        self.bufs.chunks(n * n).map(|b| super::tri_to_full(b, n)).collect()
+    /// Mirror the lower triangle into a full symmetric matrix.
+    pub fn into_mat(self) -> Mat {
+        super::tri_to_full(&self.buf, self.n)
     }
 }
 
-impl ChannelSink for ReplicatedFock {
+impl FockSink for ReplicatedFock {
     #[inline(always)]
-    fn add_block(&mut self, ch: usize, blk: &Block<'_>) {
+    fn add_block(&mut self, blk: &Block<'_>) {
         let n = self.n;
-        blk.for_each(|mu, nu, v| self.bufs[(ch * n + mu) * n + nu] += v);
+        blk.for_each(|mu, nu, v| self.buf[mu * n + nu] += v);
     }
 }
 
@@ -171,32 +150,19 @@ impl ChannelSink for ReplicatedFock {
 // RowShard backend (read side)
 // ---------------------------------------------------------------------
 
-/// Scatter a density into tri-packed DDI windows, striped over
-/// `n_ranks`. Restricted input yields one window (`D`); unrestricted
-/// input yields three (`D_total`, `D_alpha`, `D_beta`) so Coulomb and
-/// per-spin exchange reads each have a home. Runs on the driver before
-/// the world starts; the windows outlive rank deaths.
-pub fn scatter_density<const NCH: usize>(
-    dens: &ReplicatedDensity<'_, NCH>,
-    n: usize,
-    n_ranks: usize,
-) -> Vec<DistributedArray> {
-    let pack = |m: &Mat| {
-        let mut buf = vec![0.0; tri_len(n)];
-        for p in 0..n {
-            for q in 0..=p {
-                buf[tri_index(p, q)] = m[(p, q)];
-            }
+/// Scatter a density into a tri-packed DDI window striped over
+/// `n_ranks`. Runs on the driver before the world starts; the window
+/// outlives rank deaths.
+pub fn scatter_density(d: &Mat, n: usize, n_ranks: usize) -> DistributedArray {
+    let mut buf = vec![0.0; tri_len(n)];
+    for p in 0..n {
+        for q in 0..=p {
+            buf[tri_index(p, q)] = d[(p, q)];
         }
-        let win = DistributedArray::new(tri_len(n), n_ranks);
-        win.put(0, 0, &buf);
-        win
-    };
-    let mut wins = vec![pack(dens.coulomb)];
-    if NCH > 1 {
-        wins.extend(dens.exchange.iter().map(|m| pack(m)));
     }
-    wins
+    let win = DistributedArray::new(tri_len(n), n_ranks);
+    win.put(0, 0, &buf);
+    win
 }
 
 /// Gather a tri-packed Fock window back into a full symmetric matrix
@@ -216,19 +182,15 @@ pub fn gather_tri(win: &DistributedArray, n: usize) -> Mat {
 }
 
 /// Read side of the RowShard backend: on-demand tri-packed row fetches
-/// from the density windows with a bounded FIFO row cache.
-///
-/// Window 0 is the Coulomb source (`D` restricted, `D_total` UHF);
-/// windows `1..` are the per-spin exchange densities of a UHF build.
+/// from the density window with a bounded FIFO row cache.
 pub struct ShardDensity<'a> {
-    wins: &'a [DistributedArray],
+    win: &'a DistributedArray,
     rank: usize,
-    n: usize,
-    /// Direct slot index: `rows[window * n + row]` holds that row's values
+    /// Direct slot index: `rows[row]` holds that row's values
     /// `[row*(row+1)/2 .. +row+1)` while it is cached and is empty
     /// otherwise, so a hit is one index and one length test.
     rows: Vec<Vec<f64>>,
-    /// FIFO eviction order of cached slots.
+    /// FIFO eviction order of cached rows.
     order: VecDeque<usize>,
     /// Elements currently cached / capacity in elements.
     cached_elems: usize,
@@ -236,12 +198,11 @@ pub struct ShardDensity<'a> {
 }
 
 impl<'a> ShardDensity<'a> {
-    pub fn new(wins: &'a [DistributedArray], n: usize, rank: usize) -> ShardDensity<'a> {
+    pub fn new(win: &'a DistributedArray, n: usize, rank: usize) -> ShardDensity<'a> {
         ShardDensity {
-            wins,
+            win,
             rank,
-            n,
-            rows: vec![Vec::new(); wins.len() * n],
+            rows: vec![Vec::new(); n],
             order: VecDeque::new(),
             cached_elems: 0,
             cap_elems: shard_cache_elems(n),
@@ -249,18 +210,17 @@ impl<'a> ShardDensity<'a> {
     }
 
     #[inline]
-    fn row(&mut self, win: usize, r: usize) -> &[f64] {
-        let slot = win * self.n + r;
-        if self.rows[slot].is_empty() {
-            self.fetch(slot, r);
+    fn row(&mut self, r: usize) -> &[f64] {
+        if self.rows[r].is_empty() {
+            self.fetch(r);
         }
-        &self.rows[slot]
+        &self.rows[r]
     }
 
-    /// Fetch row `r` into `slot`, evicting the oldest rows past capacity
-    /// (a single row larger than the capacity is cached anyway).
+    /// Fetch row `r`, evicting the oldest rows past capacity (a single row
+    /// larger than the capacity is cached anyway).
     #[cold]
-    fn fetch(&mut self, slot: usize, r: usize) {
+    fn fetch(&mut self, r: usize) {
         let mut buf = Vec::new();
         while self.cached_elems + r + 1 > self.cap_elems {
             let Some(old) = self.order.pop_front() else { break };
@@ -269,41 +229,24 @@ impl<'a> ShardDensity<'a> {
         }
         buf.clear();
         buf.resize(r + 1, 0.0);
-        self.wins[slot / self.n].get(self.rank, tri_index(r, 0), &mut buf);
+        self.win.get(self.rank, tri_index(r, 0), &mut buf);
         self.cached_elems += r + 1;
-        self.rows[slot] = buf;
-        self.order.push_back(slot);
+        self.rows[r] = buf;
+        self.order.push_back(r);
     }
 }
 
 impl DensityRead for ShardDensity<'_> {
-    fn n_channels(&self) -> usize {
-        if self.wins.len() == 1 {
-            1
-        } else {
-            2
-        }
-    }
-
-    fn k_factor(&self) -> f64 {
-        if self.wins.len() == 1 {
-            -0.5
-        } else {
-            -1.0
-        }
-    }
-
     /// One cached row slice per row, or per column when `rows` precede
-    /// `cols` (which are then the stored rows). A restricted build's one
-    /// window is every source.
-    fn block(&mut self, src: usize, rows: Span, cols: Span, out: &mut [f64]) {
-        let (win, nc) = (if self.wins.len() == 1 { 0 } else { src }, cols.n);
+    /// `cols` (which are then the stored rows).
+    fn block(&mut self, rows: Span, cols: Span, out: &mut [f64]) {
+        let nc = cols.n;
         if rows.lo >= cols.lo {
             for a in 0..rows.n {
                 let p = rows.lo + a;
                 // Over one shell, row p stores columns up to p only.
                 let len = nc.min(p + 1 - cols.lo);
-                out[a * nc..][..len].copy_from_slice(&self.row(win, p)[cols.lo..][..len]);
+                out[a * nc..][..len].copy_from_slice(&self.row(p)[cols.lo..][..len]);
             }
             if rows == cols {
                 for a in 0..nc {
@@ -314,7 +257,7 @@ impl DensityRead for ShardDensity<'_> {
             }
         } else {
             for b in 0..nc {
-                let col = &self.row(win, cols.lo + b)[rows.lo..][..rows.n];
+                let col = &self.row(cols.lo + b)[rows.lo..][..rows.n];
                 for (a, &v) in col.iter().enumerate() {
                     out[a * nc + b] = v;
                 }
@@ -328,13 +271,13 @@ impl DensityRead for ShardDensity<'_> {
 // ---------------------------------------------------------------------
 
 /// Write side of the RowShard backend: contributions are buffered as
-/// sparse `(channel, tri index, value)` entries and flushed as coalesced
-/// one-sided `acc` runs into the tri-packed Fock windows.
+/// sparse `(tri index, value)` entries and flushed as coalesced one-sided
+/// `acc` runs into the tri-packed Fock window.
 ///
 /// The buffer never holds more than [`shard_flush_entries`] entries: the
 /// entry that fills it triggers a flush.
 ///
-/// Durability contract (the PR 3 fault model): a kill can only fire at a
+/// Durability contract (the rank-loss fault model): a kill can only fire at a
 /// lease claim, i.e. *between* tasks. Under fault injection the driver's
 /// `LeaseLoop` has every thread that holds one of these run `Step::Flush`
 /// after each task, and the team pass a barrier, before the master
@@ -342,10 +285,9 @@ impl DensityRead for ShardDensity<'_> {
 /// durable leases). So a dead rank never strands completed work, and
 /// capacity-triggered flushes mid-task are safe in every mode.
 pub struct RowShardFock<'a> {
-    wins: &'a [DistributedArray],
+    win: &'a DistributedArray,
     rank: usize,
-    /// Packed key: `channel << 48 | tri index`.
-    pending: Vec<(u64, f64)>,
+    pending: Vec<(usize, f64)>,
     cap: usize,
     /// One-sided `acc` runs issued so far.
     pub flushes: u64,
@@ -354,12 +296,12 @@ pub struct RowShardFock<'a> {
 }
 
 impl<'a> RowShardFock<'a> {
-    pub fn new(wins: &'a [DistributedArray], n: usize, rank: usize) -> RowShardFock<'a> {
+    pub fn new(win: &'a DistributedArray, n: usize, rank: usize) -> RowShardFock<'a> {
         let cap = shard_flush_entries(n);
-        RowShardFock { wins, rank, pending: Vec::with_capacity(cap), cap, flushes: 0, entries: 0 }
+        RowShardFock { win, rank, pending: Vec::with_capacity(cap), cap, flushes: 0, entries: 0 }
     }
 
-    /// Sort, merge and accumulate every pending entry into the windows as
+    /// Sort, merge and accumulate every pending entry into the window as
     /// contiguous runs, then clear the buffer.
     pub fn flush(&mut self) {
         if self.pending.is_empty() {
@@ -367,48 +309,39 @@ impl<'a> RowShardFock<'a> {
         }
         let _span = phi_trace::span("fock.flush_scatter");
         self.pending.sort_unstable_by_key(|&(k, _)| k);
-        let mut run_start_key = self.pending[0].0;
+        let mut run_start = self.pending[0].0;
         let mut run: Vec<f64> = Vec::new();
-        let mut last_key = run_start_key;
+        let mut last = run_start;
         let mut acc = 0.0;
-        let flush_run = |this_flushes: &mut u64,
-                         wins: &[DistributedArray],
-                         rank: usize,
-                         start_key: u64,
-                         vals: &[f64]| {
-            let ch = (start_key >> 48) as usize;
-            let lo = (start_key & 0xFFFF_FFFF_FFFF) as usize;
-            wins[ch].acc(rank, lo, vals);
-            *this_flushes += 1;
-        };
         for &(key, v) in &self.pending {
-            if key == last_key {
+            if key == last {
                 acc += v;
                 continue;
             }
             run.push(acc);
-            if key != last_key + 1 || (key >> 48) != (last_key >> 48) {
-                flush_run(&mut self.flushes, self.wins, self.rank, run_start_key, &run);
+            if key != last + 1 {
+                self.win.acc(self.rank, run_start, &run);
+                self.flushes += 1;
                 run.clear();
-                run_start_key = key;
+                run_start = key;
             }
-            last_key = key;
+            last = key;
             acc = v;
         }
         run.push(acc);
-        flush_run(&mut self.flushes, self.wins, self.rank, run_start_key, &run);
+        self.win.acc(self.rank, run_start, &run);
+        self.flushes += 1;
         self.pending.clear();
     }
 
-    /// Buffer the canonical update `F_ch[mu, nu] += v`; a zero is no
-    /// update.
+    /// Buffer the canonical update `F[mu, nu] += v`; a zero is no update.
     #[inline]
-    pub fn add(&mut self, ch: usize, mu: usize, nu: usize, v: f64) {
+    pub fn add(&mut self, mu: usize, nu: usize, v: f64) {
         debug_assert!(mu >= nu);
         if v == 0.0 {
             return;
         }
-        self.pending.push((((ch as u64) << 48) | tri_index(mu, nu) as u64, v));
+        self.pending.push((tri_index(mu, nu), v));
         self.entries += 1;
         if self.pending.len() == self.cap {
             self.flush();
@@ -416,10 +349,10 @@ impl<'a> RowShardFock<'a> {
     }
 }
 
-impl ChannelSink for RowShardFock<'_> {
+impl FockSink for RowShardFock<'_> {
     #[inline(always)]
-    fn add_block(&mut self, ch: usize, blk: &Block<'_>) {
-        blk.for_each(|mu, nu, v| self.add(ch, mu, nu, v));
+    fn add_block(&mut self, blk: &Block<'_>) {
+        blk.for_each(|mu, nu, v| self.add(mu, nu, v));
     }
 }
 
@@ -427,9 +360,8 @@ impl ChannelSink for RowShardFock<'_> {
 // Algorithm 3's accumulator
 // ---------------------------------------------------------------------
 
-/// Algorithm 3's accumulator routing (lines 25–27) for every spin channel
-/// of one `(i, j)` task; the one router of the shared-Fock and window
-/// builds.
+/// Algorithm 3's accumulator routing (lines 25–27) for one `(i, j)`
+/// task; the one router of the shared-Fock and window builds.
 ///
 /// A digested block touching shell `i` goes to the FI strip, one touching
 /// shell `j` (and not `i`) to FJ, and anything else — which can only be
@@ -438,25 +370,25 @@ impl ChannelSink for RowShardFock<'_> {
 /// `width x n`, slot `(mu - lo) * n + other` standing for the canonical
 /// element [`strip_slot`] names; the owner drains it (the shared build by
 /// padded tree reduction, the window builds by [`drain_strip`]).
-pub(crate) struct StripRouter<'a, K: ?Sized, const NCH: usize> {
-    pub(crate) fi: [&'a mut [f64]; NCH],
-    pub(crate) fj: [&'a mut [f64]; NCH],
+pub(crate) struct StripRouter<'a, K: ?Sized> {
+    pub(crate) fi: &'a mut [f64],
+    pub(crate) fj: &'a mut [f64],
     pub(crate) kl: &'a mut K,
     pub(crate) n: usize,
     pub(crate) i: Span,
     pub(crate) j: Span,
 }
 
-impl<K: ChannelSink + ?Sized, const NCH: usize> ChannelSink for StripRouter<'_, K, NCH> {
+impl<K: FockSink + ?Sized> FockSink for StripRouter<'_, K> {
     #[inline(always)]
-    fn add_block(&mut self, ch: usize, blk: &Block<'_>) {
+    fn add_block(&mut self, blk: &Block<'_>) {
         let (r, c) = (blk.rows.lo, blk.cols.lo);
         if self.i.contains(r) || self.i.contains(c) {
-            strip_add(self.fi[ch], self.i, self.n, blk);
+            strip_add(self.fi, self.i, self.n, blk);
         } else if self.j.contains(r) || self.j.contains(c) {
-            strip_add(self.fj[ch], self.j, self.n, blk);
+            strip_add(self.fj, self.j, self.n, blk);
         } else {
-            self.kl.add_block(ch, blk);
+            self.kl.add_block(blk);
         }
     }
 }
@@ -507,7 +439,7 @@ mod tests {
     use crate::fock::driver::{Quartets, SignificantPairs};
     use crate::fock::engine::FockData;
     use crate::fock::DensitySet::Restricted;
-    use crate::fock::{digest, FockAlgorithm};
+    use crate::fock::{digest, FockAlgorithm, ReplicatedDensity};
     use phi_chem::basis::{BasisName, BasisSet};
     use phi_chem::geom::small;
 
@@ -520,7 +452,7 @@ mod tests {
 
     /// Full serial quartet sweep of the generic digester over the given
     /// read and write backends.
-    fn sweep(b: &BasisSet, dens: &mut impl DensityRead, sink: &mut impl ChannelSink) {
+    fn sweep(b: &BasisSet, dens: &mut impl DensityRead, sink: &mut impl FockSink) {
         let data = FockData::build(b);
         let ctx = data.context(b, 1e-14);
         let sig = SignificantPairs::new(ctx.screening, ctx.tau);
@@ -531,39 +463,11 @@ mod tests {
         }
     }
 
-    /// The sweep over the replicated backends; returns per-channel `G`.
-    fn replicated_sweep<const NCH: usize>(
-        b: &BasisSet,
-        mut dens: ReplicatedDensity<'_, NCH>,
-    ) -> Vec<Mat> {
-        let mut fock = ReplicatedFock::new(NCH, b.n_basis());
-        sweep(b, &mut dens, &mut fock);
-        fock.into_mats()
-    }
-
-    /// The sweep over the RowShard backends must land within 1e-12 of
-    /// `want` in every channel.
-    fn assert_rowshard_matches<const NCH: usize>(
-        label: &str,
-        b: &BasisSet,
-        dens: ReplicatedDensity<'_, NCH>,
-        want: &[Mat],
-    ) {
-        let n = b.n_basis();
-        let d_wins = scatter_density(&dens, n, 3);
-        let f_wins: Vec<DistributedArray> =
-            (0..NCH).map(|_| DistributedArray::new(tri_len(n), 3)).collect();
-        let mut fock = RowShardFock::new(&f_wins, n, 0);
-        sweep(b, &mut ShardDensity::new(&d_wins, n, 0), &mut fock);
-        fock.flush();
-        for (ch, want_ch) in want.iter().enumerate() {
-            let got = gather_tri(&f_wins[ch], n);
-            assert!(
-                got.max_abs_diff(want_ch) < 1e-12,
-                "{label} ch {ch}: diff {}",
-                got.max_abs_diff(want_ch)
-            );
-        }
+    /// The sweep over the replicated backends.
+    fn replicated_sweep(b: &BasisSet, d: &Mat) -> Mat {
+        let mut fock = ReplicatedFock::new(b.n_basis());
+        sweep(b, &mut ReplicatedDensity(d), &mut fock);
+        fock.into_mat()
     }
 
     #[test]
@@ -573,36 +477,36 @@ mod tests {
         let data = FockData::build(&b);
         let want =
             FockAlgorithm::Serial.builder().build(&data.context(&b, 1e-14), &Restricted(&d)).g;
-        let mats = replicated_sweep(&b, ReplicatedDensity::restricted(&d));
-        assert!(mats[0].max_abs_diff(&want) < 1e-12, "diff {}", mats[0].max_abs_diff(&want));
+        let got = replicated_sweep(&b, &d);
+        assert!(got.max_abs_diff(&want) < 1e-12, "diff {}", got.max_abs_diff(&want));
     }
 
     #[test]
-    fn rowshard_backends_match_replicated_restricted_and_uhf() {
+    fn rowshard_backends_match_replicated() {
         let b = BasisSet::build(&small::water(), BasisName::B631g);
         let n = b.n_basis();
-        let d_a = density(n);
-        let mut d_b = density(n);
-        d_b.scale(0.7);
-        let restricted = ReplicatedDensity::restricted(&d_a);
-        assert_rowshard_matches("restricted", &b, restricted, &replicated_sweep(&b, restricted));
-        let total = d_a.add(&d_b);
-        let unrestricted = ReplicatedDensity::unrestricted(&total, &d_a, &d_b);
-        let want = replicated_sweep(&b, unrestricted);
-        assert_rowshard_matches("unrestricted", &b, unrestricted, &want);
+        let d = density(n);
+        let want = replicated_sweep(&b, &d);
+        let d_win = scatter_density(&d, n, 3);
+        let f_win = DistributedArray::new(tri_len(n), 3);
+        let mut fock = RowShardFock::new(&f_win, n, 0);
+        sweep(&b, &mut ShardDensity::new(&d_win, n, 0), &mut fock);
+        fock.flush();
+        let got = gather_tri(&f_win, n);
+        assert!(got.max_abs_diff(&want) < 1e-12, "diff {}", got.max_abs_diff(&want));
     }
 
     #[test]
     fn shard_density_cache_stays_bounded_and_reads_symmetric() {
         let n = 40;
         let d = density(n);
-        let wins = scatter_density(&ReplicatedDensity::restricted(&d), n, 4);
-        let mut reader = ShardDensity::new(&wins, n, 1);
+        let win = scatter_density(&d, n, 4);
+        let mut reader = ShardDensity::new(&win, n, 1);
         let unit = |lo| Span { lo, n: 1 };
         for p in 0..n {
             for q in 0..n {
                 let mut v = [0.0];
-                reader.block(0, unit(p), unit(q), &mut v);
+                reader.block(unit(p), unit(q), &mut v);
                 assert_eq!(v[0], d[(p, q)], "({p},{q})");
             }
         }
@@ -611,7 +515,7 @@ mod tests {
         for (rows, cols) in [((20, 5), (3, 4)), ((3, 4), (20, 5)), ((11, 6), (11, 6))] {
             let (rows, cols) = (Span { lo: rows.0, n: rows.1 }, Span { lo: cols.0, n: cols.1 });
             let mut got = vec![0.0; rows.n * cols.n];
-            reader.block(0, rows, cols, &mut got);
+            reader.block(rows, cols, &mut got);
             for (at, v) in got.iter().enumerate() {
                 let (p, q) = (rows.lo + at / cols.n, cols.lo + at % cols.n);
                 assert_eq!(*v, d[(p, q)], "block {rows:?} x {cols:?} at ({p},{q})");
@@ -630,13 +534,12 @@ mod tests {
         assert_eq!(cached, reader.cached_elems);
     }
 
-    /// Every canonical update the digester emits, as
-    /// `(channel, mu, nu, value)`.
-    struct Recorded(Vec<(usize, usize, usize, f64)>);
+    /// Every canonical update the digester emits, as `(mu, nu, value)`.
+    struct Recorded(Vec<(usize, usize, f64)>);
 
-    impl ChannelSink for Recorded {
-        fn add_block(&mut self, ch: usize, blk: &Block<'_>) {
-            blk.for_each(|mu, nu, v| self.0.push((ch, mu, nu, v)));
+    impl FockSink for Recorded {
+        fn add_block(&mut self, blk: &Block<'_>) {
+            blk.for_each(|mu, nu, v| self.0.push((mu, nu, v)));
         }
     }
 
@@ -649,85 +552,13 @@ mod tests {
         }
     }
 
-    /// The routing test over one density set: each update lands in exactly
-    /// one of FI, FJ or the `(k, l)` destination, at the slot that drains
-    /// back to it, and the drained quartet equals the replicated digestion.
-    fn assert_routes_once<const NCH: usize>(
-        b: &BasisSet,
-        mut dens: ReplicatedDensity<'_, NCH>,
-        picks: &[(usize, usize, usize, usize)],
-    ) {
-        let (n, w) = (b.n_basis(), b.max_shell_width());
-        let data = FockData::build(b);
-        let ctx = data.context(b, 0.0);
-        let sig = SignificantPairs::new(ctx.screening, ctx.tau);
-        let mut quartets = Quartets::new(&ctx, &sig);
-        let mut strips = vec![0.0; 2 * NCH * n * w];
-        for &(i, j, k, l) in picks {
-            let sh = |s: usize| &b.shells[s];
-            quartets.quartet(i, j, k, l, |eri| {
-                let mut updates = Recorded(Vec::new());
-                digest(b, i, j, k, l, eri, &mut dens, &mut updates);
-                let mut want = ReplicatedFock::new(NCH, n);
-                for &(ch, mu, nu, v) in &updates.0 {
-                    want.add_block(ch, &unit(mu, nu, &v));
-                }
-
-                // Route a unit update for each; draining must hand back
-                // exactly that one element and leave nothing behind.
-                let (fi, fj) = strips.split_at_mut(NCH * n * w);
-                let (mut fi, mut fj) = (fi.chunks_mut(n * w), fj.chunks_mut(n * w));
-                let mut kl = Recorded(Vec::new());
-                let mut r = StripRouter::<_, NCH> {
-                    fi: std::array::from_fn(|_| fi.next().expect("one FI strip per channel")),
-                    fj: std::array::from_fn(|_| fj.next().expect("one FJ strip per channel")),
-                    kl: &mut kl,
-                    n,
-                    i: Span::of(sh(i)),
-                    j: Span::of(sh(j)),
-                };
-                for &(ch, mu, nu, _) in &updates.0 {
-                    r.add_block(ch, &unit(mu, nu, &1.0));
-                    let mut hits: Vec<_> = r.kl.0.drain(..).map(|(_, m, q, v)| (m, q, v)).collect();
-                    let push = |m, q, v| hits.push((m, q, v));
-                    drain_strip(&mut *r.fi[ch], sh(i).first_bf, n, push);
-                    let push = |m, q, v| hits.push((m, q, v));
-                    drain_strip(&mut *r.fj[ch], sh(j).first_bf, n, push);
-                    assert_eq!(hits, [(mu, nu, 1.0)], "({i}{j}|{k}{l}) update ({mu}, {nu})");
-                }
-                assert!(strips.iter().all(|&v| v == 0.0));
-
-                // Digest through the router, as the builds do, drain, and
-                // compare with the replicated sum.
-                let mut got = ReplicatedFock::new(NCH, n);
-                let (fi, fj) = strips.split_at_mut(NCH * n * w);
-                let (mut fis, mut fjs) = (fi.chunks_mut(n * w), fj.chunks_mut(n * w));
-                let mut r = StripRouter::<_, NCH> {
-                    fi: std::array::from_fn(|_| fis.next().expect("one FI strip per channel")),
-                    fj: std::array::from_fn(|_| fjs.next().expect("one FJ strip per channel")),
-                    kl: &mut got,
-                    n,
-                    i: Span::of(sh(i)),
-                    j: Span::of(sh(j)),
-                };
-                digest(b, i, j, k, l, eri, &mut dens, &mut r);
-                let (fi, fj) = strips.split_at_mut(NCH * n * w);
-                for (ch, (fi, fj)) in fi.chunks_mut(n * w).zip(fj.chunks_mut(n * w)).enumerate() {
-                    for (strip, lo) in [(fi, sh(i).first_bf), (fj, sh(j).first_bf)] {
-                        drain_strip(strip, lo, n, |mu, nu, v| got.add_block(ch, &unit(mu, nu, &v)));
-                    }
-                }
-                for (g, w) in got.bufs.iter().zip(&want.bufs) {
-                    assert!((g - w).abs() <= 1e-14, "({i}{j}|{k}{l}): {g} vs {w}");
-                }
-            });
-        }
-    }
-
     #[test]
-    fn strip_router_lands_every_update_once_rhf_and_uhf() {
+    fn strip_router_lands_every_update_once() {
         // Water/6-31G(d): s, SP and d shells. Seeded canonical quartets,
         // plus the coincidences that send the (k, l) block into FI or FJ.
+        // Each update lands in exactly one of FI, FJ or the (k, l)
+        // destination, at the slot that drains back to it, and the drained
+        // quartet equals the replicated digestion.
         let b = BasisSet::build(&small::water(), BasisName::B631gd);
         let ns = b.n_shells();
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -743,34 +574,89 @@ mod tests {
             let l = draw(crate::fock::kl_bounds(i, j, k) + 1);
             picks.push((i, j, k, l));
         }
-        let n = b.n_basis();
-        let d_a = density(n);
-        let mut d_b = density(n);
-        d_b.scale(0.7);
-        let total = d_a.add(&d_b);
-        assert_routes_once(&b, ReplicatedDensity::restricted(&d_a), &picks);
-        assert_routes_once(&b, ReplicatedDensity::unrestricted(&total, &d_a, &d_b), &picks);
+        let (n, w) = (b.n_basis(), b.max_shell_width());
+        let d = density(n);
+        let mut dens = ReplicatedDensity(&d);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 0.0);
+        let sig = SignificantPairs::new(ctx.screening, ctx.tau);
+        let mut quartets = Quartets::new(&ctx, &sig);
+        let (mut fi, mut fj) = (vec![0.0; n * w], vec![0.0; n * w]);
+        for (i, j, k, l) in picks {
+            let sh = |s: usize| &b.shells[s];
+            quartets.quartet(i, j, k, l, |eri| {
+                let mut updates = Recorded(Vec::new());
+                digest(&b, i, j, k, l, eri, &mut dens, &mut updates);
+                let mut want = ReplicatedFock::new(n);
+                for &(mu, nu, v) in &updates.0 {
+                    want.add_block(&unit(mu, nu, &v));
+                }
+
+                // Route a unit update for each; draining must hand back
+                // exactly that one element and leave nothing behind.
+                let mut kl = Recorded(Vec::new());
+                let mut r = StripRouter {
+                    fi: &mut fi,
+                    fj: &mut fj,
+                    kl: &mut kl,
+                    n,
+                    i: Span::of(sh(i)),
+                    j: Span::of(sh(j)),
+                };
+                for &(mu, nu, _) in &updates.0 {
+                    r.add_block(&unit(mu, nu, &1.0));
+                    let mut hits: Vec<_> = r.kl.0.drain(..).collect();
+                    let push = |m, q, v| hits.push((m, q, v));
+                    drain_strip(&mut *r.fi, sh(i).first_bf, n, push);
+                    let push = |m, q, v| hits.push((m, q, v));
+                    drain_strip(&mut *r.fj, sh(j).first_bf, n, push);
+                    assert_eq!(hits, [(mu, nu, 1.0)], "({i}{j}|{k}{l}) update ({mu}, {nu})");
+                }
+                assert!(fi.iter().chain(&fj).all(|&v| v == 0.0));
+
+                // Digest through the router, as the builds do, drain, and
+                // compare with the replicated sum.
+                let mut got = ReplicatedFock::new(n);
+                let mut r = StripRouter {
+                    fi: &mut fi,
+                    fj: &mut fj,
+                    kl: &mut got,
+                    n,
+                    i: Span::of(sh(i)),
+                    j: Span::of(sh(j)),
+                };
+                digest(&b, i, j, k, l, eri, &mut dens, &mut r);
+                for (strip, lo) in [(&mut fi, sh(i).first_bf), (&mut fj, sh(j).first_bf)] {
+                    drain_strip(strip, lo, n, |mu, nu, v| got.add_block(&unit(mu, nu, &v)));
+                }
+                for (g, w) in got.buf.iter().zip(&want.buf) {
+                    assert!((g - w).abs() <= 1e-14, "({i}{j}|{k}{l}): {g} vs {w}");
+                }
+            });
+        }
     }
 
     #[test]
     fn rowshard_flush_merges_duplicates_and_coalesces_runs() {
         let n = 8;
-        let wins = vec![DistributedArray::new(tri_len(n), 2)];
-        let mut acc = RowShardFock::new(&wins, n, 0);
-        acc.add(0, 3, 1, 2.0);
-        acc.add(0, 3, 1, 0.5); // duplicate key: merged before the acc
-        acc.add(0, 3, 2, 1.0); // adjacent: same run
-        acc.add(0, 6, 0, 4.0); // separate run
-                               // A block pushes its nonzero entries only: (6, 1), adjacent.
+        let win = DistributedArray::new(tri_len(n), 2);
+        let mut acc = RowShardFock::new(&win, n, 0);
+        acc.add(3, 1, 2.0);
+        acc.add(3, 1, 0.5); // duplicate key: merged before the acc
+        acc.add(3, 2, 1.0); // adjacent: same run
+        acc.add(6, 0, 4.0); // separate run
+
+        // A block pushes its nonzero entries only: (6, 1), adjacent.
         let vals = [0.0, 0.5, 0.0, 0.0];
-        acc.add_block(
-            0,
-            &Block { rows: Span { lo: 6, n: 2 }, cols: Span { lo: 0, n: 2 }, vals: &vals },
-        );
+        acc.add_block(&Block {
+            rows: Span { lo: 6, n: 2 },
+            cols: Span { lo: 0, n: 2 },
+            vals: &vals,
+        });
         assert_eq!(acc.entries, 5);
         acc.flush();
         assert_eq!(acc.flushes, 2, "two coalesced runs");
-        let m = gather_tri(&wins[0], n);
+        let m = gather_tri(&win, n);
         assert_eq!(m[(3, 1)], 2.5);
         assert_eq!(m[(3, 2)], 1.0);
         assert_eq!(m[(6, 0)], 4.0);
@@ -782,7 +668,7 @@ mod tests {
     fn scatter_gather_roundtrip() {
         let n = 17;
         let d = density(n);
-        let wins = scatter_density(&ReplicatedDensity::restricted(&d), n, 5);
-        assert_eq!(gather_tri(&wins[0], n).max_abs_diff(&d), 0.0);
+        let win = scatter_density(&d, n, 5);
+        assert_eq!(gather_tri(&win, n).max_abs_diff(&d), 0.0);
     }
 }

@@ -88,60 +88,19 @@ impl FockAlgorithm {
     }
 }
 
-/// Result of one two-electron Fock build, spin-generalized: restricted
-/// builds fill `g` only; unrestricted builds fill `g` with the alpha
-/// channel and `g_beta` with the beta channel.
+/// Result of one two-electron Fock build.
 pub struct GBuild {
-    /// The two-electron contribution `G` (full symmetric matrix): the RHF
-    /// `G(D)`, or the alpha-spin `G_alpha = J(D_t) - K(D_alpha)` of a UHF
-    /// build.
+    /// The two-electron contribution `G(D) = J(D) - K(D)/2` (full
+    /// symmetric matrix).
     pub g: Mat,
-    /// The beta-spin channel of a UHF build; `None` for restricted builds.
-    pub g_beta: Option<Mat>,
     pub stats: FockBuildStats,
 }
 
-impl GBuild {
-    /// Assemble from per-channel matrices (one = restricted, two = UHF
-    /// alpha/beta).
-    pub fn from_channels(mats: Vec<Mat>, stats: FockBuildStats) -> GBuild {
-        let mut it = mats.into_iter();
-        let g = it
-            .next()
-            .expect("from_channels needs at least one spin-channel matrix (got an empty vec)");
-        GBuild { g, g_beta: it.next(), stats }
-    }
-}
-
-/// Spin-generalized density input for one Fock build.
-///
-/// Every builder consumes this and produces the matching [`GBuild`]:
-///
-/// * `Restricted(D)` — closed-shell RHF; the output is
-///   `G = J(D) - K(D)/2`.
-/// * `Unrestricted { alpha, beta }` — the UHF spin densities (each without
-///   the RHF factor of 2); the outputs are `G_s = J(D_a + D_b) - K(D_s)`
-///   for `s` in alpha, beta — exactly the two-electron parts of the UHF
-///   spin Fock matrices `F_s = H + G_s`. Every ERI is computed once and
-///   digested into both spin channels, which is the generalization the
-///   paper's conclusion points at ("UHF, GVB, DFT, CPHF all have this
-///   structure").
+/// Density input for one Fock build: the closed-shell RHF density `D`,
+/// for which every builder returns `G = J(D) - K(D)/2`.
 #[derive(Clone, Copy)]
 pub enum DensitySet<'a> {
     Restricted(&'a Mat),
-    Unrestricted { alpha: &'a Mat, beta: &'a Mat },
-}
-
-impl<'a> DensitySet<'a> {
-    /// View a spin-channel list as the matching set: one matrix is
-    /// restricted, two are alpha then beta.
-    pub fn from_channels(mats: &[&'a Mat]) -> DensitySet<'a> {
-        match mats {
-            [d] => DensitySet::Restricted(d),
-            [alpha, beta] => DensitySet::Unrestricted { alpha, beta },
-            _ => panic!("a density set has 1 (RHF) or 2 (UHF) channels, got {}", mats.len()),
-        }
-    }
 }
 
 /// The basis functions `lo..lo + n` of one shell.
@@ -189,99 +148,43 @@ impl Block<'_> {
 }
 
 /// Read side of digestion: the density sub-blocks a quartet needs.
-/// Implemented by [`ReplicatedDensity`] (full matrices on this rank) and
+/// Implemented by [`ReplicatedDensity`] (the full matrix on this rank) and
 /// [`matrix::ShardDensity`] (tri-packed DDI row shards).
 pub trait DensityRead {
-    /// Spin output channels this density feeds (1 restricted, 2
-    /// unrestricted).
-    fn n_channels(&self) -> usize;
-    /// Exchange scale: RHF digests `-X/2 * D`, UHF `-X * D_s`.
-    fn k_factor(&self) -> f64;
-    /// Copy the `rows x cols` block of density `src` into `out`,
-    /// row-major: `src` 0 is the Coulomb source (`D` restricted,
-    /// `D_alpha + D_beta` UHF), `1 + ch` spin channel `ch`'s exchange
-    /// source.
-    fn block(&mut self, src: usize, rows: Span, cols: Span, out: &mut [f64]);
+    /// Copy the `rows x cols` block of `D` into `out`, row-major.
+    fn block(&mut self, rows: Span, cols: Span, out: &mut [f64]);
 }
 
-/// Write side of digestion: canonical update blocks into spin channel
-/// `ch`'s Fock matrix.
-pub trait ChannelSink {
-    fn add_block(&mut self, ch: usize, blk: &Block<'_>);
-}
-
-/// One single-matrix sink per spin channel.
-impl<S: FockSink> ChannelSink for [S] {
-    #[inline(always)]
-    fn add_block(&mut self, ch: usize, blk: &Block<'_>) {
-        blk.for_each(|mu, nu, v| self[ch].add(mu, nu, v));
-    }
-}
-
-/// The replicated [`DensityRead`] backend: full matrices on this rank,
-/// with the channel count fixed at compile time so the restricted hot
-/// loop carries no per-channel branching.
-#[derive(Clone, Copy)]
-pub struct ReplicatedDensity<'a, const NCH: usize> {
-    pub coulomb: &'a Mat,
-    pub exchange: [&'a Mat; NCH],
-}
-
-impl<'a> ReplicatedDensity<'a, 1> {
-    /// Closed-shell RHF: one matrix is both Coulomb and exchange source.
-    pub fn restricted(d: &'a Mat) -> Self {
-        ReplicatedDensity { coulomb: d, exchange: [d] }
-    }
-}
-
-impl<'a> ReplicatedDensity<'a, 2> {
-    /// UHF: `total = alpha + beta` is formed once per build by the caller.
-    pub fn unrestricted(total: &'a Mat, alpha: &'a Mat, beta: &'a Mat) -> Self {
-        ReplicatedDensity { coulomb: total, exchange: [alpha, beta] }
-    }
-}
-
-impl<const NCH: usize> DensityRead for ReplicatedDensity<'_, NCH> {
-    #[inline]
-    fn n_channels(&self) -> usize {
-        NCH
-    }
-
-    #[inline]
-    fn k_factor(&self) -> f64 {
-        if NCH == 1 {
-            -0.5
-        } else {
-            -1.0
-        }
-    }
-
-    #[inline(always)]
-    fn block(&mut self, src: usize, rows: Span, cols: Span, out: &mut [f64]) {
-        let m = if src == 0 { self.coulomb } else { self.exchange[src - 1] };
-        for (a, o) in out[..rows.n * cols.n].chunks_exact_mut(cols.n).enumerate() {
-            o.copy_from_slice(&m.row(rows.lo + a)[cols.lo..cols.lo + cols.n]);
-        }
-    }
-}
-
-/// Destination of canonical Fock updates (`mu >= nu` always).
+/// Write side of digestion: canonical update blocks into one Fock matrix.
 pub trait FockSink {
-    fn add(&mut self, mu: usize, nu: usize, v: f64);
+    fn add_block(&mut self, blk: &Block<'_>);
+}
+
+/// The replicated [`DensityRead`] backend: the full density on this rank.
+#[derive(Clone, Copy)]
+pub struct ReplicatedDensity<'a>(pub &'a Mat);
+
+impl DensityRead for ReplicatedDensity<'_> {
+    #[inline(always)]
+    fn block(&mut self, rows: Span, cols: Span, out: &mut [f64]) {
+        for (a, o) in out[..rows.n * cols.n].chunks_exact_mut(cols.n).enumerate() {
+            o.copy_from_slice(&self.0.row(rows.lo + a)[cols.lo..cols.lo + cols.n]);
+        }
+    }
 }
 
 /// A plain lower-triangle sink over a square row-major buffer with known
-/// dimension (avoids the sqrt in the `[f64]` impl on hot paths).
+/// dimension.
 pub struct TriSink<'a> {
     pub buf: &'a mut [f64],
     pub n: usize,
 }
 
 impl FockSink for TriSink<'_> {
-    #[inline]
-    fn add(&mut self, mu: usize, nu: usize, v: f64) {
-        debug_assert!(mu >= nu);
-        self.buf[mu * self.n + nu] += v;
+    #[inline(always)]
+    fn add_block(&mut self, blk: &Block<'_>) {
+        let n = self.n;
+        blk.for_each(|mu, nu, v| self.buf[mu * n + nu] += v);
     }
 }
 
@@ -290,17 +193,16 @@ impl FockSink for TriSink<'_> {
 const SCRATCH_BLOCKS: usize = 13;
 
 /// Digest one *canonical* shell quartet `(si sj | sk sl)` (shell indices
-/// `si >= sj`, `sk >= sl`, `pair(si,sj) >= pair(sk,sl)`) into every spin
-/// channel: the paper's equations (2a)–(2f) as six block updates, Coulomb
-/// `J_ij` and `J_kl` into every channel, exchange `K_ik`, `K_il`, `K_jk`
-/// and `K_jl` per channel.
+/// `si >= sj`, `sk >= sl`, `pair(si,sj) >= pair(sk,sl)`): the paper's
+/// equations (2a)–(2f) as six block updates, Coulomb `J_ij` and `J_kl`,
+/// exchange `K_ik`, `K_il`, `K_jk` and `K_jl`.
 ///
 /// `quartet` is the ERI buffer laid out `[n_i][n_j][n_k][n_l]`. The one
-/// digester of the crate: every builder, replicated or sharded, RHF or
-/// UHF, is an instantiation of it. Its block scratch is per worker
-/// thread, sized from the basis's widest shell the first time.
+/// digester of the crate: every builder, replicated or sharded, is an
+/// instantiation of it. Its block scratch is per worker thread, sized
+/// from the basis's widest shell the first time.
 #[allow(clippy::too_many_arguments)]
-pub fn digest<D: DensityRead + ?Sized, S: ChannelSink + ?Sized>(
+pub fn digest<D: DensityRead + ?Sized, S: FockSink + ?Sized>(
     basis: &BasisSet,
     si: usize,
     sj: usize,
@@ -316,7 +218,7 @@ pub fn digest<D: DensityRead + ?Sized, S: ChannelSink + ?Sized>(
     let spans = [si, sj, sk, sl].map(|s| Span::of(&basis.shells[s]));
     if spans.iter().all(|p| p.n == 1) {
         // Four single-function shells: spelled out as width one, every
-        // block loop folds into six scalar updates per channel.
+        // block loop folds into six scalar updates.
         let unit = spans.map(|p| Span { lo: p.lo, n: 1 });
         return digest_blocks(unit, quartet, &mut [0.0; SCRATCH_BLOCKS], dens, sink);
     }
@@ -333,17 +235,17 @@ pub fn digest<D: DensityRead + ?Sized, S: ChannelSink + ?Sized>(
 /// The block digester over the four shells' spans.
 ///
 /// Every ordered function tuple of the quartet's orbit contributes
-/// `F_ab += D_ce X` and `F_ac += k X D_be`. The whole `[n_i][n_j][n_k][n_l]`
+/// `F_ab += D_ce X` and `F_ac -= X/2 D_be`. The whole `[n_i][n_j][n_k][n_l]`
 /// buffer under all eight index permutations covers each such tuple
 /// `8 / g` times, `g` the number of distinct ordered shell quartets in the
 /// orbit, so every buffer element enters with weight `g / 8`. Collected by
 /// destination, the permutations pair up into six blocks, each landing on
 /// an element and its mirror: `2 (g / 8) J` per mirror for the two
-/// Coulomb blocks, `k (g / 8) K` for the four exchange blocks. A block
-/// over two shells lands on the canonical triangle transposed if needed;
-/// a block over one shell folds `B + Bᵀ` onto its lower triangle.
+/// Coulomb blocks, `-(1/2) (g / 8) K` for the four exchange blocks. A
+/// block over two shells lands on the canonical triangle transposed if
+/// needed; a block over one shell folds `B + Bᵀ` onto its lower triangle.
 #[inline(always)]
-fn digest_blocks<D: DensityRead + ?Sized, S: ChannelSink + ?Sized>(
+fn digest_blocks<D: DensityRead + ?Sized, S: FockSink + ?Sized>(
     [pi, pj, pk, pl]: [Span; 4],
     x: &[f64],
     scratch: &mut [f64],
@@ -351,44 +253,39 @@ fn digest_blocks<D: DensityRead + ?Sized, S: ChannelSink + ?Sized>(
     sink: &mut S,
 ) {
     let g = f64::from(1u8 << ((pi != pj) as u8 + (pk != pl) as u8 + ((pi, pj) != (pk, pl)) as u8));
-    let (cj, ck) = (g / 4.0, dens.k_factor() * g / 8.0);
-    let nch = dens.n_channels();
+    let (cj, ck) = (g / 4.0, -0.5 * g / 8.0);
     let m = pi.n.max(pj.n).max(pk.n).max(pl.n);
     let mut blocks = scratch[..SCRATCH_BLOCKS * m * m].chunks_exact_mut(m * m);
     let [dij, dkl, dik, dil, djk, djl, jij, jkl, kik, kil, kjk, kjl, canon] =
         std::array::from_fn(|_| blocks.next().expect("one scratch block each"));
-    dens.block(0, pi, pj, dij);
-    dens.block(0, pk, pl, dkl);
-    let n = [pi.n, pj.n, pk.n, pl.n];
-    for ch in 0..nch {
-        dens.block(1 + ch, pi, pk, dik);
-        dens.block(1 + ch, pi, pl, dil);
-        dens.block(1 + ch, pj, pk, djk);
-        dens.block(1 + ch, pj, pl, djl);
-        let dblk = [&*dij, &*dkl, &*dik, &*dil, &*djk, &*djl];
-        let oblk = [&mut *jij, &mut *jkl, &mut *kik, &mut *kil, &mut *kjk, &mut *kjl];
-        if ch == 0 {
-            contract::<true>(x, n, dblk, oblk);
-            emit(sink, 0..nch, pi, pj, jij, cj, canon);
-            emit(sink, 0..nch, pk, pl, jkl, cj, canon);
-        } else {
-            contract::<false>(x, n, dblk, oblk);
-        }
-        emit(sink, ch..ch + 1, pi, pk, kik, ck, canon);
-        emit(sink, ch..ch + 1, pi, pl, kil, ck, canon);
-        emit(sink, ch..ch + 1, pj, pk, kjk, ck, canon);
-        emit(sink, ch..ch + 1, pj, pl, kjl, ck, canon);
-    }
+    dens.block(pi, pj, dij);
+    dens.block(pk, pl, dkl);
+    dens.block(pi, pk, dik);
+    dens.block(pi, pl, dil);
+    dens.block(pj, pk, djk);
+    dens.block(pj, pl, djl);
+    contract(
+        x,
+        [pi.n, pj.n, pk.n, pl.n],
+        [&*dij, &*dkl, &*dik, &*dil, &*djk, &*djl],
+        [&mut *jij, &mut *jkl, &mut *kik, &mut *kil, &mut *kjk, &mut *kjl],
+    );
+    emit(sink, pi, pj, jij, cj, canon);
+    emit(sink, pk, pl, jkl, cj, canon);
+    emit(sink, pi, pk, kik, ck, canon);
+    emit(sink, pi, pl, kil, ck, canon);
+    emit(sink, pj, pk, kjk, ck, canon);
+    emit(sink, pj, pl, kjl, ck, canon);
 }
 
 /// Contract the ERI block `x` with the gathered density blocks
 /// `[D_ij, D_kl, D_ik, D_il, D_jk, D_jl]` into
-/// `[J_ij, J_kl, K_ik, K_il, K_jk, K_jl]`: `K_ik += X D_jl`,
-/// `K_il += X D_jk`, `K_jk += X D_il`, `K_jl += X D_ik` and, with `J`,
-/// `J_ij = X D_kl` and `J_kl += X D_ij`, the accumulated blocks zeroed
-/// first over their extents only.
+/// `[J_ij, J_kl, K_ik, K_il, K_jk, K_jl]`: `J_ij = X D_kl`,
+/// `J_kl += X D_ij`, `K_ik += X D_jl`, `K_il += X D_jk`, `K_jk += X D_il`
+/// and `K_jl += X D_ik`, the accumulated blocks zeroed first over their
+/// extents only.
 #[inline(always)]
-fn contract<const J: bool>(
+fn contract(
     x: &[f64],
     [ni, nj, nk, nl]: [usize; 4],
     [dij, dkl, dik, dil, djk, djl]: [&[f64]; 6],
@@ -399,9 +296,7 @@ fn contract<const J: bool>(
         blk[..len].fill(0.0);
     }
     kjl[..nj * nl].fill(0.0);
-    if J {
-        jkl[..nkl].fill(0.0);
-    }
+    jkl[..nkl].fill(0.0);
     for (ab, xab) in x[..ni * nj * nkl].chunks_exact(nkl).enumerate() {
         let (a, b) = (ab / nj, ab % nj);
         let d_ab = dij[ab];
@@ -416,10 +311,8 @@ fn contract<const J: bool>(
             let (mut s_j, mut s_ik, mut s_jk) = (0.0, 0.0, 0.0);
             for dd in 0..nl {
                 let v = xc[dd];
-                if J {
-                    s_j += v * dkl_c[dd];
-                    jkl_c[dd] += v * d_ab;
-                }
+                s_j += v * dkl_c[dd];
+                jkl_c[dd] += v * d_ab;
                 s_ik += v * djl_b[dd];
                 s_jk += v * dil_a[dd];
                 kil_a[dd] += v * d_jk;
@@ -429,19 +322,16 @@ fn contract<const J: bool>(
             kik[a * nk + c] += s_ik;
             kjk[b * nk + c] += s_jk;
         }
-        if J {
-            jij[ab] = j_ab;
-        }
+        jij[ab] = j_ab;
     }
 }
 
 /// Scale result block `b` over shells `(p, q)` by `c`, lay it on the
 /// canonical triangle in `canon` (transposed when `p` precedes `q`, folded
-/// `c (B + Bᵀ)` when they coincide) and add it to every channel in `chs`.
+/// `c (B + Bᵀ)` when they coincide) and add it to `sink`.
 #[inline(always)]
-fn emit<S: ChannelSink + ?Sized>(
+fn emit<S: FockSink + ?Sized>(
     sink: &mut S,
-    chs: std::ops::Range<usize>,
     p: Span,
     q: Span,
     b: &[f64],
@@ -457,10 +347,7 @@ fn emit<S: ChannelSink + ?Sized>(
             canon[r * cols.n + t] = c * if p == q { v + b[t * rs + r * ts] } else { v };
         }
     }
-    let blk = Block { rows, cols, vals: canon };
-    for ch in chs {
-        sink.add_block(ch, &blk);
-    }
+    sink.add_block(&Block { rows, cols, vals: canon });
 }
 
 /// The closed-shell instantiation of [`digest`] over one full density
@@ -476,8 +363,7 @@ pub fn digest_quartet(
     d: &Mat,
     sink: &mut impl FockSink,
 ) {
-    let mut dens = ReplicatedDensity::restricted(d);
-    digest(basis, si, sj, sk, sl, quartet, &mut dens, std::slice::from_mut(sink));
+    digest(basis, si, sj, sk, sl, quartet, &mut ReplicatedDensity(d), sink);
 }
 
 /// Mirror a lower-triangular accumulation into a full symmetric matrix.
@@ -532,18 +418,53 @@ mod tests {
         d
     }
 
+    /// The full AO ERI tensor `(pq|rs)` at `((p n + q) n + r) n + s`, no
+    /// screening and every primitive pair kept: all `ns^2` ordered shell
+    /// pairs against all, with no permutational symmetry.
+    fn compute_ao(basis: &BasisSet) -> Vec<f64> {
+        use phi_integrals::{EriEngine, ShellPair};
+        let (n, shells) = (basis.n_basis(), &basis.shells);
+        let mut t = vec![0.0; n * n * n * n];
+        let mut engine = EriEngine::new();
+        engine.prefactor_cutoff = 0.0;
+        let pairs: Vec<ShellPair> = (0..shells.len() * shells.len())
+            .map(|ij| {
+                let (i, j) = (ij / shells.len(), ij % shells.len());
+                ShellPair::build(i, j, &shells[i], &shells[j], 0.0)
+            })
+            .collect();
+        let mut buf: Vec<f64> = Vec::new();
+        for bra in &pairs {
+            let (a, b) = (&shells[bra.i], &shells[bra.j]);
+            for ket in &pairs {
+                let (c, d) = (&shells[ket.i], &shells[ket.j]);
+                let (nb, nc, nd) = (bra.b.n_fn, ket.a.n_fn, ket.b.n_fn);
+                buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
+                engine.shell_quartet_pairs(bra, ket, &mut buf);
+                for (at, &v) in buf.iter().enumerate() {
+                    let (ia, ib) = (at / (nb * nc * nd), at / (nc * nd) % nb);
+                    let (ic, id) = (at / nd % nc, at % nd);
+                    let (p, q) = (a.first_bf + ia, b.first_bf + ib);
+                    let (r, s) = (c.first_bf + ic, d.first_bf + id);
+                    t[((p * n + q) * n + r) * n + s] = v;
+                }
+            }
+        }
+        t
+    }
+
     /// Brute-force reference: build G (the two-electron Fock contribution)
     /// from the full AO ERI tensor with no symmetry exploitation. O(N^4)
     /// memory and quartet evaluations — tests only.
     fn brute_force_g(basis: &BasisSet, d: &Mat) -> Mat {
-        let eri = crate::mp2::EriTensor::compute_ao(basis);
-        let n = eri.n();
+        let eri = compute_ao(basis);
+        let n = basis.n_basis();
         let mut g = Mat::zeros(n, n);
         for mu in 0..n {
             for nu in 0..n {
                 for lam in 0..n {
                     for sig in 0..n {
-                        let x = eri.get(mu, nu, lam, sig);
+                        let x = eri[((mu * n + nu) * n + lam) * n + sig];
                         // J
                         g[(mu, nu)] += d[(lam, sig)] * x;
                         // K with the RHF -1/2 factor.
@@ -600,14 +521,6 @@ mod tests {
         assert!(exact.max_abs_diff(&coarse) > exact.max_abs_diff(&screened));
     }
 
-    /// A UHF pair beside `d`: `(beta, alpha + beta)` with `alpha = d`.
-    fn beta_and_total(d: &Mat) -> (Mat, Mat) {
-        let n = d.rows();
-        let beta = Mat::from_fn(n, n, |p, q| 0.6 * d[(p, q)] - 0.01 * (p + q) as f64);
-        let total = d.add(&beta);
-        (beta, total)
-    }
-
     /// The ERI buffers of `quartets` on `b`.
     fn eris(b: &BasisSet, quartets: &[[usize; 4]]) -> Vec<Vec<f64>> {
         let data = FockData::build(b);
@@ -624,17 +537,10 @@ mod tests {
     /// The per-integral orbit walk the block digester replaced: each
     /// canonical integral of quartet `q` visits the eight ordered tuples of
     /// its orbit, skips duplicates by searching the tuples before it, and
-    /// adds canonical updates to the lower-triangle buffers `out` one
+    /// adds canonical updates to the lower-triangle buffer `out` one
     /// element at a time.
-    fn orbit_walk<const NCH: usize>(
-        b: &BasisSet,
-        q: [usize; 4],
-        eri: &[f64],
-        dens: &ReplicatedDensity<'_, NCH>,
-        out: &mut [Vec<f64>],
-    ) {
+    fn orbit_walk(b: &BasisSet, q: [usize; 4], eri: &[f64], d: &Mat, out: &mut [f64]) {
         let n = b.n_basis();
-        let kf = dens.k_factor();
         let sh = q.map(|s| &b.shells[s]);
         let [ni, nj, nk, nl] = sh.map(|s| s.n_functions());
         let [si, sj, sk, sl] = q;
@@ -665,13 +571,11 @@ mod tests {
                             if orbit[..idx].contains(&(p, q, r, t)) {
                                 continue;
                             }
-                            for (ch, out) in out.iter_mut().enumerate() {
-                                if p >= q {
-                                    out[p * n + q] += dens.coulomb[(r, t)] * x;
-                                }
-                                if p >= r {
-                                    out[p * n + r] += kf * x * dens.exchange[ch][(q, t)];
-                                }
+                            if p >= q {
+                                out[p * n + q] += d[(r, t)] * x;
+                            }
+                            if p >= r {
+                                out[p * n + r] += -0.5 * x * d[(q, t)];
                             }
                         }
                     }
@@ -685,26 +589,6 @@ mod tests {
         let scale = want.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
         let diff = got.max_abs_diff(want);
         assert!(diff <= rel * scale, "{label}: differs by {diff:e} (largest element {scale:e})");
-    }
-
-    /// The block digester over every canonical quartet of `b` against the
-    /// orbit walk, per channel.
-    fn assert_digest_matches_the_orbit_walk<const NCH: usize>(
-        b: &BasisSet,
-        quartets: &[[usize; 4]],
-        eris: &[Vec<f64>],
-        mut dens: ReplicatedDensity<'_, NCH>,
-    ) {
-        let n = b.n_basis();
-        let mut got = matrix::ReplicatedFock::new(NCH, n);
-        let mut want = vec![vec![0.0; n * n]; NCH];
-        for (&[i, j, k, l], eri) in quartets.iter().zip(eris) {
-            digest(b, i, j, k, l, eri, &mut dens, &mut got);
-            orbit_walk(b, [i, j, k, l], eri, &dens, &mut want);
-        }
-        for (ch, (got, want)) in got.into_mats().iter().zip(&want).enumerate() {
-            assert_close(&format!("channel {ch}"), got, &tri_to_full(want, n), 1e-12);
-        }
     }
 
     #[test]
@@ -724,28 +608,22 @@ mod tests {
             }
         }
         let eris = eris(&b, &quartets);
-        let d = test_density(b.n_basis());
-        assert_digest_matches_the_orbit_walk(
-            &b,
-            &quartets,
-            &eris,
-            ReplicatedDensity::restricted(&d),
-        );
-        let (beta, total) = beta_and_total(&d);
-        let uhf = ReplicatedDensity::unrestricted(&total, &d, &beta);
-        assert_digest_matches_the_orbit_walk(&b, &quartets, &eris, uhf);
+        let n = b.n_basis();
+        let d = test_density(n);
+        let mut got = matrix::ReplicatedFock::new(n);
+        let mut want = vec![0.0; n * n];
+        for (&[i, j, k, l], eri) in quartets.iter().zip(&eris) {
+            digest(&b, i, j, k, l, eri, &mut ReplicatedDensity(&d), &mut got);
+            orbit_walk(&b, [i, j, k, l], eri, &d, &mut want);
+        }
+        assert_close("block digest", &got.into_mat(), &tri_to_full(&want, n), 1e-12);
     }
 
     /// The ordered brute-force expansion of one shell quartet: every
     /// ordered function tuple of its orbit — the images of the whole ERI
     /// buffer under the eight index permutations, duplicates dropped —
-    /// adds `F_ab += D_ce X` and `F_ac += k X D_be` to full matrices.
-    fn ordered_expansion<const NCH: usize>(
-        b: &BasisSet,
-        q: [usize; 4],
-        eri: &[f64],
-        dens: &ReplicatedDensity<'_, NCH>,
-    ) -> Vec<Mat> {
+    /// adds `F_ab += D_ce X` and `F_ac -= X/2 D_be` to a full matrix.
+    fn ordered_expansion(b: &BasisSet, q: [usize; 4], eri: &[f64], d: &Mat) -> Mat {
         let sh = q.map(|s| &b.shells[s]);
         let [_, nj, nk, nl] = sh.map(|s| s.n_functions());
         let mut tuples = std::collections::BTreeMap::new();
@@ -767,12 +645,10 @@ mod tests {
             }
         }
         let n = b.n_basis();
-        let mut f = vec![Mat::zeros(n, n); NCH];
+        let mut f = Mat::zeros(n, n);
         for (&(p, q, r, t), &x) in &tuples {
-            for (ch, f) in f.iter_mut().enumerate() {
-                f[(p, q)] += dens.coulomb[(r, t)] * x;
-                f[(p, r)] += dens.k_factor() * x * dens.exchange[ch][(q, t)];
-            }
+            f[(p, q)] += d[(r, t)] * x;
+            f[(p, r)] += -0.5 * x * d[(q, t)];
         }
         f
     }
@@ -788,64 +664,45 @@ mod tests {
 
     /// Quartet `q` digested through both readers into each of the three
     /// writers must land within 1e-14 of `want`.
-    fn assert_every_backend_matches<const NCH: usize>(
-        b: &BasisSet,
-        q: [usize; 4],
-        eri: &[f64],
-        dens: ReplicatedDensity<'_, NCH>,
-        want: &[Mat],
-    ) {
+    fn assert_every_backend_matches(b: &BasisSet, q: [usize; 4], eri: &[f64], d: &Mat, want: &Mat) {
         let (n, w) = (b.n_basis(), b.max_shell_width());
         let [i, j, k, l] = q;
-        let d_wins = matrix::scatter_density(&dens, n, 2);
+        let d_win = matrix::scatter_density(d, n, 2);
         for reader in ["replicated", "shard"] {
-            let (mut replicated, mut shard) = (dens, matrix::ShardDensity::new(&d_wins, n, 0));
+            let (mut replicated, mut shard) =
+                (ReplicatedDensity(d), matrix::ShardDensity::new(&d_win, n, 0));
             let dr: &mut dyn DensityRead =
                 if reader == "replicated" { &mut replicated } else { &mut shard };
-            let check = |writer: &str, got: &[Mat]| {
-                for (ch, (got, want)) in got.iter().zip(want).enumerate() {
-                    let label = format!("{q:?} {reader} -> {writer}, channel {ch}");
-                    assert_close(&label, got, want, 1e-14);
-                }
+            let check = |writer: &str, got: &Mat| {
+                assert_close(&format!("{q:?} {reader} -> {writer}"), got, want, 1e-14);
             };
 
-            let mut fock = matrix::ReplicatedFock::new(NCH, n);
+            let mut fock = matrix::ReplicatedFock::new(n);
             digest(b, i, j, k, l, eri, dr, &mut fock);
-            check("ReplicatedFock", &fock.into_mats());
+            check("ReplicatedFock", &fock.into_mat());
 
-            let mut fock = matrix::ReplicatedFock::new(NCH, n);
-            let mut strips = vec![0.0; 2 * NCH * w * n];
-            let (fi, fj) = strips.split_at_mut(NCH * w * n);
-            let (mut fis, mut fjs) = (fi.chunks_mut(w * n), fj.chunks_mut(w * n));
-            let mut router = matrix::StripRouter::<_, NCH> {
-                fi: std::array::from_fn(|_| fis.next().expect("one FI strip per channel")),
-                fj: std::array::from_fn(|_| fjs.next().expect("one FJ strip per channel")),
+            let mut fock = matrix::ReplicatedFock::new(n);
+            let (mut fi, mut fj) = (vec![0.0; w * n], vec![0.0; w * n]);
+            let mut router = matrix::StripRouter {
+                fi: &mut fi,
+                fj: &mut fj,
                 kl: &mut fock,
                 n,
                 i: Span::of(&b.shells[i]),
                 j: Span::of(&b.shells[j]),
             };
             digest(b, i, j, k, l, eri, dr, &mut router);
-            let (fi, fj) = strips.split_at_mut(NCH * w * n);
-            for (ch, (fi, fj)) in fi.chunks_mut(w * n).zip(fj.chunks_mut(w * n)).enumerate() {
-                for (strip, s) in [(fi, i), (fj, j)] {
-                    let lo = b.shells[s].first_bf;
-                    matrix::drain_strip(strip, lo, n, |mu, nu, v| {
-                        fock.add_block(ch, &unit(mu, nu, &v))
-                    });
-                }
+            for (strip, s) in [(&mut fi, i), (&mut fj, j)] {
+                let lo = b.shells[s].first_bf;
+                matrix::drain_strip(strip, lo, n, |mu, nu, v| fock.add_block(&unit(mu, nu, &v)));
             }
-            check("StripRouter", &fock.into_mats());
+            check("StripRouter", &fock.into_mat());
 
-            let f_wins: Vec<phi_dmpi::DistributedArray> =
-                (0..NCH).map(|_| phi_dmpi::DistributedArray::new(matrix::tri_len(n), 1)).collect();
-            let mut fock = matrix::RowShardFock::new(&f_wins, n, 0);
+            let f_win = phi_dmpi::DistributedArray::new(matrix::tri_len(n), 1);
+            let mut fock = matrix::RowShardFock::new(&f_win, n, 0);
             digest(b, i, j, k, l, eri, dr, &mut fock);
             fock.flush();
-            check(
-                "RowShardFock",
-                &f_wins.iter().map(|w| matrix::gather_tri(w, n)).collect::<Vec<_>>(),
-            );
+            check("RowShardFock", &matrix::gather_tri(&f_win, n));
         }
     }
 
@@ -876,12 +733,8 @@ mod tests {
         ];
         let eris = eris(&b, &patterns);
         let d = test_density(b.n_basis());
-        let (beta, total) = beta_and_total(&d);
         for (&q, eri) in patterns.iter().zip(&eris) {
-            let rhf = ReplicatedDensity::restricted(&d);
-            assert_every_backend_matches(&b, q, eri, rhf, &ordered_expansion(&b, q, eri, &rhf));
-            let uhf = ReplicatedDensity::unrestricted(&total, &d, &beta);
-            assert_every_backend_matches(&b, q, eri, uhf, &ordered_expansion(&b, q, eri, &uhf));
+            assert_every_backend_matches(&b, q, eri, &d, &ordered_expansion(&b, q, eri, &d));
         }
     }
 

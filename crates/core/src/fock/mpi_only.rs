@@ -1,11 +1,11 @@
 //! Algorithm 1: the stock GAMESS MPI-only Fock build.
 //!
-//! Every rank replicates the density matrices, overlap matrix, MO
-//! coefficients and its own Fock accumulation buffers. Work is distributed
+//! Every rank replicates the density matrix, overlap matrix, MO
+//! coefficients and its own Fock accumulation buffer. Work is distributed
 //! by the global DLB counter over the significant-pair list's positions,
 //! one `(i, j)` shell-pair task each; each task runs its canonical
 //! `(k, l)` loops over the list prefix up to its own pair. The final Fock
-//! matrices are summed over ranks with `gsumf`.
+//! matrix is summed over ranks with `gsumf`.
 //!
 //! The memory pathology the paper attacks is visible here by construction:
 //! the replicated matrices are *really allocated* per rank through the
@@ -28,17 +28,17 @@ use phi_omp::Team;
 /// Algorithm 1 over `world.n_ranks` ranks. Tasks leased to a rank that
 /// dies mid-build are reclaimed and recomputed by survivors, so the result
 /// matches serial regardless of how many (< all) ranks fail.
-pub(crate) fn build<const NCH: usize>(
+pub(crate) fn build(
     ctx: &FockContext<'_>,
     kl: &SignificantPairs,
-    dens: ReplicatedDensity<'_, NCH>,
+    dens: ReplicatedDensity<'_>,
     world: &World<'_>,
 ) -> GBuild {
     let basis = ctx.basis;
     let n = basis.n_basis();
     // Everything replicated per rank (the paper's memory bottleneck):
-    // every spin-channel density, S/H/C, and the Fock accumulators.
-    let fock_bytes = NCH * n * n * std::mem::size_of::<f64>();
+    // the density, S/H/C, and the Fock accumulator.
+    let fock_bytes = n * n * std::mem::size_of::<f64>();
     let resident = fock_bytes + readonly_bytes(n) + fock_bytes;
 
     let (fock, stats) = world.run(ctx, resident, &[], |rank| {
@@ -46,7 +46,7 @@ pub(crate) fn build<const NCH: usize>(
         let (mut fock, stats) = Team::new(1)
             .parallel(|tctx| {
                 let mut dens = dens;
-                let mut fock = ReplicatedFock::new(NCH, n);
+                let mut fock = ReplicatedFock::new(n);
                 let mut quartets = Quartets::new(ctx, kl);
                 let tasks = leases.run(tctx, |step| {
                     let Step::Task(p) = step else { return };
@@ -60,12 +60,12 @@ pub(crate) fn build<const NCH: usize>(
             .pop()
             .expect("a team of one");
         // 2e-Fock matrix reduction over the surviving MPI ranks
-        // (Algorithm 1 line 16) — one collective covering every spin
-        // channel. Dead ranks have deregistered and must stay out.
+        // (Algorithm 1 line 16). Dead ranks have deregistered and must
+        // stay out.
         let dead = !rank.alive() || rank.try_gsumf(fock.as_mut_slice()).is_err();
         ((!dead).then_some(fock), stats)
     });
-    GBuild::from_channels(surviving(fock, &stats).into_mats(), stats)
+    GBuild { g: surviving(fock, &stats).into_mat(), stats }
 }
 
 #[cfg(test)]

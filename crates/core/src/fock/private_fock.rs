@@ -24,26 +24,26 @@ use phi_dmpi::LeaseMode;
 use phi_omp::{Schedule, Team};
 
 /// Algorithm 2 over `world.n_ranks` ranks x `n_threads` threads.
-pub(crate) fn build<const NCH: usize>(
+pub(crate) fn build(
     ctx: &FockContext<'_>,
     kl: &SignificantPairs,
-    dens: ReplicatedDensity<'_, NCH>,
+    dens: ReplicatedDensity<'_>,
     world: &World<'_>,
     n_threads: usize,
 ) -> GBuild {
     let basis = ctx.basis;
     let n = basis.n_basis();
-    // One shared copy of each spin-channel density and of S/H/C per rank
-    // (not per thread — the first memory win over Algorithm 1); the Fock
-    // matrices are still replicated per thread, plus the reduction target.
-    let fock_bytes = NCH * n * n * std::mem::size_of::<f64>();
+    // One shared copy of the density and of S/H/C per rank (not per
+    // thread — the first memory win over Algorithm 1); the Fock matrix is
+    // still replicated per thread, plus the reduction target.
+    let fock_bytes = n * n * std::mem::size_of::<f64>();
     let resident = fock_bytes + readonly_bytes(n) + (n_threads + 1) * fock_bytes;
 
     let (fock, stats) = world.run(ctx, resident, &[], |rank| {
         let leases = LeaseLoop::new(rank, basis.n_shells(), LeaseMode::Volatile);
         let per_thread = Team::new(n_threads).parallel(|tctx| {
             let mut dens = dens;
-            let mut fock = ReplicatedFock::new(NCH, n);
+            let mut fock = ReplicatedFock::new(n);
             let mut quartets = Quartets::new(ctx, kl);
             // Algorithm 2 has no task-level prescreen: an insignificant
             // (i, j) is skipped inside the task.
@@ -67,7 +67,7 @@ pub(crate) fn build<const NCH: usize>(
         });
 
         // OpenMP reduction(+ : Fock): sum the thread-private copies.
-        let mut fock = ReplicatedFock::new(NCH, n);
+        let mut fock = ReplicatedFock::new(n);
         let mut stats = FockBuildStats::default();
         for (tf, ts) in &per_thread {
             fock.reduce_from(tf);
@@ -79,7 +79,7 @@ pub(crate) fn build<const NCH: usize>(
         let dead = !rank.alive() || rank.try_gsumf(fock.as_mut_slice()).is_err();
         ((!dead).then_some(fock), stats)
     });
-    GBuild::from_channels(surviving(fock, &stats).into_mats(), stats)
+    GBuild { g: surviving(fock, &stats).into_mat(), stats }
 }
 
 #[cfg(test)]

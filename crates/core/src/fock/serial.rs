@@ -13,18 +13,16 @@ use super::matrix::ReplicatedFock;
 use super::{digest, GBuild, ReplicatedDensity};
 use std::time::Instant;
 
-/// `G(D)` for a restricted density, `G_alpha`/`G_beta` for an unrestricted
-/// one — every surviving ERI evaluated once and digested into every spin
-/// channel.
-pub(crate) fn build<const NCH: usize>(
+/// `G(D)`, every surviving ERI evaluated once.
+pub(crate) fn build(
     ctx: &FockContext<'_>,
     kl: &SignificantPairs,
-    mut dens: ReplicatedDensity<'_, NCH>,
+    mut dens: ReplicatedDensity<'_>,
 ) -> GBuild {
     let _span = phi_trace::span("fock.build");
     let start = Instant::now();
     let basis = ctx.basis;
-    let mut fock = ReplicatedFock::new(NCH, basis.n_basis());
+    let mut fock = ReplicatedFock::new(basis.n_basis());
     let mut quartets = Quartets::new(ctx, kl);
     for p in 0..kl.len() {
         let (i, j) = kl.pair(p);
@@ -32,15 +30,15 @@ pub(crate) fn build<const NCH: usize>(
     }
     let mut stats = quartets.finish(0, 0);
     stats.seconds = start.elapsed().as_secs_f64();
-    GBuild::from_channels(fock.into_mats(), stats)
+    GBuild { g: fock.into_mat(), stats }
 }
 
 /// Reference-only orbit walker for one unique integral `(mu nu|lam sig)`:
 /// each distinct ordered tuple `(a,b,c,e)` of its eight-member orbit adds
 /// Coulomb `cj D_ce X` to `F_ab` and exchange `ck X D_be` to `F_ac`,
-/// canonical (`row >= col`) updates only. `(cj, ck) = (1, -1/2)` is the
-/// RHF digestion, `(1, 0)` pure Coulomb, `(0, -1)` gives `-K` — the
-/// three-pass UHF recombination the block digester is tested against.
+/// canonical (`row >= col`) updates only, into the lower-triangle buffer
+/// `buf` of dimension `n`. `(cj, ck) = (1, -1/2)` is the RHF digestion,
+/// `(1, 0)` pure Coulomb, `(0, -1/2)` the exchange part alone.
 #[cfg(test)]
 #[allow(clippy::too_many_arguments)]
 fn digest_value_scaled(
@@ -52,7 +50,8 @@ fn digest_value_scaled(
     d: &phi_linalg::Mat,
     cj: f64,
     ck: f64,
-    sink: &mut impl super::FockSink,
+    buf: &mut [f64],
+    n: usize,
 ) {
     let orbit = [
         (mu, nu, lam, sig),
@@ -69,20 +68,19 @@ fn digest_value_scaled(
             continue;
         }
         if cj != 0.0 && a >= b {
-            sink.add(a, b, cj * d[(c, e)] * x);
+            buf[a * n + b] += cj * d[(c, e)] * x;
         }
         if ck != 0.0 && a >= c {
-            sink.add(a, c, ck * x * d[(b, e)]);
+            buf[a * n + c] += ck * x * d[(b, e)];
         }
     }
 }
 
 /// Build a generalized two-electron matrix
-/// `M_{mu nu} = cj * J(D)_{mu nu} + |ck| * sign(ck) * K(D)_{mu nu}`
-/// with the serial canonical loops. `(1, -0.5)` recovers the RHF `G`;
-/// `(1, 0)` gives pure Coulomb, `(0, -1)` gives `-K` — the building blocks
-/// of the UHF spin Fock matrices (and the reference the unified
-/// unrestricted digestion is tested against).
+/// `M_{mu nu} = cj * J(D)_{mu nu} + ck * K(D)_{mu nu}` with the serial
+/// canonical loops: `(1, -0.5)` recovers the RHF `G`, `(1, 0)` gives pure
+/// Coulomb and `(0, -0.5)` the exchange part — an independent reference
+/// for the block digester.
 #[cfg(test)]
 pub(crate) fn build_jk_serial(
     basis: &phi_chem::BasisSet,
@@ -93,7 +91,7 @@ pub(crate) fn build_jk_serial(
     cj: f64,
     ck: f64,
 ) -> GBuild {
-    use super::{kl_bounds, tri_to_full, TriSink};
+    use super::{kl_bounds, tri_to_full};
     use crate::stats::FockBuildStats;
     use phi_integrals::EriEngine;
     let start = std::time::Instant::now();
@@ -129,7 +127,6 @@ pub(crate) fn build_jk_serial(
                     let same_ij = i == j;
                     let same_kl = k == l;
                     let same_pair = i == k && j == l;
-                    let mut sink = TriSink { buf: &mut buf, n };
                     for fa in 0..ni {
                         let mu = sh[0].first_bf + fa;
                         let b_hi = if same_ij { fa + 1 } else { nj };
@@ -147,7 +144,7 @@ pub(crate) fn build_jk_serial(
                                     let x = eri_buf[((fa * nj + fb) * nk + fc) * nl + fd];
                                     if x != 0.0 {
                                         digest_value_scaled(
-                                            mu, nu, lam, sig, x, d, cj, ck, &mut sink,
+                                            mu, nu, lam, sig, x, d, cj, ck, &mut buf, n,
                                         );
                                     }
                                 }
@@ -159,17 +156,16 @@ pub(crate) fn build_jk_serial(
             }
         }
     }
-    let g = tri_to_full(&buf, n);
-    GBuild::from_channels(
-        vec![g],
-        FockBuildStats {
+    GBuild {
+        g: tri_to_full(&buf, n),
+        stats: FockBuildStats {
             seconds: start.elapsed().as_secs_f64(),
             quartets_computed,
             quartets_screened,
             prim_quartets: engine.prim_quartets_computed(),
             ..Default::default()
         },
-    )
+    }
 }
 
 #[cfg(test)]
@@ -191,8 +187,7 @@ mod tests {
     fn g_is_symmetric() {
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
         let n = b.n_basis();
-        let mut d = Mat::identity(n);
-        d.scale(0.4);
+        let d = Mat::from_fn(n, n, |i, j| if i == j { 0.4 } else { 0.0 });
         let g = serial(&b, &FockData::build(&b), 1e-12, &d).g;
         assert!(g.is_symmetric(1e-12));
     }
@@ -203,12 +198,10 @@ mod tests {
         let n = b.n_basis();
         let data = FockData::build(&b);
         let d1 = Mat::from_fn(n, n, |i, j| if i == j { 1.0 } else { 0.2 });
-        let mut d2 = d1.clone();
-        d2.scale(3.0);
+        let d2 = Mat::from_fn(n, n, |i, j| 3.0 * d1[(i, j)]);
         let g1 = serial(&b, &data, 0.0, &d1).g;
         let g2 = serial(&b, &data, 0.0, &d2).g;
-        let mut g1x3 = g1.clone();
-        g1x3.scale(3.0);
+        let g1x3 = Mat::from_fn(n, n, |i, j| 3.0 * g1[(i, j)]);
         assert!(g2.max_abs_diff(&g1x3) < 1e-10);
     }
 
@@ -230,36 +223,6 @@ mod tests {
     }
 
     #[test]
-    fn unrestricted_channels_match_jk_recombination() {
-        // The single-pass UHF digestion must reproduce the three-pass
-        // reference: G_s = J(D_a + D_b) - K(D_s).
-        let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let n = b.n_basis();
-        let data = FockData::build(&b);
-        let (pairs, s) = (&data.pairs, &data.screening);
-        let d_a = Mat::from_fn(n, n, |i, j| {
-            let (i, j) = if i >= j { (i, j) } else { (j, i) };
-            0.15 + ((i * 3 + j) % 5) as f64 * 0.06
-        });
-        let d_b = Mat::from_fn(n, n, |i, j| {
-            let (i, j) = if i >= j { (i, j) } else { (j, i) };
-            0.1 + ((i + 2 * j) % 7) as f64 * 0.04
-        });
-        let d_t = d_a.add(&d_b);
-        let got = FockAlgorithm::Serial
-            .builder()
-            .build(&data.context(&b, 0.0), &DensitySet::Unrestricted { alpha: &d_a, beta: &d_b });
-        let j_t = build_jk_serial(&b, pairs, s, 0.0, &d_t, 1.0, 0.0).g;
-        let k_a = build_jk_serial(&b, pairs, s, 0.0, &d_a, 0.0, -1.0).g;
-        let k_b = build_jk_serial(&b, pairs, s, 0.0, &d_b, 0.0, -1.0).g;
-        let want_a = j_t.add(&k_a);
-        let want_b = j_t.add(&k_b);
-        let got_b = got.g_beta.expect("unrestricted build has a beta channel");
-        assert!(got.g.max_abs_diff(&want_a) < 1e-11, "alpha {}", got.g.max_abs_diff(&want_a));
-        assert!(got_b.max_abs_diff(&want_b) < 1e-11, "beta {}", got_b.max_abs_diff(&want_b));
-    }
-
-    #[test]
     fn restricted_build_matches_the_jk_reference() {
         // The block digester at (cj, ck) = (1, -1/2) against the
         // independent scaled orbit walker; the two sum in different orders.
@@ -272,7 +235,6 @@ mod tests {
         let scale = reference.g.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
         let diff = via_engine.g.max_abs_diff(&reference.g);
         assert!(diff <= 1e-12 * scale, "differs by {diff:e} (largest element {scale:e})");
-        assert!(via_engine.g_beta.is_none());
     }
 
     #[test]

@@ -41,44 +41,42 @@ use super::{digest, DensityRead, GBuild, ReplicatedDensity, Span};
 use phi_dmpi::{DistributedArray, LeaseMode};
 use phi_omp::Team;
 
-/// `Sharded`: the window build over density scattered into tri-packed
-/// windows and read through [`ShardDensity`].
-pub(crate) fn build<const NCH: usize>(
+/// `Sharded`: the window build over density scattered into a tri-packed
+/// window and read through [`ShardDensity`].
+pub(crate) fn build(
     ctx: &FockContext<'_>,
     kl: &SignificantPairs,
-    dens: ReplicatedDensity<'_, NCH>,
+    dens: ReplicatedDensity<'_>,
     world: &World<'_>,
 ) -> GBuild {
     let n = ctx.basis.n_basis();
     // The density scatter is the driver's job (it already owns the full
-    // matrices); the link faults attach only after it.
-    let d_wins: Vec<DistributedArray> =
-        scatter_density(&dens, n, world.n_ranks).into_iter().map(|w| world.reliable(w)).collect();
-    let reader_bytes =
-        shard_stripe_bytes(n, world.n_ranks, d_wins.len()) + shard_reader_bytes(n, NCH);
-    window_build::<NCH, _>(ctx, kl, world, reader_bytes, &d_wins, |rank| {
-        ShardDensity::new(&d_wins, n, rank)
+    // matrix); the link faults attach only after it.
+    let d_win = world.reliable(scatter_density(dens.0, n, world.n_ranks));
+    let reader_bytes = shard_stripe_bytes(n, world.n_ranks, 1) + shard_reader_bytes(n);
+    window_build(ctx, kl, world, reader_bytes, std::slice::from_ref(&d_win), |rank| {
+        ShardDensity::new(&d_win, n, rank)
     })
 }
 
 /// `Distributed`: the window build over every rank's own replicated
-/// density — no density windows.
-pub(crate) fn build_distributed<const NCH: usize>(
+/// density — no density window.
+pub(crate) fn build_distributed(
     ctx: &FockContext<'_>,
     kl: &SignificantPairs,
-    dens: ReplicatedDensity<'_, NCH>,
+    dens: ReplicatedDensity<'_>,
     world: &World<'_>,
 ) -> GBuild {
-    let reader_bytes = replicated_density_bytes(ctx.basis.n_basis(), NCH);
-    window_build::<NCH, _>(ctx, kl, world, reader_bytes, &[], |_| dens)
+    let reader_bytes = replicated_density_bytes(ctx.basis.n_basis());
+    window_build(ctx, kl, world, reader_bytes, &[], |_| dens)
 }
 
 /// The one window-build body: DLB over significant `(i, j)` pairs,
-/// density from `reader(rank)`, Fock accumulated into tri-packed windows
+/// density from `reader(rank)`, Fock accumulated into a tri-packed window
 /// by one-sided `acc`. `reader_bytes` is what the reader keeps per rank;
 /// `d_wins` are its windows, if any, whose link counters belong to the
 /// build.
-fn window_build<const NCH: usize, D: DensityRead>(
+fn window_build<D: DensityRead>(
     ctx: &FockContext<'_>,
     kl: &SignificantPairs,
     world: &World<'_>,
@@ -88,32 +86,29 @@ fn window_build<const NCH: usize, D: DensityRead>(
 ) -> GBuild {
     let basis = ctx.basis;
     let n = basis.n_basis();
-    let f_wins: Vec<DistributedArray> = (0..NCH).map(|_| world.window(tri_len(n))).collect();
-    // Per-rank resident bytes: the reader, this rank's stripe of every
-    // Fock window and the O(N) writer. `MemoryModel::per_rank_bytes`
-    // states the same terms.
+    let f_win = world.window(tri_len(n));
+    // Per-rank resident bytes: the reader, this rank's stripe of the Fock
+    // window and the O(N) writer. `MemoryModel::per_rank_bytes` states the
+    // same terms.
     let max_width = basis.max_shell_width();
-    let resident = reader_bytes
-        + shard_stripe_bytes(n, world.n_ranks, f_wins.len())
-        + shard_writer_bytes(n, max_width, NCH);
+    let resident =
+        reader_bytes + shard_stripe_bytes(n, world.n_ranks, 1) + shard_writer_bytes(n, max_width);
 
-    let (_, stats) = world.run(ctx, resident, &[d_wins, &f_wins], |rank| {
+    let f_wins = std::slice::from_ref(&f_win);
+    let (_, stats) = world.run(ctx, resident, &[d_wins, f_wins], |rank| {
         let leases = LeaseLoop::new(rank, kl.len(), LeaseMode::Durable);
         let mut stats = Team::new(1).parallel(|tctx| {
             let mut dens = reader(rank.rank());
-            let mut fock = RowShardFock::new(&f_wins, n, rank.rank());
+            let mut fock = RowShardFock::new(&f_win, n, rank.rank());
             let mut quartets = Quartets::new(ctx, kl);
-            // Per channel: the FI and FJ strips.
-            let strip = max_width * n;
-            let (mut fis, mut fjs) = (vec![0.0; NCH * strip], vec![0.0; NCH * strip]);
+            let (mut fi, mut fj) = (vec![0.0; max_width * n], vec![0.0; max_width * n]);
             let tasks = leases.run(tctx, |step| {
                 let Step::Task(p) = step else { return fock.flush() };
                 let (i, j) = kl.pair(p);
                 let (sh_i, sh_j) = (&basis.shells[i], &basis.shells[j]);
-                let (mut fi, mut fj) = (fis.chunks_mut(strip), fjs.chunks_mut(strip));
-                let mut router = StripRouter::<_, NCH> {
-                    fi: std::array::from_fn(|_| fi.next().expect("one FI strip per channel")),
-                    fj: std::array::from_fn(|_| fj.next().expect("one FJ strip per channel")),
+                let mut router = StripRouter {
+                    fi: &mut fi,
+                    fj: &mut fj,
                     kl: &mut fock,
                     n,
                     i: Span::of(sh_i),
@@ -127,12 +122,9 @@ fn window_build<const NCH: usize, D: DensityRead>(
                 });
                 // Drain the strips now, so they are empty before the lease
                 // loop's flush and at every lease completion.
-                let strips = fis.chunks_mut(strip).zip(fjs.chunks_mut(strip));
-                for (ch, (fi, fj)) in strips.enumerate() {
-                    for (buf, sh) in [(fi, sh_i), (fj, sh_j)] {
-                        let rows = &mut buf[..sh.n_functions() * n];
-                        drain_strip(rows, sh.first_bf, n, |mu, nu, v| fock.add(ch, mu, nu, v));
-                    }
+                for (buf, sh) in [(&mut fi, sh_i), (&mut fj, sh_j)] {
+                    let rows = &mut buf[..sh.n_functions() * n];
+                    drain_strip(rows, sh.first_bf, n, |mu, nu, v| fock.add(mu, nu, v));
                 }
             });
             let mut stats = quartets.finish(tasks, fock.flushes);
@@ -144,13 +136,13 @@ fn window_build<const NCH: usize, D: DensityRead>(
         let _ = rank.ft_barrier();
         (None::<()>, stats.pop().expect("a team of one"))
     });
-    GBuild::from_channels(f_wins.iter().map(|w| gather_tri(w, n)).collect(), stats)
+    GBuild { g: gather_tri(&f_win, n), stats }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::fock::engine::FockData;
-    use crate::fock::DensitySet::{self, Restricted};
+    use crate::fock::DensitySet::Restricted;
     use crate::fock::FockAlgorithm;
     use crate::MemoryModel;
     use phi_chem::basis::BasisName;
@@ -218,26 +210,6 @@ mod tests {
             .builder()
             .build(&data.context(&b, 1e-10), &Restricted(&d));
         assert!(got.g.max_abs_diff(&want) < 1e-12, "diff {}", got.g.max_abs_diff(&want));
-    }
-
-    #[test]
-    fn unrestricted_sharded_matches_serial() {
-        let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let data = FockData::build(&b);
-        let n = b.n_basis();
-        let d_a = density(n);
-        let mut d_b = density(n);
-        d_b.scale(0.6);
-        let ctx = data.context(&b, 1e-12);
-        let dens = DensitySet::Unrestricted { alpha: &d_a, beta: &d_b };
-        let want = FockAlgorithm::Serial.builder().build(&ctx, &dens);
-        let got = FockAlgorithm::Sharded { n_ranks: 3, mode: DdiMode::Mpi3OneSided }
-            .builder()
-            .build(&ctx, &dens);
-        let want_b = want.g_beta.expect("beta channel");
-        let got_b = got.g_beta.expect("beta channel");
-        assert!(got.g.max_abs_diff(&want.g) < 1e-12, "alpha {}", got.g.max_abs_diff(&want.g));
-        assert!(got_b.max_abs_diff(&want_b) < 1e-12, "beta {}", got_b.max_abs_diff(&want_b));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Algorithm 3: hybrid MPI/OpenMP, shared density *and* shared Fock.
 //!
-//! The paper's unique contribution. Per rank, one Fock matrix per spin
-//! channel is shared by all threads; the write-dependency problem of
+//! The paper's unique contribution. Per rank, one Fock matrix is shared
+//! by all threads; the write-dependency problem of
 //! eqs. (2a)–(2f) is solved by splitting each quartet's six updates across
 //! three destinations (Algorithm 3 lines 25–27):
 //!
@@ -37,71 +37,59 @@ use super::driver::{
     readonly_bytes, surviving, LeaseLoop, Quartets, SignificantPairs, Step, World,
 };
 use super::engine::FockContext;
-use super::matrix::{strip_slot, ReplicatedFock, StripRouter};
-use super::{digest, Block, ChannelSink, GBuild, ReplicatedDensity, Span};
+use super::matrix::{strip_slot, StripRouter};
+use super::{digest, tri_to_full, Block, FockSink, GBuild, ReplicatedDensity, Span};
 use crate::stats::FockBuildStats;
 use phi_dmpi::LeaseMode;
 use phi_omp::{PaddedColumns, Schedule, SharedAccumulator, Team, ThreadCtx};
 
 /// Algorithm 3 over `world.n_ranks` ranks x `n_threads` threads: one
-/// shared Fock matrix and one FI/FJ buffer pair per spin channel; every
-/// quartet is digested into all channels before the shared `kl` element
-/// leaves the thread.
-pub(crate) fn build<const NCH: usize>(
+/// shared Fock matrix and one FI/FJ buffer pair per rank.
+pub(crate) fn build(
     ctx: &FockContext<'_>,
     kl: &SignificantPairs,
-    dens: ReplicatedDensity<'_, NCH>,
+    dens: ReplicatedDensity<'_>,
     world: &World<'_>,
     n_threads: usize,
 ) -> GBuild {
     let basis = ctx.basis;
     let n = basis.n_basis();
     let max_width = basis.max_shell_width();
-    // Per rank: one shared copy of each density, S/H/C, and the shared
-    // Fock matrices (line 4: shared(Fock)).
-    let fock_bytes = NCH * n * n * std::mem::size_of::<f64>();
+    // Per rank: one shared copy of the density, S/H/C, and the shared
+    // Fock matrix (line 4: shared(Fock)).
+    let fock_bytes = n * n * std::mem::size_of::<f64>();
     let resident = fock_bytes + readonly_bytes(n) + fock_bytes;
 
-    let (bufs, stats) = world.run(ctx, resident, &[], |rank| {
-        let focks: Vec<SharedAccumulator> =
-            (0..NCH).map(|_| SharedAccumulator::new(n * n)).collect();
-        // FI / FJ: mxsize x nthreads padded column buffers (lines 1-3),
-        // one pair per channel.
-        let columns = || -> Vec<PaddedColumns> {
-            (0..NCH).map(|_| PaddedColumns::new(n * max_width, n_threads)).collect()
-        };
-        let (fis, fjs) = (columns(), columns());
-        let column_bytes = fis.iter().chain(&fjs).map(|p| p.bytes()).sum();
+    let (buf, stats) = world.run(ctx, resident, &[], |rank| {
+        let fock = SharedAccumulator::new(n * n);
+        // FI / FJ: mxsize x nthreads padded column buffers (lines 1-3).
+        let fi = PaddedColumns::new(n * max_width, n_threads);
+        let fj = PaddedColumns::new(n * max_width, n_threads);
+        let column_bytes = fi.bytes() + fj.bytes();
         rank.charge_bytes(column_bytes);
 
-        // This thread's share of flushing one shell's rows of every
-        // channel's column buffers into the shared Fock (padded chunked
-        // tree reduction, paper Figure 1). The caller places the barriers.
+        // This thread's share of flushing one shell's rows of a column
+        // buffer into the shared Fock (padded chunked tree reduction, paper
+        // Figure 1). The caller places the barriers.
         let flush =
-            |tctx: &ThreadCtx<'_>, name: &'static str, cols: &[PaddedColumns], shell: usize| {
+            |tctx: &ThreadCtx<'_>, name: &'static str, col: &PaddedColumns, shell: usize| {
                 let _span = phi_trace::span(name);
                 let sh = &basis.shells[shell];
                 let (lo, width) = (sh.first_bf, sh.n_functions());
-                for (col, fock) in cols.iter().zip(&focks) {
-                    col.flush_rows_with(tctx, width * n, |at, sum| {
-                        let (mu, nu) = strip_slot(lo, n, at);
-                        fock.add(mu * n + nu, sum);
-                    });
-                }
+                col.flush_rows_with(tctx, width * n, |at, sum| {
+                    let (mu, nu) = strip_slot(lo, n, at);
+                    fock.add(mu * n + nu, sum);
+                });
                 // Master-counted, so summing the per-thread contributions
                 // reconciles with `stats.flushes`.
-                if tctx.is_master() {
-                    NCH as u64
-                } else {
-                    0
-                }
+                u64::from(tctx.is_master())
             };
 
         let leases = LeaseLoop::new(rank, kl.len(), LeaseMode::Volatile);
         let per_thread = Team::new(n_threads).parallel(|tctx| {
             let mut dens = dens;
             let mut quartets = Quartets::new(ctx, kl);
-            let mut shared = SharedFock { focks: &focks, n };
+            let mut shared = SharedFock { fock: &fock, n };
             let mut flushes = 0u64;
             // The last task's i shell; identical across threads because
             // every thread follows the same task sequence.
@@ -115,14 +103,14 @@ pub(crate) fn build<const NCH: usize>(
                 // this barrier keeps the next loop off the columns until
                 // every thread has emptied its rows.
                 if let Some(io) = iold.filter(|&io| io != i) {
-                    flushes += flush(tctx, "fock.flush_fi", &fis, io);
+                    flushes += flush(tctx, "fock.flush_fi", &fi, io);
                     tctx.barrier();
                 }
 
                 let t = tctx.thread_num();
-                let mut router = StripRouter::<_, NCH> {
-                    fi: std::array::from_fn(|ch| fis[ch].col_mut(t)),
-                    fj: std::array::from_fn(|ch| fjs[ch].col_mut(t)),
+                let mut router = StripRouter {
+                    fi: fi.col_mut(t),
+                    fj: fj.col_mut(t),
                     kl: &mut shared,
                     n,
                     i: Span::of(&basis.shells[i]),
@@ -145,48 +133,43 @@ pub(crate) fn build<const NCH: usize>(
 
                 // Flush FJ after every kl loop (lines 31-32). The barrier
                 // that ends it is the next lease broadcast's.
-                flushes += flush(tctx, "fock.flush_fj", &fjs, j);
+                flushes += flush(tctx, "fock.flush_fj", &fj, j);
                 iold = Some(i);
             });
 
             // Flush the FI remainder (line 36), between the broadcast of
             // the end of the lease stream and the region's join.
             if let Some(io) = iold {
-                flushes += flush(tctx, "fock.flush_fi", &fis, io);
+                flushes += flush(tctx, "fock.flush_fi", &fi, io);
             }
             quartets.finish(tasks, flushes)
         });
         rank.release_bytes(column_bytes);
 
-        // 2e-Fock reduction over the surviving MPI ranks (line 38) — one
-        // collective covering every spin channel. A killed rank's shared
-        // Fock is abandoned here; its leases were reissued to survivors.
-        let mut fbuf: Vec<f64> = Vec::with_capacity(NCH * n * n);
-        for fock in &focks {
-            fbuf.extend(fock.snapshot());
-        }
+        // 2e-Fock reduction over the surviving MPI ranks (line 38). A
+        // killed rank's shared Fock is abandoned here; its leases were
+        // reissued to survivors.
+        let mut fbuf = fock.snapshot();
         let dead = !rank.alive() || rank.try_gsumf(&mut fbuf).is_err();
         let stats = per_thread.iter().fold(FockBuildStats::default(), FockBuildStats::merge);
         ((!dead).then_some(fbuf), stats)
     });
-    let fock = ReplicatedFock::from_raw(surviving(bufs, &stats), NCH, n);
-    GBuild::from_channels(fock.into_mats(), stats)
+    GBuild { g: tri_to_full(&surviving(buf, &stats), n), stats }
 }
 
-/// The rank's shared Fock matrices as the `(k, l)` block's destination:
-/// one atomic add per nonzero element.
+/// The rank's shared Fock matrix as the `(k, l)` block's destination: one
+/// atomic add per nonzero element.
 struct SharedFock<'a> {
-    focks: &'a [SharedAccumulator],
+    fock: &'a SharedAccumulator,
     n: usize,
 }
 
-impl ChannelSink for SharedFock<'_> {
+impl FockSink for SharedFock<'_> {
     #[inline(always)]
-    fn add_block(&mut self, ch: usize, blk: &Block<'_>) {
-        blk.for_each(|mu, nu, v| self.focks[ch].add(mu * self.n + nu, v));
+    fn add_block(&mut self, blk: &Block<'_>) {
+        blk.for_each(|mu, nu, v| self.fock.add(mu * self.n + nu, v));
     }
 }
-
 #[cfg(test)]
 mod tests {
     use crate::fock::engine::FockData;

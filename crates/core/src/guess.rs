@@ -82,9 +82,7 @@ mod tests {
         let b = BasisSet::build(&mol, BasisName::Sto3g);
         let s = overlap_matrix(&b);
         let dsd = d.matmul(&s).matmul(&d);
-        let mut d2 = d.clone();
-        d2.scale(2.0);
-        assert!(dsd.max_abs_diff(&d2) < 1e-8);
+        assert!(dsd.max_abs_diff(&d.add(&d)) < 1e-8);
     }
 
     #[test]

@@ -25,34 +25,27 @@
 //! The six are policy rows — task space, team schedule, accumulator, lease
 //! mode, final reduce — over one task-loop driver and one digester
 //! ([`fock::digest`], generic over [`fock::DensityRead`] and
-//! [`fock::ChannelSink`]). Drivers assemble a [`FockContext`] (basis +
+//! [`fock::FockSink`]). Drivers assemble a [`FockContext`] (basis +
 //! persistent shell pairs + screening) once, pick a [`FockBuilder`] via
 //! [`FockAlgorithm::builder`] — the only entry to a build — and hand it a
-//! [`DensitySet`]: one matrix for RHF, an α/β pair for UHF. Every builder
-//! returns the same [`GBuild`] (per-channel `G` matrices plus uniformly
-//! collected [`FockBuildStats`]), so RHF and UHF compose with any
-//! algorithm.
+//! [`DensitySet`]. Every builder returns the same [`GBuild`] (`G` plus
+//! uniformly collected [`FockBuildStats`]).
 //!
-//! The one driver ([`scf`], RHF and UHF being its one- and two-channel
-//! cases, selected by [`Spin`]) handles the rest of the method:
-//! core-Hamiltonian guess, symmetric orthogonalization, (optional) DIIS
-//! acceleration, convergence on the density RMS — and reports per-iteration
-//! Fock timings and the per-rank memory accounting that reproduce the
-//! paper's tables.
+//! The driver ([`scf`]) handles the rest of the method: core-Hamiltonian
+//! guess, symmetric orthogonalization, (optional) DIIS acceleration,
+//! convergence on the density RMS — and reports per-iteration Fock
+//! timings and the per-rank memory accounting that reproduce the paper's
+//! tables.
 
 pub mod diis;
 pub mod fock;
 pub mod guess;
 pub mod memory_model;
-pub mod mp2;
-pub mod properties;
 pub mod scf;
 pub mod stats;
 
 pub use fock::engine::{FockBuilder, FockContext, FockData};
 pub use fock::{DensitySet, FockAlgorithm, GBuild};
 pub use memory_model::MemoryModel;
-pub use mp2::{mp2_energy, Mp2Result};
-pub use properties::{dipole_moment, mulliken_charges, mulliken_spin_populations, Dipole};
-pub use scf::{run_scf, BetaSpin, ScfConfig, ScfResult, ScfStop, Spin};
+pub use scf::{run_scf, ScfConfig, ScfResult, ScfStop};
 pub use stats::FockBuildStats;

@@ -42,8 +42,7 @@ impl MemoryModel {
     /// density + full accumulation matrices as MPI-only, so it shares
     /// eq. (3a).
     ///
-    /// The two window builds price what their restricted builds charge the
-    /// tracker, so these rows equal the tracked per-rank peak byte for
+    /// The two window builds price what their builds charge the tracker, so these rows equal the tracked per-rank peak byte for
     /// byte. Both hold a stripe of the tri-packed Fock window (`N(N+1)/2`
     /// words divided over the world's ranks) and the O(N) writer — `acc`
     /// buffer, FI/FJ strips, `(k, l)` block. `Distributed` adds one whole
@@ -54,16 +53,16 @@ impl MemoryModel {
         let n = self.n_basis;
         let n2 = (n as f64) * (n as f64);
         let (ranks, threads) = alg.shape();
-        let writer = shard_writer_bytes(n, self.max_shell_width, 1);
+        let writer = shard_writer_bytes(n, self.max_shell_width);
         let matrices = match alg {
             FockAlgorithm::Serial | FockAlgorithm::MpiOnly { .. } => 2.5 * n2 * WORD,
             FockAlgorithm::PrivateFock { .. } => (2.0 + threads as f64) * n2 * WORD,
             FockAlgorithm::SharedFock { .. } => 3.5 * n2 * WORD,
             FockAlgorithm::Distributed { .. } => {
-                (replicated_density_bytes(n, 1) + shard_stripe_bytes(n, ranks, 1) + writer) as f64
+                (replicated_density_bytes(n) + shard_stripe_bytes(n, ranks, 1) + writer) as f64
             }
             FockAlgorithm::Sharded { .. } => {
-                (shard_stripe_bytes(n, ranks, 2) + shard_reader_bytes(n, 1) + writer) as f64
+                (shard_stripe_bytes(n, ranks, 2) + shard_reader_bytes(n) + writer) as f64
             }
         };
         matrices + self.pair_bytes as f64

@@ -1,27 +1,10 @@
 //! The SCF driver: guess → (Fock build → diagonalize → new density) until
 //! convergence.
 //!
-//! Matches the paper's workflow (§3): convergence is declared when the
-//! root-mean-square change of the density matrix falls below the threshold.
-//! The two-electron Fock build — the paper's entire subject — is delegated
-//! to the algorithm selected in [`ScfConfig`].
-//!
-//! There is one loop. It iterates over a list of density channels: one for
-//! closed-shell RHF, an alpha and a beta one for UHF ([`Spin`]). The paper's
-//! conclusion (§7) notes that its parallel-assembly strategy transfers
-//! directly to "UHF, GVB, DFT, CPHF — all have this structure", and the
-//! driver shows it: the UHF spin Fock matrices
-//!
-//! ```text
-//! F_alpha = H + J(D_total) - K(D_alpha)
-//! F_beta  = H + J(D_total) - K(D_beta)
-//! ```
-//!
-//! come out of one [`DensitySet::Unrestricted`] build per iteration, so
-//! every surviving ERI is evaluated once and digested into both spin
-//! channels under any of the paper's parallel algorithms; everything after
-//! the build (energy, DIIS, density update, RMS) is the restricted step
-//! applied per channel.
+//! Matches the paper's workflow (§3): closed-shell RHF, with convergence
+//! declared when the root-mean-square change of the density matrix falls
+//! below the threshold. The two-electron Fock build — the paper's entire
+//! subject — is delegated to the algorithm selected in [`ScfConfig`].
 
 use crate::diis::Diis;
 use crate::fock::engine::FockData;
@@ -33,33 +16,10 @@ use phi_dmpi::{FaultPlan, RetryPolicy};
 use phi_integrals::{kinetic_matrix, nuclear_attraction_matrix, overlap_matrix};
 use phi_linalg::{sym_inv_sqrt, Mat};
 
-/// Spin treatment: how many density channels the SCF loop carries and how
-/// their orbitals are occupied.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Spin {
-    /// Closed-shell RHF: one channel `D = 2 C_occ C_occᵀ` over
-    /// `n_electrons / 2` doubly occupied orbitals.
-    #[default]
-    Restricted,
-    /// UHF: an alpha and a beta channel `D_s = C_s,occ C_s,occᵀ` over
-    /// `n_alpha >= n_beta` singly occupied orbitals each.
-    Unrestricted {
-        n_alpha: usize,
-        n_beta: usize,
-        /// Mix the alpha HOMO/LUMO of the initial guess to break spin
-        /// symmetry (needed to reach broken-symmetry solutions, e.g.
-        /// stretched H2).
-        break_symmetry: bool,
-    },
-}
-
 /// SCF configuration.
 #[derive(Clone, Debug)]
 pub struct ScfConfig {
-    /// Restricted (the default) or unrestricted, with its occupations.
-    pub spin: Spin,
-    /// Which Fock-build parallelization to use — all of the paper's
-    /// algorithms serve both spin treatments through the unified engine.
+    /// Which Fock-build parallelization to use.
     pub algorithm: FockAlgorithm,
     /// Schwarz screening threshold on `Q_ij * Q_kl` (GAMESS default range).
     pub screening_tau: f64,
@@ -81,7 +41,6 @@ pub struct ScfConfig {
 impl Default for ScfConfig {
     fn default() -> Self {
         ScfConfig {
-            spin: Spin::Restricted,
             algorithm: FockAlgorithm::Serial,
             screening_tau: 1e-10,
             convergence: 1e-8,
@@ -158,29 +117,14 @@ pub struct ScfResult {
     pub energy_history: Vec<f64>,
     /// Per-iteration Fock-build statistics ("TIME TO FORM FOCK").
     pub fock_stats: Vec<FockBuildStats>,
-    /// Final orbital energies (of the alpha spin in an unrestricted run).
+    /// Final orbital energies.
     pub orbital_energies: Vec<f64>,
-    /// Converged density matrix (input for property analysis). In an
-    /// unrestricted run this is the alpha-spin density, without the
-    /// closed-shell factor 2.
+    /// Converged density matrix `D = 2 C_occ C_occᵀ`.
     pub density: Mat,
-    /// Final MO coefficients (columns are orbitals; alpha spin in an
-    /// unrestricted run).
+    /// Final MO coefficients (columns are orbitals).
     pub orbitals: Mat,
-    /// What only an unrestricted run produces; `None` for RHF.
-    pub beta: Option<BetaSpin>,
     pub n_basis: usize,
     pub n_shells: usize,
-}
-
-/// The second spin channel of an unrestricted run.
-#[derive(Clone, Debug)]
-pub struct BetaSpin {
-    /// Converged beta-spin density.
-    pub density: Mat,
-    pub orbital_energies: Vec<f64>,
-    /// `<S^2>` expectation value (spin contamination diagnostic).
-    pub s_squared: f64,
 }
 
 impl ScfResult {
@@ -196,40 +140,16 @@ impl ScfResult {
     }
 }
 
-/// Run a Hartree-Fock calculation: closed-shell restricted, or unrestricted
-/// with the occupations in [`ScfConfig::spin`].
+/// Run a closed-shell restricted Hartree-Fock calculation.
 pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResult {
     let n = basis.n_basis();
-    // Occupied orbitals per density channel, largest first. Everything the
-    // two spin treatments do differently follows from this list.
-    let occupied = match config.spin {
-        Spin::Restricted => vec![mol.n_occupied()],
-        Spin::Unrestricted { n_alpha, n_beta, .. } => {
-            assert_eq!(
-                n_alpha + n_beta,
-                mol.n_electrons(),
-                "spin counts must sum to the electron count"
-            );
-            assert!(n_alpha >= n_beta, "convention: n_alpha >= n_beta");
-            vec![n_alpha, n_beta]
-        }
-    };
-    let channels = occupied.len();
+    let n_occ = mol.n_occupied();
     assert!(
-        occupied[0] <= n,
-        "basis too small: {} occupied orbitals but only {n} basis functions \
+        n_occ <= n,
+        "basis too small: {n_occ} occupied orbitals but only {n} basis functions \
          ({} shells) — pick a larger basis set",
-        occupied[0],
         basis.n_shells()
     );
-    // `density_from_orbitals` returns the closed-shell `2 P`; a spin
-    // channel holds the projector `P` itself.
-    let occupy = |mut d: Mat| {
-        if channels == 2 {
-            d.scale(0.5);
-        }
-        d
-    };
 
     // One-electron groundwork.
     let s = overlap_matrix(basis);
@@ -244,26 +164,8 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
     let builder = config.algorithm.builder_with_comm(config.faults.clone(), config.retry);
 
     // Initial guess.
-    let (eps0, c0) = solve_roothaan(&h, &x);
-    let mut orbital_energies = vec![eps0; channels];
-    let mut orbitals = vec![c0; channels];
-    if let Spin::Unrestricted { n_alpha, break_symmetry: true, .. } = config.spin {
-        if (1..n).contains(&n_alpha) {
-            // Rotate alpha HOMO/LUMO by 45 degrees.
-            let (c, homo, lumo) = (&mut orbitals[0], n_alpha - 1, n_alpha);
-            let inv_sqrt2 = 1.0 / 2f64.sqrt();
-            for r in 0..n {
-                let (ch, cl) = (c[(r, homo)], c[(r, lumo)]);
-                c[(r, homo)] = inv_sqrt2 * (ch + cl);
-                c[(r, lumo)] = inv_sqrt2 * (cl - ch);
-            }
-        }
-    }
-    let mut d: Vec<Mat> = orbitals
-        .iter()
-        .zip(&occupied)
-        .map(|(c, &n_occ)| occupy(density_from_orbitals(c, n_occ)))
-        .collect();
+    let (mut orbital_energies, mut orbitals) = solve_roothaan(&h, &x);
+    let mut d = density_from_orbitals(&orbitals, n_occ);
     let mut diis = Diis::new(8);
     let mut energy_history = Vec::new();
     let mut fock_stats = Vec::new();
@@ -276,32 +178,16 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
     for it in 0..config.max_iterations {
         iterations = it + 1;
         let _iter_span = phi_trace::span("scf.iteration");
-        // One spin-generalized build per iteration: every surviving ERI is
-        // evaluated once and digested into every channel.
         let gb = {
             let _span = phi_trace::span("scf.fock");
-            let d: Vec<&Mat> = d.iter().collect();
-            builder.build(&ctx, &DensitySet::from_channels(&d))
+            builder.build(&ctx, &DensitySet::Restricted(&d))
         };
         fock_stats.push(gb.stats);
-        let f: Vec<Mat> = std::iter::once(gb.g)
-            .chain(gb.g_beta)
-            .map(|g| {
-                let mut f = h.add(&g);
-                f.symmetrize();
-                f
-            })
-            .collect();
-        assert_eq!(
-            f.len(),
-            channels,
-            "Fock builder '{}' returned the wrong number of spin channels — every \
-             builder must digest every density it is handed",
-            builder.label()
-        );
+        let mut f = h.add(&gb.g);
+        f.symmetrize();
 
-        // E_elec = 1/2 sum_s sum_ij D_s,ij (H_ij + F_s,ij).
-        e_elec = 0.5 * d.iter().zip(&f).map(|(d, f)| d.dot(&h) + d.dot(f)).sum::<f64>();
+        // E_elec = 1/2 sum_ij D_ij (H_ij + F_ij).
+        e_elec = 0.5 * (d.dot(&h) + d.dot(&f));
         energy_history.push(e_elec + e_nn);
         if let Some(stop) = divergence.check(&energy_history) {
             stop_reason = stop;
@@ -310,30 +196,21 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
 
         let f_use = if config.diis {
             let _span = phi_trace::span("scf.diis");
-            // One extrapolation over the stacked channels: `<e_k, e_l>`
-            // then sums over spins, and both Focks share the coefficients.
-            let err: Vec<Mat> =
-                f.iter().zip(&d).map(|(f, d)| Diis::error_vector(f, d, &s, &x)).collect();
-            diis.extrapolate(Mat::vstack(&f), Mat::vstack(&err)).vsplit(channels)
+            let err = Diis::error_vector(&f, &d, &s, &x);
+            diis.extrapolate(f, err)
         } else {
             f
         };
 
-        let mut rms = 0.0;
-        for (ch, f_use) in f_use.iter().enumerate() {
-            let (eps, c) = {
-                let _span = phi_trace::span("scf.diag");
-                solve_roothaan(f_use, &x)
-            };
-            let d_new = occupy(density_from_orbitals(&c, occupied[ch]));
-            orbital_energies[ch] = eps;
-            orbitals[ch] = c;
-
-            // RMS density change, summed over channels.
-            rms += d_new.sub(&d[ch]).frobenius_norm();
-            d[ch] = d_new;
-        }
-        let rms = rms / (n as f64);
+        let (eps, c) = {
+            let _span = phi_trace::span("scf.diag");
+            solve_roothaan(&f_use, &x)
+        };
+        let d_new = density_from_orbitals(&c, n_occ);
+        orbital_energies = eps;
+        orbitals = c;
+        let rms = d_new.sub(&d).frobenius_norm() / (n as f64);
+        d = d_new;
 
         if rms < config.convergence {
             converged = true;
@@ -343,20 +220,6 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
     }
 
     let energy = e_elec + e_nn;
-    let beta = (channels == 2).then(|| {
-        let density = d.pop().expect("two channels");
-        // <S^2> = S(S+1) + N_beta - tr(D_a S D_b S): with D_s the occupied
-        // projector of spin s, the trace equals sum_ij |<a_i|S|b_j>|^2 over
-        // occupied pairs.
-        let sz = 0.5 * (occupied[0] as f64 - occupied[1] as f64);
-        let s_squared = sz * (sz + 1.0) + occupied[1] as f64
-            - d[0].matmul(&s).matmul(&density.matmul(&s)).trace();
-        BetaSpin {
-            density,
-            orbital_energies: orbital_energies.pop().expect("two channels"),
-            s_squared,
-        }
-    });
     ScfResult {
         energy,
         electronic_energy: energy - e_nn,
@@ -366,10 +229,9 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
         iterations,
         energy_history,
         fock_stats,
-        orbital_energies: orbital_energies.swap_remove(0),
-        density: d.swap_remove(0),
-        orbitals: orbitals.swap_remove(0),
-        beta,
+        orbital_energies,
+        density: d,
+        orbitals,
         n_basis: n,
         n_shells: basis.n_shells(),
     }
@@ -385,26 +247,6 @@ mod tests {
     fn scf(mol: &Molecule, basis: BasisName, config: &ScfConfig) -> ScfResult {
         let b = BasisSet::build(mol, basis);
         run_scf(mol, &b, config)
-    }
-
-    /// Default configuration for `n_alpha`/`n_beta` electrons of each spin.
-    fn uhf(n_alpha: usize, n_beta: usize) -> ScfConfig {
-        let spin = Spin::Unrestricted { n_alpha, n_beta, break_symmetry: false };
-        ScfConfig { spin, ..Default::default() }
-    }
-
-    /// The same from a symmetry-broken guess.
-    fn broken_symmetry_uhf(n_alpha: usize, n_beta: usize) -> ScfConfig {
-        let spin = Spin::Unrestricted { n_alpha, n_beta, break_symmetry: true };
-        ScfConfig { spin, ..Default::default() }
-    }
-
-    fn s_squared(r: &ScfResult) -> f64 {
-        r.beta.as_ref().expect("unrestricted run").s_squared
-    }
-
-    fn hydrogen_atom() -> Molecule {
-        Molecule::neutral(vec![Atom { element: Element::H, pos: [0.0; 3] }])
     }
 
     #[test]
@@ -431,13 +273,11 @@ mod tests {
         let zeta_he: f64 = 2.0925;
         let zeta_h: f64 = 1.24;
         let he = phi_chem::basis::custom_shell(
-            0,
             mol.atoms()[0].pos,
             base.iter().map(|a| a * zeta_he * zeta_he).collect(),
             &[(0, coefs.clone())],
         );
         let h = phi_chem::basis::custom_shell(
-            1,
             mol.atoms()[1].pos,
             base.iter().map(|a| a * zeta_h * zeta_h).collect(),
             &[(0, coefs)],
@@ -610,114 +450,10 @@ mod tests {
     }
 
     #[test]
-    fn hydrogen_atom_energy_is_the_core_matrix_element() {
-        // With one electron and one basis function, the UHF energy must be
-        // exactly H_core[0,0] + 0 — an integral-level self-check.
-        let mol = hydrogen_atom();
-        let b = BasisSet::build(&mol, BasisName::Sto3g);
-        let r = run_scf(&mol, &b, &uhf(1, 0));
-        assert!(r.converged);
-        let h = kinetic_matrix(&b).add(&nuclear_attraction_matrix(&b, &mol));
-        assert!(
-            (r.energy - h[(0, 0)]).abs() < 1e-10,
-            "UHF H atom {} vs H_core {}",
-            r.energy,
-            h[(0, 0)]
-        );
-        // The textbook STO-3G hydrogen atom value.
-        assert!((r.energy - (-0.4665819)).abs() < 1e-4, "H atom energy {}", r.energy);
-        // A doublet: <S^2> = 0.75 exactly (one unpaired electron).
-        assert!((s_squared(&r) - 0.75).abs() < 1e-10);
-    }
-
-    #[test]
-    fn closed_shell_uhf_reduces_to_rhf() {
-        // Same loop, same DIIS: with alpha = beta = D/2 the stacked B
-        // matrix is RHF's times a constant, so the extrapolation
-        // coefficients — and with them every iterate — coincide.
-        let mol = small::water();
-        for diis in [true, false] {
-            let base = ScfConfig { diis, max_iterations: 200, ..Default::default() };
-            let rhf = scf(&mol, BasisName::Sto3g, &base);
-            let uhf = scf(&mol, BasisName::Sto3g, &ScfConfig { spin: uhf(5, 5).spin, ..base });
-            assert!(rhf.converged && uhf.converged);
-            assert_eq!(rhf.iterations, uhf.iterations, "diis {diis}");
-            for (k, (r, u)) in rhf.energy_history.iter().zip(&uhf.energy_history).enumerate() {
-                assert!((r - u).abs() <= 1e-9, "diis {diis}, iteration {k}: RHF {r} vs UHF {u}");
-            }
-            assert!(s_squared(&uhf).abs() < 1e-8, "closed shell must have <S^2> = 0");
-        }
-    }
-
-    #[test]
-    fn triplet_h2_at_long_range_is_two_hydrogen_atoms() {
-        let r = scf(&small::hydrogen_molecule(50.0), BasisName::Sto3g, &uhf(2, 0));
-        assert!(r.converged);
-        // Two non-interacting neutral H atoms: the monopole terms (e-n
-        // attraction to the far nucleus, e-e repulsion, n-n repulsion) all
-        // cancel at 1/R, so the limit is exactly 2 x E(H atom).
-        let e_atom = scf(&hydrogen_atom(), BasisName::Sto3g, &uhf(1, 0)).energy;
-        assert!(
-            (r.energy - 2.0 * e_atom).abs() < 1e-6,
-            "triplet H2 at 50 a0: {} vs {}",
-            r.energy,
-            2.0 * e_atom
-        );
-        // Triplet: <S^2> = 2.
-        assert!((s_squared(&r) - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn broken_symmetry_uhf_beats_rhf_for_stretched_h2() {
-        // At 5 bohr RHF pays the ionic-term penalty; symmetry-broken UHF
-        // must fall below it (toward two H atoms). DIIS is on for both.
-        let mol = small::hydrogen_molecule(5.0);
-        let rhf = scf(&mol, BasisName::Sto3g, &ScfConfig::default());
-        let uhf = scf(&mol, BasisName::Sto3g, &broken_symmetry_uhf(1, 1));
-        assert!(rhf.converged && uhf.converged);
-        assert!(
-            uhf.energy < rhf.energy - 1e-4,
-            "UHF {} should break symmetry below RHF {}",
-            uhf.energy,
-            rhf.energy
-        );
-        // Spin contamination appears (singlet <S^2> = 0 is violated).
-        assert!(s_squared(&uhf) > 0.5, "expected contamination, got {}", s_squared(&uhf));
-    }
-
-    #[test]
-    fn uhf_energy_is_algorithm_invariant() {
-        // The engine unlocks every parallel algorithm for UHF; all must
-        // land on the serial driver's converged energy.
-        let mol = small::hydrogen_molecule(5.0);
-        let base = broken_symmetry_uhf(1, 1);
-        let want = scf(&mol, BasisName::Sto3g, &base);
-        assert!(want.converged);
-        for algorithm in [
-            FockAlgorithm::MpiOnly { n_ranks: 2 },
-            FockAlgorithm::PrivateFock { n_ranks: 1, n_threads: 2 },
-            FockAlgorithm::SharedFock { n_ranks: 2, n_threads: 2 },
-            FockAlgorithm::Distributed { n_ranks: 2 },
-            FockAlgorithm::Sharded { n_ranks: 2, mode: phi_dmpi::DdiMode::Mpi3OneSided },
-        ] {
-            let r = scf(&mol, BasisName::Sto3g, &ScfConfig { algorithm, ..base.clone() });
-            assert!(r.converged, "{} did not converge", algorithm.label());
-            assert!(
-                (r.energy - want.energy).abs() < 1e-8,
-                "{}: {} vs serial {}",
-                algorithm.label(),
-                r.energy,
-                want.energy
-            );
-        }
-        assert!(!want.fock_stats.is_empty(), "UHF surfaces per-iteration Fock stats");
-    }
-
-    #[test]
     #[should_panic(expected = "basis too small: 2 occupied orbitals but only 1 basis functions")]
-    fn more_alpha_electrons_than_basis_functions_is_a_named_error() {
-        // He/STO-3G has one function: two alpha electrons cannot fit.
-        let he = Molecule::neutral(vec![Atom { element: Element::He, pos: [0.0; 3] }]);
-        scf(&he, BasisName::Sto3g, &uhf(2, 0));
+    fn more_occupied_orbitals_than_basis_functions_is_a_named_error() {
+        // He2- in STO-3G has one function for two doubly occupied orbitals.
+        let he = Molecule::new(vec![Atom { element: Element::He, pos: [0.0; 3] }], -2);
+        scf(&he, BasisName::Sto3g, &ScfConfig::default());
     }
 }

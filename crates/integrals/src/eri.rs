@@ -326,7 +326,6 @@ mod tests {
         let df: f64 = (1..=l).map(|k| 2.0 * k as f64 - 1.0).product();
         let norm = (2.0 * alpha / PI).powf(0.75) * (4.0 * alpha).powf(l as f64 / 2.0) / df.sqrt();
         Shell {
-            atom: 0,
             center,
             exps: vec![alpha],
             blocks: vec![AngBlock { l, coefs: vec![norm] }],
@@ -570,7 +569,7 @@ mod tests {
         let exps: Vec<f64> =
             (0..depth).map(|k| (0.11 + 0.02 * tag) * 3.3f64.powi(k as i32)).collect();
         let coefs = (0..depth).map(|k| (0.9 - 0.23 * k as f64) * (1.0 + 0.1 * tag)).collect();
-        Shell { atom: 0, center, exps, blocks: vec![AngBlock { l: 0, coefs }], first_bf: 0 }
+        Shell { center, exps, blocks: vec![AngBlock { l: 0, coefs }], first_bf: 0 }
     }
 
     #[test]

@@ -42,8 +42,6 @@ pub use kernels::{
     class_index, ClassKernels, EriKernel, KernelRun, CLASS_LABELS, CLASS_TRACE_NAMES, GENERIC_SLOT,
     N_CLASS_SLOTS, N_SPEC, SPEC_LMAX,
 };
-pub use one_electron::{
-    dipole_matrices, kinetic_matrix, nuclear_attraction_matrix, overlap_matrix,
-};
+pub use one_electron::{kinetic_matrix, nuclear_attraction_matrix, overlap_matrix};
 pub use screening::Screening;
 pub use shell_pairs::{ShellPair, ShellPairs};

@@ -37,26 +37,11 @@ pub fn nuclear_attraction_matrix(basis: &BasisSet, mol: &Molecule) -> Mat {
     })
 }
 
-/// Electric dipole moment matrices `(X, Y, Z)` with
-/// `X_{mu nu} = <mu | x - origin_x | nu>` etc.
-///
-/// Uses the shift identity `x = (x - x_B) + x_B`, so each matrix element is
-/// `S(i, j+1) + (B_x - origin_x) S(i, j)` in the shifted direction. Needed
-/// for molecular dipole moments (a standard GAMESS property output).
-pub fn dipole_matrices(basis: &BasisSet, origin: [f64; 3]) -> [Mat; 3] {
-    [0usize, 1, 2].map(|dir| {
-        build_symmetric(basis, |sa, sb, out, nb| {
-            shell_pair(sa, sb, out, nb, PairOp::Dipole { dir, origin });
-        })
-    })
-}
-
 /// Which one-electron operator a shell-pair evaluation computes.
 enum PairOp<'a> {
     Overlap,
     Kinetic,
     Nuclear(&'a [([f64; 3], f64)]),
-    Dipole { dir: usize, origin: [f64; 3] },
 }
 
 /// Assemble a symmetric matrix by looping over shell pairs `i >= j`.
@@ -95,13 +80,8 @@ fn shell_pair(sa: &Shell, sb: &Shell, out: &mut [f64], nb_total: usize, op: Pair
                 for (pb, (&eb, &cb)) in sb.exps.iter().zip(&bb.coefs).enumerate() {
                     let _ = (pa, pb);
                     let w = ca * cb;
-                    // Kinetic needs E up to j + 2 in the ket index; dipole
-                    // needs j + 1.
-                    let extra = match op {
-                        PairOp::Kinetic => 2,
-                        PairOp::Dipole { .. } => 1,
-                        _ => 0,
-                    };
+                    // Kinetic needs E up to j + 2 in the ket index.
+                    let extra = if matches!(op, PairOp::Kinetic) { 2 } else { 0 };
                     let ex = ETable::build(ba.l, bb.l + extra, ea, eb, sa.center[0], sb.center[0]);
                     let ey = ETable::build(ba.l, bb.l + extra, ea, eb, sa.center[1], sb.center[1]);
                     let ez = ETable::build(ba.l, bb.l + extra, ea, eb, sa.center[2], sb.center[2]);
@@ -141,30 +121,6 @@ fn shell_pair(sa: &Shell, sb: &Shell, out: &mut [f64], nb_total: usize, op: Pair
                                     let tz = tfac(&ez, az, bz);
                                     out[(off_a + ia) * nb_total + off_b + ib] +=
                                         scale * (tx * sy * sz + sx * ty * sz + sx * sy * tz);
-                                }
-                            }
-                        }
-                        PairOp::Dipole { dir, origin } => {
-                            let scale = (PI / p).powf(1.5) * w;
-                            let tables = [&ex, &ey, &ez];
-                            let centers = [sb.center[0], sb.center[1], sb.center[2]];
-                            for (ia, &ca3) in comps_a.iter().enumerate() {
-                                let apow = [ca3.0, ca3.1, ca3.2];
-                                for (ib, &cb3) in comps_b.iter().enumerate() {
-                                    let bpow = [cb3.0, cb3.1, cb3.2];
-                                    // <a| r_dir |b> = prod_{d != dir} S_d *
-                                    //   [S_dir(i, j+1) + (B_dir - o_dir) S_dir(i, j)]
-                                    let mut v = scale;
-                                    for d3 in 0..3 {
-                                        let s0 = tables[d3].get(apow[d3], bpow[d3], 0);
-                                        if d3 == *dir {
-                                            let s1 = tables[d3].get(apow[d3], bpow[d3] + 1, 0);
-                                            v *= s1 + (centers[d3] - origin[d3]) * s0;
-                                        } else {
-                                            v *= s0;
-                                        }
-                                    }
-                                    out[(off_a + ia) * nb_total + off_b + ib] += v;
                                 }
                             }
                         }
@@ -251,7 +207,6 @@ mod tests {
         let df: f64 = (1..=l).map(|k| 2.0 * k as f64 - 1.0).product();
         let norm = (2.0 * alpha / PI).powf(0.75) * (4.0 * alpha).powf(l as f64 / 2.0) / df.sqrt();
         Shell {
-            atom: 0,
             center,
             exps: vec![alpha],
             blocks: vec![AngBlock { l, coefs: vec![norm] }],
@@ -347,45 +302,6 @@ mod tests {
         let b = BasisSet::build(&mol, BasisName::Sto3g);
         let s = overlap_matrix(&b);
         assert!(s[(0, 1)].abs() < 1e-20);
-    }
-
-    #[test]
-    fn dipole_of_a_gaussian_is_its_center() {
-        // <phi | r - o | phi> = R - o for any normalized gaussian at R.
-        let center = [0.5, -0.3, 1.1];
-        let origin = [0.1, 0.2, 0.3];
-        for l in 0..=2 {
-            let b = one_shell_basis(single_prim_shell(l, 0.9, center));
-            let dip = dipole_matrices(&b, origin);
-            for (d, m) in dip.iter().enumerate() {
-                for f in 0..b.n_basis() {
-                    assert!(
-                        (m[(f, f)] - (center[d] - origin[d])).abs() < 1e-10,
-                        "l={l} dir={d} fn={f}: {} vs {}",
-                        m[(f, f)],
-                        center[d] - origin[d]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dipole_origin_shift_is_minus_overlap_times_shift() {
-        // X(o + s) = X(o) - s_x * S, exactly.
-        let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let s_mat = overlap_matrix(&b);
-        let d0 = dipole_matrices(&b, [0.0; 3]);
-        let shift = [0.7, -0.2, 1.3];
-        let d1 = dipole_matrices(&b, shift);
-        for dir in 0..3 {
-            let mut expect = d0[dir].clone();
-            expect.axpy(-shift[dir], &s_mat);
-            assert!(
-                d1[dir].max_abs_diff(&expect) < 1e-11,
-                "dir {dir}: origin shift identity broken"
-            );
-        }
     }
 
     #[test]

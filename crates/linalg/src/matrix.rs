@@ -84,30 +84,6 @@ impl Mat {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Stack matrices of equal width on top of each other, first on top.
-    pub fn vstack(parts: &[Mat]) -> Mat {
-        let cols = parts.first().expect("vstack needs at least one matrix").cols;
-        assert!(parts.iter().all(|p| p.cols == cols), "vstack needs equal column counts");
-        let rows = parts.iter().map(|p| p.rows).sum();
-        Mat { rows, cols, data: parts.iter().flat_map(|p| &p.data).copied().collect() }
-    }
-
-    /// Undo [`Mat::vstack`] of `parts` equally tall matrices.
-    pub fn vsplit(&self, parts: usize) -> Vec<Mat> {
-        assert!(
-            parts >= 1 && self.rows.is_multiple_of(parts),
-            "cannot split {} rows into {parts} equal blocks",
-            self.rows
-        );
-        let rows = self.rows / parts;
-        (0..parts)
-            .map(|p| {
-                let block = &self.data[p * rows * self.cols..(p + 1) * rows * self.cols];
-                Mat { rows, cols: self.cols, data: block.to_vec() }
-            })
-            .collect()
-    }
-
     /// Copy of column `j`.
     pub fn col(&self, j: usize) -> Vec<f64> {
         (0..self.rows).map(|i| self[(i, j)]).collect()
@@ -192,13 +168,6 @@ impl Mat {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         for (a, b) in self.data.iter_mut().zip(&other.data) {
             *a += alpha * b;
-        }
-    }
-
-    /// In-place scaling by a scalar.
-    pub fn scale(&mut self, alpha: f64) {
-        for a in &mut self.data {
-            *a *= alpha;
         }
     }
 
@@ -340,17 +309,6 @@ mod tests {
         let id = Mat::identity(3);
         assert_eq!(a.matmul(&id), a);
         assert_eq!(id.matmul(&a), a);
-    }
-
-    #[test]
-    fn vsplit_undoes_vstack() {
-        let a = Mat::from_fn(2, 3, |i, j| (i * 3 + j) as f64);
-        let b = Mat::from_fn(2, 3, |i, j| -((i + j) as f64));
-        let stacked = Mat::vstack(&[a.clone(), b.clone()]);
-        assert_eq!((stacked.rows(), stacked.cols()), (4, 3));
-        assert_eq!(stacked.row(2), b.row(0));
-        assert_eq!(stacked.vsplit(2), vec![a.clone(), b]);
-        assert_eq!(Mat::vstack(std::slice::from_ref(&a)), a);
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! | `mpi.barrier` | fault-tolerant world barrier |
 //! | `fock.build` | one builder invocation (per rank) |
 //! | `fock.flush_fi` / `fock.flush_fj` / `fock.flush_scatter` | shared-Fock / distributed and sharded flushes |
-//! | `scf.iteration` / `scf.fock` / `scf.diag` / `scf.diis` | SCF driver phases (RHF and UHF) |
+//! | `scf.iteration` / `scf.fock` / `scf.diag` / `scf.diis` | SCF driver phases |
 //!
 //! Instants: `rank.died` (value = rank id), `task.reissued`
 //! (value = task, aux = original claimant). Counters: `quartets_computed`,

@@ -5,7 +5,7 @@
 //! phi-scf --molecule water --basis 631gd --algorithm shared:2x2
 //! phi-scf --molecule ring:8 --basis sto3g --algorithm private:1x4
 //! phi-scf --molecule benzene --algorithm distributed:4
-//! phi-scf --molecule h2:1.4 --uhf 1,1 --algorithm mpi:2
+//! phi-scf --molecule h2:1.4 --algorithm mpi:2
 //! phi-scf --help
 //! ```
 
@@ -14,12 +14,10 @@ use phi_scf::chem::geom::{graphene, small};
 use phi_scf::chem::Molecule;
 use phi_scf::dmpi::{DdiMode, FaultPlan, RetryPolicy};
 use phi_scf::hf::fock::SignificantPairs;
-use phi_scf::hf::{
-    mp2_energy, run_scf, FockAlgorithm, FockData, MemoryModel, ScfConfig, ScfResult, ScfStop, Spin,
-};
+use phi_scf::hf::{run_scf, FockAlgorithm, FockData, MemoryModel, ScfConfig, ScfResult, ScfStop};
 
 const HELP: &str = "\
-phi-scf — Hartree-Fock with the SC'17 hybrid MPI/OpenMP Fock builders
+phi-scf — closed-shell RHF with the SC'17 hybrid MPI/OpenMP Fock builders
 
 USAGE:
     phi-scf [OPTIONS]
@@ -34,8 +32,7 @@ OPTIONS:
     --algorithm <SPEC>   serial | mpi:<ranks> | private:<R>x<T> |
                          shared:<R>x<T> | distributed:<ranks> |
                          sharded:<ranks>
-                         (applies to RHF and UHF; at most 256 ranks x
-                         threads)                      [default: shared:2x2]
+                         (at most 256 ranks x threads) [default: shared:2x2]
                          distributed and sharded keep Fock in tri-packed
                          MPI-3 one-sided windows; distributed reads a
                          full density copy per rank, sharded keeps
@@ -44,10 +41,7 @@ OPTIONS:
     --tau <FLOAT>        Schwarz screening threshold, finite and >= 0
                                                        [default: 1e-10]
     --max-iter <N>       SCF iteration cap, N >= 1     [default: 100]
-    --uhf <NA>,<NB>      run UHF with NA alpha / NB beta electrons
-    --mp2                add the MP2 correlation energy after RHF
-                         (closed-shell only: not with --uhf)
-    --no-diis            disable DIIS acceleration (RHF and UHF)
+    --no-diis            disable DIIS acceleration
     --memory-budget <MiB>
                          print the per-rank memory-model estimate for every
                          algorithm at the requested rank/thread shape and
@@ -182,38 +176,20 @@ fn parse_algorithm(spec: &str) -> Result<FockAlgorithm, String> {
     }
 }
 
-/// `run_scf`'s preconditions on the occupations of either spin treatment,
-/// as an error instead of its asserts.
-fn check_occupations(spin: Spin, n_electrons: usize, n_basis: usize) -> Result<(), String> {
-    // The largest channel's occupied orbitals must fit in the basis.
-    let (occupied, what) = match spin {
-        Spin::Restricted if !n_electrons.is_multiple_of(2) => {
-            return Err(format!(
-                "RHF needs an even electron count, but the molecule has {n_electrons}; run \
-                 it open-shell with --uhf NA,NB"
-            ))
-        }
-        Spin::Restricted => {
-            let occupied = n_electrons / 2;
-            (occupied, format!("RHF's {occupied} doubly occupied orbitals"))
-        }
-        Spin::Unrestricted { n_alpha: na, n_beta: nb, .. } => {
-            if na + nb != n_electrons {
-                return Err(format!(
-                    "--uhf {na},{nb} places {} electrons but the molecule has {n_electrons}",
-                    na + nb
-                ));
-            }
-            if na < nb {
-                return Err(format!(
-                    "--uhf {na},{nb}: convention is NA >= NB (try --uhf {nb},{na})"
-                ));
-            }
-            (na, format!("--uhf {na},{nb}: {na} alpha electrons"))
-        }
-    };
+/// `run_scf`'s preconditions on the occupation, as an error instead of its
+/// asserts: a closed shell whose doubly occupied orbitals fit in the basis.
+fn check_occupations(n_electrons: usize, n_basis: usize) -> Result<(), String> {
+    if !n_electrons.is_multiple_of(2) {
+        return Err(format!(
+            "RHF needs an even electron count, but the molecule has {n_electrons}; this \
+             program runs closed-shell RHF only"
+        ));
+    }
+    let occupied = n_electrons / 2;
     if occupied > n_basis {
-        return Err(format!("{what} do not fit in {n_basis} basis functions"));
+        return Err(format!(
+            "RHF's {occupied} doubly occupied orbitals do not fit in {n_basis} basis functions"
+        ));
     }
     Ok(())
 }
@@ -325,8 +301,6 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
     let mut algorithm = "shared:2x2".to_string();
     let mut tau = 1e-10f64;
     let mut max_iter = 100usize;
-    let mut uhf: Option<(usize, usize)> = None;
-    let mut mp2 = false;
     let mut diis = true;
     let mut faults: Option<FaultPlan> = None;
     let mut retry = RetryPolicy::default();
@@ -354,15 +328,6 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
                     return Err("--max-iter needs N >= 1".into());
                 }
             }
-            "--uhf" => {
-                let v = value("uhf")?;
-                let (na, nb) = v.split_once(',').ok_or("--uhf needs NA,NB")?;
-                uhf = Some((
-                    na.parse().map_err(|_| format!("bad alpha count '{na}'"))?,
-                    nb.parse().map_err(|_| format!("bad beta count '{nb}'"))?,
-                ));
-            }
-            "--mp2" => mp2 = true,
             "--no-diis" => diis = false,
             "--memory-budget" => {
                 let mib: f64 = value("memory-budget")?
@@ -425,16 +390,7 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
     if let (Some(plan), Some((_, kl))) = (&faults, &checked) {
         check_fault_plan(plan, alg, &algorithm, b.n_shells(), kl.len(), retry.timeout)?;
     }
-    if mp2 && uhf.is_some() {
-        return Err("--mp2 is the closed-shell formula over one set of doubly occupied \
-                    orbitals; --uhf produces two spin sets (drop one of the two flags)"
-            .into());
-    }
-    let spin = match uhf {
-        Some((n_alpha, n_beta)) => Spin::Unrestricted { n_alpha, n_beta, break_symmetry: false },
-        None => Spin::Restricted,
-    };
-    check_occupations(spin, mol.n_electrons(), b.n_basis())?;
+    check_occupations(mol.n_electrons(), b.n_basis())?;
     if let (Some(mib), Some((data, kl))) = (memory_budget, &checked) {
         // Per-rank model estimate, shell-pair dataset included. The
         // significant-pair list is built once per build and read by every
@@ -456,7 +412,6 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
     }
     let trace_session = trace_path.as_deref().map(|_| phi_scf::trace::TraceSession::begin());
     let config = ScfConfig {
-        spin,
         algorithm: alg,
         screening_tau: tau,
         max_iterations: max_iter,
@@ -476,16 +431,13 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
             r.energy, r.iterations
         ));
     }
-    let method = match (spin, &r.beta) {
-        (Spin::Unrestricted { n_alpha, n_beta, .. }, Some(beta)) => format!(
-            "UHF [{}] ({n_alpha} alpha, {n_beta} beta): E = {:.8} Eh  <S^2> = {:.4}",
-            alg.label(),
-            r.energy,
-            beta.s_squared
-        ),
-        _ => format!("RHF [{}]: E = {:.8} Eh", alg.label(), r.energy),
-    };
-    println!("{method}  ({} iterations, converged: {})", r.iterations, r.converged);
+    println!(
+        "RHF [{}]: E = {:.8} Eh  ({} iterations, converged: {})",
+        alg.label(),
+        r.energy,
+        r.iterations,
+        r.converged
+    );
     print_fault_summary(&r.fock_stats);
     let rank_peak = r.fock_stats.iter().map(|s| s.max_rank_peak()).max().unwrap_or(0);
     println!(
@@ -503,13 +455,6 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
             s.screened_fraction(b.n_shells()) * 100.0,
             s.dlb_tasks
         );
-    }
-    if mp2 {
-        if !r.converged {
-            return Err("MP2 needs a converged SCF".into());
-        }
-        let c = mp2_energy(&b, &r.orbitals, &r.orbital_energies, mol.n_occupied(), r.energy);
-        println!("MP2: E_corr = {:.8} Eh, total = {:.8} Eh", c.correlation_energy, c.total_energy);
     }
     Ok(Some(r))
 }
@@ -604,29 +549,24 @@ mod tests {
     }
 
     #[test]
-    fn uhf_occupations_are_checked_against_the_molecule() {
-        let uhf = |n_alpha, n_beta| Spin::Unrestricted { n_alpha, n_beta, break_symmetry: false };
+    fn occupations_are_checked_against_the_molecule() {
         // H2: 2 electrons, 2 STO-3G functions.
-        assert_eq!(check_occupations(uhf(1, 1), 2, 2), Ok(()));
-        assert_eq!(check_occupations(uhf(2, 0), 2, 2), Ok(()));
-        assert_eq!(check_occupations(Spin::Restricted, 2, 2), Ok(()));
-        assert!(check_occupations(uhf(0, 2), 2, 2).unwrap_err().contains("NA >= NB"));
-        assert!(check_occupations(uhf(2, 1), 2, 2).unwrap_err().contains("has 2"));
-        // He/STO-3G: one function cannot hold two alpha electrons, and the
-        // same check serves RHF (H with charge=-3: four electrons).
-        assert!(check_occupations(uhf(2, 0), 2, 1).unwrap_err().contains("do not fit"));
-        assert!(check_occupations(Spin::Restricted, 4, 1).unwrap_err().contains("do not fit"));
+        assert_eq!(check_occupations(2, 2), Ok(()));
+        let odd = check_occupations(3, 6).unwrap_err();
+        assert!(odd.contains("even electron count") && odd.contains("closed-shell RHF only"));
+        // H with charge=-3: four electrons, two orbitals in one function.
+        assert!(check_occupations(4, 1).unwrap_err().contains("do not fit"));
     }
 
     fn args(line: &str) -> impl Iterator<Item = String> + '_ {
         line.split_whitespace().map(String::from)
     }
 
-    /// `--uhf` with `--mp2`, and every other job whose answer would be wrong
-    /// or whose option would be ignored: each is refused with an error
-    /// naming the flags involved.
+    /// Every job whose answer would be wrong or whose option would be
+    /// ignored, and every option the program does not have: each is
+    /// refused with an error naming the flags involved.
     #[test]
-    fn uhf_with_mp2_is_refused_naming_both_flags() {
+    fn bad_jobs_are_refused_naming_the_flags() {
         let xyz = |name: &str, text: &str| {
             let file = format!("phi-scf-{}-{name}.xyz", std::process::id());
             let path = std::env::temp_dir().join(file);
@@ -644,12 +584,11 @@ mod tests {
             ("far", "1\n\nHe 1e300 0 0\n"),
         ];
         let paths: Vec<String> = files.iter().map(|(name, text)| xyz(name, text)).collect();
-        let odd = &["even electron count", "--uhf NA,NB"][..];
+        let odd = &["even electron count", "closed-shell RHF only"][..];
         let serial = |k: usize| format!("--xyz {} --basis sto3g --algorithm serial", paths[k]);
         let xyz_jobs = [
             (serial(0), &["nuclei coincide"][..]),
             (serial(1), odd),
-            (serial(1) + " --mp2", odd),
             (serial(2), &["atom count 0"]),
             (serial(3), &["coordinate NaN", "not finite"]),
             (serial(4), &["coordinate inf", "not finite"]),
@@ -658,7 +597,8 @@ mod tests {
             (serial(7), &["energy became", "iteration 1"]),
         ];
         let jobs = [
-            ("--molecule h2:1.4 --basis sto3g --uhf 1,1 --mp2", &["--uhf", "--mp2"][..]),
+            ("--molecule h2:1.4 --basis sto3g --uhf 1,1", &["unknown option", "--uhf"][..]),
+            ("--molecule water --basis sto3g --mp2", &["unknown option", "--mp2"]),
             ("--molecule water --basis sto3g --tau nan", &["--tau", "finite"]),
             ("--molecule water --basis sto3g --tau inf", &["--tau", "finite"]),
             ("--molecule water --basis sto3g --tau -1e-10", &["--tau", ">= 0"]),
@@ -741,7 +681,6 @@ mod tests {
             ("--molecule h2:-1 --basis sto3g", &["bond length '-1'", "> 0"]),
             ("--molecule chain:2:0 --basis sto3g", &["spacing '0'", "> 0"]),
             ("--molecule chain:3:1.8 --basis sto3g", odd),
-            ("--molecule chain:3:1.8 --basis sto3g --mp2", odd),
         ];
         let owned = jobs.into_iter().map(|(job, named)| (job.to_string(), named));
         for (job, named) in owned.chain(xyz_jobs) {
@@ -754,16 +693,13 @@ mod tests {
     }
 
     #[test]
-    fn no_diis_is_honoured_for_both_spin_treatments() {
-        // Plain Roothaan takes more iterations than DIIS on water, and
-        // closed-shell UHF follows RHF step for step either way.
+    fn no_diis_is_honoured() {
+        // Plain Roothaan takes more iterations than DIIS on water.
         let iterations = |flags: &str| {
             let job = format!("--molecule water --basis sto3g --algorithm serial {flags}");
             run(args(&job)).expect("valid job").expect("not --help").iterations
         };
         let (rhf, rhf_plain) = (iterations(""), iterations("--no-diis"));
         assert!(rhf_plain > rhf, "--no-diis {rhf_plain} vs DIIS {rhf}");
-        assert_eq!(iterations("--uhf 5,5"), rhf);
-        assert_eq!(iterations("--uhf 5,5 --no-diis"), rhf_plain);
     }
 }

@@ -108,33 +108,6 @@ fn killing_two_of_four_ranks_preserves_the_fock_matrix() {
 }
 
 #[test]
-fn recovery_covers_both_spin_channels() {
-    // The lease loop sits below the spin-generalized digestion, so an
-    // unrestricted build must recover both channels.
-    let mol = small::water();
-    let b = BasisSet::build(&mol, BasisName::Sto3g);
-    let data = FockData::build(&b);
-    let ctx = data.context(&b, 1e-12);
-    let n = b.n_basis();
-    let d_a = density(n);
-    let mut d_b = density(n);
-    d_b.scale(0.8);
-    let dens = DensitySet::Unrestricted { alpha: &d_a, beta: &d_b };
-    let want = FockAlgorithm::Serial.builder().build(&ctx, &dens);
-    let want_b = want.g_beta.as_ref().expect("serial beta channel");
-
-    for alg in [FockAlgorithm::MpiOnly { n_ranks: 4 }, FockAlgorithm::Distributed { n_ranks: 4 }] {
-        let plan = FaultPlan::random_kills(7, 1);
-        let got = alg.builder_with_faults(Some(plan)).build(&ctx, &dens);
-        let got_b = got.g_beta.as_ref().expect("recovered beta channel");
-        assert!(got.g.max_abs_diff(&want.g) <= 1e-12, "{} alpha", alg.label());
-        assert!(got_b.max_abs_diff(want_b) <= 1e-12, "{} beta", alg.label());
-        assert_eq!(got.stats.failed_ranks.len(), 1);
-        assert!(got.stats.tasks_reclaimed > 0);
-    }
-}
-
-#[test]
 fn scf_converges_to_the_fault_free_energy_under_repeated_kills() {
     // The fault plan replays on *every* iteration's build: each one loses
     // a rank and recovers. The converged energy must match the serial

@@ -79,7 +79,7 @@ fn class_shell(rng: &mut Rng, kind: usize, depth: usize, center: [f64; 3]) -> Sh
         2 => vec![(2, coefs())],
         _ => vec![(0, coefs()), (1, coefs())],
     };
-    custom_shell(0, center, exps, &blocks)
+    custom_shell(center, exps, &blocks)
 }
 
 fn rand_center(rng: &mut Rng) -> [f64; 3] {
@@ -256,12 +256,8 @@ fn degenerate_geometries_match_generic() {
             // Near-zero exponents: extremely diffuse primitives (tiny Boys
             // arguments, huge prefactors).
             let diffuse_center = rand_center(&mut rng);
-            let diffuse = custom_shell(
-                0,
-                diffuse_center,
-                vec![1e-6, 0.8],
-                &[(kind_set.min(2), vec![0.7, 0.4])],
-            );
+            let diffuse =
+                custom_shell(diffuse_center, vec![1e-6, 0.8], &[(kind_set.min(2), vec![0.7, 0.4])]);
             let probe = rand_shell(&mut rng, (kind_set + 1) % 4, 2);
             assert_parity(
                 &mut spec,

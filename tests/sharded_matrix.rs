@@ -1,7 +1,7 @@
 //! Sharded (non-replicated) build suite: the distribution-aware matrix
 //! layer must produce the serial Fock matrix through its MPI-3 one-sided
 //! windows, survive rank deaths mid-build with its window flushes intact,
-//! and drive full RHF/UHF SCF runs to the serial energy.
+//! and drive full SCF runs to the serial energy.
 //!
 //! Fault schedules are seeded and deterministic ([`FaultPlan`]), so every
 //! failure replays exactly; `PHI_FAULT_SEEDS` sweeps extra seeds in CI.
@@ -9,7 +9,7 @@
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
 use phi_scf::dmpi::{DdiMode, FaultPlan};
-use phi_scf::hf::{run_scf, DensitySet, FockAlgorithm, FockData, ScfConfig, Spin};
+use phi_scf::hf::{run_scf, DensitySet, FockAlgorithm, FockData, ScfConfig};
 use phi_scf::linalg::Mat;
 
 const SHARDED4: FockAlgorithm = FockAlgorithm::Sharded { n_ranks: 4, mode: DdiMode::Mpi3OneSided };
@@ -98,31 +98,6 @@ fn sharded_fault_replays_agree_to_machine_precision() {
     }
 }
 
-/// Both spin channels recover: the lease loop sits below the
-/// spin-generalized digestion, so an unrestricted sharded build must
-/// reconstruct alpha and beta Fock matrices after a kill.
-#[test]
-fn unrestricted_sharded_build_recovers_both_channels() {
-    let mol = small::water();
-    let b = BasisSet::build(&mol, BasisName::Sto3g);
-    let data = FockData::build(&b);
-    let ctx = data.context(&b, 1e-12);
-    let n = b.n_basis();
-    let d_a = density(n);
-    let mut d_b = density(n);
-    d_b.scale(0.8);
-    let dens = DensitySet::Unrestricted { alpha: &d_a, beta: &d_b };
-    let want = FockAlgorithm::Serial.builder().build(&ctx, &dens);
-    let want_b = want.g_beta.as_ref().expect("serial beta channel");
-
-    let got = SHARDED4.builder_with_faults(Some(FaultPlan::random_kills(7, 1))).build(&ctx, &dens);
-    let got_b = got.g_beta.as_ref().expect("recovered beta channel");
-    assert!(got.g.max_abs_diff(&want.g) <= 1e-12, "alpha");
-    assert!(got_b.max_abs_diff(want_b) <= 1e-12, "beta");
-    assert_eq!(got.stats.failed_ranks.len(), 1);
-    assert!(got.stats.tasks_reclaimed > 0);
-}
-
 /// Full RHF through the sharded build lands on the serial energy, even
 /// when every iteration loses and recovers a rank.
 #[test]
@@ -150,32 +125,4 @@ fn sharded_scf_matches_serial_energy_under_repeated_kills() {
     );
     let reclaimed: usize = faulty.fock_stats.iter().map(|s| s.tasks_reclaimed).sum();
     assert!(reclaimed > 0, "every iteration killed a rank");
-}
-
-/// UHF parity: a stretched-H2 triplet through the sharded build matches
-/// the serial unrestricted energy.
-#[test]
-fn sharded_uhf_matches_serial_energy() {
-    let mol = small::hydrogen_molecule(2.8);
-    let b = BasisSet::build(&mol, BasisName::Sto3g);
-    let spin = Spin::Unrestricted { n_alpha: 2, n_beta: 0, break_symmetry: false };
-    let clean = run_scf(&mol, &b, &ScfConfig { spin, ..Default::default() });
-    assert!(clean.converged);
-
-    let sharded = run_scf(
-        &mol,
-        &b,
-        &ScfConfig {
-            spin,
-            algorithm: FockAlgorithm::Sharded { n_ranks: 3, mode: DdiMode::Mpi3OneSided },
-            ..Default::default()
-        },
-    );
-    assert!(sharded.converged);
-    assert!(
-        (sharded.energy - clean.energy).abs() < 1e-10,
-        "{} vs {}",
-        sharded.energy,
-        clean.energy
-    );
 }
