@@ -25,7 +25,7 @@
 
 use super::engine::FockContext;
 use crate::stats::FockBuildStats;
-use phi_dmpi::{DistributedArray, FaultPlan, LeaseMode, Rank, RetryPolicy, WorldConfig};
+use phi_dmpi::{FaultPlan, LeaseMode, Rank, RetryPolicy, WorldConfig};
 use phi_integrals::{EriEngine, Screening};
 use phi_omp::ThreadCtx;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -297,35 +297,17 @@ pub(crate) struct World<'a> {
 }
 
 impl World<'_> {
-    /// Arm a DDI window with this world's fault plan, so that drops and
-    /// corruptions of window requests drain into retransmission.
-    pub(crate) fn reliable(&self, w: DistributedArray) -> DistributedArray {
-        match self.faults {
-            Some(plan) => w.with_faults(plan),
-            None => w,
-        }
-    }
-
-    /// A zeroed window of `len` elements striped over this world's ranks.
-    /// Windows are created outside the world, so flushed contributions
-    /// survive rank deaths.
-    pub(crate) fn window(&self, len: usize) -> DistributedArray {
-        self.reliable(DistributedArray::new(len, self.n_ranks))
-    }
-
     /// Run `body` on every rank and assemble the build's statistics.
     ///
     /// Each rank is charged `resident` bytes (whatever the policy keeps
     /// per rank: density, Fock, caches) plus its read-only copy of the
     /// shell-pair dataset for the duration of the build. `body` returns
     /// the rank's result — `None` once the rank is dead — and its stats;
-    /// the lowest live rank's result is the build's. `windows` are the
-    /// DDI windows whose link counters belong to this build.
+    /// the lowest live rank's result is the build's.
     pub(crate) fn run<T: Send>(
         &self,
         ctx: &FockContext<'_>,
         resident: usize,
-        windows: &[&[DistributedArray]],
         body: impl Fn(&Rank) -> (Option<T>, FockBuildStats) + Sync,
     ) -> (Option<T>, FockBuildStats) {
         let charged = resident + ctx.pairs.bytes();
@@ -354,10 +336,7 @@ impl World<'_> {
         stats.dlb_calls = world.dlb_calls;
         stats.tasks_reclaimed = world.tasks_reclaimed;
         stats.retries = world.lease_retries;
-        stats.comm = world.comm;
-        for w in windows.iter().flat_map(|ws| ws.iter()) {
-            stats.comm += w.link_stats();
-        }
+        stats.faults_injected = world.faults_injected;
         (result, stats)
     }
 }

@@ -191,12 +191,10 @@ impl FockAlgorithm {
     /// The [`FockBuilder`] implementing this algorithm under `faults`,
     /// with `retry` bounding its failure-aware waits.
     ///
-    /// The serial reference build runs in-process with no ranks to kill
-    /// and no messages to lose; it ignores both. Every parallel builder
-    /// threads them into its world so rank kills, stragglers and message
-    /// faults replay deterministically on each SCF iteration — and so
-    /// dropped or corrupted messages drain into retransmission instead
-    /// of the kill path.
+    /// The serial reference build runs in-process with no ranks to kill;
+    /// it ignores both. Every parallel builder threads them into its world
+    /// so rank kills and stragglers replay deterministically on each SCF
+    /// iteration.
     pub fn builder_with_comm(
         self,
         faults: Option<FaultPlan>,

@@ -6,9 +6,9 @@
 //! both. Each has two backends:
 //!
 //! * **Replicated** — the matrices exist in full on every rank:
-//!   [`super::ReplicatedDensity`] reads the density and [`ReplicatedFock`]
-//!   owns the lower-triangle accumulation buffer the serial, MPI-only and
-//!   private-Fock builds digest into.
+//!   [`super::ReplicatedDensity`] reads the density and [`super::TriSink`]
+//!   writes the lower-triangle accumulation buffer the serial, MPI-only
+//!   and private-Fock builds digest into.
 //! * **RowShard** — the matrices live in tri-packed row shards inside
 //!   [`phi_dmpi::DistributedArray`] windows, striped over ranks.
 //!   [`ShardDensity`] reads rows on demand through `get` with a bounded
@@ -103,50 +103,6 @@ pub fn shard_writer_bytes(n: usize, max_width: usize) -> usize {
 }
 
 // ---------------------------------------------------------------------
-// Replicated backend (write side)
-// ---------------------------------------------------------------------
-
-/// The replicated write-side backend: a lower-triangle accumulation
-/// buffer owned in full by one rank or one thread.
-pub struct ReplicatedFock {
-    buf: Vec<f64>,
-    n: usize,
-}
-
-impl ReplicatedFock {
-    pub fn new(n: usize) -> ReplicatedFock {
-        ReplicatedFock { buf: vec![0.0; n * n], n }
-    }
-
-    /// The raw accumulation buffer (e.g. for `gsumf`).
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.buf
-    }
-
-    /// Sum another replica into this one (the OpenMP
-    /// `reduction(+ : Fock)` step of Algorithm 2).
-    pub fn reduce_from(&mut self, other: &ReplicatedFock) {
-        debug_assert_eq!(self.buf.len(), other.buf.len());
-        for (dst, src) in self.buf.iter_mut().zip(&other.buf) {
-            *dst += src;
-        }
-    }
-
-    /// Mirror the lower triangle into a full symmetric matrix.
-    pub fn into_mat(self) -> Mat {
-        super::tri_to_full(&self.buf, self.n)
-    }
-}
-
-impl FockSink for ReplicatedFock {
-    #[inline(always)]
-    fn add_block(&mut self, blk: &Block<'_>) {
-        let n = self.n;
-        blk.for_each(|mu, nu, v| self.buf[mu * n + nu] += v);
-    }
-}
-
-// ---------------------------------------------------------------------
 // RowShard backend (read side)
 // ---------------------------------------------------------------------
 
@@ -161,7 +117,7 @@ pub fn scatter_density(d: &Mat, n: usize, n_ranks: usize) -> DistributedArray {
         }
     }
     let win = DistributedArray::new(tri_len(n), n_ranks);
-    win.put(0, 0, &buf);
+    win.put(0, &buf);
     win
 }
 
@@ -169,7 +125,7 @@ pub fn scatter_density(d: &Mat, n: usize, n_ranks: usize) -> DistributedArray {
 /// (driver side, after the world has finished accumulating).
 pub fn gather_tri(win: &DistributedArray, n: usize) -> Mat {
     let mut buf = vec![0.0; tri_len(n)];
-    win.get(0, 0, &mut buf);
+    win.get(0, &mut buf);
     let mut m = Mat::zeros(n, n);
     for p in 0..n {
         for q in 0..=p {
@@ -185,7 +141,6 @@ pub fn gather_tri(win: &DistributedArray, n: usize) -> Mat {
 /// from the density window with a bounded FIFO row cache.
 pub struct ShardDensity<'a> {
     win: &'a DistributedArray,
-    rank: usize,
     /// Direct slot index: `rows[row]` holds that row's values
     /// `[row*(row+1)/2 .. +row+1)` while it is cached and is empty
     /// otherwise, so a hit is one index and one length test.
@@ -198,10 +153,9 @@ pub struct ShardDensity<'a> {
 }
 
 impl<'a> ShardDensity<'a> {
-    pub fn new(win: &'a DistributedArray, n: usize, rank: usize) -> ShardDensity<'a> {
+    pub fn new(win: &'a DistributedArray, n: usize) -> ShardDensity<'a> {
         ShardDensity {
             win,
-            rank,
             rows: vec![Vec::new(); n],
             order: VecDeque::new(),
             cached_elems: 0,
@@ -229,7 +183,7 @@ impl<'a> ShardDensity<'a> {
         }
         buf.clear();
         buf.resize(r + 1, 0.0);
-        self.win.get(self.rank, tri_index(r, 0), &mut buf);
+        self.win.get(tri_index(r, 0), &mut buf);
         self.cached_elems += r + 1;
         self.rows[r] = buf;
         self.order.push_back(r);
@@ -286,7 +240,6 @@ impl DensityRead for ShardDensity<'_> {
 /// capacity-triggered flushes mid-task are safe in every mode.
 pub struct RowShardFock<'a> {
     win: &'a DistributedArray,
-    rank: usize,
     pending: Vec<(usize, f64)>,
     cap: usize,
     /// One-sided `acc` runs issued so far.
@@ -296,9 +249,9 @@ pub struct RowShardFock<'a> {
 }
 
 impl<'a> RowShardFock<'a> {
-    pub fn new(win: &'a DistributedArray, n: usize, rank: usize) -> RowShardFock<'a> {
+    pub fn new(win: &'a DistributedArray, n: usize) -> RowShardFock<'a> {
         let cap = shard_flush_entries(n);
-        RowShardFock { win, rank, pending: Vec::with_capacity(cap), cap, flushes: 0, entries: 0 }
+        RowShardFock { win, pending: Vec::with_capacity(cap), cap, flushes: 0, entries: 0 }
     }
 
     /// Sort, merge and accumulate every pending entry into the window as
@@ -320,7 +273,7 @@ impl<'a> RowShardFock<'a> {
             }
             run.push(acc);
             if key != last + 1 {
-                self.win.acc(self.rank, run_start, &run);
+                self.win.acc(run_start, &run);
                 self.flushes += 1;
                 run.clear();
                 run_start = key;
@@ -329,7 +282,7 @@ impl<'a> RowShardFock<'a> {
             acc = v;
         }
         run.push(acc);
-        self.win.acc(self.rank, run_start, &run);
+        self.win.acc(run_start, &run);
         self.flushes += 1;
         self.pending.clear();
     }
@@ -439,7 +392,7 @@ mod tests {
     use crate::fock::driver::{Quartets, SignificantPairs};
     use crate::fock::engine::FockData;
     use crate::fock::DensitySet::Restricted;
-    use crate::fock::{digest, FockAlgorithm, ReplicatedDensity};
+    use crate::fock::{digest, tri_to_full, FockAlgorithm, ReplicatedDensity, TriSink};
     use phi_chem::basis::{BasisName, BasisSet};
     use phi_chem::geom::small;
 
@@ -465,9 +418,10 @@ mod tests {
 
     /// The sweep over the replicated backends.
     fn replicated_sweep(b: &BasisSet, d: &Mat) -> Mat {
-        let mut fock = ReplicatedFock::new(b.n_basis());
-        sweep(b, &mut ReplicatedDensity(d), &mut fock);
-        fock.into_mat()
+        let n = b.n_basis();
+        let mut fock = vec![0.0; n * n];
+        sweep(b, &mut ReplicatedDensity(d), &mut TriSink { buf: &mut fock, n });
+        tri_to_full(&fock, n)
     }
 
     #[test]
@@ -489,8 +443,8 @@ mod tests {
         let want = replicated_sweep(&b, &d);
         let d_win = scatter_density(&d, n, 3);
         let f_win = DistributedArray::new(tri_len(n), 3);
-        let mut fock = RowShardFock::new(&f_win, n, 0);
-        sweep(&b, &mut ShardDensity::new(&d_win, n, 0), &mut fock);
+        let mut fock = RowShardFock::new(&f_win, n);
+        sweep(&b, &mut ShardDensity::new(&d_win, n), &mut fock);
         fock.flush();
         let got = gather_tri(&f_win, n);
         assert!(got.max_abs_diff(&want) < 1e-12, "diff {}", got.max_abs_diff(&want));
@@ -501,7 +455,7 @@ mod tests {
         let n = 40;
         let d = density(n);
         let win = scatter_density(&d, n, 4);
-        let mut reader = ShardDensity::new(&win, n, 1);
+        let mut reader = ShardDensity::new(&win, n);
         let unit = |lo| Span { lo, n: 1 };
         for p in 0..n {
             for q in 0..n {
@@ -587,9 +541,9 @@ mod tests {
             quartets.quartet(i, j, k, l, |eri| {
                 let mut updates = Recorded(Vec::new());
                 digest(&b, i, j, k, l, eri, &mut dens, &mut updates);
-                let mut want = ReplicatedFock::new(n);
+                let mut want = vec![0.0; n * n];
                 for &(mu, nu, v) in &updates.0 {
-                    want.add_block(&unit(mu, nu, &v));
+                    TriSink { buf: &mut want, n }.add_block(&unit(mu, nu, &v));
                 }
 
                 // Route a unit update for each; draining must hand back
@@ -616,20 +570,21 @@ mod tests {
 
                 // Digest through the router, as the builds do, drain, and
                 // compare with the replicated sum.
-                let mut got = ReplicatedFock::new(n);
+                let mut got = vec![0.0; n * n];
                 let mut r = StripRouter {
                     fi: &mut fi,
                     fj: &mut fj,
-                    kl: &mut got,
+                    kl: &mut TriSink { buf: &mut got, n },
                     n,
                     i: Span::of(sh(i)),
                     j: Span::of(sh(j)),
                 };
                 digest(&b, i, j, k, l, eri, &mut dens, &mut r);
                 for (strip, lo) in [(&mut fi, sh(i).first_bf), (&mut fj, sh(j).first_bf)] {
-                    drain_strip(strip, lo, n, |mu, nu, v| got.add_block(&unit(mu, nu, &v)));
+                    let mut sink = TriSink { buf: &mut got, n };
+                    drain_strip(strip, lo, n, |mu, nu, v| sink.add_block(&unit(mu, nu, &v)));
                 }
-                for (g, w) in got.buf.iter().zip(&want.buf) {
+                for (g, w) in got.iter().zip(&want) {
                     assert!((g - w).abs() <= 1e-14, "({i}{j}|{k}{l}): {g} vs {w}");
                 }
             });
@@ -640,7 +595,7 @@ mod tests {
     fn rowshard_flush_merges_duplicates_and_coalesces_runs() {
         let n = 8;
         let win = DistributedArray::new(tri_len(n), 2);
-        let mut acc = RowShardFock::new(&win, n, 0);
+        let mut acc = RowShardFock::new(&win, n);
         acc.add(3, 1, 2.0);
         acc.add(3, 1, 0.5); // duplicate key: merged before the acc
         acc.add(3, 2, 1.0); // adjacent: same run

@@ -173,8 +173,9 @@ impl DensityRead for ReplicatedDensity<'_> {
     }
 }
 
-/// A plain lower-triangle sink over a square row-major buffer with known
-/// dimension.
+/// The replicated [`FockSink`] backend: a lower-triangle sink over a
+/// square row-major buffer of dimension `n`, owned in full by one rank or
+/// one thread.
 pub struct TriSink<'a> {
     pub buf: &'a mut [f64],
     pub n: usize,
@@ -610,13 +611,14 @@ mod tests {
         let eris = eris(&b, &quartets);
         let n = b.n_basis();
         let d = test_density(n);
-        let mut got = matrix::ReplicatedFock::new(n);
+        let mut got = vec![0.0; n * n];
         let mut want = vec![0.0; n * n];
         for (&[i, j, k, l], eri) in quartets.iter().zip(&eris) {
-            digest(&b, i, j, k, l, eri, &mut ReplicatedDensity(&d), &mut got);
+            let mut sink = TriSink { buf: &mut got, n };
+            digest(&b, i, j, k, l, eri, &mut ReplicatedDensity(&d), &mut sink);
             orbit_walk(&b, [i, j, k, l], eri, &d, &mut want);
         }
-        assert_close("block digest", &got.into_mat(), &tri_to_full(&want, n), 1e-12);
+        assert_close("block digest", &tri_to_full(&got, n), &tri_to_full(&want, n), 1e-12);
     }
 
     /// The ordered brute-force expansion of one shell quartet: every
@@ -670,23 +672,24 @@ mod tests {
         let d_win = matrix::scatter_density(d, n, 2);
         for reader in ["replicated", "shard"] {
             let (mut replicated, mut shard) =
-                (ReplicatedDensity(d), matrix::ShardDensity::new(&d_win, n, 0));
+                (ReplicatedDensity(d), matrix::ShardDensity::new(&d_win, n));
             let dr: &mut dyn DensityRead =
                 if reader == "replicated" { &mut replicated } else { &mut shard };
             let check = |writer: &str, got: &Mat| {
                 assert_close(&format!("{q:?} {reader} -> {writer}"), got, want, 1e-14);
             };
 
-            let mut fock = matrix::ReplicatedFock::new(n);
-            digest(b, i, j, k, l, eri, dr, &mut fock);
-            check("ReplicatedFock", &fock.into_mat());
+            let mut fock = vec![0.0; n * n];
+            digest(b, i, j, k, l, eri, dr, &mut TriSink { buf: &mut fock, n });
+            check("TriSink", &tri_to_full(&fock, n));
 
-            let mut fock = matrix::ReplicatedFock::new(n);
+            let mut fock = vec![0.0; n * n];
+            let mut sink = TriSink { buf: &mut fock, n };
             let (mut fi, mut fj) = (vec![0.0; w * n], vec![0.0; w * n]);
             let mut router = matrix::StripRouter {
                 fi: &mut fi,
                 fj: &mut fj,
-                kl: &mut fock,
+                kl: &mut sink,
                 n,
                 i: Span::of(&b.shells[i]),
                 j: Span::of(&b.shells[j]),
@@ -694,12 +697,12 @@ mod tests {
             digest(b, i, j, k, l, eri, dr, &mut router);
             for (strip, s) in [(&mut fi, i), (&mut fj, j)] {
                 let lo = b.shells[s].first_bf;
-                matrix::drain_strip(strip, lo, n, |mu, nu, v| fock.add_block(&unit(mu, nu, &v)));
+                matrix::drain_strip(strip, lo, n, |mu, nu, v| sink.add_block(&unit(mu, nu, &v)));
             }
-            check("StripRouter", &fock.into_mat());
+            check("StripRouter", &tri_to_full(&fock, n));
 
             let f_win = phi_dmpi::DistributedArray::new(matrix::tri_len(n), 1);
-            let mut fock = matrix::RowShardFock::new(&f_win, n, 0);
+            let mut fock = matrix::RowShardFock::new(&f_win, n);
             digest(b, i, j, k, l, eri, dr, &mut fock);
             fock.flush();
             check("RowShardFock", &matrix::gather_tri(&f_win, n));

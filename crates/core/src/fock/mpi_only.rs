@@ -12,16 +12,15 @@
 //! tracker, so the returned report scales linearly with the rank count.
 //!
 //! Policy row: significant `ij` pair tasks, a team of one, one
-//! [`ReplicatedFock`] per rank, volatile leases (a dead rank's partial sums
-//! never reach the reduction, so everything it ever computed is reissued),
-//! `gsumf` reduce.
+//! lower-triangle buffer digested through [`TriSink`] per rank, volatile
+//! leases (a dead rank's partial sums never reach the reduction, so
+//! everything it ever computed is reissued), `gsumf` reduce.
 
 use super::driver::{
     readonly_bytes, surviving, LeaseLoop, Quartets, SignificantPairs, Step, World,
 };
 use super::engine::FockContext;
-use super::matrix::ReplicatedFock;
-use super::{digest, GBuild, ReplicatedDensity};
+use super::{digest, tri_to_full, GBuild, ReplicatedDensity, TriSink};
 use phi_dmpi::LeaseMode;
 use phi_omp::Team;
 
@@ -41,18 +40,19 @@ pub(crate) fn build(
     let fock_bytes = n * n * std::mem::size_of::<f64>();
     let resident = fock_bytes + readonly_bytes(n) + fock_bytes;
 
-    let (fock, stats) = world.run(ctx, resident, &[], |rank| {
+    let (fock, stats) = world.run(ctx, resident, |rank| {
         let leases = LeaseLoop::new(rank, kl.len(), LeaseMode::Volatile);
         let (mut fock, stats) = Team::new(1)
             .parallel(|tctx| {
                 let mut dens = dens;
-                let mut fock = ReplicatedFock::new(n);
+                let mut fock = vec![0.0; n * n];
+                let mut sink = TriSink { buf: &mut fock, n };
                 let mut quartets = Quartets::new(ctx, kl);
                 let tasks = leases.run(tctx, |step| {
                     let Step::Task(p) = step else { return };
                     let (i, j) = kl.pair(p);
                     quartets.pair_task(p, |k, l, eri| {
-                        digest(basis, i, j, k, l, eri, &mut dens, &mut fock)
+                        digest(basis, i, j, k, l, eri, &mut dens, &mut sink)
                     });
                 });
                 (fock, quartets.finish(tasks, 0))
@@ -62,10 +62,10 @@ pub(crate) fn build(
         // 2e-Fock matrix reduction over the surviving MPI ranks
         // (Algorithm 1 line 16). Dead ranks have deregistered and must
         // stay out.
-        let dead = !rank.alive() || rank.try_gsumf(fock.as_mut_slice()).is_err();
+        let dead = !rank.alive() || rank.try_gsumf(&mut fock).is_err();
         ((!dead).then_some(fock), stats)
     });
-    GBuild { g: surviving(fock, &stats).into_mat(), stats }
+    GBuild { g: tri_to_full(&surviving(fock, &stats), n), stats }
 }
 
 #[cfg(test)]

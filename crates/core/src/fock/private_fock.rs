@@ -10,15 +10,14 @@
 //! the paper attributes to two-index MPI parallelization.
 //!
 //! Policy row: `i` shell tasks, `collapse(2)` dynamic `(j, k)` team
-//! schedule, one [`ReplicatedFock`] per thread, volatile leases, thread
-//! reduction then `gsumf`.
+//! schedule, one lower-triangle buffer digested through [`TriSink`] per
+//! thread, volatile leases, thread reduction then `gsumf`.
 
 use super::driver::{
     readonly_bytes, surviving, LeaseLoop, Quartets, SignificantPairs, Step, World,
 };
 use super::engine::FockContext;
-use super::matrix::ReplicatedFock;
-use super::{digest, kl_bounds, GBuild, ReplicatedDensity};
+use super::{digest, kl_bounds, tri_to_full, GBuild, ReplicatedDensity, TriSink};
 use crate::stats::FockBuildStats;
 use phi_dmpi::LeaseMode;
 use phi_omp::{Schedule, Team};
@@ -39,11 +38,12 @@ pub(crate) fn build(
     let fock_bytes = n * n * std::mem::size_of::<f64>();
     let resident = fock_bytes + readonly_bytes(n) + (n_threads + 1) * fock_bytes;
 
-    let (fock, stats) = world.run(ctx, resident, &[], |rank| {
+    let (fock, stats) = world.run(ctx, resident, |rank| {
         let leases = LeaseLoop::new(rank, basis.n_shells(), LeaseMode::Volatile);
         let per_thread = Team::new(n_threads).parallel(|tctx| {
             let mut dens = dens;
-            let mut fock = ReplicatedFock::new(n);
+            let mut fock = vec![0.0; n * n];
+            let mut sink = TriSink { buf: &mut fock, n };
             let mut quartets = Quartets::new(ctx, kl);
             // Algorithm 2 has no task-level prescreen: an insignificant
             // (i, j) is skipped inside the task.
@@ -58,7 +58,7 @@ pub(crate) fn build(
                     for &[_, l] in kl.row(k, kl_bounds(i, j, k)) {
                         let l = l as usize;
                         quartets.quartet(i, j, k, l, |eri| {
-                            digest(basis, i, j, k, l, eri, &mut dens, &mut fock)
+                            digest(basis, i, j, k, l, eri, &mut dens, &mut sink)
                         });
                     }
                 });
@@ -67,19 +67,21 @@ pub(crate) fn build(
         });
 
         // OpenMP reduction(+ : Fock): sum the thread-private copies.
-        let mut fock = ReplicatedFock::new(n);
+        let mut fock = vec![0.0; n * n];
         let mut stats = FockBuildStats::default();
         for (tf, ts) in &per_thread {
-            fock.reduce_from(tf);
+            for (dst, src) in fock.iter_mut().zip(tf) {
+                *dst += src;
+            }
             stats = FockBuildStats::merge(stats, ts);
         }
         // 2e-Fock matrix reduction over the surviving MPI ranks (line
         // 23). A killed rank's team unwound via the DEAD sentinel; its
         // partial sums die here with it and its leases were reissued.
-        let dead = !rank.alive() || rank.try_gsumf(fock.as_mut_slice()).is_err();
+        let dead = !rank.alive() || rank.try_gsumf(&mut fock).is_err();
         ((!dead).then_some(fock), stats)
     });
-    GBuild { g: surviving(fock, &stats).into_mat(), stats }
+    GBuild { g: tri_to_full(&surviving(fock, &stats), n), stats }
 }
 
 #[cfg(test)]

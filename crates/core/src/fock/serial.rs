@@ -4,13 +4,12 @@
 //! statistics.
 //!
 //! Policy row: every position of the significant-pair list in order (the
-//! pair rows' task space, unleased), no team, one [`ReplicatedFock`], no
-//! reduce.
+//! pair rows' task space, unleased), no team, one lower-triangle buffer
+//! digested through [`TriSink`], no reduce.
 
 use super::driver::{Quartets, SignificantPairs};
 use super::engine::FockContext;
-use super::matrix::ReplicatedFock;
-use super::{digest, GBuild, ReplicatedDensity};
+use super::{digest, tri_to_full, GBuild, ReplicatedDensity, TriSink};
 use std::time::Instant;
 
 /// `G(D)`, every surviving ERI evaluated once.
@@ -22,15 +21,17 @@ pub(crate) fn build(
     let _span = phi_trace::span("fock.build");
     let start = Instant::now();
     let basis = ctx.basis;
-    let mut fock = ReplicatedFock::new(basis.n_basis());
+    let n = basis.n_basis();
+    let mut fock = vec![0.0; n * n];
+    let mut sink = TriSink { buf: &mut fock, n };
     let mut quartets = Quartets::new(ctx, kl);
     for p in 0..kl.len() {
         let (i, j) = kl.pair(p);
-        quartets.pair_task(p, |k, l, eri| digest(basis, i, j, k, l, eri, &mut dens, &mut fock));
+        quartets.pair_task(p, |k, l, eri| digest(basis, i, j, k, l, eri, &mut dens, &mut sink));
     }
     let mut stats = quartets.finish(0, 0);
     stats.seconds = start.elapsed().as_secs_f64();
-    GBuild { g: fock.into_mat(), stats }
+    GBuild { g: tri_to_full(&fock, n), stats }
 }
 
 /// Reference-only orbit walker for one unique integral `(mu nu|lam sig)`:
@@ -91,7 +92,7 @@ pub(crate) fn build_jk_serial(
     cj: f64,
     ck: f64,
 ) -> GBuild {
-    use super::{kl_bounds, tri_to_full};
+    use super::kl_bounds;
     use crate::stats::FockBuildStats;
     use phi_integrals::EriEngine;
     let start = std::time::Instant::now();

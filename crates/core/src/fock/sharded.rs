@@ -50,13 +50,11 @@ pub(crate) fn build(
     world: &World<'_>,
 ) -> GBuild {
     let n = ctx.basis.n_basis();
-    // The density scatter is the driver's job (it already owns the full
-    // matrix); the link faults attach only after it.
-    let d_win = world.reliable(scatter_density(dens.0, n, world.n_ranks));
+    // The density scatter is the driver's job: it already owns the full
+    // matrix.
+    let d_win = scatter_density(dens.0, n, world.n_ranks);
     let reader_bytes = shard_stripe_bytes(n, world.n_ranks, 1) + shard_reader_bytes(n);
-    window_build(ctx, kl, world, reader_bytes, std::slice::from_ref(&d_win), |rank| {
-        ShardDensity::new(&d_win, n, rank)
-    })
+    window_build(ctx, kl, world, reader_bytes, || ShardDensity::new(&d_win, n))
 }
 
 /// `Distributed`: the window build over every rank's own replicated
@@ -68,25 +66,24 @@ pub(crate) fn build_distributed(
     world: &World<'_>,
 ) -> GBuild {
     let reader_bytes = replicated_density_bytes(ctx.basis.n_basis());
-    window_build(ctx, kl, world, reader_bytes, &[], |_| dens)
+    window_build(ctx, kl, world, reader_bytes, || dens)
 }
 
 /// The one window-build body: DLB over significant `(i, j)` pairs,
-/// density from `reader(rank)`, Fock accumulated into a tri-packed window
-/// by one-sided `acc`. `reader_bytes` is what the reader keeps per rank;
-/// `d_wins` are its windows, if any, whose link counters belong to the
-/// build.
+/// density from `reader()`, Fock accumulated into a tri-packed window
+/// by one-sided `acc`. `reader_bytes` is what the reader keeps per rank.
 fn window_build<D: DensityRead>(
     ctx: &FockContext<'_>,
     kl: &SignificantPairs,
     world: &World<'_>,
     reader_bytes: usize,
-    d_wins: &[DistributedArray],
-    reader: impl Fn(usize) -> D + Sync,
+    reader: impl Fn() -> D + Sync,
 ) -> GBuild {
     let basis = ctx.basis;
     let n = basis.n_basis();
-    let f_win = world.window(tri_len(n));
+    // Created outside the world, so flushed contributions survive rank
+    // deaths.
+    let f_win = DistributedArray::new(tri_len(n), world.n_ranks);
     // Per-rank resident bytes: the reader, this rank's stripe of the Fock
     // window and the O(N) writer. `MemoryModel::per_rank_bytes` states the
     // same terms.
@@ -94,12 +91,11 @@ fn window_build<D: DensityRead>(
     let resident =
         reader_bytes + shard_stripe_bytes(n, world.n_ranks, 1) + shard_writer_bytes(n, max_width);
 
-    let f_wins = std::slice::from_ref(&f_win);
-    let (_, stats) = world.run(ctx, resident, &[d_wins, f_wins], |rank| {
+    let (_, stats) = world.run(ctx, resident, |rank| {
         let leases = LeaseLoop::new(rank, kl.len(), LeaseMode::Durable);
         let mut stats = Team::new(1).parallel(|tctx| {
-            let mut dens = reader(rank.rank());
-            let mut fock = RowShardFock::new(&f_win, n, rank.rank());
+            let mut dens = reader();
+            let mut fock = RowShardFock::new(&f_win, n);
             let mut quartets = Quartets::new(ctx, kl);
             let (mut fi, mut fj) = (vec![0.0; max_width * n], vec![0.0; max_width * n]);
             let tasks = leases.run(tctx, |step| {

@@ -60,7 +60,7 @@ pub(crate) fn build(
     let fock_bytes = n * n * std::mem::size_of::<f64>();
     let resident = fock_bytes + readonly_bytes(n) + fock_bytes;
 
-    let (buf, stats) = world.run(ctx, resident, &[], |rank| {
+    let (buf, stats) = world.run(ctx, resident, |rank| {
         let fock = SharedAccumulator::new(n * n);
         // FI / FJ: mxsize x nthreads padded column buffers (lines 1-3).
         let fi = PaddedColumns::new(n * max_width, n_threads);

@@ -30,8 +30,8 @@ pub struct ScfConfig {
     pub diis: bool,
     /// Eigenvalue cutoff for near-linear-dependent overlap directions.
     pub s_threshold: f64,
-    /// Deterministic fault plan replayed on every Fock build (rank kills,
-    /// stragglers, message faults). The serial algorithm ignores it.
+    /// Deterministic fault plan replayed on every Fock build (rank kills
+    /// and stragglers). The serial algorithm ignores it.
     pub faults: Option<FaultPlan>,
     /// Deadline of every parallel build's failure-aware waits (barriers,
     /// lease polls, receives); `--comm-timeout-ms` sets it.

@@ -53,11 +53,10 @@ pub struct FockBuildStats {
     pub retries: usize,
     /// Ranks that died during this build, in order of death.
     pub failed_ranks: Vec<usize>,
-    /// Faults injected by the `FaultPlan` and the reliable-delivery work
-    /// that absorbed them, summed over the world's rank messages and the
-    /// build's DDI window links. World-global, set once per build like
-    /// `dlb_calls`; all zero without fault injection.
-    pub comm: phi_dmpi::CommStats,
+    /// Faults the `FaultPlan` injected: rank kills and stragglers.
+    /// World-global, set once per build like `dlb_calls`; zero without
+    /// fault injection.
+    pub faults_injected: u64,
 }
 
 impl FockBuildStats {

@@ -6,15 +6,12 @@
 //! producing correct results when ranks die mid-build:
 //!
 //! * [`FaultPlan`] — a seeded, deterministic schedule of injected faults
-//!   (kill a rank at a DLB task, delay a straggler, drop or corrupt a
-//!   transmission), parsed from a compact `"seed:spec,..."` grammar so a
-//!   failing run is exactly reproducible from its CLI flag;
+//!   (kill a rank at a DLB task, delay a straggler), parsed from a compact
+//!   `"seed:spec,..."` grammar so a failing run is exactly reproducible
+//!   from its CLI flag;
 //! * [`CommError`] — typed communication errors that replace aborts, so
 //!   a builder can observe "I am dead" or "a peer timed out" and unwind
 //!   cleanly instead of poisoning the process;
-//! * `Link` — the one retransmit loop, shared by rank messages and DDI
-//!   window requests: a transmission the plan drops or corrupts is resent
-//!   after a backoff, within [`MAX_ATTEMPTS`];
 //! * `FtBarrier` — a failure-aware barrier: waits time out instead of
 //!   hanging forever, and a dying rank *deregisters* so survivors
 //!   regroup immediately around the smaller world;
@@ -30,14 +27,14 @@
 //!          | "kill@" <rank> "#" <claim>     kill rank <rank> at its <claim>-th claim
 //!          | "kill*" <count>                kill at <count> seed-chosen task indices
 //!          | "delay@" <rank> "#" <claim> ":" <ms>   straggler: sleep <ms> on that claim
-//!          | "drop@" <from> "->" <to> "#" <nth>     drop the <nth> transmission from->to
-//!          | "corrupt@" <from> "->" <to> "#" <nth>  corrupt the <nth> transmission from->to
 //! ```
 //!
-//! Claims and transmissions are counted from 1, so `#0` is an error, and
-//! so is `kill*0`.
+//! Claims are counted from 1, so `#0` is an error, and so is `kill*0`.
 //! Example: `"42:kill@3,delay@1#5:20"` — seed 42, kill whoever claims
 //! task 3, and make rank 1 sleep 20 ms on its fifth claim.
+//!
+//! Messages are not a fault target: MPI delivers what it sends, reliably
+//! and in order, and neither DDI nor GAMESS retransmits.
 //!
 //! # Lease semantics
 //!
@@ -53,24 +50,14 @@
 //!   (claimed but not flushed) at death are reissued.
 
 use crate::sync::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
-/// Transmission attempts the retransmit loop makes per message before
-/// giving up with [`CommError::RetriesExhausted`].
-pub const MAX_ATTEMPTS: usize = 4;
-
-/// Backoff before the first retransmission; each further one doubles it,
-/// so the budget sleeps 2, 4 and 8 ms at most.
-const BACKOFF_BASE: Duration = Duration::from_millis(2);
-
 /// A typed communication failure. Replaces the panics/aborts that a
 /// brittle world would raise, so callers can unwind and regroup. Every
-/// variant is fatal to the operation that returns it: a dropped or
-/// corrupted transmission never surfaces, because the retransmit loop
-/// absorbs it or ends in [`RetriesExhausted`](CommError::RetriesExhausted).
+/// variant is fatal to the operation that returns it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
     /// The calling rank has been marked dead (by fault injection); it
@@ -87,14 +74,6 @@ pub enum CommError {
         /// What was being waited on, for diagnostics.
         what: &'static str,
     },
-    /// Every one of the [`MAX_ATTEMPTS`] transmissions on an edge was
-    /// dropped or corrupted: the destination is presumed unreachable.
-    RetriesExhausted {
-        /// The sending rank.
-        from: usize,
-        /// The unreachable destination rank.
-        to: usize,
-    },
 }
 
 impl fmt::Display for CommError {
@@ -103,11 +82,6 @@ impl fmt::Display for CommError {
             CommError::SelfDead => write!(f, "calling rank is dead"),
             CommError::RankFailed { rank } => write!(f, "rank {rank} failed"),
             CommError::Timeout { what } => write!(f, "timed out waiting on {what}"),
-            CommError::RetriesExhausted { from, to } => write!(
-                f,
-                "no delivery on edge rank {from} -> rank {to} after {MAX_ATTEMPTS} attempts \
-                 (retry budget exhausted)"
-            ),
         }
     }
 }
@@ -117,8 +91,7 @@ impl std::error::Error for CommError {}
 /// The deadline of a world's failure-aware waits: barriers, lease polls
 /// and receives (`--comm-timeout-ms`). Long enough that it only fires on
 /// a genuine hang, short enough that a wedged run still terminates with a
-/// diagnosis. The retransmit budget and backoff are constants
-/// ([`MAX_ATTEMPTS`]).
+/// diagnosis. It is a deadline, not a retry budget: nothing is resent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// How long any failure-aware wait blocks before timing out.
@@ -144,10 +117,6 @@ pub(crate) enum FaultSpec {
     KillRandom { count: usize },
     /// Make rank `rank` sleep `millis` ms on its `claim`-th claim.
     Delay { rank: usize, claim: usize, millis: u64 },
-    /// Drop the `nth` (1-based) transmission from `from` to `to`.
-    DropMessage { from: usize, to: usize, nth: usize },
-    /// Corrupt the `nth` (1-based) transmission from `from` to `to`.
-    CorruptMessage { from: usize, to: usize, nth: usize },
 }
 
 /// A deterministic, seeded schedule of injected faults.
@@ -175,16 +144,14 @@ impl FaultPlan {
         &self.specs
     }
 
-    /// The highest rank a spec names (a `kill@`/`delay@` rank or an
-    /// edge's endpoint), so a caller can refuse a plan that a world with
-    /// fewer ranks would silently never fire.
+    /// The highest rank a `kill@`/`delay@` spec names, so a caller can
+    /// refuse a plan that a world with fewer ranks would silently never
+    /// fire.
     pub fn max_rank(&self) -> Option<usize> {
         self.specs
             .iter()
             .filter_map(|spec| match *spec {
                 FaultSpec::KillAtClaim { rank, .. } | FaultSpec::Delay { rank, .. } => Some(rank),
-                FaultSpec::DropMessage { from, to, .. }
-                | FaultSpec::CorruptMessage { from, to, .. } => Some(from.max(to)),
                 FaultSpec::KillAtTask { .. } | FaultSpec::KillRandom { .. } => None,
             })
             .max()
@@ -228,21 +195,13 @@ fn parse_usize(s: &str, what: &str) -> Result<usize, String> {
     s.parse().map_err(|_| format!("bad {what} '{s}'"))
 }
 
-/// A 1-based claim or transmission ordinal: `#0` would name an event that
-/// never comes, so the spec could never fire.
+/// A 1-based claim ordinal: `#0` would name a claim that never comes, so
+/// the spec could never fire.
 fn parse_ordinal(s: &str, what: &str) -> Result<usize, String> {
     match parse_usize(s, what)? {
         0 => Err(format!("bad {what} '0': ordinals count from 1, so #0 never fires")),
         n => Ok(n),
     }
-}
-
-fn parse_edge(body: &str, kind: &str) -> Result<(usize, usize, usize), String> {
-    let (edge, nth) =
-        body.split_once('#').ok_or_else(|| format!("{kind} needs '<from>-><to>#<nth>'"))?;
-    let (from, to) =
-        edge.split_once("->").ok_or_else(|| format!("{kind} needs '<from>-><to>#<nth>'"))?;
-    Ok((parse_usize(from, "rank")?, parse_usize(to, "rank")?, parse_ordinal(nth, "message index")?))
 }
 
 fn parse_spec(spec: &str) -> Result<FaultSpec, String> {
@@ -273,159 +232,7 @@ fn parse_spec(spec: &str) -> Result<FaultSpec, String> {
             millis: ms.parse().map_err(|_| format!("bad delay millis '{ms}'"))?,
         });
     }
-    if let Some(body) = spec.strip_prefix("drop@") {
-        let (from, to, nth) = parse_edge(body, "drop")?;
-        return Ok(FaultSpec::DropMessage { from, to, nth });
-    }
-    if let Some(body) = spec.strip_prefix("corrupt@") {
-        let (from, to, nth) = parse_edge(body, "corrupt")?;
-        return Ok(FaultSpec::CorruptMessage { from, to, nth });
-    }
     Err(format!("unknown fault spec '{spec}'"))
-}
-
-/// The fault and retransmission ledger of one communication layer: a
-/// world's rank messages, one DDI window's request link, or — summed with
-/// `+=` — everything a Fock build ran on. All zero without a fault plan.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommStats {
-    /// Faults actually injected: rank kills and stragglers (a world only),
-    /// dropped and corrupted transmissions.
-    pub faults_injected: u64,
-    /// Retransmissions (attempts after the first).
-    pub retransmits: u64,
-    /// Transmissions that got through on a fault-armed link.
-    pub acks: u64,
-    /// Corrupted transmissions detected and resent.
-    pub corruptions_detected: u64,
-    /// Messages delivered after >= 1 dropped or corrupted attempt.
-    pub transient_recoveries: u64,
-}
-
-impl std::ops::AddAssign for CommStats {
-    fn add_assign(&mut self, other: CommStats) {
-        self.faults_injected += other.faults_injected;
-        self.retransmits += other.retransmits;
-        self.acks += other.acks;
-        self.corruptions_detected += other.corruptions_detected;
-        self.transient_recoveries += other.transient_recoveries;
-    }
-}
-
-/// What an injected edge fault does to the transmission it fires on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EdgeFault {
-    /// The transmission never arrives.
-    Drop,
-    /// The payload arrives damaged.
-    Corrupt,
-}
-
-struct EdgeState {
-    /// Transmissions so far per `(from, to)` edge.
-    sent: HashMap<(usize, usize), usize>,
-    /// Scheduled `(from, to, nth, fault)`, removed as they fire.
-    pending: Vec<(usize, usize, usize, EdgeFault)>,
-}
-
-/// The `drop@`/`corrupt@` specs of a [`FaultPlan`] over one space of
-/// directed edges (a world's rank messages, or one window's requests):
-/// counts transmissions per edge and fires each spec once, on the 1-based
-/// ordinal it names.
-struct EdgeFaults(Mutex<EdgeState>);
-
-impl EdgeFaults {
-    fn new(plan: &FaultPlan) -> Self {
-        let pending = plan
-            .specs()
-            .iter()
-            .filter_map(|spec| match *spec {
-                FaultSpec::DropMessage { from, to, nth } => Some((from, to, nth, EdgeFault::Drop)),
-                FaultSpec::CorruptMessage { from, to, nth } => {
-                    Some((from, to, nth, EdgeFault::Corrupt))
-                }
-                _ => None, // kills and delays key on lease claims, not edges
-            })
-            .collect();
-        EdgeFaults(Mutex::new(EdgeState { sent: HashMap::new(), pending }))
-    }
-
-    /// Count one transmission on `from -> to` and return the fault
-    /// scheduled for it. A drop and a corruption of the same transmission
-    /// are a drop: a message that never arrives has nothing to corrupt.
-    fn fire(&self, from: usize, to: usize) -> Option<EdgeFault> {
-        let mut guard = self.0.lock();
-        let EdgeState { sent, pending } = &mut *guard;
-        let nth = sent.entry((from, to)).or_insert(0);
-        *nth += 1;
-        let scheduled = |fault| pending.iter().position(|&f| f == (from, to, *nth, fault));
-        let hit = scheduled(EdgeFault::Drop).or_else(|| scheduled(EdgeFault::Corrupt))?;
-        Some(pending.swap_remove(hit).3)
-    }
-}
-
-/// Which traffic a [`Link`] carries; names its trace instants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Layer {
-    /// A world's rank messages: `comm.*` instants.
-    Comm,
-    /// One DDI window's get/put/acc requests: `ddi.*` instants.
-    Ddi,
-}
-
-/// The one retransmit loop, armed by a [`FaultPlan`]: rank messages and
-/// DDI window requests both ride it. The plan's `drop@`/`corrupt@` specs
-/// fire on this link's own edges and ordinals. A damaged transmission is
-/// detected where it is injected — in-process, a payload can only be
-/// damaged by the injector, so no checksum travels — and resent after a
-/// backoff. Without a plan there is no link, and a message is one move.
-pub(crate) struct Link {
-    edges: EdgeFaults,
-    layer: Layer,
-    pub(crate) stats: Mutex<CommStats>,
-}
-
-impl Link {
-    pub(crate) fn new(plan: &FaultPlan, layer: Layer) -> Self {
-        Link { edges: EdgeFaults::new(plan), layer, stats: Mutex::new(CommStats::default()) }
-    }
-
-    /// Carry one transmission on `from -> to`. Returns once an attempt
-    /// gets through (the caller then moves the data), or
-    /// [`CommError::RetriesExhausted`] after [`MAX_ATTEMPTS`] damaged ones.
-    pub(crate) fn deliver(&self, from: usize, to: usize) -> Result<(), CommError> {
-        let (retransmit, recovered, corrupt) = match self.layer {
-            Layer::Comm => ("comm.retransmit", "comm.recovered", "comm.corrupt_detected"),
-            Layer::Ddi => ("ddi.retransmit", "ddi.recovered", "ddi.corrupt_detected"),
-        };
-        for attempt in 1..=MAX_ATTEMPTS {
-            if attempt > 1 {
-                std::thread::sleep(BACKOFF_BASE * (1 << (attempt - 2)));
-                self.stats.lock().retransmits += 1;
-                phi_trace::instant(retransmit, to as u64);
-            }
-            let fault = self.edges.fire(from, to);
-            let mut stats = self.stats.lock();
-            let Some(fault) = fault else {
-                stats.acks += 1;
-                if attempt > 1 {
-                    stats.transient_recoveries += 1;
-                    phi_trace::instant(recovered, to as u64);
-                }
-                return Ok(());
-            };
-            stats.faults_injected += 1;
-            if fault == EdgeFault::Corrupt {
-                stats.corruptions_detected += 1;
-                phi_trace::instant(corrupt, to as u64);
-            }
-        }
-        Err(CommError::RetriesExhausted { from, to })
-    }
-
-    pub(crate) fn stats(&self) -> CommStats {
-        *self.stats.lock()
-    }
 }
 
 /// SplitMix64 step: the deterministic PRNG behind seeded fault choices.
@@ -682,9 +489,7 @@ mod tests {
 
     #[test]
     fn plan_grammar_round_trips() {
-        let p =
-            FaultPlan::parse("42:kill@3,kill@1#2,kill*2,delay@1#5:20,drop@0->2#1,corrupt@2->0#3")
-                .unwrap();
+        let p = FaultPlan::parse("42:kill@3,kill@1#2,kill*2,delay@2#5:20").unwrap();
         assert_eq!(p.seed, 42);
         assert_eq!(
             p.specs(),
@@ -692,16 +497,19 @@ mod tests {
                 FaultSpec::KillAtTask { task: 3 },
                 FaultSpec::KillAtClaim { rank: 1, claim: 2 },
                 FaultSpec::KillRandom { count: 2 },
-                FaultSpec::Delay { rank: 1, claim: 5, millis: 20 },
-                FaultSpec::DropMessage { from: 0, to: 2, nth: 1 },
-                FaultSpec::CorruptMessage { from: 2, to: 0, nth: 3 },
+                FaultSpec::Delay { rank: 2, claim: 5, millis: 20 },
             ]
         );
         assert_eq!(p.max_rank(), Some(2));
         assert_eq!(FaultPlan::parse("1:kill@9,kill*3").unwrap().max_rank(), None);
         assert_eq!(p.max_task(), Some(3));
         assert_eq!(FaultPlan::parse("1:kill@9,kill@2,kill*30").unwrap().max_task(), Some(9));
-        assert_eq!(FaultPlan::parse("1:kill@0#1,drop@0->1#1").unwrap().max_task(), None);
+        assert_eq!(FaultPlan::parse("1:kill@0#1,delay@0#1:5").unwrap().max_task(), None);
+        // Messages are not a fault target: the old edge specs are unknown.
+        for spec in ["drop@0->1#1", "corrupt@1->0#1"] {
+            let err = FaultPlan::parse(&format!("1:kill@3,{spec}")).expect_err(spec);
+            assert_eq!(err, format!("unknown fault spec '{spec}'"));
+        }
         assert_eq!(p.max_delay_ms(), Some(20));
         assert_eq!(
             FaultPlan::parse("1:delay@0#1:7,delay@1#1:90").unwrap().max_delay_ms(),
@@ -716,9 +524,12 @@ mod tests {
         assert!(FaultPlan::parse("x:kill@3").is_err());
         assert!(FaultPlan::parse("1:exploded@3").is_err());
         assert!(FaultPlan::parse("1:delay@1#2").is_err());
-        assert!(FaultPlan::parse("1:drop@0#1").is_err());
+        for spec in ["drop@0->1#1", "corrupt@1->0#1", "drop@0->1#0"] {
+            let err = FaultPlan::parse(&format!("1:{spec}")).expect_err(spec);
+            assert!(err.contains("unknown fault spec") && err.contains(spec), "{spec}: {err}");
+        }
         // 1-based ordinals: a `#0` spec would never fire.
-        for spec in ["1:kill@1#0", "1:delay@1#0:5", "1:drop@0->1#0", "1:corrupt@1->0#0"] {
+        for spec in ["1:kill@1#0", "1:delay@1#0:5"] {
             let err = FaultPlan::parse(spec).expect_err(spec);
             assert!(err.contains("'0'") && err.contains("from 1"), "{spec}: {err}");
         }

@@ -24,11 +24,12 @@
 //!   data-server processes.
 
 //! * **Failure is a first-class input.** [`fault::FaultPlan`] schedules
-//!   deterministic rank kills, stragglers and message faults; task leases
-//!   and the failure-aware barrier/reduction let survivors reclaim a dead
-//!   rank's tasks and finish the computation, and one retransmit loop
-//!   absorbs dropped or corrupted rank messages and window requests. A run
-//!   without a plan pays for none of it.
+//!   deterministic rank kills and stragglers, the failures that are
+//!   routine at the paper's 3,000-node scale; task leases and the
+//!   failure-aware barrier/reduction let survivors reclaim a dead rank's
+//!   tasks and finish the computation. Messages are delivered as MPI
+//!   delivers them, reliably and in order, so nothing is retransmitted. A
+//!   run without a plan pays for none of it.
 
 pub mod ddi;
 pub mod fault;
@@ -37,6 +38,6 @@ pub mod sync;
 pub mod world;
 
 pub use ddi::{DdiMode, DistributedArray};
-pub use fault::{CommError, CommStats, FaultPlan, LeaseMode, RetryPolicy, MAX_ATTEMPTS};
+pub use fault::{CommError, FaultPlan, LeaseMode, RetryPolicy};
 pub use memory::{MemoryReport, MemoryTracker};
 pub use world::{run_world, run_world_with_config, Rank, WorldConfig, WorldResult};

@@ -2,23 +2,19 @@
 //! collectives — with optional deterministic fault injection.
 //!
 //! A world started with a [`FaultPlan`] (via [`run_world_with_config`])
-//! kills ranks, delays stragglers and drops or corrupts rank messages
-//! exactly where the plan says. Its messages then ride the retransmit loop
-//! that DDI window requests ride too ([`crate::fault`]): a transmission the
-//! plan damages is resent, and the data reaches the destination's channel
-//! only once an attempt gets through. Without a plan a message is one
-//! channel send. The failure-aware primitives ([`Rank::lease_next`],
-//! [`Rank::ft_barrier`], [`Rank::try_gsumf`]) let survivors regroup and
-//! finish the computation.
+//! kills ranks and delays stragglers exactly where the plan says. A
+//! message is one channel send, delivered as MPI delivers it. The
+//! failure-aware primitives ([`Rank::lease_next`], [`Rank::ft_barrier`],
+//! [`Rank::try_gsumf`]) let survivors regroup and finish the computation.
 
 use crate::fault::{
-    splitmix64, CommError, CommStats, FaultPlan, FaultSpec, FtBarrier, Layer, LeaseClaim,
-    LeaseMode, Link, RetryPolicy, TaskLeases,
+    splitmix64, CommError, FaultPlan, FaultSpec, FtBarrier, LeaseClaim, LeaseMode, RetryPolicy,
+    TaskLeases,
 };
 use crate::memory::{MemoryReport, MemoryTracker};
 use crate::sync::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -59,9 +55,8 @@ struct FaultRuntime {
     random_resolved: AtomicBool,
     claim_kills: Mutex<Vec<ClaimKill>>,
     delays: Vec<(usize, usize, u64)>,
-    /// The rank messages' retransmit loop; its ledger also counts the
-    /// kills and stragglers that fire.
-    link: Link,
+    /// Kills and stragglers that fired.
+    injected: AtomicU64,
     /// Successful lease claims made by each rank (1-based ordinals).
     claims: Vec<AtomicUsize>,
 }
@@ -80,7 +75,6 @@ impl FaultRuntime {
                 }
                 FaultSpec::KillRandom { count } => random_kill_count += count,
                 FaultSpec::Delay { rank, claim, millis } => delays.push((rank, claim, millis)),
-                FaultSpec::DropMessage { .. } | FaultSpec::CorruptMessage { .. } => {}
             }
         }
         FaultRuntime {
@@ -90,7 +84,7 @@ impl FaultRuntime {
             random_resolved: AtomicBool::new(false),
             claim_kills: Mutex::new(claim_kills),
             delays,
-            link: Link::new(plan, Layer::Comm),
+            injected: AtomicU64::new(0),
             claims: (0..n_ranks).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
@@ -209,9 +203,9 @@ pub struct WorldResult<R> {
     /// Lease claims served from the reissue queue — recovery work
     /// re-executed by survivors.
     pub lease_retries: usize,
-    /// Faults injected into, and retransmissions made by, the world's
-    /// rank messages (all zero without a fault plan).
-    pub comm: CommStats,
+    /// Faults the plan injected: rank kills and stragglers (zero without
+    /// a fault plan).
+    pub faults_injected: u64,
 }
 
 impl<R> WorldResult<R> {
@@ -318,11 +312,8 @@ where
     let dlb_calls = shared.dlb_calls.load(Ordering::Relaxed);
     phi_trace::counter("dlb.calls", dlb_calls as u64);
     phi_trace::counter("tasks.reclaimed", shared.leases.reclaimed() as u64);
-    let comm = shared.faults.as_ref().map_or_else(CommStats::default, |fr| fr.link.stats());
-    phi_trace::counter("comm.retransmits", comm.retransmits);
-    phi_trace::counter("comm.acks", comm.acks);
-    phi_trace::counter("comm.corruptions", comm.corruptions_detected);
-    phi_trace::counter("comm.recoveries", comm.transient_recoveries);
+    let faults_injected =
+        shared.faults.as_ref().map_or(0, |fr| fr.injected.load(Ordering::Relaxed));
 
     let failures = shared.failures.lock().clone();
     WorldResult {
@@ -332,7 +323,7 @@ where
         failures,
         tasks_reclaimed: shared.leases.reclaimed(),
         lease_retries: shared.leases.reissued_claims(),
-        comm,
+        faults_injected,
     }
 }
 
@@ -457,11 +448,11 @@ impl Rank {
                     if let Some(fr) = &self.shared.faults {
                         let claim_no = fr.claims[self.id].fetch_add(1, Ordering::SeqCst) + 1;
                         if let Some(ms) = fr.delay_for(self.id, claim_no) {
-                            fr.link.stats.lock().faults_injected += 1;
+                            fr.injected.fetch_add(1, Ordering::Relaxed);
                             std::thread::sleep(Duration::from_millis(ms));
                         }
                         if fr.check_kill(self.id, claim_no, task, &self.shared.live) {
-                            fr.link.stats.lock().faults_injected += 1;
+                            fr.injected.fetch_add(1, Ordering::Relaxed);
                             self.die(format!(
                                 "fault injection: killed holding task {task} (claim #{claim_no})"
                             ));
@@ -504,16 +495,10 @@ impl Rank {
 
     // ---------------------------------------------------------- p2p -----
 
-    /// Tagged send to `dest`. Under a fault plan the message first rides
-    /// the world's retransmit loop, and its data reaches `dest`'s channel
-    /// only once an attempt gets through; a burned budget is
-    /// [`CommError::RetriesExhausted`].
+    /// Tagged send to `dest`: one channel send.
     fn send(&self, dest: usize, tag: u64, data: &[f64]) -> Result<(), CommError> {
         if !self.alive() {
             return Err(CommError::SelfDead);
-        }
-        if let Some(fr) = &self.shared.faults {
-            fr.link.deliver(self.id, dest)?;
         }
         self.senders[dest]
             .send(Message { from: self.id, tag, data: data.to_vec() })
@@ -553,16 +538,14 @@ impl Rank {
     /// Failure-aware global sum (`ddi_gsumf`) over the *surviving*
     /// ranks, in place. Collective: every live rank must call with an
     /// equally sized slice. A binomial reduction tree to the lowest live
-    /// rank followed by a binomial broadcast; under a fault plan a dropped
-    /// or corrupted tree message drains into retransmission instead of a
-    /// dead rank. Dead ranks must not call, and a wedged phase times out
-    /// instead of hanging.
+    /// rank followed by a binomial broadcast. Dead ranks must not call, and
+    /// a wedged phase times out instead of hanging.
     ///
     /// The entry barrier freezes the live-rank set: kills only fire
     /// inside [`lease_next`](Self::lease_next), so once every survivor
     /// has entered the collective they all derive the same tree. A
-    /// fatal communication failure (retry budget exhausted, timeout)
-    /// escalates into the mark-dead/lease-reclaim path.
+    /// fatal communication failure (a timeout, a failed peer) escalates
+    /// into the mark-dead/lease-reclaim path.
     pub fn try_gsumf(&self, data: &mut [f64]) -> Result<(), CommError> {
         if !self.alive() {
             return Err(CommError::SelfDead);
@@ -642,7 +625,6 @@ impl Rank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::MAX_ATTEMPTS;
 
     fn config(n_ranks: usize, faults: Option<FaultPlan>) -> WorldConfig {
         WorldConfig { n_ranks, faults, retry: RetryPolicy::default() }
@@ -679,7 +661,7 @@ mod tests {
             for v in res.per_rank {
                 assert_eq!(v, vec![tri, n_ranks as f64, -tri]);
             }
-            assert_eq!(res.comm, CommStats::default(), "no plan, no ledger");
+            assert_eq!(res.faults_injected, 0, "no plan, no ledger");
         }
     }
 
@@ -808,7 +790,7 @@ mod tests {
             lease_drain(r, 12, LeaseMode::Volatile)
         });
         assert_eq!(res.failures.len(), 1, "exactly one rank dies");
-        assert!(res.comm.faults_injected >= 1);
+        assert!(res.faults_injected >= 1);
         assert!(res.tasks_reclaimed >= 1, "the victim died holding task 2");
         assert!(res.lease_retries >= 1);
         assert_eq!(surviving_union::<3>(&res), (0..12).collect::<Vec<_>>());
@@ -882,7 +864,7 @@ mod tests {
         let res = run_world_with_config(faulted(1, "5:delay@0#1:10"), |r| {
             lease_drain(r, 4, LeaseMode::Volatile)
         });
-        assert_eq!(res.comm.faults_injected, 1);
+        assert_eq!(res.faults_injected, 1);
         assert!(res.failures.is_empty());
         assert_eq!(surviving_union::<1>(&res), (0..4).collect::<Vec<_>>());
     }
@@ -942,114 +924,6 @@ mod tests {
             }
         });
         assert_eq!(res.per_rank[1], vec![1.0, 2.0, 3.0]);
-    }
-
-    // ------------------------------------------------ retransmission ----
-
-    /// Rank 0 sends `data` to rank 1 under `plan`; rank 1 returns what
-    /// it received.
-    fn one_message(plan: &str, data: &'static [f64]) -> WorldResult<Vec<f64>> {
-        run_world_with_config(faulted(2, plan), |r| {
-            if r.rank() == 0 {
-                r.send(1, 4, data).unwrap();
-                vec![]
-            } else {
-                r.recv(0, 4).unwrap()
-            }
-        })
-    }
-
-    #[test]
-    fn reliable_send_recovers_from_a_dropped_payload() {
-        // A drop and a corruption of the same transmission are a drop,
-        // whichever the plan lists first: nothing arrives to be damaged.
-        for plan in ["9:drop@0->1#1", "9:corrupt@0->1#1,drop@0->1#1"] {
-            let res = one_message(plan, &[1.0, 2.0]);
-            assert_eq!(res.per_rank[1], vec![1.0, 2.0], "{plan}");
-            let want = CommStats {
-                faults_injected: 1,
-                retransmits: 1,
-                acks: 1,
-                corruptions_detected: 0,
-                transient_recoveries: 1,
-            };
-            assert_eq!(res.comm, want, "{plan}: exactly the dropped attempt is resent");
-            assert!(res.failures.is_empty(), "a transient fault must not kill anyone");
-        }
-    }
-
-    #[test]
-    fn reliable_send_recovers_from_a_corrupt_payload() {
-        let res = one_message("9:corrupt@0->1#1", &[3.0, -1.0]);
-        assert_eq!(res.per_rank[1], vec![3.0, -1.0], "the clean retransmission is delivered");
-        assert_eq!(res.comm.corruptions_detected, 1, "the damaged attempt is detected");
-        assert_eq!(res.comm.retransmits, 1);
-        assert_eq!(res.comm.transient_recoveries, 1);
-        assert!(res.failures.is_empty());
-    }
-
-    #[test]
-    fn second_message_on_the_edge_passes_after_a_drop() {
-        // Ordinals count attempts: the first message's retransmission is
-        // #2, so the second message is #3 and passes untouched.
-        let res = run_world_with_config(faulted(2, "9:drop@0->1#1"), |r| {
-            if r.rank() == 0 {
-                r.send(1, 4, &[1.0]).unwrap();
-                r.send(1, 5, &[2.0]).unwrap();
-                vec![]
-            } else {
-                let second = r.recv(0, 5).unwrap();
-                [r.recv(0, 4).unwrap(), second].concat()
-            }
-        });
-        assert_eq!(res.per_rank[1], vec![1.0, 2.0]);
-        assert_eq!(res.comm.retransmits, 1);
-        assert_eq!(res.comm.acks, 2);
-    }
-
-    #[test]
-    fn exhausted_retry_budget_is_a_fatal_error() {
-        let drops: Vec<String> = (1..=MAX_ATTEMPTS).map(|n| format!("drop@0->1#{n}")).collect();
-        let cfg = WorldConfig {
-            retry: RetryPolicy { timeout: Duration::from_millis(200) },
-            ..faulted(2, &format!("9:{}", drops.join(",")))
-        };
-        let res = run_world_with_config(cfg, |r| {
-            if r.rank() == 0 {
-                r.send(1, 4, &[1.0]).err()
-            } else {
-                // Nothing ever reaches the channel.
-                r.recv(0, 4).err()
-            }
-        });
-        assert_eq!(res.per_rank[0], Some(CommError::RetriesExhausted { from: 0, to: 1 }));
-        assert_eq!(res.per_rank[1], Some(CommError::Timeout { what: "recv" }));
-        assert_eq!(res.comm.retransmits, MAX_ATTEMPTS as u64 - 1);
-        assert_eq!(res.comm.acks, 0);
-    }
-
-    #[test]
-    fn gsumf_retransmits_through_dropped_and_corrupt_tree_messages() {
-        // Faults on two reduction edges (1->0, 2->0) and on a broadcast
-        // edge (0->1): every one must drain into retransmission.
-        let res =
-            run_world_with_config(faulted(4, "9:drop@1->0#1,corrupt@2->0#1,drop@0->1#1"), |r| {
-                let mut v = vec![r.rank() as f64, 1.0];
-                r.try_gsumf(&mut v).unwrap();
-                v
-            });
-        for v in res.per_rank {
-            assert_eq!(v, vec![6.0, 4.0]);
-        }
-        let want = CommStats {
-            faults_injected: 3,
-            retransmits: 3,
-            acks: 6, // three reduce and three broadcast messages
-            corruptions_detected: 1,
-            transient_recoveries: 3,
-        };
-        assert_eq!(res.comm, want);
-        assert!(res.failures.is_empty(), "transient faults must not kill ranks");
     }
 
     #[test]

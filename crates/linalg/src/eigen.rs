@@ -14,8 +14,8 @@ use crate::matrix::Mat;
 
 /// Eigendecomposition of a real symmetric matrix: `A = V diag(values) Vᵀ`.
 ///
-/// Eigenvalues are sorted ascending; `vectors.col(k)` is the unit eigenvector
-/// for `values[k]`.
+/// Eigenvalues are sorted ascending; column `k` of `vectors` is the unit
+/// eigenvector for `values[k]`.
 #[derive(Clone, Debug)]
 pub struct Eigh {
     pub values: Vec<f64>,

@@ -84,11 +84,6 @@ impl Mat {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copy of column `j`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
     pub fn transpose(&self) -> Mat {
         Mat::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
     }

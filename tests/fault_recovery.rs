@@ -1,6 +1,7 @@
 //! Fault-injected recovery suite: kill ranks mid-Fock-build under every
 //! parallel algorithm and check that survivors reclaim the dead ranks'
-//! task leases and still produce the serial Fock matrix.
+//! task leases and still produce the serial Fock matrix, while a clean
+//! build injects nothing. Kills among stragglers are `chaos_soak`'s.
 //!
 //! The kill schedule is seeded and deterministic ([`FaultPlan`]), so every
 //! failure here replays exactly. CI sweeps additional seeds via the
@@ -77,10 +78,10 @@ fn check_recovery_after_kills(k: usize) {
                 got.stats.failed_ranks
             );
             assert!(
-                got.stats.comm.faults_injected >= k as u64,
+                got.stats.faults_injected >= k as u64,
                 "{} seed {seed}: {} faults fired",
                 builder.label(),
-                got.stats.comm.faults_injected
+                got.stats.faults_injected
             );
             assert!(
                 got.stats.tasks_reclaimed > 0,
@@ -136,5 +137,25 @@ fn scf_converges_to_the_fault_free_energy_under_repeated_kills() {
         );
         let reclaimed: usize = faulty.fock_stats.iter().map(|s| s.tasks_reclaimed).sum();
         assert!(reclaimed > 0, "seed {seed}: every iteration killed a rank");
+    }
+}
+
+#[test]
+fn clean_parallel_builds_inject_no_faults() {
+    let b = BasisSet::build(&small::water(), BasisName::Sto3g);
+    let data = FockData::build(&b);
+    let ctx = data.context(&b, 1e-12);
+    let d = density(b.n_basis());
+    for alg in [
+        FockAlgorithm::MpiOnly { n_ranks: 2 },
+        FockAlgorithm::PrivateFock { n_ranks: 1, n_threads: 2 },
+        FockAlgorithm::SharedFock { n_ranks: 1, n_threads: 2 },
+        FockAlgorithm::Distributed { n_ranks: 2 },
+        FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::Mpi3OneSided },
+    ] {
+        let got = alg.builder().build(&ctx, &DensitySet::Restricted(&d));
+        assert_eq!(got.stats.faults_injected, 0, "{}", alg.label());
+        assert!(got.stats.failed_ranks.is_empty(), "{}", alg.label());
+        assert_eq!(got.stats.tasks_reclaimed, 0, "{}", alg.label());
     }
 }
