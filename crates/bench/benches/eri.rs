@@ -38,8 +38,9 @@ fn main() {
     // (D1 D1|L3 L3), whose contracted kets the kernels sum before the bra
     // expansion (the generic path expands every primitive quartet; measured
     // 3.2-4.6x and 4.4-4.8x), >= 1x (no regression) on the light classes,
-    // >= 2.5x on ssss, whose kernel is a different algorithm (one fused
-    // multiply-add chain per primitive quartet, measured ~4x), not a
+    // >= 2.5x on ssss, whose kernel is a different algorithm (one
+    // multiply-add chain per primitive quartet on fused pair weights,
+    // measured 3.7-5.9x; 3.9-4.2x before the weights were fused), not a
     // monomorphized copy of the generic one.
     // Pure (dd|dd) from single-primitive D1 shells is contraction-bound —
     // one primitive quartet leaves nothing for the batched phases to

@@ -10,7 +10,7 @@
 //!   `F_m(T) = Σ_j F_{m+j}(T_k) (T_k - T)^j / j!` needs nothing but the
 //!   row itself — and lower orders follow by the numerically stable
 //!   *downward* recursion `F_m = (2T F_{m+1} + e^{-T}) / (2m + 1)`. `F_0`
-//!   alone (the ssss case) costs no `exp` at all.
+//!   alone (the ssss case) costs no `exp` at all, and has its own table.
 //! * `T >= 35`: `erf(sqrt(T)) = 1` to double precision, so
 //!   `F_0 = sqrt(pi / T) / 2` exactly, and the *upward* recursion
 //!   `F_{m+1} = ((2m+1) F_m - e^{-T}) / (2T)` is stable because `2T`
@@ -25,6 +25,27 @@
 //! absolute and 3.3e-15 relative (the tests pin 1e-14 / 1e-13). Rows reach
 //! `F_{16+7}`, so orders up to `TABLE_MMAX = 16` (four d shells need 8,
 //! four f shells 12) take the table.
+//!
+//! **The `F_0` path.** `F_0` alone (`boys` with one slot, `boys_f0`, and so
+//! the ssss kernel and the generic path's ssss `R` table) reads a second,
+//! 561-row table of 64-byte rows, `c_j = F_j(T_k) / j!` for `j = 0..8`:
+//! ~35 KB in one contiguous block (`F_0` reads of the full table touch as
+//! many lines, one per row, spread over its 105 KB). It evaluates the same
+//! 8-term Taylor step by Estrin's scheme, with no `1/j` multiply per term,
+//! `((c0 + c1 d) + (c2 + c3 d) d²) + ((c4 + c5 d) + (c6 + c7 d) d²) d⁴`,
+//! whose longest dependency chain is three multiply-add levels instead of
+//! Horner's seven. The error bound is the step's: the truncation is the
+//! `< 3e-17 F_0` above; each `c_j` takes one more rounding (`j!` is exact,
+//! so `c_j` is the correctly rounded quotient of the table value); and
+//! `c_0` passes through three roundings on its way out while every other
+//! term is scaled by `|d|^j <= 32^-j`, so `Σ_{j>=1} |c_j d^j| <= 0.032 F_0`
+//! and their rounding adds a few hundredths of an ulp. That is about four
+//! ulps of `F_0` beyond the table row's own error. Measured against the
+//! series over `T ∈ [0, 60)` at 1.37e-4 steps: at most 6.7e-16 absolute and
+//! 3.1e-15 relative, the same maxima as the Horner step on the full rows
+//! (the tests pin 1e-14 / 1e-13). Its branch points are the table's: the
+//! `T = 0` limit below 1e-14, the nearest-row flip at every grid midpoint,
+//! and the asymptotic form from 35. Orders `m >= 1` never read it.
 //!
 //! **The series remains**, as `boys_series`: it generates the table rows,
 //! it evaluates the rare orders above `TABLE_MMAX`, and it is the oracle the
@@ -55,10 +76,46 @@ const TABLE_MMAX: usize = 16;
 const INV_J: [f64; TAYLOR_TERMS] =
     [0.0, 1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0, 1.0 / 5.0, 1.0 / 6.0, 1.0 / 7.0];
 
-/// One grid row `F_0(T_k)..F_{TABLE_MMAX + 7}(T_k)`: 24 doubles, aligned so
-/// the eight values an `F_0` evaluation reads share one cache line.
+/// `j!`, exact in binary, for the `F_0` table's prescaling.
+const FACTORIAL: [f64; TAYLOR_TERMS] = [1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0, 5040.0];
+
+/// One grid row `F_0(T_k)..F_{TABLE_MMAX + 7}(T_k)`: 24 doubles, aligned to
+/// a cache line.
 #[repr(align(64))]
 struct Row([f64; TABLE_MMAX + TAYLOR_TERMS]);
+
+/// `F_0`'s Taylor coefficients at one grid point, `F_j(T_k) / j!` for
+/// `j = 0..8`: one 64-byte row, so an `F_0` evaluation reads one cache line.
+#[repr(align(64))]
+struct F0Row([f64; TAYLOR_TERMS]);
+
+/// The process-wide `F_0`-only table (561 rows, ~35 KB in one block),
+/// filled on first use from the full table's rows.
+fn f0_table() -> &'static [F0Row; N_ROWS] {
+    static F0_TABLE: OnceLock<Box<[F0Row; N_ROWS]>> = OnceLock::new();
+    F0_TABLE.get_or_init(|| {
+        let rows: Box<[F0Row]> = table()
+            .iter()
+            .map(|row| F0Row(std::array::from_fn(|j| row.0[j] / FACTORIAL[j])))
+            .collect();
+        rows.try_into().unwrap_or_else(|_| unreachable!("N_ROWS rows were collected"))
+    })
+}
+
+/// `F_0(T)` for `1e-14 <= T < 35` (and the NaN that reaches the table arm):
+/// the 8-term Taylor step from the nearest grid row, as [`boys_into`]'s
+/// Horner step but on prescaled coefficients in Estrin's form, so its
+/// dependency chain is three multiply-add levels deep instead of seven.
+#[inline(always)]
+fn f0_taylor(t: f64) -> f64 {
+    let k = ((t * GRID_PER_UNIT + 0.5) as usize).min(N_ROWS - 1);
+    let c = &f0_table()[k].0;
+    let d = k as f64 / GRID_PER_UNIT - t;
+    let d2 = d * d;
+    let lo = (c[0] + c[1] * d) + (c[2] + c[3] * d) * d2;
+    let hi = (c[4] + c[5] * d) + (c[6] + c[7] * d) * d2;
+    lo + hi * (d2 * d2)
+}
 
 /// The process-wide table, filled on first use.
 fn table() -> &'static [Row; N_ROWS] {
@@ -129,6 +186,8 @@ fn boys_into(t: f64, out: &mut [f64]) {
         }
     } else if mmax > TABLE_MMAX {
         boys_series(t, out);
+    } else if mmax == 0 {
+        out[0] = f0_taylor(t);
     } else {
         // Nearest grid row: at most N_ROWS - 1 for t < 35, and 0 for the
         // NaN that also lands here (the cast saturates). The `min` states
@@ -143,9 +202,7 @@ fn boys_into(t: f64, out: &mut [f64]) {
             top = f[j - 1] + top * (d * INV_J[j]);
         }
         out[mmax] = top;
-        if mmax > 0 {
-            recur_down(2.0 * t, (-t).exp(), out);
-        }
+        recur_down(2.0 * t, (-t).exp(), out);
     }
 }
 
@@ -159,8 +216,9 @@ pub fn boys(t: f64, out: &mut [f64]) {
     boys_into(t, out);
 }
 
-/// `F_0(T)`, bit for bit the value [`boys`] gives a one-element buffer,
-/// inlined into the caller's loop (the ssss kernel).
+/// `F_0(T)`, bit for bit the value [`boys`] gives a one-element buffer
+/// (the `F_0` table's Estrin step between 1e-14 and 35), inlined into the
+/// caller's loop (the ssss kernel).
 #[inline(always)]
 pub(crate) fn boys_f0(t: f64) -> f64 {
     let mut f = [0.0];
@@ -285,6 +343,39 @@ mod tests {
         }
         assert!(max_abs <= 1e-14, "max abs error {max_abs:e}");
         assert!(max_rel <= 1e-13, "max rel error {max_rel:e}");
+    }
+
+    #[test]
+    fn f0_step_matches_series_oracle_on_a_dense_grid() {
+        // The F0-only table and its Estrin step, at 1.37e-4 steps (about
+        // 460 arguments per grid row, so every row is read at every
+        // distance up to its reach of 1/32), against the series at the
+        // table's own pins; `boys` with one slot and `boys_f0` are the same
+        // evaluation, bit for bit.
+        let (mut max_abs, mut max_rel) = (0.0f64, 0.0f64);
+        let mut t = 0.0;
+        while t < 60.0 {
+            let (mut got, mut want) = ([0.0], [0.0]);
+            boys(t, &mut got);
+            boys_series(t, &mut want);
+            assert_eq!(got[0].to_bits(), boys_f0(t).to_bits(), "F_0({t})");
+            let abs = (got[0] - want[0]).abs();
+            max_abs = max_abs.max(abs);
+            max_rel = max_rel.max(abs / want[0]);
+            t += 1.37e-4;
+        }
+        assert!(max_abs <= 1e-14, "max abs error {max_abs:e}");
+        assert!(max_rel <= 1e-13, "max rel error {max_rel:e}");
+    }
+
+    #[test]
+    fn f0_is_continuous_at_the_small_argument_branch() {
+        // Below 1e-14 F_0 is the T = 0 limit 1; at 1e-14 the table step
+        // starts, one row-0 step of ~1e-14 from it.
+        let below = 1e-14f64.next_down();
+        let (lo, hi) = (boys_f0(below), boys_f0(1e-14));
+        assert_eq!(lo, 1.0);
+        assert!(hi < lo && lo - hi <= 1e-13, "F_0 jumps at 1e-14: {lo} vs {hi}");
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! whole quartet. Every class with both sides `<=` [`SPEC_LMAX`] gets its
 //! own kernel (25 in total, covering every s/p/SP/d combination of
 //! 6-31G(d)-style bases): `ssss` a straight-line one (`eval_ssss` — one
-//! multiply-add chain per primitive quartet around an inlined `F_0`, none
-//! of the phases below), the other 24 an `eval_spec::<LB, LK>`
+//! multiply-add chain per primitive quartet around an inlined `F_0`, on the
+//! pair dataset's fused s-pair weights, none of the phases below), the
+//! other 24 an `eval_spec::<LB, LK>`
 //! instantiation; anything hotter — f shells and beyond — falls back to the
 //! generic recursion through the same [`EriKernel`] trait.
 //!
@@ -52,11 +53,16 @@
 //! primitives are summed: the generic path adds every primitive quartet's
 //! bra expansion into the output, the kernels add the ket primitives' `W`
 //! first and expand once. Where each bra primitive pair has one surviving
-//! ket primitive pair (ssss, single-primitive shells) the two agree to the
-//! last bit (up to the sign of exact zeros); elsewhere the reassociated sum
+//! ket primitive pair (single-primitive shells) the two agree to the last
+//! bit (up to the sign of exact zeros); elsewhere the reassociated sum
 //! agrees within `tests/kernel_parity.rs`'s `<= 1e-14` per integral, which
 //! that file enforces across seeded random geometries, exponents,
-//! contraction depths and degenerate configurations.
+//! contraction depths and degenerate configurations. The ssss kernel is the
+//! exception to the first half: it multiplies each pair's coefficient,
+//! normalization and `E_000` once, in the pair dataset, so its products are
+//! reassociated at any depth and it is held to the `1e-14` alone. Its
+//! prefactor screen is still the generic path's, bit for bit, so both paths
+//! compute the same primitive quartets.
 //!
 //! [`PrimSoA`]: crate::shell_pairs::PrimSoA
 //! [`E3Sparse`]: crate::shell_pairs::E3Sparse
@@ -401,53 +407,50 @@ fn eval_spec<const LB: usize, const LK: usize>(
 /// The ssss class: every shell is one s function, so a primitive quartet is
 /// one multiply-add chain and needs no survivor lanes, `R` recursion or `W`
 /// scratch. Streams the two [`PrimSoA`](crate::shell_pairs::PrimSoA)s in
-/// the generic order and accumulates `out[0]` directly, with `F_0` inlined.
-/// Returns the number of primitive quartets computed.
+/// the generic order, with the pairs' fused weights `w` in place of the
+/// coefficient, normalization and `E_000` lookups and `F_0` inlined: per bra
+/// primitive pair it sums `w_ket * base * F_0` over the ket primitive pairs,
+/// then adds that sum times `w_bra` into `out[0]`. Returns the number of
+/// primitive quartets computed.
 ///
-/// Parity: the generic path's arithmetic for `l = 0` replayed in its order —
-/// `R_000 = F_0` (its `(-2 alpha)^0` factor is exactly 1), stage 1
-/// `W = (E_ket * scale_cd) * F_0`, stage 2 `E_bra * W`, then `wab_full *`
-/// into `out[0]`. The generic path's `0.0 +` accumulator seeds and a pair
-/// whose `E_000` underflowed to an empty entry list add exact zeros there,
-/// which cannot change a sum that starts at `+0.0`.
+/// Parity: the prefactor screen is the generic path's, bit for bit (`base`
+/// and its test are spelled the same), so both paths compute the same
+/// primitive quartets. The integral is the generic path's product
+/// reassociated: the weights are multiplied once per pair instead of per
+/// quartet, and the ket primitives are summed before the bra weight, as in
+/// `eval_spec`. `tests/kernel_parity.rs` holds the two within `1e-14` per
+/// integral. A zero weight (a zero coefficient, or an `E_000` that
+/// underflowed) adds an exact zero where the generic path adds nothing.
 fn eval_ssss(bra: &ShellPair, ket: &ShellPair, prefactor_cutoff: f64, out: &mut [f64]) -> u64 {
     debug_assert!(bra.l_sum == 0 && ket.l_sum == 0 && out.len() == 1);
     let coef_bound = bra.max_coef * ket.max_coef;
     let num = 2.0 * PI.powf(2.5);
     let (bs, ks) = (&bra.soa, &ket.soa);
-    let (norm_a, norm_b) = (bra.a.norms[0], bra.b.norms[0]);
-    let (norm_c, norm_d) = (ket.a.norms[0], ket.b.norms[0]);
+    let n = ks.p.len();
+    let (kp, kk, kw) = (&ks.p[..n], &ks.k[..n], &ks.w[..n]);
+    let (kx, ky, kz) = (&ks.cx[..n], &ks.cy[..n], &ks.cz[..n]);
     let mut prim_quartets = 0u64;
     let mut sum = out[0];
     for ia in 0..bs.p.len() {
         let p = bs.p[ia];
         let (bcx, bcy, bcz, bk) = (bs.cx[ia], bs.cy[ia], bs.cz[ia], bs.k[ia]);
-        let wab = bra.coef(ia, 0, 0);
-        let wab_full = wab * norm_a * norm_b;
-        let e_bra = bra.e3.entries(ia, 0, 0).1.first();
-        for ic in 0..ks.p.len() {
-            let q = ks.p[ic];
-            let base = num / (p * q * (p + q).sqrt());
-            if (base * bk * ks.k[ic] * coef_bound).abs() < prefactor_cutoff {
+        let mut ket_sum = 0.0;
+        for ic in 0..n {
+            let q = kp[ic];
+            let pq = p * q;
+            let base = num / (pq * (p + q).sqrt());
+            if (base * bk * kk[ic] * coef_bound).abs() < prefactor_cutoff {
                 continue;
             }
             prim_quartets += 1;
-            let scale_ket = base * ket.coef(ic, 0, 0);
-            if scale_ket == 0.0 || wab == 0.0 {
-                continue;
-            }
-            let (Some(&e_bra), Some(&e_ket)) = (e_bra, ket.e3.entries(ic, 0, 0).1.first()) else {
-                continue;
-            };
-            let alpha = p * q / (p + q);
-            let dx = bcx - ks.cx[ic];
-            let dy = bcy - ks.cy[ic];
-            let dz = bcz - ks.cz[ic];
+            let alpha = pq / (p + q);
+            let dx = bcx - kx[ic];
+            let dy = bcy - ky[ic];
+            let dz = bcz - kz[ic];
             let r2 = dx * dx + dy * dy + dz * dz;
-            let scale_cd = scale_ket * norm_c * norm_d;
-            let w = e_ket * scale_cd * boys_f0(alpha * r2);
-            sum += wab_full * (e_bra * w);
+            ket_sum += kw[ic] * base * boys_f0(alpha * r2);
         }
+        sum += bs.w[ia] * ket_sum;
     }
     out[0] = sum;
     prim_quartets

@@ -101,7 +101,9 @@ impl PairSide {
 /// Structure-of-arrays view of a pair's surviving primitive pairs: the
 /// per-quartet prefactor/Boys-argument phase of the class kernels streams
 /// these flat lanes (`p`, product center, `K`) instead of hopping across
-/// [`PrimPair`] structs, which is what lets rustc vectorize it.
+/// [`PrimPair`] structs, which is what lets rustc vectorize it. An s–s pair
+/// (one `l = 0` block per side) also carries its fused weights `w`, the
+/// whole of what the ssss kernel needs from the pair beyond the lanes above.
 #[derive(Clone, Debug, Default)]
 pub struct PrimSoA {
     /// Exponent sums, one per surviving primitive pair.
@@ -112,6 +114,11 @@ pub struct PrimSoA {
     pub cz: Vec<f64>,
     /// Gaussian-product prefactors `K = exp(-mu |AB|^2)`.
     pub k: Vec<f64>,
+    /// s–s pairs only (empty otherwise): `((c_a c_b) N_a) N_b E_000` per
+    /// primitive pair — coefficient product, the two normalization factors
+    /// and the Hermite product `E_000`, which is 0.0 where it underflowed to
+    /// an empty entry list.
+    pub w: Vec<f64>,
 }
 
 impl PrimSoA {
@@ -122,11 +129,12 @@ impl PrimSoA {
             cy: prims.iter().map(|pp| pp.center[1]).collect(),
             cz: prims.iter().map(|pp| pp.center[2]).collect(),
             k: prims.iter().map(|pp| pp.k).collect(),
+            w: Vec::new(),
         }
     }
 
     fn heap_bytes(&self) -> usize {
-        (self.p.len() + self.cx.len() + self.cy.len() + self.cz.len() + self.k.len())
+        (self.p.len() + self.cx.len() + self.cy.len() + self.cz.len() + self.k.len() + self.w.len())
             * std::mem::size_of::<f64>()
     }
 }
@@ -307,8 +315,17 @@ impl ShellPair {
                 k,
             });
         });
-        let soa = PrimSoA::from_prims(&prims);
+        let mut soa = PrimSoA::from_prims(&prims);
         let e3 = E3Sparse::build(&prims, &a, &b);
+        if a.n_fn == 1 && b.n_fn == 1 {
+            let (norm_a, norm_b) = (a.norms[0], b.norms[0]);
+            soa.w = (0..prims.len())
+                .map(|ip| {
+                    let e000 = e3.entries(ip, 0, 0).1.first().copied().unwrap_or(0.0);
+                    coef[ip] * norm_a * norm_b * e000
+                })
+                .collect();
+        }
         ShellPair {
             i,
             j,

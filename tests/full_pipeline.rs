@@ -117,3 +117,15 @@ fn scf_reports_complete_statistics() {
     // negative (Koopmans).
     assert!(r.orbital_energies[..mol.n_occupied()].iter().all(|&e| e < 0.0));
 }
+
+/// The all-s integral path end to end: a serial SCF on the benchmark's
+/// H₂₈/6-31G chain (every quartet one ssss kernel call, every `F_0` the
+/// F0-only table) against `benchmark/`'s pinned energy for the unjittered
+/// geometry, at the benchmark's own 1e-8. Ignored in tier-1 for its debug
+/// cost; CI runs it optimised with `--ignored`.
+#[test]
+#[ignore]
+fn h28_631g_serial_energy_matches_the_benchmark_pin() {
+    let e = energy(&small::h_chain(28, 1.8), BasisName::B631g, FockAlgorithm::Serial);
+    assert!((e - (-14.99185444)).abs() < 1e-8, "H28/6-31G energy {e:.10}");
+}

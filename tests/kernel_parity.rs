@@ -5,18 +5,21 @@
 //! the degenerate configurations that historically break integral codes
 //! (coincident centers, near-zero exponents, zero AB/CD distance).
 //!
-//! Parity is asserted at `<= 1e-14` per integral. The kernels replay the
-//! generic path's arithmetic except for one reassociation: they sum over a
-//! bra primitive pair's ket primitives before the bra expansion, where the
-//! generic path expands every primitive quartet. Contracted quartets
-//! therefore differ in the last bits, and this bound is what holds them;
-//! the in-crate `specialized_kernels_match_generic_bitwise` test pins bit
-//! equality where the sum has one term (single-primitive shells).
+//! Parity is asserted at `<= 1e-14` per integral. The `eval_spec` kernels
+//! replay the generic path's arithmetic except for one reassociation: they
+//! sum over a bra primitive pair's ket primitives before the bra expansion,
+//! where the generic path expands every primitive quartet. The ssss kernel
+//! sums the same way and also multiplies each pair's coefficient,
+//! normalization and `E_000` once, into the pair dataset's fused weights.
+//! Contracted quartets therefore differ in the last bits, and this bound is
+//! what holds them; the in-crate `specialized_kernels_match_generic_bitwise`
+//! test pins bit equality for the `eval_spec` classes where the sum has one
+//! term (single-primitive shells).
 //!
 //! Seeds sweep through `PHI_KERNEL_SEEDS` (comma-separated), the same
 //! pattern the fault matrix uses with `PHI_FAULT_SEEDS`; CI runs four.
 
-use phi_scf::chem::basis::custom_shell;
+use phi_scf::chem::basis::{custom_shell, AngBlock};
 use phi_scf::chem::Shell;
 use phi_scf::integrals::kernels::{CLASS_LABELS, N_SPEC};
 use phi_scf::integrals::{EriEngine, ShellPair};
@@ -306,5 +309,111 @@ fn screened_quartets_match_generic() {
             generic.prim_quartets_computed(),
             "both paths must screen identically"
         );
+    }
+}
+
+/// A contracted s shell of the given depth, unnormalized: exponents a
+/// geometric ladder from diffuse to tight, coefficients of mixed sign.
+fn contracted_s(depth: usize, tag: f64, center: [f64; 3]) -> Shell {
+    let exps: Vec<f64> = (0..depth).map(|k| (0.11 + 0.02 * tag) * 3.3f64.powi(k as i32)).collect();
+    let coefs = (0..depth).map(|k| (0.9 - 0.23 * k as f64) * (1.0 + 0.1 * tag)).collect();
+    Shell { center, exps, blocks: vec![AngBlock { l: 0, coefs }], first_bf: 0 }
+}
+
+/// The ssss kernel over every contraction-depth pair 1–6 × 1–6, from
+/// coincident to far-separated centres (where `E_000` underflows to an
+/// empty entry list, a zero fused weight), through pruned primitive pairs
+/// and a zero contraction coefficient, with and without primitive
+/// screening. These shells are unnormalized and their integrals reach
+/// ~1e2, so the file's `1e-14` is taken relative to magnitudes above 1.
+/// Both paths apply the one prefactor screen, so their primitive-quartet
+/// counts are equal.
+#[test]
+fn ssss_kernel_matches_generic() {
+    let origin = [0.0; 3];
+    let places = [origin, [0.4, -0.7, 1.1], [0.0, 0.0, 4.0], [0.0, 30.0, 0.0]];
+    let (mut pruned, mut zero_coef, mut underflowed) = (false, false, false);
+    let mut computed = Vec::new();
+    for cutoff in [0.0, 1e-18] {
+        let mut spec = EriEngine::new();
+        let mut generic = EriEngine::generic_only();
+        spec.prefactor_cutoff = cutoff;
+        generic.prefactor_cutoff = cutoff;
+        for da in 1..=6 {
+            for db in 1..=6 {
+                for (ip, &place) in places.iter().enumerate() {
+                    let a = contracted_s(da, 0.0, origin);
+                    let mut b = contracted_s(db, 1.0, place);
+                    if ip == 1 && db > 1 {
+                        b.blocks[0].coefs[1] = 0.0;
+                        zero_coef = true;
+                    }
+                    let pair_cutoff = if ip == 2 { 1e-10 } else { 0.0 };
+                    let bra = ShellPair::build(0, 0, &a, &b, pair_cutoff);
+                    let ket = ShellPair::build(0, 0, &b, &a, pair_cutoff);
+                    pruned |= bra.prims.len() < da * db;
+                    underflowed |=
+                        (0..bra.prims.len()).any(|i| bra.e3.entries(i, 0, 0).1.is_empty());
+                    let (mut vs, mut vg) = ([0.0], [0.0]);
+                    // Mixed and diagonal quartets.
+                    for (x, y) in [(&bra, &ket), (&bra, &bra)] {
+                        spec.shell_quartet_pairs(x, y, &mut vs);
+                        generic.shell_quartet_pairs(x, y, &mut vg);
+                        assert!(
+                            (vs[0] - vg[0]).abs() <= 1e-14 * vg[0].abs().max(1.0),
+                            "depths {da}x{db}, place {ip}, cutoff {cutoff:e}: \
+                             kernel {:.17e} vs generic {:.17e}",
+                            vs[0],
+                            vg[0]
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(spec.prim_quartets_computed(), generic.prim_quartets_computed());
+        assert_eq!(spec.class_counts()[0], spec.shell_quartets_computed());
+        assert_eq!(generic.spec_quartets_computed(), 0);
+        computed.push(spec.prim_quartets_computed());
+    }
+    assert!(pruned && zero_coef && underflowed, "{pruned} {zero_coef} {underflowed}");
+    assert!(computed[1] < computed[0], "1e-18 must screen some primitive quartets");
+}
+
+/// The ssss kernel's prefactor screen must be the generic path's to the
+/// last bit, or the two paths compute different primitive quartets. The
+/// cutoff is set to each primitive quartet's own screen value, spelled in
+/// the generic path's order, and to the next double up: the generic path
+/// keeps that quartet at the first and drops it at the second, so a
+/// reassociated product that rounds one ulp either way disagrees at one of
+/// them.
+#[test]
+fn ssss_screen_matches_generic_at_its_edge() {
+    let num = 2.0 * std::f64::consts::PI.powf(2.5);
+    let a = contracted_s(4, 0.0, [0.0; 3]);
+    let b = contracted_s(5, 1.0, [0.4, -0.7, 1.1]);
+    let bra = ShellPair::build(0, 0, &a, &b, 0.0);
+    let ket = ShellPair::build(0, 0, &b, &a, 0.0);
+    let coef_bound = bra.max_coef * ket.max_coef;
+    let (bs, ks) = (&bra.soa, &ket.soa);
+    for ia in 0..bs.p.len() {
+        for ic in 0..ks.p.len() {
+            let (p, q) = (bs.p[ia], ks.p[ic]);
+            let base = num / (p * q * (p + q).sqrt());
+            let edge = (base * bs.k[ia] * ks.k[ic] * coef_bound).abs();
+            for cutoff in [edge, edge.next_up()] {
+                let mut spec = EriEngine::new();
+                let mut generic = EriEngine::generic_only();
+                spec.prefactor_cutoff = cutoff;
+                generic.prefactor_cutoff = cutoff;
+                let (mut vs, mut vg) = ([0.0], [0.0]);
+                spec.shell_quartet_pairs(&bra, &ket, &mut vs);
+                generic.shell_quartet_pairs(&bra, &ket, &mut vg);
+                assert_eq!(
+                    spec.prim_quartets_computed(),
+                    generic.prim_quartets_computed(),
+                    "cutoff {cutoff:e}, the screen value of primitive quartet ({ia}, {ic})"
+                );
+            }
+        }
     }
 }

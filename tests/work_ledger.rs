@@ -119,16 +119,16 @@ fn h28_631g_ledger_holds_on_every_row() {
         row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 0),
         // Every significant pair leased, plus each rank's out-of-range
         // claim: the other 928 pairs are no task at all.
-        row(MPI, 668, 670, 0..=0, 0, 1_703_837),
+        row(MPI, 668, 670, 0..=0, 0, 1_762_069),
         // One lease per shell `i`, plus the end-of-stream claim.
-        row(PRIVATE, 56, 57, 0..=0, 0, 1_754_013),
+        row(PRIVATE, 56, 57, 0..=0, 0, 1_812_245),
         // One FJ flush per task plus one FI flush per run of equal `i`.
-        row(SHARED, 668, 669, 724..=724, 0, 1_705_885),
+        row(SHARED, 668, 669, 724..=724, 0, 1_764_117),
         // Measured 20 369–20 731 over about 2 400 builds per row.
-        row(DISTRIBUTED, 668, 670, 20_150..=20_900, 229_195, 1_618_965),
-        row(SHARDED, 668, 670, 20_150..=20_900, 229_195, 1_609_797),
-        row(DISTRIBUTED1, 668, 669, 20_594..=20_594, 229_195, 1_625_349),
-        row(SHARDED1, 668, 669, 20_594..=20_594, 229_195, 1_622_565),
+        row(DISTRIBUTED, 668, 670, 20_150..=20_900, 229_195, 1_677_197),
+        row(SHARDED, 668, 670, 20_150..=20_900, 229_195, 1_668_029),
+        row(DISTRIBUTED1, 668, 669, 20_594..=20_594, 229_195, 1_683_581),
+        row(SHARDED1, 668, 669, 20_594..=20_594, 229_195, 1_680_797),
     ];
     check(&small::h_chain(28, 1.8), BasisName::B631g, work, &rows);
 }
@@ -155,9 +155,9 @@ fn water_631gd_ledger_holds_on_every_row() {
     };
     let rows = [
         row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 0),
-        row(MPI, 36, 38, 0..=0, 0, 117_932),
-        row(PRIVATE, 8, 9, 0..=0, 0, 123_708),
-        row(SHARED, 36, 37, 44..=44, 0, 122_028),
+        row(MPI, 36, 38, 0..=0, 0, 119_732),
+        row(PRIVATE, 8, 9, 0..=0, 0, 125_508),
+        row(SHARED, 36, 37, 44..=44, 0, 123_828),
         // Measured 11–128 over about 8 000 builds per row: with 36 tasks, how
         // they split between the ranks moves the count by a factor of ten.
         // Pushing every unique integral's updates straight into the `acc`
@@ -165,10 +165,10 @@ fn water_631gd_ledger_holds_on_every_row() {
         // blocks, made 1 441 to 1 546 runs over 50 two-rank sharded builds;
         // the upper bound, under a seventh of the fewest, is the line such
         // pushes must not cross again in either window build.
-        row(DISTRIBUTED, 36, 38, 5..=200, 4_151, 117_444),
-        row(SHARDED, 36, 38, 5..=200, 4_151, 123_964),
-        row(DISTRIBUTED1, 36, 37, 62..=62, 4_151, 118_204),
-        row(SHARDED1, 36, 37, 62..=62, 4_151, 125_484),
+        row(DISTRIBUTED, 36, 38, 5..=200, 4_151, 119_244),
+        row(SHARDED, 36, 38, 5..=200, 4_151, 125_764),
+        row(DISTRIBUTED1, 36, 37, 62..=62, 4_151, 120_004),
+        row(SHARDED1, 36, 37, 62..=62, 4_151, 127_284),
     ];
     let work = Work { computed: 666, screened: 0, classes: &classes, max_tests_per_computed: 1.0 };
     check(&small::water(), BasisName::B631gd, work, &rows);
@@ -196,16 +196,16 @@ fn h8_sto3g_ledger_holds_on_every_row() {
         row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 0),
         // Every row but private leases the 26 significant ij pairs through
         // the same loop, plus each rank's out-of-range claim.
-        row(MPI, 26, 28, 0..=0, 0, 71_445),
+        row(MPI, 26, 28, 0..=0, 0, 73_741),
         // One FJ flush per task, one FI flush per run of equal i in a
         // rank's lease sequence: 8 on one rank.
-        row(SHARED, 26, 27, 34..=34, 0, 71_957),
+        row(SHARED, 26, 27, 34..=34, 0, 74_253),
         // On two ranks which rank gets which lease is a race, and each sees
         // at most all 8 i: 34 to 41 over 4 000 builds.
-        row(SHARED2, 26, 28, 34..=42, 0, 71_957),
+        row(SHARED2, 26, 28, 34..=42, 0, 74_253),
         // Measured 1–5 over 600 builds per row.
-        row(DISTRIBUTED, 26, 28, 1..=20, 391, 77_869),
-        row(SHARDED, 26, 28, 1..=20, 391, 85_885),
+        row(DISTRIBUTED, 26, 28, 1..=20, 391, 80_165),
+        row(SHARDED, 26, 28, 1..=20, 391, 88_181),
     ];
     check(&small::h_chain(8, 5.0), BasisName::Sto3g, work, &rows);
 }
