@@ -6,7 +6,7 @@
 //!
 //! | experiment  | reproduces                                              |
 //! |-------------|---------------------------------------------------------|
-//! | `table2`    | Table 2 (+ the artifact's Table 4, + a live measurement) |
+//! | `table2`    | Table 2 (+ the artifact's Table 4)                       |
 //! | `fig3`      | Figure 3 — thread affinity                               |
 //! | `fig4`      | Figure 4 — single-node scalability                       |
 //! | `fig5`      | Figure 5 — cluster and memory modes                      |
@@ -21,14 +21,11 @@
 //! are generated and screened exactly.
 
 use hf::memory_model::{Table2Row, PAPER_TABLE2_GB};
-use hf::{DensitySet, FockAlgorithm, FockContext};
 use phi_chem::basis::{BasisName, BasisSet};
 use phi_chem::geom::graphene::PaperSystem;
 use phi_chem::geom::small;
-use phi_integrals::Screening;
 use phi_knlsim::report::{fmt_gb, Table};
 use phi_knlsim::scenarios::{self, Ctx, PAPER_TABLE3};
-use phi_linalg::Mat;
 use std::io::{self, Write};
 
 const USAGE: &str =
@@ -129,15 +126,10 @@ fn anchored_nm20(quick: bool) -> Ctx {
 }
 
 /// Table 2 (memory footprints of the three codes for the five graphene
-/// datasets) and the artifact's Table 4 (dataset characteristics), from
-/// three independent sources:
-///
-/// 1. the paper's eqs. (3a)–(3c) with the paper's configurations;
-/// 2. the paper's printed values (for comparison);
-/// 3. a *measured* footprint from actually running the three Fock builds
-///    at reduced rank/thread counts on a small real system — demonstrating
-///    that the tracker reproduces the replication hierarchy on live
-///    allocations.
+/// datasets) and the artifact's Table 4 (dataset characteristics): the
+/// paper's eqs. (3a)–(3c) with the paper's configurations, beside the
+/// paper's printed values. The footprints are modeled; nothing here
+/// counts allocations.
 fn table2(_: bool, out: &mut dyn Write) -> io::Result<()> {
     let mut t4 = Table::new(
         "Table 4 (artifact) — dataset characteristics",
@@ -185,40 +177,7 @@ fn table2(_: bool, out: &mut dyn Write) -> io::Result<()> {
     t2.note(
         "paper's measured MPI/ShF reduction: ~200x (incl. GAMESS structures beyond the equations)",
     );
-    writeln!(out, "{t2}")?;
-
-    // A real (scaled-down) measurement: water/6-31G, 8 cores worth of
-    // parallelism, tracked allocations from the actual builds.
-    let mol = small::water();
-    let basis = BasisSet::build(&mol, BasisName::B631g);
-    let pairs = phi_integrals::ShellPairs::build(&basis);
-    let screening = Screening::from_pairs(&basis, &pairs);
-    let d = Mat::identity(basis.n_basis());
-    let cores = 8;
-    let configs = [
-        ("MPI-only (8 ranks)", FockAlgorithm::MpiOnly { n_ranks: cores }),
-        ("private Fock (1x8)", FockAlgorithm::PrivateFock { n_ranks: 1, n_threads: cores }),
-        ("shared Fock (1x8)", FockAlgorithm::SharedFock { n_ranks: 1, n_threads: cores }),
-    ];
-    let mut tm = Table::new(
-        "Measured footprints — live tracked allocations, water/6-31G, 8-way parallel",
-        &["code", "peak bytes", "vs MPI-only"],
-    );
-    let ctx = FockContext::new(&basis, &pairs, &screening, 1e-10);
-    let mut mpi_peak = 0usize;
-    for (label, alg) in configs {
-        let gb = alg.builder().build(&ctx, &DensitySet::Restricted(&d));
-        if mpi_peak == 0 {
-            mpi_peak = gb.stats.memory_total_peak;
-        }
-        tm.row(vec![
-            label.into(),
-            gb.stats.memory_total_peak.to_string(),
-            format!("{:.1}x smaller", mpi_peak as f64 / gb.stats.memory_total_peak as f64),
-        ]);
-    }
-    tm.note("the hierarchy (MPI >> private > shared) is measured on real allocations");
-    writeln!(out, "{tm}")
+    writeln!(out, "{t2}")
 }
 
 /// Figure 3: shared-Fock performance vs OpenMP thread affinity type on a
@@ -347,7 +306,6 @@ mod tests {
         for title in [
             "Table 4 (artifact)",
             "Table 2 —",
-            "Measured footprints",
             "Figure 3 —",
             "Figure 4 —",
             "Figure 5 —",

@@ -17,9 +17,9 @@
 //!   and completes leases, its team follows, and the loop owns the
 //!   flush-before-complete contract. The MPI-only, distributed and
 //!   sharded builds run it as a team of one;
-//! * [`World`] — the dmpi world wrapper: spawn, memory charge, per-rank
+//! * [`World`] — the dmpi world wrapper: spawn, the lease loop, per-rank
 //!   stat merge, the world-global counters, "lowest live rank returns the
-//!   result".
+//!   result, if the lease range completed".
 //!
 //! Each algorithm module supplies only its policy row (DESIGN.md §3.1).
 
@@ -27,17 +27,10 @@ use super::engine::FockContext;
 use crate::stats::FockBuildStats;
 use phi_dmpi::{FaultPlan, LeaseMode, Rank, RetryPolicy, WorldConfig};
 use phi_integrals::{EriEngine, Screening};
+use phi_linalg::Mat;
 use phi_omp::ThreadCtx;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// Bytes of the replicated read-only matrices a real GAMESS process
-/// carries besides D and F: overlap S, core Hamiltonian H and MO
-/// coefficients C. Charged to the tracker per rank; the build itself only
-/// reads D.
-pub(crate) fn readonly_bytes(n: usize) -> usize {
-    3 * n * n * std::mem::size_of::<f64>()
-}
 
 /// The significant-pair list: every shell pair `(k, l)`, `k >= l`, with
 /// `Q_kl * Q_max >= tau`, ascending by `pair_index(k, l)` and indexed by
@@ -48,7 +41,8 @@ pub(crate) fn readonly_bytes(n: usize) -> usize {
 ///
 /// Built per build from the `Q` table, not stored in [`FockData`]: the
 /// frozen benchmark constructs that struct field by field. Like the table
-/// it comes from, it is read-only, shared and not charged per rank.
+/// it comes from, it is read-only and shared, and the memory model does
+/// not price it per rank.
 ///
 /// [`FockData`]: super::engine::FockData
 pub struct SignificantPairs {
@@ -244,8 +238,9 @@ impl<'r> LeaseLoop<'r> {
     /// work (kills fire inside `lease_next`, between tasks). In a clean
     /// run no rank can die, and each thread flushes every 32 tasks purely
     /// to amortize one-sided calls. Every thread flushes once more at the
-    /// end of the stream, and never once its rank is dead. Returns the
-    /// tasks run, counted on the master only.
+    /// end of the stream, or when its live rank gives up on a timed-out
+    /// lease poll, and never once its rank is dead. Returns the tasks run,
+    /// counted on the master only.
     pub(crate) fn run(&self, tctx: &ThreadCtx<'_>, mut step: impl FnMut(Step)) -> usize {
         let fault_mode = self.rank.faults_enabled();
         let mut ran = 0usize;
@@ -270,7 +265,9 @@ impl<'r> LeaseLoop<'r> {
             tctx.barrier();
             let t = self.current.load(Ordering::SeqCst);
             if t >= self.n_tasks {
-                if t == TASK_DONE {
+                // A live rank past TASK_DEAD gave up on a timed-out lease
+                // poll: what it completed must still land.
+                if t == TASK_DONE || self.rank.alive() {
                     step(Step::Flush);
                 }
                 return if tctx.is_master() { ran } else { 0 };
@@ -297,28 +294,27 @@ pub(crate) struct World<'a> {
 }
 
 impl World<'_> {
-    /// Run `body` on every rank and assemble the build's statistics.
+    /// Run `body` on every rank over a lease range of `n_tasks` tasks and
+    /// assemble the build's statistics.
     ///
-    /// Each rank is charged `resident` bytes (whatever the policy keeps
-    /// per rank: density, Fock, caches) plus its read-only copy of the
-    /// shell-pair dataset for the duration of the build. `body` returns
-    /// the rank's result — `None` once the rank is dead — and its stats;
-    /// the lowest live rank's result is the build's.
+    /// `body` gets the rank's [`LeaseLoop`] and returns the rank's result
+    /// (`None` once the rank is dead or its reduction failed) and its
+    /// stats. The build's result is the lowest live rank's, and there is
+    /// none, with `stats.lost` set, unless every task of the range was
+    /// done when the world finished.
     pub(crate) fn run<T: Send>(
         &self,
-        ctx: &FockContext<'_>,
-        resident: usize,
-        body: impl Fn(&Rank) -> (Option<T>, FockBuildStats) + Sync,
+        n_tasks: usize,
+        mode: LeaseMode,
+        body: impl Fn(&Rank, &LeaseLoop<'_>) -> (Option<T>, FockBuildStats) + Sync,
     ) -> (Option<T>, FockBuildStats) {
-        let charged = resident + ctx.pairs.bytes();
         let cfg =
             WorldConfig { n_ranks: self.n_ranks, faults: self.faults.cloned(), retry: self.retry };
         let world = phi_dmpi::run_world_with_config(cfg, |rank| {
             let _span = phi_trace::span("fock.build");
             let start = Instant::now();
-            rank.charge_bytes(charged);
-            let (result, mut stats) = body(rank);
-            rank.release_bytes(charged);
+            let leases = LeaseLoop::new(rank, n_tasks, mode);
+            let (result, mut stats) = body(rank, &leases);
             stats.seconds = start.elapsed().as_secs_f64();
             (result.filter(|_| rank.is_lowest_live()), stats)
         });
@@ -330,9 +326,9 @@ impl World<'_> {
             stats = FockBuildStats::merge(stats, &s);
             result = r.or(result);
         }
+        result = result.filter(|_| world.tasks_done == n_tasks);
+        stats.lost = result.is_none();
         stats.failed_ranks = failed_ranks;
-        stats.memory_total_peak = world.memory.total_peak();
-        stats.per_rank_peak = world.memory.per_rank_peak;
         stats.dlb_calls = world.dlb_calls;
         stats.tasks_reclaimed = world.tasks_reclaimed;
         stats.retries = world.lease_retries;
@@ -341,15 +337,9 @@ impl World<'_> {
     }
 }
 
-/// The reduced Fock of a replicated build, which some rank must have
-/// survived to return.
-pub(crate) fn surviving<T>(result: Option<T>, stats: &FockBuildStats) -> T {
-    result.unwrap_or_else(|| {
-        panic!(
-            "no surviving rank returned the reduced Fock (failed ranks: {:?})",
-            stats.failed_ranks
-        )
-    })
+/// The build's `G`, or NaN everywhere when it has none (`stats.lost`).
+pub(crate) fn g_or_nan(g: Option<Mat>, n: usize) -> Mat {
+    g.unwrap_or_else(|| Mat::from_fn(n, n, |_, _| f64::NAN))
 }
 
 #[cfg(test)]

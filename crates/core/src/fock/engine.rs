@@ -17,12 +17,13 @@
 //! Every build returns the same [`GBuild`]: the `G` matrix plus
 //! [`crate::stats::FockBuildStats`] collected identically across
 //! algorithms (quartets computed/screened, DLB counter calls, buffer
-//! flushes, wall time, tracked memory). The algorithms themselves are
-//! policy rows over the one task-loop driver (`fock/driver.rs`); adding
-//! one is one row.
+//! flushes, wall time, modeled bytes per rank). The algorithms themselves
+//! are policy rows over the one task-loop driver (`fock/driver.rs`);
+//! adding one is one row.
 
 use super::driver::{SignificantPairs, World};
 use super::{DensitySet, FockAlgorithm, GBuild, ReplicatedDensity};
+use crate::MemoryModel;
 use phi_chem::BasisSet;
 use phi_dmpi::{FaultPlan, RetryPolicy};
 use phi_integrals::{Screening, ShellPairs};
@@ -156,7 +157,7 @@ fn build_with(
     let world = |n_ranks| World { n_ranks, faults, retry };
     // Every row's kl index space, read by every rank and thread.
     let kl = &SignificantPairs::new(ctx.screening, ctx.tau);
-    match alg {
+    let mut gb = match alg {
         FockAlgorithm::Serial => super::serial::build(ctx, kl, dens),
         FockAlgorithm::MpiOnly { n_ranks } => {
             super::mpi_only::build(ctx, kl, dens, &world(n_ranks))
@@ -173,7 +174,10 @@ fn build_with(
         FockAlgorithm::Sharded { n_ranks, .. } => {
             super::sharded::build(ctx, kl, dens, &world(n_ranks))
         }
-    }
+    };
+    // The one statement of a rank's bytes: the model's row, not a count.
+    gb.stats.rank_bytes = MemoryModel::new(ctx.basis, ctx.pairs).per_rank_bytes(alg) as usize;
+    gb
 }
 
 impl FockAlgorithm {

@@ -7,18 +7,17 @@
 //! `(k, l)` loops over the list prefix up to its own pair. The final Fock
 //! matrix is summed over ranks with `gsumf`.
 //!
-//! The memory pathology the paper attacks is visible here by construction:
-//! the replicated matrices are *really allocated* per rank through the
-//! tracker, so the returned report scales linearly with the rank count.
+//! The memory pathology the paper attacks is eq. (3a): a real MPI rank
+//! holds all of these matrices, so a node's footprint grows linearly with
+//! its rank count. In-process the density is one shared copy; the bytes a
+//! build reports are `MemoryModel`'s MPI-only row, not a count.
 //!
 //! Policy row: significant `ij` pair tasks, a team of one, one
 //! lower-triangle buffer digested through [`TriSink`] per rank, volatile
 //! leases (a dead rank's partial sums never reach the reduction, so
 //! everything it ever computed is reissued), `gsumf` reduce.
 
-use super::driver::{
-    readonly_bytes, surviving, LeaseLoop, Quartets, SignificantPairs, Step, World,
-};
+use super::driver::{g_or_nan, Quartets, SignificantPairs, Step, World};
 use super::engine::FockContext;
 use super::{digest, tri_to_full, GBuild, ReplicatedDensity, TriSink};
 use phi_dmpi::LeaseMode;
@@ -35,13 +34,8 @@ pub(crate) fn build(
 ) -> GBuild {
     let basis = ctx.basis;
     let n = basis.n_basis();
-    // Everything replicated per rank (the paper's memory bottleneck):
-    // the density, S/H/C, and the Fock accumulator.
-    let fock_bytes = n * n * std::mem::size_of::<f64>();
-    let resident = fock_bytes + readonly_bytes(n) + fock_bytes;
 
-    let (fock, stats) = world.run(ctx, resident, |rank| {
-        let leases = LeaseLoop::new(rank, kl.len(), LeaseMode::Volatile);
+    let (fock, stats) = world.run(kl.len(), LeaseMode::Volatile, |rank, leases| {
         let (mut fock, stats) = Team::new(1)
             .parallel(|tctx| {
                 let mut dens = dens;
@@ -65,7 +59,7 @@ pub(crate) fn build(
         let dead = !rank.alive() || rank.try_gsumf(&mut fock).is_err();
         ((!dead).then_some(fock), stats)
     });
-    GBuild { g: tri_to_full(&surviving(fock, &stats), n), stats }
+    GBuild { g: g_or_nan(fock.map(|f| tri_to_full(&f, n)), n), stats }
 }
 
 #[cfg(test)]
@@ -121,19 +115,5 @@ mod tests {
             out.stats.quartets_computed + out.stats.quartets_screened,
             serial.stats.quartets_computed + serial.stats.quartets_screened
         );
-    }
-
-    #[test]
-    fn memory_replication_scales_with_ranks() {
-        let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let data = FockData::build(&b);
-        let ctx = data.context(&b, 1e-12);
-        let d = density(b.n_basis());
-        let one = FockAlgorithm::MpiOnly { n_ranks: 1 }.builder().build(&ctx, &Restricted(&d));
-        let four = FockAlgorithm::MpiOnly { n_ranks: 4 }.builder().build(&ctx, &Restricted(&d));
-        // Four ranks replicate everything: total peak ~4x one rank's.
-        let ratio = four.stats.memory_total_peak as f64 / one.stats.memory_total_peak as f64;
-        assert!((ratio - 4.0).abs() < 0.2, "replication ratio {ratio}");
-        assert_eq!(four.stats.per_rank_peak.len(), 4);
     }
 }

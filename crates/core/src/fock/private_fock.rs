@@ -13,9 +13,7 @@
 //! schedule, one lower-triangle buffer digested through [`TriSink`] per
 //! thread, volatile leases, thread reduction then `gsumf`.
 
-use super::driver::{
-    readonly_bytes, surviving, LeaseLoop, Quartets, SignificantPairs, Step, World,
-};
+use super::driver::{g_or_nan, Quartets, SignificantPairs, Step, World};
 use super::engine::FockContext;
 use super::{digest, kl_bounds, tri_to_full, GBuild, ReplicatedDensity, TriSink};
 use crate::stats::FockBuildStats;
@@ -32,14 +30,8 @@ pub(crate) fn build(
 ) -> GBuild {
     let basis = ctx.basis;
     let n = basis.n_basis();
-    // One shared copy of the density and of S/H/C per rank (not per
-    // thread — the first memory win over Algorithm 1); the Fock matrix is
-    // still replicated per thread, plus the reduction target.
-    let fock_bytes = n * n * std::mem::size_of::<f64>();
-    let resident = fock_bytes + readonly_bytes(n) + (n_threads + 1) * fock_bytes;
 
-    let (fock, stats) = world.run(ctx, resident, |rank| {
-        let leases = LeaseLoop::new(rank, basis.n_shells(), LeaseMode::Volatile);
+    let (fock, stats) = world.run(basis.n_shells(), LeaseMode::Volatile, |rank, leases| {
         let per_thread = Team::new(n_threads).parallel(|tctx| {
             let mut dens = dens;
             let mut fock = vec![0.0; n * n];
@@ -81,7 +73,7 @@ pub(crate) fn build(
         let dead = !rank.alive() || rank.try_gsumf(&mut fock).is_err();
         ((!dead).then_some(fock), stats)
     });
-    GBuild { g: tri_to_full(&surviving(fock, &stats), n), stats }
+    GBuild { g: g_or_nan(fock.map(|f| tri_to_full(&f, n)), n), stats }
 }
 
 #[cfg(test)]
@@ -130,25 +122,5 @@ mod tests {
             .builder()
             .build(&data.context(&b, 0.0), &Restricted(&d));
         assert_eq!(hybrid.stats.quartets_computed, serial.stats.quartets_computed);
-    }
-
-    #[test]
-    fn rank_memory_smaller_than_mpi_only_at_same_core_count() {
-        // 4 "cores": MPI-only = 4 ranks; private Fock = 1 rank x 4 threads.
-        let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let data = FockData::build(&b);
-        let d = density(b.n_basis());
-        let mpi = FockAlgorithm::MpiOnly { n_ranks: 4 }
-            .builder()
-            .build(&data.context(&b, 1e-12), &Restricted(&d));
-        let hyb = FockAlgorithm::PrivateFock { n_ranks: 1, n_threads: 4 }
-            .builder()
-            .build(&data.context(&b, 1e-12), &Restricted(&d));
-        assert!(
-            hyb.stats.memory_total_peak < mpi.stats.memory_total_peak,
-            "hybrid {} vs MPI {}",
-            hyb.stats.memory_total_peak,
-            mpi.stats.memory_total_peak
-        );
     }
 }

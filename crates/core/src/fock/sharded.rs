@@ -31,11 +31,10 @@
 //! flushed before the master completes it at its next claim — the strips
 //! are already empty then), flush + `ft_barrier`.
 
-use super::driver::{LeaseLoop, Quartets, SignificantPairs, Step, World};
+use super::driver::{g_or_nan, Quartets, SignificantPairs, Step, World};
 use super::engine::FockContext;
 use super::matrix::{
-    drain_strip, gather_tri, replicated_density_bytes, scatter_density, shard_reader_bytes,
-    shard_stripe_bytes, shard_writer_bytes, tri_len, RowShardFock, ShardDensity, StripRouter,
+    drain_strip, gather_tri, scatter_density, tri_len, RowShardFock, ShardDensity, StripRouter,
 };
 use super::{digest, DensityRead, GBuild, ReplicatedDensity, Span};
 use phi_dmpi::{DistributedArray, LeaseMode};
@@ -53,8 +52,7 @@ pub(crate) fn build(
     // The density scatter is the driver's job: it already owns the full
     // matrix.
     let d_win = scatter_density(dens.0, n, world.n_ranks);
-    let reader_bytes = shard_stripe_bytes(n, world.n_ranks, 1) + shard_reader_bytes(n);
-    window_build(ctx, kl, world, reader_bytes, || ShardDensity::new(&d_win, n))
+    window_build(ctx, kl, world, || ShardDensity::new(&d_win, n))
 }
 
 /// `Distributed`: the window build over every rank's own replicated
@@ -65,18 +63,16 @@ pub(crate) fn build_distributed(
     dens: ReplicatedDensity<'_>,
     world: &World<'_>,
 ) -> GBuild {
-    let reader_bytes = replicated_density_bytes(ctx.basis.n_basis());
-    window_build(ctx, kl, world, reader_bytes, || dens)
+    window_build(ctx, kl, world, || dens)
 }
 
 /// The one window-build body: DLB over significant `(i, j)` pairs,
 /// density from `reader()`, Fock accumulated into a tri-packed window
-/// by one-sided `acc`. `reader_bytes` is what the reader keeps per rank.
+/// by one-sided `acc`.
 fn window_build<D: DensityRead>(
     ctx: &FockContext<'_>,
     kl: &SignificantPairs,
     world: &World<'_>,
-    reader_bytes: usize,
     reader: impl Fn() -> D + Sync,
 ) -> GBuild {
     let basis = ctx.basis;
@@ -84,15 +80,9 @@ fn window_build<D: DensityRead>(
     // Created outside the world, so flushed contributions survive rank
     // deaths.
     let f_win = DistributedArray::new(tri_len(n), world.n_ranks);
-    // Per-rank resident bytes: the reader, this rank's stripe of the Fock
-    // window and the O(N) writer. `MemoryModel::per_rank_bytes` states the
-    // same terms.
     let max_width = basis.max_shell_width();
-    let resident =
-        reader_bytes + shard_stripe_bytes(n, world.n_ranks, 1) + shard_writer_bytes(n, max_width);
 
-    let (_, stats) = world.run(ctx, resident, |rank| {
-        let leases = LeaseLoop::new(rank, kl.len(), LeaseMode::Durable);
+    let (done, stats) = world.run(kl.len(), LeaseMode::Durable, |rank, leases| {
         let mut stats = Team::new(1).parallel(|tctx| {
             let mut dens = reader();
             let mut fock = RowShardFock::new(&f_win, n);
@@ -130,9 +120,9 @@ fn window_build<D: DensityRead>(
         // Every live rank's accumulates must land before anyone reads;
         // a dead rank has deregistered, and its barrier returns at once.
         let _ = rank.ft_barrier();
-        (None::<()>, stats.pop().expect("a team of one"))
+        (Some(()), stats.pop().expect("a team of one"))
     });
-    GBuild { g: gather_tri(&f_win, n), stats }
+    GBuild { g: g_or_nan(done.map(|()| gather_tri(&f_win, n)), n), stats }
 }
 
 #[cfg(test)]
@@ -209,70 +199,9 @@ mod tests {
     }
 
     #[test]
-    fn per_rank_memory_is_sharded_not_replicated() {
-        // Big enough that the O(N) cache floors (1024 elems / 512 entries)
-        // lose to the N x N matrices a replicated rank holds; tiny systems
-        // like water invert the comparison because the floors dominate.
-        let b = BasisSet::build(&small::h_chain(50, 2.0), BasisName::Sto3g);
-        let data = FockData::build(&b);
-        let n = b.n_basis();
-        let d = density(n);
-        let ranks = 4;
-        let replicated = FockAlgorithm::MpiOnly { n_ranks: ranks }
-            .builder()
-            .build(&data.context(&b, 1e-12), &Restricted(&d));
-        let sharded = FockAlgorithm::Sharded { n_ranks: ranks, mode: DdiMode::Mpi3OneSided }
-            .builder()
-            .build(&data.context(&b, 1e-12), &Restricted(&d));
-        let rep_peak = replicated.stats.max_rank_peak();
-        let sh_peak = sharded.stats.max_rank_peak();
-        assert!(sh_peak < rep_peak, "sharded {sh_peak} vs replicated {rep_peak}");
-        // The tracked peak (stripes, rank-local state and the shared
-        // read-only pair dataset) is exactly the model's sharded row.
-        let model = MemoryModel {
-            n_basis: n,
-            max_shell_width: b.max_shell_width(),
-            pair_bytes: data.pairs.bytes(),
-        };
-        let alg = FockAlgorithm::Sharded { n_ranks: ranks, mode: DdiMode::Mpi3OneSided };
-        assert_eq!(sh_peak as f64, model.per_rank_bytes(alg));
-    }
-
-    #[test]
-    fn fock_memory_is_distributed_not_replicated() {
-        // Versus Algorithm 1 at the same rank count, the tracked footprint
-        // must be smaller: the Fock matrix is striped, not copied. Past the
-        // O(N) writer floors, as in the sharded test above.
-        let b = BasisSet::build(&small::h_chain(50, 2.0), BasisName::Sto3g);
-        let data = FockData::build(&b);
-        let d = density(b.n_basis());
-        let ranks = 4;
-        let replicated = FockAlgorithm::MpiOnly { n_ranks: ranks }
-            .builder()
-            .build(&data.context(&b, 1e-12), &Restricted(&d));
-        let alg = FockAlgorithm::Distributed { n_ranks: ranks };
-        let distributed = alg.builder().build(&data.context(&b, 1e-12), &Restricted(&d));
-        assert!(
-            distributed.stats.memory_total_peak < replicated.stats.memory_total_peak,
-            "distributed {} vs replicated {}",
-            distributed.stats.memory_total_peak,
-            replicated.stats.memory_total_peak
-        );
-        // One density copy, the Fock stripe and the writer: exactly the
-        // model's distributed row.
-        let model = MemoryModel {
-            n_basis: b.n_basis(),
-            max_shell_width: b.max_shell_width(),
-            pair_bytes: data.pairs.bytes(),
-        };
-        assert_eq!(distributed.stats.max_rank_peak() as f64, model.per_rank_bytes(alg));
-    }
-
-    #[test]
     fn shard_budget_never_approaches_a_full_matrix_at_scale() {
         // The O(N) caches have small-system floors; past those, per-rank
-        // matrix memory is a vanishing fraction of one N x N matrix (the
-        // measured version of this claim runs in benches/memory_wall.rs).
+        // matrix memory is a vanishing fraction of one N x N matrix.
         for (n, ranks) in [(500, 4), (2000, 8), (10000, 16)] {
             let model = MemoryModel { n_basis: n, max_shell_width: 6, pair_bytes: 0 };
             let alg = FockAlgorithm::Sharded { n_ranks: ranks, mode: DdiMode::Mpi3OneSided };

@@ -33,9 +33,7 @@
 //! over the task's significant `kl` list positions, shared Fock + FI/FJ
 //! column sinks, volatile leases, `gsumf` reduce.
 
-use super::driver::{
-    readonly_bytes, surviving, LeaseLoop, Quartets, SignificantPairs, Step, World,
-};
+use super::driver::{g_or_nan, Quartets, SignificantPairs, Step, World};
 use super::engine::FockContext;
 use super::matrix::{strip_slot, StripRouter};
 use super::{digest, tri_to_full, Block, FockSink, GBuild, ReplicatedDensity, Span};
@@ -55,18 +53,13 @@ pub(crate) fn build(
     let basis = ctx.basis;
     let n = basis.n_basis();
     let max_width = basis.max_shell_width();
-    // Per rank: one shared copy of the density, S/H/C, and the shared
-    // Fock matrix (line 4: shared(Fock)).
-    let fock_bytes = n * n * std::mem::size_of::<f64>();
-    let resident = fock_bytes + readonly_bytes(n) + fock_bytes;
 
-    let (buf, stats) = world.run(ctx, resident, |rank| {
+    let (buf, stats) = world.run(kl.len(), LeaseMode::Volatile, |rank, leases| {
+        // One shared Fock matrix per rank (line 4: shared(Fock)).
         let fock = SharedAccumulator::new(n * n);
         // FI / FJ: mxsize x nthreads padded column buffers (lines 1-3).
         let fi = PaddedColumns::new(n * max_width, n_threads);
         let fj = PaddedColumns::new(n * max_width, n_threads);
-        let column_bytes = fi.bytes() + fj.bytes();
-        rank.charge_bytes(column_bytes);
 
         // This thread's share of flushing one shell's rows of a column
         // buffer into the shared Fock (padded chunked tree reduction, paper
@@ -85,7 +78,6 @@ pub(crate) fn build(
                 u64::from(tctx.is_master())
             };
 
-        let leases = LeaseLoop::new(rank, kl.len(), LeaseMode::Volatile);
         let per_thread = Team::new(n_threads).parallel(|tctx| {
             let mut dens = dens;
             let mut quartets = Quartets::new(ctx, kl);
@@ -144,7 +136,6 @@ pub(crate) fn build(
             }
             quartets.finish(tasks, flushes)
         });
-        rank.release_bytes(column_bytes);
 
         // 2e-Fock reduction over the surviving MPI ranks (line 38). A
         // killed rank's shared Fock is abandoned here; its leases were
@@ -154,7 +145,7 @@ pub(crate) fn build(
         let stats = per_thread.iter().fold(FockBuildStats::default(), FockBuildStats::merge);
         ((!dead).then_some(fbuf), stats)
     });
-    GBuild { g: tri_to_full(&surviving(buf, &stats), n), stats }
+    GBuild { g: g_or_nan(buf.map(|f| tri_to_full(&f, n)), n), stats }
 }
 
 /// The rank's shared Fock matrix as the `(k, l)` block's destination: one
@@ -248,36 +239,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn memory_hierarchy_matches_the_paper() {
-        // At equal core counts: MPI-only > private Fock > shared Fock.
-        let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let data = FockData::build(&b);
-        let d = density(b.n_basis());
-        let cores = 4;
-        let mpi = FockAlgorithm::MpiOnly { n_ranks: cores }
-            .builder()
-            .build(&data.context(&b, 1e-12), &Restricted(&d));
-        let prv = FockAlgorithm::PrivateFock { n_ranks: 1, n_threads: cores }
-            .builder()
-            .build(&data.context(&b, 1e-12), &Restricted(&d));
-        let shr = FockAlgorithm::SharedFock { n_ranks: 1, n_threads: cores }
-            .builder()
-            .build(&data.context(&b, 1e-12), &Restricted(&d));
-        assert!(
-            mpi.stats.memory_total_peak > prv.stats.memory_total_peak,
-            "MPI {} <= private {}",
-            mpi.stats.memory_total_peak,
-            prv.stats.memory_total_peak
-        );
-        assert!(
-            prv.stats.memory_total_peak > shr.stats.memory_total_peak,
-            "private {} <= shared {}",
-            prv.stats.memory_total_peak,
-            shr.stats.memory_total_peak
-        );
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! The driver ([`scf`]) handles the rest of the method: core-Hamiltonian
 //! guess, symmetric orthogonalization, (optional) DIIS acceleration,
 //! convergence on the density RMS — and reports per-iteration Fock
-//! timings and the per-rank memory accounting that reproduce the paper's
+//! timings and the modeled per-rank memory that reproduce the paper's
 //! tables.
 
 pub mod diis;

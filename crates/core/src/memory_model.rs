@@ -11,14 +11,22 @@
 //! The paper runs 256 MPI ranks/node for the MPI-only code and
 //! 4 ranks x 64 threads for the hybrids. [`MemoryModel::per_rank_bytes`] is
 //! the one statement of these equations (per rank: a node holds
-//! `N_mpi_per_node` of them) — the CLI's `--memory-budget`, Table 2, the
-//! `memory_wall` bench and the simulator's capacity check all call it.
+//! `N_mpi_per_node` of them). Every build reports its row as
+//! `FockBuildStats::rank_bytes`, and the CLI's `--memory-budget`, Table 2
+//! and the simulator's capacity check call it too.
+//!
+//! It is a model of a distributed-memory job, not a count of this
+//! process's allocations. Here ranks are threads, so the density and the
+//! shell-pair dataset exist once however many ranks read them, and the
+//! ERI engines' and digesters' scratch goes unpriced.
 
 use crate::fock::matrix::{
     replicated_density_bytes, shard_reader_bytes, shard_stripe_bytes, shard_writer_bytes,
 };
 use crate::FockAlgorithm;
 use phi_chem::geom::graphene::PaperSystem;
+use phi_chem::BasisSet;
+use phi_integrals::ShellPairs;
 
 /// Word size of the matrices (double precision).
 const WORD: f64 = 8.0;
@@ -31,24 +39,33 @@ pub struct MemoryModel {
     /// the row count of the window builds' FI/FJ strips.
     pub max_shell_width: usize,
     /// Bytes of the persistent shell-pair dataset
-    /// ([`phi_integrals::ShellPairs::bytes`]). Charged once per MPI rank —
+    /// ([`phi_integrals::ShellPairs::bytes`]). Priced once per MPI rank —
     /// shared read-only by the rank's threads, never replicated per thread.
     pub pair_bytes: usize,
 }
 
 impl MemoryModel {
+    /// The model of `basis` with its shell-pair dataset `pairs`.
+    pub fn new(basis: &BasisSet, pairs: &ShellPairs) -> MemoryModel {
+        MemoryModel {
+            n_basis: basis.n_basis(),
+            max_shell_width: basis.max_shell_width(),
+            pair_bytes: pairs.bytes(),
+        }
+    }
+
     /// Bytes one rank of `alg` holds: the matrices of eqs. (3a)-(3c) plus
     /// one copy of the shell-pair dataset. `Serial` replicates the same
     /// density + full accumulation matrices as MPI-only, so it shares
     /// eq. (3a).
     ///
-    /// The two window builds price what their builds charge the tracker, so these rows equal the tracked per-rank peak byte for
-    /// byte. Both hold a stripe of the tri-packed Fock window (`N(N+1)/2`
-    /// words divided over the world's ranks) and the O(N) writer — `acc`
-    /// buffer, FI/FJ strips, `(k, l)` block. `Distributed` adds one whole
-    /// density copy. `Sharded` adds a density window stripe and the O(N)
-    /// row cache instead, which makes it the only sub-quadratic row — the
-    /// variant that dodges the memory wall.
+    /// The two window builds are priced with the functions their buffers
+    /// are sized by. Both hold a stripe of the tri-packed Fock window
+    /// (`N(N+1)/2` words divided over the world's ranks) and the O(N)
+    /// writer — `acc` buffer, FI/FJ strips, `(k, l)` block. `Distributed`
+    /// adds one whole density copy. `Sharded` adds a density window stripe
+    /// and the O(N) row cache instead, which makes it the only
+    /// sub-quadratic row — the variant that dodges the memory wall.
     pub fn per_rank_bytes(&self, alg: FockAlgorithm) -> f64 {
         let n = self.n_basis;
         let n2 = (n as f64) * (n as f64);
@@ -117,7 +134,56 @@ pub const PAPER_TABLE2_GB: [(f64, f64, f64); 5] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fock::engine::FockData;
+    use crate::fock::DensitySet;
+    use phi_chem::basis::BasisName;
+    use phi_chem::geom::small;
     use phi_dmpi::DdiMode;
+    use phi_linalg::Mat;
+
+    #[test]
+    fn every_row_reports_its_model_row() {
+        // Water/6-31G at 1, 2 and 4 workers: every build's bytes are its
+        // algorithm's row. Per node (ranks x bytes per rank) Table 2's
+        // order holds from two cores on: MPI > private > shared. At one
+        // core eq. (3a) puts MPI (2.5 N^2) below private (3 N^2).
+        let b = BasisSet::build(&small::water(), BasisName::B631g);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-10);
+        let d = Mat::identity(b.n_basis());
+        let model = MemoryModel::new(&b, &data.pairs);
+        let bytes = |alg: FockAlgorithm| {
+            let got = alg.builder().build(&ctx, &DensitySet::Restricted(&d)).stats;
+            assert_eq!(got.max_rank_peak() as f64, model.per_rank_bytes(alg), "{}", alg.label());
+            alg.shape().0 as f64 * got.max_rank_peak() as f64
+        };
+        bytes(FockAlgorithm::Serial);
+        for cores in [1, 2, 4] {
+            let mpi = bytes(FockAlgorithm::MpiOnly { n_ranks: cores });
+            let private = bytes(FockAlgorithm::PrivateFock { n_ranks: 1, n_threads: cores });
+            let shared = bytes(FockAlgorithm::SharedFock { n_ranks: 1, n_threads: cores });
+            bytes(FockAlgorithm::Distributed { n_ranks: cores });
+            bytes(sharded(cores));
+            if cores > 1 {
+                assert!(
+                    mpi > private && private > shared,
+                    "{cores} cores: {mpi} {private} {shared}"
+                );
+            }
+        }
+        // The window rows' O(N) caches (~17 KB here) outweigh water's
+        // 1.3 KB matrices, so they come last only past them: per rank on an
+        // H50 chain, sharded < distributed < MPI, and sharded is below
+        // every replicated row.
+        let b = BasisSet::build(&small::h_chain(50, 2.0), BasisName::Sto3g);
+        let m = MemoryModel::new(&b, &ShellPairs::build(&b));
+        let per_rank = |alg| m.per_rank_bytes(alg);
+        let distributed = per_rank(FockAlgorithm::Distributed { n_ranks: 4 });
+        assert!(distributed < per_rank(FockAlgorithm::MpiOnly { n_ranks: 4 }));
+        assert!(per_rank(sharded(4)) < distributed);
+        let shared = per_rank(FockAlgorithm::SharedFock { n_ranks: 1, n_threads: 4 });
+        assert!(per_rank(sharded(4)) < shared);
+    }
 
     #[test]
     fn ratios_match_the_papers_headline_numbers() {

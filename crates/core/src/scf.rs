@@ -65,6 +65,9 @@ pub enum ScfStop {
     /// The energy locked into a 2-cycle (classic charge-sloshing
     /// oscillation) instead of settling.
     Oscillation,
+    /// A Fock build returned no `G` ([`FockBuildStats::lost`]): its ranks
+    /// gave up on waits that timed out.
+    FockBuildLost,
 }
 
 /// Incremental divergence detector over the per-iteration energy history.
@@ -133,11 +136,6 @@ impl ScfResult {
     pub fn time_to_form_fock(&self) -> f64 {
         self.fock_stats.iter().map(|s| s.seconds).sum()
     }
-
-    /// Peak memory footprint over all builds (paper Table 2 metric).
-    pub fn peak_memory(&self) -> usize {
-        self.fock_stats.iter().map(|s| s.memory_total_peak).max().unwrap_or(0)
-    }
 }
 
 /// Run a closed-shell restricted Hartree-Fock calculation.
@@ -182,7 +180,12 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
             let _span = phi_trace::span("scf.fock");
             builder.build(&ctx, &DensitySet::Restricted(&d))
         };
+        let lost = gb.stats.lost;
         fock_stats.push(gb.stats);
+        if lost {
+            stop_reason = ScfStop::FockBuildLost;
+            break;
+        }
         let mut f = h.add(&gb.g);
         f.symmetrize();
 

@@ -1,8 +1,8 @@
-//! Per-build statistics: timings, quartet counts, memory accounting.
+//! Per-build statistics: timings, quartet counts, modeled memory.
 //!
 //! The paper's headline metrics are "TIME TO FORM FOCK" (wall seconds of
-//! the two-electron build) and the per-node memory footprint; both are
-//! collected here for every build.
+//! the two-electron build) and the per-node memory footprint; every build
+//! reports both, the footprint as its row of [`crate::MemoryModel`].
 
 /// Statistics of one two-electron Fock build.
 #[derive(Clone, Debug, Default)]
@@ -41,10 +41,10 @@ pub struct FockBuildStats {
     /// on every other row): one per nonzero element of a drained strip
     /// or of a quartet's `(k, l)` block.
     pub acc_entries: u64,
-    /// Sum of per-rank peak tracked bytes (the paper's footprint metric).
-    pub memory_total_peak: usize,
-    /// Peak tracked bytes per rank.
-    pub per_rank_peak: Vec<usize>,
+    /// Bytes one rank of this build's algorithm holds, as modeled:
+    /// [`crate::MemoryModel::per_rank_bytes`], set once per build. A
+    /// model, not a count of allocations (DESIGN.md §13).
+    pub rank_bytes: usize,
     /// Tasks reclaimed from dead ranks and reissued to survivors.
     /// World-global, set once per build.
     pub tasks_reclaimed: usize,
@@ -57,6 +57,10 @@ pub struct FockBuildStats {
     /// World-global, set once per build like `dlb_calls`; zero without
     /// fault injection.
     pub faults_injected: u64,
+    /// No `G` survived the build: its lease range did not complete, or no
+    /// live rank returned the reduced Fock, because ranks gave up on waits
+    /// that timed out. `G` is then NaN.
+    pub lost: bool,
 }
 
 impl FockBuildStats {
@@ -83,12 +87,10 @@ impl FockBuildStats {
         self.eri_class_quartets[..spec].iter().sum()
     }
 
-    /// Per-rank peak (high-water) tracked bytes: the largest single-rank
-    /// footprint the live tracker saw during this build — the number the
-    /// memory-wall benches assert budget claims against. Zero for builds
-    /// that run no tracked world (the serial reference).
+    /// The busiest rank's bytes: every rank of a build holds the same
+    /// modeled [`rank_bytes`](Self::rank_bytes).
     pub fn max_rank_peak(&self) -> usize {
-        self.per_rank_peak.iter().copied().max().unwrap_or(0)
+        self.rank_bytes
     }
 
     /// Merge the stats of parallel contributors (max time, summed counts).
@@ -130,13 +132,6 @@ mod tests {
         assert_eq!(s(3, 3).screened_fraction(2), 0.5);
         assert_eq!(s(6, 0).screened_fraction(2), 0.0);
         assert_eq!(s(9, 0).screened_fraction(2), 0.0);
-    }
-
-    #[test]
-    fn max_rank_peak_is_the_high_water_rank() {
-        assert_eq!(FockBuildStats::default().max_rank_peak(), 0);
-        let s = FockBuildStats { per_rank_peak: vec![100, 700, 300], ..Default::default() };
-        assert_eq!(s.max_rank_peak(), 700);
     }
 
     #[test]

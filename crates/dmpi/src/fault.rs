@@ -470,6 +470,11 @@ impl TaskLeases {
         count
     }
 
+    /// Tasks of the current range marked complete.
+    pub(crate) fn done(&self) -> usize {
+        self.inner.lock().done.iter().filter(|&&d| d).count()
+    }
+
     /// Total tasks reclaimed from dead ranks (cumulative across resets).
     pub(crate) fn reclaimed(&self) -> usize {
         self.inner.lock().reclaimed

@@ -10,11 +10,11 @@
 //!
 //! What makes this a faithful stand-in rather than a toy:
 //!
-//! * **Replication is real.** Each rank allocates its own matrices and
-//!   charges them with [`Rank::charge_bytes`]; [`memory::MemoryTracker`]
-//!   records per-rank current/peak bytes — so the paper's Table 2 memory
-//!   claims are *measured* on real allocations, not asserted from a
-//!   formula.
+//! * **Memory is modeled, not counted.** Ranks are threads of one
+//!   process, so what every rank of a real MPI job would hold (the
+//!   density, the shell-pair dataset) exists once here. This crate counts
+//!   no bytes; the per-rank footprint of the paper's Table 2 is stated
+//!   once, by `hf::MemoryModel`.
 //! * **Identical API semantics.** [`Rank::lease_next`] hands every task
 //!   of a build to exactly one live rank, like a `ddi_dlbnext` loop;
 //!   [`Rank::try_gsumf`] is an all-reduce sum over `f64` slices like
@@ -33,11 +33,9 @@
 
 pub mod ddi;
 pub mod fault;
-pub mod memory;
 pub mod sync;
 pub mod world;
 
 pub use ddi::{DdiMode, DistributedArray};
 pub use fault::{CommError, FaultPlan, LeaseMode, RetryPolicy};
-pub use memory::{MemoryReport, MemoryTracker};
 pub use world::{run_world, run_world_with_config, Rank, WorldConfig, WorldResult};

@@ -11,7 +11,6 @@ use crate::fault::{
     splitmix64, CommError, FaultPlan, FaultSpec, FtBarrier, LeaseClaim, LeaseMode, RetryPolicy,
     TaskLeases,
 };
-use crate::memory::{MemoryReport, MemoryTracker};
 use crate::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -156,7 +155,6 @@ struct WorldShared {
     /// Lease claims made (`ddi_dlbnext` calls), Exhausted probes included.
     dlb_calls: AtomicUsize,
     leases: TaskLeases,
-    mem: MemoryTracker,
     /// Liveness flags; a rank marked dead has deregistered from the
     /// barrier and abandoned its task leases.
     alive: Vec<AtomicBool>,
@@ -186,14 +184,18 @@ pub struct Rank {
     stash: Mutex<VecDeque<Message>>,
 }
 
-/// Everything a finished world returns: per-rank results plus the memory
-/// accounting and the fault/recovery summary.
+/// Everything a finished world returns: per-rank results plus the lease
+/// and fault/recovery summary.
 pub struct WorldResult<R> {
     /// One entry per rank, in rank order (dead ranks return whatever
     /// their closure produced on the error path).
     pub per_rank: Vec<R>,
-    /// Per-rank memory accounting.
-    pub memory: MemoryReport,
+    /// Tasks of the world's last lease range marked complete when it
+    /// finished. A caller that leased `n` tasks got them all done only if
+    /// this reads `n`: it reads 0 when no rank got through
+    /// [`Rank::lease_reset`] (every one gave up on a timed-out barrier),
+    /// and a dead rank's reclaimed tasks count once they are redone.
+    pub tasks_done: usize,
     /// Total DLB counter calls (including lease claims).
     pub dlb_calls: usize,
     /// Ranks that died mid-run, with reasons, in order of death.
@@ -254,7 +256,6 @@ where
         barrier: FtBarrier::new(n_ranks),
         dlb_calls: AtomicUsize::new(0),
         leases: TaskLeases::new(n_ranks),
-        mem: MemoryTracker::new(n_ranks),
         alive: (0..n_ranks).map(|_| AtomicBool::new(true)).collect(),
         live: AtomicUsize::new(n_ranks),
         failures: Mutex::new(Vec::new()),
@@ -318,7 +319,7 @@ where
     let failures = shared.failures.lock().clone();
     WorldResult {
         per_rank,
-        memory: shared.mem.report(),
+        tasks_done: shared.leases.done(),
         dlb_calls,
         failures,
         tasks_reclaimed: shared.leases.reclaimed(),
@@ -479,18 +480,6 @@ impl Rank {
     /// still only durably counts while this rank stays alive.
     pub fn lease_complete(&self, task: usize) {
         self.shared.leases.complete(task);
-    }
-
-    // ------------------------------------------------------- memory -----
-
-    /// Charge an allocation (replicated matrices, thread-private buffers
-    /// inside an OpenMP region) to this rank's memory account.
-    pub fn charge_bytes(&self, bytes: usize) {
-        self.shared.mem.on_alloc(self.id, bytes);
-    }
-
-    pub fn release_bytes(&self, bytes: usize) {
-        self.shared.mem.on_free(self.id, bytes);
     }
 
     // ---------------------------------------------------------- p2p -----
@@ -700,18 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_accounting_reaches_the_report() {
-        let res = run_world(3, |r| {
-            let bytes = 8000 * (r.rank() + 1);
-            r.charge_bytes(bytes);
-            r.ft_barrier().unwrap();
-            r.release_bytes(bytes);
-        });
-        assert_eq!(res.memory.per_rank_peak, vec![8000, 16000, 24000]);
-        assert_eq!(res.memory.total_current(), 0);
-    }
-
-    #[test]
     fn single_rank_world() {
         let res = run_world(1, |r| {
             let mut v = vec![5.0];
@@ -768,7 +745,20 @@ mod tests {
         assert_eq!(res.per_rank.iter().sum::<usize>(), 10);
         // One call per task plus one Exhausted probe per rank.
         assert_eq!(res.dlb_calls, 13);
+        assert_eq!(res.tasks_done, 10);
         assert_eq!(res.tasks_reclaimed, 0);
+        assert!(res.failures.is_empty());
+    }
+
+    #[test]
+    fn a_range_no_rank_reset_reads_zero_tasks_done() {
+        // A zero deadline fails every barrier of a two-rank world: the
+        // first rank to arrive gives up before the other can join, so no
+        // rank gets through the reset, and nobody dies of it.
+        let zero =
+            WorldConfig { retry: RetryPolicy { timeout: Duration::ZERO }, ..config(2, None) };
+        let res = run_world_with_config(zero, |r| lease_drain(r, 10, LeaseMode::Volatile));
+        assert_eq!(res.tasks_done, 0);
         assert!(res.failures.is_empty());
     }
 

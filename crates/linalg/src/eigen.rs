@@ -43,12 +43,17 @@ impl Eigh {
 ///
 /// Panics if `a` is not square; symmetry is the caller's responsibility (only
 /// the full matrix is read, and a badly asymmetric input gives meaningless
-/// results — SCF callers symmetrize first).
+/// results — SCF callers symmetrize first). A matrix with a NaN or infinite
+/// entry has no decomposition: every value and vector entry is NaN, so the
+/// NaN reaches the caller's result instead of stalling the QL sweeps.
 pub fn eigh(a: &Mat) -> Eigh {
     assert!(a.is_square(), "eigh requires a square matrix");
     let n = a.rows();
     if n == 0 {
         return Eigh { values: vec![], vectors: Mat::zeros(0, 0) };
+    }
+    if !a.as_slice().iter().all(|v| v.is_finite()) {
+        return Eigh { values: vec![f64::NAN; n], vectors: Mat::from_fn(n, n, |_, _| f64::NAN) };
     }
     let mut z = a.clone();
     let mut d = vec![0.0; n];
@@ -167,8 +172,8 @@ fn tql2(z: &mut Mat, d: &mut [f64], e: &mut [f64]) {
             assert!(
                 iter <= 64,
                 "tql2 eigensolver failed to converge after 64 QL sweeps on row {l} of an \
-                 {n}x{n} matrix (residual off-diagonal {:.3e}) — the input likely contains \
-                 NaN/inf or is catastrophically ill-conditioned",
+                 {n}x{n} matrix (residual off-diagonal {:.3e}) — the input is \
+                 catastrophically ill-conditioned",
                 e[l].abs()
             );
 
@@ -345,6 +350,15 @@ mod tests {
         let eig = eigh(&a);
         assert!((eig.values[0] - 1.0).abs() < 1e-12);
         assert!((eig.values[1] - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_non_finite_entry_gives_nan_not_a_panic() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let a = Mat::from_vec(2, 2, vec![2.0, bad, bad, 2.0]);
+            let eig = eigh(&a);
+            assert!(eig.values.iter().chain(eig.vectors.as_slice()).all(|v| v.is_nan()));
+        }
     }
 
     #[test]

@@ -31,13 +31,14 @@ fn main() {
         let config = ScfConfig { algorithm, ..Default::default() };
         let result = run_scf(&mol, &basis, &config);
         println!(
-            "{:13}  E = {:.8} Eh   ({} iterations, converged: {}, fock time {:.3}s, peak mem {} B)",
+            "{:13}  E = {:.8} Eh   ({} iterations, converged: {}, fock time {:.3}s, \
+             {} B per rank modeled)",
             algorithm.label(),
             result.energy,
             result.iterations,
             result.converged,
             result.time_to_form_fock(),
-            result.peak_memory(),
+            result.fock_stats[0].max_rank_peak(),
         );
     }
     println!("\nAll five must agree to ~1e-8 Eh — the parallel algorithms are exact.");

@@ -206,8 +206,8 @@ fn check_fault_plan(
     timeout: std::time::Duration,
 ) -> Result<(), String> {
     if alg == FockAlgorithm::Serial {
-        return Err("--faults needs a parallel --algorithm: serial has no ranks to kill and \
-                    no messages to lose"
+        return Err("--faults needs a parallel --algorithm: serial has no ranks to kill or \
+                    delay"
             .into());
     }
     let (ranks, _) = alg.shape();
@@ -401,12 +401,7 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
             data.pairs.len(),
             kl.bytes()
         );
-        let model = MemoryModel {
-            n_basis: b.n_basis(),
-            max_shell_width: b.max_shell_width(),
-            pair_bytes: data.pairs.bytes(),
-        };
-        check_memory_budget(mib, alg, model)?;
+        check_memory_budget(mib, alg, MemoryModel::new(&b, &data.pairs))?;
     }
     let trace_session = trace_path.as_deref().map(|_| phi_scf::trace::TraceSession::begin());
     let config = ScfConfig {
@@ -422,12 +417,23 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
     if let (Some(session), Some(path)) = (trace_session, trace_path.as_deref()) {
         write_trace(session, path)?;
     }
-    if r.stop_reason == ScfStop::NumericalDivergence {
-        return Err(format!(
-            "{molecule}: the SCF energy became {} at iteration {}, so there is no answer to \
-             print (a geometry far outside the integrals' range does this)",
-            r.energy, r.iterations
-        ));
+    match r.stop_reason {
+        ScfStop::NumericalDivergence => {
+            return Err(format!(
+                "{molecule}: the SCF energy became {} at iteration {}, so there is no answer to \
+                 print (a geometry far outside the integrals' range does this)",
+                r.energy, r.iterations
+            ))
+        }
+        ScfStop::FockBuildLost => {
+            return Err(format!(
+                "{molecule}: the Fock build of iteration {} lost its result: its ranks gave up on \
+                 waits that timed out after --comm-timeout-ms {}; raise --comm-timeout-ms",
+                r.iterations,
+                retry.timeout.as_millis()
+            ))
+        }
+        _ => {}
     }
     println!(
         "RHF [{}]: E = {:.8} Eh  ({} iterations, converged: {})",
@@ -437,14 +443,11 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
         r.converged
     );
     print_fault_summary(&r.fock_stats);
-    let rank_peak = r.fock_stats.iter().map(|s| s.max_rank_peak()).max().unwrap_or(0);
     println!(
-        "time to form Fock: {:.3} s over {} builds; peak tracked memory {} bytes \
-         ({} bytes on the busiest rank)",
+        "time to form Fock: {:.3} s over {} builds; {} bytes per rank, modeled",
         r.time_to_form_fock(),
         r.fock_stats.len(),
-        r.peak_memory(),
-        rank_peak
+        r.fock_stats.iter().map(|s| s.max_rank_peak()).max().unwrap_or(0)
     );
     if let Some(s) = r.fock_stats.first() {
         println!(
@@ -674,6 +677,10 @@ mod tests {
             ("--molecule h2:-1 --basis sto3g", &["bond length '-1'", "> 0"]),
             ("--molecule chain:2:0 --basis sto3g", &["spacing '0'", "> 0"]),
             ("--molecule chain:3:1.8 --basis sto3g", odd),
+            // The one-electron integrals overflow to NaN: a NaN energy, not
+            // a panic in the eigensolver.
+            ("--molecule h2:1e300 --basis sto3g --algorithm serial", &["energy became NaN"]),
+            ("--molecule chain:4:1e200 --basis sto3g --algorithm serial", &["energy became NaN"]),
         ];
         let owned = jobs.into_iter().map(|(job, named)| (job.to_string(), named));
         for (job, named) in owned.chain(xyz_jobs) {

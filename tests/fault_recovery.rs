@@ -9,9 +9,10 @@
 
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
-use phi_scf::dmpi::{DdiMode, FaultPlan};
-use phi_scf::hf::{run_scf, DensitySet, FockAlgorithm, FockData, ScfConfig};
+use phi_scf::dmpi::{DdiMode, FaultPlan, RetryPolicy};
+use phi_scf::hf::{run_scf, DensitySet, FockAlgorithm, FockData, ScfConfig, ScfStop};
 use phi_scf::linalg::Mat;
+use std::time::Duration;
 
 /// Seeds to sweep: `PHI_FAULT_SEEDS=1,2,3` overrides the built-in pair.
 fn seeds() -> Vec<u64> {
@@ -157,5 +158,24 @@ fn clean_parallel_builds_inject_no_faults() {
         assert_eq!(got.stats.faults_injected, 0, "{}", alg.label());
         assert!(got.stats.failed_ranks.is_empty(), "{}", alg.label());
         assert_eq!(got.stats.tasks_reclaimed, 0, "{}", alg.label());
+        assert!(!got.stats.lost, "{}", alg.label());
+    }
+}
+
+#[test]
+fn waits_that_always_time_out_lose_the_build_instead_of_panicking() {
+    // A zero deadline times out every barrier of a world of two or more
+    // ranks: the first rank to arrive gives up before another can join. No
+    // rank gets through the lease reset or the reduction, so no row has a
+    // G to return, and each says so instead of panicking.
+    let mol = small::water();
+    let b = BasisSet::build(&mol, BasisName::Sto3g);
+    let retry = RetryPolicy { timeout: Duration::ZERO };
+    for algorithm in algorithms() {
+        let r = run_scf(&mol, &b, &ScfConfig { algorithm, retry, ..Default::default() });
+        let label = algorithm.label();
+        assert_eq!(r.stop_reason, ScfStop::FockBuildLost, "{label}");
+        assert_eq!((r.iterations, r.fock_stats.len()), (1, 1), "{label}");
+        assert!(r.fock_stats[0].lost && r.energy_history.is_empty(), "{label}");
     }
 }

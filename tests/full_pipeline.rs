@@ -108,8 +108,6 @@ fn scf_reports_complete_statistics() {
     assert_eq!(r.fock_stats.len(), r.iterations);
     for s in &r.fock_stats {
         assert!(s.quartets_computed > 0);
-        assert!(s.memory_total_peak > 0);
-        assert_eq!(s.per_rank_peak.len(), 2);
     }
     assert_eq!(r.energy_history.len(), r.iterations);
     assert!(r.orbital_energies.windows(2).all(|w| w[0] <= w[1] + 1e-12));

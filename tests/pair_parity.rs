@@ -122,28 +122,3 @@ fn all_parallel_builders_share_pairs_and_match_serial() {
         );
     }
 }
-
-#[test]
-fn shared_pairs_memory_is_charged_per_rank() {
-    // Each rank charges the (shared, read-only) dataset once; the tracked
-    // peak must therefore grow by at least pairs.bytes() per extra rank and
-    // the dataset must never be replicated per thread.
-    let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-    let pairs = ShellPairs::build(&b);
-    let s = Screening::from_pairs(&b, &pairs);
-    let d = density(b.n_basis());
-    let ctx = FockContext::new(&b, &pairs, &s, 1e-10);
-    let build = |alg: FockAlgorithm| alg.builder().build(&ctx, &DensitySet::Restricted(&d));
-    let two_threads = build(FockAlgorithm::PrivateFock { n_ranks: 1, n_threads: 2 });
-    let four_threads = build(FockAlgorithm::PrivateFock { n_ranks: 1, n_threads: 4 });
-    let n = b.n_basis();
-    // Thread scaling adds only the private Fock copies (n^2 words each),
-    // not extra pair-dataset copies.
-    let delta = four_threads.stats.memory_total_peak - two_threads.stats.memory_total_peak;
-    assert_eq!(delta, 2 * n * n * std::mem::size_of::<f64>());
-    // Rank scaling replicates the dataset.
-    let one_rank = build(FockAlgorithm::MpiOnly { n_ranks: 1 });
-    let two_ranks = build(FockAlgorithm::MpiOnly { n_ranks: 2 });
-    let rank_delta = two_ranks.stats.memory_total_peak - one_rank.stats.memory_total_peak;
-    assert!(rank_delta >= pairs.bytes());
-}

@@ -7,8 +7,8 @@
 //!
 //! A change that claims to move no work shows it here as unchanged pins; a
 //! change that moves work updates the pins in the same diff and says why.
-//! Quartet counts, per-class counts, DLB tasks and claims and the tracked
-//! per-rank peak are exact on every row. Every row walks the same
+//! Quartet counts, per-class counts, DLB tasks and claims and the modeled
+//! per-rank bytes (`MemoryModel::per_rank_bytes`) are exact on every row. Every row walks the same
 //! significant-pair list as its `kl` index space, so it also performs the
 //! same quartet tests: `quartets_screened` (the tests that failed) is
 //! pinned once per system, like `quartets`. The two-rank window rows' `acc`
@@ -91,7 +91,7 @@ fn check(mol: &Molecule, basis: BasisName, work: Work<'_>, rows: &[Row]) {
         assert_eq!(s.dlb_calls, row.dlb_calls, "{label}: DLB claims");
         assert!(row.flushes.contains(&s.flushes), "{label}: flushes {}", s.flushes);
         assert_eq!(s.acc_entries, row.acc_entries, "{label}: acc entries");
-        assert_eq!(s.max_rank_peak(), row.max_rank_peak, "{label}: busiest rank's peak bytes");
+        assert_eq!(s.max_rank_peak(), row.max_rank_peak, "{label}: bytes per rank");
     }
 }
 
@@ -116,14 +116,14 @@ fn h28_631g_ledger_holds_on_every_row() {
         max_rank_peak,
     };
     let rows = [
-        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 0),
+        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 1_699_349),
         // Every significant pair leased, plus each rank's out-of-range
         // claim: the other 928 pairs are no task at all.
-        row(MPI, 668, 670, 0..=0, 0, 1_762_069),
+        row(MPI, 668, 670, 0..=0, 0, 1_699_349),
         // One lease per shell `i`, plus the end-of-stream claim.
-        row(PRIVATE, 56, 57, 0..=0, 0, 1_812_245),
+        row(PRIVATE, 56, 57, 0..=0, 0, 1_736_981),
         // One FJ flush per task plus one FI flush per run of equal `i`.
-        row(SHARED, 668, 669, 724..=724, 0, 1_764_117),
+        row(SHARED, 668, 669, 724..=724, 0, 1_724_437),
         // Measured 20 369–20 731 over about 2 400 builds per row.
         row(DISTRIBUTED, 668, 670, 20_150..=20_900, 229_195, 1_677_197),
         row(SHARDED, 668, 670, 20_150..=20_900, 229_195, 1_668_029),
@@ -154,10 +154,10 @@ fn water_631gd_ledger_holds_on_every_row() {
         max_rank_peak,
     };
     let rows = [
-        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 0),
-        row(MPI, 36, 38, 0..=0, 0, 119_732),
-        row(PRIVATE, 8, 9, 0..=0, 0, 125_508),
-        row(SHARED, 36, 37, 44..=44, 0, 123_828),
+        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 112_512),
+        row(MPI, 36, 38, 0..=0, 0, 112_512),
+        row(PRIVATE, 8, 9, 0..=0, 0, 116_844),
+        row(SHARED, 36, 37, 44..=44, 0, 115_400),
         // Measured 11–128 over about 8 000 builds per row: with 36 tasks, how
         // they split between the ranks moves the count by a factor of ten.
         // Pushing every unique integral's updates straight into the `acc`
@@ -193,16 +193,16 @@ fn h8_sto3g_ledger_holds_on_every_row() {
         max_rank_peak,
     };
     let rows = [
-        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 0),
+        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 72_461),
         // Every row but private leases the 26 significant ij pairs through
         // the same loop, plus each rank's out-of-range claim.
-        row(MPI, 26, 28, 0..=0, 0, 73_741),
+        row(MPI, 26, 28, 0..=0, 0, 72_461),
         // One FJ flush per task, one FI flush per run of equal i in a
         // rank's lease sequence: 8 on one rank.
-        row(SHARED, 26, 27, 34..=34, 0, 74_253),
+        row(SHARED, 26, 27, 34..=34, 0, 72_973),
         // On two ranks which rank gets which lease is a race, and each sees
         // at most all 8 i: 34 to 41 over 4 000 builds.
-        row(SHARED2, 26, 28, 34..=42, 0, 74_253),
+        row(SHARED2, 26, 28, 34..=42, 0, 72_973),
         // Measured 1–5 over 600 builds per row.
         row(DISTRIBUTED, 26, 28, 1..=20, 391, 80_165),
         row(SHARDED, 26, 28, 1..=20, 391, 88_181),
