@@ -44,7 +44,7 @@ fn main() {
     // monomorphized copy of the generic one.
     // Pure (dd|dd) from single-primitive D1 shells is contraction-bound —
     // one primitive quartet leaves nothing for the batched phases to
-    // amortize, so its win comes from the precomputed sparse E tables and
+    // amortize, so its win comes from the fused Hermite tables and
     // skipped R-cube zero-fill alone (measured ~1.5x); its floor is 1.3x.
     let cases: [(&str, usize, usize, usize, usize, f64); 5] = [
         ("(S6 S6|S6 S6) heaviest contraction", 4, 0, 4, 0, 2.5),

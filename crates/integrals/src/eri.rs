@@ -121,7 +121,6 @@ impl EriEngine {
     pub fn shell_quartet_pairs(&mut self, bra: &ShellPair, ket: &ShellPair, out: &mut [f64]) {
         let (nb, nc, nd) = (bra.b.n_fn, ket.a.n_fn, ket.b.n_fn);
         assert_eq!(out.len(), bra.a.n_fn * nb * nc * nd, "output buffer has wrong length");
-        out.iter_mut().for_each(|x| *x = 0.0);
         self.shell_quartets += 1;
         let (slot, run) =
             self.kernels.eval_classed(self.use_kernels, bra, ket, self.prefactor_cutoff, out);
@@ -135,12 +134,17 @@ impl EriEngine {
 /// the reference implementation the specialized kernels are differentially
 /// tested against, and the fallback for classes beyond
 /// [`crate::kernels::SPEC_LMAX`] (f shells and up).
+///
+/// It walks the dense [`ETable`](crate::hermite::ETable)s but forms each
+/// Hermite weight as the pair dataset's
+/// [`HermiteTable`](crate::shell_pairs::HermiteTable) does,
+/// `((E_t E_u) E_v) ((c N) N)`, skipping the zero ones, and multiplies it
+/// into the stages the way the class kernels do: stage 1 adds
+/// `w * ((+-base) * R)`, stage 2 adds `w * W`.
 #[derive(Default)]
 pub struct GenericKernel {
     /// Stage-1 intermediate `W[tuv_flat * ncd + cd]`, per ket block pair.
     w: Vec<f64>,
-    /// Stage-2 per-bra-component accumulator (ncd elements).
-    acc: Vec<f64>,
     /// Reusable Hermite Coulomb table (one rebuild per primitive quartet).
     r: RTable,
 }
@@ -155,6 +159,7 @@ impl EriKernel for GenericKernel {
     ) -> KernelRun {
         let (nb, nc, nd) = (bra.b.n_fn, ket.a.n_fn, ket.b.n_fn);
         debug_assert_eq!(out.len(), bra.a.n_fn * nb * nc * nd);
+        out.iter_mut().for_each(|x| *x = 0.0);
         let mut prim_quartets = 0u64;
 
         let l_bra = bra.l_sum;
@@ -192,14 +197,13 @@ impl EriKernel for GenericKernel {
                         let comps_d = components(blk_d.l);
                         let ncd = comps_c.len() * comps_d.len();
                         let wcd = ket.coef(ip_cd, bci, bdi);
-                        let scale_ket = base * wcd;
-                        if scale_ket == 0.0 {
+                        if wcd == 0.0 {
                             continue;
                         }
 
                         // Stage 1: contract the ket Hermite expansion into
                         // W[tuv][cd], once per ket block pair. Component
-                        // normalization of c and d folds in here.
+                        // normalization of c and d folds into the weights.
                         let w_len = n_tuv * ncd;
                         if self.w.len() < w_len {
                             self.w.resize(w_len, 0.0);
@@ -207,9 +211,9 @@ impl EriKernel for GenericKernel {
                         let w = &mut self.w[..w_len];
                         w.iter_mut().for_each(|x| *x = 0.0);
                         for (icc, &(cx, cy, cz)) in comps_c.iter().enumerate() {
-                            let norm_c = ket.a.norms[blk_c.off + icc];
+                            let wc = wcd * ket.a.norms[blk_c.off + icc];
                             for (idd, &(dx, dy, dz)) in comps_d.iter().enumerate() {
-                                let scale_cd = scale_ket * norm_c * ket.b.norms[blk_d.off + idd];
+                                let cnn = wc * ket.b.norms[blk_d.off + idd];
                                 let cdi = icc * comps_d.len() + idd;
                                 for tau in 0..=(cx + dx) {
                                     let etx = kt.ex.get(cx, dx, tau);
@@ -226,17 +230,24 @@ impl EriKernel for GenericKernel {
                                             if etz == 0.0 {
                                                 continue;
                                             }
-                                            let sign =
-                                                if (tau + nu + phi) % 2 == 1 { -1.0 } else { 1.0 };
-                                            let e_ket = sign * etx * ety * etz * scale_cd;
+                                            let we = etx * ety * etz * cnn;
+                                            if we == 0.0 {
+                                                continue;
+                                            }
+                                            let sb = if (tau + nu + phi) % 2 == 1 {
+                                                -base
+                                            } else {
+                                                base
+                                            };
                                             for t in 0..=l_bra {
                                                 for u in 0..=(l_bra - t) {
                                                     for v in 0..=(l_bra - t - u) {
                                                         let widx =
                                                             ((t * bra_dim + u) * bra_dim + v) * ncd
                                                                 + cdi;
-                                                        w[widx] +=
-                                                            e_ket * r.get(t + tau, u + nu, v + phi);
+                                                        w[widx] += we
+                                                            * (sb
+                                                                * r.get(t + tau, u + nu, v + phi));
                                                     }
                                                 }
                                             }
@@ -248,7 +259,8 @@ impl EriKernel for GenericKernel {
 
                         // Stage 2: bra expansion, every bra block pair, with
                         // a/b component normalization folded into the
-                        // accumulation weight.
+                        // weights.
+                        let w = &self.w[..w_len];
                         for (bai, blk_a) in bra.a.blocks.iter().enumerate() {
                             let comps_a = components(blk_a.l);
                             for (bbi, blk_b) in bra.b.blocks.iter().enumerate() {
@@ -258,13 +270,10 @@ impl EriKernel for GenericKernel {
                                     continue;
                                 }
                                 for (iaa, &(ax, ay, az)) in comps_a.iter().enumerate() {
-                                    let wab_a = wab * bra.a.norms[blk_a.off + iaa];
+                                    let wa = wab * bra.a.norms[blk_a.off + iaa];
                                     for (ibb, &(bx, by, bz)) in comps_b.iter().enumerate() {
-                                        if self.acc.len() < ncd {
-                                            self.acc.resize(ncd, 0.0);
-                                        }
-                                        let acc = &mut self.acc[..ncd];
-                                        acc.iter_mut().for_each(|x| *x = 0.0);
+                                        let cnn = wa * bra.b.norms[blk_b.off + ibb];
+                                        let obase = ((blk_a.off + iaa) * nb + blk_b.off + ibb) * nc;
                                         for t in 0..=(ax + bx) {
                                             let etx = bt.ex.get(ax, bx, t);
                                             if etx == 0.0 {
@@ -280,27 +289,23 @@ impl EriKernel for GenericKernel {
                                                     if etz == 0.0 {
                                                         continue;
                                                     }
-                                                    let e_bra = etx * ety * etz;
-                                                    let row = &self.w[((t * bra_dim + u) * bra_dim
-                                                        + v)
-                                                        * ncd
-                                                        ..((t * bra_dim + u) * bra_dim + v) * ncd
-                                                            + ncd];
-                                                    for (a, rv) in acc.iter_mut().zip(row) {
-                                                        *a += e_bra * rv;
+                                                    let we = etx * ety * etz * cnn;
+                                                    if we == 0.0 {
+                                                        continue;
+                                                    }
+                                                    let h = (t * bra_dim + u) * bra_dim + v;
+                                                    let row = &w[h * ncd..h * ncd + ncd];
+                                                    for icc in 0..comps_c.len() {
+                                                        for idd in 0..comps_d.len() {
+                                                            let oidx = (obase + blk_c.off + icc)
+                                                                * nd
+                                                                + blk_d.off
+                                                                + idd;
+                                                            out[oidx] +=
+                                                                we * row[icc * comps_d.len() + idd];
+                                                        }
                                                     }
                                                 }
-                                            }
-                                        }
-                                        let wab_full = wab_a * bra.b.norms[blk_b.off + ibb];
-                                        let obase = ((blk_a.off + iaa) * nb + blk_b.off + ibb) * nc;
-                                        for icc in 0..comps_c.len() {
-                                            for idd in 0..comps_d.len() {
-                                                let cdi = icc * comps_d.len() + idd;
-                                                let oidx = (obase + blk_c.off + icc) * nd
-                                                    + blk_d.off
-                                                    + idd;
-                                                out[oidx] += wab_full * acc[cdi];
                                             }
                                         }
                                     }

@@ -89,50 +89,6 @@ impl ETable {
     }
 }
 
-/// Append the sparse 3-D Hermite products
-/// `E_tau^{ax bx}(x) E_nu^{ay by}(y) E_phi^{az bz}(z)` of one cartesian
-/// component pair to `tuv`/`val`, skipping exact zeros.
-///
-/// The iteration order (`tau` outer, then `nu`, then `phi`, each ascending,
-/// with the same per-direction zero tests the generic ERI recursion applies)
-/// and the multiplication order `(e_x * e_y) * e_z` are contracts: the
-/// class-specialized kernels replay these entries in storage order and rely
-/// on them to reproduce the generic path bit for bit. The value carries no
-/// sign or normalization — the ket-side parity sign `(-1)^{tau+nu+phi}` and
-/// the component norms are exact (sign flip) or folded at evaluation time
-/// exactly where the generic path folds them.
-#[allow(clippy::too_many_arguments)]
-pub fn e3_sparse_into(
-    ex: &ETable,
-    ey: &ETable,
-    ez: &ETable,
-    (ax, ay, az): (usize, usize, usize),
-    (bx, by, bz): (usize, usize, usize),
-    tuv: &mut Vec<[u8; 3]>,
-    val: &mut Vec<f64>,
-) {
-    for tau in 0..=(ax + bx) {
-        let etx = ex.get(ax, bx, tau);
-        if etx == 0.0 {
-            continue;
-        }
-        for nu in 0..=(ay + by) {
-            let ety = ey.get(ay, by, nu);
-            if ety == 0.0 {
-                continue;
-            }
-            for phi in 0..=(az + bz) {
-                let etz = ez.get(az, bz, phi);
-                if etz == 0.0 {
-                    continue;
-                }
-                tuv.push([tau as u8, nu as u8, phi as u8]);
-                val.push(etx * ety * etz);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,44 +33,51 @@
 //! 3. **Hermite recursion + two-stage contraction** with const-generic loop
 //!    bounds: the `R` recursion skips the dense-cube zero-fill (the
 //!    dominant per-quartet cost for d-heavy classes — see
-//!    `rints::fill_r0_into`), the Hermite `E` triple products come
-//!    replayed from the pair datasets' precomputed sparse [`E3Sparse`]
-//!    entries instead of walking dense tables, and the stage-1 inner loops
-//!    run unit-stride over a simplex-packed `W` scratch so rustc
-//!    autovectorizes them. Phase 1 emits survivors bra-primitive-pair
-//!    major, so each bra primitive pair's survivors form one run: stage 1
-//!    (the ket contraction) sums every survivor of the run into one `W`,
-//!    and stage 2 (the bra expansion, linear in `W`) runs once per run
-//!    instead of once per primitive quartet — McMurchie–Davidson's early
-//!    contraction over the ket primitives.
+//!    `rints::fill_r0_into`), and both stages walk the pair datasets' fused
+//!    [`HermiteTable`]s one Hermite index at a time, never a function pair
+//!    at a time: no coefficient, normalization or `E` lookup happens per
+//!    quartet. Phase 1 emits survivors bra-primitive-pair major, so each bra
+//!    primitive pair's survivors form one run. Stage 1 (the ket
+//!    contraction) runs per survivor and per ket index `(tau, nu, phi)`: it
+//!    gathers `(+-base) R[t+tau][u+nu][v+phi]` over the bra simplex once and
+//!    adds it, times the table weight, into every `cd` column of a
+//!    `W[cd][tuv]` the index feeds (unit stride, no zeroing or scatter per
+//!    function pair); the run's survivors sum into one `W`. `W` is then
+//!    transposed once, and stage 2 (the bra expansion, linear in `W`) runs
+//!    once per run: per bra index it adds the weight times one `W[tuv]` row
+//!    straight into every `ab` output row it feeds — McMurchie–Davidson's
+//!    early contraction over the ket primitives.
 //!
 //! **Parity contract.** A specialized kernel performs the generic path's
 //! arithmetic: the same screening test, the same operation order in every
-//! prefactor and scale factor, Boys values from the same scalar evaluator,
-//! the `R` recursion through the shared `fill_r0_into` core, and `E`
-//! products stored in generic iteration order with the parity sign applied
-//! as an exact IEEE negation. The one difference is where the ket
-//! primitives are summed: the generic path adds every primitive quartet's
-//! bra expansion into the output, the kernels add the ket primitives' `W`
-//! first and expand once. Where each bra primitive pair has one surviving
-//! ket primitive pair (single-primitive shells) the two agree to the last
-//! bit (up to the sign of exact zeros); elsewhere the reassociated sum
-//! agrees within `tests/kernel_parity.rs`'s `<= 1e-14` per integral, which
-//! that file enforces across seeded random geometries, exponents,
-//! contraction depths and degenerate configurations. The ssss kernel is the
-//! exception to the first half: it multiplies each pair's coefficient,
-//! normalization and `E_000` once, in the pair dataset, so its products are
-//! reassociated at any depth and it is held to the `1e-14` alone. Its
-//! prefactor screen is still the generic path's, bit for bit, so both paths
-//! compute the same primitive quartets.
+//! prefactor, Boys values from the same scalar evaluator, the `R` recursion
+//! through the shared `fill_r0_into` core, and the same products in the
+//! same association — the generic path walks its dense `E` tables but forms
+//! each weight as the table does, `((E_t E_u) E_v) ((c N) N)`, adds
+//! `w ((+-base) R)` in stage 1 and `w W` in stage 2, each Hermite index in
+//! the table's lexicographic order, with the parity sign an exact negation
+//! of `base`. The one difference is where the ket primitives are summed:
+//! the generic path adds every primitive quartet's bra expansion into the
+//! output, the kernels add the ket primitives' `W` first and expand once.
+//! Where each bra primitive pair has one surviving ket primitive pair
+//! (single-primitive shells) the two agree to the last bit
+//! (`eri::tests::specialized_kernels_match_generic_bitwise`); elsewhere the
+//! reassociated sum agrees within `tests/kernel_parity.rs`'s `<= 1e-14` per
+//! integral, which that file enforces across seeded random geometries,
+//! exponents, contraction depths and degenerate configurations. The ssss
+//! kernel is the exception to the first half: it multiplies each pair's
+//! weight into its sum once per pair, so its products are reassociated at
+//! any depth and it is held to the `1e-14` alone. Its prefactor screen is
+//! still the generic path's, bit for bit, so both paths compute the same
+//! primitive quartets.
 //!
 //! [`PrimSoA`]: crate::shell_pairs::PrimSoA
-//! [`E3Sparse`]: crate::shell_pairs::E3Sparse
+//! [`HermiteTable`]: crate::shell_pairs::HermiteTable
 
 use crate::boys::{boys_batch, boys_f0};
 use crate::eri::GenericKernel;
 use crate::rints::fill_r0_into;
-use crate::shell_pairs::ShellPair;
+use crate::shell_pairs::{simplex_len, ShellPair};
 
 const PI: f64 = std::f64::consts::PI;
 
@@ -149,8 +156,9 @@ pub struct KernelRun {
 }
 
 /// The common contract of the generic path and the specialized kernels:
-/// evaluate one contracted shell quartet from precomputed pair data into a
-/// pre-zeroed `out` buffer of length `bra.n_fn() * ket.n_fn()`.
+/// evaluate one contracted shell quartet from precomputed pair data into an
+/// `out` buffer of length `bra.n_fn() * ket.n_fn()`, overwriting it (a
+/// kernel that accumulates zeroes `out` first).
 pub trait EriKernel {
     fn eval(
         &mut self,
@@ -187,22 +195,22 @@ pub struct KernelScratch {
     /// Rolling buffers of the shared `R` recursion (no zero-fill mode).
     r_prev: Vec<f64>,
     r_cur: Vec<f64>,
-    /// Stage-1 intermediate `W[simplex_tuv * ncd + cd]` (simplex-packed),
-    /// summed over one bra primitive pair's surviving ket primitives.
+    /// Stage-1 intermediate `W[cd * ntuv + tuv]` (bra simplex packed,
+    /// lexicographic), summed over one bra primitive pair's surviving ket
+    /// primitives.
     w: Vec<f64>,
-    /// Per-(cd function pair) unit-stride staging row of stage 1.
-    wtmp: Vec<f64>,
-    /// Stage-2 per-bra-function-pair accumulator.
-    acc: Vec<f64>,
+    /// `W` transposed to `[tuv][cd]`, the rows stage 2 reads.
+    wt: Vec<f64>,
 }
 
 /// One monomorphized class kernel: `LB`/`LK` are the combined bra/ket
 /// angular momenta, so every loop bound below is a compile-time constant.
-/// Returns the number of primitive quartets computed.
+/// Overwrites `out`; returns the number of primitive quartets computed.
 ///
-/// Parity notes are inline at each stage; the scheme and operation order
-/// mirror `GenericKernel::eval` except for the sum over ket primitives,
-/// which is taken in `W` before the bra expansion (see the module doc).
+/// Parity notes are inline at each stage; the products and their
+/// association are `GenericKernel::eval`'s, and so is the order of every
+/// sum except the one over ket primitives, which is taken in `W` before the
+/// bra expansion (see the module doc).
 fn eval_spec<const LB: usize, const LK: usize>(
     s: &mut KernelScratch,
     bra: &ShellPair,
@@ -212,20 +220,9 @@ fn eval_spec<const LB: usize, const LK: usize>(
 ) -> u64 {
     let l_total = LB + LK;
     let rdim = l_total + 1;
-    let ntuv = (LB + 1) * (LB + 2) * (LB + 3) / 6;
-
-    // Row offsets of the simplex-packed W index:
-    // sidx(t,u,v) = offs[t*(LB+1) + u] + v, for t+u+v <= LB.
-    let mut offs = [0u16; (SPEC_LMAX + 1) * (SPEC_LMAX + 1)];
-    {
-        let mut a = 0u16;
-        for t in 0..=LB {
-            for u in 0..=(LB - t) {
-                offs[t * (LB + 1) + u] = a;
-                a += (LB - t - u + 1) as u16;
-            }
-        }
-    }
+    let ntuv = simplex_len(LB);
+    debug_assert!(bra.hermite.n_h() == ntuv && ket.hermite.n_h() == simplex_len(LK));
+    out.iter_mut().for_each(|x| *x = 0.0);
 
     // Phase A: primitive screening + survivor compaction, streaming the SoA
     // lanes in the generic order (ip_ab outer, ip_cd inner). Same screen,
@@ -281,22 +278,17 @@ fn eval_spec<const LB: usize, const LK: usize>(
     // emits them contiguously, ip_ab outer), the shared R recursion
     // (zero-fill skipped: the contraction below reads only on-simplex
     // entries) and stage 1 per survivor, summed into W; then stage 2 once
-    // per run. Both stages have const bounds.
-    let (nfa, nfb, nfc, nfd) = (bra.a.n_fn, bra.b.n_fn, ket.a.n_fn, ket.b.n_fn);
-    let ncd = nfc * nfd;
-    if s.w.len() < ntuv * ncd {
-        s.w.resize(ntuv * ncd, 0.0);
-    }
-    if s.wtmp.len() < ntuv {
-        s.wtmp.resize(ntuv, 0.0);
-    }
-    if s.acc.len() < ncd {
-        s.acc.resize(ncd, 0.0);
+    // per run. Both stages walk the pairs' Hermite tables one index at a
+    // time, with const bounds.
+    let ncd = ket.n_fn();
+    if s.w.len() < ncd * ntuv {
+        s.w.resize(ncd * ntuv, 0.0);
+        s.wt.resize(ncd * ntuv, 0.0);
     }
 
     let mut q0 = 0;
     for run in s.ip_ab[..nsurv].chunk_by(|x, y| x == y) {
-        let w = &mut s.w[..ntuv * ncd];
+        let w = &mut s.w[..ncd * ntuv];
         w.iter_mut().for_each(|x| *x = 0.0);
         for qi in q0..q0 + run.len() {
             let base = s.base[qi];
@@ -312,53 +304,44 @@ fn eval_spec<const LB: usize, const LK: usize>(
                 false,
             );
             let r: &[f64] = &s.r_prev;
-            let ip_cd = s.ip_cd[qi] as usize;
 
-            // Stage 1: ket contraction into W[sidx * ncd + cdi]. Per cd
-            // function pair the precomputed sparse E entries are replayed in
-            // generic iteration order into a unit-stride staging row, then
-            // stored into the cd column by the run's first survivor and added
-            // by the rest (the store spares one-survivor runs a read of W).
-            // W is linear in the ket primitives, so the run's survivors sum
-            // into one W before the bra expansion.
-            for fc in 0..nfc {
-                let bci = ket.a.fn_block[fc] as usize;
-                let norm_c = ket.a.norms[fc];
-                for fd in 0..nfd {
-                    let cdi = fc * nfd + fd;
-                    let wcd = ket.coef(ip_cd, bci, ket.b.fn_block[fd] as usize);
-                    let scale_ket = base * wcd;
-                    if scale_ket == 0.0 {
-                        continue;
-                    }
-                    let scale_cd = scale_ket * norm_c * ket.b.norms[fd];
-                    let (tuvs, vals) = ket.e3.entries(ip_cd, fc, fd);
-                    let wtmp = &mut s.wtmp[..ntuv];
-                    wtmp.iter_mut().for_each(|x| *x = 0.0);
-                    for (ei, tuv) in tuvs.iter().enumerate() {
-                        let (tau, nu, phi) = (tuv[0] as usize, tuv[1] as usize, tuv[2] as usize);
-                        // Generic: (((sign*etx)*ety)*etz)*scale_cd. Negation
-                        // is exact, so sign-after-product is bitwise identical.
-                        let v0 = vals[ei] * scale_cd;
-                        let e_ket = if (tau + nu + phi) % 2 == 1 { -v0 } else { v0 };
+            // Stage 1: ket contraction into W[cd][tuv]. Per ket Hermite
+            // index (tau, nu, phi) that feeds any cd, gather
+            // g[tuv] = (+-base) R[t+tau][u+nu][v+phi] over the bra simplex
+            // once, then add w * g into each fed cd column (unit stride).
+            // Generic: W[tuv][cd] += w * ((+-base) * R), the same product;
+            // the parity sign is an exact negation of base. W is linear in
+            // the ket primitives, so the run's survivors sum into one W
+            // before the bra expansion.
+            let (koffs, kfab, kw) = ket.hermite.prim(s.ip_cd[qi] as usize);
+            let mut g = [0.0f64; simplex_len(SPEC_LMAX)];
+            let mut h = 0;
+            for tau in 0..=LK {
+                for nu in 0..=(LK - tau) {
+                    for phi in 0..=(LK - tau - nu) {
+                        let (lo, hi) = (koffs[h] as usize, koffs[h + 1] as usize);
+                        h += 1;
+                        if lo == hi {
+                            continue;
+                        }
+                        let sb = if (tau + nu + phi) % 2 == 1 { -base } else { base };
+                        let mut k = 0;
                         for t in 0..=LB {
                             let rt = (t + tau) * rdim;
                             for u in 0..=(LB - t) {
-                                let row = offs[t * (LB + 1) + u] as usize;
                                 let rbase = (rt + u + nu) * rdim + phi;
                                 for v in 0..=(LB - t - u) {
-                                    wtmp[row + v] += e_ket * r[rbase + v];
+                                    g[k] = sb * r[rbase + v];
+                                    k += 1;
                                 }
                             }
                         }
-                    }
-                    if qi == q0 {
-                        for (sidx, &wv) in wtmp.iter().enumerate() {
-                            w[sidx * ncd + cdi] = wv;
-                        }
-                    } else {
-                        for (sidx, &wv) in wtmp.iter().enumerate() {
-                            w[sidx * ncd + cdi] += wv;
+                        let g = &g[..ntuv];
+                        for (&cd, &we) in kfab[lo..hi].iter().zip(&kw[lo..hi]) {
+                            let col = &mut w[cd as usize * ntuv..][..ntuv];
+                            for (x, &gv) in col.iter_mut().zip(g) {
+                                *x += we * gv;
+                            }
                         }
                     }
                 }
@@ -366,37 +349,23 @@ fn eval_spec<const LB: usize, const LK: usize>(
         }
         q0 += run.len();
 
-        // Stage 2: bra expansion, once per bra primitive pair. Per bra
-        // function pair, replay the sparse bra E entries (entry order =
-        // generic order) against the packed W rows; the inner cd loop is
-        // unit-stride, as in the generic path.
-        let w = &s.w[..ntuv * ncd];
-        let ip_ab = run[0] as usize;
-        for fa in 0..nfa {
-            let bai = bra.a.fn_block[fa] as usize;
-            let norm_a = bra.a.norms[fa];
-            for fb in 0..nfb {
-                let wab = bra.coef(ip_ab, bai, bra.b.fn_block[fb] as usize);
-                if wab == 0.0 {
-                    continue;
-                }
-                let wab_full = wab * norm_a * bra.b.norms[fb];
-                let acc = &mut s.acc[..ncd];
-                acc.iter_mut().for_each(|x| *x = 0.0);
-                let (tuvs, vals) = bra.e3.entries(ip_ab, fa, fb);
-                for (ei, tuv) in tuvs.iter().enumerate() {
-                    let (t, u, v) = (tuv[0] as usize, tuv[1] as usize, tuv[2] as usize);
-                    let sidx = offs[t * (LB + 1) + u] as usize + v;
-                    let e_bra = vals[ei];
-                    let row = &w[sidx * ncd..sidx * ncd + ncd];
-                    for (a, rv) in acc.iter_mut().zip(row) {
-                        *a += e_bra * rv;
-                    }
-                }
-                let obase = (fa * nfb + fb) * ncd;
-                let orow = &mut out[obase..obase + ncd];
-                for (o, a) in orow.iter_mut().zip(acc.iter()) {
-                    *o += wab_full * *a;
+        // Stage 2: bra expansion, once per bra primitive pair. Transpose W
+        // to [tuv][cd] once, then per bra Hermite index add w * W[h][..]
+        // into every ab output row it feeds (unit stride over cd). Generic:
+        // out += w * W[h][cd], per h in the same order.
+        let (w, wt) = (&s.w[..ncd * ntuv], &mut s.wt[..ncd * ntuv]);
+        for (cd, col) in w.chunks_exact(ntuv).enumerate() {
+            for (h, &x) in col.iter().enumerate() {
+                wt[h * ncd + cd] = x;
+            }
+        }
+        let (boffs, bfab, bw) = bra.hermite.prim(run[0] as usize);
+        for (h, row) in wt.chunks_exact(ncd).enumerate() {
+            let (lo, hi) = (boffs[h] as usize, boffs[h + 1] as usize);
+            for (&ab, &we) in bfab[lo..hi].iter().zip(&bw[lo..hi]) {
+                let orow = &mut out[ab as usize * ncd..][..ncd];
+                for (o, &x) in orow.iter_mut().zip(row) {
+                    *o += we * x;
                 }
             }
         }
@@ -410,7 +379,8 @@ fn eval_spec<const LB: usize, const LK: usize>(
 /// the generic order, with the pairs' fused weights `w` in place of the
 /// coefficient, normalization and `E_000` lookups and `F_0` inlined: per bra
 /// primitive pair it sums `w_ket * base * F_0` over the ket primitive pairs,
-/// then adds that sum times `w_bra` into `out[0]`. Returns the number of
+/// then adds that sum times `w_bra` into a register it stores to `out[0]`:
+/// it assigns the integral, so `out` needs no zeroing. Returns the number of
 /// primitive quartets computed.
 ///
 /// Parity: the prefactor screen is the generic path's, bit for bit (`base`
@@ -430,7 +400,7 @@ fn eval_ssss(bra: &ShellPair, ket: &ShellPair, prefactor_cutoff: f64, out: &mut 
     let (kp, kk, kw) = (&ks.p[..n], &ks.k[..n], &ks.w[..n]);
     let (kx, ky, kz) = (&ks.cx[..n], &ks.cy[..n], &ks.cz[..n]);
     let mut prim_quartets = 0u64;
-    let mut sum = out[0];
+    let mut sum = 0.0;
     for ia in 0..bs.p.len() {
         let p = bs.p[ia];
         let (bcx, bcy, bcz, bk) = (bs.cx[ia], bs.cy[ia], bs.cz[ia], bs.k[ia]);

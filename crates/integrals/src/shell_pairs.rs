@@ -15,6 +15,11 @@
 //! * the contraction-coefficient products per (primitive pair, block pair);
 //! * per-function cartesian normalization factors, so the engine folds
 //!   normalization into the contraction instead of a per-quartet post-pass;
+//! * the fused [`HermiteTable`]: per (primitive pair, Hermite index) the
+//!   function pairs it feeds, each with one weight that multiplies the
+//!   3-D `E` product, the coefficient product and both normalizations — what
+//!   the class kernels contract against, so no quartet looks up a
+//!   coefficient, a norm or an `E` value;
 //! * angular-block function offsets (the engine's output indexing);
 //! * the pair's Schwarz bound `sqrt(max (ij|ij))`, evaluated through the
 //!   pair-cached path itself, so `Screening` construction reuses the
@@ -61,40 +66,37 @@ pub struct PairSide {
     pub blocks: Vec<SideBlock>,
     /// Per-function cartesian normalization factors.
     pub norms: Vec<f64>,
-    /// Per-function angular-block index (function -> position in `blocks`),
-    /// so the class kernels can walk plain function loops and still look up
-    /// the block-level contraction coefficient.
-    pub fn_block: Vec<u8>,
 }
 
 impl PairSide {
     fn new(index: usize, s: &Shell) -> PairSide {
         let mut blocks = Vec::with_capacity(s.blocks.len());
         let mut norms = Vec::with_capacity(s.n_functions());
-        let mut fn_block = Vec::with_capacity(s.n_functions());
         let mut off = 0;
-        for (bi, b) in s.blocks.iter().enumerate() {
+        for b in &s.blocks {
             let comps = components(b.l);
             blocks.push(SideBlock { l: b.l, off, n_comp: comps.len() });
-            for &c in comps {
-                norms.push(component_norm(c));
-                fn_block.push(bi as u8);
-            }
+            norms.extend(comps.iter().map(|&c| component_norm(c)));
             off += comps.len();
         }
-        PairSide { shell: index, n_fn: off, max_l: s.max_l(), blocks, norms, fn_block }
+        PairSide { shell: index, n_fn: off, max_l: s.max_l(), blocks, norms }
     }
 
-    /// Cartesian powers of every function of this side, block-concatenated
-    /// in function order (build-time helper for the sparse Hermite tables).
-    fn powers(&self) -> Vec<(usize, usize, usize)> {
-        self.blocks.iter().flat_map(|b| components(b.l).iter().copied()).collect()
+    /// Every function of this side in function order: its block index,
+    /// cartesian powers and normalization (build-time helper for the
+    /// Hermite table).
+    fn functions(&self) -> Vec<(usize, (usize, usize, usize), f64)> {
+        let powers = self
+            .blocks
+            .iter()
+            .enumerate()
+            .flat_map(|(bi, b)| components(b.l).iter().map(move |&c| (bi, c)));
+        powers.zip(&self.norms).map(|((bi, c), &n)| (bi, c, n)).collect()
     }
 
     fn heap_bytes(&self) -> usize {
         self.blocks.len() * std::mem::size_of::<SideBlock>()
             + self.norms.len() * std::mem::size_of::<f64>()
-            + self.fn_block.len()
     }
 }
 
@@ -114,10 +116,10 @@ pub struct PrimSoA {
     pub cz: Vec<f64>,
     /// Gaussian-product prefactors `K = exp(-mu |AB|^2)`.
     pub k: Vec<f64>,
-    /// s–s pairs only (empty otherwise): `((c_a c_b) N_a) N_b E_000` per
-    /// primitive pair — coefficient product, the two normalization factors
-    /// and the Hermite product `E_000`, which is 0.0 where it underflowed to
-    /// an empty entry list.
+    /// s–s pairs only (empty otherwise): the [`HermiteTable`] weight
+    /// `E_000 ((c_a c_b) N_a) N_b` of each primitive pair's one entry, laid
+    /// out densely; 0.0 where that entry is absent (a zero coefficient, or
+    /// an `E_000` that underflowed).
     pub w: Vec<f64>,
 }
 
@@ -139,60 +141,152 @@ impl PrimSoA {
     }
 }
 
-/// Precomputed sparse 3-D Hermite expansion products of one shell pair:
-/// for every (surviving primitive pair, function pair) the nonzero
-/// `E_tau E_nu E_phi` triples, in the exact iteration order of the generic
-/// recursion (see [`crate::hermite::e3_sparse_into`]).
-///
-/// This hoists the triple-nested `E`-table walk — bounds arithmetic, zero
-/// tests, and the three multiplies — from the `O(N^4)` quartet loop into the
-/// `O(N^2)` pair build. The class kernels replay the flat entry list per
-/// quartet; the generic path keeps walking the dense tables.
-#[derive(Clone, Debug, Default)]
-pub struct E3Sparse {
-    /// Hermite orders `[tau, nu, phi]` per entry.
-    tuv: Vec<[u8; 3]>,
-    /// `(E_tau * E_nu) * E_phi` per entry (unsigned, unnormalized).
-    val: Vec<f64>,
-    /// Entry ranges per `(prim, fa, fb)`, flattened
-    /// `(ip * n_fn_a + fa) * n_fn_b + fb`; length `nprim*n_fn_a*n_fn_b + 1`.
-    offsets: Vec<u32>,
-    n_fn_a: usize,
-    n_fn_b: usize,
+/// Hermite indices `(t, u, v)` with `t + u + v <= l`.
+pub(crate) const fn simplex_len(l: usize) -> usize {
+    (l + 1) * (l + 2) * (l + 3) / 6
 }
 
-impl E3Sparse {
-    fn build(prims: &[PrimPair], a: &PairSide, b: &PairSide) -> E3Sparse {
-        let (pa, pb) = (a.powers(), b.powers());
-        let mut tuv = Vec::new();
-        let mut val = Vec::new();
-        let mut offsets = Vec::with_capacity(prims.len() * a.n_fn * b.n_fn + 1);
-        offsets.push(0);
-        for pp in prims {
-            for &ca in &pa {
-                for &cb in &pb {
-                    crate::hermite::e3_sparse_into(
-                        &pp.ex, &pp.ey, &pp.ez, ca, cb, &mut tuv, &mut val,
-                    );
-                    offsets.push(tuv.len() as u32);
+/// Position of `(t, u, v)` in the lexicographic order of the `l` simplex
+/// (`t` outer, then `u`, then `v`, each ascending).
+#[inline]
+pub(crate) fn simplex_index(l: usize, t: usize, u: usize, v: usize) -> usize {
+    debug_assert!(t + u + v <= l, "({t},{u},{v}) is outside the {l} simplex");
+    let m = l - t;
+    simplex_len(l) - simplex_len(m) + u * (m + 1) - u * u.saturating_sub(1) / 2 + v
+}
+
+/// The fused Hermite table of one shell pair: for every surviving primitive
+/// pair and every Hermite index `h = (t, u, v)` of the pair's `l_sum`
+/// simplex (lexicographic: `t` outer, then `u`, then `v`), the function pairs
+/// `fa * n_fn(b) + fb` that index feeds and their weights
+/// `w = ((E_t E_u) E_v) ((c_ab N_a) N_b)`: the 3-D Hermite product, the
+/// contraction-coefficient product and both cartesian normalizations,
+/// multiplied once per pair build. Only nonzero weights are stored, each
+/// function pair at most once per `(primitive pair, h)`, in function-pair
+/// order.
+///
+/// The class kernels contract per Hermite index: stage 1 adds one gathered
+/// `R` row times `w` into every `cd` column an index feeds, stage 2 adds
+/// `w` times one `W` row into every `ab` output row. The generic path walks
+/// the dense [`ETable`]s and forms the same products in the same
+/// association.
+#[derive(Clone, Debug, Default)]
+pub struct HermiteTable {
+    /// Function-pair index `fa * n_fn(b) + fb` per entry.
+    fab: Vec<u16>,
+    /// Fused weight per entry.
+    w: Vec<f64>,
+    /// Entry ranges per `(primitive pair ip, h)`, flattened `ip * n_h + h`;
+    /// length `n_prims * n_h + 1`.
+    offsets: Vec<u32>,
+    /// Hermite indices per primitive pair, `simplex_len(l_sum)`.
+    n_h: usize,
+}
+
+impl HermiteTable {
+    /// Enumerate each primitive pair's nonzero products in the generic
+    /// path's order (function pairs, then `t`, `u`, `v`, with its
+    /// per-direction zero tests), then counting-sort them by `h`; the sort is
+    /// stable, so each group keeps function-pair order.
+    fn build(prims: &[PrimPair], coef: &[f64], a: &PairSide, b: &PairSide) -> HermiteTable {
+        let l = a.max_l + b.max_l;
+        let n_h = simplex_len(l);
+        let (fns_a, fns_b) = (a.functions(), b.functions());
+        let (nblk_b, nblk) = (b.blocks.len(), a.blocks.len() * b.blocks.len());
+        debug_assert!(a.n_fn * b.n_fn <= usize::from(u16::MAX) + 1, "function pairs overflow u16");
+        let mut offsets = Vec::with_capacity(prims.len() * n_h + 1);
+        offsets.push(0u32);
+        let (mut fab, mut w) = (Vec::new(), Vec::new());
+        // One primitive pair's products in enumeration order, and per-h
+        // counts turned into insertion cursors.
+        let (mut hs, mut pf, mut pw) = (Vec::<u16>::new(), Vec::<u16>::new(), Vec::<f64>::new());
+        let mut cursor = vec![0u32; n_h];
+        for (ip, pp) in prims.iter().enumerate() {
+            hs.clear();
+            pf.clear();
+            pw.clear();
+            let c = &coef[ip * nblk..(ip + 1) * nblk];
+            for (ia, &(ba, (ax, ay, az), na)) in fns_a.iter().enumerate() {
+                for (ib, &(bb, (bx, by, bz), nb)) in fns_b.iter().enumerate() {
+                    let cnn = c[ba * nblk_b + bb] * na * nb;
+                    let f = (ia * b.n_fn + ib) as u16;
+                    for t in 0..=(ax + bx) {
+                        let etx = pp.ex.get(ax, bx, t);
+                        if etx == 0.0 {
+                            continue;
+                        }
+                        for u in 0..=(ay + by) {
+                            let ety = pp.ey.get(ay, by, u);
+                            if ety == 0.0 {
+                                continue;
+                            }
+                            for v in 0..=(az + bz) {
+                                let etz = pp.ez.get(az, bz, v);
+                                if etz == 0.0 {
+                                    continue;
+                                }
+                                let we = etx * ety * etz * cnn;
+                                if we == 0.0 {
+                                    continue;
+                                }
+                                hs.push(simplex_index(l, t, u, v) as u16);
+                                pf.push(f);
+                                pw.push(we);
+                            }
+                        }
+                    }
                 }
             }
+            cursor.fill(0);
+            for &h in &hs {
+                cursor[h as usize] += 1;
+            }
+            let mut end = w.len() as u32;
+            for slot in cursor.iter_mut() {
+                let n = *slot;
+                *slot = end;
+                end += n;
+                offsets.push(end);
+            }
+            fab.resize(end as usize, 0);
+            w.resize(end as usize, 0.0);
+            for ((&h, &f), &we) in hs.iter().zip(&pf).zip(&pw) {
+                let pos = cursor[h as usize] as usize;
+                cursor[h as usize] += 1;
+                fab[pos] = f;
+                w[pos] = we;
+            }
+            debug_assert_eq!(w.len() - pw.len(), offsets[ip * n_h] as usize);
         }
-        E3Sparse { tuv, val, offsets, n_fn_a: a.n_fn, n_fn_b: b.n_fn }
+        debug_assert_eq!(offsets.last().map(|&e| e as usize), Some(w.len()));
+        HermiteTable { fab, w, offsets, n_h }
     }
 
-    /// The entries of `(prim ip, function fa of side a, fb of side b)`, in
-    /// generic-recursion iteration order.
+    /// Hermite indices per primitive pair.
     #[inline]
-    pub fn entries(&self, ip: usize, fa: usize, fb: usize) -> (&[[u8; 3]], &[f64]) {
-        let slot = (ip * self.n_fn_a + fa) * self.n_fn_b + fb;
+    pub(crate) fn n_h(&self) -> usize {
+        self.n_h
+    }
+
+    /// Primitive pair `ip`'s part of the table: `n_h + 1` group bounds (into
+    /// the two entry slices, which are the whole table's) and the entries'
+    /// function-pair indices and weights.
+    #[inline]
+    pub(crate) fn prim(&self, ip: usize) -> (&[u32], &[u16], &[f64]) {
+        (&self.offsets[ip * self.n_h..=(ip + 1) * self.n_h], &self.fab, &self.w)
+    }
+
+    /// The entries of `(primitive pair ip, Hermite index h)`: function-pair
+    /// indices and weights, in function-pair order.
+    pub fn entries(&self, ip: usize, h: usize) -> (&[u16], &[f64]) {
+        let slot = ip * self.n_h + h;
         let (lo, hi) = (self.offsets[slot] as usize, self.offsets[slot + 1] as usize);
-        (&self.tuv[lo..hi], &self.val[lo..hi])
+        (&self.fab[lo..hi], &self.w[lo..hi])
     }
 
     fn heap_bytes(&self) -> usize {
-        self.tuv.len() * 3
-            + self.val.len() * std::mem::size_of::<f64>()
+        self.fab.len() * std::mem::size_of::<u16>()
+            + self.w.len() * std::mem::size_of::<f64>()
             + self.offsets.len() * std::mem::size_of::<u32>()
     }
 }
@@ -223,8 +317,8 @@ pub struct ShellPair {
     pub prims: Vec<PrimPair>,
     /// Structure-of-arrays view of `prims` for the class kernels.
     pub soa: PrimSoA,
-    /// Sparse Hermite triple products per (prim, function pair).
-    pub e3: E3Sparse,
+    /// Fused Hermite weights per (primitive pair, Hermite index).
+    pub hermite: HermiteTable,
     /// Coefficient products, laid out `[prim][block_a][block_b]`
     /// (see [`ShellPair::coef`]).
     coef: Vec<f64>,
@@ -316,14 +410,10 @@ impl ShellPair {
             });
         });
         let mut soa = PrimSoA::from_prims(&prims);
-        let e3 = E3Sparse::build(&prims, &a, &b);
+        let hermite = HermiteTable::build(&prims, &coef, &a, &b);
         if a.n_fn == 1 && b.n_fn == 1 {
-            let (norm_a, norm_b) = (a.norms[0], b.norms[0]);
             soa.w = (0..prims.len())
-                .map(|ip| {
-                    let e000 = e3.entries(ip, 0, 0).1.first().copied().unwrap_or(0.0);
-                    coef[ip] * norm_a * norm_b * e000
-                })
+                .map(|ip| hermite.entries(ip, 0).1.first().copied().unwrap_or(0.0))
                 .collect();
         }
         ShellPair {
@@ -333,7 +423,7 @@ impl ShellPair {
             b,
             prims,
             soa,
-            e3,
+            hermite,
             coef,
             max_coef,
             schwarz: 0.0,
@@ -388,7 +478,7 @@ impl ShellPair {
         etables
             + self.prims.len() * std::mem::size_of::<PrimPair>()
             + self.soa.heap_bytes()
-            + self.e3.heap_bytes()
+            + self.hermite.heap_bytes()
             + self.coef.len() * std::mem::size_of::<f64>()
             + self.a.heap_bytes()
             + self.b.heap_bytes()
@@ -555,6 +645,87 @@ mod tests {
                 assert!((got - want).abs() < 1e-15 * want.max(1.0), "({i},{j}): {got} vs {want}");
             }
         }
+    }
+
+    /// The fused table, rebuilt from the pair's dense `E` tables in another
+    /// order: Hermite index outer, function pairs inner. Every group must
+    /// hold exactly the nonzero `((E_t E_u) E_v) ((c N_a) N_b)` products, to
+    /// the bit, each function pair once and in function-pair order; an s–s
+    /// pair's `PrimSoA::w` must be its `h = 0` weight, or 0.0 where that
+    /// group is empty.
+    fn assert_table_matches_dense_e(pr: &ShellPair) {
+        let l = pr.l_sum;
+        let side_fns = |side: &PairSide| -> Vec<(usize, (usize, usize, usize))> {
+            let mut fns = Vec::new();
+            for (bi, blk) in side.blocks.iter().enumerate() {
+                fns.extend(components(blk.l).iter().map(|&c| (bi, c)));
+            }
+            fns
+        };
+        let (fns_a, fns_b) = (side_fns(&pr.a), side_fns(&pr.b));
+        assert_eq!(pr.hermite.n_h(), simplex_len(l));
+        for (ip, pp) in pr.prims.iter().enumerate() {
+            let mut h = 0;
+            for t in 0..=l {
+                for u in 0..=(l - t) {
+                    for v in 0..=(l - t - u) {
+                        assert_eq!(simplex_index(l, t, u, v), h);
+                        let mut want: Vec<(u16, u64)> = Vec::new();
+                        for (fa, &(ba, (ax, ay, az))) in fns_a.iter().enumerate() {
+                            for (fb, &(bb, (bx, by, bz))) in fns_b.iter().enumerate() {
+                                let e = pp.ex.get(ax, bx, t)
+                                    * pp.ey.get(ay, by, u)
+                                    * pp.ez.get(az, bz, v);
+                                let cnn = pr.coef(ip, ba, bb) * pr.a.norms[fa] * pr.b.norms[fb];
+                                let w = e * cnn;
+                                if w != 0.0 {
+                                    want.push(((fa * pr.b.n_fn + fb) as u16, w.to_bits()));
+                                }
+                            }
+                        }
+                        let (fab, w) = pr.hermite.entries(ip, h);
+                        let got: Vec<(u16, u64)> =
+                            fab.iter().zip(w).map(|(&f, x)| (f, x.to_bits())).collect();
+                        assert_eq!(
+                            got, want,
+                            "pair ({}, {}), prim {ip}, h ({t},{u},{v})",
+                            pr.i, pr.j
+                        );
+                        h += 1;
+                    }
+                }
+            }
+        }
+        if pr.a.n_fn == 1 && pr.b.n_fn == 1 {
+            for ip in 0..pr.prims.len() {
+                let want = pr.hermite.entries(ip, 0).1.first().copied().unwrap_or(0.0);
+                assert_eq!(pr.soa.w[ip].to_bits(), want.to_bits());
+            }
+        } else {
+            assert!(pr.soa.w.is_empty());
+        }
+    }
+
+    #[test]
+    fn hermite_table_holds_the_dense_e_products() {
+        let basis = BasisSet::build(&small::water(), BasisName::B631gd);
+        let pairs = ShellPairs::build(&basis);
+        for pr in pairs.iter() {
+            assert_table_matches_dense_e(pr);
+        }
+        // A (d,d) pair of contraction depth 2 x 3 on two centres, where odd
+        // Hermite indices are nonzero and groups hold several primitives.
+        let d_shell = |center, exps: Vec<f64>, coefs| Shell {
+            center,
+            exps,
+            blocks: vec![phi_chem::basis::AngBlock { l: 2, coefs }],
+            first_bf: 0,
+        };
+        let da = d_shell([0.0, 0.3, -0.2], vec![1.9, 0.45], vec![0.6, 0.5]);
+        let db = d_shell([0.7, -0.4, 0.9], vec![2.6, 0.8, 0.2], vec![0.3, -0.7, 0.4]);
+        let pr = ShellPair::build(1, 0, &da, &db, 0.0);
+        assert_eq!((pr.prims.len(), pr.l_sum), (6, 4));
+        assert_table_matches_dense_e(&pr);
     }
 
     #[test]

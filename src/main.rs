@@ -129,6 +129,12 @@ fn sharded(n_ranks: usize) -> FockAlgorithm {
     FockAlgorithm::Sharded { n_ranks, mode: DdiMode::Mpi3OneSided }
 }
 
+/// The largest coordinate magnitude a run accepts, in bohr. The spacing of
+/// doubles there is 1.5e-11 bohr, a billionth of the width of the tightest
+/// Gaussian in the bases (6-31G's O 1s, 0.0135 bohr); near 5e16 bohr it is
+/// 8 bohr, and product centres land bohrs off their atoms (DESIGN §11).
+const MAX_COORD_BOHR: f64 = 1e5;
+
 /// The most ranks x threads one `--algorithm` may start.
 const MAX_WORKERS: usize = 256;
 
@@ -366,6 +372,14 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<Option<ScfResult>, Stri
     if !mol.nuclear_repulsion().is_finite() {
         return Err(format!("{molecule}: two nuclei coincide (infinite nuclear repulsion)"));
     }
+    let mut coords = mol.atoms().iter().enumerate().flat_map(|(k, a)| a.pos.map(|x| (k, x)));
+    if let Some((k, x)) = coords.find(|&(_, x)| x.abs() > MAX_COORD_BOHR) {
+        return Err(format!(
+            "{molecule}: atom {} has a coordinate of {x:e} bohr, beyond the {MAX_COORD_BOHR:e} \
+             bohr a Gaussian can be placed at (doubles there are too coarse)",
+            k + 1
+        ));
+    }
     let basis_name = parse_basis(&basis)?;
     let b = BasisSet::build(&mol, basis_name);
     println!(
@@ -586,7 +600,7 @@ mod tests {
             (serial(4), &["coordinate inf", "not finite"]),
             (serial(5), &["charge=5", "2 protons"]),
             (serial(6), &["RHF's 2 doubly occupied orbitals", "do not fit in 1"]),
-            (serial(7), &["energy became", "iteration 1"]),
+            (serial(7), &["atom 1", "e300 bohr", "beyond the 1e5 bohr"]),
         ];
         let jobs = [
             ("--molecule h2:1.4 --basis sto3g --uhf 1,1", &["unknown option", "--uhf"][..]),
@@ -677,10 +691,10 @@ mod tests {
             ("--molecule h2:-1 --basis sto3g", &["bond length '-1'", "> 0"]),
             ("--molecule chain:2:0 --basis sto3g", &["spacing '0'", "> 0"]),
             ("--molecule chain:3:1.8 --basis sto3g", odd),
-            // The one-electron integrals overflow to NaN: a NaN energy, not
-            // a panic in the eigensolver.
-            ("--molecule h2:1e300 --basis sto3g --algorithm serial", &["energy became NaN"]),
-            ("--molecule chain:4:1e200 --basis sto3g --algorithm serial", &["energy became NaN"]),
+            // Coordinates this far out cannot place a Gaussian (and at
+            // these their one-electron integrals overflow to NaN).
+            ("--molecule h2:1e300 --basis sto3g --algorithm serial", &["atom 2", "1e300 bohr"]),
+            ("--molecule chain:4:1e200 --basis sto3g --algorithm serial", &["atom 2", "1e200"]),
         ];
         let owned = jobs.into_iter().map(|(job, named)| (job.to_string(), named));
         for (job, named) in owned.chain(xyz_jobs) {

@@ -352,8 +352,10 @@ fn ssss_kernel_matches_generic() {
                     let bra = ShellPair::build(0, 0, &a, &b, pair_cutoff);
                     let ket = ShellPair::build(0, 0, &b, &a, pair_cutoff);
                     pruned |= bra.prims.len() < da * db;
-                    underflowed |=
-                        (0..bra.prims.len()).any(|i| bra.e3.entries(i, 0, 0).1.is_empty());
+                    underflowed |= bra.prims.iter().enumerate().any(|(i, pp)| {
+                        let e000 = pp.ex.get(0, 0, 0) * pp.ey.get(0, 0, 0) * pp.ez.get(0, 0, 0);
+                        e000 == 0.0 && bra.hermite.entries(i, 0).1.is_empty()
+                    });
                     let (mut vs, mut vg) = ([0.0], [0.0]);
                     // Mixed and diagonal quartets.
                     for (x, y) in [(&bra, &ket), (&bra, &bra)] {
