@@ -2,8 +2,10 @@
 //! Davidson recursion, per angular/contraction class on the paper's
 //! C6/6-31G(d)-style workload.
 //!
-//! Both sides run the production path (persistent [`ShellPairs`] data);
-//! the only variable is `EriEngine::use_kernels`. Every case first asserts
+//! Both sides read the same persistent [`ShellPairs`] data; the only
+//! variable is the engine, `EriEngine::new` against
+//! `EriEngine::generic_only`. The generic side also rebuilds its quartet's
+//! dense `E` tables, which the dataset does not store. Every case first asserts
 //! numerical parity (<= 1e-14 per integral), then measures ns/quartet both
 //! ways. In full mode the per-class speedups are enforced as hard floors
 //! (3x and 3.5x on the contracted SP and d x SP classes the workload is

@@ -40,10 +40,6 @@ pub struct FockContext<'a> {
     pub screening: &'a Screening,
     /// Schwarz screening threshold on `Q_ij * Q_kl`.
     pub tau: f64,
-    /// Route ERI evaluation through the class-specialized kernels
-    /// (default). Cleared by differential tests and ablations to force the
-    /// generic recursion in every builder's engines.
-    pub eri_kernels: bool,
 }
 
 impl<'a> FockContext<'a> {
@@ -53,24 +49,13 @@ impl<'a> FockContext<'a> {
         screening: &'a Screening,
         tau: f64,
     ) -> FockContext<'a> {
-        FockContext { basis, pairs, screening, tau, eri_kernels: true }
+        FockContext { basis, pairs, screening, tau }
     }
 
-    /// The same context with the class-specialized ERI kernels toggled —
-    /// `with_eri_kernels(false)` is the generic-path side of end-to-end
-    /// kernels-on-vs-off differential tests.
-    pub fn with_eri_kernels(mut self, on: bool) -> FockContext<'a> {
-        self.eri_kernels = on;
-        self
-    }
-
-    /// A fresh ERI engine configured per this context's kernel policy.
-    /// Every builder's per-thread engines come from here, so the one
-    /// toggle covers all algorithms.
+    /// A fresh ERI engine; every builder's per-thread engines come from
+    /// here.
     pub fn engine(&self) -> phi_integrals::EriEngine {
-        let mut e = phi_integrals::EriEngine::new();
-        e.use_kernels = self.eri_kernels;
-        e
+        phi_integrals::EriEngine::new()
     }
 
     /// The quartet-level Schwarz test every builder applies.

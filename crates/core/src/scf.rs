@@ -9,7 +9,7 @@
 use crate::diis::Diis;
 use crate::fock::engine::FockData;
 use crate::fock::{DensitySet, FockAlgorithm};
-use crate::guess::{density_from_orbitals, solve_roothaan};
+use crate::guess::{core_guess, density_from_orbitals, solve_roothaan};
 use crate::stats::FockBuildStats;
 use phi_chem::{BasisSet, Molecule};
 use phi_dmpi::{FaultPlan, RetryPolicy};
@@ -120,11 +120,13 @@ pub struct ScfResult {
     pub energy_history: Vec<f64>,
     /// Per-iteration Fock-build statistics ("TIME TO FORM FOCK").
     pub fock_stats: Vec<FockBuildStats>,
-    /// Final orbital energies.
+    /// Final orbital energies; empty if the run stopped before its first
+    /// Roothaan step.
     pub orbital_energies: Vec<f64>,
     /// Converged density matrix `D = 2 C_occ C_occᵀ`.
     pub density: Mat,
-    /// Final MO coefficients (columns are orbitals).
+    /// Final MO coefficients (columns are orbitals); no columns if the run
+    /// stopped before its first Roothaan step.
     pub orbitals: Mat,
     pub n_basis: usize,
     pub n_shells: usize,
@@ -161,9 +163,9 @@ pub fn run_scf(mol: &Molecule, basis: &BasisSet, config: &ScfConfig) -> ScfResul
     let e_nn = mol.nuclear_repulsion();
     let builder = config.algorithm.builder_with_comm(config.faults.clone(), config.retry);
 
-    // Initial guess.
-    let (mut orbital_energies, mut orbitals) = solve_roothaan(&h, &x);
-    let mut d = density_from_orbitals(&orbitals, n_occ);
+    // Initial guess; the orbitals stay empty until the first Roothaan step.
+    let mut d = core_guess(&h, &x, n_occ);
+    let (mut orbital_energies, mut orbitals) = (Vec::new(), Mat::zeros(n, 0));
     let mut diis = Diis::new(8);
     let mut energy_history = Vec::new();
     let mut fock_stats = Vec::new();

@@ -18,7 +18,7 @@
 //! `W[tuv][cd-component]` once, then the bra sum runs per bra component.
 //!
 //! Performance structure: all blocks of a (possibly composite SP) shell
-//! share one primitive exponent set, so the Hermite `E` tables are built
+//! share one primitive exponent set, so the Hermite `E` products are formed
 //! *once per primitive pair at the shell's maximum angular momentum* and
 //! reused by every angular block, and the `R` table is built once per
 //! primitive quartet and reused by every block combination. For the Pople
@@ -30,7 +30,8 @@
 //! construct one engine and never share it.
 
 use crate::cart::components;
-use crate::kernels::{ClassKernels, EriKernel, KernelRun, GENERIC_SLOT, N_CLASS_SLOTS};
+use crate::hermite::ETable;
+use crate::kernels::{class_index, eval_class, KernelScratch, GENERIC_SLOT, N_CLASS_SLOTS};
 use crate::rints::RTable;
 use crate::shell_pairs::ShellPair;
 
@@ -39,31 +40,34 @@ const PI: f64 = std::f64::consts::PI;
 /// Reusable ERI evaluator with thread-private scratch space.
 ///
 /// The one entry is [`EriEngine::shell_quartet_pairs`], which consumes two
-/// precomputed [`ShellPair`]s and performs no heap allocation per quartet:
-/// all intermediates live in engine-owned buffers that grow to a high-water
-/// mark on first use.
+/// precomputed [`ShellPair`]s. On the class kernels it performs no heap
+/// allocation per quartet: all intermediates live in engine-owned buffers
+/// that grow to a high-water mark on first use.
 ///
-/// Quartets dispatch by angular-momentum class: classes with a specialized
-/// kernel (see [`crate::kernels`]) run monomorphized batched code, the rest
-/// run the generic recursion in [`GenericKernel`]. The `use_kernels` toggle
-/// routes *everything* through the generic path — the reference side of the
-/// differential-testing harness and the ablation baseline.
+/// Quartets dispatch by angular-momentum class ([`class_index`]): classes
+/// with a specialized kernel (see [`crate::kernels`]) run monomorphized
+/// batched code, the rest run the generic recursion in `GenericKernel`.
+/// [`EriEngine::generic_only`] routes *everything* through the generic path
+/// — the reference side of the differential-testing harness and the
+/// ablation baseline.
 pub struct EriEngine {
     /// Primitive-quartet prefactor cutoff: quartets whose Gaussian-product
     /// prefactors bound the integral below this are skipped. Set to 0.0 for
     /// bitwise-exact reference calculations.
     pub prefactor_cutoff: f64,
-    /// Route classes with a specialized kernel through it (default). Clear
-    /// to force the generic recursion for every quartet.
-    pub use_kernels: bool,
+    /// Route classes with a specialized kernel through it; cleared only by
+    /// [`EriEngine::generic_only`].
+    use_kernels: bool,
     /// Number of shell quartets evaluated (for workload statistics).
     shell_quartets: u64,
     /// Number of primitive quartets actually computed.
     prim_quartets: u64,
     /// Shell quartets per class slot (specialized classes + generic).
     class_quartets: [u64; N_CLASS_SLOTS],
-    /// The kernel set: specialized instances + generic fallback.
-    kernels: ClassKernels,
+    /// Scratch of the specialized kernels.
+    scratch: KernelScratch,
+    /// The generic fallback (also the differential-testing reference).
+    generic: GenericKernel,
 }
 
 impl Default for EriEngine {
@@ -80,7 +84,8 @@ impl EriEngine {
             shell_quartets: 0,
             prim_quartets: 0,
             class_quartets: [0; N_CLASS_SLOTS],
-            kernels: ClassKernels::new(),
+            scratch: KernelScratch::default(),
+            generic: GenericKernel::default(),
         }
     }
 
@@ -115,17 +120,23 @@ impl EriEngine {
     /// data into `out` (length `na * nb * nc * nd`, overwritten). Shell `a`
     /// is `bra.a`, `b` is `bra.b`, `c` is `ket.a`, `d` is `ket.b`.
     ///
-    /// Allocation-free: E tables, product centers, prefactors, coefficient
-    /// products, block offsets and normalization factors all come from the
-    /// pair dataset; scratch lives in the engine.
+    /// The class kernels allocate nothing per quartet: product centers,
+    /// prefactors, fused Hermite weights and block offsets come from the
+    /// pair dataset, and scratch lives in the engine. The generic path
+    /// rebuilds its quartet's dense `E` tables (see `GenericKernel`).
     pub fn shell_quartet_pairs(&mut self, bra: &ShellPair, ket: &ShellPair, out: &mut [f64]) {
         let (nb, nc, nd) = (bra.b.n_fn, ket.a.n_fn, ket.b.n_fn);
         assert_eq!(out.len(), bra.a.n_fn * nb * nc * nd, "output buffer has wrong length");
         self.shell_quartets += 1;
-        let (slot, run) =
-            self.kernels.eval_classed(self.use_kernels, bra, ket, self.prefactor_cutoff, out);
+        let cutoff = self.prefactor_cutoff;
+        let ci = class_index(bra.l_sum, ket.l_sum);
+        let (slot, prims) = if self.use_kernels && ci != GENERIC_SLOT {
+            (ci, eval_class(ci, &mut self.scratch, bra, ket, cutoff, out))
+        } else {
+            (GENERIC_SLOT, self.generic.eval(bra, ket, cutoff, out))
+        };
         self.class_quartets[slot] += 1;
-        self.prim_quartets += run.prim_quartets;
+        self.prim_quartets += prims;
     }
 }
 
@@ -135,32 +146,41 @@ impl EriEngine {
 /// tested against, and the fallback for classes beyond
 /// [`crate::kernels::SPEC_LMAX`] (f shells and up).
 ///
-/// It walks the dense [`ETable`](crate::hermite::ETable)s but forms each
-/// Hermite weight as the pair dataset's
-/// [`HermiteTable`](crate::shell_pairs::HermiteTable) does,
-/// `((E_t E_u) E_v) ((c N) N)`, skipping the zero ones, and multiplies it
-/// into the stages the way the class kernels do: stage 1 adds
+/// The pair dataset stores none of this path's payload. Once per quartet
+/// it rebuilds every primitive pair's dense [`ETable`]s from the pairs'
+/// side records, with the arguments the fused
+/// [`HermiteTable`](crate::shell_pairs::HermiteTable) build uses, and forms
+/// each coefficient product where it is used, so it reads the same bits as
+/// the table without depending on it. It forms each Hermite weight as the
+/// table does, `((E_t E_u) E_v) ((c N) N)`, skipping the zero ones, and
+/// multiplies it into the stages the way the class kernels do: stage 1 adds
 /// `w * ((+-base) * R)`, stage 2 adds `w * W`.
 #[derive(Default)]
-pub struct GenericKernel {
+pub(crate) struct GenericKernel {
     /// Stage-1 intermediate `W[tuv_flat * ncd + cd]`, per ket block pair.
     w: Vec<f64>,
     /// Reusable Hermite Coulomb table (one rebuild per primitive quartet).
     r: RTable,
 }
 
-impl EriKernel for GenericKernel {
-    fn eval(
+impl GenericKernel {
+    /// Evaluate one quartet into `out`, overwriting it; returns the number
+    /// of primitive quartets computed.
+    pub(crate) fn eval(
         &mut self,
         bra: &ShellPair,
         ket: &ShellPair,
         prefactor_cutoff: f64,
         out: &mut [f64],
-    ) -> KernelRun {
+    ) -> u64 {
         let (nb, nc, nd) = (bra.b.n_fn, ket.a.n_fn, ket.b.n_fn);
         debug_assert_eq!(out.len(), bra.a.n_fn * nb * nc * nd);
         out.iter_mut().for_each(|x| *x = 0.0);
         let mut prim_quartets = 0u64;
+        let e_tables = |pr: &ShellPair| -> Vec<[ETable; 3]> {
+            pr.prims.iter().map(|pp| pp.e_tables(&pr.a, &pr.b)).collect()
+        };
+        let (bra_e, ket_e) = (e_tables(bra), e_tables(ket));
 
         let l_bra = bra.l_sum;
         let l_ket = ket.l_sum;
@@ -170,12 +190,14 @@ impl EriKernel for GenericKernel {
         // Primitive screening bound: largest possible coefficient weight.
         let coef_bound = bra.max_coef * ket.max_coef;
 
-        for (ip_ab, bt) in bra.prims.iter().enumerate() {
-            for (ip_cd, kt) in ket.prims.iter().enumerate() {
+        for (ip_ab, (bt, [bex, bey, bez])) in bra.prims.iter().zip(&bra_e).enumerate() {
+            for (ip_cd, (kt, [kex, key, kez])) in ket.prims.iter().zip(&ket_e).enumerate() {
                 let p = bt.p;
                 let q = kt.p;
                 let base = 2.0 * PI.powf(2.5) / (p * q * (p + q).sqrt());
-                if (base * bt.k * kt.k * coef_bound).abs() < prefactor_cutoff {
+                if (base * bra.soa.k[ip_ab] * ket.soa.k[ip_cd] * coef_bound).abs()
+                    < prefactor_cutoff
+                {
                     continue;
                 }
                 prim_quartets += 1;
@@ -196,7 +218,7 @@ impl EriKernel for GenericKernel {
                     for (bdi, blk_d) in ket.b.blocks.iter().enumerate() {
                         let comps_d = components(blk_d.l);
                         let ncd = comps_c.len() * comps_d.len();
-                        let wcd = ket.coef(ip_cd, bci, bdi);
+                        let wcd = kt.coef(&ket.a, &ket.b, bci, bdi);
                         if wcd == 0.0 {
                             continue;
                         }
@@ -216,17 +238,17 @@ impl EriKernel for GenericKernel {
                                 let cnn = wc * ket.b.norms[blk_d.off + idd];
                                 let cdi = icc * comps_d.len() + idd;
                                 for tau in 0..=(cx + dx) {
-                                    let etx = kt.ex.get(cx, dx, tau);
+                                    let etx = kex.get(cx, dx, tau);
                                     if etx == 0.0 {
                                         continue;
                                     }
                                     for nu in 0..=(cy + dy) {
-                                        let ety = kt.ey.get(cy, dy, nu);
+                                        let ety = key.get(cy, dy, nu);
                                         if ety == 0.0 {
                                             continue;
                                         }
                                         for phi in 0..=(cz + dz) {
-                                            let etz = kt.ez.get(cz, dz, phi);
+                                            let etz = kez.get(cz, dz, phi);
                                             if etz == 0.0 {
                                                 continue;
                                             }
@@ -265,7 +287,7 @@ impl EriKernel for GenericKernel {
                             let comps_a = components(blk_a.l);
                             for (bbi, blk_b) in bra.b.blocks.iter().enumerate() {
                                 let comps_b = components(blk_b.l);
-                                let wab = bra.coef(ip_ab, bai, bbi);
+                                let wab = bt.coef(&bra.a, &bra.b, bai, bbi);
                                 if wab == 0.0 {
                                     continue;
                                 }
@@ -275,17 +297,17 @@ impl EriKernel for GenericKernel {
                                         let cnn = wa * bra.b.norms[blk_b.off + ibb];
                                         let obase = ((blk_a.off + iaa) * nb + blk_b.off + ibb) * nc;
                                         for t in 0..=(ax + bx) {
-                                            let etx = bt.ex.get(ax, bx, t);
+                                            let etx = bex.get(ax, bx, t);
                                             if etx == 0.0 {
                                                 continue;
                                             }
                                             for u in 0..=(ay + by) {
-                                                let ety = bt.ey.get(ay, by, u);
+                                                let ety = bey.get(ay, by, u);
                                                 if ety == 0.0 {
                                                     continue;
                                                 }
                                                 for v in 0..=(az + bz) {
-                                                    let etz = bt.ez.get(az, bz, v);
+                                                    let etz = bez.get(az, bz, v);
                                                     if etz == 0.0 {
                                                         continue;
                                                     }
@@ -316,7 +338,7 @@ impl EriKernel for GenericKernel {
                 }
             }
         }
-        KernelRun { prim_quartets }
+        prim_quartets
     }
 }
 

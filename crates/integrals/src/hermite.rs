@@ -67,12 +67,6 @@ impl ETable {
         tab
     }
 
-    /// Heap bytes held by the table (for memory accounting of persistent
-    /// pair data).
-    pub fn heap_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
-    }
-
     /// `E_t^{ij}`; zero outside `0 <= t <= i + j`.
     #[inline]
     pub fn get(&self, i: usize, j: usize, t: usize) -> f64 {

@@ -20,7 +20,8 @@
 //! pair dataset's fused s-pair weights, none of the phases below), the
 //! other 24 an `eval_spec::<LB, LK>`
 //! instantiation; anything hotter — f shells and beyond — falls back to the
-//! generic recursion through the same [`EriKernel`] trait.
+//! generic recursion. [`crate::eri::EriEngine`] owns the scratch and
+//! dispatches on [`class_index`] itself.
 //!
 //! Per quartet an `eval_spec` kernel runs three phases:
 //!
@@ -52,8 +53,9 @@
 //! arithmetic: the same screening test, the same operation order in every
 //! prefactor, Boys values from the same scalar evaluator, the `R` recursion
 //! through the shared `fill_r0_into` core, and the same products in the
-//! same association — the generic path walks its dense `E` tables but forms
-//! each weight as the table does, `((E_t E_u) E_v) ((c N) N)`, adds
+//! same association — the generic path rebuilds each quartet's dense `E`
+//! tables from the pair dataset's side records but forms each weight as the
+//! table does, `((E_t E_u) E_v) ((c N) N)`, adds
 //! `w ((+-base) R)` in stage 1 and `w W` in stage 2, each Hermite index in
 //! the table's lexicographic order, with the parity sign an exact negation
 //! of `base`. The one difference is where the ket primitives are summed:
@@ -75,7 +77,6 @@
 //! [`HermiteTable`]: crate::shell_pairs::HermiteTable
 
 use crate::boys::{boys_batch, boys_f0};
-use crate::eri::GenericKernel;
 use crate::rints::fill_r0_into;
 use crate::shell_pairs::{simplex_len, ShellPair};
 
@@ -148,34 +149,13 @@ pub const CLASS_TRACE_NAMES: [&str; N_CLASS_SLOTS] = [
     "eri.class.generic",
 ];
 
-/// What one kernel invocation did (surfaced into engine/Fock statistics).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct KernelRun {
-    /// Primitive quartets that survived screening and were computed.
-    pub prim_quartets: u64,
-}
-
-/// The common contract of the generic path and the specialized kernels:
-/// evaluate one contracted shell quartet from precomputed pair data into an
-/// `out` buffer of length `bra.n_fn() * ket.n_fn()`, overwriting it (a
-/// kernel that accumulates zeroes `out` first).
-pub trait EriKernel {
-    fn eval(
-        &mut self,
-        bra: &ShellPair,
-        ket: &ShellPair,
-        prefactor_cutoff: f64,
-        out: &mut [f64],
-    ) -> KernelRun;
-}
-
 /// Thread-private scratch of the specialized kernels: survivor lanes
 /// (structure-of-arrays, one value per surviving primitive quartet), the
 /// batched Boys stripes, the two `R`-recursion rolling buffers and the
 /// contraction intermediates. All buffers grow to a high-water mark and are
 /// reused; no per-quartet allocation.
 #[derive(Default)]
-pub struct KernelScratch {
+pub(crate) struct KernelScratch {
     /// Survivor lanes: quartet prefactor `2 pi^{5/2} / (p q sqrt(p+q))`.
     base: Vec<f64>,
     /// Survivor lanes: reduced exponent `alpha = p q / (p + q)`.
@@ -426,10 +406,11 @@ fn eval_ssss(bra: &ShellPair, ket: &ShellPair, prefactor_cutoff: f64, out: &mut 
     prim_quartets
 }
 
-/// Dispatch a specialized class slot to its kernel: the straight-line
-/// ssss kernel for slot 0, a monomorphized `eval_spec` instance for the
-/// rest. `ci` must be a specialized slot (`< N_SPEC`).
-fn eval_spec_dispatch(
+/// Evaluate one quartet of specialized class slot `ci` (`< N_SPEC`) into
+/// `out`, overwriting it: the straight-line ssss kernel for slot 0, a
+/// monomorphized `eval_spec` instance for the rest. Returns the number of
+/// primitive quartets computed.
+pub(crate) fn eval_class(
     ci: usize,
     s: &mut KernelScratch,
     bra: &ShellPair,
@@ -468,56 +449,7 @@ fn eval_spec_dispatch(
         22 => arm!(4, 2),
         23 => arm!(4, 3),
         24 => arm!(4, 4),
-        _ => unreachable!("eval_spec_dispatch called with generic slot {ci}"),
-    }
-}
-
-/// The full kernel set: the 25 class kernels plus the generic
-/// fallback, behind one [`EriKernel`] face. This is what [`crate::eri::EriEngine`]
-/// owns; the engine's `use_kernels` toggle routes everything through the
-/// fallback for differential testing and ablation.
-#[derive(Default)]
-pub struct ClassKernels {
-    scratch: KernelScratch,
-    /// The generic-path fallback (also the differential-testing reference).
-    pub generic: GenericKernel,
-}
-
-impl ClassKernels {
-    pub fn new() -> ClassKernels {
-        ClassKernels::default()
-    }
-
-    /// Evaluate one quartet, choosing a specialized kernel when
-    /// `use_spec` is set and the class has one. Returns the class slot
-    /// actually used (for per-class accounting) and the run statistics.
-    pub fn eval_classed(
-        &mut self,
-        use_spec: bool,
-        bra: &ShellPair,
-        ket: &ShellPair,
-        prefactor_cutoff: f64,
-        out: &mut [f64],
-    ) -> (usize, KernelRun) {
-        let ci = class_index(bra.l_sum, ket.l_sum);
-        if use_spec && ci != GENERIC_SLOT {
-            let n = eval_spec_dispatch(ci, &mut self.scratch, bra, ket, prefactor_cutoff, out);
-            (ci, KernelRun { prim_quartets: n })
-        } else {
-            (GENERIC_SLOT, self.generic.eval(bra, ket, prefactor_cutoff, out))
-        }
-    }
-}
-
-impl EriKernel for ClassKernels {
-    fn eval(
-        &mut self,
-        bra: &ShellPair,
-        ket: &ShellPair,
-        prefactor_cutoff: f64,
-        out: &mut [f64],
-    ) -> KernelRun {
-        self.eval_classed(true, bra, ket, prefactor_cutoff, out).1
+        _ => unreachable!("eval_class called with generic slot {ci}"),
     }
 }
 

@@ -18,10 +18,11 @@
 //!   screening the paper applies at both the `ij`-task and `ijkl`-quartet
 //!   level, plus survivor-count statistics that drive the cluster
 //!   simulator;
-//! * [`shell_pairs`] — the persistent shell-pair dataset (Hermite `E`
-//!   tables, product centers, prefactors, folded normalization, Schwarz
-//!   bounds), built once per geometry/basis and shared read-only by every
-//!   Fock-build rank and thread.
+//! * [`shell_pairs`] — the persistent shell-pair dataset (one side record
+//!   per shell, surviving primitive pairs with their product centers and
+//!   prefactors, fused Hermite tables, Schwarz bounds), built once per
+//!   geometry/basis and shared read-only by every Fock-build rank and
+//!   thread.
 //!
 //! Angular momentum is general in the recurrences and exercised through
 //! cartesian *d* functions (everything 6-31G(d) needs); combined SP shells
@@ -37,10 +38,9 @@ pub mod rints;
 pub mod screening;
 pub mod shell_pairs;
 
-pub use eri::{EriEngine, GenericKernel};
+pub use eri::EriEngine;
 pub use kernels::{
-    class_index, ClassKernels, EriKernel, KernelRun, CLASS_LABELS, CLASS_TRACE_NAMES, GENERIC_SLOT,
-    N_CLASS_SLOTS, N_SPEC, SPEC_LMAX,
+    class_index, CLASS_LABELS, CLASS_TRACE_NAMES, GENERIC_SLOT, N_CLASS_SLOTS, N_SPEC, SPEC_LMAX,
 };
 pub use one_electron::{kinetic_matrix, nuclear_attraction_matrix, overlap_matrix};
 pub use screening::Screening;

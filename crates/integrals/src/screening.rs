@@ -11,8 +11,10 @@
 //! * [`ShellClasses`] — the cost-equivalent shell classes the simulator
 //!   prices quartets by.
 
+use std::sync::Arc;
+
 use crate::eri::EriEngine;
-use crate::shell_pairs::{ShellPair, ShellPairs, DEFAULT_PAIR_CUTOFF};
+use crate::shell_pairs::{ShellPair, ShellPairs, ShellSide, DEFAULT_PAIR_CUTOFF};
 use phi_chem::BasisSet;
 
 /// Packed lower-triangular index for `i >= j`.
@@ -88,8 +90,9 @@ impl Screening {
 
     /// The table without a [`ShellPairs`] dataset, for systems whose pair
     /// data would not fit (32.5M pairs at 5 nm): each pair is built at the
-    /// builders' [`DEFAULT_PAIR_CUTOFF`], its diagonal quartet evaluated,
-    /// and dropped. Pairs whose prefactor bound falls below `est_floor` are
+    /// builders' [`DEFAULT_PAIR_CUTOFF`] over the shells' side records (made
+    /// once, as the dataset makes them), its diagonal quartet evaluated, and
+    /// dropped. Pairs whose prefactor bound falls below `est_floor` are
     /// never built and store that (tiny) bound instead. With
     /// `est_floor = 0.0` the table equals the builders'
     /// `from_pairs(ShellPairs::build(basis))` bit for bit.
@@ -100,13 +103,14 @@ impl Screening {
     pub fn compute_hybrid(basis: &BasisSet, est_floor: f64) -> Screening {
         let mut engine = EriEngine::new();
         let mut buf: Vec<f64> = Vec::new();
+        let sides = ShellSide::all(basis);
         Screening::from_bounds(basis.n_shells(), |i, j| {
-            let (si, sj) = (&basis.shells[i], &basis.shells[j]);
-            let est = ShellPair::prefactor_bound(si, sj);
+            let est = ShellPair::prefactor_bound(&sides[i], &sides[j]);
             if est < est_floor {
                 est
             } else {
-                ShellPair::build(i, j, si, sj, DEFAULT_PAIR_CUTOFF)
+                let (a, b) = (Arc::clone(&sides[i]), Arc::clone(&sides[j]));
+                ShellPair::from_sides(a, b, DEFAULT_PAIR_CUTOFF)
                     .schwarz_bound(&mut engine, &mut buf)
             }
         })
@@ -306,7 +310,10 @@ mod tests {
         for i in 0..b.n_shells() {
             for j in 0..=i {
                 let (qe, qh) = (built.q(i, j), hybrid.q(i, j));
-                let est = ShellPair::prefactor_bound(&b.shells[i], &b.shells[j]);
+                let est = ShellPair::prefactor_bound(
+                    &ShellSide::new(i, &b.shells[i]),
+                    &ShellSide::new(j, &b.shells[j]),
+                );
                 if est < 1e-12 {
                     // Under the floor no pair is built: the entry is the
                     // rounded-up prefactor bound itself, which the

@@ -1,34 +1,42 @@
 //! Persistent shell-pair dataset: everything about a shell pair that does
-//! not depend on its quartet partner, computed once per (geometry, basis).
+//! not depend on its quartet partner and that a kernel reads, computed once
+//! per (geometry, basis).
 //!
 //! The ERI engine historically rebuilt the Hermite `E` tables, Gaussian
 //! product centers, exponent sums and prefactors of both the bra and the ket
 //! pair inside every shell quartet — O(N^4) rebuilds of O(N^2) data. This
-//! module hoists that work out of the quartet loop: [`ShellPairs::build`]
-//! walks the lower triangle of shell pairs once, prunes primitive pairs
-//! whose Gaussian-product prefactor bound can never survive screening, and
-//! stores for each pair
+//! module hoists that work out of the quartet loop. [`ShellPairs::build`]
+//! makes one [`ShellSide`] record per shell — its block layout, cartesian
+//! normalizations, centre, exponents and contraction coefficients, GAMESS's
+//! flat per-shell arrays — and shares it with every pair on that shell
+//! through an `Arc`. It then walks the lower triangle of shell pairs once,
+//! prunes primitive pairs whose Gaussian-product prefactor bound can never
+//! survive screening, and stores for each pair
 //!
-//! * the surviving primitive pairs with their `E` tables (built at the
-//!   shells' maximum angular momenta, valid for every lower block), product
-//!   centers, exponent sums and prefactors `K = exp(-mu |AB|^2)`;
-//! * the contraction-coefficient products per (primitive pair, block pair);
-//! * per-function cartesian normalization factors, so the engine folds
-//!   normalization into the contraction instead of a per-quartet post-pass;
+//! * the surviving primitive pairs ([`PrimPair`]: the two primitive
+//!   indices, exponent sum and product centre) and their
+//!   structure-of-arrays copy ([`PrimSoA`], with the prefactors
+//!   `K = exp(-mu |AB|^2)`) that the class kernels stream;
 //! * the fused [`HermiteTable`]: per (primitive pair, Hermite index) the
 //!   function pairs it feeds, each with one weight that multiplies the
 //!   3-D `E` product, the coefficient product and both normalizations — what
 //!   the class kernels contract against, so no quartet looks up a
 //!   coefficient, a norm or an `E` value;
-//! * angular-block function offsets (the engine's output indexing);
 //! * the pair's Schwarz bound `sqrt(max (ij|ij))`, evaluated through the
 //!   pair-cached path itself, so `Screening` construction reuses the
 //!   diagonal pairs.
+//!
+//! The dense `E` tables and the coefficient products are not stored: the
+//! table build makes them transiently, and the generic reference path
+//! rebuilds them per quartet from the side records with the same arguments
+//! (`PrimPair::e_tables`, `PrimPair::coef`), so both see the same bits.
 //!
 //! One `ShellPairs` is built per SCF run and shared read-only by every rank
 //! and thread of every Fock algorithm (the struct is `Sync`); its footprint
 //! is reported by [`ShellPairs::bytes`] and belongs to the *per-node* memory
 //! budget, not the per-thread one.
+
+use std::sync::Arc;
 
 use crate::cart::{component_norm, components};
 use crate::eri::EriEngine;
@@ -50,13 +58,12 @@ pub struct SideBlock {
     pub l: usize,
     /// Function offset of the block within its shell.
     pub off: usize,
-    /// Number of cartesian components (`(l+1)(l+2)/2`).
-    pub n_comp: usize,
 }
 
-/// Per-shell metadata of one side of a pair.
+/// One shell as the pair dataset sees it, built once per shell and shared
+/// by every pair on it.
 #[derive(Clone, Debug)]
-pub struct PairSide {
+pub struct ShellSide {
     /// Shell index within the basis.
     pub shell: usize,
     /// Total functions of the shell.
@@ -66,20 +73,46 @@ pub struct PairSide {
     pub blocks: Vec<SideBlock>,
     /// Per-function cartesian normalization factors.
     pub norms: Vec<f64>,
+    pub(crate) center: [f64; 3],
+    /// Primitive exponents, shared by every block.
+    pub(crate) exps: Vec<f64>,
+    /// Contraction coefficients, `[block][primitive]` (see
+    /// [`ShellSide::coef`]).
+    coefs: Vec<f64>,
 }
 
-impl PairSide {
-    fn new(index: usize, s: &Shell) -> PairSide {
+impl ShellSide {
+    pub(crate) fn new(index: usize, s: &Shell) -> ShellSide {
         let mut blocks = Vec::with_capacity(s.blocks.len());
         let mut norms = Vec::with_capacity(s.n_functions());
         let mut off = 0;
         for b in &s.blocks {
             let comps = components(b.l);
-            blocks.push(SideBlock { l: b.l, off, n_comp: comps.len() });
+            blocks.push(SideBlock { l: b.l, off });
             norms.extend(comps.iter().map(|&c| component_norm(c)));
             off += comps.len();
         }
-        PairSide { shell: index, n_fn: off, max_l: s.max_l(), blocks, norms }
+        ShellSide {
+            shell: index,
+            n_fn: off,
+            max_l: s.max_l(),
+            blocks,
+            norms,
+            center: s.center,
+            exps: s.exps.clone(),
+            coefs: s.blocks.iter().flat_map(|b| b.coefs.iter().copied()).collect(),
+        }
+    }
+
+    /// One record per shell of `basis`, in shell order.
+    pub(crate) fn all(basis: &BasisSet) -> Vec<Arc<ShellSide>> {
+        basis.shells.iter().enumerate().map(|(i, s)| Arc::new(ShellSide::new(i, s))).collect()
+    }
+
+    /// Contraction coefficient of primitive `prim` in block `block`.
+    #[inline]
+    pub(crate) fn coef(&self, block: usize, prim: usize) -> f64 {
+        self.coefs[block * self.exps.len() + prim]
     }
 
     /// Every function of this side in function order: its block index,
@@ -94,9 +127,13 @@ impl PairSide {
         powers.zip(&self.norms).map(|((bi, c), &n)| (bi, c, n)).collect()
     }
 
-    fn heap_bytes(&self) -> usize {
-        self.blocks.len() * std::mem::size_of::<SideBlock>()
-            + self.norms.len() * std::mem::size_of::<f64>()
+    /// Bytes of this record behind its `Arc`: the two reference counts, the
+    /// struct and its heap arrays.
+    fn bytes(&self) -> usize {
+        2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<ShellSide>()
+            + self.blocks.len() * std::mem::size_of::<SideBlock>()
+            + (self.norms.len() + self.exps.len() + self.coefs.len()) * std::mem::size_of::<f64>()
     }
 }
 
@@ -124,13 +161,13 @@ pub struct PrimSoA {
 }
 
 impl PrimSoA {
-    fn from_prims(prims: &[PrimPair]) -> PrimSoA {
+    fn from_prims(prims: &[PrimPair], k: Vec<f64>) -> PrimSoA {
         PrimSoA {
             p: prims.iter().map(|pp| pp.p).collect(),
             cx: prims.iter().map(|pp| pp.center[0]).collect(),
             cy: prims.iter().map(|pp| pp.center[1]).collect(),
             cz: prims.iter().map(|pp| pp.center[2]).collect(),
-            k: prims.iter().map(|pp| pp.k).collect(),
+            k,
             w: Vec::new(),
         }
     }
@@ -167,8 +204,8 @@ pub(crate) fn simplex_index(l: usize, t: usize, u: usize, v: usize) -> usize {
 ///
 /// The class kernels contract per Hermite index: stage 1 adds one gathered
 /// `R` row times `w` into every `cd` column an index feeds, stage 2 adds
-/// `w` times one `W` row into every `ab` output row. The generic path walks
-/// the dense [`ETable`]s and forms the same products in the same
+/// `w` times one `W` row into every `ab` output row. The generic path
+/// rebuilds the dense [`ETable`]s and forms the same products in the same
 /// association.
 #[derive(Clone, Debug, Default)]
 pub struct HermiteTable {
@@ -186,13 +223,13 @@ pub struct HermiteTable {
 impl HermiteTable {
     /// Enumerate each primitive pair's nonzero products in the generic
     /// path's order (function pairs, then `t`, `u`, `v`, with its
-    /// per-direction zero tests), then counting-sort them by `h`; the sort is
-    /// stable, so each group keeps function-pair order.
-    fn build(prims: &[PrimPair], coef: &[f64], a: &PairSide, b: &PairSide) -> HermiteTable {
+    /// per-direction zero tests), from `E` tables built for that primitive
+    /// pair alone, then counting-sort them by `h`; the sort is stable, so
+    /// each group keeps function-pair order.
+    fn build(prims: &[PrimPair], a: &ShellSide, b: &ShellSide) -> HermiteTable {
         let l = a.max_l + b.max_l;
         let n_h = simplex_len(l);
         let (fns_a, fns_b) = (a.functions(), b.functions());
-        let (nblk_b, nblk) = (b.blocks.len(), a.blocks.len() * b.blocks.len());
         debug_assert!(a.n_fn * b.n_fn <= usize::from(u16::MAX) + 1, "function pairs overflow u16");
         let mut offsets = Vec::with_capacity(prims.len() * n_h + 1);
         offsets.push(0u32);
@@ -205,23 +242,23 @@ impl HermiteTable {
             hs.clear();
             pf.clear();
             pw.clear();
-            let c = &coef[ip * nblk..(ip + 1) * nblk];
+            let [ex, ey, ez] = pp.e_tables(a, b);
             for (ia, &(ba, (ax, ay, az), na)) in fns_a.iter().enumerate() {
                 for (ib, &(bb, (bx, by, bz), nb)) in fns_b.iter().enumerate() {
-                    let cnn = c[ba * nblk_b + bb] * na * nb;
+                    let cnn = pp.coef(a, b, ba, bb) * na * nb;
                     let f = (ia * b.n_fn + ib) as u16;
                     for t in 0..=(ax + bx) {
-                        let etx = pp.ex.get(ax, bx, t);
+                        let etx = ex.get(ax, bx, t);
                         if etx == 0.0 {
                             continue;
                         }
                         for u in 0..=(ay + by) {
-                            let ety = pp.ey.get(ay, by, u);
+                            let ety = ey.get(ay, by, u);
                             if ety == 0.0 {
                                 continue;
                             }
                             for v in 0..=(az + bz) {
-                                let etz = pp.ez.get(az, bz, v);
+                                let etz = ez.get(az, bz, v);
                                 if etz == 0.0 {
                                     continue;
                                 }
@@ -291,19 +328,37 @@ impl HermiteTable {
     }
 }
 
-/// Hermite tables and Gaussian-product data for one surviving primitive
-/// pair.
-#[derive(Clone, Debug)]
+/// One surviving primitive pair: which primitives of the two shells it
+/// joins, and its Gaussian-product data.
+#[derive(Clone, Copy, Debug)]
 pub struct PrimPair {
-    pub ex: ETable,
-    pub ey: ETable,
-    pub ez: ETable,
     /// Sum of the two exponents.
     pub p: f64,
     /// Product center.
     pub center: [f64; 3],
-    /// Gaussian-product prefactor `exp(-mu |AB|^2)`.
-    pub k: f64,
+    /// Primitive index within side a.
+    pub pa: u32,
+    /// Primitive index within side b.
+    pub pb: u32,
+}
+
+impl PrimPair {
+    /// The dense `E` tables of this primitive pair along x, y and z, built
+    /// from its two side records at the shells' maximum angular momenta
+    /// (valid for every lower block). The Hermite table build and the
+    /// generic path both call this, so they see the same bits.
+    pub(crate) fn e_tables(&self, a: &ShellSide, b: &ShellSide) -> [ETable; 3] {
+        let (aexp, bexp) = (a.exps[self.pa as usize], b.exps[self.pb as usize]);
+        std::array::from_fn(|x| {
+            ETable::build(a.max_l, b.max_l, aexp, bexp, a.center[x], b.center[x])
+        })
+    }
+
+    /// Coefficient product `c_a[block ba][pa] * c_b[block bb][pb]`.
+    #[inline]
+    pub(crate) fn coef(&self, a: &ShellSide, b: &ShellSide, ba: usize, bb: usize) -> f64 {
+        a.coef(ba, self.pa as usize) * b.coef(bb, self.pb as usize)
+    }
 }
 
 /// All quartet-independent data of one shell pair `(i, j)`, `i >= j`.
@@ -311,17 +366,16 @@ pub struct PrimPair {
 pub struct ShellPair {
     pub i: usize,
     pub j: usize,
-    pub a: PairSide,
-    pub b: PairSide,
+    /// Side records of shells `i` and `j`, shared with every other pair on
+    /// those shells.
+    pub a: Arc<ShellSide>,
+    pub b: Arc<ShellSide>,
     /// Surviving primitive pairs.
     pub prims: Vec<PrimPair>,
     /// Structure-of-arrays view of `prims` for the class kernels.
     pub soa: PrimSoA,
     /// Fused Hermite weights per (primitive pair, Hermite index).
     pub hermite: HermiteTable,
-    /// Coefficient products, laid out `[prim][block_a][block_b]`
-    /// (see [`ShellPair::coef`]).
-    coef: Vec<f64>,
     /// Largest `|c_a c_b|` over surviving primitive and block pairs — the
     /// quartet-level prefactor-screening bound.
     pub max_coef: f64,
@@ -336,23 +390,27 @@ pub struct ShellPair {
 }
 
 impl ShellPair {
-    /// Visit every primitive pair `(pa, pb)` of shells `(sa, sb)` with its
+    /// Visit every primitive pair `(pa, pb)` of sides `(a, b)` with its
     /// Gaussian-product prefactor `K = exp(-mu |AB|^2)` and its largest
     /// `|c_a c_b|` over block pairs; returns `max K max|c_a c_b|` over all of
     /// them, the pair's prefactor bound.
-    fn scan_prims(sa: &Shell, sb: &Shell, mut visit: impl FnMut(usize, usize, f64, f64)) -> f64 {
-        let dx = sa.center[0] - sb.center[0];
-        let dy = sa.center[1] - sb.center[1];
-        let dz = sa.center[2] - sb.center[2];
+    fn scan_prims(
+        a: &ShellSide,
+        b: &ShellSide,
+        mut visit: impl FnMut(usize, usize, f64, f64),
+    ) -> f64 {
+        let dx = a.center[0] - b.center[0];
+        let dy = a.center[1] - b.center[1];
+        let dz = a.center[2] - b.center[2];
         let r2 = dx * dx + dy * dy + dz * dz;
         let mut bound = 0.0f64;
-        for (pa, &aexp) in sa.exps.iter().enumerate() {
-            for (pb, &bexp) in sb.exps.iter().enumerate() {
+        for (pa, &aexp) in a.exps.iter().enumerate() {
+            for (pb, &bexp) in b.exps.iter().enumerate() {
                 let k = (-aexp * bexp / (aexp + bexp) * r2).exp();
                 let mut mc = 0.0f64;
-                for ba in &sa.blocks {
-                    for bb in &sb.blocks {
-                        mc = mc.max((ba.coefs[pa] * bb.coefs[pb]).abs());
+                for ba in 0..a.blocks.len() {
+                    for bb in 0..b.blocks.len() {
+                        mc = mc.max((a.coef(ba, pa) * b.coef(bb, pb)).abs());
                     }
                 }
                 bound = bound.max(k * mc);
@@ -368,66 +426,56 @@ impl ShellPair {
     /// distance, so it decides which pairs are negligible
     /// ([`crate::Screening::compute_hybrid`]) and is the Schwarz value of a
     /// pair whose every primitive pair was pruned.
-    pub(crate) fn prefactor_bound(sa: &Shell, sb: &Shell) -> f64 {
-        ShellPair::scan_prims(sa, sb, |_, _, _, _| {})
+    pub(crate) fn prefactor_bound(a: &ShellSide, b: &ShellSide) -> f64 {
+        ShellPair::scan_prims(a, b, |_, _, _, _| {})
     }
 
     /// Build the pair data for shells `sa` (side a, basis index `i`) and
-    /// `sb` (side b, basis index `j`). Primitive pairs with
-    /// `K * max|c_a c_b| < pair_cutoff` are dropped.
+    /// `sb` (side b, basis index `j`), with side records of its own.
+    /// Primitive pairs with `K * max|c_a c_b| < pair_cutoff` are dropped.
     pub fn build(i: usize, j: usize, sa: &Shell, sb: &Shell, pair_cutoff: f64) -> ShellPair {
-        let a = PairSide::new(i, sa);
-        let b = PairSide::new(j, sb);
-        let (la, lb) = (a.max_l, b.max_l);
-        let nblk = a.blocks.len() * b.blocks.len();
+        let (a, b) = (ShellSide::new(i, sa), ShellSide::new(j, sb));
+        ShellPair::from_sides(Arc::new(a), Arc::new(b), pair_cutoff)
+    }
 
-        let mut prims = Vec::with_capacity(sa.exps.len() * sb.exps.len());
-        let mut coef = Vec::with_capacity(prims.capacity() * nblk);
+    /// Build the pair data over two shared side records.
+    pub(crate) fn from_sides(a: Arc<ShellSide>, b: Arc<ShellSide>, pair_cutoff: f64) -> ShellPair {
+        let mut prims = Vec::with_capacity(a.exps.len() * b.exps.len());
+        let mut ks = Vec::with_capacity(prims.capacity());
         let mut max_coef = 0.0f64;
-        let prefactor_bound = ShellPair::scan_prims(sa, sb, |pa, pb, k, mc| {
+        let prefactor_bound = ShellPair::scan_prims(&a, &b, |pa, pb, k, mc| {
             if k * mc < pair_cutoff {
                 return;
             }
-            let (aexp, bexp) = (sa.exps[pa], sb.exps[pb]);
+            let (aexp, bexp) = (a.exps[pa], b.exps[pb]);
             let p = aexp + bexp;
             max_coef = max_coef.max(mc);
-            for ba in &sa.blocks {
-                for bb in &sb.blocks {
-                    coef.push(ba.coefs[pa] * bb.coefs[pb]);
-                }
-            }
+            ks.push(k);
             prims.push(PrimPair {
-                ex: ETable::build(la, lb, aexp, bexp, sa.center[0], sb.center[0]),
-                ey: ETable::build(la, lb, aexp, bexp, sa.center[1], sb.center[1]),
-                ez: ETable::build(la, lb, aexp, bexp, sa.center[2], sb.center[2]),
                 p,
-                center: [
-                    (aexp * sa.center[0] + bexp * sb.center[0]) / p,
-                    (aexp * sa.center[1] + bexp * sb.center[1]) / p,
-                    (aexp * sa.center[2] + bexp * sb.center[2]) / p,
-                ],
-                k,
+                center: std::array::from_fn(|x| (aexp * a.center[x] + bexp * b.center[x]) / p),
+                pa: pa as u32,
+                pb: pb as u32,
             });
         });
-        let mut soa = PrimSoA::from_prims(&prims);
-        let hermite = HermiteTable::build(&prims, &coef, &a, &b);
+        let mut soa = PrimSoA::from_prims(&prims, ks);
+        let hermite = HermiteTable::build(&prims, &a, &b);
         if a.n_fn == 1 && b.n_fn == 1 {
             soa.w = (0..prims.len())
                 .map(|ip| hermite.entries(ip, 0).1.first().copied().unwrap_or(0.0))
                 .collect();
         }
         ShellPair {
-            i,
-            j,
+            i: a.shell,
+            j: b.shell,
+            l_sum: a.max_l + b.max_l,
             a,
             b,
             prims,
             soa,
             hermite,
-            coef,
             max_coef,
             schwarz: 0.0,
-            l_sum: la + lb,
             prefactor_bound,
         }
     }
@@ -454,13 +502,6 @@ impl ShellPair {
         m.sqrt()
     }
 
-    /// Coefficient product `c_a[block ba][prim pa] * c_b[block bb][prim pb]`
-    /// for surviving primitive pair `ip`.
-    #[inline]
-    pub fn coef(&self, ip: usize, ba: usize, bb: usize) -> f64 {
-        self.coef[(ip * self.a.blocks.len() + ba) * self.b.blocks.len() + bb]
-    }
-
     /// Number of function pairs `n_fn(a) * n_fn(b)` — a quartet buffer over
     /// two pairs holds `bra.n_fn() * ket.n_fn()` values.
     #[inline]
@@ -468,20 +509,13 @@ impl ShellPair {
         self.a.n_fn * self.b.n_fn
     }
 
-    /// Heap bytes held by this pair's dataset.
-    pub fn heap_bytes(&self) -> usize {
-        let etables: usize = self
-            .prims
-            .iter()
-            .map(|pp| pp.ex.heap_bytes() + pp.ey.heap_bytes() + pp.ez.heap_bytes())
-            .sum();
-        etables
+    /// Bytes held by this pair alone: its struct and heap arrays. Its two
+    /// side records are shared, and [`ShellPairs::bytes`] counts each once.
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<ShellPair>()
             + self.prims.len() * std::mem::size_of::<PrimPair>()
             + self.soa.heap_bytes()
             + self.hermite.heap_bytes()
-            + self.coef.len() * std::mem::size_of::<f64>()
-            + self.a.heap_bytes()
-            + self.b.heap_bytes()
     }
 }
 
@@ -503,10 +537,12 @@ impl ShellPairs {
     /// pair (bitwise-reference mode).
     pub fn build_with(basis: &BasisSet, pair_cutoff: f64) -> ShellPairs {
         let n = basis.n_shells();
+        let sides = ShellSide::all(basis);
         let mut pairs = Vec::with_capacity(n_pairs(n));
         for i in 0..n {
             for j in 0..=i {
-                pairs.push(ShellPair::build(i, j, &basis.shells[i], &basis.shells[j], pair_cutoff));
+                let (a, b) = (Arc::clone(&sides[i]), Arc::clone(&sides[j]));
+                pairs.push(ShellPair::from_sides(a, b, pair_cutoff));
             }
         }
         let mut engine = EriEngine::new();
@@ -514,7 +550,8 @@ impl ShellPairs {
         for pr in &mut pairs {
             pr.schwarz = pr.schwarz_bound(&mut engine, &mut buf);
         }
-        let bytes = pairs.iter().map(|p| p.heap_bytes() + std::mem::size_of::<ShellPair>()).sum();
+        let bytes = pairs.iter().map(ShellPair::bytes).sum::<usize>()
+            + sides.iter().map(|s| s.bytes()).sum::<usize>();
         ShellPairs { n_shells: n, pairs, bytes }
     }
 
@@ -542,9 +579,10 @@ impl ShellPairs {
         self.pairs.is_empty()
     }
 
-    /// Total heap footprint of the dataset. The dataset is built once per
-    /// SCF run and shared read-only across threads and (in-process) ranks,
-    /// so this charges the per-node memory budget once per rank at most.
+    /// Total footprint of the dataset: every pair's struct and arrays, and
+    /// every shell's side record once. The dataset is built once per SCF
+    /// run and shared read-only across threads and (in-process) ranks, so
+    /// this charges the per-node memory budget once per rank at most.
     pub fn bytes(&self) -> usize {
         self.bytes
     }
@@ -647,24 +685,28 @@ mod tests {
         }
     }
 
-    /// The fused table, rebuilt from the pair's dense `E` tables in another
-    /// order: Hermite index outer, function pairs inner. Every group must
-    /// hold exactly the nonzero `((E_t E_u) E_v) ((c N_a) N_b)` products, to
-    /// the bit, each function pair once and in function-pair order; an s–s
-    /// pair's `PrimSoA::w` must be its `h = 0` weight, or 0.0 where that
-    /// group is empty.
-    fn assert_table_matches_dense_e(pr: &ShellPair) {
+    /// The fused table, rebuilt from dense `E` tables made here from the two
+    /// shells with [`ETable::build`], in another order: Hermite index outer,
+    /// function pairs inner. Every group must hold exactly the nonzero
+    /// `((E_t E_u) E_v) ((c N_a) N_b)` products, to the bit, each function
+    /// pair once and in function-pair order; an s–s pair's `PrimSoA::w` must
+    /// be its `h = 0` weight, or 0.0 where that group is empty.
+    fn assert_table_matches_dense_e(pr: &ShellPair, sa: &Shell, sb: &Shell) {
         let l = pr.l_sum;
-        let side_fns = |side: &PairSide| -> Vec<(usize, (usize, usize, usize))> {
+        let shell_fns = |s: &Shell| -> Vec<(usize, (usize, usize, usize))> {
             let mut fns = Vec::new();
-            for (bi, blk) in side.blocks.iter().enumerate() {
+            for (bi, blk) in s.blocks.iter().enumerate() {
                 fns.extend(components(blk.l).iter().map(|&c| (bi, c)));
             }
             fns
         };
-        let (fns_a, fns_b) = (side_fns(&pr.a), side_fns(&pr.b));
+        let (fns_a, fns_b) = (shell_fns(sa), shell_fns(sb));
         assert_eq!(pr.hermite.n_h(), simplex_len(l));
         for (ip, pp) in pr.prims.iter().enumerate() {
+            let (pa, pb) = (pp.pa as usize, pp.pb as usize);
+            let (ea, eb) = (sa.exps[pa], sb.exps[pb]);
+            let [ex, ey, ez] = [0, 1, 2]
+                .map(|x| ETable::build(sa.max_l(), sb.max_l(), ea, eb, sa.center[x], sb.center[x]));
             let mut h = 0;
             for t in 0..=l {
                 for u in 0..=(l - t) {
@@ -673,11 +715,9 @@ mod tests {
                         let mut want: Vec<(u16, u64)> = Vec::new();
                         for (fa, &(ba, (ax, ay, az))) in fns_a.iter().enumerate() {
                             for (fb, &(bb, (bx, by, bz))) in fns_b.iter().enumerate() {
-                                let e = pp.ex.get(ax, bx, t)
-                                    * pp.ey.get(ay, by, u)
-                                    * pp.ez.get(az, bz, v);
-                                let cnn = pr.coef(ip, ba, bb) * pr.a.norms[fa] * pr.b.norms[fb];
-                                let w = e * cnn;
+                                let e = ex.get(ax, bx, t) * ey.get(ay, by, u) * ez.get(az, bz, v);
+                                let c = sa.blocks[ba].coefs[pa] * sb.blocks[bb].coefs[pb];
+                                let w = e * (c * pr.a.norms[fa] * pr.b.norms[fb]);
                                 if w != 0.0 {
                                     want.push(((fa * pr.b.n_fn + fb) as u16, w.to_bits()));
                                 }
@@ -711,7 +751,7 @@ mod tests {
         let basis = BasisSet::build(&small::water(), BasisName::B631gd);
         let pairs = ShellPairs::build(&basis);
         for pr in pairs.iter() {
-            assert_table_matches_dense_e(pr);
+            assert_table_matches_dense_e(pr, &basis.shells[pr.i], &basis.shells[pr.j]);
         }
         // A (d,d) pair of contraction depth 2 x 3 on two centres, where odd
         // Hermite indices are nonzero and groups hold several primitives.
@@ -725,21 +765,49 @@ mod tests {
         let db = d_shell([0.7, -0.4, 0.9], vec![2.6, 0.8, 0.2], vec![0.3, -0.7, 0.4]);
         let pr = ShellPair::build(1, 0, &da, &db, 0.0);
         assert_eq!((pr.prims.len(), pr.l_sum), (6, 4));
-        assert_table_matches_dense_e(&pr);
+        assert_table_matches_dense_e(&pr, &da, &db);
+    }
+
+    #[test]
+    fn pairs_share_one_side_record_per_shell() {
+        let basis = c_ring_basis();
+        let pairs = ShellPairs::build(&basis);
+        let n = basis.n_shells();
+        for i in 0..n {
+            let side = &pairs.pair(i, i).a;
+            for k in 0..n {
+                let pr = if i >= k { pairs.pair(i, k) } else { pairs.pair(k, i) };
+                let other = if i >= k { &pr.a } else { &pr.b };
+                assert!(Arc::ptr_eq(side, other), "shells ({i}, {k}) hold their own copy of {i}");
+            }
+            // One reference per side of a pair on shell `i`: `n` pairs, the
+            // diagonal one holding it twice, and no other copy.
+            assert_eq!(Arc::strong_count(side), n + 1);
+        }
+        // Each record is counted once, not once per pair that holds it.
+        let in_pairs: usize = pairs.iter().map(ShellPair::bytes).sum();
+        let sides: usize = (0..n).map(|i| pairs.pair(i, i).a.bytes()).sum();
+        assert_eq!(pairs.bytes(), in_pairs + sides);
+    }
+
+    #[test]
+    fn h28_dataset_holds_what_the_kernels_read() {
+        // 1 541 570 B when every pair also stored its dense E tables, its
+        // coefficient products and copies of both shells' records.
+        let basis = BasisSet::build(&small::h_chain(28, 1.8), BasisName::B631g);
+        let bytes = ShellPairs::build(&basis).bytes();
+        assert!(bytes * 10 <= 1_541_570 * 6, "{bytes} B");
     }
 
     #[test]
     fn bytes_accounting_is_plausible() {
         let basis = c_ring_basis();
         let pairs = ShellPairs::build(&basis);
-        // Must at least cover the E tables of the surviving primitive pairs
-        // and stay within an order of magnitude of a direct estimate.
-        let etable_bytes: usize = pairs
-            .iter()
-            .flat_map(|p| p.prims.iter())
-            .map(|pp| pp.ex.heap_bytes() + pp.ey.heap_bytes() + pp.ez.heap_bytes())
-            .sum();
-        assert!(pairs.bytes() > etable_bytes);
-        assert!(pairs.bytes() < 20 * etable_bytes);
+        // Must at least cover what the class kernels read, the SoA lanes and
+        // the fused tables, and stay within a small multiple of it.
+        let payload: usize =
+            pairs.iter().map(|p| p.soa.heap_bytes() + p.hermite.heap_bytes()).sum();
+        assert!(pairs.bytes() > payload);
+        assert!(pairs.bytes() < 2 * payload, "{} B against {payload} B", pairs.bytes());
     }
 }

@@ -21,6 +21,7 @@
 
 use phi_scf::chem::basis::{custom_shell, AngBlock};
 use phi_scf::chem::Shell;
+use phi_scf::integrals::hermite::ETable;
 use phi_scf::integrals::kernels::{CLASS_LABELS, N_SPEC};
 use phi_scf::integrals::{EriEngine, ShellPair};
 
@@ -353,7 +354,11 @@ fn ssss_kernel_matches_generic() {
                     let ket = ShellPair::build(0, 0, &b, &a, pair_cutoff);
                     pruned |= bra.prims.len() < da * db;
                     underflowed |= bra.prims.iter().enumerate().any(|(i, pp)| {
-                        let e000 = pp.ex.get(0, 0, 0) * pp.ey.get(0, 0, 0) * pp.ez.get(0, 0, 0);
+                        let (ea, eb) = (a.exps[pp.pa as usize], b.exps[pp.pb as usize]);
+                        let e000: f64 = (0..3)
+                            .map(|x| ETable::build(0, 0, ea, eb, a.center[x], b.center[x]))
+                            .map(|e| e.get(0, 0, 0))
+                            .product();
                         e000 == 0.0 && bra.hermite.entries(i, 0).1.is_empty()
                     });
                     let (mut vs, mut vg) = ([0.0], [0.0]);

@@ -334,10 +334,14 @@ fn eri_kernel_path_respects_schwarz_bound() {
 // ------------------------------------------------------------------ fock --
 
 /// End-to-end differential test: a serial Fock build with the specialized
-/// kernels must match the same build forced down the generic path, element
-/// by element, on a basis that exercises s, p, SP, and d classes.
+/// kernels must match the same quartets evaluated on the generic path and
+/// digested into `G`, element by element, on a basis that exercises s, p,
+/// SP, and d classes. The generic side is built here, as the benchmark's
+/// probe builds it: the canonical `kl_bounds` loops, the `survives` test,
+/// `EriEngine::generic_only` and `digest_quartet` into a `TriSink`.
 #[test]
 fn serial_fock_matches_with_kernels_on_and_off() {
+    use phi_scf::hf::fock::{digest_quartet, kl_bounds, tri_to_full, TriSink};
     use phi_scf::hf::{DensitySet, FockAlgorithm, FockContext};
     use phi_scf::integrals::Screening;
 
@@ -349,20 +353,40 @@ fn serial_fock_matches_with_kernels_on_and_off() {
     let mut rng = Rng::new(73);
     let d = random_symmetric(&mut rng, n, -0.4, 0.4);
     let ctx = FockContext::new(&basis, &pairs, &screening, 1e-11);
-    let serial = FockAlgorithm::Serial.builder();
-    let on = serial.build(&ctx, &DensitySet::Restricted(&d));
-    let off = serial.build(&ctx.with_eri_kernels(false), &DensitySet::Restricted(&d));
+    let on = FockAlgorithm::Serial.builder().build(&ctx, &DensitySet::Restricted(&d));
+
+    let mut generic = EriEngine::generic_only();
+    let (mut g, mut buf) = (vec![0.0; n * n], Vec::new());
+    let mut sink = TriSink { buf: &mut g, n };
+    let ns = basis.n_shells();
+    for i in 0..ns {
+        for j in 0..=i {
+            for k in 0..=i {
+                for l in 0..=kl_bounds(i, j, k) {
+                    if !ctx.survives(i, j, k, l) {
+                        continue;
+                    }
+                    let (bra, ket) = (pairs.pair(i, j), pairs.pair(k, l));
+                    buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
+                    generic.shell_quartet_pairs(bra, ket, &mut buf);
+                    digest_quartet(&basis, i, j, k, l, &buf, &d, &mut sink);
+                }
+            }
+        }
+    }
+    let off = tri_to_full(&g, n);
     assert!(
-        on.g.max_abs_diff(&off.g) <= 1e-12,
+        on.g.max_abs_diff(&off) <= 1e-12,
         "kernels-on vs kernels-off G diverge: {}",
-        on.g.max_abs_diff(&off.g)
+        on.g.max_abs_diff(&off)
     );
     // The kernel build must actually have dispatched specialized classes,
-    // and the generic build must not have.
+    // and the generic sweep must not have.
     assert!(on.stats.eri_spec_quartets() > 0);
-    assert_eq!(off.stats.eri_spec_quartets(), 0);
+    assert_eq!(generic.spec_quartets_computed(), 0);
     assert_eq!(
-        on.stats.quartets_computed, off.stats.quartets_computed,
+        on.stats.quartets_computed,
+        generic.shell_quartets_computed(),
         "both paths must screen identically"
     );
 }

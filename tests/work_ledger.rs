@@ -116,19 +116,19 @@ fn h28_631g_ledger_holds_on_every_row() {
         max_rank_peak,
     };
     let rows = [
-        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 1_604_290),
+        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 833_234),
         // Every significant pair leased, plus each rank's out-of-range
         // claim: the other 928 pairs are no task at all.
-        row(MPI, 668, 670, 0..=0, 0, 1_604_290),
+        row(MPI, 668, 670, 0..=0, 0, 833_234),
         // One lease per shell `i`, plus the end-of-stream claim.
-        row(PRIVATE, 56, 57, 0..=0, 0, 1_641_922),
+        row(PRIVATE, 56, 57, 0..=0, 0, 870_866),
         // One FJ flush per task plus one FI flush per run of equal `i`.
-        row(SHARED, 668, 669, 724..=724, 0, 1_629_378),
+        row(SHARED, 668, 669, 724..=724, 0, 858_322),
         // Measured 20 369–20 731 over about 2 400 builds per row.
-        row(DISTRIBUTED, 668, 670, 20_150..=20_900, 229_195, 1_582_138),
-        row(SHARDED, 668, 670, 20_150..=20_900, 229_195, 1_572_970),
-        row(DISTRIBUTED1, 668, 669, 20_594..=20_594, 229_195, 1_588_522),
-        row(SHARDED1, 668, 669, 20_594..=20_594, 229_195, 1_585_738),
+        row(DISTRIBUTED, 668, 670, 20_150..=20_900, 229_195, 811_082),
+        row(SHARDED, 668, 670, 20_150..=20_900, 229_195, 801_914),
+        row(DISTRIBUTED1, 668, 669, 20_594..=20_594, 229_195, 817_466),
+        row(SHARDED1, 668, 669, 20_594..=20_594, 229_195, 814_682),
     ];
     check(&small::h_chain(28, 1.8), BasisName::B631g, work, &rows);
 }
@@ -154,10 +154,10 @@ fn water_631gd_ledger_holds_on_every_row() {
         max_rank_peak,
     };
     let rows = [
-        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 109_074),
-        row(MPI, 36, 38, 0..=0, 0, 109_074),
-        row(PRIVATE, 8, 9, 0..=0, 0, 113_406),
-        row(SHARED, 36, 37, 44..=44, 0, 111_962),
+        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 51_714),
+        row(MPI, 36, 38, 0..=0, 0, 51_714),
+        row(PRIVATE, 8, 9, 0..=0, 0, 56_046),
+        row(SHARED, 36, 37, 44..=44, 0, 54_602),
         // Measured 11–128 over about 8 000 builds per row: with 36 tasks, how
         // they split between the ranks moves the count by a factor of ten.
         // Pushing every unique integral's updates straight into the `acc`
@@ -168,10 +168,10 @@ fn water_631gd_ledger_holds_on_every_row() {
         // skips exact zeros, so the `acc` count moves with rounding noise in
         // integrals that vanish by symmetry: element 11 of (64|32) read
         // -2.7e-20 until its Hermite weights were fused, and 0.0 since.
-        row(DISTRIBUTED, 36, 38, 5..=200, 4_150, 115_806),
-        row(SHARDED, 36, 38, 5..=200, 4_150, 122_326),
-        row(DISTRIBUTED1, 36, 37, 62..=62, 4_150, 116_566),
-        row(SHARDED1, 36, 37, 62..=62, 4_150, 123_846),
+        row(DISTRIBUTED, 36, 38, 5..=200, 4_150, 58_446),
+        row(SHARDED, 36, 38, 5..=200, 4_150, 64_966),
+        row(DISTRIBUTED1, 36, 37, 62..=62, 4_150, 59_206),
+        row(SHARDED1, 36, 37, 62..=62, 4_150, 66_486),
     ];
     let work = Work { computed: 666, screened: 0, classes: &classes, max_tests_per_computed: 1.0 };
     check(&small::water(), BasisName::B631gd, work, &rows);
@@ -196,19 +196,19 @@ fn h8_sto3g_ledger_holds_on_every_row() {
         max_rank_peak,
     };
     let rows = [
-        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 70_194),
+        row(FockAlgorithm::Serial, 0, 0, 0..=0, 0, 32_770),
         // Every row but private leases the 26 significant ij pairs through
         // the same loop, plus each rank's out-of-range claim.
-        row(MPI, 26, 28, 0..=0, 0, 70_194),
+        row(MPI, 26, 28, 0..=0, 0, 32_770),
         // One FJ flush per task, one FI flush per run of equal i in a
         // rank's lease sequence: 8 on one rank.
-        row(SHARED, 26, 27, 34..=34, 0, 70_706),
+        row(SHARED, 26, 27, 34..=34, 0, 33_282),
         // On two ranks which rank gets which lease is a race, and each sees
         // at most all 8 i: 34 to 41 over 4 000 builds.
-        row(SHARED2, 26, 28, 34..=42, 0, 70_706),
+        row(SHARED2, 26, 28, 34..=42, 0, 33_282),
         // Measured 1–5 over 600 builds per row.
-        row(DISTRIBUTED, 26, 28, 1..=20, 391, 77_898),
-        row(SHARDED, 26, 28, 1..=20, 391, 85_914),
+        row(DISTRIBUTED, 26, 28, 1..=20, 391, 40_474),
+        row(SHARDED, 26, 28, 1..=20, 391, 48_490),
     ];
     check(&small::h_chain(8, 5.0), BasisName::Sto3g, work, &rows);
 }
